@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify clean bench bench-smoke bench-json stream-smoke scale-smoke full-scale-smoke analyze-smoke cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build vet test race verify clean bench bench-smoke repo-bench-smoke bench-json stream-smoke scale-smoke full-scale-smoke analyze-smoke cluster-smoke metrics-smoke route-smoke profile
 
 all: verify
 
@@ -32,6 +32,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/netsim ./internal/prober ./internal/census ./internal/store ./internal/route .
 
+# repo-bench-smoke compiles and tests bench/, the repository benchmark
+# (BENCHMARK.json). It is its own Go module, so the root build and test
+# never see it: an API break in what it compiles against — census
+# campaigns, the cluster coordinator, the store — shows up only here.
+repo-bench-smoke:
+	cd bench && $(GO) test ./...
+
 # bench-json regenerates the committed benchmark trajectory point,
 # including the route-serving block (answer-path qps, UDP loopback,
 # snapshot-swap flatness) and the full-scale census: the paper's 6.6M
@@ -49,34 +56,37 @@ bench-json:
 # campaign must complete under a GOMEMLIMIT set below the ~380 MiB that
 # holding all four rounds densely would cost. A regression that
 # reintroduces O(rounds) or O(unicast) residency thrashes the GC or dies
-# here instead of shipping.
+# here instead of shipping. (cmd/census is span-pipelined by default, so
+# this also runs well under the one-round transient the bound allows.)
 stream-smoke:
 	GOMEMLIMIT=360MiB $(GO) run ./cmd/census -unicast24s 150000
 
-# scale-smoke proves the shard-pipelined path's memory bound at the
+# scale-smoke proves the span-pipelined executor's memory bound at the
 # largest scale CI can afford: a 500k-/24 two-round campaign (~310k
 # pruned targets) where probe spans fold into the flat-slab combined
-# matrix as they land, run under a GOMEMLIMIT below the ~620 MiB that
-# two dense rounds would cost, with -max-heap-mib failing the run if
-# the sampled peak ever reaches that dense footprint.
+# matrix as they land (cmd/census's default path), run under a
+# GOMEMLIMIT below the ~620 MiB that two dense rounds would cost, with
+# -max-heap-mib failing the run if the sampled peak ever reaches that
+# dense footprint.
 scale-smoke:
 	GOMEMLIMIT=576MiB $(GO) run ./cmd/census -unicast24s 500000 -censuses 2 \
-		-pipelined -max-heap-mib 620
+		-max-heap-mib 620
 
 # full-scale-smoke is the probe-rate regression gate at the largest scale
-# CI can afford: a 1.25M-/24 two-round pipelined campaign (~760k pruned
-# targets) under a GOMEMLIMIT below the two dense rounds it never holds,
+# CI can afford: a 1.25M-/24 two-round campaign (~760k pruned targets,
+# span-pipelined like every cmd/census run that does not ask for whole
+# runs) under a GOMEMLIMIT below the two dense rounds it never holds,
 # where -rate-baseline-targets first measures a 20k-target pilot probing
 # run in the same process and the run fails unless the campaign's
 # aggregate probe rate stays within 2x of it. The pre-span probe path
 # collapsed 3.4x here once the target list outgrew its RTT memo.
 full-scale-smoke:
 	GOMEMLIMIT=1380MiB $(GO) run ./cmd/census -unicast24s 1250000 -censuses 2 \
-		-pipelined -max-heap-mib 1510 -rate-baseline-targets 20000 -rate-within 2
+		-max-heap-mib 1510 -rate-baseline-targets 20000 -rate-within 2
 
 # analyze-smoke proves the incremental analysis engine's bit-identity
 # contract on a live campaign: each round's dirty targets are analyzed
-# (with cached detection certificates) while the next round probes, and
+# (with cached detection certificates) as soon as the round folds, and
 # -verify-analysis re-runs the batch AnalyzeAll at the end and fails
 # unless the outcomes match exactly.
 analyze-smoke:

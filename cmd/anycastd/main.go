@@ -50,9 +50,8 @@ func main() {
 	unicast := flag.Int("unicast24s", 6000, "unicast /24 background size")
 	rounds := flag.Int("censuses", 2, "census rounds combined per snapshot")
 	vpsPer := flag.Int("vps", 261, "vantage points per census round")
-	agents := flag.Int("agents", 0, "run census rounds across this many in-process cluster agents (0 = in-process executor)")
-	pipelined := flag.Bool("pipelined", false, "shard-pipelined census rounds: fold probe spans as they land (bounded peak heap)")
-	spanTargets := flag.Int("span-targets", 0, "pipelined probe-span width in targets (0 = 16384)")
+	agents := flag.Int("agents", 0, "run census rounds across this many in-process cluster agents (0 = in-process workers)")
+	spanTargets := flag.Int("span-targets", 0, "probe/fold unit width in targets, for workers and agents alike (0 = 16384)")
 	snapFile := flag.String("snapshot-file", "", "persist snapshots here and serve them mmap-backed; an existing file boots the daemon ready before the first census")
 	seed := flag.Uint64("seed", 2015, "world seed")
 	rate := flag.Float64("rate", 1000, "probing rate per VP (probes/s)")
@@ -132,7 +131,6 @@ func main() {
 		VPsPerRound: *vpsPer,
 		Seed:        *seed,
 		Agents:      *agents,
-		Pipelined:   *pipelined,
 		SpanTargets: *spanTargets,
 		Metrics:     census.NewMetrics(reg),
 		Census: census.Config{

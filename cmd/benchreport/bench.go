@@ -134,25 +134,19 @@ type paperScaleBench struct {
 	RateVsSmallCampaign     float64 `json:"rate_vs_small_campaign,omitempty"`
 }
 
-// codecBench compares the v2 columnar run format against the legacy
-// gob+flate encoding on a real census round.
+// codecBench times the v2 columnar run format on a real census round.
+// (BENCH_4 records the 5.5x it gained over the gen-1 gob+flate writer,
+// which is gone; LoadRun still reads gen-1 files.)
 type codecBench struct {
 	VPs     int `json:"vps"`
 	Targets int `json:"targets"`
 	// Samples is the number of non-empty matrix cells; bytes-per-sample
 	// divides the encoded size by it.
-	Samples             int     `json:"samples"`
-	V2EncodeNs          float64 `json:"v2_encode_ns"`
-	V2DecodeNs          float64 `json:"v2_decode_ns"`
-	V2Bytes             int     `json:"v2_bytes"`
-	V2BytesPerSample    float64 `json:"v2_bytes_per_sample"`
-	GobEncodeNs         float64 `json:"gob_flate_encode_ns"`
-	GobDecodeNs         float64 `json:"gob_flate_decode_ns"`
-	GobBytes            int     `json:"gob_flate_bytes"`
-	GobBytesPerSample   float64 `json:"gob_flate_bytes_per_sample"`
-	SpeedupEncode       float64 `json:"speedup_encode"`
-	SpeedupDecode       float64 `json:"speedup_decode"`
-	SpeedupEncodeDecode float64 `json:"speedup_encode_decode"`
+	Samples          int     `json:"samples"`
+	V2EncodeNs       float64 `json:"v2_encode_ns"`
+	V2DecodeNs       float64 `json:"v2_decode_ns"`
+	V2Bytes          int     `json:"v2_bytes"`
+	V2BytesPerSample float64 `json:"v2_bytes_per_sample"`
 }
 
 // analyzeAllBench compares the static-chunk analysis partitioning (each
@@ -285,7 +279,7 @@ type benchReport struct {
 	// of the paper's Sec. 3 censuses on one box (absent when disabled with
 	// -full-scale-unicast24s=0).
 	FullScale *paperScaleBench `json:"full_scale_campaign,omitempty"`
-	// Codec compares v2 columnar run persistence against legacy gob+flate.
+	// Codec times v2 columnar run persistence.
 	Codec *codecBench `json:"run_codec,omitempty"`
 	// AnalyzeAll compares static-chunk vs work-stealing analysis
 	// partitioning.
@@ -381,12 +375,11 @@ func writeBenchJSON(path string, lab *experiments.Lab, labElapsed time.Duration,
 				"their cpus fields match", cpusLabel(rep.Baseline.CPUs), rep.Current.CPUs))
 	}
 
-	fmt.Printf("bench: run codec (v2 vs gob+flate) ... ")
+	fmt.Printf("bench: run codec (v2) ... ")
 	rep.Codec = measureCodec(lab)
 	if rep.Codec != nil {
-		fmt.Printf("%.2f vs %.2f B/sample, %.1fx encode, %.1fx decode\n",
-			rep.Codec.V2BytesPerSample, rep.Codec.GobBytesPerSample,
-			rep.Codec.SpeedupEncode, rep.Codec.SpeedupDecode)
+		fmt.Printf("%.2f B/sample, %.1f ms encode, %.1f ms decode\n",
+			rep.Codec.V2BytesPerSample, rep.Codec.V2EncodeNs/1e6, rep.Codec.V2DecodeNs/1e6)
 	} else {
 		fmt.Printf("skipped (no retained runs)\n")
 	}
@@ -1192,8 +1185,8 @@ func measureIncremental(lab *experiments.Lab, rounds, vps int) *incrementalBench
 	return out
 }
 
-// measureCodec times v2 columnar and legacy gob+flate save/load of the
-// lab's first census round.
+// measureCodec times v2 columnar save/load of the lab's first census
+// round.
 func measureCodec(lab *experiments.Lab) *codecBench {
 	if len(lab.Runs) == 0 {
 		return nil
@@ -1212,37 +1205,25 @@ func measureCodec(lab *experiments.Lab) *codecBench {
 	}
 
 	const reps = 3
-	measure := func(save func(*bytes.Buffer) error) (encNs, decNs float64, size int) {
-		var buf bytes.Buffer
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			buf.Reset()
-			if err := save(&buf); err != nil {
-				return 0, 0, 0
-			}
-		}
-		encNs = float64(time.Since(t0).Nanoseconds()) / reps
-		data := buf.Bytes()
-		t0 = time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := census.LoadRun(bytes.NewReader(data)); err != nil {
-				return 0, 0, 0
-			}
-		}
-		decNs = float64(time.Since(t0).Nanoseconds()) / reps
-		return encNs, decNs, len(data)
-	}
-
 	cb := &codecBench{VPs: len(run.VPs), Targets: len(run.Targets), Samples: samples}
-	cb.V2EncodeNs, cb.V2DecodeNs, cb.V2Bytes = measure(func(b *bytes.Buffer) error { return census.SaveRun(b, run) })
-	cb.GobEncodeNs, cb.GobDecodeNs, cb.GobBytes = measure(func(b *bytes.Buffer) error { return census.SaveRunLegacy(b, run) })
-	if cb.V2Bytes == 0 || cb.GobBytes == 0 {
-		return nil
+	var buf bytes.Buffer
+	t0 := time.Now()
+	for i := 0; i < reps; i++ {
+		buf.Reset()
+		if err := census.SaveRun(&buf, run); err != nil {
+			return nil
+		}
 	}
+	cb.V2EncodeNs = float64(time.Since(t0).Nanoseconds()) / reps
+	data := buf.Bytes()
+	t0 = time.Now()
+	for i := 0; i < reps; i++ {
+		if _, err := census.LoadRun(bytes.NewReader(data)); err != nil {
+			return nil
+		}
+	}
+	cb.V2DecodeNs = float64(time.Since(t0).Nanoseconds()) / reps
+	cb.V2Bytes = len(data)
 	cb.V2BytesPerSample = float64(cb.V2Bytes) / float64(samples)
-	cb.GobBytesPerSample = float64(cb.GobBytes) / float64(samples)
-	cb.SpeedupEncode = cb.GobEncodeNs / cb.V2EncodeNs
-	cb.SpeedupDecode = cb.GobDecodeNs / cb.V2DecodeNs
-	cb.SpeedupEncodeDecode = (cb.GobEncodeNs + cb.GobDecodeNs) / (cb.V2EncodeNs + cb.V2DecodeNs)
 	return cb
 }

@@ -42,18 +42,15 @@ func main() {
 	rate := flag.Float64("rate", 1000, "probing rate per VP (probes/s)")
 	workers := flag.Int("workers", 0, "vantage points probing concurrently (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "directory to dump per-VP measurement files")
-	save := flag.String("save", "", "directory to save the census runs (loadable with census.LoadRun)")
+	save := flag.String("save", "", "directory to save the census runs (loadable with census.LoadRun); probes whole rounds, like -stream=false")
 	format := flag.String("format", "binary", "record format for -out: binary or csv")
 	top := flag.Int("top", 15, "print the top-N anycast ASes")
-	stream := flag.Bool("stream", true, "fold each census into the combined matrix as it completes (peak memory stays O(one run + combined)); -stream=false retains every round and batch-combines at the end")
-	pipelined := flag.Bool("pipelined", false, "shard-pipelined rounds: probe spans fold into the combined matrix as they land, so peak memory holds in-flight spans instead of a whole round of rows")
-	spanTargets := flag.Int("span-targets", 0, "pipelined probe-span width in targets (0 = 16384)")
+	stream := flag.Bool("stream", true, "fold probe spans into the combined matrix as they land (peak memory stays O(combined + a span per worker)); -stream=false probes whole rounds, retains every one and batch-combines at the end")
+	spanTargets := flag.Int("span-targets", 0, "probe/fold unit width in targets, for workers and -agents alike (0 = 16384)")
 	maxHeapMiB := flag.Int("max-heap-mib", 0, "sample HeapAlloc through the run and fail if the peak exceeds this many MiB (0 = no assertion)")
 	rateBaselineTargets := flag.Int("rate-baseline-targets", 0, "measure a single-VP pilot probing run over the first N pruned targets and fail unless the campaign's aggregate probe rate stays within -rate-within of it (0 = no assertion)")
 	rateWithin := flag.Float64("rate-within", 2.0, "largest pilot/campaign probes-per-second ratio -rate-baseline-targets tolerates")
-	shardTargets := flag.Int("shard-targets", 0, "fold work-unit width in targets (0 = auto)")
-	foldWorkers := flag.Int("fold-workers", 0, "goroutines folding a finished round (0 = GOMAXPROCS)")
-	incremental := flag.Bool("incremental", true, "analyze each round's dirty targets while the next round probes (needs -stream); -incremental=false analyzes once at the end")
+	incremental := flag.Bool("incremental", true, "analyze each round's dirty targets as soon as it folds (needs -stream); -incremental=false analyzes once at the end")
 	analyzeWorkers := flag.Int("analyze-workers", 0, "goroutines analyzing targets (0 = GOMAXPROCS)")
 	verifyAnalysis := flag.Bool("verify-analysis", false, "after an incremental campaign, re-run the batch analysis and fail unless the outcomes match bit for bit")
 	retries := flag.Int("retries", 3, "per-VP probing attempts per census round (1 disables retrying)")
@@ -202,7 +199,7 @@ func main() {
 	var campaignWall time.Duration
 
 	// With -save, every finished round is persisted (v2 columnar format)
-	// before the streaming fold releases its matrix.
+	// before the fold releases its matrix.
 	saved := 0
 	saveRun := func(run *census.Run) error {
 		if *save == "" {
@@ -230,11 +227,9 @@ func main() {
 	}
 
 	cp := census.NewCampaign(census.CampaignConfig{
-		Census:       ccfg,
-		FoldWorkers:  *foldWorkers,
-		ShardTargets: *shardTargets,
-		RetainRuns:   !*stream,
-		OnRun:        saveRun,
+		Census:     ccfg,
+		RetainRuns: !*stream,
+		OnRun:      saveRun,
 	})
 	useIncremental := *incremental && *stream
 	if *incremental && !*stream {
@@ -253,21 +248,29 @@ func main() {
 			log.Printf("census %d health: %s", sum.Round, sum.Health)
 		}
 	}
+	if useIncremental {
+		cp.AttachAnalyzer(census.NewAnalyzer(db, census.AnalyzerConfig{Workers: *analyzeWorkers}))
+	}
+
+	// One round loop over one of three executors. The default probes in
+	// (VP, target-span) units on in-process workers; -agents leases the
+	// same units to a fleet; both drive the campaign's round scheduler and
+	// fold spans as they land, so neither ever holds a whole *Run. The
+	// whole-round reference executor runs only when the caller asks for
+	// whole runs: -save persists them, -stream=false retains them.
+	wholeRuns := *save != "" || !*stream
+	execute := func(round uint64, vps []platform.VP) (census.RoundSummary, error) {
+		return cp.ExecuteRoundPipelined(context.Background(), world, vps, targets, black, round,
+			census.PipelineConfig{SpanTargets: *spanTargets})
+	}
+	finish := func() {}
 	switch {
 	case *agents > 0:
-		// Distributed mode: the rounds run across an in-process cluster —
-		// coordinator plus N agents over net.Pipe — through the same lease
-		// and shard-fold protocol cmd/censusd speaks over TCP. The fold
-		// always streams (no retained runs), so -save and -stream=false
-		// have nothing to persist.
-		if *save != "" {
-			log.Printf("-save keeps whole runs; the distributed fold streams shards, skipping")
-		}
-		if !*stream {
-			log.Printf("-stream=false needs retained runs; the distributed fold always streams")
-		}
-		if useIncremental {
-			cp.AttachAnalyzer(census.NewAnalyzer(db, census.AnalyzerConfig{Workers: *analyzeWorkers}))
+		// Coordinator plus N agents over net.Pipe, through the same lease
+		// and shard-fold protocol cmd/censusd speaks over TCP.
+		if wholeRuns {
+			log.Printf("-save and -stream=false need whole runs; the distributed fold streams spans, ignoring")
+			wholeRuns = false
 		}
 		coord, err := cluster.NewCoordinator(cluster.Config{
 			Campaign:     cp,
@@ -276,7 +279,7 @@ func main() {
 			Census:       ccfg,
 			World:        cfg,
 			Faults:       faults,
-			ShardTargets: *shardTargets,
+			ShardTargets: *spanTargets,
 			Log:          log.Printf,
 		})
 		if err != nil {
@@ -291,61 +294,29 @@ func main() {
 			log.Fatalf("agent fleet: %v", err)
 		}
 		log.Printf("distributed census: %d in-process agents", *agents)
-		for round := 1; round <= *rounds; round++ {
-			vps := pl.Sample(*vpsPer, *seed+uint64(round))
-			sum, err := coord.ExecuteRound(context.Background(), uint64(round), vps)
-			onRound(sum, err)
-			if useIncremental {
-				cp.AnalyzeDirty()
+		finish = func() {
+			st := coord.Stats()
+			log.Printf("cluster: %d leases (%d re-leases), %d frames folded", st.Leases, st.ReLeases, st.FramesFolded)
+			if err := fleet.Close(); err != nil {
+				log.Printf("agent fleet close: %v", err)
 			}
 		}
-		st := coord.Stats()
-		log.Printf("cluster: %d leases (%d re-leases), %d frames folded", st.Leases, st.ReLeases, st.FramesFolded)
-		if err := fleet.Close(); err != nil {
-			log.Printf("agent fleet close: %v", err)
+		execute = func(round uint64, vps []platform.VP) (census.RoundSummary, error) {
+			return coord.ExecuteRound(context.Background(), round, vps)
 		}
-	case *pipelined:
-		// Pipelined mode: each round's targets split into probe spans that
-		// fold into the combined matrix as workers finish them, so shard
-		// N+1 probes while shard N folds. The fold always streams (span
-		// rows never assemble into a Run), so -save and -stream=false have
-		// nothing to persist.
-		if *save != "" {
-			log.Printf("-save keeps whole runs; the pipelined fold streams spans, skipping")
-		}
-		if !*stream {
-			log.Printf("-stream=false needs retained runs; the pipelined fold always streams")
-		}
-		if useIncremental {
-			cp.AttachAnalyzer(census.NewAnalyzer(db, census.AnalyzerConfig{Workers: *analyzeWorkers}))
-		}
-		pc := census.PipelineConfig{SpanTargets: *spanTargets}
-		log.Printf("pipelined census: span width %d targets", pc.EffectiveSpanTargets())
-		for round := 1; round <= *rounds; round++ {
-			vps := pl.Sample(*vpsPer, *seed+uint64(round))
-			sum, err := cp.ExecuteRoundPipelined(context.Background(), world, vps, targets, black, uint64(round), pc)
-			onRound(sum, err)
-			if useIncremental {
-				cp.AnalyzeDirty()
-			}
-		}
-	case useIncremental:
-		// Each round's dirty targets are analyzed while the next round
-		// probes; per-round errors are surfaced by onRound as they happen.
-		cp.AttachAnalyzer(census.NewAnalyzer(db, census.AnalyzerConfig{Workers: *analyzeWorkers}))
-		if err := cp.ExecuteRoundsOverlapped(context.Background(), world, targets, black,
-			1, *rounds, func(round uint64) []platform.VP {
-				return pl.Sample(*vpsPer, *seed+round)
-			}, onRound); err != nil {
-			log.Printf("campaign: %v", err)
-		}
-	default:
-		for round := 1; round <= *rounds; round++ {
-			vps := pl.Sample(*vpsPer, *seed+uint64(round))
-			sum, err := cp.ExecuteRound(context.Background(), world, vps, targets, black, uint64(round))
-			onRound(sum, err)
+	case wholeRuns:
+		execute = func(round uint64, vps []platform.VP) (census.RoundSummary, error) {
+			return cp.ExecuteRound(context.Background(), world, vps, targets, black, round)
 		}
 	}
+	for round := uint64(1); round <= uint64(*rounds); round++ {
+		sum, err := execute(round, pl.Sample(*vpsPer, *seed+round))
+		onRound(sum, err)
+		if useIncremental {
+			cp.AnalyzeDirty()
+		}
+	}
+	finish()
 	if cp.Health().Degraded() {
 		log.Printf("campaign degraded: %s", cp.Health())
 	}
@@ -360,7 +331,7 @@ func main() {
 	}
 
 	combined := cp.Combined()
-	if !*stream && *agents == 0 && !*pipelined {
+	if !*stream && wholeRuns {
 		// Batch mode keeps every round and re-derives the combination the
 		// pre-streaming way; the result is byte-identical to the fold.
 		var err error

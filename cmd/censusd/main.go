@@ -61,7 +61,7 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff before re-leasing a failed VP")
 
 	// Cluster tuning.
-	shardTargets := flag.Int("shard-targets", 0, "lease width in targets (0 = one lease per VP row)")
+	shardTargets := flag.Int("shard-targets", 0, "lease width in targets (0 = 16384, the in-process executor's span width)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "how long an agent may hold a lease")
 	heartbeat := flag.Duration("heartbeat", time.Second, "agent heartbeat interval")
 	metricsAddr := flag.String("metrics", "", "coordinator modes: serve GET /metrics on this admin address")

@@ -1,13 +1,11 @@
 package census
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/core"
-	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
@@ -218,68 +216,5 @@ func TestAnalyzerSingleWorkerStaticPath(t *testing.T) {
 		return cp.Combined()
 	}(), core.Options{}, 2, 1)) {
 		t.Fatal("workers=1 outcomes diverge from single-worker batch AnalyzeAll")
-	}
-}
-
-// TestExecuteRoundsOverlapped runs a real probing campaign through the
-// overlapped probe/analyze pipeline and checks it is indistinguishable
-// from the sequential fold-then-analyze path.
-func TestExecuteRoundsOverlapped(t *testing.T) {
-	wcfg := netsim.DefaultConfig()
-	wcfg.Unicast24s = 300
-	w := netsim.New(wcfg)
-	pl := platform.PlanetLab(cities.Default())
-	vps := pl.VPs()[:16]
-	h := hitlist.FromWorld(w).PruneNeverAlive()
-	cfg := Config{Seed: 7, RetryBackoff: -1}
-	blacklist, err := prober.BuildBlacklist(w, vps[0], h.Targets(), prober.Config{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cp := NewCampaign(CampaignConfig{Census: cfg})
-	cp.AttachAnalyzer(NewAnalyzer(cities.Default(), AnalyzerConfig{}))
-	var seen []uint64
-	err = cp.ExecuteRoundsOverlapped(context.Background(), w, h, blacklist, 1, 3,
-		func(uint64) []platform.VP { return vps },
-		func(sum RoundSummary, roundErr error) {
-			if roundErr != nil {
-				t.Errorf("round %d: %v", sum.Round, roundErr)
-			}
-			seen = append(seen, sum.Round)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
-		t.Fatalf("observed rounds %v, want [1 2 3]", seen)
-	}
-	if cp.Combined().Rounds != 3 {
-		t.Fatalf("combined %d rounds, want 3", cp.Combined().Rounds)
-	}
-	if cp.AnalysisWall() <= 0 {
-		t.Error("analysis wall time not recorded")
-	}
-	assertIncrementalMatchesBatch(t, cp, 0)
-
-	// The sequential reference: same rounds, fold + analyze in lockstep.
-	ref := NewCampaign(CampaignConfig{Census: cfg})
-	ref.AttachAnalyzer(NewAnalyzer(cities.Default(), AnalyzerConfig{}))
-	for round := uint64(1); round <= 3; round++ {
-		if _, err := ref.ExecuteRound(context.Background(), w, vps, h, blacklist, round); err != nil {
-			t.Fatal(err)
-		}
-		ref.AnalyzeDirty()
-	}
-	if !reflect.DeepEqual(cp.Outcomes(), ref.Outcomes()) {
-		t.Fatal("overlapped and sequential campaigns disagree")
-	}
-}
-
-// TestExecuteRoundsOverlappedRequiresAnalyzer pins the error path.
-func TestExecuteRoundsOverlappedRequiresAnalyzer(t *testing.T) {
-	cp := NewCampaign(CampaignConfig{})
-	if err := cp.ExecuteRoundsOverlapped(context.Background(), nil, nil, nil, 1, 1, nil, nil); err == nil {
-		t.Fatal("expected an error without an attached analyzer")
 	}
 }

@@ -2,6 +2,7 @@ package census
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"anycastmap/internal/cities"
@@ -67,18 +68,20 @@ func BenchmarkCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCombine measures the streaming fold of the same campaign:
-// the bounded-memory path must not cost more than the batch merge.
-func BenchmarkStreamCombine(b *testing.B) {
+// BenchmarkFoldRun measures the streaming fold of the same campaign: the
+// bounded-memory path must not cost more than the batch merge.
+func BenchmarkFoldRun(b *testing.B) {
 	runs := synthRuns(4, 200, 20_000)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c, err := StreamCombine(CampaignConfig{}, len(runs), func(j int) (*Run, error) { return runs[j], nil })
-		if err != nil {
-			b.Fatal(err)
+		cp := NewCampaign(CampaignConfig{})
+		for _, run := range runs {
+			if err := cp.FoldRun(run); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if len(c.VPs) != 200 {
+		if len(cp.Combined().VPs) != 200 {
 			b.Fatal("lost VPs in fold")
 		}
 	}
@@ -162,29 +165,13 @@ func BenchmarkLoadRunV2(b *testing.B) {
 	}
 }
 
-// BenchmarkSaveRunLegacy and BenchmarkLoadRunLegacy keep the gob+flate
-// numbers visible next to the v2 ones.
-func BenchmarkSaveRunLegacy(b *testing.B) {
-	run := synthRuns(1, 200, 20_000)[0]
-	var buf bytes.Buffer
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := SaveRunLegacy(&buf, run); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
-
+// BenchmarkLoadRunLegacy keeps the gob+flate decode number visible next
+// to the v2 one, on the committed gen-1 fixture.
 func BenchmarkLoadRunLegacy(b *testing.B) {
-	run := synthRuns(1, 200, 20_000)[0]
-	var buf bytes.Buffer
-	if err := SaveRunLegacy(&buf, run); err != nil {
+	data, err := os.ReadFile(gen1Fixture)
+	if err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	b.ReportAllocs()

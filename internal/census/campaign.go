@@ -2,7 +2,6 @@ package census
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -57,15 +56,6 @@ type CampaignConfig struct {
 	// campaign: daemons register one Metrics per process and thread it
 	// through every campaign they build.
 	Metrics *Metrics
-	// HeapRows allocates each combined-matrix row as its own heap object
-	// instead of carving rows from the flat slab arena (slab.go). The
-	// slab is the default — at paper scale per-row allocation leaves
-	// hundreds of multi-megabyte GC-scanned objects where the arena uses
-	// a handful of pointer-free blocks. The fold result is byte-identical
-	// either way (TestCensusDeterminism pins slab vs heap); the knob
-	// exists for that comparison and for callers that want individual
-	// rows to be collectable.
-	HeapRows bool
 }
 
 func (c CampaignConfig) foldWorkers() int {
@@ -84,7 +74,7 @@ type Campaign struct {
 
 	combined *Combined
 	byID     map[int]int // vp.ID -> row slot in combined
-	arena    *slabArena  // backs combined rows unless cfg.HeapRows
+	arena    *slabArena  // backs combined rows
 	grey     *prober.Greylist
 	health   CampaignHealth
 	runs     []*Run
@@ -95,10 +85,10 @@ type Campaign struct {
 	// share bitmap words at shard boundaries, so bits merge with CAS.
 	dirty []uint32
 
-	// Distributed-fold round state (shard.go): the number of the round
-	// currently open for shard-wise folding, and which combined row
-	// slots belong to it. BeginRound opens a round, FoldShard merges
-	// partial rows in any order, FinishRound closes it.
+	// Open-round state (shard.go): the number of the round currently
+	// open for folding, and which combined row slots belong to it.
+	// BeginRound opens a round, FoldShard merges partial rows in any
+	// order (FoldRun merges whole ones), FinishRound closes it.
 	shardRound uint64
 	shardOpen  bool
 	shardSlots []bool
@@ -136,84 +126,24 @@ type RoundSummary struct {
 // to the run's matrix unless RetainRuns is set.
 func (cp *Campaign) FoldRun(run *Run) error {
 	foldStart := time.Now()
-	if cp.shardOpen {
-		return fmt.Errorf("census: round %d is folding by shards; FinishRound first", cp.shardRound)
-	}
-	if cp.combined == nil {
-		cp.combined = &Combined{
-			Targets: run.Targets,
-			RTTus:   make([][]int32, 0, len(run.VPs)),
-		}
-	} else {
-		if len(run.Targets) != len(cp.combined.Targets) {
-			return fmt.Errorf("census: round %d has %d targets, campaign has %d",
-				run.Round, len(run.Targets), len(cp.combined.Targets))
-		}
-		for ti, tgt := range run.Targets {
-			if tgt != cp.combined.Targets[ti] {
-				return fmt.Errorf("census: round %d target list diverges at index %d (%v vs %v)",
-					run.Round, ti, tgt, cp.combined.Targets[ti])
-			}
-		}
-	}
-	c := cp.combined
-	c.Rounds++
-	if cp.dirty == nil {
-		cp.dirty = make([]uint32, (len(c.Targets)+31)/32)
-	}
-
-	// Register the round's vantage points serially: new VPs extend the
-	// union in first-seen order (matching the batch Combine ordering),
-	// existing ones map to their slot.
-	slots := make([]int, len(run.VPs))
-	fresh := make([]bool, len(run.VPs))
-	for vi, vp := range run.VPs {
-		si, ok := cp.byID[vp.ID]
-		if !ok {
-			si = len(c.VPs)
-			cp.byID[vp.ID] = si
-			c.VPs = append(c.VPs, vp)
-			c.RTTus = append(c.RTTus, nil)
-			fresh[vi] = true
-		}
-		slots[vi] = si
+	slots, err := cp.BeginRound(run.Round, run.Targets, run.VPs)
+	if err != nil {
+		return err
 	}
 
 	// Fold the rows in column shards pulled from an atomic counter: every
 	// combined cell is written by exactly one worker, so the result is
-	// identical at any worker count or shard width. Fresh rows are copied
-	// (the batch path copies the first-seen row, noSample cells included),
-	// existing rows min-merge.
-	nT := len(c.Targets)
+	// identical at any worker count or shard width.
+	nT := len(run.Targets)
 	shard := cp.cfg.ShardTargets
 	if shard <= 0 {
 		shard = nT/(4*cp.cfg.foldWorkers()) + 1
 	}
 	shardsPerRow := (nT + shard - 1) / shard
-	if shardsPerRow == 0 {
-		shardsPerRow = 1 // zero-target campaigns still register VPs
-	}
-	// Allocation happens once, outside the sharded loop: fresh rows are
-	// carved together from the slab arena (or individually on the heap
-	// under cfg.HeapRows) and overwritten whole by the copy below.
-	if nFresh := countFresh(fresh); nFresh > 0 {
-		rows := cp.newRows(nFresh, nT)
-		ri := 0
-		for vi := range run.VPs {
-			if fresh[vi] {
-				c.RTTus[slots[vi]] = rows[ri]
-				ri++
-			}
-		}
-	}
 	total := len(run.VPs) * shardsPerRow
-	workers := cp.cfg.foldWorkers()
-	if workers > total {
-		workers = total
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(cp.cfg.foldWorkers(), total) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -224,58 +154,18 @@ func (cp *Campaign) FoldRun(run *Run) error {
 				}
 				vi := unit / shardsPerRow
 				lo := (unit % shardsPerRow) * shard
-				hi := lo + shard
-				if hi > nT {
-					hi = nT
-				}
-				src := run.RTTus[vi][lo:hi]
-				dst := c.RTTus[slots[vi]][lo:hi]
-				// Dirty bits accumulate in a local word and flush on
-				// word-boundary crossings: shard edges can split a word
-				// between workers, so the flush merges with CAS.
-				word, mask := lo>>5, uint32(0)
-				if fresh[vi] {
-					// A fresh row copies whole (noSample cells included,
-					// matching batch Combine); every sampled cell is a VP
-					// newly answering its target.
-					copy(dst, src)
-					for t, v := range src {
-						if v < 0 {
-							continue
-						}
-						gt := lo + t
-						if w := gt >> 5; w != word {
-							cp.orDirty(word, mask)
-							word, mask = w, 0
-						}
-						mask |= 1 << uint(gt&31)
-					}
-					cp.orDirty(word, mask)
-					continue
-				}
-				for t, v := range src {
-					if v < 0 {
-						continue
-					}
-					if dst[t] < 0 || v < dst[t] {
-						dst[t] = v
-						gt := lo + t
-						if w := gt >> 5; w != word {
-							cp.orDirty(word, mask)
-							word, mask = w, 0
-						}
-						mask |= 1 << uint(gt&31)
-					}
-				}
-				cp.orDirty(word, mask)
+				hi := min(lo+shard, nT)
+				cp.mergeCells(cp.combined.RTTus[slots[vi]][lo:hi], run.RTTus[vi][lo:hi], lo)
 			}
 		}()
 	}
 	wg.Wait()
 
 	cp.grey.Merge(run.Greylist)
-	cp.health.Add(run.Health)
-	cp.cfg.Metrics.foldObserved(time.Since(foldStart), cp.grey.Len())
+	if err := cp.FinishRound(run.Health); err != nil {
+		return err
+	}
+	cp.cfg.Metrics.foldObserved(time.Since(foldStart))
 	if cp.cfg.RetainRuns {
 		cp.runs = append(cp.runs, run)
 	}
@@ -287,30 +177,30 @@ func (cp *Campaign) FoldRun(run *Run) error {
 	return nil
 }
 
-// newRows returns n fresh zero-valued combined rows, slab-carved unless
-// the campaign is configured for per-row heap allocation.
-func (cp *Campaign) newRows(n, rowLen int) [][]int32 {
-	if cp.cfg.HeapRows {
-		rows := make([][]int32, n)
-		for i := range rows {
-			rows[i] = make([]int32, rowLen)
+// mergeCells is the fold kernel: it min-merges src — one vantage point's
+// samples for targets [lo, lo+len(src)) — into the same cells dst of its
+// combined row, and marks every target whose cell improved or was newly
+// answered dirty. Dirty bits accumulate in a local word and flush on
+// word-boundary crossings; FoldRun's column shards can split a word
+// between workers, so the flush merges with CAS.
+func (cp *Campaign) mergeCells(dst, src []int32, lo int) {
+	dst = dst[:len(src)] // one bounds check here instead of one per cell
+	word, mask := lo>>5, uint32(0)
+	for t, v := range src {
+		if v < 0 {
+			continue
 		}
-		return rows
-	}
-	if cp.arena == nil || cp.arena.rowLen != rowLen {
-		cp.arena = newSlabArena(rowLen)
-	}
-	return cp.arena.alloc(n)
-}
-
-func countFresh(fresh []bool) int {
-	n := 0
-	for _, f := range fresh {
-		if f {
-			n++
+		if dst[t] < 0 || v < dst[t] {
+			dst[t] = v
+			gt := lo + t
+			if w := gt >> 5; w != word {
+				cp.orDirty(word, mask)
+				word, mask = w, 0
+			}
+			mask |= 1 << uint(gt&31)
 		}
 	}
-	return n
+	cp.orDirty(word, mask)
 }
 
 // orDirty merges a local dirty mask into the shared bitmap word.
@@ -357,9 +247,7 @@ func (cp *Campaign) Analyzer() *Analyzer { return cp.analyzer }
 // through the attached analyzer and returns the dirty-set size. The
 // outcomes afterwards match a batch AnalyzeAll over the current combined
 // matrix bit for bit (TestCensusDeterminism). It must not run
-// concurrently with FoldRun — the analysis reads the live matrix;
-// ExecuteRoundsOverlapped sequences the two while overlapping the
-// analysis with the next round's probing.
+// concurrently with a fold — the analysis reads the live matrix.
 func (cp *Campaign) AnalyzeDirty() int {
 	t0 := time.Now()
 	dirty := cp.TakeDirty()
@@ -379,68 +267,6 @@ func (cp *Campaign) Outcomes() []Outcome { return cp.analyzer.Outcomes() }
 // AnalysisWall returns the cumulative wall time spent in AnalyzeDirty.
 func (cp *Campaign) AnalysisWall() time.Duration {
 	return time.Duration(cp.analysisWall.Load())
-}
-
-// ExecuteRoundsOverlapped probes rounds first .. first+rounds-1, folding
-// each finished round and analyzing its dirty set while the next round
-// probes. In-flight analysis is bounded to one (a one-slot completion
-// channel): round N+1's fold waits for round N's analysis, so a fold
-// never mutates cells an analysis is reading. vpsFor selects each
-// round's vantage points; onRound, when set, observes each round's
-// summary and probing error right after its fold. Requires an attached
-// analyzer. The last round's dirty set is analyzed before returning, so
-// Outcomes reflects the whole campaign. Per-VP probing errors degrade
-// rather than abort (as ExecuteRound) and come back joined.
-func (cp *Campaign) ExecuteRoundsOverlapped(ctx context.Context, w *netsim.World, h *hitlist.Hitlist, blacklist *prober.Greylist, first uint64, rounds int, vpsFor func(round uint64) []platform.VP, onRound func(RoundSummary, error)) error {
-	if cp.analyzer == nil {
-		return fmt.Errorf("census: overlapped campaign requires an attached analyzer")
-	}
-	var errs []error
-	var pending chan struct{}
-	wait := func() {
-		if pending != nil {
-			<-pending
-			pending = nil
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		round := first + uint64(r)
-		t0 := time.Now()
-		run, err := ExecuteContext(ctx, w, vpsFor(round), h, blacklist, round, cp.cfg.Census)
-		wait() // round N-1's analysis still owns the combined matrix
-		if ctx.Err() != nil {
-			if err != nil {
-				errs = append(errs, err)
-			}
-			break
-		}
-		sum := RoundSummary{
-			Round:       round,
-			VPs:         len(run.VPs),
-			Probes:      run.TotalProbes(),
-			EchoTargets: run.EchoTargets(),
-			GreylistLen: run.Greylist.Len(),
-			Health:      run.Health,
-		}
-		if ferr := cp.FoldRun(run); ferr != nil {
-			errs = append(errs, ferr)
-			break
-		}
-		sum.Duration = time.Since(t0)
-		pending = make(chan struct{})
-		go func(done chan struct{}) {
-			defer close(done)
-			cp.AnalyzeDirty()
-		}(pending)
-		if onRound != nil {
-			onRound(sum, err)
-		}
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	wait()
-	return errors.Join(errs...)
 }
 
 // ExecuteRound probes one census round and folds it into the campaign,
@@ -483,23 +309,3 @@ func (cp *Campaign) Health() CampaignHealth { return cp.health }
 
 // Runs returns the retained rounds (RetainRuns only; nil otherwise).
 func (cp *Campaign) Runs() []*Run { return cp.runs }
-
-// StreamCombine is the one-shot form of the streaming fold: source is
-// called with 0..rounds-1 and each returned run is folded and released.
-// It is the memory-bounded equivalent of Combine(source(0..rounds-1)...).
-func StreamCombine(cfg CampaignConfig, rounds int, source func(i int) (*Run, error)) (*Combined, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("census: nothing to combine")
-	}
-	cp := NewCampaign(cfg)
-	for i := 0; i < rounds; i++ {
-		run, err := source(i)
-		if err != nil {
-			return nil, err
-		}
-		if err := cp.FoldRun(run); err != nil {
-			return nil, err
-		}
-	}
-	return cp.Combined(), nil
-}

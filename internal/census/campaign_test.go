@@ -147,28 +147,6 @@ func TestCampaignExecuteRound(t *testing.T) {
 	}
 }
 
-// TestStreamCombine checks the one-shot streaming helper against the
-// batch path.
-func TestStreamCombine(t *testing.T) {
-	_, _, _, r1, r2 := testbed(t)
-	batch, _ := Combine(r1, r2)
-	runs := []*Run{r1, r2}
-	got, err := StreamCombine(CampaignConfig{}, len(runs), func(i int) (*Run, error) {
-		return runs[i], nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range got.RTTus {
-		if !bytes.Equal(int32Bytes(got.RTTus[v]), int32Bytes(batch.RTTus[v])) {
-			t.Fatalf("row %d differs from batch Combine", v)
-		}
-	}
-	if _, err := StreamCombine(CampaignConfig{}, 0, nil); err == nil {
-		t.Error("empty stream accepted")
-	}
-}
-
 // TestCombinedEchoTargetsMemoized pins the satellite: the memoized count
 // equals a fresh scan.
 func TestCombinedEchoTargetsMemoized(t *testing.T) {

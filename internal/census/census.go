@@ -62,58 +62,34 @@ func (c Config) EffectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) maxAttempts() int {
+// Attempts resolves the per-VP probing attempt budget: MaxAttempts when
+// positive, the default of 3 otherwise.
+func (c Config) Attempts() int {
 	if c.MaxAttempts > 0 {
 		return c.MaxAttempts
 	}
 	return 3
 }
 
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff != 0 {
-		return c.RetryBackoff
+// Backoff returns the capped exponential delay preceding retry attempt
+// attempt (>= 1): the schedule ExecuteContext sleeps between a vantage
+// point's attempts and the round engine parks a failed one for.
+func (c Config) Backoff(attempt int) time.Duration {
+	d, limit := c.RetryBackoff, c.RetryBackoffCap
+	if d == 0 {
+		d = 50 * time.Millisecond
 	}
-	return 50 * time.Millisecond
-}
-
-func (c Config) retryBackoffCap() time.Duration {
-	if c.RetryBackoffCap > 0 {
-		return c.RetryBackoffCap
+	if limit <= 0 {
+		limit = 2 * time.Second
 	}
-	return 2 * time.Second
-}
-
-// backoffFor returns the capped exponential delay preceding the given
-// retry attempt (attempt >= 1).
-func (c Config) backoffFor(attempt int) time.Duration {
-	base := c.retryBackoff()
-	if base < 0 {
+	if d < 0 {
 		return 0
 	}
-	d := base
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d < limit; i++ {
 		d *= 2
-		if d >= c.retryBackoffCap() {
-			return c.retryBackoffCap()
-		}
 	}
-	if d > c.retryBackoffCap() {
-		return c.retryBackoffCap()
-	}
-	return d
+	return min(d, limit)
 }
-
-// Attempts resolves the per-VP probing attempt budget: MaxAttempts when
-// positive, the default of 3 otherwise. Exported so the cluster
-// coordinator re-leases failed shards under exactly the budget the
-// in-process retry loop uses.
-func (c Config) Attempts() int { return c.maxAttempts() }
-
-// Backoff returns the capped exponential delay preceding retry attempt
-// attempt (>= 1) — the same schedule ExecuteContext sleeps between a
-// vantage point's attempts, exported so the cluster coordinator can
-// delay re-leases identically.
-func (c Config) Backoff(attempt int) time.Duration { return c.backoffFor(attempt) }
 
 // sleepBackoff waits out the pre-retry backoff; it returns false when the
 // context is cancelled first.
@@ -267,8 +243,8 @@ func ExecuteContext(ctx context.Context, w *netsim.World, vps []platform.VP, h *
 			vh := VPHealth{VP: vps[vi].Name}
 			var stats prober.Stats
 			var err error
-			for attempt := 0; attempt < cfg.maxAttempts(); attempt++ {
-				if attempt > 0 && !sleepBackoff(ctx, cfg.backoffFor(attempt)) {
+			for attempt := 0; attempt < cfg.Attempts(); attempt++ {
+				if attempt > 0 && !sleepBackoff(ctx, cfg.Backoff(attempt)) {
 					break
 				}
 				vh.Attempts++

@@ -28,9 +28,6 @@ type digestConfig struct {
 	foldWorkers  int
 	shardTargets int
 	incremental  bool
-	// heapRows switches the streaming fold off the flat slab arena and
-	// back to per-row heap allocation; digests must not notice.
-	heapRows bool
 	// pipelined executes each round in (VP, target-span) units through
 	// ExecuteRoundPipelined instead of materializing the whole round.
 	pipelined   bool
@@ -77,7 +74,6 @@ func campaignDigest(t *testing.T, dc digestConfig) []byte {
 		Census:       cfg,
 		FoldWorkers:  dc.foldWorkers,
 		ShardTargets: dc.shardTargets,
-		HeapRows:     dc.heapRows,
 	})
 	if dc.incremental {
 		cp.AttachAnalyzer(NewAnalyzer(cities.Default(), AnalyzerConfig{Workers: dc.workers}))
@@ -199,10 +195,8 @@ func TestCensusDeterminism(t *testing.T) {
 		{"incremental_workers4", digestConfig{workers: 4, stream: true, foldWorkers: 4, shardTargets: 64, incremental: true}},
 		{"incremental_workers3_shard1", digestConfig{workers: 3, stream: true, foldWorkers: 2, shardTargets: 1, incremental: true}},
 		{"incremental_nocache_workers4", digestConfig{disableCache: true, workers: 4, stream: true, incremental: true}},
-		{"stream_heaprows", digestConfig{workers: 4, stream: true, foldWorkers: 4, shardTargets: 64, heapRows: true}},
 		{"pipelined_default", digestConfig{workers: 4, pipelined: true}},
 		{"pipelined_span17", digestConfig{workers: 3, pipelined: true, spanTargets: 17}},
-		{"pipelined_heaprows", digestConfig{workers: 2, pipelined: true, spanTargets: 128, heapRows: true}},
 		{"pipelined_incremental", digestConfig{workers: 4, pipelined: true, spanTargets: 64, incremental: true}},
 		// Span-session bit-identity: the span-resident probe path (cache
 		// on) against the uncached reference (cache off, where the span

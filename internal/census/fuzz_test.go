@@ -2,6 +2,7 @@ package census
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 
@@ -45,21 +46,22 @@ func fuzzSeedRun() *Run {
 // everything it accepts must round-trip through SaveRun byte-identically.
 func FuzzLoadRun(f *testing.F) {
 	run := fuzzSeedRun()
-	var v2, legacy bytes.Buffer
+	var v2 bytes.Buffer
 	if err := SaveRun(&v2, run); err != nil {
 		f.Fatal(err)
 	}
-	if err := SaveRunLegacy(&legacy, run); err != nil {
+	legacy, err := os.ReadFile(gen1Fixture)
+	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
-	f.Add(legacy.Bytes())
+	f.Add(legacy)
 	f.Add([]byte{})
 	f.Add([]byte(runMagicV2))
 	f.Add(append([]byte(runMagicV2), 0))
 	f.Add([]byte("ACMR9\nwrong magic"))
 	f.Add(v2.Bytes()[:v2.Len()/2])
-	f.Add(legacy.Bytes()[:legacy.Len()/2])
+	f.Add(legacy[:len(legacy)/2])
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadRun(bytes.NewReader(data))

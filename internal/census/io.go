@@ -18,7 +18,8 @@ import (
 // (iov2.go) is the columnar varint format — byte-deterministic, parallel,
 // and several times faster on both sides. SaveRun writes v2; LoadRun
 // recognizes both by the leading magic, so archives saved by older
-// builds keep loading.
+// builds keep loading (testdata/run-gen1.gob.flate is one; the gen-1
+// writer is gone).
 
 // runDisk is the persisted shape of a legacy (gob+flate) census run.
 type runDisk struct {
@@ -36,33 +37,6 @@ type runDisk struct {
 // identical bytes.
 func SaveRun(w io.Writer, r *Run) error {
 	return saveRunV2(w, r)
-}
-
-// SaveRunLegacy writes the generation-1 gob+flate encoding. It exists so
-// tests (and operators migrating archives) can still produce legacy
-// files; its bytes are not deterministic (gob serializes the greylist
-// map in random order).
-func SaveRunLegacy(w io.Writer, r *Run) error {
-	fw, err := flate.NewWriter(w, flate.DefaultCompression)
-	if err != nil {
-		return fmt.Errorf("census: %w", err)
-	}
-	disk := runDisk{
-		Round:    r.Round,
-		VPs:      r.VPs,
-		Targets:  r.Targets,
-		RTTus:    r.RTTus,
-		Stats:    r.Stats,
-		Greylist: r.Greylist.Snapshot(),
-		Health:   r.Health,
-	}
-	if err := gob.NewEncoder(fw).Encode(&disk); err != nil {
-		return fmt.Errorf("census: encode run: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return fmt.Errorf("census: %w", err)
-	}
-	return nil
 }
 
 // LoadRun reads a census run saved by SaveRun — either format, v2

@@ -13,7 +13,7 @@ import (
 // so campaigns without metrics pay a single pointer test.
 type Metrics struct {
 	// RoundsFolded counts census rounds folded into a combined matrix,
-	// whether by FoldRun or the distributed shard path's FinishRound.
+	// counted when the round closes (FinishRound).
 	RoundsFolded *obs.Counter
 	// FoldSeconds is the latency of folding one finished round.
 	FoldSeconds *obs.Histogram
@@ -49,14 +49,14 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// foldObserved records one completed fold.
-func (m *Metrics) foldObserved(d time.Duration, greylist int) {
+// foldObserved records the latency of one whole-run fold (FoldRun). A
+// span-folded round has no single fold; its per-frame latency is the
+// coordinator's shard-fold histogram.
+func (m *Metrics) foldObserved(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.RoundsFolded.Inc()
 	m.FoldSeconds.Observe(d.Seconds())
-	m.GreylistSize.Set(float64(greylist))
 }
 
 // analyzeObserved records one incremental analysis pass; before/after

@@ -3,309 +3,110 @@ package census
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
-	"anycastmap/internal/record"
 )
 
-// pipeline.go — target-shard pipelined round execution.
+// pipeline.go — the in-process driver of the round engine (sched.go).
 //
 // ExecuteContext materializes one full V×T round matrix before the fold:
 // at paper scale (6.6M targets, hundreds of VPs) that transient is tens of
 // gigabytes — far larger than the combined matrix it folds into. The
-// pipelined executor instead works in (VP, target-span) units, the same
-// unit the cluster coordinator leases to agents: workers probe span N+1
-// while the folder min-merges span N into the combined matrix, so a
-// round's working set beyond the combined matrix is a handful of spans.
+// span-pipelined executor instead works in (VP, target-span) units, the
+// same unit the cluster coordinator leases to agents: each worker probes
+// a span and min-merges it into the combined matrix, so a round's working
+// set beyond the combined matrix is one span per worker.
 //
-// Byte-identity with the whole-round path follows from the fold algebra
-// (per-cell min is commutative, associative, idempotent; greylist merge is
-// a set union) plus the agent-path invariant that probing a span is
+// Byte-identity with the whole-round reference follows from the fold
+// algebra (per-cell min is commutative, associative, idempotent; greylist
+// merge is a set union) plus the invariant that probing a span is
 // byte-identical to the corresponding span of a full-row prober.Run (RTT
 // draws are pure functions of (VP, target, round, seed, attempt)).
 // TestCensusDeterminism pins pipelined-vs-whole-round digests.
 //
-// Failure semantics mirror the cluster coordinator rather than
-// ExecuteContext: a failed unit is retried through the shared
-// Config.Attempts/Backoff schedule and only successful probes fold, so a
-// quarantined VP keeps the spans that succeeded and contributes nothing
-// from the attempts that crashed. Under a zero-fault plan the two
-// policies are indistinguishable (every unit succeeds on attempt 0).
+// Under faults the two differ by design: here only successful units fold,
+// so a quarantined VP keeps the spans that succeeded and contributes
+// nothing from the attempts that crashed, where ExecuteContext keeps a
+// crashed attempt's partial sink writes.
 
 // PipelineConfig tunes ExecuteRoundPipelined.
 type PipelineConfig struct {
-	// SpanTargets is the width in targets of one probe/fold unit. Zero
-	// picks 16384: wide enough that per-unit setup amortizes, narrow
-	// enough that one unit's working set — the span's slice of the world
-	// (prefixes, host records, targets) plus its session slabs and RTT
-	// row, ~1MB at this width — stays L2-resident. Wider spans measure
-	// strictly slower on the census path (65536 costs ~15% more wall at
-	// 758k targets purely from cache misses in the span resolve and
-	// probe loop).
+	// SpanTargets is the width in targets of one probe/fold unit; zero
+	// means DefaultSpanTargets.
 	SpanTargets int
-	// Prefetch bounds how many probed spans may queue for the folder
-	// before probing blocks; zero means twice the probe workers. The
-	// round's transient memory is O((workers + Prefetch) × SpanTargets).
-	Prefetch int
 }
 
-func (pc PipelineConfig) spanTargets() int {
+// EffectiveSpanTargets resolves the unit width as OpenRound does.
+func (pc PipelineConfig) EffectiveSpanTargets() int {
 	if pc.SpanTargets > 0 {
 		return pc.SpanTargets
 	}
-	return 1 << 14
-}
-
-// EffectiveSpanTargets resolves the probe-span width defaulting applied
-// by ExecuteRoundPipelined.
-func (pc PipelineConfig) EffectiveSpanTargets() int { return pc.spanTargets() }
-
-func (pc PipelineConfig) prefetch(workers int) int {
-	if pc.Prefetch > 0 {
-		return pc.Prefetch
-	}
-	return 2 * workers
-}
-
-// pipelineItem is one successfully probed unit on its way to the folder.
-type pipelineItem struct {
-	vi    int
-	sr    *ShardRows
-	stats prober.Stats
+	return DefaultSpanTargets
 }
 
 // ExecuteRoundPipelined probes one census round in (VP, target-span)
 // units, folding each unit into the campaign as it completes instead of
-// materializing the round's full V×T matrix. Per-VP probing errors
-// degrade rather than abort, exactly as ExecuteRound: failed units retry
-// on the census backoff schedule, a VP whose budget is exhausted is
-// quarantined keeping its folded spans, and the joined error is returned
-// alongside the round summary.
+// materializing the round's full V×T matrix. Config.Workers vantage
+// points probe concurrently. Per-VP probing errors degrade rather than
+// abort: failed units retry under the round engine's per-VP attempt
+// budget, a VP whose budget is exhausted is quarantined keeping its folded
+// spans, and the joined error is returned alongside the round summary.
 func (cp *Campaign) ExecuteRoundPipelined(ctx context.Context, w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, blacklist *prober.Greylist, round uint64, pc PipelineConfig) (RoundSummary, error) {
 	t0 := time.Now()
 	targets := h.Targets()
-	slots, err := cp.BeginRound(round, targets, vps)
+	s, err := cp.OpenRound(round, targets, vps, pc.SpanTargets)
 	if err != nil {
 		return RoundSummary{Round: round}, err
 	}
-	spans := ShardSpans(len(targets), pc.spanTargets())
-	if len(spans) == 0 {
-		spans = []Span{{Lo: 0, Hi: 0}} // zero-target round still reports VP health
-	}
-	cfg := cp.cfg.Census
-	workers := cfg.EffectiveWorkers()
 
-	// Per-VP state. Workers race on units of the same VP, so the retry
-	// bookkeeping is atomic; the folder is a single goroutine and owns
-	// the sample/probe/echo accumulation.
-	nVP := len(vps)
-	attempts := make([]atomic.Int32, nVP) // max (attempt index + 1) over units
-	failed := make([]atomic.Bool, nVP)    // some unit needed a retry
-	dropped := make([]atomic.Bool, nVP)   // retry budget exhausted
-	var errMu sync.Mutex
-	vpErrs := make([]error, nVP)
-
-	rowSamples := make([]int, nVP)
-	unitsDone := make([]int, nVP)
-	probes := 0
-	echo := make([]uint64, (len(targets)+63)/64)
-	roundGrey := prober.NewGreylist()
-
-	results := make(chan pipelineItem, pc.prefetch(workers))
-	foldCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var foldErr error
-	folderDone := make(chan struct{})
-	go func() {
-		defer close(folderDone)
-		for item := range results {
-			if foldErr != nil {
-				continue // drain so workers never block on a dead folder
-			}
-			if err := cp.FoldShard(item.sr); err != nil {
-				foldErr = err
-				cancel()
-				continue
-			}
-			roundGrey.Merge(item.sr.Greylist)
-			probes += item.stats.Sent
-			row := item.sr.RTTus[0]
-			n := 0
-			for t, v := range row {
-				if v >= 0 {
-					n++
-					gt := item.sr.Lo + t
-					echo[gt>>6] |= 1 << uint(gt&63)
-				}
-			}
-			rowSamples[item.vi] += n
-			unitsDone[item.vi]++
-		}
-	}()
-
-	total := nVP * len(spans)
-	var cursor atomic.Int64
+	var mu sync.Mutex // owns s and abort
+	var abort error
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				unit := int(cursor.Add(1) - 1)
-				if unit >= total || foldCtx.Err() != nil {
-					return
+	worker := func() {
+		defer wg.Done()
+		mu.Lock()
+		defer mu.Unlock()
+		for abort == nil && ctx.Err() == nil {
+			u, ok, wake := s.Next(time.Now())
+			switch {
+			case ok:
+				mu.Unlock()
+				sr, err := ProbeShard(w, targets, blacklist, cp.cfg.Census, u)
+				mu.Lock()
+				if err != nil {
+					s.Fail(u, err, time.Now())
+				} else if err := s.Done(u, sr); err != nil {
+					abort = err
 				}
-				vi := unit / len(spans)
-				sp := spans[unit%len(spans)]
-				if dropped[vi].Load() {
-					continue
+			case wake.IsZero():
+				// Settled, or every open VP is in another worker's
+				// hands — and that worker takes whatever its result
+				// makes runnable.
+				return
+			default:
+				// Only parked VPs are left for this worker: wait out the
+				// earliest backoff.
+				mu.Unlock()
+				select {
+				case <-ctx.Done():
+				case <-time.After(time.Until(wake)):
 				}
-				cp.probeUnit(foldCtx, w, vps[vi], slots[vi], vi, targets, sp, blacklist, round,
-					attempts, failed, dropped, &errMu, vpErrs, results)
+				mu.Lock()
 			}
-		}()
+		}
+	}
+	for range min(cp.cfg.Census.EffectiveWorkers(), len(vps)) {
+		wg.Add(1)
+		go worker()
 	}
 	wg.Wait()
-	close(results)
-	<-folderDone
 
-	perVP := make([]VPHealth, nVP)
-	for vi, vp := range vps {
-		vh := VPHealth{VP: vp.Name, Attempts: int(attempts[vi].Load())}
-		switch {
-		case dropped[vi].Load():
-			vh.Quarantined = true
-			errMu.Lock()
-			if vpErrs[vi] != nil {
-				vh.Err = errors.Unwrap(vpErrs[vi]).Error()
-			}
-			errMu.Unlock()
-		case vh.Attempts == 0:
-			// Cancelled before this VP's first unit ran.
-			vh.Skipped = true
-		case foldCtx.Err() != nil && unitsDone[vi] < len(spans):
-			// The round was aborted mid-flight: probed spans are folded
-			// but the VP did not complete, matching the coordinator's
-			// aborted-round accounting.
-			vh.Err = "round aborted"
-		default:
-			vh.Recovered = failed[vi].Load() && vh.Attempts > 1
-		}
-		perVP[vi] = vh
-	}
-	health := BuildRunHealth(round, perVP, rowSamples)
-	if err := cp.FinishRound(health); err != nil {
-		return RoundSummary{Round: round}, err
-	}
-	if foldErr != nil {
-		return RoundSummary{Round: round}, foldErr
-	}
-
-	echoTargets := 0
-	for _, w := range echo {
-		echoTargets += bits.OnesCount64(w)
-	}
-	sum := RoundSummary{
-		Round:       round,
-		VPs:         nVP,
-		Probes:      probes,
-		EchoTargets: echoTargets,
-		GreylistLen: roundGrey.Len(),
-		Health:      health,
-		Duration:    time.Since(t0),
-	}
-	errMu.Lock()
-	joined := errors.Join(append(append([]error{}, vpErrs...), ctx.Err())...)
-	errMu.Unlock()
-	return sum, joined
-}
-
-// probeUnit probes one (VP, span) unit with the census retry schedule and
-// ships the successful result to the folder. The row is built exactly as
-// the cluster agent builds a leased shard — same sink filter, same RTT
-// clamp — so the folded span is byte-identical to the corresponding span
-// of the row ExecuteContext would have produced.
-func (cp *Campaign) probeUnit(ctx context.Context, w *netsim.World, vp platform.VP, slot, vi int, targets []netsim.IP, sp Span, blacklist *prober.Greylist, round uint64, attempts []atomic.Int32, failed, dropped []atomic.Bool, errMu *sync.Mutex, vpErrs []error, results chan<- pipelineItem) {
-	cfg := cp.cfg.Census
-	span := targets[sp.Lo:sp.Hi]
-	// The prober hands the sink each sample's span index, so the row is
-	// filled positionally — no per-unit target→index map, whose
-	// construction would dominate a narrow span's probing time and whose
-	// garbage would swamp the round.
-	row := emptyRow(len(span))
-	sink := func(ti int, smp record.Sample) {
-		if smp.Kind != netsim.ReplyEcho {
-			return
-		}
-		us := smp.RTT.Microseconds()
-		if us > 1<<30 {
-			us = 1 << 30
-		}
-		row[ti] = int32(us)
-	}
-
-	var stats prober.Stats
-	var grey *prober.Greylist
-	var err error
-	tried := 0
-	for attempt := 0; attempt < cfg.Attempts(); attempt++ {
-		if dropped[vi].Load() {
-			return
-		}
-		if attempt > 0 && !sleepBackoff(ctx, cfg.Backoff(attempt)) {
-			break
-		}
-		tried = attempt + 1
-		raiseAttempts(&attempts[vi], int32(tried))
-		stats, grey, err = prober.RunIndexed(w, vp, span, blacklist,
-			prober.Config{Rate: cfg.Rate, Round: round, Seed: cfg.Seed, Attempt: attempt},
-			sink)
-		if err == nil {
-			break
-		}
-		failed[vi].Store(true)
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if err != nil || tried == 0 {
-		if err != nil && ctx.Err() == nil && !dropped[vi].Swap(true) {
-			errMu.Lock()
-			vpErrs[vi] = fmt.Errorf("census: VP %s quarantined after %d attempts: %w",
-				vp.Name, attempts[vi].Load(), err)
-			errMu.Unlock()
-		}
-		return
-	}
-	results <- pipelineItem{
-		vi: vi,
-		sr: &ShardRows{
-			Round:    round,
-			Lo:       sp.Lo,
-			Hi:       sp.Hi,
-			Slots:    []int{slot},
-			RTTus:    [][]int32{row},
-			Stats:    []ShardStats{ShardStatsOf(stats)},
-			Greylist: grey,
-		},
-		stats: stats,
-	}
-}
-
-// raiseAttempts raises the per-VP attempt high-water mark.
-func raiseAttempts(a *atomic.Int32, v int32) {
-	for {
-		old := a.Load()
-		if old >= v || a.CompareAndSwap(old, v) {
-			return
-		}
-	}
+	sum, err := s.Close(errors.Join(abort, ctx.Err()))
+	sum.Duration = time.Since(t0)
+	return sum, err
 }

@@ -6,25 +6,26 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 )
 
-// TestPipelinedSurvivesVPCrashes exercises the pipelined executor's
-// failure policy, which mirrors the cluster coordinator: failed units
-// retry on the census backoff schedule, recoverable crashes converge to
-// the faultless rows (RTT draws are attempt-invariant), and sticky
-// crashes quarantine the VP with nothing folded (only successful probes
-// fold — unlike ExecuteContext, which keeps a quarantined VP's partial
-// sink writes).
+// TestPipelinedSurvivesVPCrashes exercises the round engine's failure
+// policy through the in-process executor: failed VPs are parked for a
+// (real, short) backoff while the workers carry on with the others,
+// recoverable crashes converge to the faultless rows (RTT draws are
+// attempt-invariant), and sticky crashes quarantine the VP with nothing
+// folded (only successful probes fold — unlike ExecuteContext, which
+// keeps a quarantined VP's partial sink writes).
 func TestPipelinedSurvivesVPCrashes(t *testing.T) {
 	w, h, _, _, _ := testbed(t)
 	pl := platform.PlanetLab(cities.Default())
 	vps := pl.Sample(30, 5)
 	const round = 11
-	cfg := Config{Seed: 9, MaxAttempts: 3, RetryBackoff: -1, Workers: 4}
+	cfg := Config{Seed: 9, MaxAttempts: 3, RetryBackoff: time.Millisecond, Workers: 4}
 	pc := PipelineConfig{SpanTargets: 64}
 
 	plan := faultPlan(t, netsim.FaultConfig{Seed: 1213, CrashFraction: 0.4, CrashStickiness: 0.5})

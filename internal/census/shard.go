@@ -338,15 +338,16 @@ func (e *ShardRangeError) Error() string {
 		e.Round, e.Lo, e.Hi, e.Targets)
 }
 
-// BeginRound opens a round for shard-wise folding: it validates the
-// target list against earlier rounds, registers the round's vantage
-// points (new VPs extend the combined union in first-seen order, exactly
-// as FoldRun does; their fresh rows start all-NoSample), and returns the
-// combined row slot of each VP, in vps order. Only one round may be open
-// at a time, and FoldRun is rejected while one is.
+// BeginRound opens a round for folding: it validates the target list
+// against earlier rounds, registers the round's vantage points (new VPs
+// extend the combined union in first-seen order, matching the batch
+// Combine; their fresh rows are slab-carved together and start
+// all-NoSample, so min-merging into one equals copying it), and returns
+// the combined row slot of each VP, in vps order. Only one round may be
+// open at a time.
 func (cp *Campaign) BeginRound(round uint64, targets []netsim.IP, vps []platform.VP) ([]int, error) {
 	if cp.shardOpen {
-		return nil, fmt.Errorf("census: shard round %d still open", cp.shardRound)
+		return nil, fmt.Errorf("census: round %d still open; FinishRound first", cp.shardRound)
 	}
 	if cp.combined == nil {
 		cp.combined = &Combined{
@@ -371,7 +372,7 @@ func (cp *Campaign) BeginRound(round uint64, targets []netsim.IP, vps []platform
 		cp.dirty = make([]uint32, (len(c.Targets)+31)/32)
 	}
 	slots := make([]int, len(vps))
-	fresh := make([]bool, len(vps))
+	var fresh []int // slots registered by this round
 	for vi, vp := range vps {
 		si, ok := cp.byID[vp.ID]
 		if !ok {
@@ -379,30 +380,23 @@ func (cp *Campaign) BeginRound(round uint64, targets []netsim.IP, vps []platform
 			cp.byID[vp.ID] = si
 			c.VPs = append(c.VPs, vp)
 			c.RTTus = append(c.RTTus, nil)
-			fresh[vi] = true
+			fresh = append(fresh, si)
 		}
 		slots[vi] = si
 	}
-	// A fresh row starts all-NoSample: min-merging shard spans into it is
-	// then byte-identical to FoldRun's copy of a full fresh row,
-	// unanswered cells included. Rows are slab-carved as in FoldRun.
-	if nFresh := countFresh(fresh); nFresh > 0 {
-		rows := cp.newRows(nFresh, len(c.Targets))
-		ri := 0
-		for vi := range vps {
-			if fresh[vi] {
-				fillNoSample(rows[ri])
-				c.RTTus[slots[vi]] = rows[ri]
-				ri++
-			}
+	if len(fresh) > 0 {
+		if cp.arena == nil || cp.arena.rowLen != len(c.Targets) {
+			cp.arena = newSlabArena(len(c.Targets))
+		}
+		for i, row := range cp.arena.alloc(len(fresh)) {
+			fillNoSample(row)
+			c.RTTus[fresh[i]] = row
 		}
 	}
 	if len(cp.shardSlots) < len(c.VPs) {
 		cp.shardSlots = make([]bool, len(c.VPs))
 	}
-	for i := range cp.shardSlots {
-		cp.shardSlots[i] = false
-	}
+	clear(cp.shardSlots)
 	for _, si := range slots {
 		cp.shardSlots[si] = true
 	}
@@ -451,24 +445,7 @@ func (cp *Campaign) FoldShard(sr *ShardRows) error {
 		}
 	}
 	for i, slot := range sr.Slots {
-		src := sr.RTTus[i]
-		dst := c.RTTus[slot][sr.Lo:sr.Hi]
-		word, mask := sr.Lo>>5, uint32(0)
-		for t, v := range src {
-			if v < 0 {
-				continue
-			}
-			if dst[t] < 0 || v < dst[t] {
-				dst[t] = v
-				gt := sr.Lo + t
-				if w := gt >> 5; w != word {
-					cp.orDirty(word, mask)
-					word, mask = w, 0
-				}
-				mask |= 1 << uint(gt&31)
-			}
-		}
-		cp.orDirty(word, mask)
+		cp.mergeCells(c.RTTus[slot][sr.Lo:sr.Hi], sr.RTTus[i], sr.Lo)
 	}
 	if sr.Greylist != nil {
 		cp.grey.Merge(sr.Greylist)
@@ -476,27 +453,17 @@ func (cp *Campaign) FoldShard(sr *ShardRows) error {
 	return nil
 }
 
-// FinishRound closes the open shard round, folding its health record
-// into the campaign summary (as FoldRun does for a whole run).
+// FinishRound closes the open round, folding its health record into the
+// campaign summary.
 func (cp *Campaign) FinishRound(h RunHealth) error {
 	if !cp.shardOpen {
 		return fmt.Errorf("census: no shard round open")
 	}
 	cp.shardOpen = false
 	cp.health.Add(h)
-	// A shard round folds frame by frame; the round counts as folded
-	// when it closes. Fold latency for this path is the coordinator's
-	// per-frame shard-fold histogram, not FoldSeconds.
 	if m := cp.cfg.Metrics; m != nil {
 		m.RoundsFolded.Inc()
 		m.GreylistSize.Set(float64(cp.grey.Len()))
 	}
 	return nil
-}
-
-// BuildRunHealth folds per-VP records into a round health summary
-// exactly as the in-process executor does; exported so the cluster
-// coordinator reports distributed rounds in the same shape.
-func BuildRunHealth(round uint64, perVP []VPHealth, rowSamples []int) RunHealth {
-	return buildHealth(round, perVP, rowSamples)
 }

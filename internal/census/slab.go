@@ -13,9 +13,8 @@ package census
 //
 // Rows stay ordinary []int32 slices (three-word headers into a block), so
 // every consumer of Combined.RTTus — the fold workers, the analyzer, the
-// experiments, the codecs — is untouched, and byte-identity with the
-// per-row-allocation layout is structural (TestCensusDeterminism pins it
-// via the CampaignConfig.HeapRows escape hatch).
+// experiments, the codecs — is untouched; the batch Combine, which
+// allocates per row, is the layout TestCensusDeterminism compares against.
 
 const (
 	// slabBlockBytes caps one arena block. Blocks are exact-fit below the
@@ -29,7 +28,7 @@ const (
 // slabArena carves fixed-width []int32 rows from large contiguous blocks.
 // The zero value is not usable; construct with newSlabArena. Not safe for
 // concurrent use — the campaign carves rows serially while registering a
-// round's vantage points, before the parallel fold starts.
+// round's vantage points (BeginRound), before any fold starts.
 type slabArena struct {
 	rowLen int
 	cur    []int32 // unused tail of the newest block

@@ -11,7 +11,6 @@ import (
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/prober"
-	"anycastmap/internal/record"
 )
 
 // AgentConfig parametrizes RunAgent.
@@ -227,35 +226,22 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 	}
 }
 
-// executeLease probes the leased span and streams the result (or the
-// failure) back. The row is built exactly as the single-process
-// executor builds its rows — same sink filter, same RTT clamp — so a
-// shard of a round's row is byte-identical to the corresponding span of
-// the row ExecuteContext would have produced.
+// executeLease probes the leased span — through census.ProbeShard, the
+// row builder the in-process executor uses — and streams the result (or
+// the failure) back.
 func (s *agentSession) executeLease(l leaseMsg) {
 	if l.Lo < 0 || l.Hi < l.Lo || l.Hi > len(s.targets) {
 		fail, _ := encodeMsg(&failMsg{ID: l.ID, Err: fmt.Sprintf("lease span [%d,%d) outside %d targets", l.Lo, l.Hi, len(s.targets))})
 		s.send(frameFail, fail)
 		return
 	}
-	span := s.targets[l.Lo:l.Hi]
-	row := make([]int32, len(span))
-	for i := range row {
-		row[i] = census.NoSample
-	}
-	sink := func(ti int, smp record.Sample) {
-		if smp.Kind != netsim.ReplyEcho {
-			return
-		}
-		us := smp.RTT.Microseconds()
-		if us > 1<<30 {
-			us = 1 << 30
-		}
-		row[ti] = int32(us)
-	}
-	stats, grey, err := prober.RunIndexed(s.world, l.VP, span, s.blacklist,
-		prober.Config{Rate: s.ccfg.Rate, Round: l.Round, Seed: s.ccfg.Seed, Attempt: l.Attempt},
-		sink)
+	sr, err := census.ProbeShard(s.world, s.targets, s.blacklist, s.ccfg, census.Unit{
+		Round:   l.Round,
+		VP:      l.VP,
+		Slot:    l.Slot,
+		Span:    census.Span{Lo: l.Lo, Hi: l.Hi},
+		Attempt: l.Attempt,
+	})
 	if err != nil {
 		var crash *netsim.VPCrashError
 		isCrash := errors.As(err, &crash)
@@ -268,15 +254,6 @@ func (s *agentSession) executeLease(l leaseMsg) {
 		fail, _ := encodeMsg(&failMsg{ID: l.ID, Err: err.Error(), Crash: isCrash})
 		s.send(frameFail, fail)
 		return
-	}
-	sr := &census.ShardRows{
-		Round:    l.Round,
-		Lo:       l.Lo,
-		Hi:       l.Hi,
-		Slots:    []int{l.Slot},
-		RTTus:    [][]int32{row},
-		Stats:    []census.ShardStats{census.ShardStatsOf(stats)},
-		Greylist: grey,
 	}
 	frame, err := sr.Encode()
 	if err != nil {

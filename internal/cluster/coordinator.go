@@ -17,8 +17,8 @@ import (
 // Config parametrizes a Coordinator.
 type Config struct {
 	// Campaign receives the folded rounds; required. The coordinator
-	// drives it through BeginRound / FoldShard / FinishRound, so the
-	// campaign must not be folding runs concurrently.
+	// drives it through a census.RoundSched per round, so the campaign
+	// must not be folding runs concurrently.
 	Campaign *census.Campaign
 	// Targets is the census target list, identical for every round.
 	Targets []netsim.IP
@@ -26,9 +26,9 @@ type Config struct {
 	// welcome. It is snapshotted when the coordinator is built; later
 	// additions do not reach agents.
 	Blacklist *prober.Greylist
-	// Census carries the probing configuration: rate, seed, and the
-	// retry budget and backoff schedule that govern re-leasing, exactly
-	// as they govern the single-process retry loop.
+	// Census carries the probing configuration shipped to agents (rate,
+	// seed). The retry budget and backoff that govern re-leasing are the
+	// campaign's, applied by its round scheduler.
 	Census census.Config
 	// World is the deterministic world agents rebuild; in-process
 	// agents may share a prebuilt *netsim.World instead (AgentConfig).
@@ -36,8 +36,8 @@ type Config struct {
 	// Faults, when non-nil, is the fault weather agents install.
 	Faults *netsim.FaultConfig
 
-	// ShardTargets is the lease width in targets; non-positive leases
-	// each vantage point's whole row at once.
+	// ShardTargets is the lease width in targets; non-positive means
+	// census.DefaultSpanTargets, as for the in-process executor.
 	ShardTargets int
 	// LeaseTTL is how long an agent may hold a lease before the
 	// coordinator presumes it dead; expiry drops the whole agent (its
@@ -116,39 +116,11 @@ type agentConn struct {
 	inflight map[uint64]*lease
 }
 
-// vpState tracks one vantage point through a round. Attempts are per
-// vantage point, not per shard: any failed lease bumps the VP's attempt
-// and every subsequent lease of its shards carries the new number, the
-// distributed equivalent of the single-process retry loop re-running the
-// whole VP. One lease is outstanding per VP at a time, so all its shards
-// of an attempt execute at the same attempt number.
-type vpState struct {
-	vp          platform.VP
-	slot        int
-	attempt     int
-	maxAttempt  int
-	remaining   int
-	outstanding *lease
-	notBefore   time.Time
-	leasedOnce  bool
-	failed      bool
-	dropped     bool
-	lastErr     string
-	samples     int
-}
-
-// unit is one (vantage point, target span) shard of work.
-type unit struct {
-	vs     *vpState
-	lo, hi int
-	done   bool
-}
-
+// lease is one scheduler unit in an agent's hands.
 type lease struct {
 	id       uint64
-	u        *unit
+	u        census.Unit
 	agent    *agentConn
-	attempt  int
 	deadline time.Time
 }
 
@@ -157,16 +129,13 @@ type roundResult struct {
 	err     error
 }
 
-// roundState is the in-flight round.
+// roundState is the in-flight round: the campaign's scheduler decides
+// what runs, retries and quarantines; the coordinator keeps only who
+// holds which unit and until when.
 type roundState struct {
 	round          uint64
-	states         []*vpState
-	queue          []*unit
+	sched          *census.RoundSched
 	leases         map[uint64]*lease
-	echo           []uint64
-	echoCount      int
-	probes         int
-	grey           *prober.Greylist
 	start          time.Time
 	agentlessSince time.Time
 	aborted        error
@@ -492,44 +461,23 @@ func (c *Coordinator) onRows(a *agentConn, leaseID uint64, sr *census.ShardRows)
 		return
 	}
 	u := l.u
-	if sr.Round != r.round || sr.Lo != u.lo || sr.Hi != u.hi ||
-		len(sr.Slots) != 1 || sr.Slots[0] != u.vs.slot || len(sr.RTTus) != 1 {
+	if sr.Round != r.round || sr.Lo != u.Span.Lo || sr.Hi != u.Span.Hi ||
+		len(sr.Slots) != 1 || sr.Slots[0] != u.Slot || len(sr.RTTus) != 1 {
 		c.dropAgent(a, fmt.Sprintf("shard frame disagrees with lease %d", leaseID))
 		return
 	}
 	foldStart := time.Now()
-	if err := c.cfg.Campaign.FoldShard(sr); err != nil {
-		// FoldShard validates before mutating, so the campaign is
-		// intact; the agent is speaking nonsense and goes.
+	if err := r.sched.Done(u, sr); err != nil {
+		// The fold validates before mutating, so the campaign is intact;
+		// the agent is speaking nonsense and goes.
 		c.dropAgent(a, fmt.Sprintf("fold of lease %d: %v", leaseID, err))
 		return
 	}
 	c.bump(func(s *Stats) { s.FramesFolded++ })
 	c.cfg.Metrics.folded(time.Since(foldStart))
 
-	if len(sr.Stats) == 1 {
-		r.probes += sr.Stats[0].Sent
-	}
-	for t, v := range sr.RTTus[0] {
-		if v == census.NoSample {
-			continue
-		}
-		u.vs.samples++
-		gt := u.lo + t
-		if r.echo[gt>>6]&(1<<uint(gt&63)) == 0 {
-			r.echo[gt>>6] |= 1 << uint(gt&63)
-			r.echoCount++
-		}
-	}
-	if sr.Greylist != nil {
-		r.grey.Merge(sr.Greylist)
-	}
-
 	delete(r.leases, leaseID)
 	delete(a.inflight, leaseID)
-	u.done = true
-	u.vs.outstanding = nil
-	u.vs.remaining--
 	c.dispatch()
 	c.checkRoundDone()
 }
@@ -558,29 +506,14 @@ func (c *Coordinator) onFail(a *agentConn, fail failMsg) {
 	c.checkRoundDone()
 }
 
-// failLease returns a failed lease's shard to the queue under the
-// single-process retry policy: the vantage point's attempt counter bumps
-// past the failed attempt, the next lease waits out the same capped
-// exponential backoff ExecuteContext would sleep, and a VP whose budget
-// is exhausted is quarantined — its remaining shards are abandoned and
-// its partial row keeps whatever samples earlier shards folded.
-func (c *Coordinator) failLease(l *lease, errStr string) {
-	vs := l.u.vs
-	vs.outstanding = nil
-	vs.failed = true
-	vs.lastErr = errStr
-	if l.attempt >= vs.attempt {
-		vs.attempt = l.attempt + 1
-	}
-	if vs.attempt >= c.cfg.Census.Attempts() {
-		if !vs.dropped {
-			vs.dropped = true
-			c.logf("cluster: VP %s quarantined after %d attempts: %s", vs.vp.Name, vs.attempt, errStr)
-		}
+// failLease reports a failed lease to the scheduler, which bumps the
+// vantage point's attempt and parks or quarantines it; a unit that will
+// be handed out again counts as a re-lease.
+func (c *Coordinator) failLease(l *lease, reason string) {
+	if err := c.round.sched.Fail(l.u, errors.New(reason), time.Now()); err != nil {
+		c.logf("cluster: %v", err)
 		return
 	}
-	vs.notBefore = time.Now().Add(c.cfg.Census.Backoff(vs.attempt))
-	c.round.queue = append(c.round.queue, l.u)
 	c.bump(func(s *Stats) { s.ReLeases++ })
 	c.cfg.Metrics.reLease()
 }
@@ -659,33 +592,21 @@ func (c *Coordinator) onTick() {
 	c.checkRoundDone()
 }
 
-// dispatch hands queued shards to agents: one outstanding lease per
-// vantage point, owner-affinity first, least-loaded otherwise. It
-// snapshots the queue before iterating — issuing a lease can drop an
-// agent (queue overflow), which re-appends failed units to the queue.
+// dispatch leases runnable units — the scheduler keeps one outstanding
+// per vantage point and holds back parked ones — to agents while any has
+// spare capacity: owner-affinity first, least-loaded otherwise.
 func (c *Coordinator) dispatch() {
 	r := c.round
-	if r == nil || len(r.queue) == 0 {
+	if r == nil {
 		return
 	}
 	now := time.Now()
-	pending := r.queue
-	r.queue = nil
-	for _, u := range pending {
-		vs := u.vs
-		if u.done || vs.dropped {
-			continue
+	for r.aborted == nil && c.pickAgent(-1) != nil {
+		u, ok, _ := r.sched.Next(now)
+		if !ok {
+			return
 		}
-		if vs.outstanding != nil || now.Before(vs.notBefore) {
-			r.queue = append(r.queue, u)
-			continue
-		}
-		a := c.pickAgent(vs.vp.ID)
-		if a == nil {
-			r.queue = append(r.queue, u)
-			continue
-		}
-		c.issueLease(r, u, a)
+		c.issueLease(r, u, c.pickAgent(u.VP.ID))
 	}
 }
 
@@ -718,24 +639,22 @@ func (c *Coordinator) pickAgent(vpID int) *agentConn {
 	return best
 }
 
-func (c *Coordinator) issueLease(r *roundState, u *unit, a *agentConn) {
-	vs := u.vs
+func (c *Coordinator) issueLease(r *roundState, u census.Unit, a *agentConn) {
 	c.leaseID++
 	l := &lease{
 		id:       c.leaseID,
 		u:        u,
 		agent:    a,
-		attempt:  vs.attempt,
 		deadline: time.Now().Add(c.cfg.leaseTTL()),
 	}
 	payload, err := encodeMsg(&leaseMsg{
 		ID:      l.id,
-		Round:   r.round,
-		Attempt: l.attempt,
-		Slot:    vs.slot,
-		VP:      vs.vp,
-		Lo:      u.lo,
-		Hi:      u.hi,
+		Round:   u.Round,
+		Attempt: u.Attempt,
+		Slot:    u.Slot,
+		VP:      u.VP,
+		Lo:      u.Span.Lo,
+		Hi:      u.Span.Hi,
 	})
 	if err != nil {
 		// A lease that cannot encode cannot execute anywhere; abort.
@@ -744,87 +663,29 @@ func (c *Coordinator) issueLease(r *roundState, u *unit, a *agentConn) {
 	}
 	r.leases[l.id] = l
 	a.inflight[l.id] = l
-	vs.outstanding = l
-	vs.leasedOnce = true
-	if l.attempt > vs.maxAttempt {
-		vs.maxAttempt = l.attempt
-	}
 	c.bump(func(s *Stats) { s.Leases++ })
 	c.cfg.Metrics.lease()
 	c.send(a, frameBytes(frameLease, payload))
 }
 
 func (c *Coordinator) checkRoundDone() {
-	r := c.round
-	if r == nil {
-		return
+	if r := c.round; r != nil && (r.aborted != nil || r.sched.Settled()) {
+		c.finishRound(r)
 	}
-	if r.aborted == nil {
-		for _, vs := range r.states {
-			if vs.remaining > 0 && !vs.dropped {
-				return
-			}
-		}
-	}
-	c.finishRound(r)
 }
 
-// finishRound folds the round's health into the campaign — in the same
-// shape the in-process executor builds — and wakes ExecuteRound.
+// finishRound closes the round on the campaign and wakes ExecuteRound.
 func (c *Coordinator) finishRound(r *roundState) {
 	c.round = nil
-	perVP := make([]census.VPHealth, len(r.states))
-	rowSamples := make([]int, len(r.states))
-	var errs []error
-	for i, vs := range r.states {
-		vh := census.VPHealth{VP: vs.vp.Name}
-		if vs.leasedOnce {
-			vh.Attempts = vs.maxAttempt + 1
-		}
-		switch {
-		case vs.dropped:
-			vh.Quarantined = true
-			vh.Err = vs.lastErr
-			errs = append(errs, fmt.Errorf("census: VP %s quarantined after %d attempts: %s",
-				vs.vp.Name, vh.Attempts, vs.lastErr))
-		case vs.remaining > 0:
-			// Round aborted under it.
-			if !vs.leasedOnce {
-				vh.Skipped = true
-			} else {
-				vh.Err = "round aborted"
-			}
-		case vs.failed:
-			vh.Recovered = true
-		}
-		perVP[i] = vh
-		rowSamples[i] = vs.samples
-	}
-	h := census.BuildRunHealth(r.round, perVP, rowSamples)
-	if err := c.cfg.Campaign.FinishRound(h); err != nil {
-		errs = append(errs, err)
-	}
-	if r.aborted != nil {
-		errs = append(errs, r.aborted)
-	}
-	r.result <- roundResult{
-		summary: census.RoundSummary{
-			Round:       r.round,
-			VPs:         len(r.states),
-			Probes:      r.probes,
-			EchoTargets: r.echoCount,
-			GreylistLen: r.grey.Len(),
-			Health:      h,
-			Duration:    time.Since(r.start),
-		},
-		err: errors.Join(errs...),
-	}
+	sum, err := r.sched.Close(r.aborted)
+	sum.Duration = time.Since(r.start)
+	r.result <- roundResult{summary: sum, err: err}
 }
 
 // ExecuteRound runs one census round across the cluster: it opens the
-// round on the campaign, shards every vantage point's row into leases,
-// and returns when all shards folded (or the round aborted). The
-// summary mirrors the single-process Campaign.ExecuteRound.
+// round on the campaign, leases the scheduler's units to agents, and
+// returns when the round settles (or aborts). The summary is the one
+// Campaign.ExecuteRoundPipelined returns for the same round.
 func (c *Coordinator) ExecuteRound(ctx context.Context, round uint64, vps []platform.VP) (census.RoundSummary, error) {
 	result := make(chan roundResult, 1)
 	c.post(func() { c.startRound(round, vps, result) })
@@ -853,29 +714,18 @@ func (c *Coordinator) startRound(round uint64, vps []platform.VP, result chan ro
 		fail(fmt.Errorf("cluster: round %d already executing", c.round.round))
 		return
 	}
-	slots, err := c.cfg.Campaign.BeginRound(round, c.cfg.Targets, vps)
+	sched, err := c.cfg.Campaign.OpenRound(round, c.cfg.Targets, vps, c.cfg.ShardTargets)
 	if err != nil {
 		fail(err)
 		return
 	}
-	spans := census.ShardSpans(len(c.cfg.Targets), c.cfg.ShardTargets)
-	r := &roundState{
+	c.round = &roundState{
 		round:  round,
-		states: make([]*vpState, len(vps)),
+		sched:  sched,
 		leases: make(map[uint64]*lease),
-		echo:   make([]uint64, (len(c.cfg.Targets)+63)/64),
-		grey:   prober.NewGreylist(),
 		start:  time.Now(),
 		result: result,
 	}
-	for vi, vp := range vps {
-		vs := &vpState{vp: vp, slot: slots[vi], remaining: len(spans)}
-		r.states[vi] = vs
-		for _, sp := range spans {
-			r.queue = append(r.queue, &unit{vs: vs, lo: sp.Lo, hi: sp.Hi})
-		}
-	}
-	c.round = r
 	c.dispatch()
 	c.checkRoundDone() // zero targets or zero VPs finish immediately
 }

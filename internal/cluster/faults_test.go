@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -176,4 +177,71 @@ func TestStickyCrashQuarantines(t *testing.T) {
 	if got := cp.Combined(); got == nil || got.Rounds != 1 {
 		t.Fatal("round did not fold")
 	}
+}
+
+// The in-process executor and the fleet drive one round scheduler, so
+// under the same fault plan — recoverable and sticky crashes together —
+// they must agree on everything a round reports, not just on the matrix:
+// the summary counts, every vantage point's attempts, recovery,
+// quarantine and final error, and the combined rows byte for byte.
+func TestExecutorsAgreeUnderFaults(t *testing.T) {
+	cfg, w, h, vps := clusterTestbed(t)
+	fcfg := netsim.FaultConfig{Seed: 1213, CrashFraction: 0.4, CrashStickiness: 0.5}
+	plan, err := netsim.NewFaultPlan(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovering, sticky := 0, 0
+	for _, vp := range vps[0] {
+		if crashes, st := plan.Crashes(vp.ID, 1); crashes && st {
+			sticky++
+		} else if crashes {
+			recovering++
+		}
+	}
+	if recovering == 0 || sticky == 0 {
+		t.Fatalf("plan lacks variety: %d recovering, %d sticky", recovering, sticky)
+	}
+	faulty := w.WithFaults(plan)
+	const width = 700
+
+	local := census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()})
+	lsum, lerr := local.ExecuteRoundPipelined(context.Background(), faulty, vps[0], h, nil, 1,
+		census.PipelineConfig{SpanTargets: width})
+
+	remote := census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()})
+	coord, err := NewCoordinator(Config{
+		Campaign:     remote,
+		Targets:      h.Targets(),
+		Census:       testCensusCfg(),
+		World:        cfg,
+		Faults:       &fcfg,
+		ShardTargets: width,
+		Tick:         5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := NewHarness(coord, HarnessConfig{Agents: 2, Agent: AgentConfig{World: faulty, Capacity: 2}})
+	if err != nil {
+		coord.Close()
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	rsum, rerr := coord.ExecuteRound(context.Background(), 1, vps[0])
+
+	if lerr == nil || rerr == nil || lerr.Error() != rerr.Error() {
+		t.Fatalf("round errors differ:\nlocal:  %v\nremote: %v", lerr, rerr)
+	}
+	if lsum.Probes != rsum.Probes || lsum.EchoTargets != rsum.EchoTargets || lsum.GreylistLen != rsum.GreylistLen {
+		t.Fatalf("summaries differ: local %d probes / %d echo / %d grey, remote %d / %d / %d",
+			lsum.Probes, lsum.EchoTargets, lsum.GreylistLen, rsum.Probes, rsum.EchoTargets, rsum.GreylistLen)
+	}
+	if !reflect.DeepEqual(lsum.Health, rsum.Health) {
+		t.Fatalf("health differs:\nlocal:  %+v\nremote: %+v", lsum.Health, rsum.Health)
+	}
+	if got := len(lsum.Health.Quarantined); got != sticky || lsum.Health.Recovered != recovering {
+		t.Fatalf("health %s; plan has %d recovering, %d sticky", lsum.Health, recovering, sticky)
+	}
+	assertIdentical(t, local, remote)
 }

@@ -235,9 +235,10 @@ func (r *Refresher) Stats() RefresherStats {
 }
 
 // CensusSource builds snapshots by running real census rounds against the
-// world — census.ExecuteContext fan-out, minimum-RTT combination, then the
-// detection/enumeration/geolocation analysis — exactly the workflow of the
-// paper's Fig. 1, repeated forever as the map's freshness loop.
+// world — span-pipelined probing folded into the minimum-RTT combination,
+// then the detection/enumeration/geolocation analysis — exactly the
+// workflow of the paper's Fig. 1, repeated forever as the map's freshness
+// loop.
 type CensusSource struct {
 	World     *netsim.World
 	Cities    *cities.DB
@@ -261,17 +262,12 @@ type CensusSource struct {
 	MinSamples int
 	// Agents, when positive, runs each refresh's rounds distributed
 	// across that many in-process cluster agents (a coordinator leasing
-	// target shards to a net.Pipe fleet) instead of the in-process
-	// executor. The published snapshot is byte-identical either way.
+	// target spans to a net.Pipe fleet) instead of in-process workers.
+	// Both drive the same round scheduler, and the published snapshot is
+	// byte-identical either way.
 	Agents int
-	// Pipelined, when Agents is zero, runs each round through the
-	// shard-pipelined executor: probe results fold into the combined
-	// matrix span by span as they land, so peak heap holds in-flight
-	// spans instead of a whole round of rows. Byte-identical to the
-	// batch executor.
-	Pipelined bool
-	// SpanTargets is the pipelined probe-span width; zero means the
-	// executor default (65,536 targets).
+	// SpanTargets is the probe/fold unit width in targets for either
+	// executor; zero means census.DefaultSpanTargets (16,384).
 	SpanTargets int
 	// Metrics, when set, instruments every campaign this source builds
 	// (rounds folded, fold/analyze latency, cert reuse). The instruments
@@ -305,34 +301,29 @@ func (cs *CensusSource) SetRound(n uint64) { cs.round.Store(n) }
 
 // Build implements Source: it advances the global census round counter,
 // probes, folds, analyzes, and indexes. Rounds stream through a
-// census.Campaign — each finished round folds into the combined matrix and
-// its rows are released, so a refresh holds one run plus the combination
-// no matter how many rounds a snapshot aggregates. Per-VP probing errors
-// do not abort the campaign; they are returned alongside the snapshot so
-// the caller can publish the partial result and still surface the problem.
+// census.Campaign — probe spans fold into the combined matrix as they
+// land, so a refresh holds the combination plus a span per worker no
+// matter how many rounds a snapshot aggregates. Per-VP probing errors do
+// not abort the campaign; they are returned alongside the snapshot so the
+// caller can publish the partial result and still surface the problem.
 func (cs *CensusSource) Build(ctx context.Context) (*Snapshot, error) {
 	cfg := cs.Census
 	cfg.Seed = cs.Seed
 	cp := census.NewCampaign(census.CampaignConfig{Census: cfg, Metrics: cs.Metrics})
+	pc := census.PipelineConfig{SpanTargets: cs.SpanTargets}
 	execute := func(ctx context.Context, round uint64, vps []platform.VP) error {
-		_, err := cp.ExecuteRound(ctx, cs.World, vps, cs.Hitlist, cs.Blacklist, round)
+		_, err := cp.ExecuteRoundPipelined(ctx, cs.World, vps, cs.Hitlist, cs.Blacklist, round, pc)
 		return err
-	}
-	if cs.Pipelined && cs.Agents <= 0 {
-		pc := census.PipelineConfig{SpanTargets: cs.SpanTargets}
-		execute = func(ctx context.Context, round uint64, vps []platform.VP) error {
-			_, err := cp.ExecuteRoundPipelined(ctx, cs.World, vps, cs.Hitlist, cs.Blacklist, round, pc)
-			return err
-		}
 	}
 	if cs.Agents > 0 {
 		coord, err := cluster.NewCoordinator(cluster.Config{
-			Campaign:  cp,
-			Targets:   cs.Hitlist.Targets(),
-			Blacklist: cs.Blacklist,
-			Census:    cfg,
-			World:     cs.World.Config(),
-			Metrics:   cs.ClusterMetrics,
+			Campaign:     cp,
+			Targets:      cs.Hitlist.Targets(),
+			Blacklist:    cs.Blacklist,
+			Census:       cfg,
+			World:        cs.World.Config(),
+			ShardTargets: cs.SpanTargets,
+			Metrics:      cs.ClusterMetrics,
 		})
 		if err != nil {
 			return nil, err

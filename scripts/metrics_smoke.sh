@@ -80,7 +80,10 @@ grep -q '^anycastmap_refresh_completed_total 1$' "$scrape" ||
 echo "ok: anycastd serves all required series"
 
 echo "== censusd /metrics =="
-"$BIN/censusd" -local 2 -metrics "$CENSUSD_ADDR" -unicast24s 3000 -censuses 2 -vps 24 &
+# The coordinator exits when its rounds are done, so the census must
+# outlast the poll below: at 3,000 /24s it finished in 150 ms, before the
+# first scrape could land.
+"$BIN/censusd" -local 2 -metrics "$CENSUSD_ADDR" -unicast24s 150000 -censuses 4 -vps 24 &
 pids+=($!)
 wait_http "http://$CENSUSD_ADDR/metrics" 150
 
