@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify clean bench bench-smoke repo-bench-smoke bench-json stream-smoke scale-smoke full-scale-smoke analyze-smoke cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build vet test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke bench-json stream-smoke scale-smoke full-scale-smoke analyze-smoke cluster-smoke metrics-smoke route-smoke profile
 
 all: verify
 
@@ -22,15 +22,29 @@ race:
 
 verify: vet build race
 
-# bench runs the probe-path, prober, census and serving microbenchmarks
-# with allocation reporting; compare runs with benchstat if available.
+# bench runs the probe-path, prober, detection-kernel, census and serving
+# microbenchmarks with allocation reporting; compare runs with benchstat
+# if available.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/netsim ./internal/prober ./internal/census ./internal/store ./internal/route .
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/store ./internal/route .
 
 # bench-smoke is the CI gate: every benchmark must still run (one
 # iteration), catching bit-rot in the benchmark harness itself.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/netsim ./internal/prober ./internal/census ./internal/store ./internal/route .
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/store ./internal/route .
+
+# fuzz-smoke gives every fuzz target in the module five seconds: enough to
+# replay its seed corpus and mutate a few hundred thousand inputs, so a
+# decoder or the detection kernel (FuzzDetect: split scan == reference
+# pair scan) that breaks on a nearby input fails CI, not a later user.
+# go test -fuzz takes one package and one target at a time.
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg; \
+		done; \
+	done
 
 # repo-bench-smoke compiles and tests bench/, the repository benchmark
 # (BENCHMARK.json). It is its own Go module, so the root build and test

@@ -349,8 +349,8 @@ func main() {
 		outcomes = cp.Outcomes()
 		analysisWall = cp.AnalysisWall()
 		st := cp.Analyzer().Stats()
-		log.Printf("incremental analysis: %d updates, last dirty %d, %d target analyses, cert hit rate %.0f%% (%d hits, %d full scans)",
-			st.Updates, st.LastDirty, st.Analyzed, 100*st.CertHitRate(), st.CertHits, st.FullScans)
+		log.Printf("incremental analysis: %d updates, last dirty %d, %d target analyses, cert hit rate %.0f%% (%d hits, %d full scans: %d witness-decided, %d split-scanned, %d pair tests)",
+			st.Updates, st.LastDirty, st.Analyzed, 100*st.CertHitRate(), st.CertHits, st.FullScans, st.WitnessDecided, st.SplitScanned, st.PairTests)
 		if *verifyAnalysis {
 			batch := census.AnalyzeAll(db, combined, core.Options{}, 2, *analyzeWorkers)
 			if !reflect.DeepEqual(outcomes, batch) {

@@ -14,14 +14,17 @@ import (
 // This file is the incremental analysis engine. The paper re-analyzes
 // every responsive /24 per monthly census (Sec. 3, Fig. 4) yet finds the
 // anycast set largely stable month to month (Sec. 3.2) — so re-running
-// the full O(targets × VPs²) detection from scratch after every round
-// mostly re-derives last round's answers. An Analyzer instead keeps, per
-// target, the last result and the detection certificate that decided it
+// detection over every target after every round mostly re-derives last
+// round's answers. An Analyzer instead keeps, per target, the last result
+// and the detection certificate that decided it
 // (internal/core/certificate.go): after a round folds, only the targets
 // whose combined min-RTT row changed (the campaign's dirty set) are
-// re-analyzed, and for those the cached certificate is revalidated in
-// O(n) before any sorting pairwise scan runs. Outcomes are bit-identical
-// to batch AnalyzeAll at every round — TestCensusDeterminism pins it.
+// re-analyzed, and for those the cached certificate is revalidated before
+// the split scan runs. Detection reads radii and vantage-point slots
+// straight off the combined matrix and rows of one VP-pair distance
+// matrix; measurements and disks are built only for a target proven
+// anycast. Outcomes are bit-identical to batch AnalyzeAll at every round —
+// TestCensusDeterminism pins it.
 
 // AnalyzerConfig tunes an incremental Analyzer.
 type AnalyzerConfig struct {
@@ -69,8 +72,16 @@ type AnalyzerStats struct {
 	// certificate, skipping the full detection pass.
 	CertHits int64
 	// FullScans counts analyses that paid the full detection pass (no
-	// cached certificate, or revalidation was inconclusive).
-	FullScans int64
+	// cached certificate, or revalidation was inconclusive). Each is
+	// either WitnessDecided — the smallest disk's center lay deep inside
+	// every disk, one O(n) pass — or SplitScanned: the disks that did not
+	// hold it were tested against all. PairTests totals the disk-pair
+	// tests both executed; a pair scan needs n(n-1)/2 to call a target
+	// unicast.
+	FullScans      int64
+	WitnessDecided int64
+	SplitScanned   int64
+	PairTests      int64
 	// LastDirty is the dirty-set size of the most recent update.
 	LastDirty int
 }
@@ -179,7 +190,7 @@ func (a *Analyzer) bind(c *Combined) {
 
 // run analyzes the listed targets (every target when all is set; list is
 // then ignored) with a work-stealing worker pool: anycast targets cost
-// orders of magnitude more than certified-unicast rejects, so workers
+// orders of magnitude more than unicast rejects, so workers
 // pull small batches from a shared atomic cursor instead of owning
 // static chunks — except at one effective worker, where stealing cannot
 // balance anything and the range runs as a single static chunk. useCerts
@@ -221,22 +232,15 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 			return 0
 		}
 	}
-	var analyzed, hits, scans atomic.Int64
+	var mu sync.Mutex // guards a.stats as workers finish
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var nAnalyzed, nHits, nScans int64
+			var st AnalyzerStats
+			s := a.newScan()
 			ms := make([]core.Measurement, 0, a.nVP)
-			vpIdx := make([]int, 0, a.nVP)
-			disks := make([]geo.Disk, 0, a.nVP)
-			// dist closes over vpIdx (reassigned per target):
-			// measurement i maps to vantage point vpIdx[i].
-			nVP := a.nVP
-			dist := core.CenterDist(func(i, j int) float64 {
-				return a.vpDist[vpIdx[i]*nVP+vpIdx[j]]
-			})
 			for {
 				lo := next()
 				if lo >= n {
@@ -251,49 +255,62 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 					if list != nil {
 						t = list[k]
 					}
-					ms, vpIdx = a.c.AppendMeasurements(t, ms[:0], vpIdx[:0])
-					if len(ms) < a.cfg.minSamples() {
-						a.results[t] = nil
-						a.certs[t] = certEntry{}
-						continue
-					}
-					nAnalyzed++
-					disks = core.AppendDisks(disks[:0], ms)
-					var cert core.Certificate
-					anycast, decided := false, false
-					if useCerts {
-						if pc, ok := a.certToPositions(a.certs[t], vpIdx); ok {
-							if v, conclusive := pc.Revalidate(disks, dist); conclusive {
-								anycast, decided, cert = v, true, pc
-								nHits++
-							}
-						}
-					}
-					if !decided {
-						cert = core.DetectCert(disks, dist)
-						anycast = cert.Anycast()
-						nScans++
-					}
-					if anycast {
-						r := core.AnalyzeDetected(a.idx, ms, disks, dist, a.cfg.Options)
+					if a.detect(s, t, useCerts, &st) {
+						// Only a proven-anycast target pays for
+						// measurements: names, locations, disks.
+						ms, s.Slots = a.c.AppendMeasurements(t, ms[:0], s.Slots[:0])
+						r := s.Enumerate(a.idx, ms, a.cfg.Options)
 						a.results[t] = &r
 					} else {
 						a.results[t] = nil
 					}
-					if useCerts {
-						a.certs[t] = certToSlots(cert, vpIdx)
-					}
 				}
 			}
-			analyzed.Add(nAnalyzed)
-			hits.Add(nHits)
-			scans.Add(nScans)
+			mu.Lock()
+			a.stats.Analyzed += st.Analyzed
+			a.stats.CertHits += st.CertHits
+			a.stats.FullScans += s.Witness + s.Split
+			a.stats.WitnessDecided += s.Witness
+			a.stats.SplitScanned += s.Split
+			a.stats.PairTests += s.PairTests
+			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	a.stats.Analyzed += analyzed.Load()
-	a.stats.CertHits += hits.Load()
-	a.stats.FullScans += scans.Load()
+}
+
+// newScan returns one worker's detection kernel over the VP distance
+// matrix: every disk of a target is centered at a vantage point, so disk
+// i's distances are the matrix row of its VP slot.
+func (a *Analyzer) newScan() *core.Scan {
+	nVP := a.nVP
+	return &core.Scan{Row: func(slot int) []float64 { return a.vpDist[slot*nVP : (slot+1)*nVP] }}
+}
+
+// detect gathers target t's radii and VP slots straight from the combined
+// matrix into s and decides it, by the cached certificate when useCerts
+// is set and it still holds, by the split scan otherwise. A target under
+// the sample floor is not analyzed and reads unicast.
+func (a *Analyzer) detect(s *core.Scan, t int, useCerts bool, st *AnalyzerStats) bool {
+	s.Radii, s.Slots = a.c.appendRadii(t, s.Radii[:0], s.Slots[:0])
+	if len(s.Radii) < a.cfg.minSamples() {
+		a.certs[t] = certEntry{}
+		return false
+	}
+	st.Analyzed++
+	if useCerts {
+		if pc, ok := a.certToPositions(a.certs[t], s.Slots); ok {
+			if anycast, conclusive := s.Revalidate(pc); conclusive {
+				st.CertHits++
+				return anycast
+			}
+		}
+	}
+	cert := s.Detect()
+	if useCerts {
+		a.certs[t] = certToSlots(cert, s.Slots)
+	}
+	return cert.Anycast()
 }
 
 // certToSlots rewrites a certificate's measurement positions as VP slots.

@@ -107,8 +107,8 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 
 // BenchmarkAnalyzerUpdateDirty5pct measures one incremental round against a
 // warm analyzer: 5% of the targets are dirty and every one carries a cached
-// detection certificate, so the cost is the O(n) revalidation path rather
-// than the full pairwise scan AnalyzeAll pays.
+// detection certificate, so the cost is the revalidation path rather than
+// the split scan AnalyzeAll pays.
 func BenchmarkAnalyzerUpdateDirty5pct(b *testing.B) {
 	runs := synthRuns(4, 120, 5_000)
 	c, err := Combine(runs...)

@@ -19,6 +19,7 @@ import (
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/core"
+	"anycastmap/internal/geo"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
@@ -459,6 +460,19 @@ func (c *Combined) AppendMeasurements(t int, ms []core.Measurement, vpIdx []int)
 	return ms, vpIdx
 }
 
+// appendRadii is AppendMeasurements for the detection kernel, which needs
+// no names and no locations: target t's disk radii in km and the index of
+// each one's vantage point.
+func (c *Combined) appendRadii(t int, radii []float64, vpIdx []int) ([]float64, []int) {
+	for v, row := range c.RTTus {
+		if us := row[t]; us >= 0 {
+			radii = append(radii, geo.DiskRadiusKm(time.Duration(us)*time.Microsecond))
+			vpIdx = append(vpIdx, v)
+		}
+	}
+	return radii, vpIdx
+}
+
 // EchoTargets returns how many targets have at least one sample. The
 // count is computed once and memoized; call it only once the matrix is
 // final (after the last Combine or Campaign.FoldRun).
@@ -490,8 +504,8 @@ func (o Outcome) Prefix() netsim.Prefix24 { return o.Target.Prefix() }
 // detected ones. It returns only the anycast outcomes, sorted by target.
 // Analysis is parallelized over targets; workers <= 0 means GOMAXPROCS.
 //
-// Scheduling is work-stealing, not static chunks: certified-unicast
-// rejects cost O(VPs) while anycast targets pay the full enumeration, so
+// Scheduling is work-stealing, not static chunks: unicast rejects cost
+// a few microseconds while anycast targets pay the full enumeration, so
 // evenly sized chunks leave most workers idle behind the one that drew
 // the anycast-dense range. The shared engine in analyzer.go pulls small
 // batches off an atomic cursor instead; the outcome does not depend on

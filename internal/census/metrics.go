@@ -29,10 +29,15 @@ type Metrics struct {
 	// Analyses counts per-target analyses; CertHits the ones decided by
 	// revalidating a cached detection certificate, FullScans the ones
 	// that paid the full detection pass. CertHits + FullScans ==
-	// Analyses, mirroring AnalyzerStats.
-	Analyses  *obs.Counter
-	CertHits  *obs.Counter
-	FullScans *obs.Counter
+	// Analyses, mirroring AnalyzerStats. WitnessDecided + SplitScanned ==
+	// FullScans splits the pass by how it ended, and PairTests is the
+	// disk-pair tests it executed.
+	Analyses       *obs.Counter
+	CertHits       *obs.Counter
+	FullScans      *obs.Counter
+	WitnessDecided *obs.Counter
+	SplitScanned   *obs.Counter
+	PairTests      *obs.Counter
 }
 
 // NewMetrics registers the census series on r.
@@ -46,6 +51,9 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Analyses:       r.Counter("anycastmap_census_analyses_total", "Per-target analyses run by the incremental engine."),
 		CertHits:       r.Counter("anycastmap_census_cert_hits_total", "Analyses decided by revalidating a cached detection certificate."),
 		FullScans:      r.Counter("anycastmap_census_full_scans_total", "Analyses that paid the full detection pass."),
+		WitnessDecided: r.Counter("anycastmap_census_witness_decided_total", "Detection passes decided in O(n): every disk held the smallest disk's center."),
+		SplitScanned:   r.Counter("anycastmap_census_split_scanned_total", "Detection passes that tested the disks not holding that center against all."),
+		PairTests:      r.Counter("anycastmap_census_pair_tests_total", "Disk-pair overlap tests executed by detection passes."),
 	}
 }
 
@@ -70,6 +78,9 @@ func (m *Metrics) analyzeObserved(d time.Duration, dirty int, before, after Anal
 	m.Analyses.Add(uint64(after.Analyzed - before.Analyzed))
 	m.CertHits.Add(uint64(after.CertHits - before.CertHits))
 	m.FullScans.Add(uint64(after.FullScans - before.FullScans))
+	m.WitnessDecided.Add(uint64(after.WitnessDecided - before.WitnessDecided))
+	m.SplitScanned.Add(uint64(after.SplitScanned - before.SplitScanned))
+	m.PairTests.Add(uint64(after.PairTests - before.PairTests))
 }
 
 // ObserveAnalysis records the wall time of a batch analysis (an

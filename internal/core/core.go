@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -116,23 +117,18 @@ func (o Options) maxIter() int {
 
 // Detect reports whether the measurements prove the target anycast: some
 // pair of disks is disjoint. It is the cheap census-wide pass; Analyze
-// gives the full enumeration and geolocation.
-//
-// The implementation certifies the (overwhelmingly common) unicast case in
-// O(n): if any single point — tried from the centers of the smallest
-// disks — lies inside every disk, all disks pairwise overlap. Only when no
-// certificate is found does it fall back to the pairwise scan, which for
-// true anycast terminates at the first disjoint pair.
+// gives the full enumeration and geolocation. The verdict comes from the
+// split scan of certificate.go, exact and linear in the common case.
 func Detect(ms []Measurement) bool {
 	return DetectCert(disksOf(ms), nil).Anycast()
 }
 
 // CenterDist lets callers supply a precomputed oracle for the distance in
 // km between the centers of disks i and j, replacing the haversine
-// evaluation in the detection scans. The values must be bitwise equal to
-// geo.DistanceKm(disks[i].Center, disks[j].Center) - the census pipeline
-// satisfies this with a VP-pair distance matrix, valid because every disk
-// of a target is centered at a vantage point. nil means compute live.
+// evaluation in detection and enumeration. The values must be bitwise
+// equal to geo.DistanceKm(disks[i].Center, disks[j].Center) - a VP-pair
+// distance matrix satisfies this, because every disk of a target is
+// centered at a vantage point. nil means compute live.
 type CenterDist func(i, j int) float64
 
 // disksOf maps measurements to disks.
@@ -144,45 +140,87 @@ func disksOf(ms []Measurement) []geo.Disk {
 	return out
 }
 
-// smallestK returns the indices of the k smallest-radius disks.
-func smallestK(disks []geo.Disk, k int) []int {
-	idx := make([]int, len(disks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return disks[idx[a]].RadiusKm < disks[idx[b]].RadiusKm })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
 // MISGreedy returns the indices of an independent (pairwise disjoint) set
 // of disks, built greedily over disks of increasing radius. For disk
 // graphs this is a 5-approximation of the maximum independent set, and in
 // practice it is near-optimal (the paper validates it against brute
 // force).
 func MISGreedy(disks []geo.Disk) []int {
-	order := make([]int, len(disks))
-	for i := range order {
-		order[i] = i
+	radii := make([]float64, len(disks))
+	for i, d := range disks {
+		radii[i] = d.RadiusKm
 	}
-	sort.SliceStable(order, func(a, b int) bool { return disks[order[a]].RadiusKm < disks[order[b]].RadiusKm })
-	var chosen []int
-	for _, i := range order {
-		ok := true
-		for _, j := range chosen {
-			if disks[i].Overlaps(disks[j]) {
-				ok = false
-				break
+	var e enum
+	e.sortByRadius(radii)
+	e.greedy(radii, func(i, j int) float64 { return geo.DistanceKm(disks[i].Center, disks[j].Center) })
+	return e.mis
+}
+
+// enum is the scratch of the greedy set and of Enumerate around it.
+type enum struct {
+	order  []int  // every disk by (radius, index): a stable sort by radius
+	mis    []int  // the greedy set, ascending
+	hit    []int  // the chosen disk that last ruled disk i out
+	picked []bool // membership in mis while it is being built
+
+	ws   []work
+	cur  []float64 // current radii: 0 once located
+	prev []int
+	// cityKm holds, per located disk, the distance from its city to every
+	// measurement's vantage point, computed on first use (0 until then):
+	// the iterations ask for the same ones again.
+	cityKm []float64
+}
+
+// resized returns s with length n, zeroed, reusing its array when it can.
+func resized[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// sortByRadius sizes the greedy scratch for the radii's disks and sorts
+// order.
+func (e *enum) sortByRadius(radii []float64) {
+	n := len(radii)
+	e.order, e.hit, e.picked = resized(e.order, n), resized(e.hit, n), resized(e.picked, n)
+	for i := range e.order {
+		e.order[i] = i
+	}
+	slices.SortFunc(e.order, func(a, b int) int {
+		switch ra, rb := radii[a], radii[b]; {
+		case ra < rb:
+			return -1
+		case ra > rb:
+			return 1
+		}
+		return a - b
+	})
+}
+
+// greedy fills mis from order; dist(i, j) is asked with j already chosen.
+func (e *enum) greedy(radii []float64, dist func(i, j int) float64) {
+	overlaps := func(i, j int) bool { return dist(i, j) <= radii[i]+radii[j]+geo.OverlapEpsKm }
+	e.mis = e.mis[:0]
+	clear(e.picked)
+next:
+	for _, i := range e.order {
+		// Whether i overlaps some chosen disk does not depend on the order
+		// they are asked in, so the one that ruled i out in the last pass
+		// goes first: after a collapse it mostly still does, and that is
+		// one distance instead of a walk through the chosen cities.
+		if j := e.hit[i]; e.picked[j] && overlaps(i, j) {
+			continue
+		}
+		for _, j := range e.mis {
+			if overlaps(i, j) {
+				e.hit[i] = j
+				continue next
 			}
 		}
-		if ok {
-			chosen = append(chosen, i)
-		}
+		e.mis, e.picked[i] = append(e.mis, i), true
 	}
-	sort.Ints(chosen)
-	return chosen
+	slices.Sort(e.mis)
 }
 
 // MISBrute returns an exact maximum independent set by exhaustive search.
@@ -257,84 +295,110 @@ func AnalyzeWith(db Locator, ms []Measurement, opt Options) Result {
 	return AnalyzeWithDist(db, ms, nil, opt)
 }
 
-// AnalyzeWithDist is AnalyzeWith with a CenterDist oracle accelerating the
-// detection scans (the dominant cost for borderline unicast targets, which
-// fail the O(n) certificate and pay the full pairwise scan). The oracle
-// only serves detection over the original measurement disks; the iterative
-// enumeration works on city-collapsed disks whose centers are no longer
-// vantage points.
+// AnalyzeWithDist is AnalyzeWith with a CenterDist oracle replacing the
+// haversines between the measurements' vantage points, in detection and
+// in enumeration alike.
 func AnalyzeWithDist(db Locator, ms []Measurement, dist CenterDist, opt Options) Result {
 	if len(ms) < 2 {
 		return Result{}
 	}
-	disks := disksOf(ms)
-	if !DetectCert(disks, dist).Anycast() {
+	if dist == nil {
+		dist = func(i, j int) float64 { return geo.DistanceKm(ms[i].VPLoc, ms[j].VPLoc) }
+	}
+	s := newScan(len(ms), dist)
+	for i, m := range ms {
+		s.Radii[i] = geo.DiskRadiusKm(m.RTT)
+	}
+	if !s.Detect().Anycast() {
 		return Result{}
 	}
-	return AnalyzeDetected(db, ms, disks, dist, opt)
+	return s.Enumerate(db, ms, opt)
 }
 
-// AnalyzeDetected is the enumeration / geolocation / iteration tail of
-// AnalyzeWithDist for a target already proven anycast — by DetectCert or a
-// revalidated Certificate. disks must be the measurements' constraint
-// disks (AppendDisks(nil, ms)); given those, the result is identical to
-// AnalyzeWithDist on the same input. The caller's certificate is
-// deliberately not taken as input: the rare single-disk-MIS fallback
-// below re-derives the proven pair with a fresh detection pass so the
-// reported replicas never depend on which certificate decided the target.
-func AnalyzeDetected(db Locator, ms []Measurement, disks []geo.Disk, dist CenterDist, opt Options) Result {
-	// work keeps the evolving disk of each measurement plus its
-	// classification state.
-	type work struct {
-		disk      geo.Disk
-		city      cities.City
-		located   bool
-		collapsed bool
-	}
-	ws := make([]work, len(disks))
-	for i, d := range disks {
-		ws[i] = work{disk: d}
-	}
+// work is the evolving disk of one measurement plus its classification
+// state.
+type work struct {
+	disk      geo.Disk
+	city      cities.City
+	located   bool // disk is city's point
+	collapsed bool
+	cityOff   int // once located: where city's distances start in enum.cityKm
+}
 
-	cur := make([]geo.Disk, len(ws))
-	var mis []int
-	prevKey := ""
+// Enumerate is the enumeration / geolocation / iteration tail of
+// AnalyzeWithDist for the scan's current target, already proven anycast —
+// by Detect or a revalidated Certificate. ms must be the measurements
+// Radii and Slots were taken from. The caller's certificate is
+// deliberately not taken as input: the rare single-disk-MIS fallback
+// below re-derives the proven pair with the reference scan so the
+// reported replicas never depend on which certificate decided the target.
+func (s *Scan) Enumerate(db Locator, ms []Measurement, opt Options) Result {
+	n := len(ms)
+	ws, cur := slices.Grow(s.ws[:0], n), append(s.cur[:0], s.Radii...)
+	for i, m := range ms {
+		ws = append(ws, work{disk: geo.Disk{Center: m.VPLoc, RadiusKm: cur[i]}})
+	}
+	s.ws, s.cur, s.prev, s.cityKm = ws, cur, s.prev[:0], s.cityKm[:0]
+	s.sortByRadius(cur)
+	// Vantage points' distances are the scan's; a city's are computed at
+	// most once per target.
+	dist := func(i, j int) float64 {
+		switch li, lj := ws[i].located, ws[j].located; {
+		case !li && !lj:
+			return s.km(i, j)
+		case li && lj:
+			return geo.DistanceKm(ws[i].disk.Center, ws[j].disk.Center)
+		case lj:
+			i, j = j, i
+		}
+		d := &s.cityKm[ws[i].cityOff+j]
+		if *d == 0 {
+			*d = geo.DistanceKm(ws[i].disk.Center, ws[j].disk.Center)
+		}
+		return *d
+	}
 	iter := 0
 	for ; iter < opt.maxIter(); iter++ {
-		for i := range ws {
-			cur[i] = ws[i].disk
-		}
-		mis = MISGreedy(cur)
+		s.greedy(cur, dist)
 
 		// Geolocate and collapse the newly independent disks.
 		changed := false
-		for _, i := range mis {
-			if ws[i].collapsed {
+		for _, i := range s.mis {
+			w := &ws[i]
+			if w.collapsed {
 				continue
 			}
-			if city, ok := db.LargestInDisk(ws[i].disk); ok {
-				ws[i].city = city
-				ws[i].located = true
-				ws[i].disk = geo.Disk{Center: city.Loc, RadiusKm: 0}
+			if city, ok := db.LargestInDisk(w.disk); ok {
+				w.city, w.located, w.cityOff = city, true, len(s.cityKm)
+				w.disk, cur[i] = geo.Disk{Center: city.Loc}, 0
+				s.cityKm = slices.Grow(s.cityKm, n)[:w.cityOff+n]
+				clear(s.cityKm[w.cityOff:])
+				// Keep order sorted: i moves ahead of every larger radius
+				// and of the zero radii with a larger index.
+				k := slices.Index(s.order, i)
+				for ; k > 0 && (cur[s.order[k-1]] > 0 || cur[s.order[k-1]] == 0 && s.order[k-1] > i); k-- {
+					s.order[k] = s.order[k-1]
+				}
+				s.order[k] = i
 			}
-			ws[i].collapsed = true
-			changed = true
+			w.collapsed, changed = true, true
 		}
 
 		// Converged when the replica set is stable and nothing collapsed.
-		key := fmt.Sprint(mis)
-		if !changed && key == prevKey {
+		if !changed && slices.Equal(s.mis, s.prev) {
 			break
 		}
-		prevKey = key
+		s.prev = append(s.prev[:0], s.mis...)
 	}
 
 	// The greedy MIS can (rarely) return a single disk even though
 	// detection proved two disjoint ones exist; enumeration must still
 	// report at least the proven pair.
+	mis := s.mis
 	if len(mis) < 2 {
-		cert := DetectCert(disks, dist)
-		mis = []int{cert.I, cert.J}
+		disks := disksOf(ms)
+		i, j, _ := firstDisjointPair(disks, s.km)
+		mis = []int{i, j}
 		for _, k := range mis {
 			if !ws[k].collapsed {
 				if city, ok := db.LargestInDisk(disks[k]); ok {

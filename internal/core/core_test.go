@@ -260,8 +260,8 @@ func TestMISBrutePanicsOnLargeInput(t *testing.T) {
 }
 
 func TestDetectMatchesNaive(t *testing.T) {
-	// The candidate-certificate fast path must agree with the naive
-	// pairwise test on random instances.
+	// The split scan must agree with the naive pairwise test on random
+	// instances...
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
 		disks := randomDisks(r, 2+r.Intn(30))
@@ -277,6 +277,37 @@ func TestDetectMatchesNaive(t *testing.T) {
 		}
 		if fast != naive {
 			t.Fatalf("DetectCert = %v, naive = %v on %v", fast, naive, disks)
+		}
+	}
+	// ...and with the reference scan on what a census measures: 2 to 400
+	// disks centered at vantage points, radii from whole-microsecond RTTs
+	// toward one host (the witness and split cases) or the nearest of a
+	// few (anycast), with the vantage points' distance matrix as oracle
+	// and without one.
+	pool := vpPool()
+	verdicts := map[CertKind]int{}
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + r.Intn(399)
+		if trial%4 == 0 {
+			n = 2 + r.Intn(6)
+		}
+		disks, oracle := pool.disks(r, n, 1+r.Intn(3))
+		_, _, want := firstDisjointPair(disks, oracle)
+		for _, dist := range []CenterDist{oracle, nil} {
+			cert := DetectCert(disks, dist)
+			if cert.Anycast() != want {
+				t.Fatalf("trial %d, %d disks, oracle %v: DetectCert = %+v, reference scan anycast = %v",
+					trial, n, dist != nil, cert, want)
+			}
+			if cert.Anycast() && disks[cert.I].Overlaps(disks[cert.J]) {
+				t.Fatalf("trial %d: certified pair (%d, %d) overlaps", trial, cert.I, cert.J)
+			}
+			verdicts[cert.Kind]++
+		}
+	}
+	for _, k := range []CertKind{CertNone, CertUnicast, CertAnycast} {
+		if verdicts[k] == 0 {
+			t.Errorf("no trial ended in certificate kind %d: witness, split and anycast must all be covered (%v)", k, verdicts)
 		}
 	}
 }
@@ -334,22 +365,6 @@ func randomDisks(r *rand.Rand, n int) []geo.Disk {
 		}
 	}
 	return disks
-}
-
-func BenchmarkDetectUnicast300VPs(b *testing.B) {
-	host := db.MustByName("Frankfurt", "DE").Loc
-	r := rand.New(rand.NewSource(5))
-	ms := make([]Measurement, 300)
-	for i := range ms {
-		vp := geo.Coord{Lat: r.Float64()*140 - 70, Lon: r.Float64()*360 - 180}
-		ms[i] = synth("vp", vp, host, 1.1+0.3*r.Float64(), 1.5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if Detect(ms) {
-			b.Fatal("unicast detected as anycast")
-		}
-	}
 }
 
 func BenchmarkAnalyzeAnycast(b *testing.B) {

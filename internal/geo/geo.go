@@ -35,6 +35,20 @@ const (
 	// MaxSurfaceDistanceKm is half the Earth's circumference: no two
 	// points on the surface are farther apart than this.
 	MaxSurfaceDistanceKm = math.Pi * EarthRadiusKm
+
+	// OverlapEpsKm is the slack Contains and Overlaps (and the detection
+	// scans that spell them out) grant to floating-point drift.
+	OverlapEpsKm = 1e-9
+
+	// ContainMarginKm is the depth at which a point counts as strictly
+	// inside a disk for the detection split scan (internal/core,
+	// certificate.go): two disks holding one point this deep overlap
+	// under the OverlapEpsKm test as long as DistanceKm breaks the
+	// triangle inequality by less than twice the margin. The worst defect
+	// DistanceKm shows is 2.5e-4 km, between points within metres of
+	// antipodal, where the haversine's asin is ill-conditioned;
+	// TestTriangleDefectBelowMargin pins it under a thousandth of this.
+	ContainMarginKm = 1.0
 )
 
 // Coord is a geographic coordinate in decimal degrees.
@@ -129,23 +143,29 @@ type Disk struct {
 // DiskFromRTT maps a latency sample taken at vantage point vp to the disk
 // that must contain the replica which answered the probe.
 func DiskFromRTT(vp Coord, rtt time.Duration) Disk {
+	return Disk{Center: vp, RadiusKm: DiskRadiusKm(rtt)}
+}
+
+// DiskRadiusKm is the radius of DiskFromRTT's disk: RTTToRadiusKm clamped
+// to the sphere.
+func DiskRadiusKm(rtt time.Duration) float64 {
 	r := RTTToRadiusKm(rtt)
 	if r > MaxSurfaceDistanceKm {
 		r = MaxSurfaceDistanceKm
 	}
-	return Disk{Center: vp, RadiusKm: r}
+	return r
 }
 
 // Contains reports whether point p lies inside the disk (boundary included).
 func (d Disk) Contains(p Coord) bool {
-	return DistanceKm(d.Center, p) <= d.RadiusKm+1e-9
+	return DistanceKm(d.Center, p) <= d.RadiusKm+OverlapEpsKm
 }
 
 // Overlaps reports whether the two disks intersect. Two disks on the sphere
 // intersect iff the great-circle distance between their centers does not
 // exceed the sum of their radii.
 func (d Disk) Overlaps(o Disk) bool {
-	return DistanceKm(d.Center, o.Center) <= d.RadiusKm+o.RadiusKm+1e-9
+	return DistanceKm(d.Center, o.Center) <= d.RadiusKm+o.RadiusKm+OverlapEpsKm
 }
 
 // Degenerate reports whether the disk has (numerically) zero radius; disks

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -81,8 +82,12 @@ func (bw *BinaryWriter) Write(s Sample) error {
 	if us < 0 {
 		us = 0
 	}
-	if us > maxDelayUs {
-		us = maxDelayUs
+	// An echo delay has the whole positive word, as the reader accepts it;
+	// an error's shares the word with its code.
+	if s.Kind == netsim.ReplyEcho {
+		us = min(us, math.MaxInt32)
+	} else {
+		us = min(us, maxDelayUs)
 	}
 	var word2 int32
 	switch s.Kind {

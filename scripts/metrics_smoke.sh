@@ -67,6 +67,9 @@ require_series "$scrape" \
     anycastmap_probe_spans_in_flight \
     anycastmap_census_rounds_folded_total \
     anycastmap_census_analyze_seconds_count \
+    anycastmap_census_witness_decided_total \
+    anycastmap_census_split_scanned_total \
+    anycastmap_census_pair_tests_total \
     anycastmap_store_snapshot_version \
     anycastmap_store_lookups_total \
     anycastmap_refresh_completed_total \
