@@ -22,16 +22,17 @@ race:
 
 verify: vet build race
 
-# bench runs the probe-path, prober, detection-kernel, census and serving
+# bench runs the probe-path (distance kernel, hash states, city index,
+# span resolution), prober, detection-kernel, census and serving
 # microbenchmarks with allocation reporting; compare runs with benchstat
 # if available.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/store ./internal/route .
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/geo ./internal/detrand ./internal/cities ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/store ./internal/route .
 
 # bench-smoke is the CI gate: every benchmark must still run (one
 # iteration), catching bit-rot in the benchmark harness itself.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/store ./internal/route .
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/geo ./internal/detrand ./internal/cities ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/store ./internal/route .
 
 # fuzz-smoke gives every fuzz target in the module five seconds: enough to
 # replay its seed corpus and mutate a few hundred thousand inputs, so a
@@ -131,11 +132,14 @@ metrics-smoke:
 route-smoke:
 	./scripts/route_smoke.sh
 
-# profile captures CPU and heap profiles of a full census run; inspect
-# with `go tool pprof cpu.pprof`.
+# profile captures CPU and heap profiles of a full census run, and
+# probe.pprof, the CPU profile of the prober's dense-span loop alone
+# (BenchmarkProberRun) - the attribution in DESIGN.md "What a probe costs".
+# Inspect with `go tool pprof cpu.pprof` / `go tool pprof -top probe.pprof`.
 profile:
 	$(GO) run ./cmd/census -unicast24s 8000 -censuses 2 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test -run '^$$' -bench ProberRun -cpuprofile probe.pprof -o prober.test ./internal/prober
 
 clean:
 	$(GO) clean ./...
-	rm -f cpu.pprof mem.pprof
+	rm -f cpu.pprof mem.pprof probe.pprof prober.test

@@ -175,13 +175,18 @@ func (a *Analyzer) bind(c *Combined) {
 		// Every disk the detector sees is centered at a vantage point, so
 		// one VP-pair distance matrix replaces the per-target haversines
 		// that dominate detection. The matrix is row-major with stride
-		// nVP, so VP growth recomputes it whole — ~90k haversines for
-		// ~300 VPs, amortized over every round and target.
+		// nVP, so VP growth recomputes it whole — n(n-1)/2 haversines
+		// (~43k for the 294 VPs of two PlanetLab rounds) between points
+		// prepared once per VP, amortized over every round and target.
 		a.nVP = nVP
 		a.vpDist = make([]float64, nVP*nVP)
+		pts := make([]geo.Point, nVP)
+		for i, vp := range c.VPs {
+			pts[i] = geo.Prepare(vp.Loc)
+		}
 		for i := 0; i < nVP; i++ {
 			for j := i + 1; j < nVP; j++ {
-				d := geo.DistanceKm(c.VPs[i].Loc, c.VPs[j].Loc)
+				d := geo.PointDistanceKm(pts[i], pts[j])
 				a.vpDist[i*nVP+j], a.vpDist[j*nVP+i] = d, d
 			}
 		}

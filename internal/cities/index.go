@@ -12,9 +12,13 @@ import (
 // MIS disk per iteration per anycast target), so the census analysis is
 // sensitive to its cost. The index prunes by bounding box before paying for
 // haversine distances and scans candidates in decreasing-population order
-// with early exit, preserving the exact semantics of the linear scan.
+// with early exit, preserving the exact semantics of the linear scan. Every
+// city's location is prepared once (geo.Point) and a query prepares its
+// disk's centre once, so a candidate costs the pair-dependent half of the
+// haversine only.
 type Index struct {
-	db *DB
+	db  *DB
+	pts []geo.Point // prepared location of db.All()[i]
 	// bands[i] holds, sorted by decreasing population, the indices of
 	// cities whose latitude falls in band i.
 	bands    [][]int32
@@ -32,9 +36,11 @@ func NewIndex(db *DB, bandDeg float64) *Index {
 	idx := &Index{db: db, bandDeg: bandDeg, minLat: -90}
 	idx.numBands = int(math.Ceil(180/bandDeg)) + 1
 	idx.bands = make([][]int32, idx.numBands)
+	idx.pts = make([]geo.Point, len(db.All()))
 	for i, c := range db.All() { // already sorted by decreasing population
 		b := idx.bandOf(c.Loc.Lat)
 		idx.bands[b] = append(idx.bands[b], int32(i))
+		idx.pts[i] = geo.Prepare(c.Loc)
 	}
 	return idx
 }
@@ -63,7 +69,7 @@ func (idx *Index) bandRange(d geo.Disk) (lo, hi int) {
 // DB.LargestInDisk would.
 func (idx *Index) LargestInDisk(d geo.Disk) (City, bool) {
 	lo, hi := idx.bandRange(d)
-	all := idx.db.All()
+	centre, reach := geo.Prepare(d.Center), d.RadiusKm+geo.OverlapEpsKm // d.Contains, spelled out
 	best := int32(-1)
 	for b := lo; b <= hi; b++ {
 		for _, ci := range idx.bands[b] {
@@ -72,7 +78,7 @@ func (idx *Index) LargestInDisk(d geo.Disk) (City, bool) {
 				// current best; bands are sorted, so stop scanning it.
 				break
 			}
-			if d.Contains(all[ci].Loc) {
+			if geo.PointDistanceKm(centre, idx.pts[ci]) <= reach {
 				best = ci
 				break
 			}
@@ -81,7 +87,7 @@ func (idx *Index) LargestInDisk(d geo.Disk) (City, bool) {
 	if best < 0 {
 		return City{}, false
 	}
-	return all[best], true
+	return idx.db.All()[best], true
 }
 
 // InDisk returns the cities inside the disk in decreasing-population order,
@@ -89,10 +95,11 @@ func (idx *Index) LargestInDisk(d geo.Disk) (City, bool) {
 func (idx *Index) InDisk(d geo.Disk) []City {
 	lo, hi := idx.bandRange(d)
 	all := idx.db.All()
+	centre, reach := geo.Prepare(d.Center), d.RadiusKm+geo.OverlapEpsKm // d.Contains, as in LargestInDisk
 	var hits []int32
 	for b := lo; b <= hi; b++ {
 		for _, ci := range idx.bands[b] {
-			if d.Contains(all[ci].Loc) {
+			if geo.PointDistanceKm(centre, idx.pts[ci]) <= reach {
 				hits = append(hits, ci)
 			}
 		}

@@ -9,16 +9,46 @@ package detrand
 
 import "math"
 
+// State is a partially mixed hash: the fold of a tuple prefix. Callers that
+// draw many values sharing a prefix - every probe of one vantage point
+// starts with (seed, vp) - keep the State of the prefix and mix in only the
+// suffix, and get the very bits Hash64 would produce over the whole tuple:
+// Begin(a, b).With(c) == State(Hash64(a, b, c)).
+type State uint64
+
+// Begin returns the state of the given tuple prefix.
+func Begin(vs ...uint64) State {
+	s := State(0x9E3779B97F4A7C15)
+	for _, v := range vs {
+		s = s.With(v)
+	}
+	return s
+}
+
+// With mixes one more value into the state: one splitmix64 step.
+func (s State) With(v uint64) State {
+	h := uint64(s)
+	h ^= v + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
+	return State(mix(h))
+}
+
+// Unit maps the state to [0, 1).
+func (s State) Unit() float64 { return Float64(uint64(s)) }
+
+// Exp maps the state to an exponential variate with mean 1.
+func (s State) Exp() float64 {
+	u := s.Unit()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	return -math.Log(1 - u)
+}
+
 // Hash64 mixes an arbitrary tuple of values into a single 64-bit hash using
 // splitmix64 steps. It is deterministic, fast and well distributed; it is
 // not cryptographic.
 func Hash64(vs ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vs {
-		h ^= v + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
-		h = mix(h)
-	}
-	return h
+	return uint64(Begin(vs...))
 }
 
 // mix is the splitmix64 finalizer.
@@ -35,7 +65,7 @@ func Float64(h uint64) float64 {
 
 // UnitFloat is shorthand for Float64(Hash64(vs...)).
 func UnitFloat(vs ...uint64) float64 {
-	return Float64(Hash64(vs...))
+	return Begin(vs...).Unit()
 }
 
 // Intn maps a hash tuple to [0, n). It panics if n <= 0.
@@ -60,9 +90,5 @@ func Norm(vs ...uint64) float64 {
 
 // Exp maps a hash tuple to an exponential variate with mean 1.
 func Exp(vs ...uint64) float64 {
-	u := UnitFloat(vs...)
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1 - u)
+	return Begin(vs...).Exp()
 }

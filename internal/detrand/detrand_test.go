@@ -127,8 +127,66 @@ func popcount(x uint64) int {
 	return n
 }
 
+// refHash64 is Hash64 as it was written before it became a fold over
+// State, kept here as the reference the fold must reproduce bit for bit:
+// every world, census and checksum in the repository hangs off these bits.
+func refHash64(vs ...uint64) uint64 {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, v := range vs {
+		h ^= v + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
+		h = mix(h)
+	}
+	return h
+}
+
+// refExp is the pre-State Exp over refHash64.
+func refExp(vs ...uint64) float64 {
+	u := Float64(refHash64(vs...))
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	return -math.Log(1 - u)
+}
+
+// TestStateMatchesHash64 pins the prefix property the probe path is built
+// on: a tuple may be split anywhere into a Begin prefix (arity 0 to 6) and
+// With steps, and the state - and the Unit and Exp variates drawn from it -
+// is the very bits of Hash64, UnitFloat and Exp over the whole tuple, which
+// in turn are the bits of the pre-State implementation.
+func TestStateMatchesHash64(t *testing.T) {
+	f := func(a [6]uint64, arity uint8, b, c uint64) bool {
+		prefix := a[:int(arity)%7]
+		whole := append(append([]uint64{}, prefix...), b, c)
+		st := Begin(prefix...).With(b).With(c)
+		return st == State(Hash64(whole...)) &&
+			Hash64(whole...) == refHash64(whole...) &&
+			Hash64(prefix...) == refHash64(prefix...) &&
+			math.Float64bits(st.Unit()) == math.Float64bits(UnitFloat(whole...)) &&
+			math.Float64bits(st.Unit()) == math.Float64bits(Float64(refHash64(whole...))) &&
+			math.Float64bits(st.Exp()) == math.Float64bits(Exp(whole...)) &&
+			math.Float64bits(st.Exp()) == math.Float64bits(refExp(whole...))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	if Begin() != State(Hash64()) || Hash64() != refHash64() {
+		t.Error("the empty tuple's state is not Hash64()")
+	}
+}
+
+var sinkU64 uint64
+
 func BenchmarkHash64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Hash64(uint64(i), 123, 456)
+		sinkU64 = Hash64(uint64(i), 123, 456)
+	}
+}
+
+// BenchmarkStateWith is one With step from a kept prefix: what a draw costs
+// per value once the constant head of its tuple is hoisted.
+func BenchmarkStateWith(b *testing.B) {
+	prefix := Begin(123, 456)
+	for i := 0; i < b.N; i++ {
+		sinkU64 = uint64(prefix.With(uint64(i)))
 	}
 }

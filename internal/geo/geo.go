@@ -70,20 +70,51 @@ func (c Coord) String() string {
 func deg2rad(d float64) float64 { return d * math.Pi / 180 }
 func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 
-// DistanceKm returns the great-circle distance between a and b in km,
-// computed with the haversine formula.
-func DistanceKm(a, b Coord) float64 {
-	la1, lo1 := deg2rad(a.Lat), deg2rad(a.Lon)
-	la2, lo2 := deg2rad(b.Lat), deg2rad(b.Lon)
-	dLat := la2 - la1
-	dLon := lo2 - lo1
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+// Point is a coordinate prepared for distance computations: latitude and
+// longitude in radians and the cosine of the latitude, the three values the
+// haversine needs of each endpoint. Code that measures many distances from
+// or to a fixed place - a vantage point, a city, a disk centre - prepares it
+// once and pays per distance only what depends on the pair.
+type Point struct {
+	lat, lon float64 // radians
+	cosLat   float64
+}
+
+// Prepare converts a coordinate into its prepared form.
+func Prepare(c Coord) Point {
+	lat := deg2rad(c.Lat)
+	return Point{lat: lat, lon: deg2rad(c.Lon), cosLat: math.Cos(lat)}
+}
+
+// PrepareCos is Prepare for callers that stored the cosine of c's latitude
+// (Point.CosLat) beside the coordinate - 8 bytes per place instead of a
+// whole Point - and want the rest, two multiplications, rebuilt on the fly.
+// cosLat must be Prepare(c).CosLat().
+func PrepareCos(c Coord, cosLat float64) Point {
+	return Point{lat: deg2rad(c.Lat), lon: deg2rad(c.Lon), cosLat: cosLat}
+}
+
+// CosLat returns the cosine of the point's latitude, the one value of a
+// Point that costs a trigonometric call to rebuild.
+func (p Point) CosLat() float64 { return p.cosLat }
+
+// PointDistanceKm returns the great-circle distance between a and b in km,
+// computed with the haversine formula. It is the one distance kernel:
+// DistanceKm is defined through it.
+func PointDistanceKm(a, b Point) float64 {
+	sLat := math.Sin((b.lat - a.lat) / 2)
+	sLon := math.Sin((b.lon - a.lon) / 2)
+	h := sLat*sLat + a.cosLat*b.cosLat*sLon*sLon
 	// Clamp to guard against floating-point drift beyond [0,1].
 	if h > 1 {
 		h = 1
 	}
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+}
+
+// DistanceKm returns the great-circle distance between a and b in km.
+func DistanceKm(a, b Coord) float64 {
+	return PointDistanceKm(Prepare(a), Prepare(b))
 }
 
 // UnitVec returns the Earth-centered unit vector of a coordinate. For a

@@ -259,9 +259,20 @@ func TestSpeedConstants(t *testing.T) {
 	}
 }
 
+var sinkKm float64
+
 func BenchmarkDistanceKm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		DistanceKm(paris, tokyo)
+		sinkKm = DistanceKm(paris, tokyo)
+	}
+}
+
+// BenchmarkPointDistanceKm is the same distance between prepared points:
+// what a caller pays per pair once both ends are prepared.
+func BenchmarkPointDistanceKm(b *testing.B) {
+	p, q := Prepare(paris), Prepare(tokyo)
+	for i := 0; i < b.N; i++ {
+		sinkKm = PointDistanceKm(p, q)
 	}
 }
 

@@ -77,3 +77,48 @@ func BenchmarkProbeTCP(b *testing.B) {
 		w.ProbeTCP(vps[i%8], targets[i%len(targets)], 80, uint64(i%4+1))
 	}
 }
+
+// BenchmarkProbeSpanSession measures span resolution alone - what a
+// (VP, span) unit pays before its first probe - per target, on the two
+// shapes that matter: a dense census span (up to 16,384 consecutive
+// targets) and a sparse ascending sample of 88 targets spread over the
+// whole world, each at two world sizes. Resolution costs what the span
+// costs: sparse88's ns/target must not grow with the world.
+func BenchmarkProbeSpanSession(b *testing.B) {
+	vp := platform.PlanetLab(cities.Default()).VPs()[0]
+	for _, world := range []struct {
+		name       string
+		unicast24s int
+	}{{"world8k", 8000}, {"world64k", 64000}} {
+		cfg := DefaultConfig()
+		cfg.Unicast24s = world.unicast24s
+		w := New(cfg)
+		var all []IP
+		w.Prefixes(func(p Prefix24) {
+			if ip, alive := w.Representative(p); alive {
+				all = append(all, ip)
+			}
+		})
+		dense := all[:min(16384, len(all))]
+		sparse := make([]IP, 88)
+		for i := range sparse {
+			sparse[i] = all[i*len(all)/len(sparse)]
+		}
+		w.ProbeSession(vp) // build the VP's session outside the timed loop
+		for _, span := range []struct {
+			name    string
+			targets []IP
+		}{{"dense16k", dense}, {"sparse88", sparse}} {
+			b.Run(span.name+"/"+world.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ss := w.ProbeSpanSession(vp, span.targets)
+					if len(ss.cls) != len(span.targets) {
+						b.Fatal("span not resolved")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(span.targets)), "ns/target")
+			})
+		}
+	}
+}

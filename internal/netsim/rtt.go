@@ -93,7 +93,7 @@ func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64)
 		// Transient loss: a few percent of probes get no answer in any
 		// given census round; repeating the census recovers them (one
 		// reason the combination of censuses has higher recall, Sec. 4.1).
-		if detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(target), round, 0xC0FF) < 0.025 {
+		if lost(probeState(w.stateOf(s, vp), target, round)) {
 			return Reply{Kind: ReplyTimeout}
 		}
 		return Reply{Kind: ReplyEcho, RTT: w.anycastRTT(s, vp, d, target, round)}
@@ -106,7 +106,7 @@ func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64)
 	if h.class == classSilent {
 		return Reply{Kind: ReplyTimeout}
 	}
-	if detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(target), round, 0xC0FF) < 0.025 {
+	if lost(probeState(w.stateOf(s, vp), target, round)) {
 		return Reply{Kind: ReplyTimeout}
 	}
 	rtt := w.unicastRTT(s, vp, h, target, round)
@@ -126,7 +126,7 @@ func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64)
 func (w *World) anycastRTT(s *vpSession, vp platform.VP, d *Deployment, target IP, round uint64) time.Duration {
 	if s != nil {
 		c := &s.cands[d.idx]
-		return w.rttFromBaseMs(c.baseMs[w.servingRank(c, vp, d, round)], vp, target, round)
+		return w.rttFromBaseMs(c.baseMs[servingRank(c, s.st, d, round)], vp.LoadFactor, probeState(s.st, target, round))
 	}
 	r := w.servingReplicaSlow(vp, d, round)
 	return w.pathRTT(vp, uint64(d.Prefix), r.Loc, uint64(r.ID), target, round)
@@ -146,7 +146,7 @@ func (w *World) unicastRTT(s *vpSession, vp platform.VP, h *unicastHost, target 
 			return w.pathRTT(vp, uint64(p), w.hijackedLoc(vp, p, h.loc), 0, target, round)
 		}
 	}
-	return w.rttFromBaseMs(w.unicastBaseMs(s, vp, h, p), vp, target, round)
+	return w.rttFromBaseMs(w.unicastBaseMs(s, h, p), vp.LoadFactor, probeState(s.st, target, round))
 }
 
 // ProbeTCP attempts a TCP SYN/SYN-ACK handshake to the given port
@@ -206,7 +206,7 @@ func (w *World) probeTCP(s *vpSession, vp platform.VP, target IP, port uint16, r
 		return Reply{Kind: ReplyTimeout}
 	}
 	if s != nil {
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.unicastBaseMs(s, vp, h, target.Prefix()), vp, target, round)}
+		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.unicastBaseMs(s, h, target.Prefix()), vp.LoadFactor, probeState(s.st, target, round))}
 	}
 	return Reply{Kind: ReplyEcho, RTT: w.pathRTT(vp, uint64(target.Prefix()), h.loc, 0, target, round)}
 }
@@ -270,7 +270,7 @@ func (w *World) ServingReplica(vp platform.VP, p Prefix24, round uint64) (Replic
 func (w *World) servingReplica(vp platform.VP, d *Deployment, round uint64) Replica {
 	if s := w.session(vp); s != nil {
 		c := &s.cands[d.idx]
-		return d.Replicas[c.idx[w.servingRank(c, vp, d, round)]]
+		return d.Replicas[c.idx[servingRank(c, s.st, d, round)]]
 	}
 	return w.servingReplicaSlow(vp, d, round)
 }
@@ -299,10 +299,11 @@ func (w *World) servingReplicaSlow(vp platform.VP, d *Deployment, round uint64) 
 			best[2] = cand{i, dist}
 		}
 	}
-	u := detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(d.Prefix), 0xB69)
-	if detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(d.Prefix), round, 0xF1A9) < 0.12 {
+	pair := w.vpState(vp).With(uint64(d.Prefix))
+	u := pair.With(0xB69).Unit()
+	if flap := pair.With(round); flap.With(0xF1A9).Unit() < 0.12 {
 		// Catchment flap: this round routes to a different candidate.
-		u = detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(d.Prefix), round, 0xB6A)
+		u = flap.With(0xB6A).Unit()
 	}
 	switch {
 	case u < 0.70 || best[1].idx < 0:
@@ -322,32 +323,63 @@ func (w *World) servingReplicaSlow(vp platform.VP, d *Deployment, round uint64) 
 // on: RTT >= PropagationRTT(vp, loc), so a disk built from a measured RTT
 // always contains the answering endpoint.
 func (w *World) pathRTT(vp platform.VP, endpointKey uint64, loc geo.Coord, subKey uint64, target IP, round uint64) time.Duration {
-	base := w.rttBaseMsDist(vp, endpointKey, geo.DistanceKm(vp.Loc, loc), subKey, w.vpAccessMs(vp))
-	return w.rttFromBaseMs(base, vp, target, round)
+	vpSt := w.vpState(vp)
+	base := w.rttBaseMsDist(vpSt, endpointKey, geo.DistanceKm(vp.Loc, loc), subKey, w.vpAccessMs(vpSt))
+	return w.rttFromBaseMs(base, vp.LoadFactor, probeState(vpSt, target, round))
+}
+
+// vpState is the hash state of the (seed, vantage point) tuple prefix that
+// every per-VP draw of the model begins with. A session computes it once
+// (vpSession.st); the reference path computes it per call. Either way the
+// draws below continue from it, so both paths mix the same tuples.
+func (w *World) vpState(vp platform.VP) detrand.State {
+	return detrand.Begin(w.cfg.Seed, uint64(vp.ID))
+}
+
+// stateOf is vpState from the session when one is bound.
+func (w *World) stateOf(s *vpSession, vp platform.VP) detrand.State {
+	if s != nil {
+		return s.st
+	}
+	return w.vpState(vp)
+}
+
+// probeState mixes one probe's (target, round) into the vantage point's
+// vpState: the state both per-probe draws - loss (0xC0FF) and queueing
+// jitter (0xB73) - finish with their tag.
+func probeState(vpSt detrand.State, target IP, round uint64) detrand.State {
+	return vpSt.With(uint64(target)).With(round)
+}
+
+// lost is the transient-loss draw of one probe: a few percent of probes get
+// no answer in any given census round.
+func lost(probe detrand.State) bool {
+	return probe.With(0xC0FF).Unit() < 0.025
 }
 
 // vpAccessMs is the vantage point's half of the access-latency term: last
 // mile plus host overhead, stable across every probe the VP sends.
-func (w *World) vpAccessMs(vp platform.VP) float64 {
-	return 0.2 + w.cfg.AccessMs*detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), 0xB71)
+func (w *World) vpAccessMs(vpSt detrand.State) float64 {
+	return 0.2 + w.cfg.AccessMs*vpSt.With(0xB71).Unit()
 }
 
 // rttBaseMsDist is the probe-invariant part of the RTT model: propagation
 // along the stretched path plus access latency at both ends. The float
 // expressions are associated exactly as the pre-memoization code wrote
 // them, so a cached base plus live jitter reproduces the original RTT bit
-// for bit.
-func (w *World) rttBaseMsDist(vp platform.VP, endpointKey uint64, distKm float64, subKey uint64, vpAccess float64) float64 {
+// for bit. vpSt is the vantage point's vpState.
+func (w *World) rttBaseMsDist(vpSt detrand.State, endpointKey uint64, distKm float64, subKey uint64, vpAccess float64) float64 {
 	propMs := 2 * distKm / geo.FiberSpeedKmPerMs
 
 	// Path stretch is a stable property of the (vantage, endpoint) pair.
-	stretch := w.cfg.StretchBase + w.cfg.StretchExtra*detrand.Exp(w.cfg.Seed, uint64(vp.ID), endpointKey, subKey, 0xB70)
+	stretch := w.cfg.StretchBase + w.cfg.StretchExtra*vpSt.With(endpointKey).With(subKey).With(0xB70).Exp()
 	if stretch > 3.0 {
 		stretch = 3.0
 	}
 
-	// Access latency: last mile at the VP plus server-side processing.
-	accessMs := vpAccess + 0.1 + w.cfg.AccessMs*0.5*detrand.UnitFloat(w.cfg.Seed, endpointKey, subKey, 0xB72)
+	// Access latency: last mile at the VP plus server-side processing,
+	// a property of the endpoint alone.
+	accessMs := vpAccess + 0.1 + w.cfg.AccessMs*0.5*w.seedSt.With(endpointKey).With(subKey).With(0xB72).Unit()
 
 	return propMs*stretch + accessMs
 }
@@ -357,10 +389,10 @@ func (w *World) rttBaseMsDist(vp platform.VP, endpointKey uint64, distKm float64
 // grows with the host's load: an oversubscribed PlanetLab node adds
 // milliseconds of scheduling delay, inflating its disks by hundreds of km.
 // Minimum-combining across censuses claws part of this back, which is
-// where the Fig. 12 recall gain of the combination comes from.
-func (w *World) rttFromBaseMs(baseMs float64, vp platform.VP, target IP, round uint64) time.Duration {
-	jitterMs := w.cfg.JitterMs * (0.3 + 1.2*vp.LoadFactor) *
-		detrand.Exp(w.cfg.Seed, uint64(vp.ID), uint64(target), round, 0xB73)
+// where the Fig. 12 recall gain of the combination comes from. probe is the
+// probe's probeState.
+func (w *World) rttFromBaseMs(baseMs, loadFactor float64, probe detrand.State) time.Duration {
+	jitterMs := w.cfg.JitterMs * (0.3 + 1.2*loadFactor) * probe.With(0xB73).Exp()
 	return time.Duration(math.Ceil((baseMs + jitterMs) * float64(time.Millisecond)))
 }
 

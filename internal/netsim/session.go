@@ -13,10 +13,14 @@ import (
 // sends millions of probes, but almost everything a probe computes is a
 // stable property of the (vantage point, prefix) pair: the ranked nearest
 // replicas of a deployment, the stable catchment draw (0xB69), the
-// propagation+stretch+access base latency, and the per-VP access constant
-// (0xB71). Only the per-round draws - loss, catchment flap, queueing
-// jitter - actually vary probe to probe. The session caches the stable
-// part per vantage point and leaves the per-round draws in the inner loop.
+// propagation+stretch+access base latency, the per-VP access constant
+// (0xB71), the vantage point's prepared location (geo.Point: every
+// distance a span resolves starts there) and the hash state of the
+// (seed, vp) prefix that every per-probe draw begins with
+// (detrand.State). Only the per-round draws - loss, catchment flap,
+// queueing jitter - actually vary probe to probe. The session caches the
+// stable part per vantage point and leaves the per-round draws, mixed
+// from the hoisted prefix, in the inner loop.
 // Per-unicast-/24 state (the RTT base) is NOT cached per vantage point -
 // at the paper's 10.6M /24s and ~300 VPs that would be tens of gigabytes -
 // but per (VP, span) work unit: see ProbeSpanSession.
@@ -53,8 +57,10 @@ type candSet struct {
 // O(deployments) per vantage point at any world size.
 type vpSession struct {
 	once     sync.Once
-	vpAccess float64   // hoisted per-VP access term (0xB71)
-	cands    []candSet // indexed by Deployment.idx
+	vpAccess float64       // hoisted per-VP access term (0xB71)
+	pt       geo.Point     // the vantage point's location, prepared
+	st       detrand.State // vpState: the prefix of every per-VP draw
+	cands    []candSet     // indexed by Deployment.idx
 }
 
 // sessionTable maps sessionKey -> *vpSession. It lives behind a pointer on
@@ -87,7 +93,9 @@ func (w *World) session(vp platform.VP) *vpSession {
 // deduplicated at the AS level: one haversine per (VP, AS replica) instead
 // of one per (VP, prefix replica) - a 4-5x reduction in trigonometry.
 func (w *World) buildSession(s *vpSession, vp platform.VP) {
-	s.vpAccess = w.vpAccessMs(vp)
+	s.st = w.vpState(vp)
+	s.pt = geo.Prepare(vp.Loc)
+	s.vpAccess = w.vpAccessMs(s.st)
 	s.cands = make([]candSet, len(w.deployments))
 
 	asDist := make(map[int][]float64, len(w.anycastByASN))
@@ -98,7 +106,7 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) {
 				dists = append(dists, -1)
 			}
 			if dists[r.ID] < 0 {
-				dists[r.ID] = geo.DistanceKm(vp.Loc, r.Loc)
+				dists[r.ID] = geo.PointDistanceKm(s.pt, geo.Prepare(r.Loc))
 			}
 		}
 		asDist[d.ASN] = dists
@@ -123,12 +131,12 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) {
 		}
 
 		c := &s.cands[di]
-		c.u = detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(d.Prefix), 0xB69)
+		c.u = s.st.With(uint64(d.Prefix)).With(0xB69).Unit()
 		for k := 0; k < 3; k++ {
 			c.idx[k] = best[k].idx
 			if best[k].idx >= 0 {
 				r := d.Replicas[best[k].idx]
-				c.baseMs[k] = w.rttBaseMsDist(vp, uint64(d.Prefix), best[k].dist, uint64(r.ID), s.vpAccess)
+				c.baseMs[k] = w.rttBaseMsDist(s.st, uint64(d.Prefix), best[k].dist, uint64(r.ID), s.vpAccess)
 			}
 		}
 	}
@@ -136,15 +144,16 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) {
 
 // servingRank picks which cached candidate answers this round. It mirrors
 // the selection thresholds of servingReplicaSlow exactly; only the ranking
-// and the stable 0xB69 draw come from the cache.
-func (w *World) servingRank(c *candSet, vp platform.VP, d *Deployment, round uint64) int {
+// and the stable 0xB69 draw come from the cache. vpSt is the vantage
+// point's vpState.
+func servingRank(c *candSet, vpSt detrand.State, d *Deployment, round uint64) int {
 	if c.idx[1] < 0 {
 		return 0 // single-replica deployment: no draws, like the slow path
 	}
 	u := c.u
-	if detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(d.Prefix), round, 0xF1A9) < 0.12 {
+	if flap := vpSt.With(uint64(d.Prefix)).With(round); flap.With(0xF1A9).Unit() < 0.12 {
 		// Catchment flap: this round routes to a different candidate.
-		u = detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(d.Prefix), round, 0xB6A)
+		u = flap.With(0xB6A).Unit()
 	}
 	switch {
 	case u < 0.70:
@@ -159,8 +168,9 @@ func (w *World) servingRank(c *candSet, vp platform.VP, d *Deployment, round uin
 // unicastBaseMs is the RTT base toward the unicast host's home location:
 // the single expression every path — ad-hoc probes, TCP probes and the
 // span resolver — evaluates, so replies stay bit-identical across them.
-func (w *World) unicastBaseMs(s *vpSession, vp platform.VP, h *unicastHost, p Prefix24) float64 {
-	return w.rttBaseMsDist(vp, uint64(p), geo.DistanceKm(vp.Loc, h.loc), 0, s.vpAccess)
+func (w *World) unicastBaseMs(s *vpSession, h *unicastHost, p Prefix24) float64 {
+	dist := geo.PointDistanceKm(s.pt, geo.PrepareCos(h.loc, h.cosLat))
+	return w.rttBaseMsDist(s.st, uint64(p), dist, 0, s.vpAccess)
 }
 
 // Probe is a vantage-point-bound probing handle: it resolves the VP's
@@ -241,13 +251,19 @@ type SpanSession struct {
 
 // ProbeSpanSession resolves a probing session covering exactly the given
 // target span (callers working in [lo, hi) units pass targets[lo:hi]).
-// Resolution is O(span): census spans are ascending in address order, so
-// the resolver walks the sorted unicast prefix index with a cursor and
-// falls back to one binary search per order break and one map lookup per
-// non-unicast target (~0.03% of a census span). Replies through the span
-// are bit-identical to ProbeICMP's — the determinism tests compare the
-// two — because every cached value is the output of the exact expression
-// the reference path evaluates.
+// Resolution costs what the span costs, not what the world costs: the
+// resolver keeps a cursor into the sorted unicast prefix index and moves
+// it with seekPrefix, a galloping search. A dense census span, ascending
+// in address order with neighbouring /24s, pays a compare or two per
+// target, O(span) in all; a sparse ascending list - a sample of a hundred
+// targets, a re-probe of the known-anycast /24s, a dirty set - pays
+// O(log gap) per target, never a walk over the prefixes in between; a
+// list in no order pays O(log position) per order break, a galloping
+// search from the start of the index. Non-unicast targets (~0.03% of a
+// census span) add one map lookup. Replies through the span are
+// bit-identical to ProbeICMP's — the determinism tests compare the two —
+// because every cached value is the output of the exact expression the
+// reference path evaluates.
 func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 	s := w.session(vp)
 	ss := SpanSession{w: w, vp: vp, s: s, targets: targets}
@@ -259,28 +275,16 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 	ss.payload = make([]uint64, len(targets))
 	hijacksLive := len(w.hijacks) > 0
 	nUni := len(w.unicastPrefix)
-	cursor := -1
+	cursor := 0
 	prev := Prefix24(0)
 	for i, target := range targets {
 		p := target.Prefix()
-		// Reposition on the first target and on any order break (a span
-		// of census targets breaks order never; ad-hoc spans may).
-		if cursor < 0 || p <= prev {
-			lo, hi := 0, nUni
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if w.unicastPrefix[mid] < p {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			cursor = lo
-		} else {
-			for cursor < nUni && w.unicastPrefix[cursor] < p {
-				cursor++
-			}
+		// Restart on any order break (a span of census targets breaks
+		// order never; ad-hoc spans may).
+		if p <= prev {
+			cursor = 0
 		}
+		cursor = seekPrefix(w.unicastPrefix, cursor, p)
 		prev = p
 		if cursor < nUni && w.unicastPrefix[cursor] == p {
 			h := &w.unicast[cursor]
@@ -300,7 +304,7 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 				default:
 					ss.cls[i] = spanUniEcho
 				}
-				ss.payload[i] = math.Float64bits(w.unicastBaseMs(s, vp, h, p))
+				ss.payload[i] = math.Float64bits(w.unicastBaseMs(s, h, p))
 			}
 			continue
 		}
@@ -320,6 +324,37 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 	return ss
 }
 
+// seekPrefix returns the smallest i >= from with idx[i] >= p, or len(idx)
+// when there is none. It gallops: after idx[from] it tries from+1, +2, +4,
+// ... until it has stepped past p, then binary-searches the last step, so
+// moving a cursor forward by a gap of g entries costs O(log g) compares -
+// one or two when the next target is the next prefix.
+func seekPrefix(idx []Prefix24, from int, p Prefix24) int {
+	n := len(idx)
+	if from >= n || idx[from] >= p {
+		return from
+	}
+	// idx[lo] < p throughout; hi is n or has idx[hi] >= p.
+	lo, hi := from, n
+	for step := 1; lo+step < n; step <<= 1 {
+		if idx[lo+step] >= p {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
+	lo++
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if idx[mid] < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // isHijacked reports whether a live hijack covers the prefix.
 func (w *World) isHijacked(p Prefix24) bool {
 	_, ok := w.hijacks[p]
@@ -329,7 +364,8 @@ func (w *World) isHijacked(p Prefix24) bool {
 // ICMP probes the i-th span target in the given round. The fast path
 // reads the two slab cells and pays only the per-round draws: target
 // fault check, transient loss, catchment flap (anycast) and queueing
-// jitter.
+// jitter, all mixed from one (target, round) state on top of the
+// session's hoisted (seed, vp) prefix.
 func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 	target := ss.targets[i]
 	if ss.slow {
@@ -347,15 +383,16 @@ func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 	if w.faults.TargetUnreachable(p, round) {
 		return Reply{Kind: ReplyTimeout}
 	}
-	if detrand.UnitFloat(w.cfg.Seed, uint64(ss.vp.ID), uint64(target), round, 0xC0FF) < 0.025 {
+	probe := probeState(ss.s.st, target, round)
+	if lost(probe) {
 		return Reply{Kind: ReplyTimeout}
 	}
 	if cls == spanAnycast {
 		d := w.deployments[ss.payload[i]]
 		c := &ss.s.cands[d.idx]
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(c.baseMs[w.servingRank(c, ss.vp, d, round)], ss.vp, target, round)}
+		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(c.baseMs[servingRank(c, ss.s.st, d, round)], ss.vp.LoadFactor, probe)}
 	}
-	rtt := w.rttFromBaseMs(math.Float64frombits(ss.payload[i]), ss.vp, target, round)
+	rtt := w.rttFromBaseMs(math.Float64frombits(ss.payload[i]), ss.vp.LoadFactor, probe)
 	switch cls {
 	case spanUniAdmin:
 		return Reply{Kind: ReplyAdminFiltered, RTT: rtt}

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"anycastmap/internal/cities"
@@ -259,6 +261,125 @@ func TestSpanSessionHijackBypass(t *testing.T) {
 		got, want := span.ICMP(0, 2), uncached.ProbeICMP(vp, target, 2)
 		if got != want {
 			t.Fatalf("post-clear span vp=%s: span %+v, uncached %+v", vp.Name, got, want)
+		}
+	}
+}
+
+// TestSpanSessionSparseAndUnordered pins the resolver's galloping cursor on
+// the target lists a census span never is: strided samples, clusters with
+// long gaps between them, descending and shuffled lists, repeated /24s,
+// hosts that are not their /24's representative, anycast /24s, and
+// addresses the world never allocated - below, inside the gaps of, and
+// above the prefix index. Every reply equals ProbeICMP's on a
+// DisableProbeCache world, with and without an injected hijack.
+func TestSpanSessionSparseAndUnordered(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Unicast24s = 4000
+	cached := New(cfg)
+	cfg.DisableProbeCache = true
+	uncached := New(cfg)
+	vps := sessionTestVPs()
+	vps = []platform.VP{vps[0], vps[5], vps[7]} // two PlanetLab, one RIPE
+
+	var reps, anycast []IP
+	var first, last Prefix24
+	cached.Prefixes(func(p Prefix24) {
+		if first == 0 {
+			first = p
+		}
+		last = p
+		ip, _ := cached.Representative(p)
+		reps = append(reps, ip)
+		if cached.IsAnycast(p) {
+			anycast = append(anycast, ip)
+		}
+	})
+	// A responsive unicast /24 to hijack in the second pass; every list
+	// carries it.
+	var victim IP
+	for _, ip := range reps[len(reps)/2:] {
+		if !cached.IsAnycast(ip.Prefix()) && cached.ProbeICMP(vps[0], ip, 1).OK() {
+			victim = ip
+			break
+		}
+	}
+	if victim == 0 {
+		t.Fatal("no responsive unicast /24 found")
+	}
+	outside := []IP{0x00000101, (first - 1).Host(1), (last + 1).Host(1), (last + 5000).Host(9), 0xDF000001}
+
+	lists := map[string][]IP{}
+	var strided []IP
+	for i := 0; i < len(reps); i += 200 {
+		strided = append(strided, reps[i])
+	}
+	lists["strided"] = strided
+	var clustered []IP
+	for _, start := range []int{3, 900, 907, 2500, len(reps) - 12} {
+		clustered = append(clustered, reps[start:start+10]...)
+	}
+	lists["clustered"] = clustered
+	var descending []IP
+	for i := len(reps) - 1; i >= 0; i -= 37 {
+		descending = append(descending, reps[i])
+	}
+	lists["descending"] = descending
+	shuffled := append(append([]IP{}, strided...), clustered...)
+	shuffled = append(shuffled, outside...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	lists["shuffled"] = shuffled
+	var repeated []IP
+	for _, ip := range strided {
+		repeated = append(repeated, ip, ip, ip.Prefix().Host(ip.HostByte()+1), ip)
+	}
+	lists["repeated /24s"] = repeated
+	var nonRep []IP
+	for i := 0; i < len(reps); i += 61 {
+		nonRep = append(nonRep, reps[i].Prefix().Host(reps[i].HostByte()^0x55), reps[i].Prefix().Host(200))
+	}
+	lists["non-representative hosts"] = nonRep
+	lists["anycast /24s"] = anycast
+	sparse := append([]IP{outside[0], outside[1]}, strided...)
+	lists["outside the world"] = append(sparse, outside[2:]...)
+
+	check := func(pass string) {
+		for name, list := range lists {
+			list = append(append([]IP{}, list...), victim)
+			for _, vp := range vps {
+				span := cached.ProbeSpanSession(vp, list)
+				for i, target := range list {
+					for round := uint64(1); round <= 2; round++ {
+						got, want := span.ICMP(i, round), uncached.ProbeICMP(vp, target, round)
+						if got != want {
+							t.Fatalf("%s, %s: vp=%s i=%d target=%v round=%d: span %+v, reference %+v",
+								pass, name, vp.Name, i, target, round, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	check("no hijack")
+	for _, w := range []*World{cached, uncached} {
+		if err := w.InjectHijack(victim.Prefix(), geo.Coord{Lat: -33.9, Lon: 151.2}, 0.6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("hijacked")
+}
+
+// TestSeekPrefix holds the galloping search to sort.Search from every
+// starting cursor of a small index with gaps.
+func TestSeekPrefix(t *testing.T) {
+	idx := []Prefix24{3, 4, 5, 9, 10, 40, 41, 42, 43, 44, 45, 46, 47, 100, 1000}
+	for n := 0; n <= len(idx); n++ {
+		for from := 0; from <= n; from++ {
+			for p := Prefix24(0); p < 1002; p++ {
+				want := from + sort.Search(n-from, func(i int) bool { return idx[from+i] >= p })
+				if got := seekPrefix(idx[:n], from, p); got != want {
+					t.Fatalf("seekPrefix(idx[:%d], %d, %d) = %d, want %d", n, from, p, got, want)
+				}
+			}
 		}
 	}
 }

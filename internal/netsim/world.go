@@ -159,6 +159,7 @@ const (
 // re-derives them.
 type unicastHost struct {
 	loc       geo.Coord
+	cosLat    float64 // geo.Prepare(loc).CosLat(): the span resolver's haversine reads it
 	rep       IP
 	cityIdx   int32
 	class     hostClass
@@ -167,7 +168,10 @@ type unicastHost struct {
 
 // World is the synthetic Internet.
 type World struct {
-	cfg      Config
+	cfg Config
+	// seedSt is detrand.Begin(cfg.Seed): the prefix of the draws that
+	// depend on no vantage point (the endpoint's access term, 0xB72).
+	seedSt   detrand.State
 	Registry *asdb.Registry
 	Cities   *cities.DB
 	Services *services.Inventory
@@ -248,6 +252,7 @@ func New(cfg Config) *World {
 	}
 	w := &World{
 		cfg:          cfg,
+		seedSt:       detrand.Begin(cfg.Seed),
 		Registry:     asdb.Default(),
 		Cities:       cities.Default(),
 		byPrefix:     make(map[Prefix24]int32),
@@ -596,6 +601,7 @@ func (w *World) buildUnicastHost(p Prefix24) unicastHost {
 		detrand.UnitFloat(w.cfg.Seed, uint64(p), 0x4E03) < 1.0/3
 	return unicastHost{
 		loc:       loc,
+		cosLat:    geo.Prepare(loc).CosLat(),
 		rep:       p.Host(byte(1 + detrand.Intn(253, w.cfg.Seed, uint64(p), 0x4E02))),
 		cityIdx:   int32(idx),
 		class:     class,
