@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -48,7 +49,11 @@ type agentSession struct {
 	cfg  AgentConfig
 	conn net.Conn
 
+	// writeMu serializes frames onto conn and guards wbuf, the buffer
+	// every outbound frame is assembled in (Write has copied it out by
+	// the time it returns).
 	writeMu sync.Mutex
+	wbuf    []byte
 
 	world     *netsim.World
 	targets   []netsim.IP
@@ -62,12 +67,17 @@ type agentSession struct {
 	fatal   error
 }
 
-func (s *agentSession) send(typ byte, payload []byte) error {
-	b := frameBytes(typ, payload)
+func (s *agentSession) send(typ byte, parts ...[]byte) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	_, err := s.conn.Write(b)
+	s.wbuf = appendFrame(s.wbuf[:0], typ, parts...)
+	_, err := s.conn.Write(s.wbuf)
 	return err
+}
+
+// fail reports a lease the agent could not complete.
+func (s *agentSession) fail(f failMsg) error {
+	return s.send(frameFail, appendFail(nil, &f))
 }
 
 func (s *agentSession) setFatal(err error) {
@@ -165,7 +175,7 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 		for {
 			select {
 			case <-t.C:
-				if err := s.send(frameHeartbeat, nil); err != nil {
+				if err := s.send(frameHeartbeat); err != nil {
 					return
 				}
 			case <-hbDone:
@@ -203,8 +213,8 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 		}
 		switch typ {
 		case frameLease:
-			var l leaseMsg
-			if err := decodeMsg(payload, &l); err != nil {
+			l, err := decodeLease(payload)
+			if err != nil {
 				return err
 			}
 			select {
@@ -213,8 +223,7 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 				// The coordinator never exceeds our advertised
 				// capacity; an overflowing queue means it is confused,
 				// and failing the lease tells it so.
-				fail, _ := encodeMsg(&failMsg{ID: l.ID, Err: "agent lease queue overflow"})
-				if err := s.send(frameFail, fail); err != nil {
+				if err := s.fail(failMsg{ID: l.ID, Err: "agent lease queue overflow"}); err != nil {
 					return err
 				}
 			}
@@ -231,8 +240,7 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 // the failure) back.
 func (s *agentSession) executeLease(l leaseMsg) {
 	if l.Lo < 0 || l.Hi < l.Lo || l.Hi > len(s.targets) {
-		fail, _ := encodeMsg(&failMsg{ID: l.ID, Err: fmt.Sprintf("lease span [%d,%d) outside %d targets", l.Lo, l.Hi, len(s.targets))})
-		s.send(frameFail, fail)
+		s.fail(failMsg{ID: l.ID, Err: fmt.Sprintf("lease span [%d,%d) outside %d targets", l.Lo, l.Hi, len(s.targets))})
 		return
 	}
 	sr, err := census.ProbeShard(s.world, s.targets, s.blacklist, s.ccfg, census.Unit{
@@ -251,15 +259,14 @@ func (s *agentSession) executeLease(l leaseMsg) {
 			s.conn.Close()
 			return
 		}
-		fail, _ := encodeMsg(&failMsg{ID: l.ID, Err: err.Error(), Crash: isCrash})
-		s.send(frameFail, fail)
+		s.fail(failMsg{ID: l.ID, Err: err.Error(), Crash: isCrash})
 		return
 	}
 	frame, err := sr.Encode()
 	if err != nil {
-		fail, _ := encodeMsg(&failMsg{ID: l.ID, Err: err.Error()})
-		s.send(frameFail, fail)
+		s.fail(failMsg{ID: l.ID, Err: err.Error()})
 		return
 	}
-	s.send(frameRows, rowsPayload(l.ID, frame))
+	var id [binary.MaxVarintLen64]byte
+	s.send(frameRows, binary.AppendUvarint(id[:0], l.ID), frame)
 }

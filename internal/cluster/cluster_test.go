@@ -276,7 +276,7 @@ func hungAgent(t *testing.T, coord *Coordinator) {
 			return
 		}
 		hello, _ := encodeMsg(&helloMsg{Name: "hung", Capacity: 4})
-		if _, err := agentSide.Write(frameBytes(frameHello, hello)); err != nil {
+		if _, err := agentSide.Write(appendFrame(nil, frameHello, hello)); err != nil {
 			return
 		}
 		if err := readMagic(agentSide); err != nil {

@@ -49,8 +49,9 @@ type Config struct {
 	// AgentGrace is how long a round may sit with zero registered
 	// agents before it aborts. Zero means 30s.
 	AgentGrace time.Duration
-	// Tick is the internal maintenance interval (lease expiry, backoff
-	// release). Zero means 25ms.
+	// Tick is the internal maintenance interval: lease expiry and the
+	// agentless grace. (Backoff release is not on it; a parked vantage
+	// point wakes the loop by its own timer.) Zero means 25ms.
 	Tick time.Duration
 	// MaxFrame bounds inbound frames; zero means DefaultMaxFrame.
 	MaxFrame int
@@ -112,7 +113,6 @@ type agentConn struct {
 	owned    map[int]bool
 	ready    bool
 	dead     bool
-	lastSeen time.Time
 	inflight map[uint64]*lease
 }
 
@@ -160,6 +160,12 @@ type Coordinator struct {
 	nextID  int64
 	leaseID uint64
 	round   *roundState
+	// wake fires at wakeAt, when the round's earliest parked vantage
+	// point becomes runnable (zero: unarmed). dispatch arms it, the
+	// round's end stops it, and a fire only ever dispatches again.
+	wake     *time.Timer
+	wakeAt   time.Time
+	leaseBuf []byte // scratch for the lease payload being framed
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -197,13 +203,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		welcome: frameBytes(frameWelcome, payload),
+		welcome: appendFrame(nil, frameWelcome, payload),
 		cmds:    make(chan func(), 256),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		agents:  make(map[int64]*agentConn),
 		conns:   make(map[net.Conn]struct{}),
+		wake:    time.NewTimer(time.Hour),
 	}
+	c.wake.Stop()
 	c.wg.Add(1)
 	go c.loop()
 	return c, nil
@@ -247,6 +255,9 @@ func (c *Coordinator) loop() {
 			f()
 		case <-ticker.C:
 			c.onTick()
+		case <-c.wake.C:
+			c.wakeAt = time.Time{}
+			c.dispatch()
 		case <-c.quit:
 			c.shutdown()
 			return
@@ -271,7 +282,6 @@ func (c *Coordinator) Attach(conn net.Conn) error {
 	a := &agentConn{
 		conn:     conn,
 		out:      make(chan []byte, 1024),
-		lastSeen: time.Now(),
 		inflight: make(map[uint64]*lease),
 	}
 	c.post(func() {
@@ -387,13 +397,14 @@ func (c *Coordinator) readFrames(a *agentConn) error {
 			}
 			c.post(func() { c.onRows(a, id, sr) })
 		case frameFail:
-			var fail failMsg
-			if err := decodeMsg(payload, &fail); err != nil {
+			fail, err := decodeFail(payload)
+			if err != nil {
 				return err
 			}
 			c.post(func() { c.onFail(a, fail) })
 		case frameHeartbeat:
-			c.post(func() { a.lastSeen = time.Now() })
+			// Proof the agent's writer is alive, nothing more: a lease
+			// ends by its rows, its fail, LeaseTTL or a dead connection.
 		default:
 			return fmt.Errorf("cluster: unexpected frame type %d from agent", typ)
 		}
@@ -428,7 +439,6 @@ func (c *Coordinator) onHello(a *agentConn, hello helloMsg) {
 		a.owned[id] = true
 	}
 	a.ready = true
-	a.lastSeen = time.Now()
 	c.bump(func(s *Stats) { s.AgentsJoined++ })
 	c.cfg.Metrics.joined()
 	c.logf("cluster: agent %q joined (capacity %d)", a.name, a.capacity)
@@ -443,7 +453,6 @@ func (c *Coordinator) onRows(a *agentConn, leaseID uint64, sr *census.ShardRows)
 	if a.dead {
 		return
 	}
-	a.lastSeen = time.Now()
 	r := c.round
 	if r == nil {
 		c.bump(func(s *Stats) { s.LateFrames++ })
@@ -486,7 +495,6 @@ func (c *Coordinator) onFail(a *agentConn, fail failMsg) {
 	if a.dead {
 		return
 	}
-	a.lastSeen = time.Now()
 	r := c.round
 	if r == nil {
 		c.bump(func(s *Stats) { s.LateFrames++ })
@@ -588,13 +596,14 @@ func (c *Coordinator) onTick() {
 	} else {
 		r.agentlessSince = time.Time{}
 	}
-	c.dispatch()
 	c.checkRoundDone()
 }
 
 // dispatch leases runnable units — the scheduler keeps one outstanding
 // per vantage point and holds back parked ones — to agents while any has
-// spare capacity: owner-affinity first, least-loaded otherwise.
+// spare capacity: owner-affinity first, least-loaded otherwise. When
+// capacity is left and only parked vantage points remain, the wake timer
+// is pointed at the earliest of them, unless it already fires sooner.
 func (c *Coordinator) dispatch() {
 	r := c.round
 	if r == nil {
@@ -602,8 +611,12 @@ func (c *Coordinator) dispatch() {
 	}
 	now := time.Now()
 	for r.aborted == nil && c.pickAgent(-1) != nil {
-		u, ok, _ := r.sched.Next(now)
+		u, ok, wake := r.sched.Next(now)
 		if !ok {
+			if !wake.IsZero() && (c.wakeAt.IsZero() || wake.Before(c.wakeAt)) {
+				c.wakeAt = wake
+				c.wake.Reset(wake.Sub(now))
+			}
 			return
 		}
 		c.issueLease(r, u, c.pickAgent(u.VP.ID))
@@ -647,7 +660,7 @@ func (c *Coordinator) issueLease(r *roundState, u census.Unit, a *agentConn) {
 		agent:    a,
 		deadline: time.Now().Add(c.cfg.leaseTTL()),
 	}
-	payload, err := encodeMsg(&leaseMsg{
+	c.leaseBuf = appendLease(c.leaseBuf[:0], &leaseMsg{
 		ID:      l.id,
 		Round:   u.Round,
 		Attempt: u.Attempt,
@@ -656,16 +669,11 @@ func (c *Coordinator) issueLease(r *roundState, u census.Unit, a *agentConn) {
 		Lo:      u.Span.Lo,
 		Hi:      u.Span.Hi,
 	})
-	if err != nil {
-		// A lease that cannot encode cannot execute anywhere; abort.
-		r.aborted = err
-		return
-	}
 	r.leases[l.id] = l
 	a.inflight[l.id] = l
 	c.bump(func(s *Stats) { s.Leases++ })
 	c.cfg.Metrics.lease()
-	c.send(a, frameBytes(frameLease, payload))
+	c.send(a, appendFrame(nil, frameLease, c.leaseBuf))
 }
 
 func (c *Coordinator) checkRoundDone() {
@@ -677,6 +685,8 @@ func (c *Coordinator) checkRoundDone() {
 // finishRound closes the round on the campaign and wakes ExecuteRound.
 func (c *Coordinator) finishRound(r *roundState) {
 	c.round = nil
+	c.wake.Stop()
+	c.wakeAt = time.Time{}
 	sum, err := r.sched.Close(r.aborted)
 	sum.Duration = time.Since(r.start)
 	r.result <- roundResult{summary: sum, err: err}
@@ -734,6 +744,7 @@ func (c *Coordinator) startRound(round uint64, vps []platform.VP, result chan ro
 // round aborts, agents get a best-effort shutdown frame, and every
 // outbound queue closes so the writers drain and exit.
 func (c *Coordinator) shutdown() {
+	c.wake.Stop()
 	if r := c.round; r != nil {
 		r.aborted = fmt.Errorf("cluster: coordinator closed")
 		c.finishRound(r)
@@ -744,7 +755,7 @@ func (c *Coordinator) shutdown() {
 		}
 		a.dead = true
 		select {
-		case a.out <- frameBytes(frameShutdown, nil):
+		case a.out <- appendFrame(nil, frameShutdown):
 		default:
 		}
 		close(a.out)

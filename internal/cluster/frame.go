@@ -29,18 +29,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // streamMagic opens every connection in both directions, so a peer
 // speaking the wrong protocol fails the handshake instead of confusing
-// the frame parser.
-const streamMagic = "ACMC1\n"
+// the frame parser. ACMC1 sent lease and fail payloads as gob; ACMC2
+// sends them fixed binary, so an ACMC1 peer is refused here.
+const streamMagic = "ACMC2\n"
 
 // Frame types. A frame on the wire is a 4-byte big-endian length of what
 // follows (type byte + payload), then the type byte, then the payload.
-// Control payloads are gob-encoded messages (proto.go); rows payloads
-// are a uvarint lease ID followed by a census shard frame (the v2
-// columnar codec, census.ShardRows).
+// proto.go lays out the payloads: hello and welcome are gob, lease and
+// fail fixed binary, rows a uvarint lease ID followed by a census shard
+// frame (the v2 columnar codec, census.ShardRows); heartbeat and shutdown
+// have none.
 const (
 	frameHello     = byte(1) // agent -> coordinator: registration
 	frameWelcome   = byte(2) // coordinator -> agent: world + census config
@@ -51,22 +54,26 @@ const (
 	frameShutdown  = byte(7) // coordinator -> agent: drain and exit
 )
 
-// frameHeaderLen is the bytes preceding a frame's payload on the wire.
-const frameHeaderLen = 5
-
 // DefaultMaxFrame bounds a single frame; a wide shard of a large world
 // fits comfortably, a hostile length prefix does not.
 const DefaultMaxFrame = 64 << 20
 
-// frameBytes assembles a whole frame — header, type, payload — into one
-// buffer, so the transport sees it as a single Write (the agent-churn
-// harness counts frame types by inspecting writes).
-func frameBytes(typ byte, payload []byte) []byte {
-	b := make([]byte, frameHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(b, uint32(1+len(payload)))
-	b[4] = typ
-	copy(b[frameHeaderLen:], payload)
-	return b
+// appendFrame appends a whole frame — length, type, then the payload
+// parts back to back — to dst, growing it at most once, so every frame is
+// assembled in one buffer and reaches the transport as a single Write
+// (the agent-churn harness counts frame types by inspecting writes).
+func appendFrame(dst []byte, typ byte, parts ...[]byte) []byte {
+	n := 1
+	for _, p := range parts {
+		n += len(p)
+	}
+	dst = slices.Grow(dst, 4+n)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = append(dst, typ)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
 }
 
 // readFrame reads one frame, rejecting empty frames and length prefixes

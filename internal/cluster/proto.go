@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"time"
 
 	"anycastmap/internal/census"
@@ -12,10 +13,14 @@ import (
 	"anycastmap/internal/platform"
 )
 
-// Control messages ride as gob payloads: they are small and infrequent
-// (a handful per lease), so codec ergonomics beat density. The hot path
-// — result rows — uses the hand-rolled v2 columnar codec instead
-// (census.ShardRows), where density and byte-determinism matter.
+// Gob once per connection, fixed binary once per lease. hello and welcome
+// carry nested configuration and cross the wire once per connection, so
+// codec ergonomics win and they ride as gob (encodeMsg/decodeMsg). lease
+// and fail cross it once per unit of work, where a fresh gob stream costs
+// more than the probing it pays for, so they have a hand-rolled layout
+// (appendLease/decodeLease, appendFail/decodeFail). Result rows are a
+// uvarint lease ID followed by the v2 columnar shard frame
+// (census.ShardRows).
 
 // helloMsg registers an agent with the coordinator.
 type helloMsg struct {
@@ -82,17 +87,118 @@ func decodeMsg(payload []byte, v any) error {
 	return nil
 }
 
-// rowsPayload frames a shard result: uvarint lease ID, then the encoded
-// census.ShardRows frame.
-func rowsPayload(leaseID uint64, frame []byte) []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], leaseID)
-	out := make([]byte, 0, n+len(frame))
-	out = append(out, hdr[:n]...)
-	return append(out, frame...)
+// appendLease appends l's wire form: eight uvarints — ID, Round, Attempt,
+// Slot, Lo, Hi, VP.ID, VP.City.Population — then five floats as IEEE-754
+// bits, little-endian — VP.City.Loc (Lat, Lon), VP.Loc (Lat, Lon),
+// VP.LoadFactor — then three strings, each a uvarint length and the
+// bytes — VP.Name, VP.City.Name, VP.City.CC.
+func appendLease(b []byte, l *leaseMsg) []byte {
+	vp := &l.VP
+	for _, v := range [...]uint64{l.ID, l.Round, uint64(l.Attempt), uint64(l.Slot), uint64(l.Lo), uint64(l.Hi),
+		uint64(vp.ID), uint64(vp.City.Population)} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, f := range [...]float64{vp.City.Loc.Lat, vp.City.Loc.Lon, vp.Loc.Lat, vp.Loc.Lon, vp.LoadFactor} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	for _, s := range [...]string{vp.Name, vp.City.Name, vp.City.CC} {
+		b = appendString(b, s)
+	}
+	return b
 }
 
-// splitRowsPayload undoes rowsPayload.
+// decodeLease undoes appendLease. Attempt, Slot, Lo and Hi index slices
+// on the agent, so values beyond int32 are refused here.
+func decodeLease(payload []byte) (leaseMsg, error) {
+	r := wireReader{b: payload}
+	var l leaseMsg
+	vp := &l.VP
+	l.ID, l.Round = r.uvarint(), r.uvarint()
+	for _, dst := range [...]*int{&l.Attempt, &l.Slot, &l.Lo, &l.Hi} {
+		v := r.uvarint()
+		r.bad = r.bad || v > math.MaxInt32
+		*dst = int(v)
+	}
+	vp.ID, vp.City.Population = int(r.uvarint()), int(r.uvarint())
+	for _, dst := range [...]*float64{&vp.City.Loc.Lat, &vp.City.Loc.Lon, &vp.Loc.Lat, &vp.Loc.Lon, &vp.LoadFactor} {
+		if b := r.take(8); b != nil {
+			*dst = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		}
+	}
+	for _, dst := range [...]*string{&vp.Name, &vp.City.Name, &vp.City.CC} {
+		*dst = r.str()
+	}
+	return l, r.finish("lease")
+}
+
+// appendFail appends f's wire form: uvarint ID, a flag byte (1: Crash),
+// then Err as a uvarint length and the bytes.
+func appendFail(b []byte, f *failMsg) []byte {
+	b = binary.AppendUvarint(b, f.ID)
+	if f.Crash {
+		return appendString(append(b, 1), f.Err)
+	}
+	return appendString(append(b, 0), f.Err)
+}
+
+// decodeFail undoes appendFail.
+func decodeFail(payload []byte) (failMsg, error) {
+	r := wireReader{b: payload}
+	f := failMsg{ID: r.uvarint()}
+	if flags := r.take(1); flags != nil {
+		f.Crash, r.bad = flags[0] == 1, flags[0] > 1
+	}
+	f.Err = r.str()
+	return f, r.finish("fail")
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// wireReader consumes a lease or fail payload. A varint that is truncated
+// or overflows, or a length beyond the bytes left, latches bad and reads
+// as zero from then on, so decoders read straight through and check once,
+// in finish; nothing is allocated beyond the bytes present.
+type wireReader struct {
+	b   []byte
+	bad bool
+}
+
+// take returns the next n bytes, or nil once the reader is bad.
+func (r *wireReader) take(n uint64) []byte {
+	if r.bad || n > uint64(len(r.b)) {
+		r.bad = true
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *wireReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if r.bad || n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *wireReader) str() string { return string(r.take(r.uvarint())) }
+
+// finish reports a payload that was truncated, malformed, or longer than
+// its message.
+func (r *wireReader) finish(what string) error {
+	if r.bad || len(r.b) != 0 {
+		return fmt.Errorf("cluster: malformed %s payload", what)
+	}
+	return nil
+}
+
+// splitRowsPayload splits a rows payload into its uvarint lease ID and
+// the encoded census.ShardRows frame behind it.
 func splitRowsPayload(payload []byte) (uint64, []byte, error) {
 	id, n := binary.Uvarint(payload)
 	if n <= 0 {
