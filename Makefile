@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke bench-json stream-smoke scale-smoke full-scale-smoke analyze-smoke cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build vet test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale analyze-smoke cluster-smoke metrics-smoke route-smoke profile
 
 all: verify
 
@@ -14,7 +14,8 @@ test:
 	$(GO) test ./...
 
 # race is the gate the fault-injection tests are written for: the census
-# retry loop, the store hot-swap and the LRU all exercise real concurrency.
+# retry loop, the store hot-swap, the LRU and the load generator's
+# sender/reader pairs all exercise real concurrency.
 # internal/experiments replays full campaigns and needs more than the
 # default 10m per-package budget under the race detector.
 race:
@@ -55,18 +56,21 @@ fuzz-smoke:
 repo-bench-smoke:
 	cd bench && $(GO) test ./...
 
-# bench-json regenerates the committed benchmark trajectory point,
-# including the route-serving block (answer-path qps, UDP loopback,
-# snapshot-swap flatness) and the full-scale census: the paper's 6.6M
-# responsive /24s on one box, under a GOMEMLIMIT below the dense
-# all-rounds footprint. The full-scale block takes tens of minutes;
-# drop -full-scale-unicast24s (or set it to 0) for a quick point, or
-# add -paper-unicast24s 1700000 to also re-measure the ~1M-target
-# block.
-bench-json:
-	$(GO) run ./cmd/benchreport -exp none -benchjson BENCH_9.json \
-		-stream-unicast24s 0 -paper-unicast24s 0 \
-		-full-scale-unicast24s 11000000
+# exp-smoke runs the paper-reproduction binary end to end on a small
+# lab: cmd/benchreport must build the lab, print the three selected
+# reports and exit 0. It measures nothing; performance is bench/.
+exp-smoke:
+	@out=$$($(GO) run ./cmd/benchreport -unicast24s 3000 -censuses 2 -exp table1,fig4,fig10) || exit 1; \
+	echo "$$out"; \
+	for exp in table1 fig4 fig10; do \
+		echo "$$out" | grep -q "\[$$exp in " || { echo "exp-smoke: no $$exp report" >&2; exit 1; }; \
+	done
+
+# doc-refs fails when README.md, DESIGN.md or EXPERIMENTS.md names a
+# `make <target>` this Makefile does not have or a cmd/<name> that is not
+# a directory.
+doc-refs:
+	./scripts/doc_refs.sh
 
 # stream-smoke proves the streaming data path's memory bound: a 150k-/24
 # campaign must complete under a GOMEMLIMIT set below the ~380 MiB that
@@ -99,6 +103,20 @@ scale-smoke:
 full-scale-smoke:
 	GOMEMLIMIT=1380MiB $(GO) run ./cmd/census -unicast24s 1250000 -censuses 2 \
 		-max-heap-mib 1510 -rate-baseline-targets 20000 -rate-within 2
+
+# full-scale is the paper's Sec. 3 census on one box, on demand and never
+# in CI: 11M unicast /24s prune to the ~6.6M responsive targets, two
+# 261-VP rounds (~3.5G probes) run span-pipelined under a GOMEMLIMIT at
+# 75% of the 13.9 GiB two dense rounds would cost. It needs ~10 GiB of
+# memory and tens of minutes. The log carries each round's probing wall
+# and probes, the pilot and campaign probe rates, the analysis wall and
+# the sampled peak heap; the run fails if the peak reaches the dense
+# footprint or the campaign probes more than 2x slower than the
+# 20k-target pilot. Nothing is written down: these numbers compare only
+# with another run on the same machine.
+full-scale:
+	GOMEMLIMIT=9950MiB $(GO) run ./cmd/census -unicast24s 11000000 -censuses 2 \
+		-max-heap-mib 13266 -rate-baseline-targets 20000
 
 # analyze-smoke proves the incremental analysis engine's bit-identity
 # contract on a live campaign: each round's dirty targets are analyzed

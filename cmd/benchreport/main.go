@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	benchreport [-unicast24s N] [-censuses N] [-seed S] [-exp LIST]
-//	benchreport -benchjson BENCH_3.json [-exp none]
+//	benchreport [-unicast24s N] [-censuses N] [-seed S] [-exp LIST] [-csv DIR]
 //
 // -exp selects a comma-separated subset of experiments, e.g.
-// "fig4,fig10,table1"; the default runs everything. -benchjson measures the
-// benchmark trajectory point (campaign wall-clock, probes/s, lookups/s,
-// allocs/op) and writes it next to the committed baseline. -cpuprofile and
-// -memprofile write pprof profiles of the whole run.
+// "fig4,fig10,table1"; the default runs everything. -cpuprofile and
+// -memprofile write pprof profiles of the whole run. Performance is not
+// measured here: the repository benchmark is bench/ (BENCHMARK.json).
 package main
 
 import (
@@ -31,11 +29,7 @@ func main() {
 	censuses := flag.Int("censuses", 4, "number of census rounds")
 	seed := flag.Uint64("seed", 2015, "world seed")
 	csvDir := flag.String("csv", "", "export the figure data series as CSV files to this directory")
-	expList := flag.String("exp", "all", "comma-separated experiments: table1,fig4..fig16,coverage,opendns,ablate-vps,ablate-rate,ablate-iter,ablate-mis,fusion,longitudinal,longitudinal-campaign,baselines,ripe (or: none)")
-	benchJSON := flag.String("benchjson", "", "measure the benchmark trajectory and write it to this JSON file")
-	streamUnicast := flag.Int("stream-unicast24s", 250_000, "unicast /24 scale of the -benchjson streaming-campaign headline (0 skips it)")
-	paperUnicast := flag.Int("paper-unicast24s", 0, "unicast /24 scale of the -benchjson paper-scale pipelined campaign (0 skips it; 1,700,000 prunes to ~1M targets)")
-	fullScaleUnicast := flag.Int("full-scale-unicast24s", 0, "unicast /24 scale of the -benchjson full-scale census (0 skips it; 11,000,000 prunes to the paper's ~6.6M responsive targets)")
+	expList := flag.String("exp", "all", "comma-separated experiments: table1,fig4..fig16,coverage,opendns,ablate-vps,ablate-rate,ablate-iter,ablate-mis,fusion,longitudinal,longitudinal-campaign,baselines,ripe")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -76,20 +70,10 @@ func main() {
 	cfg.Seed = *seed
 
 	fmt.Printf("building lab: %d unicast /24s, %d censuses, seed %d ...\n", cfg.Unicast24s, cfg.Censuses, cfg.Seed)
-	sampler := startHeapSampler()
 	start := time.Now()
 	lab := experiments.NewLab(cfg)
-	labElapsed := time.Since(start)
-	labPeakHeap, labGC := sampler.Stop()
 	fmt.Printf("lab ready in %v: %d targets, %d anycast /24s detected of %d true\n\n",
-		labElapsed.Round(time.Millisecond), lab.Hitlist.Len(), len(lab.Findings), len(lab.World.Deployments()))
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, lab, labElapsed, labPeakHeap, labGC, *streamUnicast, *paperUnicast, *fullScaleUnicast); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-	}
+		time.Since(start).Round(time.Millisecond), lab.Hitlist.Len(), len(lab.Findings), len(lab.World.Deployments()))
 
 	want := map[string]bool{}
 	all := *expList == "all"
@@ -141,7 +125,7 @@ func main() {
 		fmt.Printf("  [%s in %v]\n\n", e.name, time.Since(t0).Round(time.Millisecond))
 		ran++
 	}
-	if ran == 0 && *benchJSON == "" {
+	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matched -exp=%s\n", *expList)
 		os.Exit(2)
 	}

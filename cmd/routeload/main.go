@@ -6,8 +6,8 @@
 //	routeload -addr 127.0.0.1:5300 -service 10.10.0.0 -rate 50000 -d 10s
 //	    open loop: paced senders, answers matched by DNS ID
 //
-// The -json flag emits the LoadResult for scripting (route_smoke.sh and
-// the benchreport route_serving block both consume it).
+// The -json flag emits the LoadResult for scripting (route_smoke.sh
+// consumes it).
 package main
 
 import (

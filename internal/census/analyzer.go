@@ -197,9 +197,8 @@ func (a *Analyzer) bind(c *Combined) {
 // then ignored) with a work-stealing worker pool: anycast targets cost
 // orders of magnitude more than unicast rejects, so workers
 // pull small batches from a shared atomic cursor instead of owning
-// static chunks — except at one effective worker, where stealing cannot
-// balance anything and the range runs as a single static chunk. useCerts
-// wires the certificate cache; AnalyzeAll's one-shot path disables it.
+// static chunks, at every worker count. useCerts wires the certificate
+// cache; AnalyzeAll's one-shot path disables it.
 func (a *Analyzer) run(list []int, all, useCerts bool) {
 	n := len(list)
 	if all {
@@ -220,23 +219,7 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 	} else if grain > 128 {
 		grain = 128
 	}
-	// With one effective worker there is nothing to steal: the shared
-	// cursor would pay an atomic RMW per batch for no balancing at all
-	// (BENCH_8 measured the work-stealing path at 0.979x the static
-	// baseline on a single CPU). One static chunk covers the range.
 	var cursor atomic.Int64
-	next := func() int { return int(cursor.Add(int64(grain))) - grain }
-	if workers == 1 {
-		grain = n
-		served := false
-		next = func() int {
-			if served {
-				return n
-			}
-			served = true
-			return 0
-		}
-	}
 	var mu sync.Mutex // guards a.stats as workers finish
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -247,7 +230,7 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 			s := a.newScan()
 			ms := make([]core.Measurement, 0, a.nVP)
 			for {
-				lo := next()
+				lo := int(cursor.Add(int64(grain))) - grain
 				if lo >= n {
 					break
 				}

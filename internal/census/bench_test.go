@@ -2,7 +2,6 @@ package census
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"anycastmap/internal/cities"
@@ -155,23 +154,6 @@ func BenchmarkLoadRunV2(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadRun(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoadRunLegacy keeps the gob+flate decode number visible next
-// to the v2 one, on the committed gen-1 fixture.
-func BenchmarkLoadRunLegacy(b *testing.B) {
-	data, err := os.ReadFile(gen1Fixture)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -2,7 +2,6 @@ package census
 
 import (
 	"bytes"
-	"os"
 	"testing"
 	"time"
 
@@ -40,9 +39,8 @@ func fuzzSeedRun() *Run {
 	}
 }
 
-// FuzzLoadRun feeds arbitrary bytes to the run decoder — which dispatches
-// on the magic to both the v2 columnar and the legacy gob+flate paths —
-// mirroring internal/record's codec fuzzing: it must never panic, and
+// FuzzLoadRun feeds arbitrary bytes to the run decoder, mirroring
+// internal/record's codec fuzzing: it must never panic, and
 // everything it accepts must round-trip through SaveRun byte-identically.
 func FuzzLoadRun(f *testing.F) {
 	run := fuzzSeedRun()
@@ -50,18 +48,14 @@ func FuzzLoadRun(f *testing.F) {
 	if err := SaveRun(&v2, run); err != nil {
 		f.Fatal(err)
 	}
-	legacy, err := os.ReadFile(gen1Fixture)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(v2.Bytes())
-	f.Add(legacy)
+	f.Add(gen1Head)
 	f.Add([]byte{})
 	f.Add([]byte(runMagicV2))
 	f.Add(append([]byte(runMagicV2), 0))
 	f.Add([]byte("ACMR9\nwrong magic"))
 	f.Add(v2.Bytes()[:v2.Len()/2])
-	f.Add(legacy[:len(legacy)/2])
+	f.Add([]byte(runMagicV2[:3]))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadRun(bytes.NewReader(data))

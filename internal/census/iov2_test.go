@@ -2,8 +2,7 @@ package census
 
 import (
 	"bytes"
-	"hash/fnv"
-	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -81,44 +80,30 @@ func TestSaveLoadRunV2(t *testing.T) {
 	}
 }
 
-// gen1Fixture is a census run (round 7, 4 VPs x 308 targets) written by
-// the generation-1 gob+flate writer before that writer was deleted.
-const gen1Fixture = "testdata/run-gen1.gob.flate"
+// gen1Head is how an archive of the deleted generation-1 gob+DEFLATE
+// format starts: a raw DEFLATE stream, no magic.
+var gen1Head = []byte{0xbc, 0x78, 0x7f, 0x54, 0x95, 0xe7, 0x95, 0xee, 0xf7, 0xbc, 0xef, 0x77, 0x7e, 0xc1, 0x01, 0x8d}
 
-// TestSaveLoadRunLegacy proves LoadRun still reads generation-1 gob+flate
-// archives transparently: the fixture decodes to the run it was written
-// from, pinned by its shape, sample count and a digest of its matrix.
-func TestSaveLoadRunLegacy(t *testing.T) {
-	data, err := os.ReadFile(gen1Fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadRun(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := fnv.New64a()
-	samples := 0
-	for _, row := range got.RTTus {
-		digest.Write(int32Bytes(row))
-		for _, v := range row {
-			if v >= 0 {
-				samples++
-			}
+// TestLoadRunRefusesForeignBytes pins the one-format rule: anything that
+// does not start with the v2 magic — a gen-1 archive, input shorter than
+// the magic, nothing at all — is an error naming the magic, not a panic
+// and not a decoder's complaint about bytes it was never meant to read.
+func TestLoadRunRefusesForeignBytes(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"gen-1 archive": gen1Head,
+		"three bytes":   []byte("ACM"),
+		"empty":         nil,
+		"other magic":   []byte("ACMR9\nwrong magic"),
+	} {
+		got, err := LoadRun(bytes.NewReader(data))
+		if err == nil || got != nil {
+			t.Errorf("%s: LoadRun accepted it", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(runMagicV2)) {
+			t.Errorf("%s: error %q does not name the expected magic", name, err)
 		}
 	}
-	if got.Round != 7 || len(got.VPs) != 4 || len(got.Targets) != 308 || len(got.Stats) != 4 ||
-		samples != 869 || got.TotalProbes() != 1232 || got.Greylist.Len() != 2 ||
-		got.Health.Round != 7 || got.Health.Completed != 4 {
-		t.Fatalf("fixture decoded to round %d, %d VPs x %d targets, %d samples, %d probes, %d greylisted, health %+v",
-			got.Round, len(got.VPs), len(got.Targets), samples, got.TotalProbes(), got.Greylist.Len(), got.Health)
-	}
-	if sum := digest.Sum64(); sum != 0xb28e44b039cee183 {
-		t.Fatalf("fixture matrix digest %#x", sum)
-	}
-	// What the legacy reader produced is an ordinary run: it re-saves as
-	// v2 and loads back equal.
-	checkRunEqual(t, roundTrip(t, got, func(w *bytes.Buffer, r *Run) error { return SaveRun(w, r) }), got)
 }
 
 // TestSaveRunDeterministic pins the satellite: saving the same run twice

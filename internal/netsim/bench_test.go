@@ -104,7 +104,7 @@ func BenchmarkProbeSpanSession(b *testing.B) {
 		for i := range sparse {
 			sparse[i] = all[i*len(all)/len(sparse)]
 		}
-		w.ProbeSession(vp) // build the VP's session outside the timed loop
+		w.session(vp) // build the VP's session outside the timed loop
 		for _, span := range []struct {
 			name    string
 			targets []IP

@@ -173,36 +173,6 @@ func (w *World) unicastBaseMs(s *vpSession, h *unicastHost, p Prefix24) float64 
 	return w.rttBaseMsDist(s.st, uint64(p), dist, 0, s.vpAccess)
 }
 
-// Probe is a vantage-point-bound probing handle: it resolves the VP's
-// session once so per-probe work skips the session lookup entirely. The
-// prober's inner loop uses it; the World.Probe* methods remain for callers
-// probing ad hoc.
-type Probe struct {
-	w  *World
-	vp platform.VP
-	s  *vpSession
-}
-
-// ProbeSession binds a vantage point to the world for repeated probing.
-func (w *World) ProbeSession(vp platform.VP) Probe {
-	return Probe{w: w, vp: vp, s: w.session(vp)}
-}
-
-// ICMP is ProbeICMP through the bound session.
-func (p Probe) ICMP(target IP, round uint64) Reply {
-	return p.w.probeICMP(p.s, p.vp, target, round)
-}
-
-// TCP is ProbeTCP through the bound session.
-func (p Probe) TCP(target IP, port uint16, round uint64) Reply {
-	return p.w.probeTCP(p.s, p.vp, target, port, round)
-}
-
-// DNSUDP is ProbeDNSUDP through the bound session.
-func (p Probe) DNSUDP(target IP, round uint64) Reply {
-	return p.w.probeDNSUDP(p.s, p.vp, target, round)
-}
-
 // Span classification codes. Everything a probe's outcome depends on that
 // is NOT a per-round draw is a stable property of the (VP, target) pair,
 // so a span resolver can decide it once per work unit and leave only the

@@ -50,20 +50,19 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 	}
 
 	for _, vp := range vps {
-		probe := cached.ProbeSession(vp)
 		for ti, target := range targets {
 			for round := uint64(1); round <= 3; round++ {
-				got, want := probe.ICMP(target, round), uncached.ProbeICMP(vp, target, round)
+				got, want := cached.ProbeICMP(vp, target, round), uncached.ProbeICMP(vp, target, round)
 				if got != want {
 					t.Fatalf("ICMP vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
 				}
 				// TCP and DNS are cheaper to spot-check on a slice.
 				if ti%7 == 0 {
-					got, want = probe.TCP(target, 80, round), uncached.ProbeTCP(vp, target, 80, round)
+					got, want = cached.ProbeTCP(vp, target, 80, round), uncached.ProbeTCP(vp, target, 80, round)
 					if got != want {
 						t.Fatalf("TCP vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
 					}
-					got, want = probe.DNSUDP(target, round), uncached.ProbeDNSUDP(vp, target, round)
+					got, want = cached.ProbeDNSUDP(vp, target, round), uncached.ProbeDNSUDP(vp, target, round)
 					if got != want {
 						t.Fatalf("DNS vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
 					}
@@ -143,7 +142,7 @@ func TestSessionCacheHijackBypass(t *testing.T) {
 func TestSessionSharedAcrossFaultViews(t *testing.T) {
 	cached, _ := sessionTestWorlds(t)
 	vp := sessionTestVPs()[0]
-	cached.ProbeSession(vp) // warm
+	cached.session(vp) // warm
 	view := cached.WithFaults(nil)
 	if view.sessions != cached.sessions {
 		t.Fatal("WithFaults view does not share the session table")

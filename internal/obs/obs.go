@@ -1,8 +1,7 @@
 // Package obs is the observability spine of the map: dependency-free
 // counters, gauges, and fixed-bucket histograms behind a named registry
-// with a Prometheus text-exposition (v0.0.4) http.Handler — the
-// production form of the one-off BENCH_*.json artifacts, in the mold of
-// Verfploeter's promauto /metrics endpoint next to its measurement
+// with a Prometheus text-exposition (v0.0.4) http.Handler, in the mold
+// of Verfploeter's promauto /metrics endpoint next to its measurement
 // service. The module has zero external dependencies and this package
 // keeps it that way: instruments are plain atomics, exposition is plain
 // text.

@@ -5,6 +5,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anycastmap/internal/netsim"
@@ -165,11 +166,12 @@ func runClosedLoop(cfg LoadConfig, zone []byte) (LoadResult, error) {
 	if total <= 0 {
 		total = 10000
 	}
-	per := total / workers
-	if per == 0 {
-		per = 1
+	if workers > total {
 		workers = total
 	}
+	// The first total%workers workers send one query more, so exactly
+	// total queries go out whatever the worker count.
+	per, rem := total/workers, total%workers
 
 	type wres struct {
 		sent, recv, timeouts, errs int
@@ -183,27 +185,44 @@ func runClosedLoop(cfg LoadConfig, zone []byte) (LoadResult, error) {
 		go func(w int) {
 			defer wg.Done()
 			r := &results[w]
+			first, n := w*per+min(w, rem), per
+			if w < rem {
+				n++
+			}
 			conn, err := net.Dial("udp", cfg.Addr)
 			if err != nil {
-				r.errs = per
+				r.errs = n
 				return
 			}
 			defer conn.Close()
-			r.lat = make([]time.Duration, 0, per)
+			r.lat = make([]time.Duration, 0, n)
 			req := make([]byte, 0, 128)
 			resp := make([]byte, 2048)
 			clients := cfg.clients()
-			for i := 0; i < per; i++ {
-				client := netsim.Prefix24(uint32(0x0b0000) + uint32((w*per+i)%clients))
-				req = AppendQuery(req[:0], uint16(i), cfg.Service, cfg.Policy, zone, cfg.qtype(), client)
+			for i := 0; i < n; i++ {
+				id := uint16(i)
+				client := netsim.Prefix24(uint32(0x0b0000) + uint32((first+i)%clients))
+				req = AppendQuery(req[:0], id, cfg.Service, cfg.Policy, zone, cfg.qtype(), client)
 				t0 := time.Now()
 				if _, err := conn.Write(req); err != nil {
 					r.errs++
 					continue
 				}
 				r.sent++
+				// Read until this query's answer or the deadline: the
+				// late answer to a query that already timed out must not
+				// pass for this one's, or every later latency of the
+				// worker is measured one exchange off.
 				conn.SetReadDeadline(t0.Add(cfg.timeout()))
-				if _, err := conn.Read(resp); err != nil {
+				answered := false
+				for !answered {
+					m, err := conn.Read(resp)
+					if err != nil {
+						break
+					}
+					answered = m >= 2 && uint16(resp[0])<<8|uint16(resp[1]) == id
+				}
+				if !answered {
 					r.timeouts++
 					continue
 				}
@@ -264,7 +283,7 @@ func runOpenLoop(cfg LoadConfig, zone []byte) (LoadResult, error) {
 			}
 			defer conn.Close()
 
-			sendNs := make([]int64, 1<<16)
+			sendNs := make([]atomic.Int64, 1<<16) // written by the sender, swapped by the reader
 			done := make(chan struct{})
 			var reader sync.WaitGroup
 			reader.Add(1)
@@ -286,10 +305,9 @@ func runOpenLoop(cfg LoadConfig, zone []byte) (LoadResult, error) {
 						continue
 					}
 					id := uint16(resp[0])<<8 | uint16(resp[1])
-					if t0 := sendNs[id]; t0 != 0 {
+					if t0 := sendNs[id].Swap(0); t0 != 0 {
 						r.recv++
 						r.lat = append(r.lat, time.Duration(time.Now().UnixNano()-t0))
-						sendNs[id] = 0
 					}
 				}
 			}()
@@ -311,7 +329,7 @@ func runOpenLoop(cfg LoadConfig, zone []byte) (LoadResult, error) {
 				id := uint16(i)
 				client := netsim.Prefix24(uint32(0x0b0000) + uint32(i%clients))
 				req = AppendQuery(req[:0], id, cfg.Service, cfg.Policy, zone, cfg.qtype(), client)
-				sendNs[id] = time.Now().UnixNano()
+				sendNs[id].Store(time.Now().UnixNano())
 				if _, err := conn.Write(req); err != nil {
 					r.errs++
 				} else {
