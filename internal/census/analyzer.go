@@ -9,6 +9,7 @@ import (
 	"anycastmap/internal/cities"
 	"anycastmap/internal/core"
 	"anycastmap/internal/geo"
+	"anycastmap/internal/platform"
 )
 
 // This file is the incremental analysis engine. The paper re-analyzes
@@ -82,6 +83,10 @@ type AnalyzerStats struct {
 	WitnessDecided int64
 	SplitScanned   int64
 	PairTests      int64
+	// PairsMeasured counts the vantage-point pair distances (haversines)
+	// this analyzer had to compute for its distance matrix: a pair some
+	// earlier analysis of the process already read costs none.
+	PairsMeasured int64
 	// LastDirty is the dirty-set size of the most recent update.
 	LastDirty int
 }
@@ -103,17 +108,20 @@ func (s AnalyzerStats) CertHitRate() float64 {
 // safe for concurrent Update calls.
 //
 // The contract with the caller: across Update calls the Combined must
-// keep the same target list, vantage points may only be appended, and
-// every target whose measurement set changed in any way must appear in
-// dirty. Campaign.AnalyzeDirty maintains exactly this.
+// keep the same target list, and every target whose measurement set
+// changed in any way — a new sample, a vantage point appended, a slot
+// now held by a vantage point somewhere else — must appear in dirty.
+// Campaign.AnalyzeDirty maintains exactly this (its campaigns only ever
+// append vantage points). The distance matrix itself follows the
+// coordinates on every Update, whatever the caller does.
 type Analyzer struct {
 	db  *cities.DB
 	cfg AnalyzerConfig
 
 	idx    *cities.Index
 	c      *Combined
-	vpDist []float64
-	nVP    int
+	vpLocs []geo.Coord // the vantage points' coordinates, by slot
+	vpDist []float64   // their pairwise distances, row-major
 
 	results []*core.Result
 	certs   []certEntry
@@ -171,26 +179,36 @@ func (a *Analyzer) bind(c *Combined) {
 		copy(certs, a.certs)
 		a.certs = certs
 	}
-	if nVP := len(c.VPs); nVP != a.nVP {
+	if !a.sameVPs(c.VPs) {
 		// Every disk the detector sees is centered at a vantage point, so
 		// one VP-pair distance matrix replaces the per-target haversines
-		// that dominate detection. The matrix is row-major with stride
-		// nVP, so VP growth recomputes it whole — n(n-1)/2 haversines
-		// (~43k for the 294 VPs of two PlanetLab rounds) between points
-		// prepared once per VP, amortized over every round and target.
-		a.nVP = nVP
-		a.vpDist = make([]float64, nVP*nVP)
-		pts := make([]geo.Point, nVP)
-		for i, vp := range c.VPs {
-			pts[i] = geo.Prepare(vp.Loc)
+		// that dominate detection. It is resolved from the coordinates on
+		// every bind — a vantage point appended, or a different one in an
+		// old slot, rebuilds it — and filled from the process-wide table
+		// (vpdist.go): the matrix is row-major with stride nVP, so it is
+		// copied out whole, but only the pairs no analysis of this process
+		// has held together cost a haversine.
+		a.vpLocs = a.vpLocs[:0]
+		for _, vp := range c.VPs {
+			a.vpLocs = append(a.vpLocs, vp.Loc)
 		}
-		for i := 0; i < nVP; i++ {
-			for j := i + 1; j < nVP; j++ {
-				d := geo.PointDistanceKm(pts[i], pts[j])
-				a.vpDist[i*nVP+j], a.vpDist[j*nVP+i] = d, d
-			}
+		a.vpDist = make([]float64, len(c.VPs)*len(c.VPs))
+		a.stats.PairsMeasured += vpDistances.fill(a.vpDist, a.vpLocs)
+	}
+}
+
+// sameVPs reports whether vps sit, slot for slot, at the coordinates the
+// distance matrix was built for.
+func (a *Analyzer) sameVPs(vps []platform.VP) bool {
+	if len(vps) != len(a.vpLocs) {
+		return false
+	}
+	for i, vp := range vps {
+		if keyOf(vp.Loc) != keyOf(a.vpLocs[i]) {
+			return false
 		}
 	}
+	return true
 }
 
 // run analyzes the listed targets (every target when all is set; list is
@@ -228,7 +246,7 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 			defer wg.Done()
 			var st AnalyzerStats
 			s := a.newScan()
-			ms := make([]core.Measurement, 0, a.nVP)
+			ms := make([]core.Measurement, 0, len(a.vpLocs))
 			for {
 				lo := int(cursor.Add(int64(grain))) - grain
 				if lo >= n {
@@ -271,7 +289,7 @@ func (a *Analyzer) run(list []int, all, useCerts bool) {
 // matrix: every disk of a target is centered at a vantage point, so disk
 // i's distances are the matrix row of its VP slot.
 func (a *Analyzer) newScan() *core.Scan {
-	nVP := a.nVP
+	nVP := len(a.vpLocs)
 	return &core.Scan{Row: func(slot int) []float64 { return a.vpDist[slot*nVP : (slot+1)*nVP] }}
 }
 

@@ -21,14 +21,7 @@ func synthRuns(rounds, nVPs, nTargets int) []*Run {
 	for t := range targets {
 		targets[t] = netsim.IP(1<<24 + t<<8 + 1)
 	}
-	vps := make([]platform.VP, nVPs)
-	for v := range vps {
-		// Spread the hosts over the globe so the analysis benchmarks see
-		// non-degenerate disk geometry (co-located VPs would make every
-		// target trivially unicast).
-		vps[v] = platform.VP{ID: v, Name: "vp", LoadFactor: 1,
-			Loc: geo.Coord{Lat: float64(v*29%140) - 70, Lon: float64(v*67%360) - 180}}
-	}
+	vps := spreadVPs(nVPs)
 	runs := make([]*Run, rounds)
 	for r := range runs {
 		rttus := make([][]int32, nVPs)
@@ -48,6 +41,18 @@ func synthRuns(rounds, nVPs, nTargets int) []*Run {
 		runs[r] = &Run{Round: uint64(r + 1), VPs: vps, Targets: targets, RTTus: rttus, Greylist: prober.NewGreylist()}
 	}
 	return runs
+}
+
+// spreadVPs spreads n hosts over the globe so the analysis benchmarks see
+// non-degenerate disk geometry (co-located VPs would make every target
+// trivially unicast).
+func spreadVPs(n int) []platform.VP {
+	vps := make([]platform.VP, n)
+	for v := range vps {
+		vps[v] = platform.VP{ID: v, Name: "vp", LoadFactor: 1,
+			Loc: geo.Coord{Lat: float64(v*29%140) - 70, Lon: float64(v*67%360) - 180}}
+	}
+	return vps
 }
 
 // BenchmarkCombine measures the minimum-RTT merge of a four-census campaign
@@ -102,6 +107,64 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 			b.Fatal("no anycast detected")
 		}
 	}
+}
+
+// BenchmarkAnalyzeAllSampled is AnalyzeAll at the shape of the repository
+// benchmark's census-dense rep: 400 vantage points, 6 anycast and 60 unicast
+// targets, where what an analysis costs before its first target - the
+// VP-pair distance matrix - outweighs the targets. warm repeats one VP list,
+// so after the first iteration every pair comes out of the process-wide
+// table; cold moves every vantage point a centimetre per iteration, so no
+// pair is ever found there and each iteration measures all 79,800, as every
+// AnalyzeAll did before the table existed.
+func BenchmarkAnalyzeAllSampled(b *testing.B) {
+	const nVPs, nAnycast, nUnicast = 400, 6, 60
+	db := cities.Default()
+	for _, mode := range []string{"cold", "warm"} {
+		b.Run(mode, func(b *testing.B) {
+			c := sampledCensus(b, nVPs, nAnycast, nUnicast)
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if mode == "cold" {
+					for v := range c.VPs {
+						c.VPs[v].Loc.Lat += 1e-7
+					}
+				}
+				if out := AnalyzeAll(db, c, core.Options{}, 2, 0); len(out) != nAnycast {
+					b.Fatalf("%d anycast targets detected, want %d", len(out), nAnycast)
+				}
+			}
+		})
+	}
+}
+
+// sampledCensus fabricates one round from nVPs spread vantage points over
+// nAnycast anycast targets followed by nUnicast unicast ones. Hosts sit at
+// vantage-point locations and a reply costs 1.5x the fiber propagation plus
+// 2 ms; anycast target t answers from the nearest of t+2 far-apart sites.
+func sampledCensus(tb testing.TB, nVPs, nAnycast, nUnicast int) *Combined {
+	vps := spreadVPs(nVPs)
+	rtt := func(v, t int) int32 {
+		sites := 1
+		if t < nAnycast {
+			sites = t + 2
+		}
+		best := int32(1 << 30)
+		for s := 0; s < sites; s++ {
+			host := vps[(t*53+s*(nVPs/sites))%nVPs].Loc
+			us := int32(1.5*float64(geo.PropagationRTT(vps[v].Loc, host).Microseconds())) + 2_000
+			if us < best {
+				best = us
+			}
+		}
+		return best
+	}
+	c, err := Combine(handRun(1, vps, nAnycast+nUnicast, rtt))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // BenchmarkAnalyzerUpdateDirty5pct measures one incremental round against a
