@@ -3,6 +3,7 @@ package netsim
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/platform"
@@ -120,5 +121,31 @@ func BenchmarkProbeSpanSession(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(span.targets)), "ns/target")
 			})
 		}
+	}
+}
+
+// BenchmarkBuildSession measures what a vantage point costs before its
+// first probe: one session build - every deployment's catchment ranked and
+// its RTT bases drawn - for a PlanetLab and a RIPE Atlas vantage point.
+// B/op counts the build's scratch too; B/session is what stays resident
+// per vantage point for the life of the world.
+func BenchmarkBuildSession(b *testing.B) {
+	w, _, _ := benchSetup(b)
+	for _, p := range []struct {
+		name string
+		vp   platform.VP
+	}{
+		{"planetlab", platform.PlanetLab(cities.Default()).VPs()[0]},
+		{"ripe", platform.RIPEAtlas(cities.Default()).VPs()[0]},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s vpSession
+			for i := 0; i < b.N; i++ {
+				s = vpSession{}
+				w.buildSession(&s, p.vp)
+			}
+			b.ReportMetric(float64(unsafe.Sizeof(s)+uintptr(cap(s.cands))*unsafe.Sizeof(candSet{})), "B/session")
+		})
 	}
 }

@@ -324,7 +324,7 @@ func (w *World) servingReplicaSlow(vp platform.VP, d *Deployment, round uint64) 
 // always contains the answering endpoint.
 func (w *World) pathRTT(vp platform.VP, endpointKey uint64, loc geo.Coord, subKey uint64, target IP, round uint64) time.Duration {
 	vpSt := w.vpState(vp)
-	base := w.rttBaseMsDist(vpSt, endpointKey, geo.DistanceKm(vp.Loc, loc), subKey, w.vpAccessMs(vpSt))
+	base := w.rttBaseMsDist(vpSt, endpointKey, geo.DistanceKm(vp.Loc, loc), subKey, w.vpAccessMs(vpSt), w.endpointAccessMs(endpointKey, subKey))
 	return w.rttFromBaseMs(base, vp.LoadFactor, probeState(vpSt, target, round))
 }
 
@@ -363,12 +363,21 @@ func (w *World) vpAccessMs(vpSt detrand.State) float64 {
 	return 0.2 + w.cfg.AccessMs*vpSt.With(0xB71).Unit()
 }
 
+// endpointAccessMs is the endpoint's half of the access-latency term:
+// server-side processing, a property of the endpoint alone - no vantage
+// point enters the draw, so New tabulates it per replica
+// (Deployment.endAccess) and the reference path computes it per call.
+func (w *World) endpointAccessMs(endpointKey, subKey uint64) float64 {
+	return w.cfg.AccessMs * 0.5 * w.seedSt.With(endpointKey).With(subKey).With(0xB72).Unit()
+}
+
 // rttBaseMsDist is the probe-invariant part of the RTT model: propagation
 // along the stretched path plus access latency at both ends. The float
 // expressions are associated exactly as the pre-memoization code wrote
 // them, so a cached base plus live jitter reproduces the original RTT bit
-// for bit. vpSt is the vantage point's vpState.
-func (w *World) rttBaseMsDist(vpSt detrand.State, endpointKey uint64, distKm float64, subKey uint64, vpAccess float64) float64 {
+// for bit. vpSt is the vantage point's vpState, vpAccess its vpAccessMs
+// and endAccess the endpoint's endpointAccessMs.
+func (w *World) rttBaseMsDist(vpSt detrand.State, endpointKey uint64, distKm float64, subKey uint64, vpAccess, endAccess float64) float64 {
 	propMs := 2 * distKm / geo.FiberSpeedKmPerMs
 
 	// Path stretch is a stable property of the (vantage, endpoint) pair.
@@ -377,9 +386,8 @@ func (w *World) rttBaseMsDist(vpSt detrand.State, endpointKey uint64, distKm flo
 		stretch = 3.0
 	}
 
-	// Access latency: last mile at the VP plus server-side processing,
-	// a property of the endpoint alone.
-	accessMs := vpAccess + 0.1 + w.cfg.AccessMs*0.5*w.seedSt.With(endpointKey).With(subKey).With(0xB72).Unit()
+	// Access latency: last mile at the VP plus server-side processing.
+	accessMs := vpAccess + 0.1 + endAccess
 
 	return propMs*stretch + accessMs
 }

@@ -43,13 +43,18 @@ type sessionKey struct {
 }
 
 // candSet is the cached catchment of one (vantage point, deployment) pair:
-// the three nearest replicas in rank order and the probe-invariant part of
-// the RTT toward each.
+// the three nearest replicas in rank order, the probe-invariant part of
+// the RTT toward each, and which of them answers while the catchment does
+// not flap. 32 bytes: a session is one of these per deployment.
 type candSet struct {
-	baseMs [3]float64 // rttBaseMs toward idx[k]; meaningful where idx[k] >= 0
-	idx    [3]int32   // k-th nearest replica index into d.Replicas, -1 if absent
-	u      float64    // stable base-selection draw (0xB69)
+	baseMs [3]float64 // rttBaseMsDist toward idx[k]; meaningful where idx[k] >= 0
+	idx    [3]int16   // k-th nearest replica index into d.Replicas, -1 if absent
+	rank   uint8      // selectRank of the stable base-selection draw (0xB69)
 }
+
+// maxReplicas is the longest replica list candSet.idx can index; New
+// refuses a deployment beyond it.
+const maxReplicas = math.MaxInt16
 
 // vpSession holds everything probe-invariant about one vantage point. It
 // deliberately carries no per-unicast-/24 state: unicast RTT bases are
@@ -88,81 +93,87 @@ func (w *World) session(vp platform.VP) *vpSession {
 }
 
 // buildSession ranks every deployment's replicas by distance from the
-// vantage point and caches the RTT bases. Replica locations are drawn per
-// (AS, replica ID) and shared across all /24s of the AS, so distances are
-// deduplicated at the AS level: one haversine per (VP, AS replica) instead
-// of one per (VP, prefix replica) - a 4-5x reduction in trigonometry.
+// vantage point and caches the RTT bases. What does not depend on the
+// vantage point is read from the world's replica geometry (World.places,
+// World.rankGroups, Deployment.endAccess), so a build is one haversine per
+// distinct replica place, one three-nearest cascade per distinct replica
+// list and, per deployment, the draws that do mix the vantage point in:
+// the stable catchment draw and one path stretch per kept candidate.
 func (w *World) buildSession(s *vpSession, vp platform.VP) {
 	s.st = w.vpState(vp)
 	s.pt = geo.Prepare(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
 	s.cands = make([]candSet, len(w.deployments))
 
-	asDist := make(map[int][]float64, len(w.anycastByASN))
-	for di, d := range w.deployments {
-		dists := asDist[d.ASN]
-		for _, r := range d.Replicas {
-			for r.ID >= len(dists) {
-				dists = append(dists, -1)
-			}
-			if dists[r.ID] < 0 {
-				dists[r.ID] = geo.PointDistanceKm(s.pt, geo.Prepare(r.Loc))
-			}
-		}
-		asDist[d.ASN] = dists
+	dist := make([]float64, len(w.places))
+	for i, p := range w.places {
+		dist[i] = geo.PointDistanceKm(s.pt, p)
+	}
 
-		// The same strict-< cascade servingReplicaSlow runs, over the
-		// same DistanceKm outputs, so the ranking is bit-identical.
-		type cand struct {
-			idx  int32
-			dist float64
-		}
+	// The same strict-< cascade servingReplicaSlow runs, over the same
+	// DistanceKm outputs in the same Replicas order, so the ranking is
+	// bit-identical.
+	type cand struct {
+		idx  int16
+		dist float64
+	}
+	ranks := make([][3]cand, len(w.rankGroups))
+	for g, slots := range w.rankGroups {
 		best := [3]cand{{-1, math.MaxFloat64}, {-1, math.MaxFloat64}, {-1, math.MaxFloat64}}
-		for i := range d.Replicas {
-			dist := dists[d.Replicas[i].ID]
+		for i, slot := range slots {
+			c := cand{int16(i), dist[slot]}
 			switch {
-			case dist < best[0].dist:
-				best[2], best[1], best[0] = best[1], best[0], cand{int32(i), dist}
-			case dist < best[1].dist:
-				best[2], best[1] = best[1], cand{int32(i), dist}
-			case dist < best[2].dist:
-				best[2] = cand{int32(i), dist}
+			case c.dist < best[0].dist:
+				best[2], best[1], best[0] = best[1], best[0], c
+			case c.dist < best[1].dist:
+				best[2], best[1] = best[1], c
+			case c.dist < best[2].dist:
+				best[2] = c
 			}
 		}
+		ranks[g] = best
+	}
 
+	for di, d := range w.deployments {
+		best := &ranks[d.group]
 		c := &s.cands[di]
-		c.u = s.st.With(uint64(d.Prefix)).With(0xB69).Unit()
-		for k := 0; k < 3; k++ {
-			c.idx[k] = best[k].idx
-			if best[k].idx >= 0 {
-				r := d.Replicas[best[k].idx]
-				c.baseMs[k] = w.rttBaseMsDist(s.st, uint64(d.Prefix), best[k].dist, uint64(r.ID), s.vpAccess)
+		c.rank = uint8(selectRank(s.st.With(uint64(d.Prefix)).With(0xB69).Unit(), best[2].idx >= 0))
+		for k, b := range best {
+			c.idx[k] = b.idx
+			if b.idx >= 0 {
+				c.baseMs[k] = w.rttBaseMsDist(s.st, uint64(d.Prefix), b.dist, uint64(d.Replicas[b.idx].ID), s.vpAccess, d.endAccess[b.idx])
 			}
 		}
 	}
 }
 
-// servingRank picks which cached candidate answers this round. It mirrors
-// the selection thresholds of servingReplicaSlow exactly; only the ranking
-// and the stable 0xB69 draw come from the cache. vpSt is the vantage
-// point's vpState.
-func servingRank(c *candSet, vpSt detrand.State, d *Deployment, round uint64) int {
-	if c.idx[1] < 0 {
-		return 0 // single-replica deployment: no draws, like the slow path
-	}
-	u := c.u
-	if flap := vpSt.With(uint64(d.Prefix)).With(round); flap.With(0xF1A9).Unit() < 0.12 {
-		// Catchment flap: this round routes to a different candidate.
-		u = flap.With(0xB6A).Unit()
-	}
+// selectRank maps a base-selection draw to the rank of the candidate that
+// answers, with the thresholds of servingReplicaSlow. The caller has
+// established that a second candidate exists.
+func selectRank(u float64, hasThird bool) int {
 	switch {
 	case u < 0.70:
 		return 0
-	case u < 0.90 || c.idx[2] < 0:
+	case u < 0.90 || !hasThird:
 		return 1
 	default:
 		return 2
 	}
+}
+
+// servingRank picks which cached candidate answers this round. It mirrors
+// the selection of servingReplicaSlow exactly; only the ranking and the
+// outcome of the stable 0xB69 draw come from the cache. vpSt is the
+// vantage point's vpState.
+func servingRank(c *candSet, vpSt detrand.State, d *Deployment, round uint64) int {
+	if c.idx[1] < 0 {
+		return 0 // single-replica deployment: no draws, like the slow path
+	}
+	if flap := vpSt.With(uint64(d.Prefix)).With(round); flap.With(0xF1A9).Unit() < 0.12 {
+		// Catchment flap: this round routes to a different candidate.
+		return selectRank(flap.With(0xB6A).Unit(), c.idx[2] >= 0)
+	}
+	return int(c.rank)
 }
 
 // unicastBaseMs is the RTT base toward the unicast host's home location:
@@ -170,7 +181,7 @@ func servingRank(c *candSet, vpSt detrand.State, d *Deployment, round uint64) in
 // span resolver — evaluates, so replies stay bit-identical across them.
 func (w *World) unicastBaseMs(s *vpSession, h *unicastHost, p Prefix24) float64 {
 	dist := geo.PointDistanceKm(s.pt, geo.PrepareCos(h.loc, h.cosLat))
-	return w.rttBaseMsDist(s.st, uint64(p), dist, 0, s.vpAccess)
+	return w.rttBaseMsDist(s.st, uint64(p), dist, 0, s.vpAccess, w.endpointAccessMs(uint64(p), 0))
 }
 
 // Span classification codes. Everything a probe's outcome depends on that

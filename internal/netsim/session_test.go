@@ -1,9 +1,12 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/geo"
@@ -16,10 +19,15 @@ func sessionTestWorlds(t testing.TB) (cached, uncached *World) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Unicast24s = 600
+	return sessionWorldPair(cfg)
+}
+
+// sessionWorldPair builds the configured world twice: as configured, and
+// with DisableProbeCache set.
+func sessionWorldPair(cfg Config) (cached, uncached *World) {
 	cached = New(cfg)
 	cfg.DisableProbeCache = true
-	uncached = New(cfg)
-	return cached, uncached
+	return cached, New(cfg)
 }
 
 // sessionTestVPs mixes PlanetLab and RIPE vantage points: the two
@@ -32,57 +40,170 @@ func sessionTestVPs() []platform.VP {
 	return append(vps, ripe[:6]...)
 }
 
-// TestSessionCacheBitIdentical is the tentpole's contract: every probe
-// reply - kind and RTT, anycast and unicast, ICMP, TCP and DNS - is
-// bit-identical with the memoization on or off.
+// TestSessionCacheBitIdentical is the memoization's contract: every probe
+// reply - kind and RTT, anycast and unicast, ICMP, TCP and DNS - and every
+// replica selection is bit-identical with the memoization on or off. It
+// runs over the world shapes the session's tables depend on: the seed
+// (every draw), the epoch (drifted footprints), the deployment inflation
+// (longer replica lists, up to the whole datacenter pool).
 func TestSessionCacheBitIdentical(t *testing.T) {
-	cached, uncached := sessionTestWorlds(t)
 	vps := sessionTestVPs()
+	for _, shape := range []struct {
+		name      string
+		seed      uint64
+		epoch     uint64
+		inflation float64
+	}{
+		{"default", 2015, 0, 1},
+		{"seed 7", 7, 0, 1},
+		{"epoch 2", 2015, 2, 1},
+		{"inflation 2", 2015, 0, 2},
+		{"seed 7, epoch 2, inflation 2", 7, 2, 2},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Unicast24s = 600
+			cfg.Seed, cfg.Epoch, cfg.DeploymentInflation = shape.seed, shape.epoch, shape.inflation
+			cached, uncached := sessionWorldPair(cfg)
 
-	var targets []IP
-	cached.Prefixes(func(p Prefix24) {
-		if ip, _ := cached.Representative(p); ip != 0 {
-			targets = append(targets, ip)
-		}
-	})
-	if len(targets) < 2000 {
-		t.Fatalf("expected >2000 targets, got %d", len(targets))
-	}
-
-	for _, vp := range vps {
-		for ti, target := range targets {
-			for round := uint64(1); round <= 3; round++ {
-				got, want := cached.ProbeICMP(vp, target, round), uncached.ProbeICMP(vp, target, round)
-				if got != want {
-					t.Fatalf("ICMP vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
+			var targets []IP
+			cached.Prefixes(func(p Prefix24) {
+				if ip, _ := cached.Representative(p); ip != 0 {
+					targets = append(targets, ip)
 				}
-				// TCP and DNS are cheaper to spot-check on a slice.
-				if ti%7 == 0 {
-					got, want = cached.ProbeTCP(vp, target, 80, round), uncached.ProbeTCP(vp, target, 80, round)
-					if got != want {
-						t.Fatalf("TCP vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
-					}
-					got, want = cached.ProbeDNSUDP(vp, target, round), uncached.ProbeDNSUDP(vp, target, round)
-					if got != want {
-						t.Fatalf("DNS vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
+			})
+			if len(targets) < 2000 {
+				t.Fatalf("expected >2000 targets, got %d", len(targets))
+			}
+
+			for _, vp := range vps {
+				for ti, target := range targets {
+					for round := uint64(1); round <= 3; round++ {
+						got, want := cached.ProbeICMP(vp, target, round), uncached.ProbeICMP(vp, target, round)
+						if got != want {
+							t.Fatalf("ICMP vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
+						}
+						// TCP and DNS are cheaper to spot-check on a slice.
+						if ti%7 == 0 {
+							got, want = cached.ProbeTCP(vp, target, 80, round), uncached.ProbeTCP(vp, target, 80, round)
+							if got != want {
+								t.Fatalf("TCP vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
+							}
+							got, want = cached.ProbeDNSUDP(vp, target, round), uncached.ProbeDNSUDP(vp, target, round)
+							if got != want {
+								t.Fatalf("DNS vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
+							}
+						}
 					}
 				}
 			}
+
+			// Every deployment - pinned footprints, two-replica
+			// fallbacks and replica lists shared within an AS included -
+			// selects the same replica (the CHAOS/ground-truth path) and
+			// answers TCP, on a port its AS really has open, and DNS the
+			// same; the sweep above had every representative's ICMP.
+			pinned, pairs := 0, 0
+			lists := map[string]bool{}
+			for _, d := range cached.Deployments() {
+				if as, ok := cached.Registry.ByASN(d.ASN); ok && pinnedFootprints[as.Name] != nil {
+					pinned++
+				}
+				if len(d.Replicas) == 2 {
+					pairs++
+				}
+				list := fmt.Sprint(d.ASN)
+				for _, r := range d.Replicas {
+					list += fmt.Sprint(" ", r.ID)
+				}
+				lists[list] = true
+
+				port := uint16(80)
+				if set, ok := cached.Services.ByASN(d.ASN); ok && set.Len() > 0 {
+					port = set.OpenPorts()[0]
+				}
+				for _, vp := range vps {
+					for round := uint64(1); round <= 3; round++ {
+						got, _ := cached.ServingReplica(vp, d.Prefix, round)
+						want, _ := uncached.ServingReplica(vp, d.Prefix, round)
+						if got.ID != want.ID || got.Loc != want.Loc {
+							t.Fatalf("ServingReplica vp=%s prefix=%v round=%d: cached %v, uncached %v", vp.Name, d.Prefix, round, got.ID, want.ID)
+						}
+						same := func(proto string, got, want Reply) {
+							t.Helper()
+							if got != want {
+								t.Fatalf("%s vp=%s %v round=%d: cached %+v, uncached %+v", proto, vp.Name, d, round, got, want)
+							}
+						}
+						same("TCP", cached.ProbeTCP(vp, d.rep, port, round), uncached.ProbeTCP(vp, d.rep, port, round))
+						same("DNS", cached.ProbeDNSUDP(vp, d.rep, round), uncached.ProbeDNSUDP(vp, d.rep, round))
+					}
+				}
+			}
+			if pinned == 0 || pairs == 0 || len(lists) == len(cached.Deployments()) {
+				t.Fatalf("world lacks a shape under test: %d pinned, %d two-replica, %d distinct lists of %d deployments",
+					pinned, pairs, len(lists), len(cached.Deployments()))
+			}
+		})
+	}
+}
+
+// TestBuildSessionAllocs pins a session build to a handful of allocations
+// - the session's candSet slab and the build's scratch - whatever the
+// world holds: 1,696 deployments allocate as often as their longer-listed
+// DeploymentInflation 2 twins, not once per deployment or per AS.
+func TestBuildSessionAllocs(t *testing.T) {
+	vp := sessionTestVPs()[0]
+	for _, inflation := range []float64{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Unicast24s = 600
+		cfg.DeploymentInflation = inflation
+		w := New(cfg)
+		allocs := testing.AllocsPerRun(10, func() {
+			var s vpSession
+			w.buildSession(&s, vp)
+		})
+		if allocs > 8 {
+			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 8", inflation, allocs, len(w.deployments))
+		}
+	}
+}
+
+// TestReplicaIndexWidth holds candSet to its 32 bytes and the replica
+// lists the world can produce to the width of candSet.idx: every list is a
+// subset of the datacenter pool or a pinned footprint, and New refuses a
+// longer one by name where a narrowing conversion would wrap silently.
+func TestReplicaIndexWidth(t *testing.T) {
+	if size := unsafe.Sizeof(candSet{}); size != 32 {
+		t.Errorf("candSet is %d bytes, want 32", size)
+	}
+	var c candSet
+	c.idx[0] = maxReplicas - 1 // the last index New lets through must fit
+	if len(dcPool) > maxReplicas {
+		t.Errorf("dcPool has %d cities, candSet.idx indexes %d replicas", len(dcPool), maxReplicas)
+	}
+	for name, footprint := range pinnedFootprints {
+		if len(footprint) > maxReplicas {
+			t.Errorf("%s pins %d replicas, candSet.idx indexes %d", name, len(footprint), maxReplicas)
 		}
 	}
 
-	// Replica selection (the CHAOS/ground-truth path) agrees too.
-	for _, vp := range vps[:4] {
-		for _, d := range cached.Deployments() {
-			for round := uint64(1); round <= 3; round++ {
-				got, _ := cached.ServingReplica(vp, d.Prefix, round)
-				want, _ := uncached.ServingReplica(vp, d.Prefix, round)
-				if got.ID != want.ID || got.Loc != want.Loc {
-					t.Fatalf("ServingReplica vp=%s prefix=%v round=%d: cached %v, uncached %v", vp.Name, d.Prefix, round, got.ID, want.ID)
-				}
-			}
-		}
+	saved := pinnedFootprints["OPENDNS,US"]
+	defer func() { pinnedFootprints["OPENDNS,US"] = saved }()
+	wide := make([][2]string, maxReplicas+1)
+	for i := range wide {
+		wide[i] = saved[i%len(saved)]
 	}
+	pinnedFootprints["OPENDNS,US"] = wide
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "replicas") || !strings.Contains(msg, "candSet.idx") {
+			t.Errorf("New on a %d-replica deployment: recovered %q, want a panic naming the replica count and candSet.idx", len(wide), msg)
+		}
+	}()
+	cfg := DefaultConfig()
+	cfg.Unicast24s = 600
+	New(cfg)
 }
 
 // TestSessionCacheHijackBypass verifies the cache interplay with injected

@@ -12,6 +12,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -120,9 +121,13 @@ type Deployment struct {
 
 	// idx is this deployment's position in World.deployments (and in the
 	// per-VP session caches); rep is the precomputed hitlist
-	// representative. Both are set by New.
-	idx int32
-	rep IP
+	// representative. group is the deployment's rank group
+	// (World.rankGroups) and endAccess[i] the endpoint half of the access
+	// latency toward Replicas[i] (endpointAccessMs). All are set by New.
+	idx       int32
+	rep       IP
+	group     int32
+	endAccess []float64
 }
 
 func (d *Deployment) String() string {
@@ -178,6 +183,15 @@ type World struct {
 
 	deployments []*Deployment
 	unicast     []unicastHost
+
+	// Replica geometry, the vantage-point-independent half of a session
+	// build (see buildSession). places holds every distinct replica
+	// location of the world, prepared: one slot per (AS, replica), shared
+	// by all /24s of the AS. rankGroups[g] lists, in Replicas order, the
+	// places of one distinct replica list; deployments announcing the
+	// same list (Deployment.group) rank the same from any vantage point.
+	places     []geo.Point
+	rankGroups [][]int32
 
 	// byPrefix maps a /24 to its object: values >= 0 index deployments,
 	// values < 0 encode -(unicastIndex+1).
@@ -287,8 +301,14 @@ func New(cfg Config) *World {
 
 	// Instantiate deployments AS by AS, in registry order.
 	slotCursor := 0
+	groupOf := make(map[string]int32) // replica list, as place-slot bytes -> rank group
 	for _, as := range w.Registry.All() {
 		asReplicas := w.buildASReplicaSet(as)
+		// Replica i of the AS (Replica.ID == i) is place placeBase+i.
+		placeBase := len(w.places)
+		for _, r := range asReplicas {
+			w.places = append(w.places, geo.Prepare(r.Loc))
+		}
 		_, pinned := pinnedFootprints[as.Name]
 		for p := 0; p < as.IP24s; p++ {
 			prefix := basePrefix + Prefix24(anycastSlots[slotCursor])
@@ -307,6 +327,7 @@ func New(cfg Config) *World {
 				// Anycast infrastructure: a low, alive host address.
 				rep: prefix.Host(byte(1 + detrand.Intn(32, cfg.Seed, uint64(prefix), 0x4E01))),
 			}
+			w.indexReplicas(d, placeBase, groupOf)
 			w.byPrefix[prefix] = int32(len(w.deployments))
 			w.deployments = append(w.deployments, d)
 			w.anycastByASN[as.ASN] = append(w.anycastByASN[as.ASN], d)
@@ -327,6 +348,32 @@ func New(cfg Config) *World {
 		w.byPrefix[prefix] = int32(-(idx + 1))
 	}
 	return w
+}
+
+// indexReplicas ties a new deployment of the AS whose replicas start at
+// places[placeBase] into the world's replica geometry: its rank group (a
+// new one unless groupOf knows the replica list already) and the endpoint
+// access halves. It panics on a replica list a session could not index.
+func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]int32) {
+	if len(d.Replicas) > maxReplicas {
+		panic(fmt.Sprintf("netsim: %v of AS%d announces %d replicas; a session indexes at most %d (candSet.idx)",
+			d.Prefix, d.ASN, len(d.Replicas), maxReplicas))
+	}
+	slots := make([]int32, len(d.Replicas))
+	key := make([]byte, 0, 4*len(d.Replicas))
+	d.endAccess = make([]float64, len(d.Replicas))
+	for i, r := range d.Replicas {
+		slots[i] = int32(placeBase + r.ID)
+		key = binary.LittleEndian.AppendUint32(key, uint32(slots[i]))
+		d.endAccess[i] = w.endpointAccessMs(uint64(d.Prefix), uint64(r.ID))
+	}
+	group, ok := groupOf[string(key)]
+	if !ok {
+		group = int32(len(w.rankGroups))
+		groupOf[string(key)] = group
+		w.rankGroups = append(w.rankGroups, slots)
+	}
+	d.group = group
 }
 
 // Config returns the world configuration.
