@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale analyze-smoke cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build fmt-check vet test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale analyze-smoke cluster-smoke metrics-smoke route-smoke profile
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when gofmt would rewrite any file of the repository,
+# bench/ (its own module, which go vet ./... never sees) included.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -21,7 +26,7 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-verify: vet build race
+verify: fmt-check vet build race
 
 # bench runs the probe-path (distance kernel, hash states, city index,
 # span resolution), prober, detection-kernel, census, fleet (a lease's
@@ -151,14 +156,17 @@ metrics-smoke:
 route-smoke:
 	./scripts/route_smoke.sh
 
-# profile captures CPU and heap profiles of a full census run, and
-# probe.pprof, the CPU profile of the prober's dense-span loop alone
-# (BenchmarkProberRun) - the attribution in DESIGN.md "What a probe costs".
+# profile captures CPU and heap profiles of a full census run, and two
+# single-loop CPU profiles: probe.pprof, the prober's dense-span loop alone
+# (BenchmarkProberRun) - the attribution in DESIGN.md "What a probe costs" -
+# and session.pprof, one vantage point's session build alone
+# (BenchmarkBuildSession) - the one behind "What a vantage point costs".
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof -top probe.pprof`.
 profile:
 	$(GO) run ./cmd/census -unicast24s 8000 -censuses 2 -cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) test -run '^$$' -bench ProberRun -cpuprofile probe.pprof -o prober.test ./internal/prober
+	$(GO) test -run '^$$' -bench BuildSession -cpu 1 -cpuprofile session.pprof -o netsim.test ./internal/netsim
 
 clean:
 	$(GO) clean ./...
-	rm -f cpu.pprof mem.pprof probe.pprof prober.test
+	rm -f cpu.pprof mem.pprof probe.pprof prober.test session.pprof netsim.test

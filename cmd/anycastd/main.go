@@ -15,6 +15,10 @@
 // refresh answer from the previous snapshot. SIGINT/SIGTERM drain the
 // server gracefully.
 //
+// With -admin ADDR a second, private listener serves /metrics again and
+// the Go runtime's profiles under /debug/pprof/; the public listener never
+// does.
+//
 // With -dns ADDR the daemon also serves the DNS/UDP routing front-end
 // (package route): A/TXT queries for <a>.<b>.<c>.<zone> steer clients
 // to deployment replicas under the census-informed policy chain.
@@ -24,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os/signal"
 	"syscall"
@@ -36,6 +41,7 @@ import (
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/obs"
+	"anycastmap/internal/obs/admin"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 	"anycastmap/internal/route"
@@ -44,6 +50,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address")
+	adminAddr := flag.String("admin", "", "serve GET /metrics and /debug/pprof/ on this private address (empty = disabled)")
 	dnsAddr := flag.String("dns", "", "serve the DNS/UDP routing front-end on this address (empty = disabled)")
 	dnsListeners := flag.Int("dns-listeners", 0, "SO_REUSEPORT UDP listeners for the routing front-end (0 = GOMAXPROCS)")
 	dnsZone := flag.String("dns-zone", route.DefaultZone, "zone suffix the routing front-end answers for")
@@ -118,6 +125,23 @@ func main() {
 	reg := obs.NewRegistry()
 	prober.DefaultMetrics.Register(reg)
 	prober.RegisterGreylistGauge(reg, black, "blacklist")
+
+	// The optional admin listener adds the runtime's profiles, which the
+	// public listener never serves. It is up before the first census, so
+	// the synchronous initial build can be profiled too.
+	if *adminAddr != "" {
+		ln, err := net.Listen("tcp", *adminAddr)
+		if err != nil {
+			log.Fatalf("admin listen: %v", err)
+		}
+		srv := &http.Server{Handler: admin.Mux(reg), ReadHeaderTimeout: 5 * time.Second}
+		go func() {
+			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+				log.Printf("admin server: %v", err)
+			}
+		}()
+		log.Printf("admin on http://%s/ (/metrics, /debug/pprof/)", ln.Addr())
+	}
 
 	src := &store.CensusSource{
 		World:       world,

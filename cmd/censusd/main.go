@@ -36,6 +36,7 @@ import (
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/obs"
+	"anycastmap/internal/obs/admin"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 )
@@ -64,7 +65,7 @@ func main() {
 	shardTargets := flag.Int("shard-targets", 0, "lease width in targets (0 = 16384, the in-process executor's span width)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "how long an agent may hold a lease")
 	heartbeat := flag.Duration("heartbeat", time.Second, "agent heartbeat interval")
-	metricsAddr := flag.String("metrics", "", "coordinator modes: serve GET /metrics on this admin address")
+	metricsAddr := flag.String("metrics", "", "coordinator modes: serve GET /metrics and /debug/pprof/ on this admin address")
 
 	// Failure weather (local mode).
 	churnEvery := flag.Int("churn-every", 0, "kill each agent's connection after this many row frames")
@@ -148,8 +149,8 @@ func main() {
 	}
 
 	// The optional admin listener exposes the coordinator's view of the
-	// census in Prometheus text: prober, campaign/analyzer and cluster
-	// control-plane series.
+	// census in Prometheus text - prober, campaign/analyzer and cluster
+	// control-plane series - and the runtime's profiles.
 	var censusMetrics *census.Metrics
 	var clusterMetrics *cluster.Metrics
 	if *metricsAddr != "" {
@@ -162,15 +163,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+		srv := &http.Server{Handler: admin.Mux(reg), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				log.Printf("metrics server: %v", err)
 			}
 		}()
-		log.Printf("metrics on http://%s/metrics", ln.Addr())
+		log.Printf("metrics on http://%s/metrics, profiles under /debug/pprof/", ln.Addr())
 	}
 
 	ccfg := census.Config{Seed: *seed, Rate: *rate, MaxAttempts: *retries, RetryBackoff: *retryBackoff}

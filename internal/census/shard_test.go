@@ -254,7 +254,7 @@ func TestShardRowsEncodeRejectsBadShapes(t *testing.T) {
 	for _, sr := range []*ShardRows{
 		{Lo: 5, Hi: 3},
 		{Lo: -1, Hi: 3},
-		{Lo: 0, Hi: 2, Slots: []int{0}},                                                        // missing row
+		{Lo: 0, Hi: 2, Slots: []int{0}}, // missing row
 		{Lo: 0, Hi: 2, Slots: []int{0}, RTTus: [][]int32{{1}}},                                 // narrow row
 		{Lo: 0, Hi: 2, Slots: []int{-1}, RTTus: [][]int32{{1, 2}}},                             // negative slot
 		{Lo: 0, Hi: 2, Slots: []int{0}, RTTus: [][]int32{{1, 2}}, Stats: []ShardStats{{}, {}}}, // stats mismatch
@@ -301,8 +301,8 @@ func TestDecodeShardRowsHostile(t *testing.T) {
 
 	hostile := [][]byte{
 		[]byte("ACMS9\n"),
-		append([]byte(ShardFrameMagic), 0x01),                                     // bad flags
-		append([]byte(ShardFrameMagic), 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0), // giant width, no payload
+		append([]byte(ShardFrameMagic), 0x01), // bad flags
+		append([]byte(ShardFrameMagic), 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0),    // giant width, no payload
 		append([]byte(ShardFrameMagic), 0, 1, 0, 4, 0, 0xff, 0xff, 0xff, 0xff, 0x0f), // giant row count
 	}
 	for i, b := range hostile {

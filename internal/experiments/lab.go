@@ -57,15 +57,15 @@ func DefaultLabConfig() LabConfig {
 type Lab struct {
 	Config LabConfig
 
-	World    *netsim.World
-	Cities   *cities.DB
-	PL       *platform.Platform
-	RIPE     *platform.Platform
-	Table    *bgp.Table
-	Full     *hitlist.Hitlist // before pruning
-	Hitlist  *hitlist.Hitlist // pruned per-VP target list
-	Black    *prober.Greylist
-	Runs     []*census.Run // individual rounds; nil when Config.DiscardRuns
+	World   *netsim.World
+	Cities  *cities.DB
+	PL      *platform.Platform
+	RIPE    *platform.Platform
+	Table   *bgp.Table
+	Full    *hitlist.Hitlist // before pruning
+	Hitlist *hitlist.Hitlist // pruned per-VP target list
+	Black   *prober.Greylist
+	Runs    []*census.Run // individual rounds; nil when Config.DiscardRuns
 
 	Combined *census.Combined
 	Outcomes []census.Outcome

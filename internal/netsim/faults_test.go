@@ -3,6 +3,8 @@ package netsim
 import (
 	"strings"
 	"testing"
+
+	"anycastmap/internal/geo"
 )
 
 func TestFaultConfigValidate(t *testing.T) {
@@ -207,6 +209,91 @@ func TestWorldWithFaults(t *testing.T) {
 	w.InstallFaults(p)
 	if w.Faults() != p {
 		t.Error("InstallFaults did not install the plan")
+	}
+}
+
+// TestHijackVisibleThroughViews holds WithFaults views to one hijack table:
+// a hijack injected or cleared on either side, before or after the view was
+// taken, is seen on both sides, and both route the hijacked prefix alike.
+// (The table used to be allocated by the first InjectHijack, so a view
+// taken before it kept a nil map of its own.)
+func TestHijackVisibleThroughViews(t *testing.T) {
+	vps := sessionTestVPs()
+	hijacker := geo.Coord{Lat: -33.9, Lon: 151.2}
+	for _, tc := range []struct {
+		name        string
+		earlier     bool // another hijack is live before the view is taken
+		beforeView  bool // the hijack under test is injected before the view
+		throughView bool // ...or through the view, not the parent
+	}{
+		{name: "before the view", beforeView: true},
+		{name: "after the view, the world's first"},
+		{name: "after the view, the world's second", earlier: true},
+		{name: "through the view, the world's first", throughView: true},
+		{name: "through the view, the world's second", earlier: true, throughView: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, _ := sessionTestWorlds(t)
+			var victims []IP
+			w.Prefixes(func(p Prefix24) {
+				if ip, alive := w.Representative(p); len(victims) < 2 && alive && !w.IsAnycast(p) && w.ProbeICMP(vps[0], ip, 1).OK() {
+					victims = append(victims, ip)
+				}
+			})
+			if len(victims) < 2 {
+				t.Fatal("no two responsive unicast /24s found")
+			}
+			target, prefix := victims[0], victims[0].Prefix()
+			inject := func(on *World, p Prefix24) {
+				t.Helper()
+				if err := on.InjectHijack(p, hijacker, 1.0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// same reports both sides' view of the hijack and holds their
+			// replies, ad hoc and through a span, to each other.
+			same := func(when string, view *World, want bool) {
+				t.Helper()
+				if w.isHijacked(prefix) != want || view.isHijacked(prefix) != want {
+					t.Fatalf("%s: parent sees hijack=%v, view sees %v, want %v", when, w.isHijacked(prefix), view.isHijacked(prefix), want)
+				}
+				for _, vp := range vps {
+					ws, vs := w.ProbeSpanSession(vp, []IP{target}), view.ProbeSpanSession(vp, []IP{target})
+					for round := uint64(1); round <= 3; round++ {
+						if a, b := w.ProbeICMP(vp, target, round), view.ProbeICMP(vp, target, round); a != b {
+							t.Fatalf("%s: vp=%s round=%d: parent %+v, view %+v", when, vp.Name, round, a, b)
+						}
+						if a, b := ws.ICMP(0, round), vs.ICMP(0, round); a != b {
+							t.Fatalf("%s: span vp=%s round=%d: parent %+v, view %+v", when, vp.Name, round, a, b)
+						}
+					}
+				}
+			}
+
+			if tc.earlier {
+				inject(w, victims[1].Prefix())
+			}
+			if tc.beforeView {
+				inject(w, prefix)
+			}
+			view := w.WithFaults(nil)
+			switch {
+			case tc.throughView:
+				inject(view, prefix)
+			case !tc.beforeView:
+				inject(w, prefix)
+			}
+			same("injected", view, true)
+			before := w.ProbeICMP(vps[0], target, 1)
+			view.ClearHijack(prefix)
+			same("cleared through the view", view, false)
+			if after := w.ProbeICMP(vps[0], target, 1); after == before {
+				t.Fatalf("a full-catchment hijack to %v did not move the reply %+v", hijacker, before)
+			}
+			inject(view, prefix)
+			w.ClearHijack(prefix)
+			same("cleared on the parent", view, false)
+		})
 	}
 }
 

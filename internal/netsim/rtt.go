@@ -125,8 +125,7 @@ func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64)
 // catchment + base when a session is bound, the full computation otherwise.
 func (w *World) anycastRTT(s *vpSession, vp platform.VP, d *Deployment, target IP, round uint64) time.Duration {
 	if s != nil {
-		c := &s.cands[d.idx]
-		return w.rttFromBaseMs(c.baseMs[servingRank(c, s.st, d, round)], vp.LoadFactor, probeState(s.st, target, round))
+		return w.rttFromBaseMs(w.candBaseMs(s, d.idx, round), vp.LoadFactor, probeState(s.st, target, round))
 	}
 	r := w.servingReplicaSlow(vp, d, round)
 	return w.pathRTT(vp, uint64(d.Prefix), r.Loc, uint64(r.ID), target, round)
@@ -141,10 +140,8 @@ func (w *World) unicastRTT(s *vpSession, vp platform.VP, h *unicastHost, target 
 	if s == nil {
 		return w.pathRTT(vp, uint64(p), w.hijackedLoc(vp, p, h.loc), 0, target, round)
 	}
-	if w.hijacks != nil {
-		if _, hijacked := w.hijacks[p]; hijacked {
-			return w.pathRTT(vp, uint64(p), w.hijackedLoc(vp, p, h.loc), 0, target, round)
-		}
+	if len(w.hijacks) > 0 && w.isHijacked(p) {
+		return w.pathRTT(vp, uint64(p), w.hijackedLoc(vp, p, h.loc), 0, target, round)
 	}
 	return w.rttFromBaseMs(w.unicastBaseMs(s, h, p), vp.LoadFactor, probeState(s.st, target, round))
 }
@@ -270,7 +267,7 @@ func (w *World) ServingReplica(vp platform.VP, p Prefix24, round uint64) (Replic
 func (w *World) servingReplica(vp platform.VP, d *Deployment, round uint64) Replica {
 	if s := w.session(vp); s != nil {
 		c := &s.cands[d.idx]
-		return d.Replicas[c.idx[servingRank(c, s.st, d, round)]]
+		return d.Replicas[c.idx[servingRank(c, s.st, uint64(d.Prefix), round)]]
 	}
 	return w.servingReplicaSlow(vp, d, round)
 }
@@ -365,8 +362,8 @@ func (w *World) vpAccessMs(vpSt detrand.State) float64 {
 
 // endpointAccessMs is the endpoint's half of the access-latency term:
 // server-side processing, a property of the endpoint alone - no vantage
-// point enters the draw, so New tabulates it per replica
-// (Deployment.endAccess) and the reference path computes it per call.
+// point enters the draw, so New tabulates it per replica (World.endAccess)
+// and the reference path computes it per call.
 func (w *World) endpointAccessMs(endpointKey, subKey uint64) float64 {
 	return w.cfg.AccessMs * 0.5 * w.seedSt.With(endpointKey).With(subKey).With(0xB72).Unit()
 }
@@ -489,9 +486,6 @@ func (w *World) InjectHijack(p Prefix24, hijackerLoc geo.Coord, catchment float6
 	}
 	if catchment <= 0 || catchment > 1 {
 		return fmt.Errorf("netsim: catchment %v outside (0, 1]", catchment)
-	}
-	if w.hijacks == nil {
-		w.hijacks = make(map[Prefix24]hijack)
 	}
 	w.hijacks[p] = hijack{loc: hijackerLoc, catchment: catchment}
 	return nil

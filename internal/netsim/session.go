@@ -43,23 +43,27 @@ type sessionKey struct {
 }
 
 // candSet is the cached catchment of one (vantage point, deployment) pair:
-// the three nearest replicas in rank order, the probe-invariant part of
-// the RTT toward each, and which of them answers while the catchment does
-// not flap. 32 bytes: a session is one of these per deployment.
+// the three nearest replicas in rank order, which of them answers while the
+// catchment does not flap, and the probe-invariant part of the RTT toward
+// that one - the only base a probe reads in every round. The bases toward
+// the other two are rebuilt by candBaseMs on the ~5.5% of anycast probes
+// whose catchment flaps onto them. 16 bytes: a session is one of these per
+// deployment.
 type candSet struct {
-	baseMs [3]float64 // rttBaseMsDist toward idx[k]; meaningful where idx[k] >= 0
-	idx    [3]int16   // k-th nearest replica index into d.Replicas, -1 if absent
-	rank   uint8      // selectRank of the stable base-selection draw (0xB69)
+	baseMs float64  // rttBaseMsDist toward idx[rank]
+	idx    [3]int16 // k-th nearest replica index into d.Replicas, -1 if absent
+	rank   uint8    // selectRank of the stable base-selection draw (0xB69); 0 for a single-replica list
 }
 
 // maxReplicas is the longest replica list candSet.idx can index; New
 // refuses a deployment beyond it.
 const maxReplicas = math.MaxInt16
 
-// vpSession holds everything probe-invariant about one vantage point. It
-// deliberately carries no per-unicast-/24 state: unicast RTT bases are
-// resolved per (VP, span) by ProbeSpanSession, so session memory stays
-// O(deployments) per vantage point at any world size.
+// vpSession holds everything probe-invariant about one vantage point that
+// a probe reads in every round. It deliberately carries no
+// per-unicast-/24 state: unicast RTT bases are resolved per (VP, span) by
+// ProbeSpanSession, so session memory stays O(deployments) per vantage
+// point - 16 bytes each - at any world size.
 type vpSession struct {
 	once     sync.Once
 	vpAccess float64       // hoisted per-VP access term (0xB71)
@@ -93,58 +97,86 @@ func (w *World) session(vp platform.VP) *vpSession {
 }
 
 // buildSession ranks every deployment's replicas by distance from the
-// vantage point and caches the RTT bases. What does not depend on the
-// vantage point is read from the world's replica geometry (World.places,
-// World.rankGroups, Deployment.endAccess), so a build is one haversine per
-// distinct replica place, one three-nearest cascade per distinct replica
-// list and, per deployment, the draws that do mix the vantage point in:
-// the stable catchment draw and one path stretch per kept candidate.
+// vantage point and caches the RTT base toward the one that answers while
+// the catchment is stable. Everything that does not depend on the vantage
+// point is read from the world's flat replica geometry (World.places,
+// rankGroups, geom, endAccess), so a build is one haversine per distinct
+// replica place, then rank group by rank group one three-nearest cascade
+// and, for each deployment announcing the list, the two draws that mix the
+// vantage point in: the stable catchment draw and one path stretch. It
+// allocates twice: the session's slab and the distance vector.
 func (w *World) buildSession(s *vpSession, vp platform.VP) {
 	s.st = w.vpState(vp)
 	s.pt = geo.Prepare(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
-	s.cands = make([]candSet, len(w.deployments))
+	s.cands = make([]candSet, len(w.geom))
 
 	dist := make([]float64, len(w.places))
 	for i, p := range w.places {
 		dist[i] = geo.PointDistanceKm(s.pt, p)
 	}
 
-	// The same strict-< cascade servingReplicaSlow runs, over the same
-	// DistanceKm outputs in the same Replicas order, so the ranking is
-	// bit-identical.
-	type cand struct {
-		idx  int16
-		dist float64
-	}
-	ranks := make([][3]cand, len(w.rankGroups))
-	for g, slots := range w.rankGroups {
-		best := [3]cand{{-1, math.MaxFloat64}, {-1, math.MaxFloat64}, {-1, math.MaxFloat64}}
-		for i, slot := range slots {
-			c := cand{int16(i), dist[slot]}
+	for gi := range w.rankGroups {
+		g := &w.rankGroups[gi]
+		// The same strict-< cascade servingReplicaSlow runs, over the same
+		// DistanceKm outputs in the same Replicas order, so the ranking is
+		// bit-identical. d0 <= d1 <= d2 throughout, so a distance that is
+		// not below d2 matches no case: most of a long list leaves after
+		// one compare.
+		i0, i1, i2 := -1, -1, -1
+		d0, d1, d2 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
+		for i, slot := range g.slots {
+			d := dist[slot]
+			if !(d < d2) {
+				continue
+			}
 			switch {
-			case c.dist < best[0].dist:
-				best[2], best[1], best[0] = best[1], best[0], c
-			case c.dist < best[1].dist:
-				best[2], best[1] = best[1], c
-			case c.dist < best[2].dist:
-				best[2] = c
+			case d < d0:
+				i2, i1, i0 = i1, i0, i
+				d2, d1, d0 = d1, d0, d
+			case d < d1:
+				i2, i1 = i1, i
+				d2, d1 = d1, d
+			default:
+				i2, d2 = i, d
 			}
 		}
-		ranks[g] = best
+		idx := [3]int16{int16(i0), int16(i1), int16(i2)}
+		near := [3]float64{d0, d1, d2}
+		for _, di := range g.members {
+			dg := &w.geom[di]
+			c := &s.cands[di]
+			c.idx = idx
+			if idx[1] >= 0 {
+				c.rank = uint8(selectRank(s.st.With(dg.prefix).With(0xB69).Unit(), idx[2] >= 0))
+			}
+			c.baseMs = w.geomBaseMs(s, dg, g, idx[c.rank], near[c.rank])
+		}
 	}
+}
 
-	for di, d := range w.deployments {
-		best := &ranks[d.group]
-		c := &s.cands[di]
-		c.rank = uint8(selectRank(s.st.With(uint64(d.Prefix)).With(0xB69).Unit(), best[2].idx >= 0))
-		for k, b := range best {
-			c.idx[k] = b.idx
-			if b.idx >= 0 {
-				c.baseMs[k] = w.rttBaseMsDist(s.st, uint64(d.Prefix), b.dist, uint64(d.Replicas[b.idx].ID), s.vpAccess, d.endAccess[b.idx])
-			}
-		}
+// geomBaseMs is the RTT base from the session's vantage point toward
+// Replicas[i], distKm away, of the deployment recorded as dg in rank group
+// g: pathRTT's base with the endpoint half read from the world's geometry.
+func (w *World) geomBaseMs(s *vpSession, dg *deploymentGeom, g *rankGroup, i int16, distKm float64) float64 {
+	return w.rttBaseMsDist(s.st, dg.prefix, distKm, uint64(g.slots[i]-dg.placeBase), s.vpAccess, w.endAccess[dg.access+int32(i)])
+}
+
+// candBaseMs is the RTT base toward the candidate that answers deployment
+// di in the given round: the cached one unless the catchment flapped onto
+// another rank, in which case that base is rebuilt from the replica
+// geometry with the expressions buildSession evaluates - one haversine and
+// one path stretch, on about one anycast probe in eighteen.
+func (w *World) candBaseMs(s *vpSession, di int32, round uint64) float64 {
+	c := &s.cands[di]
+	dg := &w.geom[di]
+	rank := servingRank(c, s.st, dg.prefix, round)
+	if rank == int(c.rank) {
+		return c.baseMs
 	}
+	g := &w.rankGroups[dg.group]
+	i := c.idx[rank]
+	return w.geomBaseMs(s, dg, g, i, geo.PointDistanceKm(s.pt, w.places[g.slots[i]]))
 }
 
 // selectRank maps a base-selection draw to the rank of the candidate that
@@ -164,12 +196,12 @@ func selectRank(u float64, hasThird bool) int {
 // servingRank picks which cached candidate answers this round. It mirrors
 // the selection of servingReplicaSlow exactly; only the ranking and the
 // outcome of the stable 0xB69 draw come from the cache. vpSt is the
-// vantage point's vpState.
-func servingRank(c *candSet, vpSt detrand.State, d *Deployment, round uint64) int {
+// vantage point's vpState, prefix the deployment's uint64(Prefix).
+func servingRank(c *candSet, vpSt detrand.State, prefix uint64, round uint64) int {
 	if c.idx[1] < 0 {
 		return 0 // single-replica deployment: no draws, like the slow path
 	}
-	if flap := vpSt.With(uint64(d.Prefix)).With(round); flap.With(0xF1A9).Unit() < 0.12 {
+	if flap := vpSt.With(prefix).With(round); flap.With(0xF1A9).Unit() < 0.12 {
 		// Catchment flap: this round routes to a different candidate.
 		return selectRank(flap.With(0xB6A).Unit(), c.idx[2] >= 0)
 	}
@@ -369,9 +401,7 @@ func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 		return Reply{Kind: ReplyTimeout}
 	}
 	if cls == spanAnycast {
-		d := w.deployments[ss.payload[i]]
-		c := &ss.s.cands[d.idx]
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(c.baseMs[servingRank(c, ss.s.st, d, round)], ss.vp.LoadFactor, probe)}
+		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.candBaseMs(ss.s, int32(ss.payload[i]), round), ss.vp.LoadFactor, probe)}
 	}
 	rtt := w.rttFromBaseMs(math.Float64frombits(ss.payload[i]), ss.vp.LoadFactor, probe)
 	switch cls {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -30,6 +31,18 @@ func sessionWorldPair(cfg Config) (cached, uncached *World) {
 	return cached, New(cfg)
 }
 
+// sessionTestTargets lists the representative of every allocated /24,
+// anycast and unicast, in address order.
+func sessionTestTargets(w *World) []IP {
+	var targets []IP
+	w.Prefixes(func(p Prefix24) {
+		if ip, _ := w.Representative(p); ip != 0 {
+			targets = append(targets, ip)
+		}
+	})
+	return targets
+}
+
 // sessionTestVPs mixes PlanetLab and RIPE vantage points: the two
 // platforms assign overlapping ID ranges, so this doubles as a check that
 // the session key keeps their caches apart.
@@ -40,48 +53,114 @@ func sessionTestVPs() []platform.VP {
 	return append(vps, ripe[:6]...)
 }
 
+// rankTransitions counts, per probe path, the (stored rank -> serving rank)
+// pair behind every anycast echo a bit-identity test compared, apart for
+// two-replica lists and longer ones. A session caches only the base toward
+// the stored rank; a reply from another rank had its base rebuilt by
+// candBaseMs, and the off-diagonal counts are the proof that the
+// comparison walked that path.
+type rankTransitions map[string]*[2][3][3]int
+
+// note records the transition behind got, the cached world's reply to a
+// probe of d's prefix.
+func (rt rankTransitions) note(path string, cached *World, vp platform.VP, d *Deployment, round uint64, got Reply) {
+	if !got.OK() {
+		return
+	}
+	s := cached.session(vp)
+	c := &s.cands[d.idx]
+	counts := rt[path]
+	if counts == nil {
+		counts = new([2][3][3]int)
+		rt[path] = counts
+	}
+	long := 0
+	if c.idx[2] >= 0 {
+		long = 1
+	}
+	counts[long][c.rank][servingRank(c, s.st, uint64(d.Prefix), round)]++
+}
+
+// check fails unless every path saw each off-diagonal transition - two of
+// two-replica lists, six of longer ones - at least min times.
+func (rt rankTransitions) check(t *testing.T, min int, paths ...string) {
+	t.Helper()
+	for _, path := range paths {
+		counts := rt[path]
+		if counts == nil {
+			t.Errorf("%s: no anycast echo compared", path)
+			continue
+		}
+		for long, ranks := range []int{2, 3} {
+			for stored := 0; stored < ranks; stored++ {
+				for serving := 0; serving < ranks; serving++ {
+					if n := counts[long][stored][serving]; stored != serving && n < min {
+						t.Errorf("%s: %d replies of %d-candidate catchments went from stored rank %d to serving rank %d, want >= %d",
+							path, n, ranks, stored, serving, min)
+					}
+				}
+			}
+		}
+		t.Logf("%s transitions [stored][serving]: two-replica %v, longer %v", path, counts[0], counts[1])
+	}
+}
+
+// sessionWorldShapes are the world shapes the replica geometry and the
+// session's tables depend on: the seed (every draw), the epoch (drifted
+// footprints), the deployment inflation (longer replica lists, up to the
+// whole datacenter pool).
+var sessionWorldShapes = []worldShape{
+	{"default", 2015, 0, 1},
+	{"seed 7", 7, 0, 1},
+	{"epoch 2", 2015, 2, 1},
+	{"inflation 2", 2015, 0, 2},
+	{"seed 7, epoch 2, inflation 2", 7, 2, 2},
+}
+
+type worldShape struct {
+	name      string
+	seed      uint64
+	epoch     uint64
+	inflation float64
+}
+
+// config is the small test world of the shape.
+func (shape worldShape) config() Config {
+	cfg := DefaultConfig()
+	cfg.Unicast24s = 600
+	cfg.Seed, cfg.Epoch, cfg.DeploymentInflation = shape.seed, shape.epoch, shape.inflation
+	return cfg
+}
+
 // TestSessionCacheBitIdentical is the memoization's contract: every probe
 // reply - kind and RTT, anycast and unicast, ICMP, TCP and DNS - and every
-// replica selection is bit-identical with the memoization on or off. It
-// runs over the world shapes the session's tables depend on: the seed
-// (every draw), the epoch (drifted footprints), the deployment inflation
-// (longer replica lists, up to the whole datacenter pool).
+// replica selection is bit-identical with the memoization on or off, in
+// every sessionWorldShapes world. A session caches one RTT base per
+// deployment and rebuilds the others on demand, so the test also counts
+// the rank transitions behind the replies it compared and fails unless
+// every probe path rebuilt every kind of base (rankTransitions).
 func TestSessionCacheBitIdentical(t *testing.T) {
 	vps := sessionTestVPs()
-	for _, shape := range []struct {
-		name      string
-		seed      uint64
-		epoch     uint64
-		inflation float64
-	}{
-		{"default", 2015, 0, 1},
-		{"seed 7", 7, 0, 1},
-		{"epoch 2", 2015, 2, 1},
-		{"inflation 2", 2015, 0, 2},
-		{"seed 7, epoch 2, inflation 2", 7, 2, 2},
-	} {
+	for _, shape := range sessionWorldShapes {
 		t.Run(shape.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Unicast24s = 600
-			cfg.Seed, cfg.Epoch, cfg.DeploymentInflation = shape.seed, shape.epoch, shape.inflation
-			cached, uncached := sessionWorldPair(cfg)
+			cached, uncached := sessionWorldPair(shape.config())
 
-			var targets []IP
-			cached.Prefixes(func(p Prefix24) {
-				if ip, _ := cached.Representative(p); ip != 0 {
-					targets = append(targets, ip)
-				}
-			})
+			targets := sessionTestTargets(cached)
 			if len(targets) < 2000 {
 				t.Fatalf("expected >2000 targets, got %d", len(targets))
 			}
 
+			seen := rankTransitions{}
 			for _, vp := range vps {
 				for ti, target := range targets {
+					d, anycast := cached.Deployment(target.Prefix())
 					for round := uint64(1); round <= 3; round++ {
 						got, want := cached.ProbeICMP(vp, target, round), uncached.ProbeICMP(vp, target, round)
 						if got != want {
 							t.Fatalf("ICMP vp=%s target=%v round=%d: cached %+v, uncached %+v", vp.Name, target, round, got, want)
+						}
+						if anycast {
+							seen.note("ProbeICMP", cached, vp, d, round, got)
 						}
 						// TCP and DNS are cheaper to spot-check on a slice.
 						if ti%7 == 0 {
@@ -129,14 +208,15 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 						if got.ID != want.ID || got.Loc != want.Loc {
 							t.Fatalf("ServingReplica vp=%s prefix=%v round=%d: cached %v, uncached %v", vp.Name, d.Prefix, round, got.ID, want.ID)
 						}
-						same := func(proto string, got, want Reply) {
+						same := func(path string, got, want Reply) {
 							t.Helper()
 							if got != want {
-								t.Fatalf("%s vp=%s %v round=%d: cached %+v, uncached %+v", proto, vp.Name, d, round, got, want)
+								t.Fatalf("%s vp=%s %v round=%d: cached %+v, uncached %+v", path, vp.Name, d, round, got, want)
 							}
+							seen.note(path, cached, vp, d, round, got)
 						}
-						same("TCP", cached.ProbeTCP(vp, d.rep, port, round), uncached.ProbeTCP(vp, d.rep, port, round))
-						same("DNS", cached.ProbeDNSUDP(vp, d.rep, round), uncached.ProbeDNSUDP(vp, d.rep, round))
+						same("ProbeTCP", cached.ProbeTCP(vp, d.rep, port, round), uncached.ProbeTCP(vp, d.rep, port, round))
+						same("ProbeDNSUDP", cached.ProbeDNSUDP(vp, d.rep, round), uncached.ProbeDNSUDP(vp, d.rep, round))
 					}
 				}
 			}
@@ -144,12 +224,13 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 				t.Fatalf("world lacks a shape under test: %d pinned, %d two-replica, %d distinct lists of %d deployments",
 					pinned, pairs, len(lists), len(cached.Deployments()))
 			}
+			seen.check(t, 10, "ProbeICMP", "ProbeTCP", "ProbeDNSUDP")
 		})
 	}
 }
 
-// TestBuildSessionAllocs pins a session build to a handful of allocations
-// - the session's candSet slab and the build's scratch - whatever the
+// TestBuildSessionAllocs pins a session build to its two allocations
+// - the session's candSet slab and the distance vector - whatever the
 // world holds: 1,696 deployments allocate as often as their longer-listed
 // DeploymentInflation 2 twins, not once per deployment or per AS.
 func TestBuildSessionAllocs(t *testing.T) {
@@ -163,20 +244,88 @@ func TestBuildSessionAllocs(t *testing.T) {
 			var s vpSession
 			w.buildSession(&s, vp)
 		})
-		if allocs > 8 {
-			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 8", inflation, allocs, len(w.deployments))
+		if allocs > 2 {
+			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 2", inflation, allocs, len(w.deployments))
 		}
 	}
 }
 
-// TestReplicaIndexWidth holds candSet to its 32 bytes and the replica
+// TestReplicaGeometryFlat holds the world's flat replica geometry - what
+// buildSession and candBaseMs read in place of deployments and replicas -
+// to the objects it was laid out from: every deployment's prefix key,
+// replica IDs, prepared places and endpoint access halves come back bit
+// for bit, and the rank groups' member lists partition the deployments.
+func TestReplicaGeometryFlat(t *testing.T) {
+	for _, shape := range sessionWorldShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			w := New(shape.config())
+			if len(w.geom) != len(w.deployments) {
+				t.Fatalf("%d geometry records for %d deployments", len(w.geom), len(w.deployments))
+			}
+			replicas := 0
+			for di, d := range w.deployments {
+				dg := w.geom[di]
+				slots := w.rankGroups[dg.group].slots
+				if dg.prefix != uint64(d.Prefix) || len(slots) != len(d.Replicas) || int(dg.access) != replicas {
+					t.Fatalf("%v: record %+v over %d slots, want prefix key %d, %d slots, access offset %d",
+						d, dg, len(slots), uint64(d.Prefix), len(d.Replicas), replicas)
+				}
+				for ri, r := range d.Replicas {
+					if id := int(slots[ri] - dg.placeBase); id != r.ID {
+						t.Fatalf("%v replica %d: slot %d - placeBase %d = %d, want ID %d", d, ri, slots[ri], dg.placeBase, id, r.ID)
+					}
+					if got, want := w.places[slots[ri]], geo.Prepare(r.Loc); got != want {
+						t.Fatalf("%v replica %d: place %+v, want %+v", d, ri, got, want)
+					}
+					got, want := w.endAccess[int(dg.access)+ri], w.endpointAccessMs(uint64(d.Prefix), uint64(r.ID))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v replica %d: endpoint access %v, want %v", d, ri, got, want)
+					}
+				}
+				replicas += len(d.Replicas)
+			}
+			if len(w.endAccess) != replicas {
+				t.Errorf("%d endpoint access halves for %d replicas", len(w.endAccess), replicas)
+			}
+
+			listed := make([]bool, len(w.deployments))
+			members := 0
+			for gi, g := range w.rankGroups {
+				for _, di := range g.members {
+					if w.geom[di].group != int32(gi) || listed[di] {
+						t.Fatalf("rank group %d lists deployment %d, which is of group %d or listed twice", gi, di, w.geom[di].group)
+					}
+					listed[di] = true
+					members++
+				}
+			}
+			if members != len(w.deployments) {
+				t.Errorf("rank groups list %d members for %d deployments", members, len(w.deployments))
+			}
+		})
+	}
+}
+
+// TestReplicaIndexWidth holds candSet to its 16 bytes and the replica
 // lists the world can produce to the width of candSet.idx: every list is a
 // subset of the datacenter pool or a pinned footprint, and New refuses a
-// longer one by name where a narrowing conversion would wrap silently.
+// longer one - or a geometry index beyond int32 - by name where a
+// narrowing conversion would wrap silently.
 func TestReplicaIndexWidth(t *testing.T) {
-	if size := unsafe.Sizeof(candSet{}); size != 32 {
-		t.Errorf("candSet is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(candSet{}); size != 16 {
+		t.Errorf("candSet is %d bytes, want 16", size)
 	}
+	if index32(math.MaxInt32, "rankGroup.slots") != math.MaxInt32 {
+		t.Error("index32 moved the last index that fits")
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "rankGroup.slots") {
+				t.Errorf("index32 past int32: recovered %q, want a panic naming rankGroup.slots", msg)
+			}
+		}()
+		index32(math.MaxInt32+1, "rankGroup.slots")
+	}()
 	var c candSet
 	c.idx[0] = maxReplicas - 1 // the last index New lets through must fit
 	if len(dcPool) > maxReplicas {
@@ -277,19 +426,17 @@ func TestSessionSharedAcrossFaultViews(t *testing.T) {
 // session resolved over any window of the target list — every width, any
 // alignment — answers bit-identically to the uncached reference path, for
 // every reply kind the world produces (echo, the three greylistable
-// errors, structural timeouts, anycast and unicast alike).
+// errors, structural timeouts, anycast and unicast alike) - the anycast
+// echoes whose base the span had to rebuild included (rankTransitions).
 func TestSpanSessionBitIdentical(t *testing.T) {
 	cached, uncached := sessionTestWorlds(t)
 	vps := sessionTestVPs()
 
-	var targets []IP
-	cached.Prefixes(func(p Prefix24) {
-		if ip, _ := cached.Representative(p); ip != 0 {
-			targets = append(targets, ip)
-		}
-	})
+	targets := sessionTestTargets(cached)
 
-	for _, width := range []int{1, 17, 256, len(targets)} {
+	seen := rankTransitions{}
+	widths := []int{1, 17, 256, len(targets)}
+	for _, width := range widths {
 		for _, vp := range vps {
 			for lo := 0; lo < len(targets); lo += width {
 				hi := lo + width
@@ -298,17 +445,22 @@ func TestSpanSessionBitIdentical(t *testing.T) {
 				}
 				span := cached.ProbeSpanSession(vp, targets[lo:hi])
 				for i := lo; i < hi; i++ {
+					d, anycast := cached.Deployment(targets[i].Prefix())
 					for round := uint64(1); round <= 2; round++ {
 						got, want := span.ICMP(i-lo, round), uncached.ProbeICMP(vp, targets[i], round)
 						if got != want {
 							t.Fatalf("span[%d:%d] vp=%s target=%v round=%d: span %+v, uncached %+v",
 								lo, hi, vp.Name, targets[i], round, got, want)
 						}
+						if anycast {
+							seen.note("SpanSession.ICMP", cached, vp, d, round, got)
+						}
 					}
 				}
 			}
 		}
 	}
+	seen.check(t, 10*len(widths), "SpanSession.ICMP") // every width compares every reply
 
 	// The resolver's sequential cursor must survive arbitrary target
 	// order (reversed spans break order at every step) and targets the

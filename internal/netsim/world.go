@@ -119,15 +119,11 @@ type Deployment struct {
 	// pipeline may read it.
 	HostsAlexa bool
 
-	// idx is this deployment's position in World.deployments (and in the
-	// per-VP session caches); rep is the precomputed hitlist
-	// representative. group is the deployment's rank group
-	// (World.rankGroups) and endAccess[i] the endpoint half of the access
-	// latency toward Replicas[i] (endpointAccessMs). All are set by New.
-	idx       int32
-	rep       IP
-	group     int32
-	endAccess []float64
+	// idx is this deployment's position in World.deployments (and in
+	// World.geom and the per-VP session caches); rep is the precomputed
+	// hitlist representative. Both are set by New.
+	idx int32
+	rep IP
 }
 
 func (d *Deployment) String() string {
@@ -185,13 +181,18 @@ type World struct {
 	unicast     []unicastHost
 
 	// Replica geometry, the vantage-point-independent half of a session
-	// build (see buildSession). places holds every distinct replica
-	// location of the world, prepared: one slot per (AS, replica), shared
-	// by all /24s of the AS. rankGroups[g] lists, in Replicas order, the
-	// places of one distinct replica list; deployments announcing the
-	// same list (Deployment.group) rank the same from any vantage point.
+	// build, flat and pointer-free so neither buildSession nor the flap
+	// path (candBaseMs) touches a *Deployment or a Replica. places holds
+	// every distinct replica location of the world, prepared: one slot
+	// per (AS, replica), shared by all /24s of the AS. rankGroups holds
+	// the distinct replica lists; deployments announcing the same list
+	// rank the same from any vantage point. geom[i] is deployments[i]'s
+	// record and endAccess the endpoint halves of the access latency
+	// (endpointAccessMs) of every deployment's replicas, back to back.
 	places     []geo.Point
-	rankGroups [][]int32
+	rankGroups []rankGroup
+	geom       []deploymentGeom
+	endAccess  []float64
 
 	// byPrefix maps a /24 to its object: values >= 0 index deployments,
 	// values < 0 encode -(unicastIndex+1).
@@ -212,6 +213,22 @@ type World struct {
 	// sessions caches per-VP probe-invariant state (see session.go). It
 	// sits behind a pointer so WithFaults views share one table.
 	sessions *sessionTable
+}
+
+// rankGroup is one distinct replica list of the world.
+type rankGroup struct {
+	slots   []int32 // the list's places, in Replicas order
+	members []int32 // the deployments announcing it
+}
+
+// deploymentGeom is what the session cache reads of one deployment.
+type deploymentGeom struct {
+	prefix uint64 // uint64(Deployment.Prefix), the endpoint key of its draws
+	group  int32  // its rank group
+	// placeBase is the first place of the deployment's AS: the replica at
+	// places[slot] has Replica.ID slot - placeBase.
+	placeBase int32
+	access    int32 // endAccess[access+i] belongs to Replicas[i]
 }
 
 // hijack describes one injected prefix hijack.
@@ -271,7 +288,10 @@ func New(cfg Config) *World {
 		Cities:       cities.Default(),
 		byPrefix:     make(map[Prefix24]int32),
 		anycastByASN: make(map[int][]*Deployment),
-		sessions:     &sessionTable{},
+		// Allocated here, not on first injection: WithFaults views copy
+		// the World by value and must share the map, as they share sessions.
+		hijacks:  make(map[Prefix24]hijack),
+		sessions: &sessionTable{},
 	}
 	w.Services = services.Build(w.Registry, cfg.Seed)
 	w.buildPool()
@@ -351,29 +371,45 @@ func New(cfg Config) *World {
 }
 
 // indexReplicas ties a new deployment of the AS whose replicas start at
-// places[placeBase] into the world's replica geometry: its rank group (a
-// new one unless groupOf knows the replica list already) and the endpoint
-// access halves. It panics on a replica list a session could not index.
+// places[placeBase] into the world's replica geometry: its flat record, its
+// rank group (a new one unless groupOf knows the replica list already) and
+// the endpoint access halves. It panics on a replica list a session could
+// not index.
 func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]int32) {
 	if len(d.Replicas) > maxReplicas {
 		panic(fmt.Sprintf("netsim: %v of AS%d announces %d replicas; a session indexes at most %d (candSet.idx)",
 			d.Prefix, d.ASN, len(d.Replicas), maxReplicas))
 	}
+	g := deploymentGeom{
+		prefix:    uint64(d.Prefix),
+		placeBase: index32(placeBase, "deploymentGeom.placeBase"),
+		access:    index32(len(w.endAccess), "deploymentGeom.access"),
+	}
 	slots := make([]int32, len(d.Replicas))
 	key := make([]byte, 0, 4*len(d.Replicas))
-	d.endAccess = make([]float64, len(d.Replicas))
 	for i, r := range d.Replicas {
-		slots[i] = int32(placeBase + r.ID)
+		slots[i] = index32(placeBase+r.ID, "rankGroup.slots")
 		key = binary.LittleEndian.AppendUint32(key, uint32(slots[i]))
-		d.endAccess[i] = w.endpointAccessMs(uint64(d.Prefix), uint64(r.ID))
+		w.endAccess = append(w.endAccess, w.endpointAccessMs(g.prefix, uint64(r.ID)))
 	}
 	group, ok := groupOf[string(key)]
 	if !ok {
-		group = int32(len(w.rankGroups))
+		group = index32(len(w.rankGroups), "deploymentGeom.group")
 		groupOf[string(key)] = group
-		w.rankGroups = append(w.rankGroups, slots)
+		w.rankGroups = append(w.rankGroups, rankGroup{slots: slots})
 	}
-	d.group = group
+	g.group = group
+	w.rankGroups[group].members = append(w.rankGroups[group].members, d.idx)
+	w.geom = append(w.geom, g)
+}
+
+// index32 narrows a table index to the int32 the replica geometry stores,
+// panicking by name where the conversion would wrap silently.
+func index32(i int, field string) int32 {
+	if i > math.MaxInt32 {
+		panic(fmt.Sprintf("netsim: index %d does not fit %s (int32)", i, field))
+	}
+	return int32(i)
 }
 
 // Config returns the world configuration.

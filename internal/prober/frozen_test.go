@@ -60,13 +60,13 @@ func TestFrozenGreylistWindow(t *testing.T) {
 	}
 	f := g.Freeze()
 	for _, w := range [][2]netsim.IP{
-		{0, ^netsim.IP(0)},                    // everything
-		{1 << 20, 1<<20 + 1000},               // head slice
-		{1<<20 + 99999, 1<<20 + 200000},       // middle
-		{1<<20 + 523999, 1<<20 + 524000},      // tail edge
-		{5, 9},                                // empty, below
-		{1 << 30, 1<<30 + 5},                  // empty, above
-		{1<<20 + 131, 1<<20 + 131},            // single address
+		{0, ^netsim.IP(0)},               // everything
+		{1 << 20, 1<<20 + 1000},          // head slice
+		{1<<20 + 99999, 1<<20 + 200000},  // middle
+		{1<<20 + 523999, 1<<20 + 524000}, // tail edge
+		{5, 9},                           // empty, below
+		{1 << 30, 1<<30 + 5},             // empty, above
+		{1<<20 + 131, 1<<20 + 131},       // single address
 	} {
 		win := f.Window(w[0], w[1])
 		for i := 0; i < 4000; i++ {

@@ -214,7 +214,6 @@ func (sc *lookupScratch) fill(ans Answer, withInstances bool) *LookupResponse {
 	return &sc.resp
 }
 
-
 func (a *API) handleHealth(w http.ResponseWriter, _ *http.Request) int {
 	if !a.store.Ready() {
 		return writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "starting"})

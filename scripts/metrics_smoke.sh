@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # metrics_smoke.sh boots both daemons against a tiny world and asserts
 # that GET /metrics serves Prometheus text exposition carrying every
-# required series family: probe, census, store, cluster, and HTTP. It is
-# the end-to-end form of TestMetricsExposition, wired into CI as
-# `make metrics-smoke`.
+# required series family: probe, census, store, cluster, and HTTP - and
+# that the runtime's profiles answer under /debug/pprof/ on both admin
+# listeners and nowhere on anycastd's public one. It is the end-to-end
+# form of TestMetricsExposition, wired into CI as `make metrics-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 ANYCASTD_ADDR=${ANYCASTD_ADDR:-127.0.0.1:18090}
+ANYCASTD_ADMIN=${ANYCASTD_ADMIN:-127.0.0.1:18092}
 CENSUSD_ADDR=${CENSUSD_ADDR:-127.0.0.1:18091}
 BIN=$(mktemp -d)
 pids=()
@@ -31,6 +33,15 @@ wait_http() { # url attempts
     return 1
 }
 
+require_status() { # url status
+    local got
+    got=$(curl -sS -o /dev/null -w '%{http_code}' "$1")
+    if [ "$got" != "$2" ]; then
+        echo "FAIL: GET $1 answered $got, want $2" >&2
+        return 1
+    fi
+}
+
 require_series() { # file series...
     local file=$1
     shift
@@ -43,8 +54,8 @@ require_series() { # file series...
 }
 
 echo "== anycastd /metrics =="
-"$BIN/anycastd" -addr "$ANYCASTD_ADDR" -unicast24s 800 -vps 40 -censuses 1 -agents 2 \
-    -refresh 1h &
+"$BIN/anycastd" -addr "$ANYCASTD_ADDR" -admin "$ANYCASTD_ADMIN" -unicast24s 800 -vps 40 \
+    -censuses 1 -agents 2 -refresh 1h &
 pids+=($!)
 wait_http "http://$ANYCASTD_ADDR/healthz" 150
 
@@ -81,6 +92,10 @@ grep -q '^anycastmap_cluster_agents_joined_total 2$' "$scrape" ||
 grep -q '^anycastmap_refresh_completed_total 1$' "$scrape" ||
     { echo "FAIL: anycastd first refresh not counted" >&2; exit 1; }
 echo "ok: anycastd serves all required series"
+require_status "http://$ANYCASTD_ADMIN/debug/pprof/heap?debug=1" 200
+require_status "http://$ANYCASTD_ADMIN/metrics" 200
+require_status "http://$ANYCASTD_ADDR/debug/pprof/heap?debug=1" 404
+echo "ok: anycastd serves profiles on its admin listener only"
 
 echo "== censusd /metrics =="
 # The coordinator exits when its rounds are done, so the census must
@@ -100,6 +115,7 @@ require_series "$scrape" \
     anycastmap_cluster_agents_joined_total \
     anycastmap_cluster_leases_total \
     anycastmap_cluster_shard_fold_seconds_count
-echo "ok: censusd coordinator serves all required series"
+require_status "http://$CENSUSD_ADDR/debug/pprof/heap?debug=1" 200
+echo "ok: censusd coordinator serves all required series and profiles"
 
 echo "metrics smoke passed"
