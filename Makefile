@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale analyze-smoke cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale analyze-smoke cluster-smoke metrics-smoke route-smoke profile
 
 all: verify
 
@@ -14,6 +14,16 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# cross-build vets and builds every package for targets CI does not run
+# on: linux/arm64 takes the batched DNS socket path with its own syscall
+# numbers, the other three the one-packet fallback (and 32-bit ints).
+cross-build:
+	@set -e; for t in linux/arm64 linux/386 darwin/arm64 windows/amd64; do \
+		echo "== $$t"; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) vet ./...; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) build ./...; \
+	done
 
 test:
 	$(GO) test ./...

@@ -94,7 +94,6 @@ type Scratch struct {
 	q    Query
 	name [maxNameLen + 1]byte
 	txt  [320]byte
-	req  [2048]byte
 	resp [1024]byte
 	// dcache memoizes routing decisions per worker; see cache.go.
 	dcache [decideCacheSize]decideCacheEntry

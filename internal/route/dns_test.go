@@ -302,17 +302,27 @@ func TestScratchReuse(t *testing.T) {
 	}
 }
 
+// decodeQuerySeeds is FuzzDecodeQuery's seed corpus, which
+// TestServerSurvivesFuzzFlood also replays through the socket.
+func decodeQuerySeeds(t testing.TB) [][]byte {
+	return [][]byte{
+		buildQuery(t, svcPrefix, PolicyNone, qtypeA, netsim.Prefix24(0x0b2233)),
+		buildQuery(t, svcPrefix, PolicyNearestReplica, qtypeTXT, netsim.Prefix24(0x0b2233)),
+		buildQuery(t, svc2Prefix, PolicyCatchmentAffine, qtypeA, 0),
+		// Hostile seeds: pointer loop, truncated OPT, nested pointers.
+		{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 0x0c, 0, 1, 0, 1},
+		{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0, 4, 0, 8},
+		bytes.Repeat([]byte{0xc0}, 64),
+	}
+}
+
 // FuzzDecodeQuery hardens the parser against hostile packets: whatever
 // the bytes, DecodeQuery must return without panicking, and a query it
 // accepts must also encode an answer and an error without panicking.
 func FuzzDecodeQuery(f *testing.F) {
-	f.Add(buildQuery(f, svcPrefix, PolicyNone, qtypeA, netsim.Prefix24(0x0b2233)))
-	f.Add(buildQuery(f, svcPrefix, PolicyNearestReplica, qtypeTXT, netsim.Prefix24(0x0b2233)))
-	f.Add(buildQuery(f, svc2Prefix, PolicyCatchmentAffine, qtypeA, 0))
-	// Hostile seeds: pointer loop, truncated OPT, nested pointers.
-	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 0x0c, 0, 1, 0, 1})
-	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0, 4, 0, 8})
-	f.Add(bytes.Repeat([]byte{0xc0}, 64))
+	for _, seed := range decodeQuerySeeds(f) {
+		f.Add(seed)
+	}
 
 	ans := Answer{Anycast: true, Replica: 1, Replicas: 3, Addr: svcPrefix.Host(2),
 		ViaVP: "vp-x", City: "Nowhere", CC: "XX", Located: true, DistKm: 1, ASN: 1}

@@ -13,7 +13,7 @@ var answerBuckets = obs.ExpBuckets(5e-7, 2, 18) // 0.5µs .. 65ms
 // the nil instruments inside a bare one) observe as no-ops.
 type Metrics struct {
 	// Queries counts every received packet, Dropped the ones answered
-	// with silence (responses, runts).
+	// with silence (responses, runts, oversize datagrams).
 	Queries *obs.Counter
 	Dropped *obs.Counter
 	// Answers counts decided queries by the policy that decided.
@@ -43,7 +43,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.Queries = reg.Counter("anycastmap_route_queries_total",
 		"DNS routing queries received.")
 	m.Dropped = reg.Counter("anycastmap_route_dropped_total",
-		"Packets dropped without a response (non-queries, runts).")
+		"Packets dropped without a response (non-queries, runts, oversize datagrams).")
 	for p := PolicyNone; p < numPolicies; p++ {
 		m.Answers[p] = reg.Counter("anycastmap_route_answers_total",
 			"Routing decisions made, by deciding policy (policy=none answered without a replica).",

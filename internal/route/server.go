@@ -93,6 +93,19 @@ func (r *Responder) Respond(sc *Scratch, pkt []byte, src netip.AddrPort) []byte 
 	return out
 }
 
+// truncated counts a datagram longer than maxDatagram: it was received,
+// and it is dropped, since its first bytes may decode as a query the
+// client never asked.
+func (r *Responder) truncated() {
+	r.metrics.query()
+	r.metrics.dropped()
+}
+
+// maxDatagram is the longest request a listener reads. The server
+// advertises an EDNS size of 1232, so no query it should answer comes
+// near it; a longer datagram arrives truncated and is dropped.
+const maxDatagram = 2048
+
 // ServerConfig wires a Server.
 type ServerConfig struct {
 	// Addr is the UDP listen address, e.g. "127.0.0.1:5300" (port 0
@@ -114,7 +127,12 @@ type ServerConfig struct {
 
 // Server owns N SO_REUSEPORT UDP listeners over one Responder. The
 // kernel hashes flows across the sockets, so the packet path shards
-// across GOMAXPROCS without a userspace dispatcher.
+// across GOMAXPROCS without a userspace dispatcher. Each listener's serve
+// loop lives beside its socket calls: on linux/amd64 and linux/arm64,
+// sock_linux.go reads and answers a batch of datagrams per pair of
+// syscalls; every other target runs sock_other.go's loop of one read and
+// one write per datagram. Both answer each datagram with Respond on the
+// listener's one Scratch and allocate nothing per packet.
 type Server struct {
 	responder *Responder
 	conns     []*net.UDPConn
@@ -173,27 +191,4 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return nil
-}
-
-// serve is one listener's packet loop. Everything it touches per packet
-// — request buffer, decoded query, response buffer — lives in its own
-// Scratch, and the AddrPort read/write pair keeps the source address a
-// stack value: zero heap allocations per packet, pinned by
-// TestRespondZeroAllocsPerQuery and the benchreport route_serving
-// block.
-func (s *Server) serve(c *net.UDPConn) {
-	defer s.wg.Done()
-	sc := &Scratch{}
-	for {
-		n, src, err := c.ReadFromUDPAddrPort(sc.req[:])
-		if err != nil {
-			if s.closed.Load() {
-				return
-			}
-			continue // transient (e.g. a truncation error); keep serving
-		}
-		if resp := s.responder.Respond(sc, sc.req[:n], src); resp != nil {
-			c.WriteToUDPAddrPort(resp, src)
-		}
-	}
 }

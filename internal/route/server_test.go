@@ -3,6 +3,7 @@ package route
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/netip"
 	"path/filepath"
@@ -19,18 +20,55 @@ import (
 
 func testServer(t *testing.T, st *store.Store, m *Metrics) *Server {
 	t.Helper()
-	e := testEngine(t, st)
-	s, err := NewServer(ServerConfig{
-		Addr:      "127.0.0.1:0",
-		Listeners: 2,
-		Engine:    e,
-		Metrics:   m,
-	})
+	s, err := testServerAt("127.0.0.1:0", testEngine(t, st), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// testServerAt binds a two-listener server on addr.
+func testServerAt(addr string, e *Engine, m *Metrics) (*Server, error) {
+	return NewServer(ServerConfig{Addr: addr, Listeners: 2, Engine: e, Metrics: m})
+}
+
+// dialUDP opens a client socket to addr, closed when the test ends.
+func dialUDP(t *testing.T, addr string) *net.UDPConn {
+	t.Helper()
+	c, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c.(*net.UDPConn)
+}
+
+// waitCount waits for c to reach want and fails unless it lands on it
+// exactly.
+func waitCount(t *testing.T, name string, c *obs.Counter, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Value() < want && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if got := c.Value(); got != want {
+		t.Fatalf("%s = %d, want %d", name, got, want)
+	}
+}
+
+func respID(resp []byte) uint16 { return uint16(resp[0])<<8 | uint16(resp[1]) }
+
+// bareQuery is a query for svcPrefix without EDNS, so it routes by the
+// client's UDP source address.
+func bareQuery(t testing.TB, id uint16, qtype byte) []byte {
+	t.Helper()
+	name, err := EncodeName(nil, "10.10.0."+DefaultZone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := append([]byte{byte(id >> 8), byte(id), 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0}, name...)
+	return append(p, 0, qtype, 0, classIN)
 }
 
 // exchange sends one query packet and returns the response.
@@ -89,14 +127,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// No EDNS at all: the client prefix falls back to the UDP source
 	// (127.0.0.1/24 here) and the query still routes.
-	name, err := EncodeName(nil, "10.10.0."+DefaultZone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := []byte{0xab, 0xcd, 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0}
-	bare = append(bare, name...)
-	bare = append(bare, 0, 1, 0, 1)
-	resp = exchange(t, addr, bare)
+	resp = exchange(t, addr, bareQuery(t, 0xabcd, qtypeA))
 	if rc := respRcode(resp); rc != RcodeNoError {
 		t.Errorf("no-EDNS query rcode = %d", rc)
 	}
@@ -136,6 +167,222 @@ func TestServerServfailBeforePublish(t *testing.T) {
 	pkt := buildQuery(t, svcPrefix, PolicyNone, qtypeA, netsim.Prefix24(0x0b0001))
 	if rc := respRcode(exchange(t, s.Addr().String(), pkt)); rc != RcodeServFail {
 		t.Fatalf("rcode = %d, want SERVFAIL", rc)
+	}
+}
+
+// padded returns a valid A query with the given ID, zero-padded to size
+// bytes: DecodeQuery ignores trailing bytes, so only the socket path can
+// tell that the datagram was longer than the server reads.
+func padded(id uint16, size int) []byte {
+	p := AppendQuery(nil, id, svcPrefix, PolicyNone, testZone, qtypeA, netsim.Prefix24(0x0b0001))
+	return append(p, make([]byte, size-len(p))...)
+}
+
+// TestServerDropsOversizeDatagram: a datagram longer than maxDatagram is
+// dropped and counted, not answered from its first bytes. The valid query
+// sent after it on the same socket must be the first thing answered.
+func TestServerDropsOversizeDatagram(t *testing.T) {
+	m := NewMetrics(nil)
+	s := testServer(t, testStore(t), m)
+	c := dialUDP(t, s.Addr().String())
+	for _, pkt := range [][]byte{
+		padded(0x0bad, 3000),
+		AppendQuery(nil, 0x600d, svcPrefix, PolicyNone, testZone, qtypeA, netsim.Prefix24(0x0b0001)),
+	} {
+		if _, err := c.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var in [4096]byte
+	n, err := c.Read(in[:])
+	if err != nil {
+		t.Fatalf("no response: %v", err)
+	}
+	if id := respID(in[:n]); id != 0x600d {
+		t.Fatalf("first answer has ID %#x (%d bytes), want the valid query's %#x", id, n, 0x600d)
+	}
+	waitCount(t, "queries", m.Queries, 2)
+	waitCount(t, "dropped", m.Dropped, 1)
+}
+
+// TestServerBatchMixed writes a mixed burst of 64 datagrams from one
+// socket before reading anything, so the listener takes them in batches:
+// every answerable query must be answered exactly once under its own ID,
+// the ECS-less ones routed by the source address, and the counters must
+// equal the mix.
+func TestServerBatchMixed(t *testing.T) {
+	for _, tc := range []struct {
+		network, addr string
+		// client is the /24 an ECS-less query routes by: the source's, or
+		// the zero prefix for a v6 source, which carries no v4 /24.
+		client string
+	}{
+		{"udp4", "127.0.0.1:0", "client=127.0.0.0/24"},
+		{"udp6", "[::1]:0", "client=0.0.0.0/24"},
+	} {
+		t.Run(tc.network, func(t *testing.T) {
+			m := NewMetrics(nil)
+			s, err := testServerAt(tc.addr, testEngine(t, testStore(t)), m)
+			if err != nil {
+				if tc.network == "udp6" {
+					t.Skipf("no IPv6 loopback: %v", err)
+				}
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			testBatchMixed(t, s, m, tc.client)
+		})
+	}
+}
+
+func testBatchMixed(t *testing.T, s *Server, m *Metrics, sourceClient string) {
+	// want maps each answerable query's ID to its rcode and a string its
+	// answer must carry.
+	type expect struct {
+		rcode int
+		has   string
+	}
+	want := map[uint16]expect{}
+	var dropped int
+	c := dialUDP(t, s.Addr().String())
+	const sent = 64
+	for i := 0; i < sent; i++ {
+		id := uint16(0x4000 + i)
+		ecs := netsim.Prefix24(0x0b0001 + uint32(i))
+		var pkt []byte
+		switch i % 8 {
+		case 0:
+			pkt = AppendQuery(nil, id, svcPrefix, PolicyNone, testZone, qtypeA, ecs)
+			want[id] = expect{RcodeNoError, ""}
+		case 1:
+			pkt = AppendQuery(nil, id, svcPrefix, PolicyNone, testZone, qtypeTXT, ecs)
+			want[id] = expect{RcodeNoError, "client=" + ecs.String()}
+		case 2: // runt: 1..11 bytes of a query
+			pkt = AppendQuery(nil, id, svcPrefix, PolicyNone, testZone, qtypeA, ecs)[:1+i%(headerLen-1)]
+			dropped++
+		case 3: // a response: never answered
+			pkt = AppendQuery(nil, id, svcPrefix, PolicyNone, testZone, qtypeA, ecs)
+			pkt[2] |= 0x80
+			dropped++
+		case 4: // a qname that is a pointer loop
+			pkt = []byte{byte(id >> 8), byte(id), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, headerLen, 0, 1, 0, 1}
+			want[id] = expect{RcodeFormErr, ""}
+		case 5:
+			pkt = padded(id, 3000)
+			dropped++
+		case 6: // no EDNS: routed by the UDP source
+			pkt = bareQuery(t, id, qtypeTXT)
+			want[id] = expect{RcodeNoError, sourceClient}
+		case 7: // a policy label
+			pkt = AppendQuery(nil, id, svcPrefix, PolicyNearestReplica, testZone, qtypeA, ecs)
+			want[id] = expect{RcodeNoError, ""}
+		}
+		if _, err := c.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var in [4096]byte
+	seen := map[uint16]bool{}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(seen) < len(want) {
+		n, err := c.Read(in[:])
+		if err != nil {
+			t.Fatalf("%d of %d answers, then: %v", len(seen), len(want), err)
+		}
+		resp := in[:n]
+		id := respID(resp)
+		w, ok := want[id]
+		switch {
+		case !ok:
+			t.Fatalf("answer to %#x, which should have been dropped", id)
+		case seen[id]:
+			t.Fatalf("%#x answered twice", id)
+		case respRcode(resp) != w.rcode:
+			t.Errorf("%#x: rcode %d, want %d", id, respRcode(resp), w.rcode)
+		case !bytes.Contains(resp, []byte(w.has)):
+			t.Errorf("%#x: answer %q lacks %q", id, resp, w.has)
+		}
+		seen[id] = true
+	}
+	c.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := c.Read(in[:]); err == nil {
+		t.Fatalf("an extra %d-byte answer (ID %#x) after all %d", n, respID(in[:n]), len(want))
+	}
+
+	waitCount(t, "queries", m.Queries, sent)
+	waitCount(t, "dropped", m.Dropped, uint64(dropped))
+	rcodes := [numRcodes]uint64{}
+	for _, w := range want {
+		rcodes[w.rcode]++
+	}
+	for rc, n := range rcodes {
+		if got := m.Rcodes[rc].Value(); got != n {
+			t.Errorf("rcode %d counted %d, want %d", rc, got, n)
+		}
+	}
+}
+
+// mutate applies one to four seeded byte-level edits to a copy of seed:
+// bit flips, boundary bytes, insertions, deletions and truncations.
+func mutate(r *rand.Rand, seed []byte) []byte {
+	p := append([]byte(nil), seed...)
+	for edits := 1 + r.Intn(4); edits > 0; edits-- {
+		if len(p) == 0 {
+			p = append(p, byte(r.Intn(256)))
+			continue
+		}
+		at := r.Intn(len(p))
+		switch r.Intn(5) {
+		case 0:
+			p[at] ^= 1 << r.Intn(8)
+		case 1:
+			p[at] = []byte{0, 1, 0x3f, 0x40, 0x80, 0xc0, 0xff}[r.Intn(7)]
+		case 2:
+			p = append(p[:at], append([]byte{byte(r.Intn(256))}, p[at:]...)...)
+		case 3:
+			p = append(p[:at], p[min(len(p), at+1+r.Intn(8)):]...)
+		case 4:
+			p = p[:at]
+		}
+	}
+	return p
+}
+
+// TestServerSurvivesFuzzFlood replays FuzzDecodeQuery's seeds and 10k
+// seeded mutations of them as datagrams into a two-listener server, in
+// windows small enough that the socket buffers never overflow. Every
+// datagram must be counted, and the server must still answer afterwards.
+func TestServerSurvivesFuzzFlood(t *testing.T) {
+	m := NewMetrics(nil)
+	s := testServer(t, testStore(t), m)
+	addr := s.Addr().String()
+	conns := []*net.UDPConn{dialUDP(t, addr), dialUDP(t, addr)}
+
+	seeds := decodeQuerySeeds(t)
+	pkts := append([][]byte(nil), seeds...)
+	r := rand.New(rand.NewSource(26))
+	for len(pkts) < len(seeds)+10_000 {
+		pkts = append(pkts, mutate(r, seeds[r.Intn(len(seeds))]))
+	}
+	const window = 64
+	for i, pkt := range pkts {
+		if _, err := conns[i%len(conns)].Write(pkt); err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if (i+1)%window == 0 {
+			waitCount(t, "queries", m.Queries, uint64(i+1))
+		}
+	}
+	waitCount(t, "queries", m.Queries, uint64(len(pkts)))
+
+	pkt := buildQuery(t, svcPrefix, PolicyNone, qtypeA, netsim.Prefix24(0x0b0001))
+	if rc := respRcode(exchange(t, addr, pkt)); rc != RcodeNoError {
+		t.Fatalf("after the flood: rcode %d", rc)
+	}
+	if got := m.Queries.Value(); got != uint64(len(pkts))+1 {
+		t.Fatalf("queries = %d, want %d", got, len(pkts)+1)
 	}
 }
 

@@ -275,7 +275,7 @@ func WriteSnapshot(buf *bytes.Buffer, s *Snapshot) error {
 		if err := encodeSnapEntry(&entries, e); err != nil {
 			return err
 		}
-		if entries.Len() > 1<<31 {
+		if int64(entries.Len()) > 1<<31 {
 			return fmt.Errorf("store: entries blob exceeds 2 GiB")
 		}
 	}
