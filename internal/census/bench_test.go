@@ -2,12 +2,14 @@ package census
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/core"
 	"anycastmap/internal/detrand"
 	"anycastmap/internal/geo"
+	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
@@ -165,6 +167,74 @@ func sampledCensus(tb testing.TB, nVPs, nAnycast, nUnicast int) *Combined {
 		tb.Fatal(err)
 	}
 	return c
+}
+
+// BenchmarkRoundPipelined measures one census round through
+// ExecuteRoundPipelined - the production probing path, span plans shared by
+// every unit of a span - from 261 PlanetLab vantage points over one span, in
+// ns per probe, on the two span shapes that matter: the benchmark's sampled
+// census (8 anycast and 80 unicast targets spread over a 25k-/24 world) and
+// a dense census span of 16,384 consecutive targets. Sessions are built
+// before the timer starts, so the figure is planning, probing and folding.
+func BenchmarkRoundPipelined(b *testing.B) {
+	cfg := netsim.DefaultConfig()
+	cfg.Unicast24s = 25000
+	w := netsim.New(cfg)
+	full := hitlist.FromWorld(w).PruneNeverAlive()
+	vps := platform.PlanetLab(cities.Default()).Sample(261, 1)
+	var anycast, unicast []netsim.IP
+	for _, ip := range full.Targets() {
+		if w.IsAnycast(ip.Prefix()) {
+			anycast = append(anycast, ip)
+		} else {
+			unicast = append(unicast, ip)
+		}
+	}
+	keep := func(picks ...[]netsim.IP) *hitlist.Hitlist {
+		drop := make(map[netsim.IP]bool, full.Len())
+		for _, ip := range full.Targets() {
+			drop[ip] = true
+		}
+		for _, pick := range picks {
+			for _, ip := range pick {
+				delete(drop, ip)
+			}
+		}
+		return full.Without(drop)
+	}
+	every := func(list []netsim.IP, n int) []netsim.IP {
+		out := make([]netsim.IP, n)
+		for i := range out {
+			out[i] = list[i*len(list)/n]
+		}
+		return out
+	}
+	for _, shape := range []struct {
+		name string
+		h    *hitlist.Hitlist
+	}{
+		{"sampled88", keep(every(anycast, 8), every(unicast, 80))},
+		{"dense16k", keep(full.Targets()[:DefaultSpanTargets])},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			ccfg := CampaignConfig{Census: Config{Seed: 5}}
+			round := func(r uint64) int {
+				sum, err := NewCampaign(ccfg).ExecuteRoundPipelined(context.Background(), w, vps, shape.h, nil, r, PipelineConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return sum.Probes
+			}
+			round(1) // build every vantage point's session
+			b.ReportAllocs()
+			b.ResetTimer()
+			probes := 0
+			for i := 0; i < b.N; i++ {
+				probes += round(uint64(i%2 + 1))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
+		})
+	}
 }
 
 // BenchmarkAnalyzerUpdateDirty5pct measures one incremental round against a

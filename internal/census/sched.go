@@ -197,9 +197,7 @@ func (s *RoundSched) Done(u Unit, sr *ShardRows) error {
 			s.echo[gt>>6] |= 1 << uint(gt&63)
 		}
 	}
-	if sr.Greylist != nil {
-		s.grey.Merge(sr.Greylist)
-	}
+	s.grey.Merge(sr.Greylist)
 	return nil
 }
 
@@ -283,15 +281,16 @@ func (s *RoundSched) Close(aborted error) (RoundSummary, error) {
 	}, errors.Join(append(errs, aborted)...)
 }
 
-// ProbeShard probes one unit and returns its row as a shard frame. The
-// prober hands the sink each sample's span index, so the row fills
-// positionally — no per-unit target→index map, whose construction would
-// dominate a narrow span's probing time. Same sink filter and RTT clamp
-// as ExecuteContext, so the span is byte-identical to the corresponding
-// span of the row the whole-round reference produces.
-func ProbeShard(w *netsim.World, targets []netsim.IP, skip *prober.Greylist, cfg Config, u Unit) (*ShardRows, error) {
-	span := targets[u.Span.Lo:u.Span.Hi]
-	row := emptyRow(len(span))
+// ProbeShard probes one unit over plan, the unit's span planned around the
+// round's blacklist (prober.NewPlan over targets[u.Span.Lo:u.Span.Hi]),
+// and returns its row as a shard frame. The prober hands the sink each
+// sample's span index, so the row fills positionally — no per-unit
+// target→index map, whose construction would dominate a narrow span's
+// probing time. Same sink filter and RTT clamp as ExecuteContext, so the
+// span is byte-identical to the corresponding span of the row the
+// whole-round reference produces.
+func ProbeShard(w *netsim.World, plan *prober.Plan, cfg Config, u Unit) (*ShardRows, error) {
+	row := emptyRow(plan.Len())
 	sink := func(ti int, smp record.Sample) {
 		if smp.Kind != netsim.ReplyEcho {
 			return
@@ -302,7 +301,7 @@ func ProbeShard(w *netsim.World, targets []netsim.IP, skip *prober.Greylist, cfg
 		}
 		row[ti] = int32(us)
 	}
-	stats, grey, err := prober.RunIndexed(w, u.VP, span, skip,
+	stats, grey, err := prober.RunPlan(w, u.VP, plan,
 		prober.Config{Rate: cfg.Rate, Round: u.Round, Seed: cfg.Seed, Attempt: u.Attempt},
 		sink)
 	if err != nil {

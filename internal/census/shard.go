@@ -447,9 +447,7 @@ func (cp *Campaign) FoldShard(sr *ShardRows) error {
 	for i, slot := range sr.Slots {
 		cp.mergeCells(c.RTTus[slot][sr.Lo:sr.Hi], sr.RTTus[i], sr.Lo)
 	}
-	if sr.Greylist != nil {
-		cp.grey.Merge(sr.Greylist)
-	}
+	cp.grey.Merge(sr.Greylist)
 	return nil
 }
 

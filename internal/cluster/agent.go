@@ -236,14 +236,16 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 }
 
 // executeLease probes the leased span — through census.ProbeShard, the
-// row builder the in-process executor uses — and streams the result (or
-// the failure) back.
+// row builder the in-process executor uses, over a plan of the lease's
+// own (the agent keeps no state between leases) — and streams the result
+// (or the failure) back.
 func (s *agentSession) executeLease(l leaseMsg) {
 	if l.Lo < 0 || l.Hi < l.Lo || l.Hi > len(s.targets) {
 		s.fail(failMsg{ID: l.ID, Err: fmt.Sprintf("lease span [%d,%d) outside %d targets", l.Lo, l.Hi, len(s.targets))})
 		return
 	}
-	sr, err := census.ProbeShard(s.world, s.targets, s.blacklist, s.ccfg, census.Unit{
+	plan := prober.NewPlan(s.world, s.targets[l.Lo:l.Hi], s.blacklist)
+	sr, err := census.ProbeShard(s.world, plan, s.ccfg, census.Unit{
 		Round:   l.Round,
 		VP:      l.VP,
 		Slot:    l.Slot,

@@ -114,7 +114,7 @@ func BenchmarkProbeSpanSession(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					ss := w.ProbeSpanSession(vp, span.targets)
-					if len(ss.cls) != len(span.targets) {
+					if len(ss.base) != len(span.targets) {
 						b.Fatal("span not resolved")
 					}
 				}

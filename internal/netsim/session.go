@@ -23,7 +23,8 @@ import (
 // from the hoisted prefix, in the inner loop.
 // Per-unicast-/24 state (the RTT base) is NOT cached per vantage point -
 // at the paper's 10.6M /24s and ~300 VPs that would be tens of gigabytes -
-// but per (VP, span) work unit: see ProbeSpanSession.
+// but per (VP, span) work unit, over a span plan every vantage point
+// shares: see PlanSpan and PlannedSession.
 //
 // Determinism is the contract: every cached value is the output of the
 // exact detrand/geo expression the uncached code evaluates, so replies are
@@ -62,7 +63,7 @@ const maxReplicas = math.MaxInt16
 // vpSession holds everything probe-invariant about one vantage point that
 // a probe reads in every round. It deliberately carries no
 // per-unicast-/24 state: unicast RTT bases are resolved per (VP, span) by
-// ProbeSpanSession, so session memory stays O(deployments) per vantage
+// PlannedSession, so session memory stays O(deployments) per vantage
 // point - 16 bytes each - at any world size.
 type vpSession struct {
 	once     sync.Once
@@ -208,30 +209,38 @@ func servingRank(c *candSet, vpSt detrand.State, prefix uint64, round uint64) in
 	return int(c.rank)
 }
 
-// unicastBaseMs is the RTT base toward the unicast host's home location:
-// the single expression every path — ad-hoc probes, TCP probes and the
-// span resolver — evaluates, so replies stay bit-identical across them.
+// unicastBaseMs is the RTT base toward the unicast host's home location,
+// for ad-hoc and TCP probes; the span path evaluates the same hostBaseMs
+// over the host's planned point and access term, so replies stay
+// bit-identical across them.
 func (w *World) unicastBaseMs(s *vpSession, h *unicastHost, p Prefix24) float64 {
-	dist := geo.PointDistanceKm(s.pt, geo.PrepareCos(h.loc, h.cosLat))
-	return w.rttBaseMsDist(s.st, uint64(p), dist, 0, s.vpAccess, w.endpointAccessMs(uint64(p), 0))
+	return w.hostBaseMs(s, p, geo.PrepareCos(h.loc, h.cosLat), w.endpointAccessMs(uint64(p), 0))
+}
+
+// hostBaseMs is the RTT base from the session's vantage point toward the
+// unicast host of p at pt, endAccess being its endpointAccessMs(p, 0).
+func (w *World) hostBaseMs(s *vpSession, p Prefix24, pt geo.Point, endAccess float64) float64 {
+	return w.rttBaseMsDist(s.st, uint64(p), geo.PointDistanceKm(s.pt, pt), 0, s.vpAccess, endAccess)
 }
 
 // Span classification codes. Everything a probe's outcome depends on that
 // is NOT a per-round draw is a stable property of the (VP, target) pair,
-// so a span resolver can decide it once per work unit and leave only the
-// fault check, the loss draw and the RTT jitter in the inner loop.
+// and most of it - which host answers, with which reply kind, from where -
+// is a property of the target alone, so a span plan decides it once for
+// every vantage point and leaves only the fault check, the loss draw and
+// the RTT jitter in the inner loop.
 const (
 	// spanTimeout marks targets that time out structurally in every
 	// round: unallocated prefixes, dead anycast host addresses, unicast
 	// non-representatives and silent hosts. probeICMP returns before any
 	// per-round draw for all of them, so no draw is skipped unsafely.
 	spanTimeout uint8 = iota
-	// spanAnycast targets answer from a deployment; payload holds the
-	// deployments index.
+	// spanAnycast targets answer from a deployment; the plan's payload
+	// holds the deployments index.
 	spanAnycast
 	// spanUniEcho..spanUniNet are unicast hosts that answer with the
-	// corresponding reply kind; payload holds the RTT base as
-	// math.Float64bits.
+	// corresponding reply kind; the plan holds the host's prepared point
+	// and its payload the host's endpointAccessMs as math.Float64bits.
 	spanUniEcho
 	spanUniAdmin
 	spanUniHost
@@ -241,51 +250,44 @@ const (
 	spanSlow
 )
 
-// SpanSession is a (vantage point, target span) probing unit: two flat,
-// pointer-free slabs — a classification byte and a 64-bit payload per
-// target — resolved once per work unit. The per-probe path then touches
-// only the slabs and the per-round draws: no map lookups, no sync.Map,
-// no allocation, and a working set of ~9 bytes per span target instead of
-// the whole world's prefix index. That keeps the probe rate flat from
-// 20k-target test runs to full 6.6M-target censuses, where the global
-// per-probe map walk used to cost a DRAM miss per probe.
-type SpanSession struct {
-	w       *World
-	vp      platform.VP
-	s       *vpSession
+// SpanPlan is the vantage-point-independent half of resolving a target
+// span: three flat, pointer-free slabs - a class byte, a prepared host
+// point and a 64-bit payload per target, ~33 bytes - that every vantage
+// point probing the span reads and none writes. A census round builds one
+// per span and hands it to all of the span's units, so the cursor walk,
+// the host records, the anycast lookup with its density draw and the
+// endpoint access draw are paid once per target instead of once per
+// (VP, target). Hijacks are read when the plan is built, which
+// InjectHijack's "before probing starts" contract allows.
+type SpanPlan struct {
 	targets []IP
 	cls     []uint8
+	pts     []geo.Point
 	payload []uint64
-	// slow forces every probe down the uncached reference path
-	// (Config.DisableProbeCache): the span resolver is part of the cache
-	// and must vanish with it.
-	slow bool
 }
 
-// ProbeSpanSession resolves a probing session covering exactly the given
-// target span (callers working in [lo, hi) units pass targets[lo:hi]).
-// Resolution costs what the span costs, not what the world costs: the
-// resolver keeps a cursor into the sorted unicast prefix index and moves
-// it with seekPrefix, a galloping search. A dense census span, ascending
-// in address order with neighbouring /24s, pays a compare or two per
-// target, O(span) in all; a sparse ascending list - a sample of a hundred
-// targets, a re-probe of the known-anycast /24s, a dirty set - pays
-// O(log gap) per target, never a walk over the prefixes in between; a
+// PlanSpan resolves the vantage-point-independent half of a span covering
+// exactly the given targets (callers working in [lo, hi) units pass
+// targets[lo:hi]). Resolution costs what the span costs, not what the
+// world costs: the resolver keeps a cursor into the sorted unicast prefix
+// index and moves it with seekPrefix, a galloping search. A dense census
+// span, ascending in address order with neighbouring /24s, pays a compare
+// or two per target, O(span) in all; a sparse ascending list - a sample of
+// a hundred targets, a re-probe of the known-anycast /24s, a dirty set -
+// pays O(log gap) per target, never a walk over the prefixes in between; a
 // list in no order pays O(log position) per order break, a galloping
 // search from the start of the index. Non-unicast targets (~0.03% of a
-// census span) add one map lookup. Replies through the span are
-// bit-identical to ProbeICMP's — the determinism tests compare the two —
-// because every cached value is the output of the exact expression the
-// reference path evaluates.
-func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
-	s := w.session(vp)
-	ss := SpanSession{w: w, vp: vp, s: s, targets: targets}
-	if s == nil {
-		ss.slow = true
-		return ss
+// census span) add one map lookup. With Config.DisableProbeCache the plan
+// holds no slabs and every session over it takes the reference path: the
+// resolver is part of the cache and must vanish with it.
+func (w *World) PlanSpan(targets []IP) *SpanPlan {
+	pl := &SpanPlan{targets: targets}
+	if w.cfg.DisableProbeCache {
+		return pl
 	}
-	ss.cls = make([]uint8, len(targets))
-	ss.payload = make([]uint64, len(targets))
+	pl.cls = make([]uint8, len(targets))
+	pl.pts = make([]geo.Point, len(targets))
+	pl.payload = make([]uint64, len(targets))
 	hijacksLive := len(w.hijacks) > 0
 	nUni := len(w.unicastPrefix)
 	cursor := 0
@@ -303,36 +305,84 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 			h := &w.unicast[cursor]
 			switch {
 			case target != h.rep || h.class == classSilent:
-				ss.cls[i] = spanTimeout
+				pl.cls[i] = spanTimeout
 			case hijacksLive && w.isHijacked(p):
-				ss.cls[i] = spanSlow
+				pl.cls[i] = spanSlow
 			default:
 				switch h.class {
 				case classAdminFiltered:
-					ss.cls[i] = spanUniAdmin
+					pl.cls[i] = spanUniAdmin
 				case classHostProhibited:
-					ss.cls[i] = spanUniHost
+					pl.cls[i] = spanUniHost
 				case classNetProhibited:
-					ss.cls[i] = spanUniNet
+					pl.cls[i] = spanUniNet
 				default:
-					ss.cls[i] = spanUniEcho
+					pl.cls[i] = spanUniEcho
 				}
-				ss.payload[i] = math.Float64bits(w.unicastBaseMs(s, h, p))
+				pl.pts[i] = geo.PrepareCos(h.loc, h.cosLat)
+				pl.payload[i] = math.Float64bits(w.endpointAccessMs(uint64(p), 0))
 			}
 			continue
 		}
 		di, ok := w.byPrefix[p]
 		if !ok {
-			ss.cls[i] = spanTimeout
+			pl.cls[i] = spanTimeout
 			continue
 		}
 		d := w.deployments[di]
 		if target != d.rep && detrand.UnitFloat(w.cfg.Seed, uint64(target), 0xA11E) >= d.Density {
-			ss.cls[i] = spanTimeout
+			pl.cls[i] = spanTimeout
 			continue
 		}
-		ss.cls[i] = spanAnycast
-		ss.payload[i] = uint64(di)
+		pl.cls[i] = spanAnycast
+		pl.payload[i] = uint64(di)
+	}
+	return pl
+}
+
+// SpanSession is a (vantage point, target span) probing unit: the span's
+// shared plan plus one flat slab of its own, the RTT base toward each
+// unicast host. The per-probe path then touches only the slabs and the
+// per-round draws: no map lookups, no sync.Map, no allocation, and a
+// working set of ~45 bytes per span target instead of the whole world's
+// prefix index. That keeps the probe rate flat from 20k-target test runs
+// to full 6.6M-target censuses, where the global per-probe map walk used
+// to cost a DRAM miss per probe.
+type SpanSession struct {
+	w    *World
+	vp   platform.VP
+	s    *vpSession
+	plan *SpanPlan
+	base []float64 // hostBaseMs per unicast-answering target, 0 elsewhere
+	// slow forces every probe down the uncached reference path
+	// (Config.DisableProbeCache).
+	slow bool
+}
+
+// ProbeSpanSession is PlanSpan and PlannedSession in one: a session over
+// a plan nobody else reads.
+func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
+	return w.PlannedSession(vp, w.PlanSpan(targets))
+}
+
+// PlannedSession binds the vantage point to a span plan: per unicast host
+// one haversine and one path stretch (hostBaseMs), nothing else. The plan
+// may come from any WithFaults view of the world; it is only read. Replies
+// through the session are bit-identical to ProbeICMP's - the determinism
+// tests compare the two - because every planned and cached value is the
+// output of the exact expression the reference path evaluates.
+func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
+	s := w.session(vp)
+	ss := SpanSession{w: w, vp: vp, s: s, plan: plan}
+	if s == nil || plan.cls == nil {
+		ss.slow = true
+		return ss
+	}
+	ss.base = make([]float64, len(plan.cls))
+	for i, c := range plan.cls {
+		if c >= spanUniEcho && c <= spanUniNet {
+			ss.base[i] = w.hostBaseMs(s, plan.targets[i].Prefix(), plan.pts[i], math.Float64frombits(plan.payload[i]))
+		}
 	}
 	return ss
 }
@@ -380,11 +430,12 @@ func (w *World) isHijacked(p Prefix24) bool {
 // jitter, all mixed from one (target, round) state on top of the
 // session's hoisted (seed, vp) prefix.
 func (ss *SpanSession) ICMP(i int, round uint64) Reply {
-	target := ss.targets[i]
+	pl := ss.plan
+	target := pl.targets[i]
 	if ss.slow {
 		return ss.w.probeICMP(ss.s, ss.vp, target, round)
 	}
-	cls := ss.cls[i]
+	cls := pl.cls[i]
 	if cls == spanTimeout {
 		return Reply{Kind: ReplyTimeout}
 	}
@@ -401,9 +452,9 @@ func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 		return Reply{Kind: ReplyTimeout}
 	}
 	if cls == spanAnycast {
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.candBaseMs(ss.s, int32(ss.payload[i]), round), ss.vp.LoadFactor, probe)}
+		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.candBaseMs(ss.s, int32(pl.payload[i]), round), ss.vp.LoadFactor, probe)}
 	}
-	rtt := w.rttFromBaseMs(math.Float64frombits(ss.payload[i]), ss.vp.LoadFactor, probe)
+	rtt := w.rttFromBaseMs(ss.base[i], ss.vp.LoadFactor, probe)
 	switch cls {
 	case spanUniAdmin:
 		return Reply{Kind: ReplyAdminFiltered, RTT: rtt}

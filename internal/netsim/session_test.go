@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -641,6 +642,138 @@ func TestSpanSessionSparseAndUnordered(t *testing.T) {
 		}
 	}
 	check("hijacked")
+}
+
+// TestSpanPlanSharedBitIdentical pins what a census round does with a span
+// plan: one plan per span, built once and read by every vantage point of
+// the round and again by every vantage point of the next round, the second
+// round through a WithFaults view (target outages) of the world the plan
+// was built on. Every reply through a session over the shared plan equals
+// the reply of a fresh single-use ProbeSpanSession and of ProbeICMP on a
+// DisableProbeCache world, over dense, sparse, unordered and repeated-/24
+// spans, silent and non-representative hosts and anycast density misses,
+// first with a hijack injected before the plans are built, then with it
+// cleared before the next plans are.
+func TestSpanPlanSharedBitIdentical(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Unicast24s = 3000
+	cached, uncached := sessionWorldPair(cfg)
+	vps := sessionTestVPs()
+	outages, err := NewFaultPlan(FaultConfig{Seed: 5, TargetOutageFraction: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var reps, nonRep, anycastHosts []IP
+	var victim IP
+	cached.Prefixes(func(p Prefix24) {
+		ip, _ := cached.Representative(p)
+		reps = append(reps, ip)
+		if len(reps)%7 == 0 {
+			nonRep = append(nonRep, p.Host(ip.HostByte()^0x55))
+		}
+		if cached.IsAnycast(p) {
+			for h := 1; h < 60; h += 4 { // the representative, density hits and misses
+				anycastHosts = append(anycastHosts, p.Host(byte(h)))
+			}
+		} else if victim == 0 && len(reps) > 1500 && cached.ProbeICMP(vps[0], ip, 1).OK() {
+			victim = ip
+		}
+	})
+	if victim == 0 {
+		t.Fatal("no responsive unicast /24 found")
+	}
+	var sparse []IP
+	for i := 0; i < len(reps); i += 97 {
+		sparse = append(sparse, reps[i])
+	}
+	unordered := append(append(append([]IP{}, sparse...), nonRep[:40]...), anycastHosts[:200]...)
+	rand.New(rand.NewSource(11)).Shuffle(len(unordered), func(i, j int) { unordered[i], unordered[j] = unordered[j], unordered[i] })
+	var repeated []IP
+	for _, ip := range sparse {
+		repeated = append(repeated, ip, ip, ip.Prefix().Host(ip.HostByte()+1), ip)
+	}
+	lists := map[string][]IP{
+		"dense":              reps[1200:1900],
+		"sparse":             sparse,
+		"unordered":          unordered,
+		"repeated /24s":      repeated,
+		"non-representative": nonRep,
+		"anycast hosts":      anycastHosts,
+	}
+
+	// seen tallies what the plans classed, by why: the comparison must
+	// have walked every kind of target it claims to cover.
+	seen := map[string]int{}
+	tally := func(pl *SpanPlan) {
+		for i, target := range pl.targets {
+			p := target.Prefix()
+			switch d, anycast := cached.Deployment(p); {
+			case pl.cls[i] == spanSlow:
+				seen["hijacked"]++
+			case anycast && target != d.rep && pl.cls[i] == spanTimeout:
+				seen["anycast density miss"]++
+			case anycast && target != d.rep:
+				seen["anycast density hit"]++
+			case anycast:
+				continue
+			case pl.cls[i] == spanTimeout && target == cached.unicast[-(cached.byPrefix[p]+1)].rep:
+				seen["silent"]++
+			case pl.cls[i] == spanTimeout:
+				seen["non-representative"]++
+			case pl.cls[i] != spanUniEcho:
+				seen["greylistable"]++
+			}
+		}
+	}
+
+	slowPlans := 0
+	check := func(pass string) {
+		for name, list := range lists {
+			list = append(append([]IP{}, list...), victim)
+			plan := cached.PlanSpan(list)
+			tally(plan)
+			if slices.Contains(plan.cls, spanSlow) {
+				slowPlans++
+			}
+			for round := uint64(1); round <= 2; round++ {
+				w, ref := cached, uncached
+				if round == 2 {
+					w, ref = cached.WithFaults(outages), uncached.WithFaults(outages)
+				}
+				for _, vp := range vps {
+					shared, fresh := w.PlannedSession(vp, plan), w.ProbeSpanSession(vp, list)
+					for i, target := range list {
+						got, single, want := shared.ICMP(i, round), fresh.ICMP(i, round), ref.ProbeICMP(vp, target, round)
+						if got != want || single != want {
+							t.Fatalf("%s, %s: vp=%s i=%d target=%v round=%d: shared plan %+v, single-use %+v, reference %+v",
+								pass, name, vp.Name, i, target, round, got, single, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, w := range []*World{cached, uncached} {
+		if err := w.InjectHijack(victim.Prefix(), geo.Coord{Lat: -33.9, Lon: 151.2}, 0.6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("hijacked")
+	for _, w := range []*World{cached, uncached} {
+		w.ClearHijack(victim.Prefix())
+	}
+	check("cleared")
+
+	for _, kind := range []string{"hijacked", "anycast density miss", "anycast density hit", "silent", "non-representative", "greylistable"} {
+		if seen[kind] == 0 {
+			t.Errorf("no %s target planned", kind)
+		}
+	}
+	if want := len(lists); slowPlans != want {
+		t.Errorf("%d plans classed the hijacked /24 slow, want the %d built before the clear", slowPlans, want)
+	}
+	t.Logf("planned targets by kind: %v", seen)
 }
 
 // TestSeekPrefix holds the galloping search to sort.Search from every

@@ -1,7 +1,10 @@
 package prober
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/netsim"
@@ -49,6 +52,69 @@ func TestFrozenGreylistMatchesMutable(t *testing.T) {
 	}
 }
 
+// TestGreylistMergeEdges holds Merge to its contract on the inputs a
+// round's fold can hand it: nil (a frame with no discoveries), the list
+// itself, an empty list, and lists that re-add or change the kind of known
+// hosts must neither panic, deadlock nor drop the frozen view probing runs
+// share; only a new host invalidates it.
+func TestGreylistMergeEdges(t *testing.T) {
+	base := func() *Greylist {
+		g := NewGreylist()
+		g.Add(netsim.IP(10), netsim.ReplyAdminFiltered)
+		g.Add(netsim.IP(20), netsim.ReplyNetProhibited)
+		return g
+	}
+	of := func(entries map[netsim.IP]netsim.ReplyKind) func(*Greylist) *Greylist {
+		return func(*Greylist) *Greylist { return FromSnapshot(entries) }
+	}
+	for _, c := range []struct {
+		name     string
+		other    func(g *Greylist) *Greylist
+		want     map[netsim.IP]netsim.ReplyKind
+		keepView bool
+	}{
+		{"nil", func(*Greylist) *Greylist { return nil }, nil, true},
+		{"itself", func(g *Greylist) *Greylist { return g }, nil, true},
+		{"empty", of(nil), nil, true},
+		{"known host", of(map[netsim.IP]netsim.ReplyKind{10: netsim.ReplyAdminFiltered}), nil, true},
+		{"known host, new kind", of(map[netsim.IP]netsim.ReplyKind{20: netsim.ReplyHostProhibited}),
+			map[netsim.IP]netsim.ReplyKind{10: netsim.ReplyAdminFiltered, 20: netsim.ReplyHostProhibited}, true},
+		{"new host", of(map[netsim.IP]netsim.ReplyKind{30: netsim.ReplyAdminFiltered, 10: netsim.ReplyAdminFiltered}),
+			map[netsim.IP]netsim.ReplyKind{10: netsim.ReplyAdminFiltered, 20: netsim.ReplyNetProhibited, 30: netsim.ReplyAdminFiltered}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := base()
+			want := c.want
+			if want == nil {
+				want = base().Snapshot()
+			}
+			view := g.Freeze()
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				g.Merge(c.other(g))
+			}()
+			select {
+			case p := <-done:
+				if p != nil {
+					t.Fatalf("Merge panicked: %v", p)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Merge deadlocked")
+			}
+			if got := g.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("after Merge: %v, want %v", got, want)
+			}
+			if kept := g.Freeze() == view; kept != c.keepView {
+				t.Errorf("frozen view kept = %v, want %v", kept, c.keepView)
+			}
+			if f := g.Freeze(); f.Len() != len(want) {
+				t.Errorf("frozen view holds %d hosts, want %d", f.Len(), len(want))
+			}
+		})
+	}
+}
+
 // TestFrozenGreylistWindow pins the span windowing the probing hot path
 // relies on: membership through any [lo, hi] window matches the full
 // view for addresses inside the window, and everything outside reads
@@ -81,6 +147,95 @@ func TestFrozenGreylistWindow(t *testing.T) {
 	empty := nilF.Window(0, 10)
 	if empty.Contains(netsim.IP(5)) {
 		t.Fatal("nil view must window to empty")
+	}
+}
+
+// TestPlanSharedBitIdentical pins what a census round does with a Plan:
+// one per span, read by every vantage point of the round and of the next.
+// Each run over the shared plan equals a RunIndexed that plans for itself
+// and a RunIndexed on a DisableProbeCache world - statistics, discoveries
+// and every sample at its index - on dense, sparse and unordered spans
+// with greylisted targets among them. A host the blacklist gains after
+// the plan is built is probed by runs over that plan: it is a snapshot.
+func TestPlanSharedBitIdentical(t *testing.T) {
+	cfg := netsim.DefaultConfig()
+	cfg.Unicast24s = 3000
+	w := netsim.New(cfg)
+	cfg.DisableProbeCache = true
+	ref := netsim.New(cfg)
+	vps := platform.PlanetLab(cities.Default()).VPs()[:8]
+	var all []netsim.IP
+	w.Prefixes(func(p netsim.Prefix24) {
+		if ip, alive := w.Representative(p); alive {
+			all = append(all, ip)
+		}
+	})
+	skip := NewGreylist()
+	for i := 3; i < len(all); i += 11 {
+		skip.Add(all[i], netsim.ReplyAdminFiltered)
+	}
+	var sparse []netsim.IP
+	for i := 0; i < len(all); i += 23 {
+		sparse = append(sparse, all[i])
+	}
+	unordered := append([]netsim.IP{}, all[400:700]...)
+	rand.New(rand.NewSource(3)).Shuffle(len(unordered), func(i, j int) { unordered[i], unordered[j] = unordered[j], unordered[i] })
+
+	type result struct {
+		stats   Stats
+		found   map[netsim.IP]netsim.ReplyKind
+		samples map[int]record.Sample
+	}
+	run := func(f func(sink func(int, record.Sample)) (Stats, *Greylist, error)) result {
+		t.Helper()
+		r := result{samples: map[int]record.Sample{}}
+		st, found, err := f(func(i int, s record.Sample) { r.samples[i] = s })
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.stats, r.found = st, found.Snapshot()
+		return r
+	}
+	for name, targets := range map[string][]netsim.IP{"dense": all[1000:1800], "sparse": sparse, "unordered": unordered} {
+		plan := NewPlan(w, targets, skip)
+		skipped := 0
+		for _, ip := range targets {
+			if skip.Contains(ip) {
+				skipped++
+			}
+		}
+		for round := uint64(1); round <= 2; round++ {
+			for _, vp := range vps {
+				pcfg := Config{Seed: 7, Round: round}
+				shared := run(func(sink func(int, record.Sample)) (Stats, *Greylist, error) { return RunPlan(w, vp, plan, pcfg, sink) })
+				single := run(func(sink func(int, record.Sample)) (Stats, *Greylist, error) {
+					return RunIndexed(w, vp, targets, skip, pcfg, sink)
+				})
+				want := run(func(sink func(int, record.Sample)) (Stats, *Greylist, error) {
+					return RunIndexed(ref, vp, targets, skip, pcfg, sink)
+				})
+				if !reflect.DeepEqual(shared, want) || !reflect.DeepEqual(single, want) {
+					t.Fatalf("%s, round %d, %s: shared plan %+v, single-use %+v, reference %+v",
+						name, round, vp.Name, shared.stats, single.stats, want.stats)
+				}
+				if skipped == 0 || shared.stats.Sent != len(targets)-skipped {
+					t.Fatalf("%s: sent %d of %d targets, %d greylisted", name, shared.stats.Sent, len(targets), skipped)
+				}
+			}
+		}
+		snapshot := NewPlan(w, targets, skip)
+		for _, ip := range targets {
+			if !skip.Contains(ip) {
+				skip.Add(ip, netsim.ReplyAdminFiltered)
+				break
+			}
+		}
+		for plan, want := range map[*Plan]int{snapshot: len(targets) - skipped, NewPlan(w, targets, skip): len(targets) - skipped - 1} {
+			if st, _, err := RunPlan(w, vps[0], plan, Config{Seed: 7, Round: 1}, nil); err != nil || st.Sent != want {
+				t.Fatalf("%s: a plan built around %d greylisted targets sent %d probes (err %v), want %d",
+					name, len(targets)-want, st.Sent, err, want)
+			}
+		}
 	}
 }
 

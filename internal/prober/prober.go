@@ -213,16 +213,26 @@ func (g *Greylist) Len() int {
 	return len(g.m)
 }
 
-// Merge folds other into g.
+// Merge folds other into g. Merging nil or g itself is a no-op, and the
+// frozen view survives a merge that adds no host.
 func (g *Greylist) Merge(other *Greylist) {
+	if other == nil || other == g {
+		return
+	}
 	other.mu.RLock()
 	defer other.mu.RUnlock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	grew := false
 	for ip, k := range other.m {
+		if _, ok := g.m[ip]; !ok {
+			grew = true
+		}
 		g.m[ip] = k
 	}
-	g.frozen.Store(nil)
+	if grew {
+		g.frozen.Store(nil)
+	}
 }
 
 // Breakdown counts entries by ICMP error kind (Sec. 3.3 reports 98.5%
@@ -327,8 +337,55 @@ func Run(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Greylist, c
 // probe loop already knows the index it drew from the permutation, so
 // handing it to the sink spares the caller a target→index lookup per
 // reply — at census scale that lookup (or the map backing it) dominates a
-// narrow span's probing cost.
+// narrow span's probing cost. It plans the span for this one run; callers
+// probing a span from many vantage points share one Plan through RunPlan.
 func RunIndexed(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Greylist, cfg Config, sink func(int, record.Sample)) (Stats, *Greylist, error) {
+	return RunPlan(w, vp, NewPlan(w, targets, skip), cfg, sink)
+}
+
+// Plan is the vantage-point-independent half of probing one target span:
+// the world's span plan and the greylist mask, a bit per target that the
+// blacklist skips. Both are read-only once built, so every vantage point
+// probing the span in a round shares one Plan.
+type Plan struct {
+	targets []netsim.IP
+	span    *netsim.SpanPlan
+	skip    []uint64 // nil when the blacklist holds none of the targets
+}
+
+// NewPlan plans probing targets around the hosts skip holds at the time
+// of the call.
+func NewPlan(w *netsim.World, targets []netsim.IP, skip *Greylist) *Plan {
+	pl := &Plan{targets: targets, span: w.PlanSpan(targets)}
+	if len(targets) == 0 {
+		return pl
+	}
+	// Windowing the frozen blacklist down to the span's address range
+	// first keeps each binary search to the span's handful of entries
+	// (the blacklist holds millions at paper scale).
+	lo, hi := targets[0], targets[0]
+	for _, target := range targets[1:] {
+		lo, hi = min(lo, target), max(hi, target)
+	}
+	win := skip.Freeze().Window(lo, hi)
+	if win.Len() == 0 {
+		return pl
+	}
+	pl.skip = make([]uint64, (len(targets)+63)/64)
+	for i, target := range targets {
+		if win.Contains(target) {
+			pl.skip[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return pl
+}
+
+// Len returns the number of targets the plan covers.
+func (pl *Plan) Len() int { return len(pl.targets) }
+
+// RunPlan is RunIndexed over a planned span.
+func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(int, record.Sample)) (Stats, *Greylist, error) {
+	targets := plan.targets
 	stats := Stats{VP: vp}
 	// One observation per run, on every return path; the per-probe loop
 	// never touches the metrics.
@@ -361,25 +418,15 @@ func RunIndexed(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Grey
 	crashAt, crashes := faults.CrashIndex(vp.ID, cfg.Round, cfg.Attempt, n)
 
 	// The inner loop is mutex-, map- and allocation-free per probe: the
-	// greylist is frozen and windowed down to the span's address range up
-	// front, the (VP, span) slab session is resolved once, and greylist
-	// discoveries go into the goroutine-local `found` map directly. Per
-	// probe the loop touches only the span slabs and the per-round draws,
-	// so the probe rate stays flat from 20k-target runs to full-Internet
-	// censuses.
-	spanLo, spanHi := targets[0], targets[0]
-	for _, target := range targets[1:] {
-		if target < spanLo {
-			spanLo = target
-		}
-		if target > spanHi {
-			spanHi = target
-		}
-	}
-	win := skip.Freeze().Window(spanLo, spanHi)
+	// greylist is a bit per target of the plan, the (VP, span) slab
+	// session is bound to the plan once, and greylist discoveries go into
+	// the goroutine-local `found` map directly. Per probe the loop touches
+	// only the span slabs and the per-round draws, so the probe rate stays
+	// flat from 20k-target runs to full-Internet censuses.
+	skipped := plan.skip
 	var span netsim.SpanSession
 	if !cfg.Wire {
-		span = w.ProbeSpanSession(vp, targets)
+		span = w.PlannedSession(vp, plan.span)
 	}
 
 	for i := uint64(0); ; i++ {
@@ -395,10 +442,10 @@ func RunIndexed(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Grey
 				VP: vp.Name, Round: cfg.Round, Attempt: cfg.Attempt, ProbeIndex: i,
 			}
 		}
-		target := targets[idx]
-		if win.Contains(target) {
+		if skipped != nil && skipped[idx>>6]&(1<<(idx&63)) != 0 {
 			continue
 		}
+		target := targets[idx]
 		stats.Sent++
 		// The probe clock advances only for probes actually sent:
 		// greylist-skipped targets consume no wall-clock time.
