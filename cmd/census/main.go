@@ -40,15 +40,14 @@ func main() {
 	rate := flag.Float64("rate", 1000, "probing rate per VP (probes/s)")
 	workers := flag.Int("workers", 0, "vantage points probing concurrently (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "directory to dump per-VP measurement files")
-	save := flag.String("save", "", "directory to save the census runs (loadable with census.LoadRun); probes whole rounds, like -stream=false")
+	save := flag.String("save", "", "directory to save the campaign's combined matrix and greylist as one run file (loadable with census.LoadRun, read by igreedy -runs)")
 	format := flag.String("format", "binary", "record format for -out: binary or csv")
 	top := flag.Int("top", 15, "print the top-N anycast ASes")
-	stream := flag.Bool("stream", true, "fold probe spans into the combined matrix as they land (peak memory stays O(combined + a span per worker)); -stream=false probes whole rounds, retains every one and batch-combines at the end")
 	spanTargets := flag.Int("span-targets", 0, "probe/fold unit width in targets (0 = 16384)")
 	maxHeapMiB := flag.Int("max-heap-mib", 0, "sample HeapAlloc through the run and fail if the peak exceeds this many MiB (0 = no assertion)")
 	rateBaselineTargets := flag.Int("rate-baseline-targets", 0, "measure a single-VP pilot probing run over the first N pruned targets and fail unless the campaign's aggregate probe rate stays within -rate-within of it (0 = no assertion)")
 	rateWithin := flag.Float64("rate-within", 2.0, "largest pilot/campaign probes-per-second ratio -rate-baseline-targets tolerates")
-	incremental := flag.Bool("incremental", true, "analyze each round's dirty targets as soon as it folds (needs -stream); -incremental=false analyzes once at the end")
+	incremental := flag.Bool("incremental", true, "analyze each round's dirty targets as soon as it folds; -incremental=false analyzes once at the end")
 	analyzeWorkers := flag.Int("analyze-workers", 0, "goroutines analyzing targets (0 = GOMAXPROCS)")
 	verifyAnalysis := flag.Bool("verify-analysis", false, "after an incremental campaign, re-run the batch analysis and fail unless the outcomes match bit for bit")
 	retries := flag.Int("retries", 3, "per-VP probing attempts per census round (1 disables retrying)")
@@ -194,44 +193,17 @@ func main() {
 	var campaignProbes int64
 	var campaignWall time.Duration
 
-	// With -save, every finished round is persisted (v2 columnar format)
-	// before the fold releases its matrix.
-	saved := 0
-	saveRun := func(run *census.Run) error {
-		if *save == "" {
-			return nil
-		}
-		name := filepath.Join(*save, fmt.Sprintf("census-%d.run", run.Round))
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := census.SaveRun(f, run); err != nil {
-			f.Close()
-			return fmt.Errorf("save %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("save %s: %w", name, err)
-		}
-		saved++
-		return nil
+	// Every round probes in (VP, target-span) units on in-process workers
+	// driven by the campaign's round scheduler and folds spans as they
+	// land, so no whole round is ever held. cmd/censusd is the
+	// distributed executor.
+	cp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
+	if *incremental {
+		cp.AttachAnalyzer(census.NewAnalyzer(db, census.AnalyzerConfig{Workers: *analyzeWorkers}))
 	}
-	if *save != "" {
-		if err := os.MkdirAll(*save, 0o755); err != nil {
-			log.Fatalf("save: %v", err)
-		}
-	}
-
-	cp := census.NewCampaign(census.CampaignConfig{
-		Census:     ccfg,
-		RetainRuns: !*stream,
-		OnRun:      saveRun,
-	})
-	useIncremental := *incremental && *stream
-	if *incremental && !*stream {
-		log.Printf("-incremental needs -stream; falling back to end-of-campaign analysis")
-	}
-	onRound := func(sum census.RoundSummary, err error) {
+	for round := uint64(1); round <= uint64(*rounds); round++ {
+		sum, err := cp.ExecuteRoundPipelined(context.Background(), world, pl.Sample(*vpsPer, *seed+round),
+			targets, black, round, census.PipelineConfig{SpanTargets: *spanTargets})
 		if err != nil {
 			log.Printf("census %d: probing errors (partial rows kept): %v", sum.Round, err)
 		}
@@ -243,31 +215,7 @@ func main() {
 		if sum.Health.Retries > 0 || sum.Health.Degraded() {
 			log.Printf("census %d health: %s", sum.Round, sum.Health)
 		}
-	}
-	if useIncremental {
-		cp.AttachAnalyzer(census.NewAnalyzer(db, census.AnalyzerConfig{Workers: *analyzeWorkers}))
-	}
-
-	// One round loop over one of two executors. The default probes in
-	// (VP, target-span) units on in-process workers driven by the
-	// campaign's round scheduler and folds spans as they land, so it never
-	// holds a whole *Run. The whole-round reference executor runs only
-	// when the caller asks for whole runs: -save persists them,
-	// -stream=false retains them. cmd/censusd is the distributed one.
-	wholeRuns := *save != "" || !*stream
-	execute := func(round uint64, vps []platform.VP) (census.RoundSummary, error) {
-		return cp.ExecuteRoundPipelined(context.Background(), world, vps, targets, black, round,
-			census.PipelineConfig{SpanTargets: *spanTargets})
-	}
-	if wholeRuns {
-		execute = func(round uint64, vps []platform.VP) (census.RoundSummary, error) {
-			return cp.ExecuteRound(context.Background(), world, vps, targets, black, round)
-		}
-	}
-	for round := uint64(1); round <= uint64(*rounds); round++ {
-		sum, err := execute(round, pl.Sample(*vpsPer, *seed+round))
-		onRound(sum, err)
-		if useIncremental {
+		if *incremental {
 			cp.AnalyzeDirty()
 		}
 	}
@@ -280,26 +228,21 @@ func main() {
 			log.Fatalf("dump: %v", err)
 		}
 	}
-	if saved > 0 {
-		log.Printf("saved %d runs to %s", saved, *save)
-	}
 
 	combined := cp.Combined()
-	if !*stream {
-		// Batch mode keeps every round and re-derives the combination the
-		// pre-streaming way; the result is byte-identical to the fold.
-		var err error
-		combined, err = census.Combine(cp.Runs()...)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
 	if combined == nil {
 		log.Fatal("no census rounds ran")
 	}
+	if *save != "" {
+		name, err := saveCombined(*save, cp)
+		if err != nil {
+			log.Fatalf("save: %v", err)
+		}
+		log.Printf("saved the %d-round combination to %s", combined.Rounds, name)
+	}
 	var outcomes []census.Outcome
 	var analysisWall time.Duration
-	if useIncremental {
+	if *incremental {
 		outcomes = cp.Outcomes()
 		analysisWall = cp.AnalysisWall()
 		st := cp.Analyzer().Stats()
@@ -356,6 +299,28 @@ func main() {
 		}
 	}
 	log.Printf("\ntotal wall time %v", time.Since(start).Round(time.Millisecond))
+}
+
+// saveCombined writes the campaign's combined matrix and greylist into dir
+// as one run file (census.SaveRun's ACMR2 format): igreedy -runs
+// min-combines whatever run files it finds, so one combined file answers
+// exactly as the per-round files it replaces would.
+func saveCombined(dir string, cp *census.Campaign) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	c := cp.Combined()
+	name := filepath.Join(dir, "combined.run")
+	f, err := os.Create(name)
+	if err != nil {
+		return "", err
+	}
+	run := &census.Run{Round: uint64(c.Rounds), VPs: c.VPs, Targets: c.Targets, RTTus: c.RTTus, Greylist: cp.Greylist()}
+	if err := census.SaveRun(f, run); err != nil {
+		f.Close()
+		return "", err
+	}
+	return name, f.Close()
 }
 
 // dump re-runs one probing round per VP, writing samples to files.

@@ -280,16 +280,17 @@ func main() {
 	log.Printf("\ntotal wall time %v", time.Since(start).Round(time.Millisecond))
 }
 
-// verifyAgainstSingleProcess re-runs the campaign the pre-cluster way —
-// one process, zero faults — and dies unless the distributed result is
-// byte-identical: same combined rows, same greylist, same outcomes.
+// verifyAgainstSingleProcess re-runs the campaign in one process with zero
+// faults, on the span-pipelined executor cmd/census runs, and dies unless
+// the distributed result is byte-identical: same combined rows, same
+// greylist, same outcomes.
 func verifyAgainstSingleProcess(cp *census.Campaign, outcomes []census.Outcome, world *netsim.World,
 	targets *hitlist.Hitlist, black *prober.Greylist, pl *platform.Platform,
 	ccfg census.Config, rounds, vpsPer int, seed uint64, db *cities.DB) {
 	ref := census.NewCampaign(census.CampaignConfig{Census: ccfg})
 	for round := 1; round <= rounds; round++ {
 		vps := pl.Sample(vpsPer, seed+uint64(round))
-		if _, err := ref.ExecuteRound(context.Background(), world, vps, targets, black, uint64(round)); err != nil {
+		if _, err := ref.ExecuteRoundPipelined(context.Background(), world, vps, targets, black, uint64(round), census.PipelineConfig{}); err != nil {
 			log.Fatalf("verify: single-process round %d: %v", round, err)
 		}
 	}

@@ -1,74 +1,44 @@
 package census
 
 import (
-	"context"
-	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"anycastmap/internal/hitlist"
-	"anycastmap/internal/netsim"
-	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 )
 
-// This file is the streaming data path of the campaign. The batch path
-// (Execute every round, keep every Run, Combine at the end) holds
-// rounds × V × T dense int32 cells alive simultaneously — the exact
-// failure mode the paper's own Table 1 rewrite attacked (79 GB of text vs
-// 6 GB of binary). A Campaign instead folds each finished round into the
-// combined minimum-RTT matrix and lets the round's rows go: peak memory is
-// O(one run + combined) no matter how many censuses the campaign runs.
+// This file is the combined side of a census: a Campaign folds every
+// round into one minimum-RTT matrix as its units land and lets the units
+// go, so peak memory is O(combined + a span per worker) however many
+// censuses run — the failure mode the paper's own Table 1 rewrite
+// attacked (79 GB of text vs 6 GB of binary) never returns as rounds × V
+// × T dense cells. Rounds arrive through ExecuteRoundPipelined
+// (pipeline.go) or the cluster coordinator, both driving RoundSched
+// (sched.go) into FoldShard (shard.go).
 //
 // The fold is exact, not approximate: per-cell minimum is commutative and
-// associative and the greylist merge is a set union, so the streamed
-// Combined is byte-identical to the batch Combine of the same rounds
-// (TestCensusDeterminism proves it across worker counts and shard sizes).
+// associative and the greylist merge is a set union, so the combined
+// matrix is byte-identical to the batch Combine of the same rounds'
+// whole-round runs (TestCensusDeterminism).
 
-// CampaignConfig tunes a streaming campaign.
+// CampaignConfig tunes a campaign.
 type CampaignConfig struct {
 	// Census tunes each probing round (rate, seed, workers, retries).
 	Census Config
-	// FoldWorkers bounds the goroutines folding a finished round into
-	// the combined matrix; zero means GOMAXPROCS. The fold result does
-	// not depend on the worker count.
-	FoldWorkers int
-	// ShardTargets is the width (in targets) of one fold work unit; the
-	// combined matrix is sharded column-wise so workers never share a
-	// cell. Zero picks a width that spreads one VP row over a few
-	// shards. The fold result does not depend on the shard size.
-	ShardTargets int
-	// RetainRuns keeps every folded *Run alive (Runs) for analyses
-	// that need individual rounds — the Fig. 4 funnel and the per-census
-	// ablations. Off, each round's matrix is released after its fold and
-	// peak memory stays bounded.
-	RetainRuns bool
-	// OnRun, when set, observes every finished round after it is folded
-	// and before it is discarded: the hook is where cmd/census persists
-	// rounds to disk in the v2 format. An error aborts the campaign.
-	OnRun func(*Run) error
 	// Metrics, when set, receives fold/analysis observations (rounds
-	// folded, fold and analyze latency, dirty-set and greylist sizes,
-	// detection counters). The instrument set usually outlives the
-	// campaign: daemons register one Metrics per process and thread it
-	// through every campaign they build.
+	// folded, analyze latency, dirty-set and greylist sizes, detection
+	// counters). The instrument set usually outlives the campaign:
+	// daemons register one Metrics per process and thread it through
+	// every campaign they build.
 	Metrics *Metrics
-}
-
-func (c CampaignConfig) foldWorkers() int {
-	if c.FoldWorkers > 0 {
-		return c.FoldWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Campaign accumulates census rounds into a combined minimum-RTT matrix as
 // they complete. The zero value is not usable; construct with NewCampaign.
-// Campaign is not safe for concurrent FoldRun calls: rounds fold in
-// sequence (each fold is internally parallel).
+// Campaign is not safe for concurrent use: one round is open at a time,
+// and every fold into it runs under its one owner (the worker pool's
+// mutex or the coordinator's loop).
 type Campaign struct {
 	cfg CampaignConfig
 
@@ -77,12 +47,10 @@ type Campaign struct {
 	arena    *slabArena  // backs combined rows
 	grey     *prober.Greylist
 	health   CampaignHealth
-	runs     []*Run
 
 	// dirty is a bitmap over targets: bit t is set when some combined
 	// min-RTT cell of target t improved or a VP newly answered it since
-	// the last TakeDirty. Fold workers own disjoint column shards but
-	// share bitmap words at shard boundaries, so bits merge with CAS.
+	// the last TakeDirty.
 	dirty []uint32
 
 	// Open-round state (shard.go): the number of the round currently
@@ -97,7 +65,7 @@ type Campaign struct {
 	analysisWall atomic.Int64 // cumulative AnalyzeDirty nanoseconds
 }
 
-// NewCampaign returns an empty streaming campaign.
+// NewCampaign returns an empty campaign.
 func NewCampaign(cfg CampaignConfig) *Campaign {
 	return &Campaign{
 		cfg:  cfg,
@@ -106,83 +74,45 @@ func NewCampaign(cfg CampaignConfig) *Campaign {
 	}
 }
 
-// RoundSummary is the lightweight per-round record a streaming campaign
-// keeps after the round's matrix is gone: what cmd/census logs, without
-// the O(V×T) payload.
+// RoundSummary is the lightweight per-round record a campaign keeps once
+// the round's units have folded: what cmd/census logs and the paper's
+// per-census figures read, without the O(V×T) payload.
 type RoundSummary struct {
 	Round       uint64
 	VPs         int
 	Probes      int
 	EchoTargets int
 	GreylistLen int
-	Health      RunHealth
-	Duration    time.Duration
+	// Completion is each vantage point's simulated probing time, in
+	// round order: the sum of its folded units' ShardStats.Completion
+	// (Fig. 8).
+	Completion []time.Duration
+	Health     RunHealth
+	Duration   time.Duration
 }
 
-// FoldRun merges one finished round into the campaign: per-cell minimum
+// FoldRun merges one whole-round run into the campaign: per-cell minimum
 // into the combined matrix, set union into the campaign greylist, health
 // into the campaign summary. The run's target list must match the rounds
-// folded before it. After FoldRun returns the campaign holds no reference
-// to the run's matrix unless RetainRuns is set.
+// folded before it. It is the fold of the ExecuteContext reference; no
+// executor that serves calls it.
 func (cp *Campaign) FoldRun(run *Run) error {
-	foldStart := time.Now()
 	slots, err := cp.BeginRound(run.Round, run.Targets, run.VPs)
 	if err != nil {
 		return err
 	}
-
-	// Fold the rows in column shards pulled from an atomic counter: every
-	// combined cell is written by exactly one worker, so the result is
-	// identical at any worker count or shard width.
-	nT := len(run.Targets)
-	shard := cp.cfg.ShardTargets
-	if shard <= 0 {
-		shard = nT/(4*cp.cfg.foldWorkers()) + 1
+	for vi := range run.VPs {
+		cp.mergeCells(cp.combined.RTTus[slots[vi]], run.RTTus[vi], 0)
 	}
-	shardsPerRow := (nT + shard - 1) / shard
-	total := len(run.VPs) * shardsPerRow
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(cp.cfg.foldWorkers(), total) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				unit := int(next.Add(1) - 1)
-				if unit >= total {
-					return
-				}
-				vi := unit / shardsPerRow
-				lo := (unit % shardsPerRow) * shard
-				hi := min(lo+shard, nT)
-				cp.mergeCells(cp.combined.RTTus[slots[vi]][lo:hi], run.RTTus[vi][lo:hi], lo)
-			}
-		}()
-	}
-	wg.Wait()
-
 	cp.grey.Merge(run.Greylist)
-	if err := cp.FinishRound(run.Health); err != nil {
-		return err
-	}
-	cp.cfg.Metrics.foldObserved(time.Since(foldStart))
-	if cp.cfg.RetainRuns {
-		cp.runs = append(cp.runs, run)
-	}
-	if cp.cfg.OnRun != nil {
-		if err := cp.cfg.OnRun(run); err != nil {
-			return fmt.Errorf("census: campaign round %d hook: %w", run.Round, err)
-		}
-	}
-	return nil
+	return cp.FinishRound(run.Health)
 }
 
 // mergeCells is the fold kernel: it min-merges src — one vantage point's
 // samples for targets [lo, lo+len(src)) — into the same cells dst of its
 // combined row, and marks every target whose cell improved or was newly
 // answered dirty. Dirty bits accumulate in a local word and flush on
-// word-boundary crossings; FoldRun's column shards can split a word
-// between workers, so the flush merges with CAS.
+// word-boundary crossings.
 func (cp *Campaign) mergeCells(dst, src []int32, lo int) {
 	dst = dst[:len(src)] // one bounds check here instead of one per cell
 	word, mask := lo>>5, uint32(0)
@@ -194,33 +124,21 @@ func (cp *Campaign) mergeCells(dst, src []int32, lo int) {
 			dst[t] = v
 			gt := lo + t
 			if w := gt >> 5; w != word {
-				cp.orDirty(word, mask)
+				cp.dirty[word] |= mask
 				word, mask = w, 0
 			}
 			mask |= 1 << uint(gt&31)
 		}
 	}
-	cp.orDirty(word, mask)
-}
-
-// orDirty merges a local dirty mask into the shared bitmap word.
-func (cp *Campaign) orDirty(word int, mask uint32) {
-	if mask == 0 {
-		return
-	}
-	p := &cp.dirty[word]
-	for {
-		old := atomic.LoadUint32(p)
-		if old&mask == mask || atomic.CompareAndSwapUint32(p, old, old|mask) {
-			return
-		}
+	if mask != 0 {
+		cp.dirty[word] |= mask
 	}
 }
 
 // TakeDirty returns the sorted indices of every target whose combined
 // row changed (a min-RTT cell improved, or a VP newly answered) since
 // the previous TakeDirty, clearing the set. It must not run concurrently
-// with FoldRun.
+// with a fold.
 func (cp *Campaign) TakeDirty() []int {
 	var out []int
 	for w, v := range cp.dirty {
@@ -269,33 +187,6 @@ func (cp *Campaign) AnalysisWall() time.Duration {
 	return time.Duration(cp.analysisWall.Load())
 }
 
-// ExecuteRound probes one census round and folds it into the campaign,
-// returning the round's summary. Per-VP probing errors degrade rather than
-// abort (quarantined VPs keep their partial rows, exactly as
-// ExecuteContext); the round still folds, and the error is returned for
-// surfacing. Unless RetainRuns is set the round's matrix is unreferenced
-// when ExecuteRound returns.
-func (cp *Campaign) ExecuteRound(ctx context.Context, w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, blacklist *prober.Greylist, round uint64) (RoundSummary, error) {
-	t0 := time.Now()
-	run, err := ExecuteContext(ctx, w, vps, h, blacklist, round, cp.cfg.Census)
-	if ctx.Err() != nil {
-		return RoundSummary{Round: round}, err
-	}
-	sum := RoundSummary{
-		Round:       round,
-		VPs:         len(run.VPs),
-		Probes:      run.TotalProbes(),
-		EchoTargets: run.EchoTargets(),
-		GreylistLen: run.Greylist.Len(),
-		Health:      run.Health,
-	}
-	if ferr := cp.FoldRun(run); ferr != nil {
-		return sum, ferr
-	}
-	sum.Duration = time.Since(t0)
-	return sum, err
-}
-
 // Combined returns the minimum-RTT combination of every round folded so
 // far, or nil before the first fold. The matrix is live: folding further
 // rounds keeps updating it.
@@ -306,6 +197,3 @@ func (cp *Campaign) Greylist() *prober.Greylist { return cp.grey }
 
 // Health returns the campaign health aggregated over the folded rounds.
 func (cp *Campaign) Health() CampaignHealth { return cp.health }
-
-// Runs returns the retained rounds (RetainRuns only; nil otherwise).
-func (cp *Campaign) Runs() []*Run { return cp.runs }

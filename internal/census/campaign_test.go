@@ -2,7 +2,6 @@ package census
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"anycastmap/internal/netsim"
@@ -11,7 +10,7 @@ import (
 
 // TestFoldRunMatchesCombine folds the testbed rounds through a Campaign
 // and checks the result cell-for-cell against the batch Combine of the
-// same runs, plus the greylist union and the retained-run bookkeeping.
+// same runs, plus the greylist union and the health bookkeeping.
 func TestFoldRunMatchesCombine(t *testing.T) {
 	_, _, _, r1, r2 := testbed(t)
 	batch, err := Combine(r1, r2)
@@ -19,7 +18,7 @@ func TestFoldRunMatchesCombine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp := NewCampaign(CampaignConfig{FoldWorkers: 3, ShardTargets: 97, RetainRuns: true})
+	cp := NewCampaign(CampaignConfig{})
 	if cp.Combined() != nil {
 		t.Fatal("empty campaign has a combined matrix")
 	}
@@ -59,9 +58,6 @@ func TestFoldRunMatchesCombine(t *testing.T) {
 		}
 	}
 
-	if len(cp.Runs()) != 2 {
-		t.Fatalf("RetainRuns kept %d runs", len(cp.Runs()))
-	}
 	if cp.Health().Rounds != 2 {
 		t.Fatalf("campaign health folded %d rounds", cp.Health().Rounds)
 	}
@@ -92,79 +88,5 @@ func TestFoldRunRejectsDivergentTargets(t *testing.T) {
 	diverged.Targets[3]++
 	if err := cp.FoldRun(diverged); err == nil {
 		t.Error("diverged target list accepted")
-	}
-}
-
-// TestCampaignDiscardsRuns checks the memory contract: without
-// RetainRuns, the campaign keeps no reference to folded runs.
-func TestCampaignDiscardsRuns(t *testing.T) {
-	_, _, _, r1, r2 := testbed(t)
-	cp := NewCampaign(CampaignConfig{})
-	for _, r := range []*Run{r1, r2} {
-		if err := cp.FoldRun(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cp.Runs() != nil {
-		t.Fatal("campaign retained runs without RetainRuns")
-	}
-}
-
-// TestCampaignOnRunHook checks the per-round hook sees every run, in
-// order, after it folded.
-func TestCampaignOnRunHook(t *testing.T) {
-	_, _, _, r1, r2 := testbed(t)
-	var seen []uint64
-	cp := NewCampaign(CampaignConfig{OnRun: func(r *Run) error {
-		seen = append(seen, r.Round)
-		return nil
-	}})
-	for _, r := range []*Run{r1, r2} {
-		if err := cp.FoldRun(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(seen) != 2 || seen[0] != r1.Round || seen[1] != r2.Round {
-		t.Fatalf("hook saw rounds %v", seen)
-	}
-}
-
-// TestCampaignExecuteRound runs a streaming round end-to-end and checks
-// the summary against the folded state.
-func TestCampaignExecuteRound(t *testing.T) {
-	w, h, vps, _, _ := testbed(t)
-	cp := NewCampaign(CampaignConfig{Census: Config{Seed: 9, RetryBackoff: -1}})
-	sum, err := cp.ExecuteRound(context.Background(), w, vps[:12], h, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.VPs != 12 || sum.Probes == 0 || sum.EchoTargets == 0 {
-		t.Fatalf("implausible summary %+v", sum)
-	}
-	c := cp.Combined()
-	if c == nil || len(c.VPs) != 12 || c.Rounds != 1 {
-		t.Fatal("round did not fold")
-	}
-}
-
-// TestCombinedEchoTargetsMemoized pins the satellite: the memoized count
-// equals a fresh scan.
-func TestCombinedEchoTargetsMemoized(t *testing.T) {
-	_, _, _, r1, r2 := testbed(t)
-	c, _ := Combine(r1, r2)
-	want := 0
-	for ti := range c.Targets {
-		for v := range c.VPs {
-			if c.RTTus[v][ti] >= 0 {
-				want++
-				break
-			}
-		}
-	}
-	if got := c.EchoTargets(); got != want {
-		t.Fatalf("EchoTargets = %d, want %d", got, want)
-	}
-	if got := c.EchoTargets(); got != want {
-		t.Fatalf("memoized EchoTargets = %d, want %d", got, want)
 	}
 }

@@ -1,12 +1,14 @@
-// Package census orchestrates Internet-wide anycast censuses: it fans a
-// probing run out over the vantage points of a platform (each running the
-// Fastping engine of package prober), collects the per-VP latency matrices,
-// combines multiple censuses by minimum RTT, and runs the core
+// Package census orchestrates Internet-wide anycast censuses: it probes
+// each round in (vantage point, target span) units, each running the
+// Fastping engine of package prober, folds every unit into one combined
+// minimum-RTT matrix as it lands, and runs the core
 // detection/enumeration/geolocation analysis over every target.
 //
 // This is the distributed system of Sec. 3 of the paper, with goroutines
-// standing in for PlanetLab nodes: the workflow (Fig. 1) is
-// blacklist -> N censuses -> combination -> analysis.
+// (or the agents of package cluster) standing in for PlanetLab nodes: the
+// workflow (Fig. 1) is blacklist -> N censuses -> combination -> analysis,
+// and one executor, Campaign.ExecuteRoundPipelined, runs it for every
+// caller that serves or reports.
 package census
 
 import (
@@ -108,8 +110,9 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Run is the outcome of one census: a (vantage point x target) matrix of
-// minimum observed RTTs plus the bookkeeping around it.
+// Run is one census as a whole (vantage point x target) matrix of minimum
+// observed RTTs plus the bookkeeping around it: what the ExecuteContext
+// reference produces and what one SaveRun file holds.
 type Run struct {
 	Round   uint64
 	VPs     []platform.VP
@@ -123,28 +126,21 @@ type Run struct {
 	// Health is the round's recovery summary: retries, recovered and
 	// quarantined vantage points, partial/empty rows.
 	Health RunHealth
-
-	// echoTargets memoizes EchoTargets: the full V×T scan is too
-	// expensive for the per-round logging path of cmd/census.
-	echoOnce    sync.Once
-	echoTargets int
 }
 
 // EchoTargets returns how many targets returned an echo reply to at least
-// one vantage point. The count is computed once and memoized; the latency
-// matrix is immutable after ExecuteContext returns.
+// one vantage point.
 func (r *Run) EchoTargets() int {
-	r.echoOnce.Do(func() {
-		for t := range r.Targets {
-			for v := range r.VPs {
-				if r.RTTus[v][t] >= 0 {
-					r.echoTargets++
-					break
-				}
+	n := 0
+	for t := range r.Targets {
+		for v := range r.VPs {
+			if r.RTTus[v][t] >= 0 {
+				n++
+				break
 			}
 		}
-	})
-	return r.echoTargets
+	}
+	return n
 }
 
 // TotalProbes returns the number of probes sent across all VPs.
@@ -156,26 +152,13 @@ func (r *Run) TotalProbes() int {
 	return n
 }
 
-// CompletionTimes returns the simulated per-VP completion durations
-// (Fig. 8).
-func (r *Run) CompletionTimes() []time.Duration {
-	out := make([]time.Duration, len(r.Stats))
-	for i, s := range r.Stats {
-		out[i] = s.Completion
-	}
-	return out
-}
-
-// Execute runs one census: every vantage point probes every hitlist target
-// at the configured rate, concurrently across VPs.
-func Execute(w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, blacklist *prober.Greylist, round uint64, cfg Config) *Run {
-	run, _ := ExecuteContext(context.Background(), w, vps, h, blacklist, round, cfg)
-	return run
-}
-
-// ExecuteContext is Execute with cancellation: when ctx is cancelled,
-// in-flight vantage points finish and the rest are skipped; the partial run
-// is returned together with the context's error.
+// ExecuteContext runs one census as one whole round: every vantage point
+// probes every hitlist target at the configured rate, concurrently across
+// VPs, into a full V×T matrix. It is the slow reference the determinism
+// tests hold Campaign.ExecuteRoundPipelined to; nothing outside tests and
+// the benchmark calls it. When ctx is cancelled, in-flight vantage points
+// finish and the rest are skipped; the partial run is returned together
+// with the context's error.
 //
 // Per-VP probing failures do not stop the other vantage points. A failed
 // VP is retried up to Config.MaxAttempts times with capped exponential
@@ -292,9 +275,6 @@ func ExecuteContext(ctx context.Context, w *netsim.World, vps []platform.VP, h *
 		}
 	}
 	run.Health = buildHealth(round, perVP, rowSamples)
-	// Prime the memoized echo count while the run is still hot in cache;
-	// cmd/census logs it after every round.
-	run.EchoTargets()
 	return run, errors.Join(append(vpErrs, ctx.Err())...)
 }
 
@@ -342,15 +322,11 @@ type Combined struct {
 	Targets []netsim.IP
 	RTTus   [][]int32
 	Rounds  int
-
-	// echoTargets memoizes EchoTargets like Run.echoTargets does: the
-	// funnel and census-figure paths call it repeatedly and the full V×T
-	// scan is too expensive to repeat.
-	echoOnce    sync.Once
-	echoTargets int
 }
 
 // Combine merges census runs. All runs must share the same target list.
+// It is the batch reference Campaign's fold is held to; cmd/igreedy -runs
+// min-combines saved files with it.
 func Combine(runs ...*Run) (*Combined, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("census: nothing to combine")
@@ -471,23 +447,6 @@ func (c *Combined) appendRadii(t int, radii []float64, vpIdx []int) ([]float64, 
 		}
 	}
 	return radii, vpIdx
-}
-
-// EchoTargets returns how many targets have at least one sample. The
-// count is computed once and memoized; call it only once the matrix is
-// final (after the last Combine or Campaign.FoldRun).
-func (c *Combined) EchoTargets() int {
-	c.echoOnce.Do(func() {
-		for t := range c.Targets {
-			for v := range c.VPs {
-				if c.RTTus[v][t] >= 0 {
-					c.echoTargets++
-					break
-				}
-			}
-		}
-	})
-	return c.echoTargets
 }
 
 // Outcome is the analysis result for one anycast target.

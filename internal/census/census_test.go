@@ -24,6 +24,12 @@ var (
 	tbRun2 *Run
 )
 
+// execute runs the whole-round reference to completion.
+func execute(w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, blacklist *prober.Greylist, round uint64, cfg Config) *Run {
+	run, _ := ExecuteContext(context.Background(), w, vps, h, blacklist, round, cfg)
+	return run
+}
+
 func testbed(t *testing.T) (*netsim.World, *hitlist.Hitlist, []platform.VP, *Run, *Run) {
 	t.Helper()
 	tbOnce.Do(func() {
@@ -33,8 +39,8 @@ func testbed(t *testing.T) (*netsim.World, *hitlist.Hitlist, []platform.VP, *Run
 		tbH = hitlist.FromWorld(tbW).PruneNeverAlive()
 		pl := platform.PlanetLab(cities.Default())
 		tbVPs = pl.Sample(160, 1)
-		tbRun1 = Execute(tbW, tbVPs, tbH, nil, 1, Config{Seed: 9})
-		tbRun2 = Execute(tbW, pl.Sample(150, 2), tbH, nil, 2, Config{Seed: 9})
+		tbRun1 = execute(tbW, tbVPs, tbH, nil, 1, Config{Seed: 9})
+		tbRun2 = execute(tbW, pl.Sample(150, 2), tbH, nil, 2, Config{Seed: 9})
 	})
 	return tbW, tbH, tbVPs, tbRun1, tbRun2
 }
@@ -54,12 +60,12 @@ func TestExecuteShape(t *testing.T) {
 		if run.Stats[v].Sent != len(run.Targets) {
 			t.Errorf("VP %d sent %d probes, want %d", v, run.Stats[v].Sent, len(run.Targets))
 		}
+		if run.Stats[v].Completion <= 0 {
+			t.Errorf("VP %d completed in %v", v, run.Stats[v].Completion)
+		}
 	}
 	if run.TotalProbes() != len(vps)*len(run.Targets) {
 		t.Error("TotalProbes mismatch")
-	}
-	if got := len(run.CompletionTimes()); got != len(vps) {
-		t.Errorf("CompletionTimes length %d", got)
 	}
 }
 
@@ -208,7 +214,7 @@ func TestExecuteWithBlacklistShrinksErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := Execute(w, vps[:10], h, bl, 3, Config{Seed: 9})
+	run := execute(w, vps[:10], h, bl, 3, Config{Seed: 9})
 	// Errors seen during the census exclude everything the preliminary
 	// blacklist caught from the same probing behaviour.
 	for _, s := range run.Stats {

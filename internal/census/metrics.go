@@ -15,8 +15,6 @@ type Metrics struct {
 	// RoundsFolded counts census rounds folded into a combined matrix,
 	// counted when the round closes (FinishRound).
 	RoundsFolded *obs.Counter
-	// FoldSeconds is the latency of folding one finished round.
-	FoldSeconds *obs.Histogram
 	// AnalyzeSeconds is the latency of one analysis pass — an
 	// incremental AnalyzeDirty or a batch AnalyzeAll.
 	AnalyzeSeconds *obs.Histogram
@@ -39,7 +37,6 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		RoundsFolded:   r.Counter("anycastmap_census_rounds_folded_total", "Census rounds folded into the combined min-RTT matrix."),
-		FoldSeconds:    r.Histogram("anycastmap_census_fold_seconds", "Latency of folding one finished round into the combined matrix.", obs.FastBuckets),
 		AnalyzeSeconds: r.Histogram("anycastmap_census_analyze_seconds", "Latency of one analysis pass (incremental dirty-set or batch).", obs.DefBuckets),
 		DirtyTargets:   r.Gauge("anycastmap_census_dirty_targets", "Dirty-set size of the most recent incremental analysis."),
 		GreylistSize:   r.Gauge("anycastmap_census_greylist_size", "Campaign greylist size after the most recent fold."),
@@ -48,16 +45,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		SplitScanned:   r.Counter("anycastmap_census_split_scanned_total", "Detection passes that tested the disks not holding that center against all."),
 		PairTests:      r.Counter("anycastmap_census_pair_tests_total", "Disk-pair overlap tests executed by detection passes."),
 	}
-}
-
-// foldObserved records the latency of one whole-run fold (FoldRun). A
-// span-folded round has no single fold; its per-frame latency is the
-// coordinator's shard-fold histogram.
-func (m *Metrics) foldObserved(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.FoldSeconds.Observe(d.Seconds())
 }
 
 // analyzeObserved records one incremental analysis pass; before/after

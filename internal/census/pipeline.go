@@ -12,22 +12,24 @@ import (
 	"anycastmap/internal/prober"
 )
 
-// pipeline.go — the in-process driver of the round engine (sched.go).
+// pipeline.go — the in-process driver of the round engine (sched.go), and
+// the one executor every in-process caller runs: store.Refresher,
+// cmd/census, censusd -verify's reference and the paper's figures
+// (internal/experiments).
 //
-// ExecuteContext materializes one full V×T round matrix before the fold:
-// at paper scale (6.6M targets, hundreds of VPs) that transient is tens of
-// gigabytes — far larger than the combined matrix it folds into. The
-// span-pipelined executor instead works in (VP, target-span) units, the
-// same unit the cluster coordinator leases to agents: each worker probes
-// a span and min-merges it into the combined matrix, so a round's working
-// set beyond the combined matrix is one span per worker.
+// It works in (VP, target-span) units, the same unit the cluster
+// coordinator leases to agents: each worker probes a span and min-merges
+// it into the combined matrix, so a round's working set beyond the
+// combined matrix is one span per worker. The whole-round reference,
+// ExecuteContext, materializes a full V×T matrix instead — tens of
+// gigabytes at paper scale (6.6M targets, hundreds of VPs).
 //
-// Byte-identity with the whole-round reference follows from the fold
-// algebra (per-cell min is commutative, associative, idempotent; greylist
-// merge is a set union) plus the invariant that probing a span is
-// byte-identical to the corresponding span of a full-row prober.Run (RTT
-// draws are pure functions of (VP, target, round, seed, attempt)).
-// TestCensusDeterminism pins pipelined-vs-whole-round digests.
+// Byte-identity with that reference follows from the fold algebra
+// (per-cell min is commutative, associative, idempotent; greylist merge
+// is a set union) plus the invariant that probing a span is byte-identical
+// to the corresponding span of a full-row prober.Run (RTT draws are pure
+// functions of (VP, target, round, seed, attempt)). TestCensusDeterminism
+// pins pipelined-vs-whole-round digests.
 //
 // Under faults the two differ by design: here only successful units fold,
 // so a quarantined VP keeps the spans that succeeded and contributes

@@ -91,9 +91,10 @@ type RoundSched struct {
 	first int // every VP before it is complete or quarantined
 	open  int // VPs neither complete nor quarantined
 
-	probes int
-	echo   []uint64 // bit per target: some VP got an echo this round
-	grey   *prober.Greylist
+	probes     int
+	completion []time.Duration // per VP: its folded units' simulated probing time
+	echo       []uint64        // bit per target: some VP got an echo this round
+	grey       *prober.Greylist
 }
 
 // OpenRound opens round on the campaign (BeginRound) and returns its
@@ -106,14 +107,15 @@ func (cp *Campaign) OpenRound(round uint64, targets []netsim.IP, vps []platform.
 		return nil, err
 	}
 	s := &RoundSched{
-		cp:    cp,
-		round: round,
-		vps:   vps,
-		slots: slots,
-		spans: ShardSpans(len(targets), PipelineConfig{SpanTargets: spanTargets}.EffectiveSpanTargets()),
-		state: make([]vpSched, len(vps)),
-		echo:  make([]uint64, (len(targets)+63)/64),
-		grey:  prober.NewGreylist(),
+		cp:         cp,
+		round:      round,
+		vps:        vps,
+		slots:      slots,
+		spans:      ShardSpans(len(targets), PipelineConfig{SpanTargets: spanTargets}.EffectiveSpanTargets()),
+		state:      make([]vpSched, len(vps)),
+		completion: make([]time.Duration, len(vps)),
+		echo:       make([]uint64, (len(targets)+63)/64),
+		grey:       prober.NewGreylist(),
 	}
 	if len(s.spans) > 0 {
 		s.open = len(vps)
@@ -186,6 +188,7 @@ func (s *RoundSched) Done(u Unit, sr *ShardRows) error {
 	}
 	for _, st := range sr.Stats {
 		s.probes += st.Sent
+		s.completion[u.Index] += st.Completion
 	}
 	for _, row := range sr.RTTus {
 		for t, c := range row {
@@ -277,6 +280,7 @@ func (s *RoundSched) Close(aborted error) (RoundSummary, error) {
 		Probes:      s.probes,
 		EchoTargets: echoTargets,
 		GreylistLen: s.grey.Len(),
+		Completion:  s.completion,
 		Health:      health,
 	}, errors.Join(append(errs, aborted)...)
 }

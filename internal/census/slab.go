@@ -12,7 +12,7 @@ package census
 // dozen allocations total instead of one per VP row.
 //
 // Rows stay ordinary []int32 slices (three-word headers into a block), so
-// every consumer of Combined.RTTus — the fold workers, the analyzer, the
+// every consumer of Combined.RTTus — the fold, the analyzer, the
 // experiments, the codecs — is untouched; the batch Combine, which
 // allocates per row, is the layout TestCensusDeterminism compares against.
 

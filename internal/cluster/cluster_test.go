@@ -53,7 +53,7 @@ func singleProcessReference(t *testing.T, w *netsim.World, h *hitlist.Hitlist, v
 	t.Helper()
 	cp := census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()})
 	for r, set := range vps {
-		if _, err := cp.ExecuteRound(context.Background(), w, set, h, nil, uint64(r+1)); err != nil {
+		if _, err := cp.ExecuteRoundPipelined(context.Background(), w, set, h, nil, uint64(r+1), census.PipelineConfig{}); err != nil {
 			t.Fatalf("single-process round %d: %v", r+1, err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestClusterHonoursBlacklist(t *testing.T) {
 	targets := h.Without(black.Targets())
 
 	ref := census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()})
-	if _, err := ref.ExecuteRound(context.Background(), w, vps[0], targets, black, 1); err != nil {
+	if _, err := ref.ExecuteRoundPipelined(context.Background(), w, vps[0], targets, black, 1, census.PipelineConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,7 +229,7 @@ func TestClusterSurvivesAgentChurn(t *testing.T) {
 	ccfg.MaxAttempts = 50
 	refCp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
 	for r, set := range vps {
-		if _, err := refCp.ExecuteRound(context.Background(), w, set, h, nil, uint64(r+1)); err != nil {
+		if _, err := refCp.ExecuteRoundPipelined(context.Background(), w, set, h, nil, uint64(r+1), census.PipelineConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}

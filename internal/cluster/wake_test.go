@@ -60,7 +60,7 @@ func TestParkedTailWakesWithoutTick(t *testing.T) {
 	ccfg := census.Config{Seed: 9, RetryBackoff: time.Millisecond}
 	ref := census.NewCampaign(census.CampaignConfig{Census: ccfg})
 	for r, set := range vps {
-		if _, err := ref.ExecuteRound(context.Background(), w, set, h, nil, uint64(r+1)); err != nil {
+		if _, err := ref.ExecuteRoundPipelined(context.Background(), w, set, h, nil, uint64(r+1), census.PipelineConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ type BaselineComparison struct {
 func (l *Lab) Baselines(sampleSize int) BaselineComparison {
 	res := BaselineComparison{}
 	geoDB := baseline.BuildGeoDB(l.World, l.World.Registry, l.Cities)
-	vps := l.Runs[0].VPs
+	vps := l.roundVPs(0)
 
 	measureTarget := func(target netsim.IP) []core.Measurement {
 		return measureFromVPs(vps, l.Config.Censuses, func(vp platform.VP, round uint64) netsim.Reply {

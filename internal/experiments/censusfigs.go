@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"anycastmap/internal/analysis"
-	"anycastmap/internal/census"
-	"anycastmap/internal/core"
 	"anycastmap/internal/stats"
 )
 
@@ -188,16 +186,12 @@ type Fig12Result struct {
 	MaxReplicas    int
 }
 
-// Fig12 analyzes each census individually and the combination.
+// Fig12 analyzes each census individually, re-probed into a campaign of
+// its own, and the combination.
 func (l *Lab) Fig12() Fig12Result {
 	res := Fig12Result{CombinedCount: len(l.Findings)}
-	for _, run := range l.Runs {
-		single, err := census.Combine(run)
-		if err != nil {
-			panic(err)
-		}
-		outcomes := census.AnalyzeAll(l.Cities, single, core.Options{}, 2, 0)
-		res.PerCensusCounts = append(res.PerCensusCounts, len(outcomes))
+	for i := range l.Rounds {
+		res.PerCensusCounts = append(res.PerCensusCounts, len(l.singleCensus(l.roundVPs(i), uint64(i+1))))
 	}
 	var mean float64
 	for _, n := range res.PerCensusCounts {

@@ -200,6 +200,7 @@ func (l *Lab) Fig7() []Fig7Result {
 	for _, f := range l.Findings {
 		byPrefix[f.Prefix] = f.Result
 	}
+	vps := l.roundVPs(0)
 	var out []Fig7Result
 	for _, name := range []string{"CLOUDFLARENET,US", "EDGECAST,US"} {
 		as := l.World.Registry.MustByName(name)
@@ -210,7 +211,7 @@ func (l *Lab) Fig7() []Fig7Result {
 			if !detected {
 				continue
 			}
-			gt, ok := groundtruth.Collect(l.World, l.Runs[0].VPs, d.Prefix, 1)
+			gt, ok := groundtruth.Collect(l.World, vps, d.Prefix, 1)
 			if !ok || len(gt.Cities) == 0 {
 				continue
 			}

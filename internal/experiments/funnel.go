@@ -55,13 +55,11 @@ func (l *Lab) Fig4() Fig4Result {
 	}
 	grey := prober.NewGreylist()
 	grey.Merge(l.Black)
-	for _, r := range l.Runs {
-		grey.Merge(r.Greylist)
-	}
+	grey.Merge(l.Greylist)
 	return Fig4Result{
 		FullHitlist:     l.Full.Len(),
 		PrunedTargets:   l.Hitlist.Len(),
-		EchoTargets:     l.Runs[0].EchoTargets(),
+		EchoTargets:     l.Rounds[0].EchoTargets,
 		GreylistHosts:   grey.Len(),
 		ValidTargets:    valid,
 		AnycastPrefixes: len(l.Findings),
@@ -209,8 +207,8 @@ type Fig8Result struct {
 func (l *Lab) Fig8() Fig8Result {
 	scaleToPaper := 6_600_000.0 / float64(l.Hitlist.Len())
 	var hours []float64
-	for _, r := range l.Runs {
-		for _, d := range r.CompletionTimes() {
+	for _, r := range l.Rounds {
+		for _, d := range r.Completion {
 			hours = append(hours, d.Hours()*scaleToPaper)
 		}
 	}

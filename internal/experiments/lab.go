@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -35,12 +36,6 @@ type LabConfig struct {
 	VPsPerCensus []int
 	// Seed drives the whole lab.
 	Seed uint64
-	// DiscardRuns releases each round's matrix after it folds into the
-	// combination, bounding peak memory to O(one run + combined). The
-	// default (false) retains Runs, which the Fig. 4 funnel and the
-	// per-census ablations need; discard only for scale/memory studies
-	// that read nothing but Combined.
-	DiscardRuns bool
 }
 
 // DefaultLabConfig mirrors the paper's campaign at reduced unicast scale.
@@ -65,8 +60,12 @@ type Lab struct {
 	Full    *hitlist.Hitlist // before pruning
 	Hitlist *hitlist.Hitlist // pruned per-VP target list
 	Black   *prober.Greylist
-	Runs    []*census.Run // individual rounds; nil when Config.DiscardRuns
 
+	// Rounds summarizes each census round in order: VP count, probes,
+	// echo targets, per-VP completion times. Greylist is the union of
+	// the rounds' greylists, the blacklist not included.
+	Rounds   []census.RoundSummary
+	Greylist *prober.Greylist
 	Combined *census.Combined
 	Outcomes []census.Outcome
 	Findings []analysis.Finding
@@ -113,26 +112,49 @@ func NewLab(cfg LabConfig) *Lab {
 	l.Black = black
 	l.Hitlist = l.Full.PruneNeverAlive().Without(l.Black.Targets())
 
-	// Rounds stream through a Campaign: each census folds into the
-	// combined minimum-RTT matrix as it finishes, and (with DiscardRuns)
-	// its rows are released right away. The fold is byte-identical to the
-	// batch Combine of the same rounds.
-	cp := census.NewCampaign(census.CampaignConfig{
-		Census:     census.Config{Seed: cfg.Seed},
-		RetainRuns: !cfg.DiscardRuns,
-	})
+	// The rounds run through one Campaign, as the serving refresher's do:
+	// each census is probed in (VP, target span) units that fold into the
+	// combined minimum-RTT matrix as they land.
+	cp := l.newCampaign()
 	for round := 0; round < cfg.Censuses; round++ {
-		vps := l.PL.Sample(cfg.VPsPerCensus[round], cfg.Seed+uint64(round))
-		run := census.Execute(l.World, vps, l.Hitlist, l.Black, uint64(round+1), census.Config{Seed: cfg.Seed})
-		if err := cp.FoldRun(run); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
+		l.Rounds = append(l.Rounds, probeRound(cp, l.World, l.roundVPs(round), l.Hitlist, l.Black, uint64(round+1)))
 	}
-	l.Runs = cp.Runs()
+	l.Greylist = cp.Greylist()
 	l.Combined = cp.Combined()
 	l.Outcomes = census.AnalyzeAll(l.Cities, l.Combined, core.Options{}, 2, 0)
 	l.Findings = analysis.Attribute(l.Outcomes, l.Table)
 	return l
+}
+
+// newCampaign returns an empty campaign probing at the lab's seed.
+func (l *Lab) newCampaign() *census.Campaign {
+	return census.NewCampaign(census.CampaignConfig{Census: census.Config{Seed: l.Config.Seed}})
+}
+
+// roundVPs is census round i's (0-based) PlanetLab sample: the paper saw
+// a different set of live nodes each month.
+func (l *Lab) roundVPs(i int) []platform.VP {
+	return l.PL.Sample(l.Config.VPsPerCensus[i], l.Config.Seed+uint64(i))
+}
+
+// probeRound probes one census round into cp on the span-pipelined
+// executor, the one store.Refresher and cmd/census run.
+func probeRound(cp *census.Campaign, w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, black *prober.Greylist, round uint64) census.RoundSummary {
+	sum, err := cp.ExecuteRoundPipelined(context.Background(), w, vps, h, black, round, census.PipelineConfig{})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: census round %d: %v", round, err))
+	}
+	return sum
+}
+
+// singleCensus probes one census of vps over the pruned hitlist into a
+// campaign of its own and analyzes it alone. Probing is a pure function of
+// (VP, target, round, seed), so re-probing one of the lab's rounds yields
+// exactly that round's matrix.
+func (l *Lab) singleCensus(vps []platform.VP, round uint64) []census.Outcome {
+	cp := l.newCampaign()
+	probeRound(cp, l.World, vps, l.Hitlist, l.Black, round)
+	return census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)
 }
 
 var (

@@ -45,18 +45,10 @@ func (l *Lab) Longitudinal(epochs int, vps int) LongitudinalResult {
 		}
 		h := hitlist.FromWorld(world).PruneNeverAlive()
 		sample := l.PL.Sample(vps, l.Config.Seed+100+uint64(e))
-		run := census.Execute(world, sample, h, nil, uint64(50+e), census.Config{Seed: l.Config.Seed})
-		// Each epoch streams through a campaign with an attached
-		// incremental analyzer (worlds differ between epochs, so nothing
-		// carries across them; within the epoch the fold + dirty-set
-		// analysis matches batch Combine + AnalyzeAll bit for bit).
-		cp := census.NewCampaign(census.CampaignConfig{})
-		cp.AttachAnalyzer(census.NewAnalyzer(l.Cities, census.AnalyzerConfig{}))
-		if err := cp.FoldRun(run); err != nil {
-			panic(fmt.Sprintf("longitudinal: %v", err))
-		}
-		cp.AnalyzeDirty()
-		outcomes := cp.Outcomes()
+		// Worlds differ between epochs, so each is a campaign of its own.
+		cp := l.newCampaign()
+		probeRound(cp, world, sample, h, nil, uint64(50+e))
+		outcomes := census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)
 
 		ep := LongitudinalEpoch{Epoch: uint64(e)}
 		for _, d := range world.Deployments() {
@@ -109,17 +101,15 @@ type LongitudinalCampaignRound struct {
 // confined to a small fraction of the /24s): after an initial full
 // census, each monthly round re-probes only the churned slice of the
 // target list and the combination is re-analyzed after every round both
-// ways — batch (re-Combine all rounds so far + AnalyzeAll from scratch,
-// what longitudinal re-analysis cost before the incremental engine) and
-// incremental (fold + dirty-set analysis) — and
-// the per-round outcomes are verified equal.
+// ways — batch (AnalyzeAll from scratch, what longitudinal re-analysis
+// cost before the incremental engine) and incremental (the dirty-set
+// analysis) — and the per-round outcomes are verified equal.
 type LongitudinalCampaignResult struct {
 	Rounds  []LongitudinalCampaignRound
 	Targets int
 	VPs     int
-	// BatchWall and IncrementalWall cover the analysis data path only
-	// (combine/fold + per-round analysis); probing is identical in both
-	// modes and excluded.
+	// BatchWall and IncrementalWall cover the per-round analysis only;
+	// probing and folding are shared by both and excluded.
 	BatchWall, IncrementalWall time.Duration
 	Speedup                    float64
 	// Agree is true when every round's incremental outcomes deep-equal
@@ -143,8 +133,10 @@ const LongitudinalChurnPerMil = 50
 func (l *Lab) LongitudinalCampaign(rounds, vps int) LongitudinalCampaignResult {
 	sample := l.PL.Sample(vps, l.Config.Seed+200)
 	targets := l.Hitlist.Targets()
-	runs := make([]*census.Run, rounds)
-	for r := range runs {
+	res := LongitudinalCampaignResult{Agree: true}
+	cp := l.newCampaign()
+	cp.AttachAnalyzer(census.NewAnalyzer(l.Cities, census.AnalyzerConfig{}))
+	for r := 0; r < rounds; r++ {
 		black := l.Black
 		if r > 0 {
 			// Patch round: greylist every target outside this month's
@@ -160,48 +152,26 @@ func (l *Lab) LongitudinalCampaign(rounds, vps int) LongitudinalCampaignResult {
 				}
 			}
 		}
-		runs[r] = census.Execute(l.World, sample, l.Hitlist, black, uint64(60+r), census.Config{Seed: l.Config.Seed})
-	}
+		sum := probeRound(cp, l.World, sample, l.Hitlist, black, uint64(60+r))
 
-	res := LongitudinalCampaignResult{Agree: true}
-
-	// Incremental path: stream the rounds through a campaign, analyzing
-	// each round's dirty set against cached results.
-	cp := census.NewCampaign(census.CampaignConfig{})
-	cp.AttachAnalyzer(census.NewAnalyzer(l.Cities, census.AnalyzerConfig{}))
-	perRound := make([][]census.Outcome, rounds)
-	t0 := time.Now()
-	for r, run := range runs {
-		if err := cp.FoldRun(run); err != nil {
-			panic(fmt.Sprintf("longitudinal campaign: %v", err))
-		}
 		dirty := cp.AnalyzeDirty()
-		perRound[r] = cp.Outcomes()
-		res.Rounds = append(res.Rounds, LongitudinalCampaignRound{
-			Round:         run.Round,
-			Dirty:         dirty,
-			DirtyFraction: float64(dirty) / float64(len(cp.Combined().Targets)),
-			Detected24s:   len(perRound[r]),
-		})
-	}
-	res.IncrementalWall = time.Since(t0)
-	res.Targets = len(cp.Combined().Targets)
-	res.VPs = len(cp.Combined().VPs)
-
-	// Batch path: what the workload cost before — after every round,
-	// re-combine every round so far and analyze everything from scratch.
-	t0 = time.Now()
-	for r := range runs {
-		combined, err := census.Combine(runs[:r+1]...)
-		if err != nil {
-			panic(fmt.Sprintf("longitudinal campaign: %v", err))
-		}
-		outcomes := census.AnalyzeAll(l.Cities, combined, core.Options{}, 2, 0)
-		if !reflect.DeepEqual(outcomes, perRound[r]) {
+		incremental := cp.Outcomes()
+		t0 := time.Now()
+		batch := census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)
+		res.BatchWall += time.Since(t0)
+		if !reflect.DeepEqual(batch, incremental) {
 			res.Agree = false
 		}
+		res.Rounds = append(res.Rounds, LongitudinalCampaignRound{
+			Round:         sum.Round,
+			Dirty:         dirty,
+			DirtyFraction: float64(dirty) / float64(len(targets)),
+			Detected24s:   len(incremental),
+		})
 	}
-	res.BatchWall = time.Since(t0)
+	res.IncrementalWall = cp.AnalysisWall()
+	res.Targets = len(targets)
+	res.VPs = len(cp.Combined().VPs)
 	if res.IncrementalWall > 0 {
 		res.Speedup = float64(res.BatchWall) / float64(res.IncrementalWall)
 	}

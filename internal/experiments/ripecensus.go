@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"anycastmap/internal/analysis"
-	"anycastmap/internal/census"
 )
 
 // RIPECensusResult is the Sec. 3.2 what-if: the same census campaign run
@@ -37,24 +36,10 @@ func (l *Lab) RIPECensus() RIPECensusResult {
 		res.PLDetected++
 		res.PLReplicas += f.Result.Count()
 	}
-	// Both single-census views stream through a campaign with the
-	// incremental analyzer (one fold + one dirty-set analysis — identical
-	// to batch Combine + AnalyzeAll, without materializing a second
-	// combined matrix API-side).
-	analyzeSingle := func(run *census.Run) []census.Outcome {
-		cp := census.NewCampaign(census.CampaignConfig{})
-		cp.AttachAnalyzer(census.NewAnalyzer(l.Cities, census.AnalyzerConfig{}))
-		if err := cp.FoldRun(run); err != nil {
-			panic(fmt.Sprintf("ripecensus: %v", err))
-		}
-		cp.AnalyzeDirty()
-		return cp.Outcomes()
-	}
-	res.PLSingleDetected = len(analyzeSingle(l.Runs[0]))
-
-	run := census.Execute(l.World, l.RIPE.VPs(), l.Hitlist, l.Black, 21, census.Config{Seed: l.Config.Seed})
-	outcomes := analyzeSingle(run)
-	findings := analysis.Attribute(outcomes, l.Table)
+	// Both single-census views are one-round campaigns: the lab's first
+	// PlanetLab census re-probed, and one census from every RIPE VP.
+	res.PLSingleDetected = len(l.singleCensus(l.roundVPs(0), 1))
+	findings := analysis.Attribute(l.singleCensus(l.RIPE.VPs(), 21), l.Table)
 	for _, f := range findings {
 		res.RIPEDetected++
 		res.RIPEReplicas += f.Result.Count()
