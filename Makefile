@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale analyze-smoke cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale cluster-smoke metrics-smoke route-smoke profile
 
 all: verify
 
@@ -132,13 +132,6 @@ full-scale-smoke:
 full-scale:
 	GOMEMLIMIT=9950MiB $(GO) run ./cmd/census -unicast24s 11000000 -censuses 2 \
 		-max-heap-mib 13266 -rate-baseline-targets 20000
-
-# analyze-smoke proves the incremental analysis engine's bit-identity
-# contract on a live campaign: each round's dirty targets are analyzed
-# as soon as the round folds, and -verify-analysis re-runs the batch
-# AnalyzeAll at the end and fails unless the outcomes match exactly.
-analyze-smoke:
-	$(GO) run ./cmd/census -unicast24s 20000 -censuses 3 -verify-analysis
 
 # cluster-smoke proves the distributed control plane end to end: a
 # 4-agent in-process census over net.Pipe with forced churn (every

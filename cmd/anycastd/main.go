@@ -15,9 +15,11 @@
 // refresh answer from the previous snapshot. SIGINT/SIGTERM drain the
 // server gracefully.
 //
-// With -admin ADDR a second, private listener serves /metrics again and
-// the Go runtime's profiles under /debug/pprof/; the public listener never
-// does.
+// With -admin ADDR a second, private listener serves /metrics again, the
+// Go runtime's profiles under /debug/pprof/ and the census browser (an
+// HTML index at /, JSON at /api/findings, per-deployment GeoJSON at
+// /api/geojson?prefix=A.B.C.0/24, the paper's public dataset site [21]);
+// the public listener serves none of them.
 //
 // With -dns ADDR the daemon also serves the DNS/UDP routing front-end
 // (package route): A/TXT queries for <a>.<b>.<c>.<zone> steer clients
@@ -45,11 +47,12 @@ import (
 	"anycastmap/internal/prober"
 	"anycastmap/internal/route"
 	"anycastmap/internal/store"
+	"anycastmap/internal/webview"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address")
-	adminAddr := flag.String("admin", "", "serve GET /metrics and /debug/pprof/ on this private address (empty = disabled)")
+	adminAddr := flag.String("admin", "", "serve GET /metrics, /debug/pprof/ and the census browser on this private address (empty = disabled)")
 	dnsAddr := flag.String("dns", "", "serve the DNS/UDP routing front-end on this address (empty = disabled)")
 	dnsListeners := flag.Int("dns-listeners", 0, "SO_REUSEPORT UDP listeners for the routing front-end (0 = GOMAXPROCS)")
 	dnsZone := flag.String("dns-zone", route.DefaultZone, "zone suffix the routing front-end answers for")
@@ -122,21 +125,30 @@ func main() {
 	prober.DefaultMetrics.Register(reg)
 	prober.RegisterGreylistGauge(reg, black, "blacklist")
 
-	// The optional admin listener adds the runtime's profiles, which the
-	// public listener never serves. It is up before the first census, so
-	// the synchronous initial build can be profiled too.
+	st := store.New(store.Options{})
+
+	// The optional admin listener adds the runtime's profiles and the
+	// census browser over the same store, which the public listener never
+	// serves. It is up before the first census, so the synchronous initial
+	// build can be profiled too.
 	if *adminAddr != "" {
+		web, err := webview.New(st)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mux := admin.Mux(reg)
+		mux.Handle("/", web)
 		ln, err := net.Listen("tcp", *adminAddr)
 		if err != nil {
 			log.Fatalf("admin listen: %v", err)
 		}
-		srv := &http.Server{Handler: admin.Mux(reg), ReadHeaderTimeout: 5 * time.Second}
+		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				log.Printf("admin server: %v", err)
 			}
 		}()
-		log.Printf("admin on http://%s/ (/metrics, /debug/pprof/)", ln.Addr())
+		log.Printf("admin on http://%s/ (/metrics, /debug/pprof/, census browser at /)", ln.Addr())
 	}
 
 	src := &store.CensusSource{
@@ -162,7 +174,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	st := store.New(store.Options{})
 	r := store.NewRefresher(st, src, *refresh)
 	r.Log = log.Printf
 	r.SnapshotPath = *snapFile

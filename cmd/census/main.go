@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
@@ -47,9 +46,7 @@ func main() {
 	maxHeapMiB := flag.Int("max-heap-mib", 0, "sample HeapAlloc through the run and fail if the peak exceeds this many MiB (0 = no assertion)")
 	rateBaselineTargets := flag.Int("rate-baseline-targets", 0, "measure a single-VP pilot probing run over the first N pruned targets and fail unless the campaign's aggregate probe rate stays within -rate-within of it (0 = no assertion)")
 	rateWithin := flag.Float64("rate-within", 2.0, "largest pilot/campaign probes-per-second ratio -rate-baseline-targets tolerates")
-	incremental := flag.Bool("incremental", true, "analyze each round's dirty targets as soon as it folds; -incremental=false analyzes once at the end")
 	analyzeWorkers := flag.Int("analyze-workers", 0, "goroutines analyzing targets (0 = GOMAXPROCS)")
-	verifyAnalysis := flag.Bool("verify-analysis", false, "after an incremental campaign, re-run the batch analysis and fail unless the outcomes match bit for bit")
 	retries := flag.Int("retries", 3, "per-VP probing attempts per census round (1 disables retrying)")
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff before retrying a failed VP (doubles per retry)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault plan seed (0 = world seed)")
@@ -198,9 +195,6 @@ func main() {
 	// land, so no whole round is ever held. cmd/censusd is the
 	// distributed executor.
 	cp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
-	if *incremental {
-		cp.AttachAnalyzer(census.NewAnalyzer(db, census.AnalyzerConfig{Workers: *analyzeWorkers}))
-	}
 	for round := uint64(1); round <= uint64(*rounds); round++ {
 		sum, err := cp.ExecuteRoundPipelined(context.Background(), world, pl.Sample(*vpsPer, *seed+round),
 			targets, black, round, census.PipelineConfig{SpanTargets: *spanTargets})
@@ -214,9 +208,6 @@ func main() {
 		campaignWall += sum.Duration
 		if sum.Health.Retries > 0 || sum.Health.Degraded() {
 			log.Printf("census %d health: %s", sum.Round, sum.Health)
-		}
-		if *incremental {
-			cp.AnalyzeDirty()
 		}
 	}
 	if cp.Health().Degraded() {
@@ -240,27 +231,11 @@ func main() {
 		}
 		log.Printf("saved the %d-round combination to %s", combined.Rounds, name)
 	}
-	var outcomes []census.Outcome
-	var analysisWall time.Duration
-	if *incremental {
-		outcomes = cp.Outcomes()
-		analysisWall = cp.AnalysisWall()
-		st := cp.Analyzer().Stats()
-		log.Printf("incremental analysis: %d updates, last dirty %d, %d target analyses (%d witness-decided, %d split-scanned, %d pair tests)",
-			st.Updates, st.LastDirty, st.Analyzed, st.WitnessDecided, st.SplitScanned, st.PairTests)
-		if *verifyAnalysis {
-			batch := census.AnalyzeAll(db, combined, core.Options{}, 2, *analyzeWorkers)
-			if !reflect.DeepEqual(outcomes, batch) {
-				log.Fatalf("verify-analysis: incremental outcomes (%d anycast /24s) diverge from batch AnalyzeAll (%d)",
-					len(outcomes), len(batch))
-			}
-			log.Printf("verify-analysis: incremental == batch (%d anycast /24s)", len(outcomes))
-		}
-	} else {
-		t0 := time.Now()
-		outcomes = census.AnalyzeAll(db, combined, core.Options{}, 2, *analyzeWorkers)
-		analysisWall = time.Since(t0)
-	}
+	t0 := time.Now()
+	outcomes, st := cp.Analyze(db, core.Options{}, 2, *analyzeWorkers)
+	analysisWall := time.Since(t0)
+	log.Printf("analysis: %d target analyses (%d witness-decided, %d split-scanned, %d pair tests)",
+		st.Analyzed, st.WitnessDecided, st.SplitScanned, st.PairTests)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	log.Printf("heap after campaign: %.1f MiB in use, %.1f MiB from OS, %d GC cycles; analysis wall %v",

@@ -255,11 +255,10 @@ func main() {
 		log.Printf("campaign degraded: %s", cp.Health())
 	}
 
-	combined := cp.Combined()
-	if combined == nil {
+	if cp.Combined() == nil {
 		log.Fatal("no census rounds ran")
 	}
-	outcomes := census.AnalyzeAll(db, combined, core.Options{}, 2, 0)
+	outcomes, _ := cp.Analyze(db, core.Options{}, 2, 0)
 
 	if *verify {
 		verifyAgainstSingleProcess(cp, outcomes, world, targets, black, pl, ccfg, *rounds, *vpsPer, *seed, db)

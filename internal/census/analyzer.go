@@ -11,20 +11,14 @@ import (
 	"anycastmap/internal/platform"
 )
 
-// This file is the incremental analysis engine. The paper re-analyzes
-// every responsive /24 per monthly census (Sec. 3, Fig. 4) yet finds the
-// anycast set largely stable month to month (Sec. 3.2) — so re-running
-// detection over every target after every round mostly re-derives last
-// round's answers. An Analyzer instead keeps, per target, the last result:
-// after a round folds, only the targets whose combined min-RTT row changed
-// (the campaign's dirty set) are re-analyzed, each by the split scan of
+// This file is the analysis engine behind AnalyzeAll and Campaign.Analyze.
+// Every target of the combined matrix is decided by the split scan of
 // internal/core/scan.go. Detection reads radii and vantage-point slots
 // straight off the combined matrix and rows of one VP-pair distance
 // matrix; measurements and disks are built only for a target proven
-// anycast. Outcomes are bit-identical to batch AnalyzeAll at every round —
-// TestCensusDeterminism pins it.
+// anycast.
 
-// AnalyzerConfig tunes an incremental Analyzer.
+// AnalyzerConfig tunes an Analyzer.
 type AnalyzerConfig struct {
 	// Options tunes the per-target core analysis.
 	Options core.Options
@@ -49,12 +43,10 @@ func (c AnalyzerConfig) workers() int {
 	return c.Workers
 }
 
-// AnalyzerStats counts what the incremental engine did, for surfacing in
-// heap reports and benchmark blocks.
+// AnalyzerStats counts what the engine did, for cmd/census's log line, the
+// census metrics and benchmark blocks.
 type AnalyzerStats struct {
-	// Updates is the number of Update calls (analysis rounds).
-	Updates int
-	// Analyzed is the total number of target analyses across all updates:
+	// Analyzed is the total number of target analyses:
 	// WitnessDecided + SplitScanned. A WitnessDecided target's smallest
 	// disk had its center deep inside every disk, one O(n) pass; a
 	// SplitScanned one had the disks that did not hold it tested against
@@ -68,27 +60,15 @@ type AnalyzerStats struct {
 	// this analyzer had to compute for its distance matrix: a pair some
 	// earlier analysis of the process already read costs none.
 	PairsMeasured int64
-	// LastDirty is the dirty-set size of the most recent update.
-	LastDirty int
 	// CertHits is always zero: detection certificates are gone. It stays
 	// only because bench/ reads it for census.cert_hit_ratio.
 	CertHits int64
 }
 
-// Analyzer re-analyzes a streaming campaign's combined matrix
-// incrementally: Update(c, dirty) refreshes only the dirty targets,
-// reusing the spatial city index, the VP-pair distance matrix and cached
-// per-target results across rounds. The zero value is not usable;
-// construct with NewAnalyzer. An Analyzer is not safe for concurrent
-// Update calls.
-//
-// The contract with the caller: across Update calls the Combined must
-// keep the same target list, and every target whose measurement set
-// changed in any way — a new sample, a vantage point appended, a slot
-// now held by a vantage point somewhere else — must appear in dirty.
-// Campaign.AnalyzeDirty maintains exactly this (its campaigns only ever
-// append vantage points). The distance matrix itself follows the
-// coordinates on every Update, whatever the caller does.
+// Analyzer holds what one analysis reuses across targets: the spatial
+// city index, the VP-pair distance matrix and the per-target results. The
+// zero value is not usable; construct with NewAnalyzer. An Analyzer is
+// not safe for concurrent Update calls.
 type Analyzer struct {
 	db  *cities.DB
 	cfg AnalyzerConfig
@@ -103,8 +83,7 @@ type Analyzer struct {
 	stats AnalyzerStats
 }
 
-// NewAnalyzer returns an empty incremental analyzer over the city
-// database.
+// NewAnalyzer returns an empty analyzer over the city database.
 func NewAnalyzer(db *cities.DB, cfg AnalyzerConfig) *Analyzer {
 	return &Analyzer{db: db, cfg: cfg}
 }
@@ -112,15 +91,15 @@ func NewAnalyzer(db *cities.DB, cfg AnalyzerConfig) *Analyzer {
 // Stats returns the cumulative engine counters.
 func (a *Analyzer) Stats() AnalyzerStats { return a.stats }
 
-// Update re-analyzes the dirty targets (unique indices into c.Targets)
-// against the current combined matrix. The first call must list every
-// target that has samples (a campaign's first fold dirties exactly
-// those); an empty or nil dirty set re-analyzes nothing.
-func (a *Analyzer) Update(c *Combined, dirty []int) {
+// Update re-analyzes the listed targets (unique indices into c.Targets)
+// against c and keeps every other target's last result; the caller must
+// list every target whose measurement set changed since the last call.
+// It stays only because the bench/ analyzer microloop calls it for
+// census.analyzer_update_s, as CertHits stays for census.cert_hit_ratio;
+// everything else analyzes through AnalyzeAll or Campaign.Analyze.
+func (a *Analyzer) Update(c *Combined, list []int) {
 	a.bind(c)
-	a.run(dirty, false)
-	a.stats.Updates++
-	a.stats.LastDirty = len(dirty)
+	a.run(list, false)
 }
 
 // Outcomes returns the current analysis outcome of every anycast target,

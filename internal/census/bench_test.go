@@ -237,32 +237,6 @@ func BenchmarkRoundPipelined(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzerUpdateDirty5pct measures one incremental round against a
-// warm analyzer: 5% of the targets are dirty and re-analyzed, the rest keep
-// their cached results.
-func BenchmarkAnalyzerUpdateDirty5pct(b *testing.B) {
-	runs := synthRuns(4, 120, 5_000)
-	c, err := Combine(runs...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := NewAnalyzer(cities.Default(), AnalyzerConfig{})
-	all := make([]int, len(c.Targets))
-	for t := range all {
-		all[t] = t
-	}
-	a.Update(c, all) // warm the per-target results
-	dirty := make([]int, 0, len(c.Targets)/20+1)
-	for t := 0; t < len(c.Targets); t += 20 {
-		dirty = append(dirty, t)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a.Update(c, dirty)
-	}
-}
-
 // BenchmarkSaveRunV2 measures the columnar encoder at one-census scale.
 func BenchmarkSaveRunV2(b *testing.B) {
 	run := synthRuns(1, 200, 20_000)[0]

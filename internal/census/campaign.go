@@ -1,10 +1,10 @@
 package census
 
 import (
-	"math/bits"
-	"sync/atomic"
 	"time"
 
+	"anycastmap/internal/cities"
+	"anycastmap/internal/core"
 	"anycastmap/internal/prober"
 )
 
@@ -27,10 +27,9 @@ type CampaignConfig struct {
 	// Census tunes each probing round (rate, seed, workers, retries).
 	Census Config
 	// Metrics, when set, receives fold/analysis observations (rounds
-	// folded, analyze latency, dirty-set and greylist sizes, detection
-	// counters). The instrument set usually outlives the campaign:
-	// daemons register one Metrics per process and thread it through
-	// every campaign they build.
+	// folded, analyze latency, greylist size, detection counters). The
+	// instrument set usually outlives the campaign: daemons register one
+	// Metrics per process and thread it through every campaign they build.
 	Metrics *Metrics
 }
 
@@ -48,11 +47,6 @@ type Campaign struct {
 	grey     *prober.Greylist
 	health   CampaignHealth
 
-	// dirty is a bitmap over targets: bit t is set when some combined
-	// min-RTT cell of target t improved or a VP newly answered it since
-	// the last TakeDirty.
-	dirty []uint32
-
 	// Open-round state (shard.go): the number of the round currently
 	// open for folding, and which combined row slots belong to it.
 	// BeginRound opens a round, FoldShard merges partial rows in any
@@ -60,9 +54,6 @@ type Campaign struct {
 	shardRound uint64
 	shardOpen  bool
 	shardSlots []bool
-
-	analyzer     *Analyzer
-	analysisWall atomic.Int64 // cumulative AnalyzeDirty nanoseconds
 }
 
 // NewCampaign returns an empty campaign.
@@ -102,89 +93,37 @@ func (cp *Campaign) FoldRun(run *Run) error {
 		return err
 	}
 	for vi := range run.VPs {
-		cp.mergeCells(cp.combined.RTTus[slots[vi]], run.RTTus[vi], 0)
+		mergeCells(cp.combined.RTTus[slots[vi]], run.RTTus[vi])
 	}
 	cp.grey.Merge(run.Greylist)
 	return cp.FinishRound(run.Health)
 }
 
 // mergeCells is the fold kernel: it min-merges src — one vantage point's
-// samples for targets [lo, lo+len(src)) — into the same cells dst of its
-// combined row, and marks every target whose cell improved or was newly
-// answered dirty. Dirty bits accumulate in a local word and flush on
-// word-boundary crossings.
-func (cp *Campaign) mergeCells(dst, src []int32, lo int) {
+// samples for a span of targets — into the same cells dst of its combined
+// row.
+func mergeCells(dst, src []int32) {
 	dst = dst[:len(src)] // one bounds check here instead of one per cell
-	word, mask := lo>>5, uint32(0)
 	for t, v := range src {
-		if v < 0 {
-			continue
-		}
-		if dst[t] < 0 || v < dst[t] {
+		if v >= 0 && (dst[t] < 0 || v < dst[t]) {
 			dst[t] = v
-			gt := lo + t
-			if w := gt >> 5; w != word {
-				cp.dirty[word] |= mask
-				word, mask = w, 0
-			}
-			mask |= 1 << uint(gt&31)
 		}
-	}
-	if mask != 0 {
-		cp.dirty[word] |= mask
 	}
 }
 
-// TakeDirty returns the sorted indices of every target whose combined
-// row changed (a min-RTT cell improved, or a VP newly answered) since
-// the previous TakeDirty, clearing the set. It must not run concurrently
-// with a fold.
-func (cp *Campaign) TakeDirty() []int {
-	var out []int
-	for w, v := range cp.dirty {
-		if v == 0 {
-			continue
-		}
-		cp.dirty[w] = 0
-		base := w * 32
-		for ; v != 0; v &= v - 1 {
-			out = append(out, base+bits.TrailingZeros32(v))
-		}
-	}
-	return out
-}
-
-// AttachAnalyzer binds an incremental analyzer to the campaign: folds
-// keep marking dirty targets, and AnalyzeDirty refreshes exactly those.
-func (cp *Campaign) AttachAnalyzer(a *Analyzer) { cp.analyzer = a }
-
-// Analyzer returns the attached incremental analyzer, or nil.
-func (cp *Campaign) Analyzer() *Analyzer { return cp.analyzer }
-
-// AnalyzeDirty re-analyzes the targets dirtied since the last call
-// through the attached analyzer and returns the dirty-set size. The
-// outcomes afterwards match a batch AnalyzeAll over the current combined
-// matrix bit for bit (TestCensusDeterminism). It must not run
-// concurrently with a fold — the analysis reads the live matrix.
-func (cp *Campaign) AnalyzeDirty() int {
+// Analyze runs detection, enumeration and geolocation over the combined
+// matrix of every round folded so far (AnalyzeAll) and records the pass in
+// the campaign's metrics: its latency and the detection counters. It needs
+// at least one folded round and must not run concurrently with a fold.
+// Analysis is not incremental: each round probes from a fresh
+// vantage-point sample, and a vantage point new to the combined matrix
+// changes every target it answers, so every caller analyzes the whole
+// matrix once, after its last round.
+func (cp *Campaign) Analyze(db *cities.DB, opt core.Options, minSamples, workers int) ([]Outcome, AnalyzerStats) {
 	t0 := time.Now()
-	dirty := cp.TakeDirty()
-	before := cp.analyzer.Stats()
-	cp.analyzer.Update(cp.combined, dirty)
-	d := time.Since(t0)
-	cp.analysisWall.Add(int64(d))
-	cp.cfg.Metrics.analyzeObserved(d, len(dirty), before, cp.analyzer.Stats())
-	return len(dirty)
-}
-
-// Outcomes returns the attached analyzer's current outcomes — the
-// anycast targets of everything folded and analyzed so far, in target
-// order.
-func (cp *Campaign) Outcomes() []Outcome { return cp.analyzer.Outcomes() }
-
-// AnalysisWall returns the cumulative wall time spent in AnalyzeDirty.
-func (cp *Campaign) AnalysisWall() time.Duration {
-	return time.Duration(cp.analysisWall.Load())
+	outcomes, st := analyzeAll(db, cp.combined, opt, minSamples, workers)
+	cp.cfg.Metrics.analyzeObserved(time.Since(t0), st)
+	return outcomes, st
 }
 
 // Combined returns the minimum-RTT combination of every round folded so

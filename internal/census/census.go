@@ -470,8 +470,14 @@ func (o Outcome) Prefix() netsim.Prefix24 { return o.Target.Prefix() }
 // batches off an atomic cursor instead; the outcome does not depend on
 // the worker count.
 func AnalyzeAll(db *cities.DB, c *Combined, opt core.Options, minSamples, workers int) []Outcome {
+	outcomes, _ := analyzeAll(db, c, opt, minSamples, workers)
+	return outcomes
+}
+
+// analyzeAll is AnalyzeAll with the engine's counters.
+func analyzeAll(db *cities.DB, c *Combined, opt core.Options, minSamples, workers int) ([]Outcome, AnalyzerStats) {
 	a := NewAnalyzer(db, AnalyzerConfig{Options: opt, MinSamples: minSamples, Workers: workers})
 	a.bind(c)
 	a.run(nil, true)
-	return a.Outcomes()
+	return a.Outcomes(), a.stats
 }

@@ -17,15 +17,12 @@ import (
 )
 
 // digestConfig selects one pipeline variant for campaignDigest: the
-// execution knobs (probe cache, census workers), the combine path (batch
-// Combine versus folding each whole round into a Campaign) and the
-// analysis path (batch AnalyzeAll from scratch each round versus the
-// incremental dirty-set analyzer).
+// execution knobs (probe cache, census workers) and the combine path
+// (batch Combine versus folding each whole round into a Campaign).
 type digestConfig struct {
 	disableCache bool
 	workers      int
 	stream       bool
-	incremental  bool
 	// pipelined executes each round in (VP, target-span) units through
 	// ExecuteRoundPipelined instead of materializing the whole round.
 	pipelined   bool
@@ -36,8 +33,7 @@ type digestConfig struct {
 // everything the pipeline observes: the saved run bytes (SaveRun's v2
 // format is byte-deterministic, so the files themselves are part of the
 // digest), the analysis outcomes after every round (targets, replica
-// sets, cities — pinning incremental == batch per round, not just at the
-// end), the combined minimum-RTT matrix, and the campaign greylist
+// sets, cities), the combined minimum-RTT matrix, and the campaign greylist
 // union. Byte-equal digests mean the pipelines are indistinguishable.
 func campaignDigest(t *testing.T, dc digestConfig) []byte {
 	t.Helper()
@@ -69,9 +65,6 @@ func campaignDigest(t *testing.T, dc digestConfig) []byte {
 	}
 
 	cp := NewCampaign(CampaignConfig{Census: cfg})
-	if dc.incremental {
-		cp.AttachAnalyzer(NewAnalyzer(cities.Default(), AnalyzerConfig{Workers: dc.workers}))
-	}
 	var runs []*Run
 	for round := uint64(1); round <= 3; round++ {
 		// The whole-round run is always executed: its saved bytes and
@@ -117,12 +110,9 @@ func campaignDigest(t *testing.T, dc digestConfig) []byte {
 		default:
 			runs = append(runs, run)
 		}
-		// Per-round analysis outcomes, through whichever path the
-		// variant selects.
+		// Per-round analysis outcomes over whichever combination the
+		// variant builds.
 		switch {
-		case dc.incremental:
-			cp.AnalyzeDirty()
-			digestOutcomes(round, cp.Outcomes())
 		case dc.stream || dc.pipelined:
 			digestOutcomes(round, AnalyzeAll(cities.Default(), cp.Combined(), core.Options{}, 2, dc.workers))
 		default:
@@ -182,9 +172,7 @@ func campaignDigest(t *testing.T, dc digestConfig) []byte {
 // saved run bytes, per-round analysis outcomes, combined matrix and
 // greylist union are byte-identical across worker counts, with the probe
 // caches on or off, whether the rounds are batch-Combined, folded whole
-// through a Campaign or probed span-pipelined at any span width, and —
-// the incremental engine's contract — whether each round's outcomes come
-// from a from-scratch AnalyzeAll or the dirty-set analyzer.
+// through a Campaign or probed span-pipelined at any span width.
 func TestCensusDeterminism(t *testing.T) {
 	ref := campaignDigest(t, digestConfig{workers: 1})
 	for _, tc := range []struct {
@@ -196,12 +184,8 @@ func TestCensusDeterminism(t *testing.T) {
 		{"batch_nocache_workers4", digestConfig{disableCache: true, workers: 4}},
 		{"stream_workers2", digestConfig{workers: 2, stream: true}},
 		{"stream_nocache_workers4", digestConfig{disableCache: true, workers: 4, stream: true}},
-		{"incremental_workers1", digestConfig{workers: 1, stream: true, incremental: true}},
-		{"incremental_workers4", digestConfig{workers: 4, stream: true, incremental: true}},
-		{"incremental_nocache_workers4", digestConfig{disableCache: true, workers: 4, stream: true, incremental: true}},
 		{"pipelined_default", digestConfig{workers: 4, pipelined: true}},
 		{"pipelined_span17", digestConfig{workers: 3, pipelined: true, spanTargets: 17}},
-		{"pipelined_incremental", digestConfig{workers: 4, pipelined: true, spanTargets: 64, incremental: true}},
 		// Span-session bit-identity: the span-resident probe path (cache
 		// on) against the uncached reference (cache off, where the span
 		// resolver delegates every probe), across span widths from a

@@ -10,12 +10,15 @@ import (
 	"testing"
 )
 
-// TestOneExecutor holds the module to one census executor: no non-test
-// file outside bench/ calls the whole-round reference (ExecuteContext,
-// FoldRun) or batch-combines runs (Combine) — except cmd/igreedy -runs,
-// which min-combines saved run files. Everything that serves or reports
-// goes through Campaign.ExecuteRoundPipelined or the cluster coordinator;
-// the reference lives on for the determinism tests and the benchmark.
+// TestOneExecutor holds the module to one census executor and one
+// analysis path. No non-test file outside bench/ calls the whole-round
+// reference (ExecuteContext, FoldRun) or batch-combines runs (Combine) —
+// except cmd/igreedy -runs, which min-combines saved run files. Everything
+// that serves or reports goes through Campaign.ExecuteRoundPipelined or
+// the cluster coordinator; the reference lives on for the determinism
+// tests and the benchmark. And no non-test file outside bench/ and
+// internal/census builds its own Analyzer (NewAnalyzer): analysis runs
+// through AnalyzeAll or Campaign.Analyze.
 func TestOneExecutor(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
@@ -62,7 +65,7 @@ func TestOneExecutor(t *testing.T) {
 			default:
 				return true
 			}
-			bad := false
+			bad, what := false, "the whole-round reference; run rounds through Campaign.ExecuteRoundPipelined"
 			switch name {
 			case "ExecuteContext", "FoldRun":
 				bad = true
@@ -70,10 +73,12 @@ func TestOneExecutor(t *testing.T) {
 				bad = qualified
 			case "Combine":
 				bad = qualified && !strings.HasPrefix(rel, "cmd/igreedy/")
+			case "NewAnalyzer":
+				bad = qualified && !inCensus
+				what = "a second analysis path; analyze through AnalyzeAll or Campaign.Analyze"
 			}
 			if bad {
-				t.Errorf("%s: calls %s, the whole-round reference; run rounds through Campaign.ExecuteRoundPipelined",
-					fset.Position(call.Pos()), name)
+				t.Errorf("%s: calls %s, %s", fset.Position(call.Pos()), name, what)
 			}
 			return true
 		})

@@ -368,9 +368,6 @@ func (cp *Campaign) BeginRound(round uint64, targets []netsim.IP, vps []platform
 	}
 	c := cp.combined
 	c.Rounds++
-	if cp.dirty == nil {
-		cp.dirty = make([]uint32, (len(c.Targets)+31)/32)
-	}
 	slots := make([]int, len(vps))
 	var fresh []int // slots registered by this round
 	for vi, vp := range vps {
@@ -406,9 +403,8 @@ func (cp *Campaign) BeginRound(round uint64, targets []netsim.IP, vps []platform
 }
 
 // FoldShard merges a partial result into the open round: per-cell
-// minimum into the combined matrix over the frame's span, set union into
-// the campaign greylist, dirty bits for every improved or newly answered
-// cell (the same bits FoldRun would set).
+// minimum into the combined matrix over the frame's span and set union into
+// the campaign greylist.
 //
 // The per-cell min is commutative, associative, and idempotent, so
 // shards may arrive in any order — interleaved across vantage points,
@@ -418,7 +414,7 @@ func (cp *Campaign) BeginRound(round uint64, targets []netsim.IP, vps []platform
 // registered in the open round fails with *UnknownVPSlotError; a span or
 // row width outside the target list fails with *ShardRangeError. Either
 // way the campaign is untouched: a frame folds whole or not at all.
-// FoldShard must not run concurrently with itself or TakeDirty.
+// FoldShard must not run concurrently with itself or Analyze.
 func (cp *Campaign) FoldShard(sr *ShardRows) error {
 	if !cp.shardOpen {
 		return fmt.Errorf("census: no shard round open (frame for round %d)", sr.Round)
@@ -445,7 +441,7 @@ func (cp *Campaign) FoldShard(sr *ShardRows) error {
 		}
 	}
 	for i, slot := range sr.Slots {
-		cp.mergeCells(c.RTTus[slot][sr.Lo:sr.Hi], sr.RTTus[i], sr.Lo)
+		mergeCells(c.RTTus[slot][sr.Lo:sr.Hi], sr.RTTus[i])
 	}
 	cp.grey.Merge(sr.Greylist)
 	return nil

@@ -93,8 +93,7 @@ func sameCampaign(t *testing.T, want, got *Campaign) {
 }
 
 // The shard-wise fold must reproduce FoldRun byte-for-byte: same combined
-// matrix, same greylist, same dirty bits — the acceptance bar for the
-// distributed census.
+// matrix, same greylist — the acceptance bar for the distributed census.
 func TestFoldShardMatchesFoldRun(t *testing.T) {
 	_, _, _, r1, r2 := testbed(t)
 
@@ -105,16 +104,12 @@ func TestFoldShardMatchesFoldRun(t *testing.T) {
 	if err := ref.FoldRun(r2); err != nil {
 		t.Fatal(err)
 	}
-	refDirty := ref.TakeDirty()
 
 	for _, width := range []int{0, 509, 1931, len(r1.Targets) + 5} {
 		cp := NewCampaign(CampaignConfig{})
 		foldByShards(t, cp, r1, width, 0, false)
 		foldByShards(t, cp, r2, width, 0, false)
 		sameCampaign(t, ref, cp)
-		if got := cp.TakeDirty(); !reflect.DeepEqual(refDirty, got) {
-			t.Fatalf("width %d: dirty targets diverge (%d vs %d)", width, len(refDirty), len(got))
-		}
 	}
 }
 
@@ -127,16 +122,12 @@ func TestFoldShardOrderInvariance(t *testing.T) {
 	ref := NewCampaign(CampaignConfig{})
 	foldByShards(t, ref, r1, 512, 0, false)
 	foldByShards(t, ref, r2, 512, 0, false)
-	refDirty := ref.TakeDirty()
 
 	for _, seed := range []int64{1, 42, 1337} {
 		cp := NewCampaign(CampaignConfig{})
 		foldByShards(t, cp, r1, 512, seed, true)
 		foldByShards(t, cp, r2, 512, seed, true)
 		sameCampaign(t, ref, cp)
-		if got := cp.TakeDirty(); !reflect.DeepEqual(refDirty, got) {
-			t.Fatalf("seed %d: dirty targets diverge", seed)
-		}
 	}
 }
 
@@ -151,6 +142,10 @@ func TestFoldShardTypedErrors(t *testing.T) {
 	slots, err := cp.BeginRound(r1.Round, r1.Targets, r1.VPs[:2])
 	if err != nil {
 		t.Fatal(err)
+	}
+	before := make([][]int32, len(cp.Combined().RTTus))
+	for v, row := range cp.Combined().RTTus {
+		before[v] = append([]int32(nil), row...)
 	}
 
 	if _, err := cp.BeginRound(r1.Round+1, r1.Targets, r1.VPs); err == nil || !strings.Contains(err.Error(), "still open") {
@@ -195,9 +190,9 @@ func TestFoldShardTypedErrors(t *testing.T) {
 		t.Fatalf("row width mismatch: %v", err)
 	}
 
-	// None of the rejected frames may have touched the campaign.
-	if got := cp.TakeDirty(); len(got) != 0 {
-		t.Fatalf("rejected frames dirtied %d targets", len(got))
+	// None of the rejected frames may have touched the combined rows.
+	if !reflect.DeepEqual(before, cp.Combined().RTTus) {
+		t.Fatal("rejected frames changed the combined rows")
 	}
 
 	if err := cp.FinishRound(RunHealth{Round: r1.Round}); err != nil {

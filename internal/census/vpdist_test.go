@@ -163,8 +163,8 @@ func TestPairsMeasured(t *testing.T) {
 		t.Fatalf("the union of two known lists measured %d pairs, want the %d cross pairs", got, want)
 	}
 
-	// An incremental analyzer: nothing on a bind over unchanged vantage
-	// points, the appended ones' pairs when the list grows.
+	// One analyzer across Update calls: nothing on a bind over unchanged
+	// vantage points, the appended ones' pairs when the list grows.
 	freshTable(t, vpDistCap)
 	an := NewAnalyzer(cities.Default(), AnalyzerConfig{})
 	c := census(all[:n])

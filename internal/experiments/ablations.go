@@ -34,61 +34,24 @@ type VPCountAblation struct {
 }
 
 // AblateVPCount re-analyzes the lab's combined dataset restricted to
-// growing vantage-point subsets. The sweep rides the incremental
-// analyzer's VP-extension path: each step appends vantage-point rows and
-// re-analyzes only the targets those rows answered, instead of paying a
-// from-scratch AnalyzeAll per subset (non-ascending steps fall back to a
-// fresh analyzer; the outcomes are identical either way).
+// growing vantage-point subsets, one AnalyzeAll per subset.
 func (l *Lab) AblateVPCount(counts []int) VPCountAblation {
 	res := VPCountAblation{VPCounts: counts, Truth24s: len(l.World.Deployments())}
-	an := census.NewAnalyzer(l.Cities, census.AnalyzerConfig{})
-	prev := 0
 	for _, n := range counts {
-		if n > len(l.Combined.VPs) {
-			n = len(l.Combined.VPs)
-		}
+		n = min(n, len(l.Combined.VPs))
 		sub := &census.Combined{
 			VPs:     l.Combined.VPs[:n],
 			Targets: l.Combined.Targets,
 			RTTus:   l.Combined.RTTus[:n],
 			Rounds:  l.Combined.Rounds,
 		}
-		if n < prev {
-			an = census.NewAnalyzer(l.Cities, census.AnalyzerConfig{})
-			prev = 0
-		}
-		var dirty []int
-		if prev == 0 {
-			dirty = make([]int, len(sub.Targets))
-			for t := range dirty {
-				dirty[t] = t
-			}
-		} else {
-			// Only targets the appended rows answered have a changed
-			// measurement set.
-			seen := make([]bool, len(sub.Targets))
-			for v := prev; v < n; v++ {
-				for t, cell := range l.Combined.RTTus[v] {
-					if cell >= 0 {
-						seen[t] = true
-					}
-				}
-			}
-			for t, s := range seen {
-				if s {
-					dirty = append(dirty, t)
-				}
-			}
-		}
-		an.Update(sub, dirty)
 		detected, replicas := 0, 0
-		for _, o := range an.Outcomes() {
+		for _, o := range census.AnalyzeAll(l.Cities, sub, core.Options{}, 2, 0) {
 			detected++
 			replicas += o.Result.Count()
 		}
 		res.Detected24s = append(res.Detected24s, detected)
 		res.Replicas = append(res.Replicas, replicas)
-		prev = n
 	}
 	return res
 }

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
-	"time"
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/core"
@@ -81,40 +79,23 @@ func (l *Lab) Longitudinal(epochs int, vps int) LongitudinalResult {
 	return res
 }
 
-// LongitudinalCampaignRound is one round of the multi-round re-analysis
-// workload: how much of the target set actually changed and what the
-// census saw after the round folded.
+// LongitudinalCampaignRound is one round of the longitudinal campaign:
+// what the census saw after the round folded.
 type LongitudinalCampaignRound struct {
-	Round uint64
-	// Dirty is how many targets the fold marked dirty (a combined
-	// min-RTT cell improved or a VP newly answered); DirtyFraction is
-	// Dirty over the full target count — the measured analogue of the
-	// paper's Sec. 3.2 month-to-month churn.
-	Dirty         int
-	DirtyFraction float64
-	Detected24s   int
+	Round       uint64
+	Detected24s int
 }
 
-// LongitudinalCampaignResult quantifies the incremental analysis engine
-// on the paper's longitudinal re-analysis workload (Sec. 3.2: the anycast
-// set is largely stable between censuses, with month-to-month changes
-// confined to a small fraction of the /24s): after an initial full
-// census, each monthly round re-probes only the churned slice of the
-// target list and the combination is re-analyzed after every round both
-// ways — batch (AnalyzeAll from scratch, what longitudinal re-analysis
-// cost before the incremental engine) and incremental (the dirty-set
-// analysis) — and the per-round outcomes are verified equal.
+// LongitudinalCampaignResult is the paper's census cadence on one
+// campaign (Sec. 3.2: the anycast set is largely stable between censuses,
+// with month-to-month changes confined to a small fraction of the /24s):
+// an initial full census, then monthly rounds that re-probe only the
+// churned slice of the target list, the combination analyzed after every
+// round.
 type LongitudinalCampaignResult struct {
 	Rounds  []LongitudinalCampaignRound
 	Targets int
 	VPs     int
-	// BatchWall and IncrementalWall cover the per-round analysis only;
-	// probing and folding are shared by both and excluded.
-	BatchWall, IncrementalWall time.Duration
-	Speedup                    float64
-	// Agree is true when every round's incremental outcomes deep-equal
-	// the batch outcomes — the bit-identity contract.
-	Agree bool
 }
 
 // LongitudinalChurnPerMil is the per-round target churn of the
@@ -128,14 +109,12 @@ const LongitudinalChurnPerMil = 50
 // world — one full census, then rounds-1 monthly patch rounds that
 // re-probe only the ~5% churned slice of the target list (everything
 // else is greylisted and keeps its folded samples) — using one fixed VP
-// sample throughout, and re-analyzes the combined view after every round
-// through both analysis paths.
+// sample throughout, and analyzes the combined view after every round.
 func (l *Lab) LongitudinalCampaign(rounds, vps int) LongitudinalCampaignResult {
 	sample := l.PL.Sample(vps, l.Config.Seed+200)
 	targets := l.Hitlist.Targets()
-	res := LongitudinalCampaignResult{Agree: true}
+	var res LongitudinalCampaignResult
 	cp := l.newCampaign()
-	cp.AttachAnalyzer(census.NewAnalyzer(l.Cities, census.AnalyzerConfig{}))
 	for r := 0; r < rounds; r++ {
 		black := l.Black
 		if r > 0 {
@@ -153,43 +132,25 @@ func (l *Lab) LongitudinalCampaign(rounds, vps int) LongitudinalCampaignResult {
 			}
 		}
 		sum := probeRound(cp, l.World, sample, l.Hitlist, black, uint64(60+r))
-
-		dirty := cp.AnalyzeDirty()
-		incremental := cp.Outcomes()
-		t0 := time.Now()
-		batch := census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)
-		res.BatchWall += time.Since(t0)
-		if !reflect.DeepEqual(batch, incremental) {
-			res.Agree = false
-		}
 		res.Rounds = append(res.Rounds, LongitudinalCampaignRound{
-			Round:         sum.Round,
-			Dirty:         dirty,
-			DirtyFraction: float64(dirty) / float64(len(targets)),
-			Detected24s:   len(incremental),
+			Round:       sum.Round,
+			Detected24s: len(census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)),
 		})
 	}
-	res.IncrementalWall = cp.AnalysisWall()
 	res.Targets = len(targets)
 	res.VPs = len(cp.Combined().VPs)
-	if res.IncrementalWall > 0 {
-		res.Speedup = float64(res.BatchWall) / float64(res.IncrementalWall)
-	}
 	return res
 }
 
-// Report renders the incremental-vs-batch comparison.
+// Report renders the per-round detections.
 func (r LongitudinalCampaignResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Extension - incremental re-analysis over a %d-round campaign (%d targets, %d VPs)\n",
+	fmt.Fprintf(&b, "Extension - monthly patch censuses over a %d-round campaign (%d targets, %d VPs)\n",
 		len(r.Rounds), r.Targets, r.VPs)
 	for _, rd := range r.Rounds {
-		fmt.Fprintf(&b, "  round %d: %6d dirty targets (%.1f%%), %4d anycast /24s\n",
-			rd.Round, rd.Dirty, 100*rd.DirtyFraction, rd.Detected24s)
+		fmt.Fprintf(&b, "  round %d: %4d anycast /24s\n", rd.Round, rd.Detected24s)
 	}
-	fmt.Fprintf(&b, "  batch %.2fs vs incremental %.2fs: %.1fx; outcomes agree: %v\n",
-		r.BatchWall.Seconds(), r.IncrementalWall.Seconds(), r.Speedup, r.Agree)
-	b.WriteString("  (successive censuses mostly confirm the previous answer - Sec. 3.2's stability,\n   turned into wall-clock savings by re-analyzing only the dirty targets)\n")
+	b.WriteString("  (successive censuses mostly confirm the previous answer - Sec. 3.2's stability)\n")
 	return b.String()
 }
 

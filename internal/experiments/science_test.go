@@ -89,10 +89,8 @@ func scienceLines(l *Lab) string {
 		fmt.Fprintf(&b, "longitudinal epoch=%d truth=%d detected=%d replicas=%d new_cities=%d lost_cities=%d\n",
 			e.Epoch, e.TrueReplicas, e.Detected24s, e.Replicas, e.NewCities, e.LostCities)
 	}
-	lc := labLongitudinalCampaign()
-	for _, rd := range lc.Rounds {
-		fmt.Fprintf(&b, "longcampaign round=%d dirty=%d detected=%d\n", rd.Round, rd.Dirty, rd.Detected24s)
+	for _, rd := range labLongitudinalCampaign().Rounds {
+		fmt.Fprintf(&b, "longcampaign round=%d detected=%d\n", rd.Round, rd.Detected24s)
 	}
-	fmt.Fprintf(&b, "longcampaign agree=%v\n", lc.Agree)
 	return b.String()
 }

@@ -101,12 +101,20 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// Campaign instruments: one round folded (Rounds=1, shard path), one
-	// batch analysis observed.
+	// analysis observed, and its detection counters fed: every target
+	// analysis ended either witness-decided or split-scanned.
 	if m["anycastmap_census_rounds_folded_total"] != 1 {
 		t.Errorf("rounds folded = %v", m["anycastmap_census_rounds_folded_total"])
 	}
 	if m["anycastmap_census_analyze_seconds_count"] != 1 {
 		t.Errorf("analyze count = %v", m["anycastmap_census_analyze_seconds_count"])
+	}
+	analyses := m["anycastmap_census_analyses_total"]
+	if analyses == 0 {
+		t.Error("census refresh recorded no target analyses")
+	}
+	if w, s := m["anycastmap_census_witness_decided_total"], m["anycastmap_census_split_scanned_total"]; w+s != analyses {
+		t.Errorf("witness-decided %v + split-scanned %v != analyses %v", w, s, analyses)
 	}
 
 	// Prober: the scraped counters are the package counters.

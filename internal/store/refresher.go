@@ -263,7 +263,7 @@ type CensusSource struct {
 	// census.DefaultSpanTargets (16,384).
 	SpanTargets int
 	// Metrics, when set, instruments every campaign this source builds
-	// (rounds folded, fold/analyze latency). The instruments outlive
+	// (rounds folded, analysis latency and counters). The instruments outlive
 	// individual campaigns, so counters accumulate across refreshes.
 	Metrics *census.Metrics
 
@@ -315,13 +315,10 @@ func (cs *CensusSource) Build(ctx context.Context) (*Snapshot, error) {
 			degraded = err
 		}
 	}
-	combined := cp.Combined()
-	if combined == nil {
+	if cp.Combined() == nil {
 		return nil, fmt.Errorf("store: no census rounds ran")
 	}
-	analyzeStart := time.Now()
-	outcomes := census.AnalyzeAll(cs.Cities, combined, core.Options{}, cs.MinSamples, 0)
-	cs.Metrics.ObserveAnalysis(time.Since(analyzeStart))
+	outcomes, _ := cp.Analyze(cs.Cities, core.Options{}, cs.MinSamples, 0)
 	findings := analysis.Attribute(outcomes, cs.Table)
 	snap := NewSnapshot(findings, cs.Registry, last, cs.rounds())
 	snap.SetHealth(cp.Health())

@@ -16,7 +16,7 @@ import (
 )
 
 // testServer builds a server over two synthetic findings published
-// through a store, the same wiring cmd/webview uses.
+// through a store, the same wiring anycastd -admin uses.
 func testServer(t *testing.T) (*Server, []analysis.Finding) {
 	t.Helper()
 	reg := asdb.Default()

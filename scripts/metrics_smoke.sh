@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # metrics_smoke.sh boots both daemons against a tiny world and asserts
 # that GET /metrics serves Prometheus text exposition carrying every
-# required series family: probe, census, store, cluster, and HTTP - and
-# that the runtime's profiles answer under /debug/pprof/ on both admin
-# listeners and nowhere on anycastd's public one. It is the end-to-end
-# form of TestMetricsExposition, wired into CI as `make metrics-smoke`.
+# required series family: probe, census, store, cluster, and HTTP - that
+# anycastd's first census fed the analysis counters, that the runtime's
+# profiles answer under /debug/pprof/ on both admin listeners and nowhere
+# on anycastd's public one, and that the census browser answers on
+# anycastd's admin listener only. It is the end-to-end form of
+# TestMetricsExposition, wired into CI as `make metrics-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,6 +80,7 @@ require_series "$scrape" \
     anycastmap_probe_spans_in_flight \
     anycastmap_census_rounds_folded_total \
     anycastmap_census_analyze_seconds_count \
+    anycastmap_census_analyses_total \
     anycastmap_census_witness_decided_total \
     anycastmap_census_split_scanned_total \
     anycastmap_census_pair_tests_total \
@@ -87,11 +90,19 @@ require_series "$scrape" \
     'anycastmap_http_requests_total{endpoint="lookup"}'
 grep -q '^anycastmap_refresh_completed_total 1$' "$scrape" ||
     { echo "FAIL: anycastd first refresh not counted" >&2; exit 1; }
+if grep -q '^anycastmap_census_analyses_total 0$' "$scrape"; then
+    echo "FAIL: anycastd's first census fed no target analyses" >&2
+    exit 1
+fi
 echo "ok: anycastd serves all required series"
 require_status "http://$ANYCASTD_ADMIN/debug/pprof/heap?debug=1" 200
 require_status "http://$ANYCASTD_ADMIN/metrics" 200
 require_status "http://$ANYCASTD_ADDR/debug/pprof/heap?debug=1" 404
 echo "ok: anycastd serves profiles on its admin listener only"
+require_status "http://$ANYCASTD_ADMIN/" 200
+require_status "http://$ANYCASTD_ADMIN/api/findings" 200
+require_status "http://$ANYCASTD_ADDR/api/findings" 404
+echo "ok: anycastd serves the census browser on its admin listener only"
 
 echo "== censusd /metrics =="
 # The coordinator exits when its rounds are done, so the census must
