@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs stream-smoke scale-smoke full-scale-smoke full-scale cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs scale-smoke full-scale-smoke full-scale cluster-smoke metrics-smoke route-smoke profile
 
 all: verify
 
@@ -72,10 +72,10 @@ repo-bench-smoke:
 	cd bench && $(GO) test ./...
 
 # exp-smoke runs the paper-reproduction binary end to end on a small
-# lab: cmd/benchreport must build the lab, print the three selected
+# lab: cmd/experiments must build the lab, print the three selected
 # reports and exit 0. It measures nothing; performance is bench/.
 exp-smoke:
-	@out=$$($(GO) run ./cmd/benchreport -unicast24s 3000 -censuses 2 -exp table1,fig4,fig10) || exit 1; \
+	@out=$$($(GO) run ./cmd/experiments -unicast24s 3000 -censuses 2 -exp table1,fig4,fig10) || exit 1; \
 	echo "$$out"; \
 	for exp in table1 fig4 fig10; do \
 		echo "$$out" | grep -q "\[$$exp in " || { echo "exp-smoke: no $$exp report" >&2; exit 1; }; \
@@ -86,15 +86,6 @@ exp-smoke:
 # a directory.
 doc-refs:
 	./scripts/doc_refs.sh
-
-# stream-smoke proves the streaming data path's memory bound: a 150k-/24
-# campaign must complete under a GOMEMLIMIT set below the ~380 MiB that
-# holding all four rounds densely would cost. A regression that
-# reintroduces O(rounds) or O(unicast) residency thrashes the GC or dies
-# here instead of shipping. (cmd/census is span-pipelined by default, so
-# this also runs well under the one-round transient the bound allows.)
-stream-smoke:
-	GOMEMLIMIT=360MiB $(GO) run ./cmd/census -unicast24s 150000
 
 # scale-smoke proves the span-pipelined executor's memory bound at the
 # largest scale CI can afford: a 500k-/24 two-round campaign (~310k
@@ -133,21 +124,24 @@ full-scale:
 	GOMEMLIMIT=9950MiB $(GO) run ./cmd/census -unicast24s 11000000 -censuses 2 \
 		-max-heap-mib 13266 -rate-baseline-targets 20000
 
-# cluster-smoke proves the distributed control plane end to end: a
-# 4-agent in-process census over net.Pipe with forced churn (every
-# agent's connection is severed after 25 streamed row frames and
-# respawned) and injected VP crashes, where -verify fails the run unless
-# the combined matrix, greylist, and analysis outcomes are byte-identical
-# to a zero-fault single-process campaign.
+# cluster-smoke proves the distributed control plane end to end, in two
+# legs. First a 4-agent in-process census over net.Pipe with forced churn
+# (every agent's connection is severed after 25 streamed row frames and
+# respawned) and injected VP crashes; then real coordinator and agent
+# processes over TCP loopback, one agent killed with SIGKILL mid-census
+# (scripts/cluster_smoke.sh). In both, -verify fails the run unless the
+# combined matrix, greylist, and analysis outcomes are byte-identical to
+# a zero-fault in-process campaign.
 cluster-smoke:
-	$(GO) run ./cmd/censusd -local 4 -transport pipe -unicast24s 6000 -censuses 3 -vps 24 \
-		-retries 50 -retry-backoff 1ms -churn-every 25 -respawn \
+	$(GO) run ./cmd/census -local 4 -unicast24s 6000 -censuses 3 -vps 24 \
+		-retries 50 -retry-backoff 1ms -churn-every 25 \
 		-fault-crash 0.25 -exit-on-crash -verify
+	./scripts/cluster_smoke.sh
 
-# metrics-smoke boots anycastd (with a 2-agent distributed census) and a
-# censusd coordinator against tiny worlds, scrapes GET /metrics on both,
-# and fails unless every required series family is present: probe,
-# census, store, cluster, and per-endpoint HTTP.
+# metrics-smoke boots anycastd and a `census -local 2` coordinator
+# against tiny worlds, scrapes GET /metrics on both, and fails unless
+# every required series family is present: probe, census, store,
+# cluster, and per-endpoint HTTP.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 

@@ -14,7 +14,7 @@ import (
 
 // pipeline.go — the in-process driver of the round engine (sched.go), and
 // the one executor every in-process caller runs: store.Refresher,
-// cmd/census, censusd -verify's reference and the paper's figures
+// cmd/census (and its -verify reference for a fleet) and the paper's figures
 // (internal/experiments).
 //
 // It works in (VP, target-span) units, the same unit the cluster

@@ -14,7 +14,7 @@ import (
 	"anycastmap/internal/platform"
 )
 
-// TestSoundnessProperties states three of iGreedy's one-sided guarantees as
+// TestSoundnessProperties states iGreedy's one-sided guarantees as
 // properties over random worlds and fault plans, checked against netsim's
 // ground truth with no golden. Every world runs two rounds through
 // ExecuteRoundPipelined under its own FaultPlan - loss bursts, flaps,
@@ -29,6 +29,11 @@ import (
 //	     it: the iterations after the first MIS collapse located disks to
 //	     their cities, and here it exceeds the true count on ~1 detection
 //	     in 8;
+//	(iii) every geolocated replica's city lies inside its disk, both the
+//	     reported (city-collapsed) one and the measured disk of the vantage
+//	     point that isolated it, within the slack cities.Index grants; that
+//	     every reported disk holds a true replica waits on the decision
+//	     about (ii);
 //	(iv) dropping vantage-point rows from the combined matrix never adds a
 //	     detection (Fig. 5's monotonicity).
 //
@@ -38,7 +43,7 @@ func TestSoundnessProperties(t *testing.T) {
 	pl := platform.PlanetLab(cities.Default())
 	db := cities.Default()
 	var health CampaignHealth
-	detections, misChecked := 0, 0
+	detections, misChecked, locatedChecked := 0, 0, 0
 	for wi := range worlds {
 		rng := rand.New(rand.NewSource(int64(wi) + 1))
 		cfg := netsim.DefaultConfig()
@@ -104,6 +109,17 @@ func TestSoundnessProperties(t *testing.T) {
 				t.Fatalf("world %d (%+v): (ii) %v: MIS of %d disks exceeds the %d true replicas", wi, faults, o.Target, len(mis), len(d.Replicas))
 			}
 			misChecked++
+			for _, r := range o.Result.Replicas {
+				if !r.Located {
+					continue
+				}
+				vi := slices.IndexFunc(ms, func(m core.Measurement) bool { return m.VP == r.VP })
+				if vi < 0 || !cityInDisk(r.Disk, r.City) || !cityInDisk(disks[vi], r.City) {
+					t.Fatalf("world %d (%+v): (iii) %v: replica via %s located in %v, outside its reported disk %v or measured disk %d",
+						wi, faults, o.Target, r.VP, r.City, r.Disk, vi)
+				}
+				locatedChecked++
+			}
 		}
 		detections += len(detected)
 
@@ -124,13 +140,19 @@ func TestSoundnessProperties(t *testing.T) {
 			}
 		}
 	}
-	if detections == 0 || misChecked == 0 {
+	if detections == 0 || misChecked == 0 || locatedChecked == 0 {
 		t.Fatal("no anycast target detected in any world: the properties held vacuously")
 	}
 	if health.Retries == 0 || health.Recovered == 0 || len(health.Quarantined) == 0 {
 		t.Fatalf("the fault plans never bit: %d retries, %d recovered, %d quarantined",
 			health.Retries, health.Recovered, len(health.Quarantined))
 	}
-	t.Logf("%d worlds: %d detections, %d retries, %d recovered, %d quarantined VPs",
-		worlds, detections, health.Retries, health.Recovered, len(health.Quarantined))
+	t.Logf("%d worlds: %d detections, %d located replicas, %d retries, %d recovered, %d quarantined VPs",
+		worlds, detections, locatedChecked, health.Retries, health.Recovered, len(health.Quarantined))
+}
+
+// cityInDisk is the containment test cities.Index applies when it picks a
+// disk's city.
+func cityInDisk(d geo.Disk, c cities.City) bool {
+	return geo.PointDistanceKm(geo.Prepare(d.Center), geo.Prepare(c.Loc)) <= d.RadiusKm+geo.OverlapEpsKm
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // HarnessConfig parametrizes an in-process agent fleet for tests,
-// smokes, and censusd -local.
+// smokes, and census -local.
 type HarnessConfig struct {
 	// Agents is the fleet size.
 	Agents int

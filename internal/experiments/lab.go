@@ -26,7 +26,7 @@ import (
 // LabConfig sizes the laboratory.
 type LabConfig struct {
 	// Unicast24s scales the unicast background. The default 20,000 is a
-	// 1:530 scale of the paper's 10.6M routed /24s; cmd/benchreport can
+	// 1:530 scale of the paper's 10.6M routed /24s; cmd/experiments can
 	// raise it. The anycast inventory is always at paper cardinality.
 	Unicast24s int
 	// Censuses is the number of census rounds (the paper ran 4).

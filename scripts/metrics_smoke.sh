@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# metrics_smoke.sh boots both daemons against a tiny world and asserts
-# that GET /metrics serves Prometheus text exposition carrying every
-# required series family: probe, census, store, cluster, and HTTP - that
+# metrics_smoke.sh boots anycastd and a `census -local 2` coordinator
+# against tiny worlds and asserts that GET /metrics serves Prometheus text
+# exposition carrying every required series family: probe, census,
+# store, cluster, and HTTP - that
 # anycastd's first census fed the analysis counters, that the runtime's
 # profiles answer under /debug/pprof/ on both admin listeners and nowhere
 # on anycastd's public one, and that the census browser answers on
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 GO=${GO:-go}
 ANYCASTD_ADDR=${ANYCASTD_ADDR:-127.0.0.1:18090}
 ANYCASTD_ADMIN=${ANYCASTD_ADMIN:-127.0.0.1:18092}
-CENSUSD_ADDR=${CENSUSD_ADDR:-127.0.0.1:18091}
+CENSUS_ADDR=${CENSUS_ADDR:-127.0.0.1:18091}
 BIN=$(mktemp -d)
 pids=()
 cleanup() {
@@ -23,7 +24,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$GO" build -o "$BIN" ./cmd/anycastd ./cmd/censusd
+"$GO" build -o "$BIN" ./cmd/anycastd ./cmd/census
 
 wait_http() { # url attempts
     local url=$1 tries=${2:-100}
@@ -104,16 +105,16 @@ require_status "http://$ANYCASTD_ADMIN/api/findings" 200
 require_status "http://$ANYCASTD_ADDR/api/findings" 404
 echo "ok: anycastd serves the census browser on its admin listener only"
 
-echo "== censusd /metrics =="
+echo "== census -local /metrics =="
 # The coordinator exits when its rounds are done, so the census must
 # outlast the poll below: at 3,000 /24s it finished in 150 ms, before the
 # first scrape could land.
-"$BIN/censusd" -local 2 -metrics "$CENSUSD_ADDR" -unicast24s 150000 -censuses 4 -vps 24 &
+"$BIN/census" -local 2 -metrics "$CENSUS_ADDR" -unicast24s 150000 -censuses 4 -vps 24 &
 pids+=($!)
-wait_http "http://$CENSUSD_ADDR/metrics" 150
+wait_http "http://$CENSUS_ADDR/metrics" 150
 
-scrape=$BIN/censusd.metrics
-curl -fsS "http://$CENSUSD_ADDR/metrics" -o "$scrape"
+scrape=$BIN/census.metrics
+curl -fsS "http://$CENSUS_ADDR/metrics" -o "$scrape"
 require_series "$scrape" \
     anycastmap_probe_probes_sent_total \
     anycastmap_probe_span_seconds_count \
@@ -122,7 +123,7 @@ require_series "$scrape" \
     anycastmap_cluster_agents_joined_total \
     anycastmap_cluster_leases_total \
     anycastmap_cluster_shard_fold_seconds_count
-require_status "http://$CENSUSD_ADDR/debug/pprof/heap?debug=1" 200
-echo "ok: censusd coordinator serves all required series and profiles"
+require_status "http://$CENSUS_ADDR/debug/pprof/heap?debug=1" 200
+echo "ok: census -local coordinator serves all required series and profiles"
 
 echo "metrics smoke passed"
