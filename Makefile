@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs scale-smoke full-scale-smoke full-scale cluster-smoke metrics-smoke route-smoke profile
+.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs scale-smoke full-scale-smoke full-scale cluster-smoke metrics-smoke profile
 
 all: verify
 
@@ -29,8 +29,8 @@ test:
 	$(GO) test ./...
 
 # race is the gate the fault-injection tests are written for: the census
-# retry loop, the store hot-swap and the load generator's sender/reader
-# pairs all exercise real concurrency.
+# retry loop, the store hot-swap and the DNS front-end's snapshot swaps
+# under load all exercise real concurrency.
 # internal/experiments replays full campaigns and needs more than the
 # default 10m per-package budget under the race detector.
 race:
@@ -81,9 +81,9 @@ exp-smoke:
 		echo "$$out" | grep -q "\[$$exp in " || { echo "exp-smoke: no $$exp report" >&2; exit 1; }; \
 	done
 
-# doc-refs fails when README.md, DESIGN.md or EXPERIMENTS.md names a
-# `make <target>` this Makefile does not have or a cmd/<name> that is not
-# a directory.
+# doc-refs fails when README.md, DESIGN.md, EXPERIMENTS.md or the verify
+# recipe under .claude/skills names a `make <target>` this Makefile does
+# not have or a cmd/<name> that is not a directory.
 doc-refs:
 	./scripts/doc_refs.sh
 
@@ -138,19 +138,12 @@ cluster-smoke:
 		-fault-crash 0.25 -exit-on-crash -verify
 	./scripts/cluster_smoke.sh
 
-# metrics-smoke boots anycastd and a `census -local 2` coordinator
-# against tiny worlds, scrapes GET /metrics on both, and fails unless
-# every required series family is present: probe, census, store,
-# cluster, and per-endpoint HTTP.
+# metrics-smoke boots anycastd (with its DNS front-end) and a `census
+# -local 2` coordinator against tiny worlds, scrapes GET /metrics on
+# both, and fails unless every required series family is present: probe,
+# census, store, cluster, route, and per-endpoint HTTP.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
-
-# route-smoke proves the routing front-end end to end: anycastd boots
-# with -dns, a service prefix is discovered via GET /v1/prefixes, 50k
-# queries go through the DNS/UDP path via routeload, and GET /metrics
-# must carry the anycastmap_route_* series with matching counts.
-route-smoke:
-	./scripts/route_smoke.sh
 
 # profile captures CPU and heap profiles of a full census run, and three
 # single-loop CPU profiles: probe.pprof, the prober's dense-span loop alone

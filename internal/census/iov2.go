@@ -32,12 +32,11 @@ import (
 //	        lengths, then the concatenated row payloads
 //
 // Each row is independently decodable — a sample count followed by
-// (uvarint target-index gap, uvarint RTT µs) pairs, the delta/varint
-// technique of internal/record's compact format — so encode and decode
-// both parallelize across GOMAXPROCS row workers. Every byte is a pure
-// function of the run (the greylist is sorted, the meta holds no maps),
-// so saving the same run twice yields identical files; the determinism
-// test compares saved bytes directly.
+// delta/varint (uvarint target-index gap, uvarint RTT µs) pairs — so
+// encode and decode both parallelize across GOMAXPROCS row workers.
+// Every byte is a pure function of the run (the greylist is sorted, the
+// meta holds no maps), so saving the same run twice yields identical
+// files; the determinism test compares saved bytes directly.
 
 const runMagicV2 = "ACMR2\n"
 
@@ -191,8 +190,7 @@ func encodeRowV2(row []int32, nTargets int) []byte {
 		}
 		return out
 	}
-	// Sparse: delta/varint (gap, value) pairs, the compact-format
-	// technique of internal/record.
+	// Sparse: delta/varint (gap, value) pairs.
 	out := make([]byte, 0, 1+binary.MaxVarintLen64+n*5)
 	out = append(out, rowModeGaps)
 	out = binary.AppendUvarint(out, uint64(n))

@@ -206,10 +206,6 @@ func TestWorldWithFaults(t *testing.T) {
 	if w.Faults() != nil {
 		t.Error("WithFaults mutated the original world")
 	}
-	w.InstallFaults(p)
-	if w.Faults() != p {
-		t.Error("InstallFaults did not install the plan")
-	}
 }
 
 // TestHijackVisibleThroughViews holds WithFaults views to one hijack table:

@@ -207,7 +207,7 @@ type World struct {
 	hijacks map[Prefix24]hijack
 
 	// faults is the installed failure schedule; nil means a perfectly
-	// healthy substrate. See InstallFaults and WithFaults.
+	// healthy substrate. See WithFaults.
 	faults *FaultPlan
 
 	// sessions caches per-VP probe-invariant state (see session.go). It
@@ -414,11 +414,6 @@ func index32(i int, field string) int32 {
 
 // Config returns the world configuration.
 func (w *World) Config() Config { return w.cfg }
-
-// InstallFaults attaches a failure schedule to the world; nil removes it.
-// Like InjectHijack it must happen before probing starts and is not safe
-// to call concurrently with probes — use WithFaults for a race-free view.
-func (w *World) InstallFaults(p *FaultPlan) { w.faults = p }
 
 // WithFaults returns a shallow view of the world with the fault plan
 // installed. The view shares every index with the receiver (worlds are

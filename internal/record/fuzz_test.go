@@ -2,8 +2,6 @@ package record
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
 )
 
@@ -33,28 +31,6 @@ func FuzzBinaryReader(f *testing.F) {
 			s2, err := NewBinaryReader(&out).Read()
 			if err != nil || s2 != s {
 				t.Fatalf("binary round trip diverged: %+v vs %+v (%v)", s, s2, err)
-			}
-		}
-	})
-}
-
-// FuzzCompactReader does the same for the compact varint format.
-func FuzzCompactReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewCompactWriter(&buf)
-	w.Write(Sample{Target: 0x01020304, TimestampMs: 1, Kind: 1, RTT: 1000})
-	w.Write(Sample{Target: 0x01020305, TimestampMs: 2, Kind: 1, RTT: 2000})
-	w.Flush()
-	f.Add(buf.Bytes())
-	f.Add([]byte(compactMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewCompactReader(bytes.NewReader(data))
-		for i := 0; i < 1000; i++ {
-			if _, err := r.Read(); err != nil {
-				if errors.Is(err, io.EOF) || err != nil {
-					return
-				}
 			}
 		}
 	})

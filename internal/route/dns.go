@@ -89,7 +89,7 @@ type Query struct {
 // Scratch is one worker's reusable packet state: the decoded query, the
 // decompressed qname, the TXT assembly buffer and the response buffer.
 // A Scratch is not safe for concurrent use; each listener goroutine
-// (and each loadgen worker) owns one.
+// owns one.
 type Scratch struct {
 	q    Query
 	name [maxNameLen + 1]byte
@@ -98,10 +98,6 @@ type Scratch struct {
 	// dcache memoizes routing decisions per worker; see cache.go.
 	dcache [decideCacheSize]decideCacheEntry
 }
-
-// Question returns the decompressed qname in wire format (valid until
-// the next decode).
-func (sc *Scratch) Question() []byte { return sc.name[:sc.q.nameLen] }
 
 // EncodeName converts a dotted domain name into wire-format labels
 // appended to dst. The empty name and "." encode as the root.
@@ -195,6 +191,59 @@ func equalFoldWire(a, b []byte) bool {
 		}
 	}
 	return true
+}
+
+// AppendQuery builds one request packet: an RD query for the service
+// under the zone, carrying client as a /24 EDNS Client Subnet option.
+func AppendQuery(dst []byte, id uint16, service netsim.Prefix24, policy Policy, zone []byte, qtype uint16, client netsim.Prefix24) []byte {
+	var h [headerLen]byte
+	put16(h[0:], id)
+	put16(h[2:], flagRD)
+	put16(h[4:], 1) // QDCOUNT
+	put16(h[10:], 1)
+	dst = append(dst, h[:]...)
+	if policy != PolicyNone {
+		name := policy.String()
+		dst = append(dst, byte(len(name)))
+		dst = append(dst, name...)
+	}
+	svc := uint32(service)
+	for shift := 16; shift >= 0; shift -= 8 {
+		var lbl [4]byte
+		oct := appendOctet(lbl[:0], byte(svc>>shift))
+		dst = append(dst, byte(len(oct)))
+		dst = append(dst, oct...)
+	}
+	dst = append(dst, zone...)
+	var qt [4]byte
+	put16(qt[0:], qtype)
+	put16(qt[2:], classIN)
+	dst = append(dst, qt[:]...)
+	// OPT with a /24 ECS option.
+	dst = append(dst, 0)
+	var opt [21]byte
+	put16(opt[0:], qtypeOPT)
+	put16(opt[2:], ednsUDPSize)
+	put16(opt[8:], 11) // RDLEN: option header 4 + ECS 7
+	put16(opt[10:], optCodeECS)
+	put16(opt[12:], 7)
+	put16(opt[14:], 1) // family v4
+	opt[16] = 24       // source /24
+	opt[17] = 0        // scope
+	ip := uint32(client) << 8
+	opt[18], opt[19], opt[20] = byte(ip>>24), byte(ip>>16), byte(ip>>8)
+	return append(dst, opt[:]...)
+}
+
+// appendOctet mirrors netsim's digit rendering for qname labels.
+func appendOctet(dst []byte, v byte) []byte {
+	if v >= 100 {
+		dst = append(dst, '0'+v/100)
+	}
+	if v >= 10 {
+		dst = append(dst, '0'+(v/10)%10)
+	}
+	return append(dst, '0'+v%10)
 }
 
 // DecodeQuery parses one request packet into sc.q against the given

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,7 +118,6 @@ func NewAPI(st *Store, refresher *Refresher, cfg APIConfig) *API {
 	a.handle("GET /v1/lookup", "lookup", a.handleLookup)
 	a.handle("POST /v1/lookup/batch", "batch", a.handleBatch)
 	a.handle("GET /v1/snapshot", "snapshot", a.handleSnapshot)
-	a.handle("GET /v1/prefixes", "prefixes", a.handlePrefixes)
 	a.handle("GET /v1/stats", "stats", a.handleStats)
 	if a.registry != nil {
 		scrape := a.registry.Handler()
@@ -343,47 +341,6 @@ func (a *API) handleSnapshot(w http.ResponseWriter, _ *http.Request) int {
 		Replicas:      snap.TotalReplicas(),
 		Mapped:        snap.Mapped(),
 	})
-}
-
-// PrefixesResponse is the JSON shape of /v1/prefixes.
-type PrefixesResponse struct {
-	Version  uint64   `json:"snapshot_version"`
-	Total    int      `json:"total"`
-	Prefixes []string `json:"prefixes"`
-}
-
-// handlePrefixes lists indexed anycast /24s in prefix order: GET
-// /v1/prefixes?limit=N (default 100, capped at 10000). It walks the
-// prefix index directly — no entry ever decodes — so discovering a
-// served deployment (the route smoke test's first step) costs O(limit)
-// string renders even on a million-entry mapped snapshot.
-func (a *API) handlePrefixes(w http.ResponseWriter, r *http.Request) int {
-	limit := 100
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 1 {
-			return writeJSONStatus(w, http.StatusBadRequest, errBody("bad ?limit="))
-		}
-		limit = v
-	}
-	if limit > 10000 {
-		limit = 10000
-	}
-	snap := a.store.AcquirePinned()
-	defer snap.Unpin()
-	if snap == nil {
-		return writeJSONStatus(w, http.StatusServiceUnavailable, errBody("no snapshot yet"))
-	}
-	n := snap.Len()
-	resp := PrefixesResponse{Version: snap.Version(), Total: n}
-	if n > limit {
-		n = limit
-	}
-	resp.Prefixes = make([]string, n)
-	for i := 0; i < n; i++ {
-		resp.Prefixes[i] = snap.PrefixAt(i).String()
-	}
-	return writeJSONStatus(w, http.StatusOK, resp)
 }
 
 func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) int {

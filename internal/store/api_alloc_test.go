@@ -1,9 +1,6 @@
 package store
 
 import (
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -76,39 +73,6 @@ func TestAcquirePinnedAllocs(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("%s AcquirePinned+Unpin = %.1f allocs/op, want 0", tc.name, got)
 		}
-	}
-}
-
-func TestAPIPrefixes(t *testing.T) {
-	a, _ := testAPI(t)
-
-	rec := httptest.NewRecorder()
-	a.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/prefixes?limit=3", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /v1/prefixes = %d, want 200", rec.Code)
-	}
-	var resp PrefixesResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("bad body: %v", err)
-	}
-	if resp.Total != 8 || len(resp.Prefixes) != 3 {
-		t.Fatalf("total=%d prefixes=%v, want total 8 and 3 listed", resp.Total, resp.Prefixes)
-	}
-	if resp.Prefixes[0] != "10.10.0.0/24" || resp.Prefixes[2] != "10.10.2.0/24" {
-		t.Fatalf("prefixes = %v", resp.Prefixes)
-	}
-
-	rec = httptest.NewRecorder()
-	a.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/prefixes?limit=0", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("limit=0 = %d, want 400", rec.Code)
-	}
-
-	empty := NewAPI(New(Options{}), nil, APIConfig{})
-	rec = httptest.NewRecorder()
-	empty.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/prefixes", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("no snapshot = %d, want 503", rec.Code)
 	}
 }
 

@@ -242,10 +242,6 @@ func (s *Snapshot) MappingRefs() int64 {
 	return s.m.refs.Load()
 }
 
-// PrefixAt returns the i-th indexed /24 in ascending prefix order. For
-// a file-backed snapshot the caller must hold a Pin.
-func (s *Snapshot) PrefixAt(i int) netsim.Prefix24 { return s.prefixes[i] }
-
 // DecodeErrors counts lazy entry decodes that failed (0 on a healthy
 // snapshot; non-zero only for a CRC-valid file with malformed entries).
 func (s *Snapshot) DecodeErrors() uint64 { return s.decodeErrs.Load() }

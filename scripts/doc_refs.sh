@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# doc_refs.sh fails when README.md, DESIGN.md or EXPERIMENTS.md names a
-# `make <target>` the Makefile does not define, a cmd/<name> that is not
+# doc_refs.sh fails when README.md, DESIGN.md, EXPERIMENTS.md or the
+# verify recipe (.claude/skills/verify/SKILL.md) names a `make <target>` the Makefile does not define, a cmd/<name> that is not
 # a directory, an internal/, scripts/ or docs/ path that does not exist,
 # a back-quoted `layer.metric` that BENCHMARK.json does not declare, a
 # back-quoted `anycastmap_*` series no non-test Go file under internal/
@@ -12,7 +12,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-docs=(README.md DESIGN.md EXPERIMENTS.md)
+docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
 bad=0
 
 targets=$(grep -oE '^[a-z][a-z0-9-]*:' Makefile | tr -d ':')

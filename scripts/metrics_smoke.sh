@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# metrics_smoke.sh boots anycastd and a `census -local 2` coordinator
-# against tiny worlds and asserts that GET /metrics serves Prometheus text
-# exposition carrying every required series family: probe, census,
-# store, cluster, and HTTP - that
+# metrics_smoke.sh boots anycastd (with its -dns routing front-end) and a
+# `census -local 2` coordinator against tiny worlds and asserts that GET
+# /metrics serves Prometheus text exposition carrying every required
+# series family: probe, census, store, cluster, route, and HTTP - that
 # anycastd's first census fed the analysis counters, that the runtime's
 # profiles answer under /debug/pprof/ on both admin listeners and nowhere
 # on anycastd's public one, and that the census browser answers on
@@ -14,6 +14,7 @@ cd "$(dirname "$0")/.."
 GO=${GO:-go}
 ANYCASTD_ADDR=${ANYCASTD_ADDR:-127.0.0.1:18090}
 ANYCASTD_ADMIN=${ANYCASTD_ADMIN:-127.0.0.1:18092}
+ANYCASTD_DNS=${ANYCASTD_DNS:-127.0.0.1:15300}
 CENSUS_ADDR=${CENSUS_ADDR:-127.0.0.1:18091}
 BIN=$(mktemp -d)
 pids=()
@@ -57,8 +58,8 @@ require_series() { # file series...
 }
 
 echo "== anycastd /metrics =="
-"$BIN/anycastd" -addr "$ANYCASTD_ADDR" -admin "$ANYCASTD_ADMIN" -unicast24s 800 -vps 40 \
-    -censuses 1 -refresh 1h &
+"$BIN/anycastd" -addr "$ANYCASTD_ADDR" -admin "$ANYCASTD_ADMIN" -dns "$ANYCASTD_DNS" \
+    -unicast24s 800 -vps 40 -censuses 1 -refresh 1h &
 pids+=($!)
 wait_http "http://$ANYCASTD_ADDR/healthz" 150
 
@@ -88,6 +89,9 @@ require_series "$scrape" \
     anycastmap_store_snapshot_version \
     anycastmap_store_lookups_total \
     anycastmap_refresh_completed_total \
+    anycastmap_route_queries_total \
+    anycastmap_route_answers_total \
+    anycastmap_route_answer_seconds_count \
     'anycastmap_http_requests_total{endpoint="lookup"}'
 grep -q '^anycastmap_refresh_completed_total 1$' "$scrape" ||
     { echo "FAIL: anycastd first refresh not counted" >&2; exit 1; }
