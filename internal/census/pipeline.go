@@ -66,19 +66,8 @@ func (cp *Campaign) ExecuteRoundPipelined(ctx context.Context, w *netsim.World, 
 		return RoundSummary{Round: round}, err
 	}
 
-	// Every vantage point probes every span, so each span is planned once
-	// - by the first worker to reach it, the others waiting in Do - and
-	// its plan read by all of the span's units. The plans, ~33 B per
-	// target, go when the round returns.
-	plans := make([]struct {
-		once sync.Once
-		plan *prober.Plan
-	}, len(s.spans))
-	planOf := func(sp Span) *prober.Plan {
-		p := &plans[sp.Lo/pc.EffectiveSpanTargets()]
-		p.once.Do(func() { p.plan = prober.NewPlan(w, targets[sp.Lo:sp.Hi], blacklist) })
-		return p.plan
-	}
+	// The round's span plans, ~33 B per target, go when the round returns.
+	plans := NewSpanPlans(w, targets, blacklist)
 
 	var mu sync.Mutex // owns s and abort
 	var abort error
@@ -92,7 +81,7 @@ func (cp *Campaign) ExecuteRoundPipelined(ctx context.Context, w *netsim.World, 
 			switch {
 			case ok:
 				mu.Unlock()
-				sr, err := ProbeShard(w, planOf(u.Span), cp.cfg.Census, u)
+				sr, err := ProbeShard(w, plans.Plan(round, u.Span), cp.cfg.Census, u)
 				mu.Lock()
 				if err != nil {
 					s.Fail(u, err, time.Now())

@@ -55,10 +55,12 @@ type agentSession struct {
 	writeMu sync.Mutex
 	wbuf    []byte
 
-	world     *netsim.World
-	targets   []netsim.IP
-	blacklist *prober.Greylist
-	ccfg      census.Config
+	world   *netsim.World
+	targets []netsim.IP
+	ccfg    census.Config
+	// plans holds the current round's span plans, shared by every lease
+	// of a span in that round.
+	plans *census.SpanPlans
 
 	// fatal latches the error that should kill the agent (ExitOnCrash);
 	// the read loop surfaces it instead of the conn-closed error that
@@ -101,8 +103,12 @@ func (s *agentSession) getFatal() error {
 // configuration, then executes shard leases and streams rows back,
 // heartbeating all the while.
 func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
+	return (&agentSession{cfg: cfg, conn: conn}).run(ctx)
+}
+
+func (s *agentSession) run(ctx context.Context) error {
+	conn, cfg := s.conn, s.cfg
 	defer conn.Close()
-	s := &agentSession{cfg: cfg, conn: conn}
 
 	// Unblock the read loop when the caller gives up.
 	stopWatch := make(chan struct{})
@@ -146,7 +152,6 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 		return err
 	}
 	s.targets = welcome.Targets
-	s.blacklist = prober.FromSnapshot(welcome.Blacklist)
 	s.ccfg = welcome.Census
 	if cfg.World != nil {
 		s.world = cfg.World
@@ -161,6 +166,7 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 		}
 		s.world = w
 	}
+	s.plans = census.NewSpanPlans(s.world, s.targets, prober.FromSnapshot(welcome.Blacklist))
 
 	// Heartbeats, until the session ends.
 	hbDone := make(chan struct{})
@@ -236,20 +242,20 @@ func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 }
 
 // executeLease probes the leased span — through census.ProbeShard, the
-// row builder the in-process executor uses, over a plan of the lease's
-// own (the agent keeps no state between leases) — and streams the result
-// (or the failure) back.
+// row builder the in-process executor uses, over the span's plan for the
+// lease's round (the one state the agent keeps between leases) — and
+// streams the result (or the failure) back.
 func (s *agentSession) executeLease(l leaseMsg) {
 	if l.Lo < 0 || l.Hi < l.Lo || l.Hi > len(s.targets) {
 		s.fail(failMsg{ID: l.ID, Err: fmt.Sprintf("lease span [%d,%d) outside %d targets", l.Lo, l.Hi, len(s.targets))})
 		return
 	}
-	plan := prober.NewPlan(s.world, s.targets[l.Lo:l.Hi], s.blacklist)
-	sr, err := census.ProbeShard(s.world, plan, s.ccfg, census.Unit{
+	span := census.Span{Lo: l.Lo, Hi: l.Hi}
+	sr, err := census.ProbeShard(s.world, s.plans.Plan(l.Round, span), s.ccfg, census.Unit{
 		Round:   l.Round,
 		VP:      l.VP,
 		Slot:    l.Slot,
-		Span:    census.Span{Lo: l.Lo, Hi: l.Hi},
+		Span:    span,
 		Attempt: l.Attempt,
 	})
 	if err != nil {

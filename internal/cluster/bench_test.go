@@ -11,6 +11,7 @@ import (
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/prober"
 )
 
 // The fleet yardstick: the benchmark's census-fleet workload in its
@@ -18,9 +19,11 @@ import (
 // lease per (VP, round), a tenth of the vantage points crashing once and
 // recovering on the 1 ms retry — so a lease's probing is a few tens of
 // microseconds and the control plane's cost per lease reads directly
-// against it. BenchmarkFleetRoundLocal runs the same rounds through the
-// one-process executor; `go test -bench Fleet -cpu 1 ./internal/cluster`
-// prints both, and their ratio is what distribution costs.
+// against it. Each agent plans the one span once per round, so a rep
+// builds at most 4 plans (`plans/op`), not one per lease.
+// BenchmarkFleetRoundLocal runs the same rounds through the one-process
+// executor; `go test -bench Fleet -cpu 1 ./internal/cluster` prints both,
+// and their ratio is what distribution costs.
 var (
 	fleetOnce    sync.Once
 	fleetCfg     netsim.Config
@@ -70,6 +73,7 @@ func BenchmarkFleetRound(b *testing.B) {
 	fleetBed(b)
 	ccfg := fleetCensusCfg()
 	leases := 0
+	plans := prober.DefaultMetrics.Plans.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
@@ -96,6 +100,7 @@ func BenchmarkFleetRound(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leases), "ns/lease")
 	b.ReportMetric(float64(leases)/float64(b.N), "leases/op")
+	b.ReportMetric(float64(prober.DefaultMetrics.Plans.Load()-plans)/float64(b.N), "plans/op")
 }
 
 func BenchmarkFleetRoundLocal(b *testing.B) {

@@ -387,3 +387,75 @@ func TestClusterShardWidthExtremes(t *testing.T) {
 		assertIdentical(t, ref, cp)
 	}
 }
+
+// An agent plans each span once per round, however many of its leases
+// probe the span and however many of them run at once: at Capacity 2,
+// every vantage point's lease of a span reads the plan the first one
+// built, and round 2 replaces round 1's plans.
+func TestAgentPlansEachSpanOncePerRound(t *testing.T) {
+	cfg, w, h, vps := clusterTestbed(t)
+	const width = 500
+	spans := len(census.ShardSpans(h.Len(), width))
+	if spans < 3 {
+		t.Fatalf("testbed has %d spans of %d targets, want >= 3", spans, width)
+	}
+	ref := singleProcessReference(t, w, h, vps)
+
+	cp := census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()})
+	coord, err := NewCoordinator(Config{
+		Campaign:     cp,
+		Targets:      h.Targets(),
+		Census:       testCensusCfg(),
+		World:        cfg,
+		ShardTargets: width,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sessions are started here rather than by a Harness, so their
+	// plan caches can be read once they have returned.
+	sessions := []*agentSession{
+		{cfg: AgentConfig{Name: "planner-0", World: w, Capacity: 2}},
+		{cfg: AgentConfig{Name: "planner-1", World: w, Capacity: 2}},
+	}
+	var wg sync.WaitGroup
+	for _, s := range sessions {
+		coordSide, agentSide := net.Pipe()
+		if err := coord.Attach(coordSide); err != nil {
+			t.Fatal(err)
+		}
+		s.conn = agentSide
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.run(context.Background()) // ends with the coordinator's Close
+		}()
+	}
+	for r, set := range vps {
+		if _, err := coord.ExecuteRound(context.Background(), uint64(r+1), set); err != nil {
+			coord.Close()
+			wg.Wait()
+			t.Fatalf("round %d: %v", r+1, err)
+		}
+	}
+	leases := coord.Stats().Leases
+	coord.Close()
+	wg.Wait()
+	assertIdentical(t, ref, cp)
+
+	most := spans * len(vps)
+	total := 0
+	for i, s := range sessions {
+		if s.plans == nil {
+			t.Fatalf("agent %d was never welcomed", i)
+		}
+		if got := s.plans.Built(); got > most {
+			t.Errorf("agent %d built %d plans for %d leases in all, want at most %d spans x %d rounds",
+				i, got, leases, spans, len(vps))
+		}
+		total += s.plans.Built()
+	}
+	if total < spans {
+		t.Errorf("the fleet built %d plans for %d spans", total, spans)
+	}
+}

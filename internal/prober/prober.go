@@ -36,6 +36,10 @@ type Metrics struct {
 	Timeouts      atomic.Uint64
 	SourceDropped atomic.Uint64
 	FaultLost     atomic.Uint64
+	// Plans counts span plans built by NewPlan: one per span and round in
+	// the in-process census executor and in each fleet agent, one per run
+	// on a single-use Run.
+	Plans atomic.Uint64
 	// SpansInFlight counts probing runs — (VP, span) work units —
 	// currently executing; spanSeconds records each unit's wall-clock
 	// duration. Both are observed at run granularity, never per probe,
@@ -68,6 +72,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.CounterFunc("anycastmap_probe_timeouts_total", "Probes that timed out (includes fault-lost and source-dropped).", m.Timeouts.Load)
 	r.CounterFunc("anycastmap_probe_source_dropped_total", "Replies dropped at the vantage point from excessive probing rates.", m.SourceDropped.Load)
 	r.CounterFunc("anycastmap_probe_fault_lost_total", "Probes lost to injected flap/burst faults.", m.FaultLost.Load)
+	r.CounterFunc("anycastmap_probe_plans_total", "Span plans built (one serves every run over its span in a round).", m.Plans.Load)
 	r.GaugeFunc("anycastmap_probe_spans_in_flight", "Probing runs ((VP, span) work units) currently executing.",
 		func() float64 { return float64(m.SpansInFlight.Load()) })
 	m.spanSeconds.Store(r.Histogram("anycastmap_probe_span_seconds",
@@ -356,6 +361,7 @@ type Plan struct {
 // NewPlan plans probing targets around the hosts skip holds at the time
 // of the call.
 func NewPlan(w *netsim.World, targets []netsim.IP, skip *Greylist) *Plan {
+	DefaultMetrics.Plans.Add(1)
 	pl := &Plan{targets: targets, span: w.PlanSpan(targets)}
 	if len(targets) == 0 {
 		return pl

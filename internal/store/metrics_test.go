@@ -122,6 +122,7 @@ func TestMetricsExposition(t *testing.T) {
 		"anycastmap_probe_runs_total":         prober.DefaultMetrics.Runs.Load(),
 		"anycastmap_probe_probes_sent_total":  prober.DefaultMetrics.ProbesSent.Load(),
 		"anycastmap_probe_echo_replies_total": prober.DefaultMetrics.EchoReplies.Load(),
+		"anycastmap_probe_plans_total":        prober.DefaultMetrics.Plans.Load(),
 	}
 	for name, want := range proberChecks {
 		if got := m[name]; got != float64(want) {
@@ -130,6 +131,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if m["anycastmap_probe_runs_total"] == 0 {
 		t.Error("census refresh recorded no probing runs")
+	}
+	// Every vantage point of a round reads the same span plan.
+	if p, r := m["anycastmap_probe_plans_total"], m["anycastmap_probe_runs_total"]; p == 0 || p >= r {
+		t.Errorf("%v span plans for %v probing runs", p, r)
 	}
 
 	// Per-endpoint series read the same atomics /v1/stats serves.

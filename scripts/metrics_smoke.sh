@@ -118,8 +118,22 @@ pids+=($!)
 wait_http "http://$CENSUS_ADDR/metrics" 150
 
 scrape=$BIN/census.metrics
-curl -fsS "http://$CENSUS_ADDR/metrics" -o "$scrape"
+# Each agent plans a span once per round, so once a round is under way the
+# plans trail the runs (24 VPs probe every span); the blacklist pass before
+# the first round plans once per run, so scrape until the runs pull ahead.
+counter() { # series file
+    awk -v s="$1" '$1 == s { print $2 }' "$2"
+}
+for _ in $(seq 100); do
+    curl -fsS "http://$CENSUS_ADDR/metrics" -o "$scrape"
+    runs=$(counter anycastmap_probe_runs_total "$scrape")
+    plans=$(counter anycastmap_probe_plans_total "$scrape")
+    if [ "${plans:-0}" -gt 0 ] && [ "${plans:-0}" -lt "${runs:-0}" ]; then break; fi
+    sleep 0.2
+done
 require_series "$scrape" \
+    anycastmap_probe_runs_total \
+    anycastmap_probe_plans_total \
     anycastmap_probe_probes_sent_total \
     anycastmap_probe_span_seconds_count \
     anycastmap_probe_spans_in_flight \
@@ -127,7 +141,11 @@ require_series "$scrape" \
     anycastmap_cluster_agents_joined_total \
     anycastmap_cluster_leases_total \
     anycastmap_cluster_shard_fold_seconds_count
+if [ "$plans" -le 0 ] || [ "$plans" -ge "$runs" ]; then
+    echo "FAIL: census -local built $plans span plans for $runs probing runs" >&2
+    exit 1
+fi
 require_status "http://$CENSUS_ADDR/debug/pprof/heap?debug=1" 200
-echo "ok: census -local coordinator serves all required series and profiles"
+echo "ok: census -local coordinator serves all required series and profiles ($plans span plans for $runs runs)"
 
 echo "metrics smoke passed"
