@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs scale-smoke full-scale-smoke full-scale cluster-smoke metrics-smoke profile
+.PHONY: all build fmt-check vet cross-build test race verify clean bench bench-smoke fuzz-smoke repo-bench-smoke exp-smoke doc-refs receipt scale-smoke full-scale-smoke full-scale cluster-smoke metrics-smoke profile
 
 all: verify
 
@@ -86,6 +86,11 @@ exp-smoke:
 # not have or a cmd/<name> that is not a directory.
 doc-refs:
 	./scripts/doc_refs.sh
+
+# receipt prints what a deletion is measured in: commands under cmd/,
+# flag definitions and raw non-test Go lines outside bench/.
+receipt:
+	./scripts/receipt.sh
 
 # scale-smoke proves the span-pipelined executor's memory bound at the
 # largest scale CI can afford: a 500k-/24 two-round campaign (~310k

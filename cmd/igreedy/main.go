@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -103,10 +104,16 @@ func parse(r io.Reader) ([]core.Measurement, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %v", line, err)
 		}
+		// A negative, NaN or infinite RTT, or one past time.Duration's
+		// range, would become a disk of negative or garbage radius.
+		ns := rtt * float64(time.Millisecond)
+		if !(ns >= 0 && ns < math.MaxInt64) {
+			return nil, fmt.Errorf("line %d: rtt_ms %v out of range", line, rtt)
+		}
 		ms = append(ms, core.Measurement{
 			VP:    strings.TrimSpace(parts[0]),
 			VPLoc: loc,
-			RTT:   time.Duration(rtt * float64(time.Millisecond)),
+			RTT:   time.Duration(ns),
 		})
 	}
 	return ms, sc.Err()

@@ -49,12 +49,13 @@ type Config struct {
 	// 3; 1 disables retrying.
 	MaxAttempts int
 	// RetryBackoff is the base delay before the first retry; each
-	// further retry doubles it, capped at RetryBackoffCap. Zero means
+	// further retry doubles it, capped at retryBackoffCap. Zero means
 	// 50ms; negative disables the backoff entirely (tests).
 	RetryBackoff time.Duration
-	// RetryBackoffCap caps the exponential backoff; zero means 2s.
-	RetryBackoffCap time.Duration
 }
+
+// retryBackoffCap caps the exponential retry backoff.
+const retryBackoffCap = 2 * time.Second
 
 // EffectiveWorkers resolves the configured worker count: Workers when
 // positive, GOMAXPROCS otherwise.
@@ -78,20 +79,17 @@ func (c Config) Attempts() int {
 // attempt (>= 1): the schedule ExecuteContext sleeps between a vantage
 // point's attempts and the round engine parks a failed one for.
 func (c Config) Backoff(attempt int) time.Duration {
-	d, limit := c.RetryBackoff, c.RetryBackoffCap
+	d := c.RetryBackoff
 	if d == 0 {
 		d = 50 * time.Millisecond
-	}
-	if limit <= 0 {
-		limit = 2 * time.Second
 	}
 	if d < 0 {
 		return 0
 	}
-	for i := 1; i < attempt && d < limit; i++ {
+	for i := 1; i < attempt && d < retryBackoffCap; i++ {
 		d *= 2
 	}
-	return min(d, limit)
+	return min(d, retryBackoffCap)
 }
 
 // sleepBackoff waits out the pre-retry backoff; it returns false when the

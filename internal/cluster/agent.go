@@ -20,8 +20,6 @@ type AgentConfig struct {
 	Name string
 	// Capacity is how many leases execute concurrently; zero means 1.
 	Capacity int
-	// OwnedVPs advertises vantage-point affinity to the coordinator.
-	OwnedVPs []int
 	// World, when non-nil, is probed directly (in-process agents share
 	// the coordinator's world); nil rebuilds the deterministic world
 	// from the welcome message, which is what a real separate process
@@ -33,8 +31,6 @@ type AgentConfig struct {
 	// reboots rather than the prober that hiccups. The coordinator
 	// re-leases the lost shards either way.
 	ExitOnCrash bool
-	// MaxFrame bounds inbound frames; zero means DefaultMaxFrame.
-	MaxFrame int
 }
 
 func (c AgentConfig) capacity() int {
@@ -127,7 +123,7 @@ func (s *agentSession) run(ctx context.Context) error {
 	if _, err := conn.Write([]byte(streamMagic)); err != nil {
 		return fmt.Errorf("cluster: agent handshake: %w", err)
 	}
-	hello, err := encodeMsg(&helloMsg{Name: cfg.Name, Capacity: cfg.capacity(), OwnedVPs: cfg.OwnedVPs})
+	hello, err := encodeMsg(&helloMsg{Name: cfg.Name, Capacity: cfg.capacity()})
 	if err != nil {
 		return err
 	}
@@ -137,7 +133,7 @@ func (s *agentSession) run(ctx context.Context) error {
 	if err := readMagic(conn); err != nil {
 		return fmt.Errorf("cluster: agent handshake: %w", err)
 	}
-	typ, payload, err := readFrame(conn, cfg.MaxFrame)
+	typ, payload, err := readFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		return fmt.Errorf("cluster: agent awaiting welcome: %w", err)
 	}
@@ -207,7 +203,7 @@ func (s *agentSession) run(ctx context.Context) error {
 	}
 
 	for {
-		typ, payload, err := readFrame(conn, cfg.MaxFrame)
+		typ, payload, err := readFrame(conn, DefaultMaxFrame)
 		if err != nil {
 			if fatal := s.getFatal(); fatal != nil {
 				return fatal

@@ -53,8 +53,6 @@ type Config struct {
 	// agentless grace. (Backoff release is not on it; a parked vantage
 	// point wakes the loop by its own timer.) Zero means 25ms.
 	Tick time.Duration
-	// MaxFrame bounds inbound frames; zero means DefaultMaxFrame.
-	MaxFrame int
 	// Log, when non-nil, receives operational events.
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, receives the same events as Stats plus the
@@ -110,7 +108,6 @@ type agentConn struct {
 	out      chan []byte
 	name     string
 	capacity int
-	owned    map[int]bool
 	ready    bool
 	dead     bool
 	inflight map[uint64]*lease
@@ -375,7 +372,7 @@ func (c *Coordinator) readFrames(a *agentConn) error {
 		return err
 	}
 	for {
-		typ, payload, err := readFrame(a.conn, c.cfg.MaxFrame)
+		typ, payload, err := readFrame(a.conn, DefaultMaxFrame)
 		if err != nil {
 			return err
 		}
@@ -433,10 +430,6 @@ func (c *Coordinator) onHello(a *agentConn, hello helloMsg) {
 	a.capacity = hello.Capacity
 	if a.capacity <= 0 {
 		a.capacity = 1
-	}
-	a.owned = make(map[int]bool, len(hello.OwnedVPs))
-	for _, id := range hello.OwnedVPs {
-		a.owned[id] = true
 	}
 	a.ready = true
 	c.bump(func(s *Stats) { s.AgentsJoined++ })
@@ -601,16 +594,16 @@ func (c *Coordinator) onTick() {
 
 // dispatch leases runnable units — the scheduler keeps one outstanding
 // per vantage point and holds back parked ones — to agents while any has
-// spare capacity: owner-affinity first, least-loaded otherwise. When
-// capacity is left and only parked vantage points remain, the wake timer
-// is pointed at the earliest of them, unless it already fires sooner.
+// spare capacity, the least-loaded first. When capacity is left and only
+// parked vantage points remain, the wake timer is pointed at the earliest
+// of them, unless it already fires sooner.
 func (c *Coordinator) dispatch() {
 	r := c.round
 	if r == nil {
 		return
 	}
 	now := time.Now()
-	for r.aborted == nil && c.pickAgent(-1) != nil {
+	for r.aborted == nil && c.pickAgent() != nil {
 		u, ok, wake := r.sched.Next(now)
 		if !ok {
 			if !wake.IsZero() && (c.wakeAt.IsZero() || wake.Before(c.wakeAt)) {
@@ -619,33 +612,21 @@ func (c *Coordinator) dispatch() {
 			}
 			return
 		}
-		c.issueLease(r, u, c.pickAgent(u.VP.ID))
+		c.issueLease(r, u, c.pickAgent())
 	}
 }
 
-// pickAgent chooses the least-loaded ready agent with spare capacity,
-// preferring one that owns the vantage point; ties break on agent ID so
-// placement is deterministic for a given membership state.
-func (c *Coordinator) pickAgent(vpID int) *agentConn {
+// pickAgent chooses the least-loaded ready agent with spare capacity; ties
+// break on agent ID so placement is deterministic for a given membership
+// state.
+func (c *Coordinator) pickAgent() *agentConn {
 	var best *agentConn
-	better := func(a, b *agentConn) bool {
-		if b == nil {
-			return true
-		}
-		ao, bo := a.owned[vpID], b.owned[vpID]
-		if ao != bo {
-			return ao
-		}
-		if len(a.inflight) != len(b.inflight) {
-			return len(a.inflight) < len(b.inflight)
-		}
-		return a.id < b.id
-	}
 	for _, a := range c.agents {
 		if !a.ready || a.dead || len(a.inflight) >= a.capacity {
 			continue
 		}
-		if better(a, best) {
+		if best == nil || len(a.inflight) < len(best.inflight) ||
+			len(a.inflight) == len(best.inflight) && a.id < best.id {
 			best = a
 		}
 	}

@@ -29,11 +29,6 @@ type helloMsg struct {
 	// Capacity is how many leases the agent executes concurrently;
 	// zero means 1.
 	Capacity int
-	// OwnedVPs lists vantage-point IDs the agent prefers to execute
-	// (platform affinity: the VP "runs on" this agent). The coordinator
-	// honours the preference when the owner has capacity and falls back
-	// to any agent otherwise.
-	OwnedVPs []int
 }
 
 // welcomeMsg equips a fresh agent to probe: the deterministic world to

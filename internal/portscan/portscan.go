@@ -7,7 +7,6 @@
 package portscan
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -15,7 +14,6 @@ import (
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/services"
-	"anycastmap/internal/wire"
 )
 
 // OpenPort is one discovered service on a scanned host.
@@ -58,9 +56,6 @@ type Config struct {
 	Workers int
 	// Round decorrelates the in-path filtering draw.
 	Round uint64
-	// Wire routes every probe through the TCP packet codecs (SYN
-	// marshal, SYN-ACK parse); behaviourally identical to the fast path.
-	Wire bool
 }
 
 func (c Config) workers() int {
@@ -109,26 +104,7 @@ func Scan(w *netsim.World, vp platform.VP, targets []netsim.IP, cfg Config) *Cam
 func scanHost(w *netsim.World, vp platform.VP, target netsim.IP, cfg Config) HostReport {
 	rep := HostReport{Target: target}
 	probe := func(port uint16) {
-		if cfg.Wire {
-			src := netsim.IP(0x0A000000 | uint32(vp.ID)&0xFFFF)
-			pkt, reply, err := w.ExchangeTCPSYN(vp, src, target, 40000+port%20000, port, cfg.Round)
-			if err != nil {
-				panic(fmt.Sprintf("portscan: wire path: %v", err))
-			}
-			if pkt == nil {
-				if reply.OK() {
-					panic("portscan: open port produced no packet")
-				}
-				return
-			}
-			open, err := wire.PortOpen(pkt)
-			if err != nil {
-				panic(fmt.Sprintf("portscan: decode response: %v", err))
-			}
-			if !open {
-				return
-			}
-		} else if !w.ProbeTCP(vp, target, port, cfg.Round).OK() {
+		if !w.ProbeTCP(vp, target, port, cfg.Round).OK() {
 			return
 		}
 		sw, _ := w.BannerTCP(vp, target, port, cfg.Round)

@@ -195,26 +195,3 @@ func BenchmarkFullPortscanOneHost(b *testing.B) {
 		Scan(world, v, []netsim.IP{ip}, Config{})
 	}
 }
-
-func TestWireModeEquivalence(t *testing.T) {
-	w, vp := testbed(t)
-	targets := []netsim.IP{
-		repOf(t, w, "CLOUDFLARENET,US"),
-		repOf(t, w, "GOOGLE,US"),
-		repOf(t, w, "L-ROOT,US"),
-	}
-	ports := []uint16{22, 25, 53, 80, 110, 179, 443, 1935, 2052, 8080, 12345}
-	fast := Scan(w, vp, targets, Config{Ports: ports, Round: 3})
-	wired := Scan(w, vp, targets, Config{Ports: ports, Round: 3, Wire: true})
-	for i := range fast.Reports {
-		a, b := fast.Reports[i], wired.Reports[i]
-		if len(a.Open) != len(b.Open) {
-			t.Fatalf("target %v: %d vs %d open ports", a.Target, len(a.Open), len(b.Open))
-		}
-		for j := range a.Open {
-			if a.Open[j] != b.Open[j] {
-				t.Fatalf("target %v port %d: %+v vs %+v", a.Target, a.Open[j].Port, a.Open[j], b.Open[j])
-			}
-		}
-	}
-}

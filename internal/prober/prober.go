@@ -282,11 +282,6 @@ type Config struct {
 	// does not change the permutation or the RTT draws, so samples from
 	// different attempts of the same round agree.
 	Attempt int
-	// Wire routes every probe through the packet codecs (IPv4 + ICMP
-	// marshal on send, parse on receive) instead of the fast path. The
-	// two are behaviourally identical; wire mode buys fidelity at a
-	// modest CPU cost.
-	Wire bool
 }
 
 func (c Config) rate() float64 {
@@ -323,12 +318,11 @@ func (s Stats) String() string {
 // returns the run statistics and the greylist additions discovered during
 // the run.
 //
-// A wire-path failure (packet marshal/parse) aborts the run and is
-// returned as an error together with the partial statistics, so one
-// misbehaving vantage point cannot take down a whole census. When the
-// world carries a fault plan, an injected VP crash aborts the run the same
-// way with a *netsim.VPCrashError (retryable via Config.Attempt), and
-// flap/burst faults surface as elevated timeouts in the statistics.
+// When the world carries a fault plan, an injected VP crash aborts the run
+// with a *netsim.VPCrashError (retryable via Config.Attempt) together with
+// the partial statistics, so one misbehaving vantage point cannot take
+// down a whole census; flap/burst faults surface as elevated timeouts in
+// the statistics.
 func Run(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Greylist, cfg Config, sink func(record.Sample)) (Stats, *Greylist, error) {
 	var isink func(int, record.Sample)
 	if sink != nil {
@@ -430,10 +424,7 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 	// only the span slabs and the per-round draws, so the probe rate stays
 	// flat from 20k-target runs to full-Internet censuses.
 	skipped := plan.skip
-	var span netsim.SpanSession
-	if !cfg.Wire {
-		span = w.PlannedSession(vp, plan.span)
-	}
+	span := w.PlannedSession(vp, plan.span)
 
 	for i := uint64(0); ; i++ {
 		idx, ok := perm.Next()
@@ -463,26 +454,7 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 			stats.Timeouts++
 			continue
 		}
-		var reply netsim.Reply
-		if cfg.Wire {
-			// Full packet path: marshal the probe, exchange datagrams,
-			// parse the reply like a pcap-based deployment would.
-			src := netsim.IP(0x0A000000 | uint32(vp.ID)&0xFFFF)
-			pkt, wireReply, err := w.ExchangeICMP(vp, src, target, uint16(vp.ID), uint16(i), cfg.Round)
-			if err != nil {
-				return stats, found, fmt.Errorf("prober: wire path to %v: %w", target, err)
-			}
-			decoded, err := netsim.DecodeICMPReply(pkt)
-			if err != nil {
-				return stats, found, fmt.Errorf("prober: decode reply from %v: %w", target, err)
-			}
-			if decoded.Kind != wireReply.Kind {
-				return stats, found, fmt.Errorf("prober: wire decode of %v reply disagrees with simulation (%v vs %v)", target, decoded.Kind, wireReply.Kind)
-			}
-			reply = wireReply
-		} else {
-			reply = span.ICMP(int(idx), cfg.Round)
-		}
+		reply := span.ICMP(int(idx), cfg.Round)
 
 		// Replies aggregate near the vantage point: at excessive rates a
 		// fraction is dropped before Fastping sees them.

@@ -227,25 +227,6 @@ func TestBuildBlacklist(t *testing.T) {
 	}
 }
 
-func TestRunWireModeMatchesFastPath(t *testing.T) {
-	// Wire mode routes probes through the packet codecs; it must agree
-	// with the fast path and report failures as errors, never panic.
-	w, h, pl := testbed(t)
-	vp := pl.VPs()[3]
-	targets := h.PruneNeverAlive().Targets()[:500]
-	fast, _, err := Run(w, vp, targets, nil, Config{Seed: 5}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wired, _, err := Run(w, vp, targets, nil, Config{Seed: 5, Wire: true}, nil)
-	if err != nil {
-		t.Fatalf("wire path errored: %v", err)
-	}
-	if fast.Echo != wired.Echo || fast.Errors != wired.Errors || fast.Timeouts != wired.Timeouts {
-		t.Errorf("wire run diverged: fast %v vs wire %v", fast, wired)
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	s := Stats{VP: platform.VP{Name: "x"}, Sent: 1}
 	if s.String() == "" {

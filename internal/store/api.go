@@ -20,8 +20,6 @@ type APIConfig struct {
 	// are rejected with 503 instead of queueing without bound. Zero
 	// means 256.
 	MaxInFlight int
-	// MaxBatch bounds the /v1/lookup/batch list size; zero means 1024.
-	MaxBatch int
 	// MaxBodyBytes bounds the /v1/lookup/batch request body; zero means
 	// 1 MiB. Oversize bodies are rejected with 413.
 	MaxBodyBytes int64
@@ -38,12 +36,8 @@ func (c APIConfig) maxInFlight() int {
 	return 256
 }
 
-func (c APIConfig) maxBatch() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
-	}
-	return 1024
-}
+// maxBatch bounds the /v1/lookup/batch list size.
+const maxBatch = 1024
 
 func (c APIConfig) maxBodyBytes() int64 {
 	if c.MaxBodyBytes > 0 {
@@ -91,7 +85,6 @@ type API struct {
 	refresher *Refresher // optional, enriches /v1/stats
 	mux       *http.ServeMux
 	sem       chan struct{}
-	maxBatch  int
 	maxBody   int64
 	registry  *obs.Registry
 	metrics   map[string]*endpointMetrics
@@ -106,7 +99,6 @@ func NewAPI(st *Store, refresher *Refresher, cfg APIConfig) *API {
 		refresher: refresher,
 		mux:       http.NewServeMux(),
 		sem:       make(chan struct{}, cfg.maxInFlight()),
-		maxBatch:  cfg.maxBatch(),
 		maxBody:   cfg.maxBodyBytes(),
 		registry:  cfg.Metrics,
 		metrics:   map[string]*endpointMetrics{},
@@ -280,9 +272,9 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	if len(raw) == 0 {
 		return writeJSONStatus(w, http.StatusBadRequest, errBody("empty batch"))
 	}
-	if len(raw) > a.maxBatch {
+	if len(raw) > maxBatch {
 		return writeJSONStatus(w, http.StatusRequestEntityTooLarge,
-			errBody(fmt.Sprintf("batch of %d exceeds limit %d", len(raw), a.maxBatch)))
+			errBody(fmt.Sprintf("batch of %d exceeds limit %d", len(raw), maxBatch)))
 	}
 	ips := make([]netsim.IP, len(raw))
 	for i, sIP := range raw {

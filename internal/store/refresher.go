@@ -57,9 +57,6 @@ type Refresher struct {
 	// retries on this capped-exponential schedule instead of sitting dark
 	// for a full interval.
 	InitialBackoff time.Duration
-	// MaxInitialBackoff caps the startup retry delay; zero means 15s
-	// (never more than the refresh interval).
-	MaxInitialBackoff time.Duration
 
 	completed      atomic.Uint64
 	degraded       atomic.Uint64
@@ -70,6 +67,10 @@ type Refresher struct {
 	persistErrs    atomic.Uint64
 	lastNanos      atomic.Int64
 }
+
+// maxInitialBackoff caps the startup retry delay (and the refresh interval
+// caps it in turn).
+const maxInitialBackoff = 15 * time.Second
 
 // NewRefresher wires a refresher; interval <= 0 defaults to 15 minutes.
 func NewRefresher(st *Store, src Source, interval time.Duration) *Refresher {
@@ -82,7 +83,7 @@ func NewRefresher(st *Store, src Source, interval time.Duration) *Refresher {
 // Run refreshes until ctx is cancelled. If the store has no snapshot yet,
 // the first refresh starts immediately — and, should it fail, retries on
 // a capped exponential backoff (InitialBackoff doubling up to
-// MaxInitialBackoff) until a snapshot publishes. Without the retry a
+// maxInitialBackoff) until a snapshot publishes. Without the retry a
 // transient source error at boot left the daemon answering 503 for an
 // entire interval. Once a snapshot is live, one refresh runs per
 // interval. Run blocks; start it in a goroutine.
@@ -91,13 +92,7 @@ func (r *Refresher) Run(ctx context.Context) {
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
-	maxBackoff := r.MaxInitialBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 15 * time.Second
-	}
-	if maxBackoff > r.interval {
-		maxBackoff = r.interval
-	}
+	maxBackoff := min(maxInitialBackoff, r.interval)
 	for !r.store.Ready() {
 		if r.RefreshOnce(ctx) {
 			break

@@ -51,7 +51,7 @@ type replica struct {
 type view struct {
 	version  uint64
 	findings []Finding
-	replicas map[string][]replica // prefix -> geolocated replicas
+	replicas map[netsim.Prefix24][]replica // geolocated replicas per /24
 }
 
 // Server is the census browser; it implements http.Handler.
@@ -94,7 +94,7 @@ func (s *Server) currentView() *view {
 	snap, release := s.store.Acquire()
 	defer release()
 	if snap == nil {
-		return &view{replicas: map[string][]replica{}}
+		return &view{replicas: map[netsim.Prefix24][]replica{}}
 	}
 	if v := s.view.Load(); v != nil && v.version == snap.Version() {
 		return v
@@ -109,12 +109,11 @@ func (s *Server) currentView() *view {
 func buildView(snap *store.Snapshot) *view {
 	v := &view{
 		version:  snap.Version(),
-		replicas: map[string][]replica{},
+		replicas: map[netsim.Prefix24][]replica{},
 	}
 	for _, e := range snap.Entries() {
-		prefix := e.Prefix.String()
 		v.findings = append(v.findings, Finding{
-			Prefix:   prefix,
+			Prefix:   e.Prefix.String(),
 			ASN:      e.ASN,
 			ASName:   e.ASName,
 			Category: e.Category,
@@ -122,7 +121,7 @@ func buildView(snap *store.Snapshot) *view {
 			Cities:   e.Cities,
 		})
 		for _, in := range e.Instances {
-			v.replicas[prefix] = append(v.replicas[prefix], replica{
+			v.replicas[e.Prefix] = append(v.replicas[e.Prefix], replica{
 				city: in.City, cc: in.CC,
 				lat: in.Lat, lon: in.Lon,
 				viaVP: in.ViaVP, located: in.Located,
@@ -209,14 +208,15 @@ type geoJSONCollection struct {
 }
 
 // handleGeoJSON serves one deployment's replicas as a FeatureCollection
-// (?prefix=188.114.97.0/24).
+// (?prefix=188.114.97.0/24; any host of the /24 names it).
 func (s *Server) handleGeoJSON(w http.ResponseWriter, r *http.Request) {
-	prefix := r.URL.Query().Get("prefix")
-	if prefix == "" {
+	raw := r.URL.Query().Get("prefix")
+	if raw == "" {
 		http.Error(w, "missing ?prefix=", http.StatusBadRequest)
 		return
 	}
-	if _, err := netsim.ParsePrefix24(prefix); err != nil {
+	prefix, err := netsim.ParsePrefix24(raw)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -120,7 +120,19 @@ func TestFindingsAPI(t *testing.T) {
 
 func TestGeoJSON(t *testing.T) {
 	s, _ := testServer(t)
-	rec := get(t, s, "/api/geojson?prefix=188.114.97.0/24")
+	// Every spelling ParsePrefix24 accepts names the same /24: host bits
+	// and leading zeros included, not only the canonical form.
+	for _, tc := range []struct{ name, prefix string }{
+		{"canonical", "188.114.97.0/24"},
+		{"host-bits", "188.114.97.7/24"},
+		{"leading-zeros", "188.114.097.000/24"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkGeoJSON(t, s, tc.prefix) })
+	}
+}
+
+func checkGeoJSON(t *testing.T, s *Server, prefix string) {
+	rec := get(t, s, "/api/geojson?prefix="+prefix)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}

@@ -1,3 +1,6 @@
+// Package wire is the DNS message subset (RFC 1035) the CHAOS enumeration
+// baseline of Fan et al. exchanges: class-CH TXT queries for
+// hostname.bind and the responses that name the answering replica.
 package wire
 
 import (

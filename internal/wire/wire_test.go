@@ -1,194 +1,9 @@
 package wire
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestChecksumKnownVector(t *testing.T) {
-	// Classic RFC 1071 example.
-	b := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
-	if got := Checksum(b); got != 0x220d {
-		t.Errorf("Checksum = %#04x, want 0x220d", got)
-	}
-}
-
-func TestChecksumSelfVerifies(t *testing.T) {
-	f := func(data []byte) bool {
-		if len(data) < 4 {
-			return true
-		}
-		// Zero a checksum field, compute, insert, verify.
-		data[2], data[3] = 0, 0
-		ck := Checksum(data)
-		data[2], data[3] = byte(ck>>8), byte(ck)
-		return VerifyChecksum(data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestChecksumOddLength(t *testing.T) {
-	b := []byte{0x01, 0x02, 0x03}
-	// Must not panic and must self-verify after insertion at offset 0.
-	pkt := append([]byte{0, 0}, b...)
-	ck := Checksum(pkt)
-	pkt[0], pkt[1] = byte(ck>>8), byte(ck)
-	if !VerifyChecksum(pkt) {
-		t.Error("odd-length checksum does not verify")
-	}
-}
-
-func TestIPv4RoundTrip(t *testing.T) {
-	h := &IPv4Header{
-		TOS: 0, ID: 0xBEEF, TTL: 64, Protocol: ProtoICMP,
-		Src: uint32(0x0A000001), Dst: uint32(0x08080808),
-	}
-	payload := []byte("hello anycast")
-	pkt, err := h.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, body, err := ParseIPv4(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Src != h.Src || got.Dst != h.Dst || got.TTL != 64 || got.Protocol != ProtoICMP || got.ID != 0xBEEF {
-		t.Errorf("header round trip: %+v", got)
-	}
-	if !bytes.Equal(body, payload) {
-		t.Errorf("payload round trip: %q", body)
-	}
-}
-
-func TestIPv4Corruption(t *testing.T) {
-	h := &IPv4Header{TTL: 64, Protocol: ProtoICMP, Src: 1, Dst: 2}
-	pkt, _ := h.Marshal([]byte("x"))
-	// Flip a header bit: checksum must catch it.
-	pkt[8] ^= 0xFF
-	if _, _, err := ParseIPv4(pkt); err == nil {
-		t.Error("corrupted header accepted")
-	}
-	// Truncation.
-	if _, _, err := ParseIPv4(pkt[:10]); err == nil {
-		t.Error("truncated datagram accepted")
-	}
-	// Wrong version.
-	pkt2, _ := h.Marshal(nil)
-	pkt2[0] = 6<<4 | 5
-	if _, _, err := ParseIPv4(pkt2); err == nil {
-		t.Error("IPv6 version accepted")
-	}
-}
-
-func TestIPv4TooLarge(t *testing.T) {
-	h := &IPv4Header{TTL: 1, Protocol: ProtoUDP}
-	if _, err := h.Marshal(make([]byte, 0x10000)); err == nil {
-		t.Error("oversized datagram accepted")
-	}
-}
-
-func TestEchoRequestReplyFlow(t *testing.T) {
-	src, dst := uint32(0x01020304), uint32(0x08080808)
-	req, err := BuildEchoRequest(src, dst, 0x1234, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The target parses the request and sees the census signature.
-	hdr, payload, err := ParseIPv4(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Src != src || hdr.Dst != dst {
-		t.Error("addressing wrong")
-	}
-	msg, err := ParseICMP(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Echo == nil || msg.Echo.Reply || msg.Echo.ID != 0x1234 || msg.Echo.Seq != 7 {
-		t.Fatalf("echo request decoded wrong: %+v", msg.Echo)
-	}
-	if !msg.Echo.HasSignature() {
-		t.Error("Fastping signature missing from probe payload")
-	}
-
-	// The reply mirrors id/seq/payload with swapped addresses.
-	rep, err := BuildEchoReply(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh, rp, err := ParseIPv4(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rh.Src != dst || rh.Dst != src {
-		t.Error("reply addressing not swapped")
-	}
-	rmsg, err := ParseICMP(rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmsg.Echo == nil || !rmsg.Echo.Reply || rmsg.Echo.ID != 0x1234 || rmsg.Echo.Seq != 7 {
-		t.Fatalf("echo reply decoded wrong: %+v", rmsg.Echo)
-	}
-	// Replying to a reply is an error.
-	if _, err := BuildEchoReply(rep); err == nil {
-		t.Error("built a reply to a reply")
-	}
-}
-
-func TestAdminProhibitedFlow(t *testing.T) {
-	req, _ := BuildEchoRequest(uint32(0x01020304), uint32(0x08080808), 1, 1)
-	errPkt, err := BuildAdminProhibited(uint32(0x0A0A0A0A), CodeAdminFiltered, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, payload, err := ParseIPv4(errPkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Dst != uint32(0x01020304) {
-		t.Error("error not routed back to the prober")
-	}
-	msg, err := ParseICMP(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Type != ICMPDestUnreach || msg.Code != CodeAdminFiltered {
-		t.Errorf("error message type/code = %d/%d", msg.Type, msg.Code)
-	}
-	// The quote embeds the original header: the prober can attribute the
-	// error to its own probe.
-	orig, _, err := ParseIPv4(msg.Unreach.Original[:IPv4HeaderLen])
-	if err == nil && orig.Dst != uint32(0x08080808) {
-		t.Error("quoted datagram does not name the probed target")
-	}
-	// Codes 9 and 10 round-trip as well.
-	for _, code := range []uint8{CodeNetProhibited, CodeHostProhibited} {
-		p, _ := BuildAdminProhibited(uint32(9), code, req)
-		_, body, _ := ParseIPv4(p)
-		m, _ := ParseICMP(body)
-		if m.Type != ICMPDestUnreach || m.Code != code {
-			t.Errorf("code %d round trip = %d/%d", code, m.Type, m.Code)
-		}
-	}
-}
-
-func TestICMPCorruption(t *testing.T) {
-	echo := &ICMPEcho{ID: 1, Seq: 2, Payload: []byte("x")}
-	b := echo.Marshal()
-	b[4] ^= 0x40
-	if _, err := ParseICMP(b); err == nil {
-		t.Error("corrupted ICMP accepted")
-	}
-	if _, err := ParseICMP(b[:4]); err == nil {
-		t.Error("truncated ICMP accepted")
-	}
-}
 
 func TestDNSRoundTrip(t *testing.T) {
 	m := &DNSMessage{
@@ -314,29 +129,6 @@ func TestDNSPropertyRoundTrip(t *testing.T) {
 		}
 		if len(m.Answers) == 1 && got.Answers[0].TXT != m.Answers[0].TXT {
 			t.Fatal("TXT mismatch")
-		}
-	}
-}
-
-func BenchmarkBuildEchoRequest(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildEchoRequest(1, 2, uint16(i), uint16(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParseIPv4ICMP(b *testing.B) {
-	pkt, _ := BuildEchoRequest(1, 2, 3, 4)
-	b.SetBytes(int64(len(pkt)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, payload, err := ParseIPv4(pkt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ParseICMP(payload); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
