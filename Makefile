@@ -150,20 +150,23 @@ cluster-smoke:
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 
-# profile captures CPU and heap profiles of a full census run, and three
-# single-loop CPU profiles: probe.pprof, the prober's dense-span loop alone
+# profile captures CPU and heap profiles of a full census run, and four
+# single-benchmark CPU profiles: probe.pprof, the prober's dense-span loop alone
 # (BenchmarkProberRun) - the attribution in DESIGN.md "What a probe costs" -
 # session.pprof, one vantage point's session build alone
 # (BenchmarkBuildSession) - the one behind "What a vantage point costs" -
-# and round.pprof, a 261-VP round over one span through the pipelined
-# executor, span plans shared (BenchmarkRoundPipelined).
+# round.pprof, a 261-VP round over one span through the pipelined
+# executor, span plans shared (BenchmarkRoundPipelined) - and fleet.pprof,
+# the same shape of rounds leased to two agents over net.Pipe
+# (BenchmarkFleetRound), the one DESIGN.md's "µs per lease" table reads.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof -top probe.pprof`.
 profile:
 	$(GO) run ./cmd/census -unicast24s 8000 -censuses 2 -cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) test -run '^$$' -bench ProberRun -cpuprofile probe.pprof -o prober.test ./internal/prober
 	$(GO) test -run '^$$' -bench BuildSession -cpu 1 -cpuprofile session.pprof -o netsim.test ./internal/netsim
 	$(GO) test -run '^$$' -bench RoundPipelined -cpu 1 -cpuprofile round.pprof -o census.test ./internal/census
+	$(GO) test -run '^$$' -bench 'FleetRound$$' -cpu 1 -cpuprofile fleet.pprof -o cluster.test ./internal/cluster
 
 clean:
 	$(GO) clean ./...
-	rm -f cpu.pprof mem.pprof probe.pprof prober.test session.pprof netsim.test round.pprof census.test
+	rm -f cpu.pprof mem.pprof probe.pprof prober.test session.pprof netsim.test round.pprof census.test fleet.pprof cluster.test

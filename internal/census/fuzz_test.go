@@ -14,10 +14,8 @@ import (
 // both formats of it are valid inputs, and mutations of them reach deep
 // into the decoders.
 func fuzzSeedRun() *Run {
-	grey := prober.FromSnapshot(map[netsim.IP]netsim.ReplyKind{
-		0x01020304: netsim.ReplyAdminFiltered,
-		0x01020310: netsim.ReplyHostProhibited,
-	})
+	grey := prober.FromSorted([]netsim.IP{0x01020304, 0x01020310},
+		[]netsim.ReplyKind{netsim.ReplyAdminFiltered, netsim.ReplyHostProhibited})
 	vps := []platform.VP{
 		{ID: 1, Name: "vp-a", LoadFactor: 1},
 		{ID: 2, Name: "vp-b", LoadFactor: 1.5},

@@ -8,7 +8,7 @@ import (
 	"io"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,10 +53,6 @@ type runMetaV2 struct {
 
 // saveRunV2 writes the v2 columnar encoding of the run.
 func saveRunV2(w io.Writer, r *Run) error {
-	var buf bytes.Buffer
-	buf.WriteString(runMagicV2)
-	buf.WriteByte(0) // flags
-
 	var meta bytes.Buffer
 	if err := gob.NewEncoder(&meta).Encode(runMetaV2{
 		Round:   r.Round,
@@ -67,21 +63,21 @@ func saveRunV2(w io.Writer, r *Run) error {
 	}); err != nil {
 		return fmt.Errorf("census: encode run meta: %w", err)
 	}
-	putUvarint(&buf, uint64(meta.Len()))
-	buf.Write(meta.Bytes())
-
-	encodeGreylistV2(&buf, r.Greylist)
-
 	rows, err := encodeRowsV2(r.RTTus, len(r.Targets))
 	if err != nil {
 		return err
 	}
-	putUvarint(&buf, uint64(len(r.RTTus)))
-	putUvarint(&buf, uint64(len(r.Targets)))
+
+	head := append([]byte(runMagicV2), 0) // flags
+	head = binary.AppendUvarint(head, uint64(meta.Len()))
+	head = append(head, meta.Bytes()...)
+	head = AppendGreylist(head, r.Greylist)
+	head = binary.AppendUvarint(head, uint64(len(r.RTTus)))
+	head = binary.AppendUvarint(head, uint64(len(r.Targets)))
 	for _, row := range rows {
-		putUvarint(&buf, uint64(len(row)))
+		head = binary.AppendUvarint(head, uint64(len(row)))
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(head); err != nil {
 		return fmt.Errorf("census: %w", err)
 	}
 	for _, row := range rows {
@@ -92,21 +88,29 @@ func saveRunV2(w io.Writer, r *Run) error {
 	return nil
 }
 
-// encodeGreylistV2 appends the sorted delta-encoded greylist section.
-func encodeGreylistV2(buf *bytes.Buffer, g *prober.Greylist) {
+// AppendGreylist appends g's greylist section — the one layout of a
+// greylist in run files, shard frames and the cluster welcome: a uvarint
+// count, then per host in ascending address order a uvarint delta from
+// the previous address (from 0 for the first) and the kind byte. A nil
+// or empty greylist is the single byte 0.
+func AppendGreylist(dst []byte, g *prober.Greylist) []byte {
+	if g == nil || g.Len() == 0 {
+		return append(dst, 0)
+	}
 	snap := g.Snapshot()
 	ips := make([]netsim.IP, 0, len(snap))
 	for ip := range snap {
 		ips = append(ips, ip)
 	}
-	sort.Slice(ips, func(a, b int) bool { return ips[a] < ips[b] })
-	putUvarint(buf, uint64(len(ips)))
+	slices.Sort(ips)
+	dst = binary.AppendUvarint(dst, uint64(len(ips)))
 	prev := netsim.IP(0)
 	for _, ip := range ips {
-		putUvarint(buf, uint64(ip-prev))
-		buf.WriteByte(byte(snap[ip]))
+		dst = binary.AppendUvarint(dst, uint64(ip-prev))
+		dst = append(dst, byte(snap[ip]))
 		prev = ip
 	}
+	return dst
 }
 
 // Row payload modes. A census row is dense (~60-80% of targets answer),
@@ -143,7 +147,7 @@ func encodeRowsV2(rttus [][]int32, nTargets int) ([][]byte, error) {
 				if vi >= len(rttus) {
 					return
 				}
-				rows[vi] = encodeRowV2(rttus[vi], nTargets)
+				rows[vi] = appendRowV2(nil, rttus[vi])
 			}
 		}()
 	}
@@ -151,64 +155,80 @@ func encodeRowsV2(rttus [][]int32, nTargets int) ([][]byte, error) {
 	return rows, nil
 }
 
-// encodeRowV2 encodes one row: mode byte, uvarint sample count, then the
-// mode's payload. RTT values above the pipeline's 2^30 µs clamp are
-// clamped again here so re-encoding a foreign (legacy) run stays within
-// the decoder's bound.
-func encodeRowV2(row []int32, nTargets int) []byte {
+// appendRowV2 appends one row's payload: mode byte, uvarint sample
+// count, then the mode's payload. RTT values above the pipeline's 2^30 µs
+// clamp are clamped again here so re-encoding a foreign (legacy) run
+// stays within the decoder's bound. Into a buffer with room it allocates
+// nothing: the bitmap is set in place.
+func appendRowV2(dst []byte, row []int32) []byte {
 	n := 0
 	for _, v := range row {
 		if v >= 0 {
 			n++
 		}
 	}
-	bitmapLen := (nTargets + 7) / 8
-	var tmp [binary.MaxVarintLen64]byte
+	bitmapLen := (len(row) + 7) / 8
 	if bitmapLen <= n {
 		// Dense: presence bitmap + values in index order (~3 bytes per
 		// sample at census RTT magnitudes, amortized bitmap well under
 		// a byte).
-		out := make([]byte, 0, 1+binary.MaxVarintLen64+bitmapLen+n*4)
-		out = append(out, rowModeBitmap)
-		out = binary.AppendUvarint(out, uint64(n))
-		bitmap := make([]byte, bitmapLen)
+		dst = slices.Grow(dst, 1+binary.MaxVarintLen64+bitmapLen+n*4)
+		dst = append(dst, rowModeBitmap)
+		dst = binary.AppendUvarint(dst, uint64(n))
+		bitmap := dst[len(dst) : len(dst)+bitmapLen]
+		clear(bitmap)
+		dst = dst[:len(dst)+bitmapLen]
 		for ti, v := range row {
 			if v >= 0 {
 				bitmap[ti>>3] |= 1 << (ti & 7)
 			}
 		}
-		out = append(out, bitmap...)
 		for _, v := range row {
-			if v < 0 {
-				continue
+			if v >= 0 {
+				dst = binary.AppendUvarint(dst, uint64(min(v, 1<<30)))
 			}
-			if v > 1<<30 {
-				v = 1 << 30
-			}
-			m := binary.PutUvarint(tmp[:], uint64(v))
-			out = append(out, tmp[:m]...)
 		}
-		return out
+		return dst
 	}
 	// Sparse: delta/varint (gap, value) pairs.
-	out := make([]byte, 0, 1+binary.MaxVarintLen64+n*5)
-	out = append(out, rowModeGaps)
-	out = binary.AppendUvarint(out, uint64(n))
+	dst = slices.Grow(dst, 1+binary.MaxVarintLen64+n*5)
+	dst = append(dst, rowModeGaps)
+	dst = binary.AppendUvarint(dst, uint64(n))
 	prev := -1
 	for ti, v := range row {
 		if v < 0 {
 			continue
 		}
-		if v > 1<<30 {
-			v = 1 << 30
-		}
-		out = binary.AppendUvarint(out, uint64(ti-prev))
-		m := binary.PutUvarint(tmp[:], uint64(v))
-		out = append(out, tmp[:m]...)
+		dst = binary.AppendUvarint(dst, uint64(ti-prev))
+		dst = binary.AppendUvarint(dst, uint64(min(v, 1<<30)))
 		prev = ti
 	}
-	return out
+	return dst
 }
+
+// rowV2Len is the number of bytes appendRowV2 appends for row, so a frame
+// can declare a row's length ahead of its payload without encoding it
+// twice.
+func rowV2Len(row []int32) int {
+	n, gaps, values := 0, 0, 0
+	prev := -1
+	for ti, v := range row {
+		if v < 0 {
+			continue
+		}
+		n++
+		gaps += uvarintLen(uint64(ti - prev))
+		values += uvarintLen(uint64(min(v, 1<<30)))
+		prev = ti
+	}
+	if bitmapLen := (len(row) + 7) / 8; bitmapLen <= n {
+		gaps = bitmapLen
+	}
+	return 1 + uvarintLen(uint64(n)) + gaps + values
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // loadRunV2 decodes a v2 run; data starts immediately after the magic.
 func loadRunV2(data []byte) (*Run, error) {
@@ -234,7 +254,7 @@ func loadRunV2(data []byte) (*Run, error) {
 	}
 	b = b[metaLen:]
 
-	grey, b, err := decodeGreylistV2(b)
+	grey, b, err := DecodeGreylist(b)
 	if err != nil {
 		return nil, err
 	}
@@ -470,8 +490,13 @@ func fastUvarint(p []byte) (uint64, []byte, error) {
 	return v, p[n:], nil
 }
 
-// decodeGreylistV2 parses the sorted delta-encoded greylist section.
-func decodeGreylistV2(b []byte) (*prober.Greylist, []byte, error) {
+// DecodeGreylist parses a greylist section (AppendGreylist) off the
+// front of b and returns the rest. Addresses must be strictly ascending
+// and every kind an ICMP error that greylists a host
+// (netsim.ReplyKind.Greylistable): the section feeds the campaign
+// greylist, which becomes the next census's blacklist, so an echo or a
+// kind byte nobody defined is refused rather than merged.
+func DecodeGreylist(b []byte) (*prober.Greylist, []byte, error) {
 	count, b, err := takeUvarint(b, "greylist count")
 	if err != nil {
 		return nil, nil, err
@@ -480,34 +505,34 @@ func decodeGreylistV2(b []byte) (*prober.Greylist, []byte, error) {
 	if count > uint64(len(b))/2+1 {
 		return nil, nil, fmt.Errorf("census: greylist count %d exceeds payload", count)
 	}
-	snap := make(map[netsim.IP]netsim.ReplyKind, count)
+	ips := make([]netsim.IP, count)
+	kinds := make([]netsim.ReplyKind, count)
 	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
+	for i := range ips {
 		var delta uint64
 		delta, b, err = takeUvarint(b, "greylist delta")
 		if err != nil {
 			return nil, nil, err
 		}
+		if delta == 0 && i > 0 {
+			return nil, nil, fmt.Errorf("census: greylist repeats address %v", netsim.IP(prev))
+		}
 		if len(b) < 1 {
 			return nil, nil, fmt.Errorf("census: truncated greylist kind")
 		}
-		kind := netsim.ReplyKind(b[0])
+		kinds[i] = netsim.ReplyKind(b[0])
 		b = b[1:]
+		if !kinds[i].Greylistable() {
+			return nil, nil, fmt.Errorf("census: greylist kind %d is not an ICMP error", kinds[i])
+		}
 		ip := prev + delta
 		if ip > 1<<32-1 {
 			return nil, nil, fmt.Errorf("census: greylist address overflows IPv4")
 		}
-		snap[netsim.IP(ip)] = kind
+		ips[i] = netsim.IP(ip)
 		prev = ip
 	}
-	return prober.FromSnapshot(snap), b, nil
-}
-
-// putUvarint appends a uvarint to the buffer.
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
+	return prober.FromSorted(ips, kinds), b, nil
 }
 
 // takeUvarint consumes one uvarint from the front of b.

@@ -1,7 +1,7 @@
 package census
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -91,10 +91,16 @@ type ShardRows struct {
 	Greylist *prober.Greylist
 }
 
-// Encode serializes the shard frame. The bytes are a pure function of the
-// contents (rows use the deterministic v2 row codec, the greylist is
-// sorted), so encoding the same shard twice yields identical frames.
-func (sr *ShardRows) Encode() ([]byte, error) {
+// Encode serializes the shard frame: AppendEncode(nil).
+func (sr *ShardRows) Encode() ([]byte, error) { return sr.AppendEncode(nil) }
+
+// AppendEncode appends the encoded shard frame to dst. The bytes are a
+// pure function of the contents (rows use the deterministic v2 row codec,
+// the greylist is sorted), so encoding the same shard twice yields
+// identical frames. The shard is validated before anything is appended;
+// into a buffer with room, encoding a shard with an empty greylist
+// allocates nothing.
+func (sr *ShardRows) AppendEncode(dst []byte) ([]byte, error) {
 	width := sr.Hi - sr.Lo
 	if sr.Lo < 0 || width < 0 {
 		return nil, fmt.Errorf("census: shard frame span [%d,%d) invalid", sr.Lo, sr.Hi)
@@ -105,53 +111,88 @@ func (sr *ShardRows) Encode() ([]byte, error) {
 	if len(sr.Stats) != 0 && len(sr.Stats) != len(sr.Slots) {
 		return nil, fmt.Errorf("census: shard frame has %d stats for %d slots", len(sr.Stats), len(sr.Slots))
 	}
-
-	var buf bytes.Buffer
-	buf.WriteString(ShardFrameMagic)
-	buf.WriteByte(0) // flags
-	putUvarint(&buf, sr.Round)
-	putUvarint(&buf, uint64(sr.Lo))
-	putUvarint(&buf, uint64(width))
-
-	g := sr.Greylist
-	if g == nil {
-		g = prober.NewGreylist()
-	}
-	encodeGreylistV2(&buf, g)
-
-	rows := make([][]byte, len(sr.Slots))
 	for i, row := range sr.RTTus {
 		if len(row) != width {
 			return nil, fmt.Errorf("census: shard row %d has %d cells for width %d", i, len(row), width)
 		}
-		rows[i] = encodeRowV2(row, width)
-	}
-	putUvarint(&buf, uint64(len(sr.Slots)))
-	for i, slot := range sr.Slots {
-		if slot < 0 {
-			return nil, fmt.Errorf("census: shard row %d has negative slot %d", i, slot)
+		if sr.Slots[i] < 0 {
+			return nil, fmt.Errorf("census: shard row %d has negative slot %d", i, sr.Slots[i])
 		}
-		putUvarint(&buf, uint64(slot))
-		var st ShardStats
-		if len(sr.Stats) > 0 {
-			st = sr.Stats[i]
-		}
-		for _, v := range [...]int{st.Sent, st.Echo, st.Errors, st.Timeouts, st.SourceDropped, st.FaultLost} {
-			if v < 0 {
-				return nil, fmt.Errorf("census: shard row %d has negative stats", i)
-			}
-			putUvarint(&buf, uint64(v))
+		st := sr.stats(i)
+		if min(st.Sent, st.Echo, st.Errors, st.Timeouts, st.SourceDropped, st.FaultLost) < 0 {
+			return nil, fmt.Errorf("census: shard row %d has negative stats", i)
 		}
 		if st.Completion < 0 {
 			return nil, fmt.Errorf("census: shard row %d has negative completion", i)
 		}
-		putUvarint(&buf, uint64(st.Completion))
-		putUvarint(&buf, uint64(len(rows[i])))
 	}
-	for _, r := range rows {
-		buf.Write(r)
+
+	dst = append(dst, ShardFrameMagic...)
+	dst = append(dst, 0) // flags
+	dst = binary.AppendUvarint(dst, sr.Round)
+	dst = binary.AppendUvarint(dst, uint64(sr.Lo))
+	dst = binary.AppendUvarint(dst, uint64(width))
+	dst = AppendGreylist(dst, sr.Greylist)
+	dst = binary.AppendUvarint(dst, uint64(len(sr.Slots)))
+	for i, slot := range sr.Slots {
+		st := sr.stats(i)
+		for _, v := range [...]uint64{uint64(slot), uint64(st.Sent), uint64(st.Echo), uint64(st.Errors),
+			uint64(st.Timeouts), uint64(st.SourceDropped), uint64(st.FaultLost), uint64(st.Completion),
+			uint64(rowV2Len(sr.RTTus[i]))} {
+			dst = binary.AppendUvarint(dst, v)
+		}
 	}
-	return buf.Bytes(), nil
+	for _, row := range sr.RTTus {
+		dst = appendRowV2(dst, row)
+	}
+	return dst, nil
+}
+
+// stats returns row i's statistics; a shard without stats encodes zeros.
+func (sr *ShardRows) stats(i int) ShardStats {
+	if len(sr.Stats) == 0 {
+		return ShardStats{}
+	}
+	return sr.Stats[i]
+}
+
+// CheckStats reports a one-row frame whose statistics break what a prober
+// run over its span guarantees: one stats row; at most one probe sent per
+// target; every probe sent ending as exactly one echo, error or timeout;
+// fault and source losses counted among the timeouts; one present cell
+// per echo; and a completion no longer than sending the probes at cfg's
+// rate from vp takes. The fold sums Sent and Completion into the round's
+// probe count and the Fig. 8 completion times unchecked, so a coordinator
+// holds a frame from a remote agent to this before folding it.
+func (sr *ShardRows) CheckStats(cfg Config, vp platform.VP) error {
+	if len(sr.Stats) != 1 || len(sr.RTTus) != 1 {
+		return fmt.Errorf("census: shard frame has %d stats rows for %d rows, want 1 and 1", len(sr.Stats), len(sr.RTTus))
+	}
+	st := sr.Stats[0]
+	present := 0
+	for _, c := range sr.RTTus[0] {
+		if c >= 0 {
+			present++
+		}
+	}
+	// Each term is bounded before it is summed: decoded counters reach
+	// 2^62, and a sum that wraps must not pass.
+	switch {
+	case min(st.Sent, st.Echo, st.Errors, st.Timeouts, st.SourceDropped, st.FaultLost) < 0 || st.Completion < 0:
+		return fmt.Errorf("census: shard stats are negative")
+	case st.Sent > sr.Hi-sr.Lo:
+		return fmt.Errorf("census: shard stats claim %d probes over %d targets", st.Sent, sr.Hi-sr.Lo)
+	case max(st.Echo, st.Errors, st.Timeouts) > st.Sent || st.Echo+st.Errors+st.Timeouts != st.Sent:
+		return fmt.Errorf("census: shard stats: %d echo + %d errors + %d timeouts != %d sent", st.Echo, st.Errors, st.Timeouts, st.Sent)
+	case st.FaultLost > st.Timeouts || st.SourceDropped > st.Timeouts-st.FaultLost:
+		return fmt.Errorf("census: shard stats: %d fault-lost + %d source-dropped > %d timeouts", st.FaultLost, st.SourceDropped, st.Timeouts)
+	case present != st.Echo:
+		return fmt.Errorf("census: shard row has %d samples for %d echo replies", present, st.Echo)
+	}
+	if limit := (prober.Config{Rate: cfg.Rate}).Completion(st.Sent, vp); st.Completion > limit {
+		return fmt.Errorf("census: shard stats claim %v to send %d probes, the rate allows %v", st.Completion, st.Sent, limit)
+	}
+	return nil
 }
 
 // DecodeShardRows parses an encoded shard frame. Every declared count and
@@ -188,7 +229,7 @@ func DecodeShardRows(data []byte) (*ShardRows, error) {
 		return nil, fmt.Errorf("census: shard span [%d,+%d) beyond the decoder cap", lo, width)
 	}
 
-	grey, b, err := decodeGreylistV2(b)
+	grey, b, err := DecodeGreylist(b)
 	if err != nil {
 		return nil, err
 	}

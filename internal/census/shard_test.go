@@ -3,12 +3,14 @@ package census
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"anycastmap/internal/netsim"
+	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 )
 
@@ -326,6 +328,133 @@ func TestShardSpans(t *testing.T) {
 		}
 		if len(spans) > 0 && next != tc.n {
 			t.Fatalf("ShardSpans(%d, %d) covers %d targets", tc.n, tc.width, next)
+		}
+	}
+}
+
+// A greylist section feeds the campaign greylist, which becomes the next
+// census's blacklist: an entry whose kind is not an ICMP error, or that
+// repeats an address, is refused in shard frames and saved runs alike.
+func TestGreylistSectionRefusesBadEntries(t *testing.T) {
+	for name, add := range map[string]func(*prober.Greylist){
+		"echo":    func(g *prober.Greylist) { g.Add(0x01020304, netsim.ReplyEcho) },
+		"timeout": func(g *prober.Greylist) { g.Add(0x01020304, netsim.ReplyTimeout) },
+		"unknown": func(g *prober.Greylist) { g.Add(0x01020304, netsim.ReplyKind(200)) },
+	} {
+		g := prober.NewGreylist()
+		g.Add(0x01020300, netsim.ReplyAdminFiltered)
+		add(g)
+		sr := &ShardRows{Round: 1, Lo: 0, Hi: 2, Slots: []int{0}, RTTus: [][]int32{{1, NoSample}}, Greylist: g}
+		frame, err := sr.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec, err := DecodeShardRows(frame); err == nil {
+			t.Errorf("%s: shard frame decoded with greylist %v", name, dec.Greylist.Breakdown())
+		}
+		var buf bytes.Buffer
+		if err := SaveRun(&buf, &Run{Round: 1, Targets: []netsim.IP{1}, Greylist: g}); err != nil {
+			t.Fatal(err)
+		}
+		if run, err := LoadRun(&buf); err == nil {
+			t.Errorf("%s: run loaded with greylist %v", name, run.Greylist.Breakdown())
+		}
+	}
+	repeated := []byte{2, 4, byte(netsim.ReplyAdminFiltered), 0, byte(netsim.ReplyHostProhibited)}
+	if _, _, err := DecodeGreylist(repeated); err == nil {
+		t.Error("greylist section repeating an address accepted")
+	}
+	g, rest, err := DecodeGreylist(append(AppendGreylist(nil, fuzzSeedRun().Greylist), 9))
+	if err != nil || !bytes.Equal(rest, []byte{9}) || !reflect.DeepEqual(g.Snapshot(), fuzzSeedRun().Greylist.Snapshot()) {
+		t.Fatalf("greylist section round-trip: %v, rest %v, %v", g.Snapshot(), rest, err)
+	}
+	if got := AppendGreylist(nil, prober.NewGreylist()); !bytes.Equal(got, []byte{0}) {
+		t.Fatalf("empty greylist section is %v", got)
+	}
+}
+
+// The in-place encoder appends to dst, allocates nothing into a buffer
+// with room when the greylist is empty, and declares every row's length
+// exactly.
+func TestShardRowsAppendEncode(t *testing.T) {
+	_, _, _, r1, _ := testbed(t)
+	sr := &ShardRows{
+		Round: r1.Round, Lo: 10, Hi: 500, Slots: []int{0},
+		RTTus: [][]int32{r1.RTTus[0][10:500]},
+		Stats: []ShardStats{ShardStatsOf(r1.Stats[0])},
+	}
+	want, err := sr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sr.AppendEncode([]byte("head"))
+	if err != nil || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+		t.Fatalf("AppendEncode differs from Encode (%v)", err)
+	}
+	buf := make([]byte, 0, 2*len(want))
+	if n := testing.AllocsPerRun(50, func() { buf, _ = sr.AppendEncode(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendEncode into a buffer with room allocates %v times", n)
+	}
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 200; i++ {
+		row := make([]int32, rng.Intn(300))
+		density := rng.Float64()
+		for ti := range row {
+			row[ti] = NoSample
+			if rng.Float64() < density {
+				row[ti] = rng.Int31()
+			}
+		}
+		if got := len(appendRowV2(nil, row)); got != rowV2Len(row) {
+			t.Fatalf("row %d: %d bytes appended, rowV2Len says %d", i, got, rowV2Len(row))
+		}
+	}
+}
+
+func TestShardCheckStats(t *testing.T) {
+	cfg := Config{Rate: 2000}
+	vp := platform.VP{ID: 3, Name: "vp", LoadFactor: 1.5}
+	honest := func() *ShardRows {
+		return &ShardRows{
+			Round: 1, Lo: 20, Hi: 30, Slots: []int{0},
+			RTTus: [][]int32{{5, NoSample, 7, NoSample, NoSample, 0, NoSample, 9, NoSample, NoSample}},
+			Stats: []ShardStats{{Sent: 8, Echo: 4, Errors: 1, Timeouts: 3, SourceDropped: 1, FaultLost: 1,
+				Completion: prober.Config{Rate: 2000}.Completion(8, vp)}},
+		}
+	}
+	if err := honest().CheckStats(cfg, vp); err != nil {
+		t.Fatalf("honest shard refused: %v", err)
+	}
+	const half = math.MaxInt/2 + 1 // two of them wrap an int
+	for name, lie := range map[string]func(*ShardRows){
+		"no-stats":        func(sr *ShardRows) { sr.Stats = nil },
+		"two-stats":       func(sr *ShardRows) { sr.Stats = append(sr.Stats, sr.Stats[0]) },
+		"sent-over-width": func(sr *ShardRows) { sr.Stats[0].Sent, sr.Stats[0].Timeouts = 11, 6 },
+		"sum":             func(sr *ShardRows) { sr.Stats[0].Sent = 7 },
+		"negative":        func(sr *ShardRows) { sr.Stats[0].Errors, sr.Stats[0].Timeouts = -1, 5 },
+		"wrapping-sum":    func(sr *ShardRows) { sr.Stats[0].Echo, sr.Stats[0].Errors = half, half },
+		"losses":          func(sr *ShardRows) { sr.Stats[0].FaultLost = 3 },
+		"wrapping-losses": func(sr *ShardRows) { sr.Stats[0].FaultLost, sr.Stats[0].SourceDropped = half, half },
+		"samples":         func(sr *ShardRows) { sr.RTTus[0][1] = 3 },
+		"completion":      func(sr *ShardRows) { sr.Stats[0].Completion++ },
+		"sent-huge":       func(sr *ShardRows) { sr.Stats[0].Sent, sr.Stats[0].Timeouts = math.MaxInt32, math.MaxInt32-5 },
+	} {
+		sr := honest()
+		lie(sr)
+		if err := sr.CheckStats(cfg, vp); err == nil {
+			t.Errorf("%s: shard accepted", name)
+		}
+	}
+	// A real probe of a span passes, greylist discoveries and all.
+	w, h, vps, _, _ := testbed(t)
+	targets := h.Targets()[:2000]
+	for _, vp := range vps[:10] {
+		sr, err := ProbeShard(w, prober.NewPlan(w, targets, nil), cfg, Unit{Round: 1, VP: vp, Span: Span{Lo: 0, Hi: len(targets)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sr.CheckStats(cfg, vp); err != nil {
+			t.Fatalf("%s: honest probe refused: %v", vp.Name, err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,7 +10,6 @@ import (
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
-	"anycastmap/internal/prober"
 )
 
 // AgentConfig parametrizes RunAgent.
@@ -123,17 +121,14 @@ func (s *agentSession) run(ctx context.Context) error {
 	if _, err := conn.Write([]byte(streamMagic)); err != nil {
 		return fmt.Errorf("cluster: agent handshake: %w", err)
 	}
-	hello, err := encodeMsg(&helloMsg{Name: cfg.Name, Capacity: cfg.capacity()})
-	if err != nil {
-		return err
-	}
-	if err := s.send(frameHello, hello); err != nil {
+	if err := s.send(frameHello, appendHello(nil, &helloMsg{Name: cfg.Name, Capacity: cfg.capacity()})); err != nil {
 		return fmt.Errorf("cluster: agent hello: %w", err)
 	}
-	if err := readMagic(conn); err != nil {
+	fr := newFrameReader(conn, DefaultMaxFrame)
+	if err := readMagic(fr.r); err != nil {
 		return fmt.Errorf("cluster: agent handshake: %w", err)
 	}
-	typ, payload, err := readFrame(conn, DefaultMaxFrame)
+	typ, payload, err := fr.next()
 	if err != nil {
 		return fmt.Errorf("cluster: agent awaiting welcome: %w", err)
 	}
@@ -143,18 +138,18 @@ func (s *agentSession) run(ctx context.Context) error {
 	if typ != frameWelcome {
 		return fmt.Errorf("cluster: expected welcome, got frame type %d", typ)
 	}
-	var welcome welcomeMsg
-	if err := decodeMsg(payload, &welcome); err != nil {
+	welcome, err := decodeWelcome(payload)
+	if err != nil {
 		return err
 	}
 	s.targets = welcome.Targets
-	s.ccfg = welcome.Census
+	s.ccfg = welcome.Head.Census
 	if cfg.World != nil {
 		s.world = cfg.World
 	} else {
-		w := netsim.New(welcome.World)
-		if welcome.Faults != nil {
-			plan, err := netsim.NewFaultPlan(*welcome.Faults)
+		w := netsim.New(welcome.Head.World)
+		if welcome.Head.Faults != nil {
+			plan, err := netsim.NewFaultPlan(*welcome.Head.Faults)
 			if err != nil {
 				return err
 			}
@@ -162,13 +157,13 @@ func (s *agentSession) run(ctx context.Context) error {
 		}
 		s.world = w
 	}
-	s.plans = census.NewSpanPlans(s.world, s.targets, prober.FromSnapshot(welcome.Blacklist))
+	s.plans = census.NewSpanPlans(s.world, s.targets, welcome.Blacklist)
 
 	// Heartbeats, until the session ends.
 	hbDone := make(chan struct{})
 	defer close(hbDone)
 	go func() {
-		every := welcome.Heartbeat
+		every := welcome.Head.Heartbeat
 		if every <= 0 {
 			every = time.Second
 		}
@@ -203,7 +198,7 @@ func (s *agentSession) run(ctx context.Context) error {
 	}
 
 	for {
-		typ, payload, err := readFrame(conn, DefaultMaxFrame)
+		typ, payload, err := fr.next()
 		if err != nil {
 			if fatal := s.getFatal(); fatal != nil {
 				return fatal
@@ -266,11 +261,16 @@ func (s *agentSession) executeLease(l leaseMsg) {
 		s.fail(failMsg{ID: l.ID, Err: err.Error(), Crash: isCrash})
 		return
 	}
-	frame, err := sr.Encode()
+	// The frame is encoded in wbuf under the write lock and goes out as
+	// one Write, like every other frame; a failed Write is a dead
+	// connection, which the read loop reports.
+	s.writeMu.Lock()
+	s.wbuf, err = appendRowsFrame(s.wbuf[:0], l.ID, sr)
+	if err == nil {
+		s.conn.Write(s.wbuf)
+	}
+	s.writeMu.Unlock()
 	if err != nil {
 		s.fail(failMsg{ID: l.ID, Err: err.Error()})
-		return
 	}
-	var id [binary.MaxVarintLen64]byte
-	s.send(frameRows, binary.AppendUvarint(id[:0], l.ID), frame)
 }

@@ -275,15 +275,15 @@ func hungAgent(t *testing.T, coord *Coordinator) {
 		if _, err := agentSide.Write([]byte(streamMagic)); err != nil {
 			return
 		}
-		hello, _ := encodeMsg(&helloMsg{Name: "hung", Capacity: 4})
-		if _, err := agentSide.Write(appendFrame(nil, frameHello, hello)); err != nil {
+		if _, err := agentSide.Write(appendFrame(nil, frameHello, appendHello(nil, &helloMsg{Name: "hung", Capacity: 4}))); err != nil {
 			return
 		}
-		if err := readMagic(agentSide); err != nil {
+		fr := newFrameReader(agentSide, 0)
+		if err := readMagic(fr.r); err != nil {
 			return
 		}
 		for { // swallow frames forever, answering nothing
-			if _, _, err := readFrame(agentSide, 0); err != nil {
+			if _, _, err := fr.next(); err != nil {
 				return
 			}
 		}
@@ -324,6 +324,105 @@ func TestHungAgentLeaseExpires(t *testing.T) {
 		t.Fatalf("hung agent's leases never expired: %+v", stats)
 	}
 	assertIdentical(t, ref, cp)
+}
+
+// lyingConn is an agent's connection that rewrites the statistics of
+// every rows frame it carries (the agent writes each frame in one Write).
+type lyingConn struct {
+	net.Conn
+	lie func(*census.ShardStats)
+}
+
+func (c *lyingConn) Write(b []byte) (int, error) {
+	if len(b) < 5 || b[4] != frameRows {
+		return c.Conn.Write(b)
+	}
+	id, shard, err := splitRowsPayload(b[5:])
+	if err != nil {
+		return 0, err
+	}
+	sr, err := census.DecodeShardRows(shard)
+	if err != nil {
+		return 0, err
+	}
+	c.lie(&sr.Stats[0])
+	frame, err := appendRowsFrame(nil, id, sr)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.Conn.Write(frame); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+// A lying agent probes honestly but misreports what its prober did. The
+// fold sums Sent into the round's probe count and Completion into each
+// vantage point's Fig. 8 time, so the coordinator must refuse such a
+// frame before it folds — drop the agent, re-lease its shards — and the
+// round must come out as if the liar had never joined.
+func TestLyingAgentDropped(t *testing.T) {
+	cfg, w, h, vps := clusterTestbed(t)
+	const width = 700
+	ccfg := testCensusCfg()
+	ccfg.MaxAttempts = 50
+	ref := census.NewCampaign(census.CampaignConfig{Census: ccfg})
+	want, err := ref.ExecuteRoundPipelined(context.Background(), w, vps[0], h, nil, 1, census.PipelineConfig{SpanTargets: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, lie := range map[string]func(*census.ShardStats){
+		"sent":       func(st *census.ShardStats) { st.Sent = math.MaxInt32 },
+		"completion": func(st *census.ShardStats) { st.Completion++ },
+		"echo":       func(st *census.ShardStats) { st.Echo++; st.Timeouts-- },
+		"fault-lost": func(st *census.ShardStats) { st.FaultLost = st.Timeouts + 1 },
+		"sum":        func(st *census.ShardStats) { st.Errors++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
+			coord, err := NewCoordinator(Config{
+				Campaign: cp, Targets: h.Targets(), Census: ccfg, World: cfg,
+				ShardTargets: width, Tick: 10 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The liar joins first, so it holds the lowest agent ID and
+			// the first leases of the round.
+			coordSide, agentSide := net.Pipe()
+			if err := coord.Attach(coordSide); err != nil {
+				t.Fatal(err)
+			}
+			liar := make(chan error, 1)
+			go func() {
+				liar <- RunAgent(context.Background(), &lyingConn{Conn: agentSide, lie: lie}, AgentConfig{Name: "liar", World: w, Capacity: 2})
+			}()
+			for coord.Stats().AgentsJoined == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			hs, err := NewHarness(coord, HarnessConfig{Agents: 2, Agent: AgentConfig{World: w}})
+			if err != nil {
+				coord.Close()
+				t.Fatal(err)
+			}
+			got, err := coord.ExecuteRound(context.Background(), 1, vps[0])
+			stats := coord.Stats()
+			hs.Close()
+			<-liar
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Probes != want.Probes || got.EchoTargets != want.EchoTargets || got.GreylistLen != want.GreylistLen ||
+				!reflect.DeepEqual(got.Completion, want.Completion) {
+				t.Fatalf("round differs from the reference: %d probes, %d echo targets, %d greylisted, completion %v; want %d, %d, %d, %v",
+					got.Probes, got.EchoTargets, got.GreylistLen, got.Completion, want.Probes, want.EchoTargets, want.GreylistLen, want.Completion)
+			}
+			assertIdentical(t, ref, cp)
+			if stats.AgentsLost != 1 {
+				t.Fatalf("lost %d agents, want the liar alone", stats.AgentsLost)
+			}
+		})
+	}
 }
 
 // A round executed with no agents at all must abort after the grace

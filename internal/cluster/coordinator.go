@@ -183,17 +183,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	var snap map[netsim.IP]netsim.ReplyKind
-	if cfg.Blacklist != nil {
-		snap = cfg.Blacklist.Snapshot()
-	}
-	payload, err := encodeMsg(&welcomeMsg{
-		World:     cfg.World,
-		Faults:    cfg.Faults,
-		Census:    cfg.Census,
+	payload, err := appendWelcome(nil, &welcomeMsg{
+		Head: welcomeHead{
+			World:     cfg.World,
+			Faults:    cfg.Faults,
+			Census:    cfg.Census,
+			Heartbeat: cfg.heartbeatEvery(),
+		},
 		Targets:   cfg.Targets,
-		Blacklist: snap,
-		Heartbeat: cfg.heartbeatEvery(),
+		Blacklist: cfg.Blacklist,
 	})
 	if err != nil {
 		return nil, err
@@ -368,18 +366,19 @@ func (c *Coordinator) readLoop(a *agentConn) {
 }
 
 func (c *Coordinator) readFrames(a *agentConn) error {
-	if err := readMagic(a.conn); err != nil {
+	fr := newFrameReader(a.conn, DefaultMaxFrame)
+	if err := readMagic(fr.r); err != nil {
 		return err
 	}
 	for {
-		typ, payload, err := readFrame(a.conn, DefaultMaxFrame)
+		typ, payload, err := fr.next()
 		if err != nil {
 			return err
 		}
 		switch typ {
 		case frameHello:
-			var hello helloMsg
-			if err := decodeMsg(payload, &hello); err != nil {
+			hello, err := decodeHello(payload)
+			if err != nil {
 				return err
 			}
 			c.post(func() { c.onHello(a, hello) })
@@ -466,6 +465,13 @@ func (c *Coordinator) onRows(a *agentConn, leaseID uint64, sr *census.ShardRows)
 	if sr.Round != r.round || sr.Lo != u.Span.Lo || sr.Hi != u.Span.Hi ||
 		len(sr.Slots) != 1 || sr.Slots[0] != u.Slot || len(sr.RTTus) != 1 {
 		c.dropAgent(a, fmt.Sprintf("shard frame disagrees with lease %d", leaseID))
+		return
+	}
+	// The fold sums the frame's statistics into the round unchecked:
+	// a frame that claims what no prober run over the lease produces
+	// goes the same way.
+	if err := sr.CheckStats(c.cfg.Census, u.VP); err != nil {
+		c.dropAgent(a, fmt.Sprintf("shard frame disagrees with lease %d: %v", leaseID, err))
 		return
 	}
 	foldStart := time.Now()

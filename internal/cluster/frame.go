@@ -3,18 +3,17 @@
 // to registered vantage-point agents with deadlines, and folds the
 // partial rows streaming back into the combined matrix; and the agent
 // that owns netsim vantage points, executes leased shards through
-// prober.Run, heartbeats for liveness, and streams results home.
+// census.ProbeShard, heartbeats for liveness, and streams results home.
 //
 // The paper's census was this system in the flesh — hundreds of
 // PlanetLab vantage points probing on behalf of a central repository
 // (Sec. 3), on a platform that degraded daily. The subsystem follows the
-// same operational shape (ROADMAP items 1–2): work moves as leases so a
-// crashed or hung agent's shards are re-executed by someone else rather
-// than lost, retry budgets and backoff reuse the single-process
-// quarantine machinery, and everything runs over a minimal
-// length-prefixed protocol that works identically on a real TCP loopback
-// and an in-process net.Pipe, so N-agent censuses are deterministic
-// inside one test binary.
+// same operational shape: work moves as leases so a crashed or hung
+// agent's shards are re-executed by someone else rather than lost, retry
+// budgets and backoff reuse the single-process quarantine machinery, and
+// everything runs over a minimal length-prefixed protocol that works
+// identically on a real TCP loopback and an in-process net.Pipe, so
+// N-agent censuses are deterministic inside one test binary.
 //
 // Because the netsim substrate draws every reply as a pure function of
 // (seed, VP, target, round) and the campaign fold is a per-cell min —
@@ -26,24 +25,28 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
+
+	"anycastmap/internal/census"
 )
 
 // streamMagic opens every connection in both directions, so a peer
 // speaking the wrong protocol fails the handshake instead of confusing
-// the frame parser. ACMC1 sent lease and fail payloads as gob; ACMC2
-// sends them fixed binary, so an ACMC1 peer is refused here.
-const streamMagic = "ACMC2\n"
+// the frame parser. ACMC1 sent lease and fail payloads as gob, ACMC2 the
+// hello and the whole welcome; ACMC3 sends everything fixed binary but
+// the welcome's configuration head, so older peers are refused here.
+const streamMagic = "ACMC3\n"
 
 // Frame types. A frame on the wire is a 4-byte big-endian length of what
 // follows (type byte + payload), then the type byte, then the payload.
-// proto.go lays out the payloads: hello and welcome are gob, lease and
-// fail fixed binary, rows a uvarint lease ID followed by a census shard
-// frame (the v2 columnar codec, census.ShardRows); heartbeat and shutdown
-// have none.
+// proto.go lays out the payloads: hello, lease and fail are fixed binary,
+// the welcome a gob configuration head followed by fixed binary, rows a
+// uvarint lease ID followed by a census shard frame (the v2 columnar
+// codec, census.ShardRows); heartbeat and shutdown have none.
 const (
 	frameHello     = byte(1) // agent -> coordinator: registration
 	frameWelcome   = byte(2) // coordinator -> agent: world + census config
@@ -76,25 +79,74 @@ func appendFrame(dst []byte, typ byte, parts ...[]byte) []byte {
 	return dst
 }
 
-// readFrame reads one frame, rejecting empty frames and length prefixes
-// beyond max before allocating.
-func readFrame(r io.Reader, max int) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// appendRowsFrame appends the rows frame reporting lease id — length,
+// type, uvarint lease ID, then the shard frame — encoding the shard in
+// place behind the header: the same bytes as appendFrame(dst, frameRows,
+// id, sr.Encode()) without the intermediate shard buffer. On error dst
+// comes back as it was.
+func appendRowsFrame(dst []byte, id uint64, sr *census.ShardRows) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, frameRows)
+	dst = binary.AppendUvarint(dst, id)
+	frame, err := sr.AppendEncode(dst)
+	if err != nil {
+		return dst[:start], err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 {
-		return 0, nil, fmt.Errorf("cluster: empty frame")
-	}
+	binary.BigEndian.PutUint32(frame[start:], uint32(len(frame)-start-4))
+	return frame, nil
+}
+
+// frameBufKeep bounds the body buffer a frameReader keeps from frame to
+// frame. Leases, rows frames of census-width spans and heartbeats reuse
+// it; a welcome, or anything else larger, is read into a buffer of its
+// own that goes with it, so one big frame cannot pin memory for the life
+// of the connection.
+const frameBufKeep = 1 << 20
+
+// frameReader reads one connection's frames through a buffer, so a frame
+// that fits the buffer costs one read of the transport (one hand-off on
+// net.Pipe, one syscall on TCP) rather than one for its header and one
+// for its body, into a body buffer reused from frame to frame. A payload
+// is valid until the next call to next; every payload decoder copies
+// what it keeps.
+type frameReader struct {
+	r    *bufio.Reader
+	max  int
+	hdr  [4]byte
+	body []byte
+}
+
+// newFrameReader reads frames off r, refusing length prefixes beyond max
+// (non-positive means DefaultMaxFrame).
+func newFrameReader(r io.Reader, max int) *frameReader {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	if n > uint32(max) {
-		return 0, nil, fmt.Errorf("cluster: %d-byte frame exceeds the %d-byte cap", n, max)
+	return &frameReader{r: bufio.NewReader(r), max: max}
+}
+
+// next reads one frame, rejecting empty frames and length prefixes beyond
+// the cap before allocating.
+func (fr *frameReader) next() (byte, []byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return 0, nil, err
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	n := binary.BigEndian.Uint32(fr.hdr[:])
+	if n < 1 {
+		return 0, nil, fmt.Errorf("cluster: empty frame")
+	}
+	if n > uint32(fr.max) {
+		return 0, nil, fmt.Errorf("cluster: %d-byte frame exceeds the %d-byte cap", n, fr.max)
+	}
+	body := fr.body
+	if int(n) > cap(body) {
+		body = make([]byte, n)
+		if n <= frameBufKeep {
+			fr.body = body
+		}
+	}
+	body = body[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return 0, nil, err
 	}
 	return body[0], body[1:], nil

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -10,7 +12,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("hello census")
 	b := appendFrame(nil, frameLease, payload)
-	typ, got, err := readFrame(bytes.NewReader(b), 0)
+	typ, got, err := newFrameReader(bytes.NewReader(b), 0).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,22 +25,23 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("type byte not at offset 4: %v", b[:5])
 	}
 	// Empty payloads (heartbeat, shutdown) are legal.
-	typ, got, err = readFrame(bytes.NewReader(appendFrame(nil, frameHeartbeat)), 0)
+	typ, got, err = newFrameReader(bytes.NewReader(appendFrame(nil, frameHeartbeat)), 0).next()
 	if err != nil || typ != frameHeartbeat || len(got) != 0 {
 		t.Fatalf("empty payload: %d %q %v", typ, got, err)
 	}
 	// Parts land back to back, and a frame appended to a reused buffer
 	// is the frame alone: what came before in dst stays before it.
 	two := appendFrame(b[:0], frameRows, []byte("hello "), nil, []byte("census"))
-	if typ, got, err = readFrame(bytes.NewReader(two), 0); err != nil || typ != frameRows || !bytes.Equal(got, payload) {
+	if typ, got, err = newFrameReader(bytes.NewReader(two), 0).next(); err != nil || typ != frameRows || !bytes.Equal(got, payload) {
 		t.Fatalf("parts: %d %q %v", typ, got, err)
 	}
 	stream := appendFrame(appendFrame(nil, frameHeartbeat), frameFail, payload)
 	r := bytes.NewReader(stream)
-	if typ, _, err = readFrame(r, 0); err != nil || typ != frameHeartbeat {
+	fr := newFrameReader(r, 0)
+	if typ, _, err = fr.next(); err != nil || typ != frameHeartbeat {
 		t.Fatalf("first of two: %d %v", typ, err)
 	}
-	if typ, got, err = readFrame(r, 0); err != nil || typ != frameFail || !bytes.Equal(got, payload) || r.Len() != 0 {
+	if typ, got, err = fr.next(); err != nil || typ != frameFail || !bytes.Equal(got, payload) || r.Len() != 0 {
 		t.Fatalf("second of two: %d %q %v", typ, got, err)
 	}
 }
@@ -46,26 +49,26 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestReadFrameRejectsHostileLengths(t *testing.T) {
 	// A declared length of zero carries no type byte.
 	zero := make([]byte, 4)
-	if _, _, err := readFrame(bytes.NewReader(zero), 0); err == nil {
+	if _, _, err := newFrameReader(bytes.NewReader(zero), 0).next(); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 	// A giant declared length must be rejected before allocation, not
 	// trusted into make().
 	giant := make([]byte, 4)
 	binary.BigEndian.PutUint32(giant, 0xFFFFFFFF)
-	if _, _, err := readFrame(bytes.NewReader(giant), 0); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, _, err := newFrameReader(bytes.NewReader(giant), 0).next(); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("giant frame: %v", err)
 	}
 	// The configured cap applies too.
 	big := appendFrame(nil, frameRows, make([]byte, 1024))
-	if _, _, err := readFrame(bytes.NewReader(big), 128); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, _, err := newFrameReader(bytes.NewReader(big), 128).next(); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("over-cap frame: %v", err)
 	}
 	// Truncated header and truncated body both fail cleanly.
-	if _, _, err := readFrame(bytes.NewReader(big[:2]), 0); err == nil {
+	if _, _, err := newFrameReader(bytes.NewReader(big[:2]), 0).next(); err == nil {
 		t.Fatal("truncated header accepted")
 	}
-	if _, _, err := readFrame(bytes.NewReader(big[:20]), 0); err == nil {
+	if _, _, err := newFrameReader(bytes.NewReader(big[:20]), 0).next(); err == nil {
 		t.Fatal("truncated body accepted")
 	}
 }
@@ -87,7 +90,7 @@ func TestRowsPayloadRoundTrip(t *testing.T) {
 	const leaseID = 1<<40 + 7
 	var idBuf [binary.MaxVarintLen64]byte
 	b := appendFrame(nil, frameRows, binary.AppendUvarint(idBuf[:0], leaseID), shard)
-	typ, payload, err := readFrame(bytes.NewReader(b), 0)
+	typ, payload, err := newFrameReader(bytes.NewReader(b), 0).next()
 	if err != nil || typ != frameRows {
 		t.Fatalf("rows frame: type %d err %v", typ, err)
 	}
@@ -97,5 +100,90 @@ func TestRowsPayloadRoundTrip(t *testing.T) {
 	}
 	if _, _, err := splitRowsPayload(nil); err == nil {
 		t.Fatal("empty rows payload accepted")
+	}
+}
+
+// countingConn counts the reads that reach the transport.
+type countingConn struct {
+	net.Conn
+	reads int
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(b)
+}
+
+// A frame that fits the reader's buffer costs one read of the transport,
+// header and body together: on net.Pipe a read is a hand-off between
+// goroutines, on TCP a syscall.
+func TestFrameReaderOneReadPerFrame(t *testing.T) {
+	w, r := net.Pipe()
+	defer r.Close()
+	l := sampleLease()
+	frames := [][]byte{
+		appendFrame(nil, frameLease, appendLease(nil, &l)),
+		appendFrame(nil, frameHeartbeat),
+		appendFrame(nil, frameRows, make([]byte, 3000)),
+	}
+	go func() {
+		defer w.Close()
+		for _, f := range frames {
+			if _, err := w.Write(f); err != nil {
+				return
+			}
+		}
+	}()
+	cr := &countingConn{Conn: r}
+	fr := newFrameReader(cr, 0)
+	for i, f := range frames {
+		typ, payload, err := fr.next()
+		if err != nil || typ != f[4] || !bytes.Equal(payload, f[5:]) {
+			t.Fatalf("frame %d: type %d, %d-byte payload, %v", i, typ, len(payload), err)
+		}
+		if cr.reads != i+1 {
+			t.Fatalf("%d frames took %d reads of the transport", i+1, cr.reads)
+		}
+	}
+}
+
+// The body buffer is reused for frames up to frameBufKeep and not kept
+// for a larger one, and the cap is checked before a buffer is made.
+func TestFrameReaderBuffer(t *testing.T) {
+	small := appendFrame(nil, frameRows, make([]byte, 100))
+	big := appendFrame(nil, frameWelcome, make([]byte, frameBufKeep))
+	var stream []byte
+	for _, f := range [][]byte{small, small, big, small} {
+		stream = append(stream, f...)
+	}
+	fr := newFrameReader(bytes.NewReader(stream), 0)
+	var first []byte
+	for i := 0; i < 4; i++ {
+		_, payload, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i {
+		case 0:
+			first = payload
+		case 1, 3:
+			if &payload[0] != &first[0] {
+				t.Fatalf("frame %d did not reuse the body buffer", i)
+			}
+		case 2:
+			if cap(fr.body) > frameBufKeep {
+				t.Fatalf("reader kept a %d-byte body buffer", cap(fr.body))
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := newFrameReader(bytes.NewReader(binary.BigEndian.AppendUint32(nil, DefaultMaxFrame+1)), 0).next()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("over-cap frame: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing an over-cap frame allocated %d bytes", grew)
 	}
 }

@@ -11,16 +11,19 @@ import (
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/prober"
 )
 
-// Gob once per connection, fixed binary once per lease. hello and welcome
-// carry nested configuration and cross the wire once per connection, so
-// codec ergonomics win and they ride as gob (encodeMsg/decodeMsg). lease
-// and fail cross it once per unit of work, where a fresh gob stream costs
-// more than the probing it pays for, so they have a hand-rolled layout
-// (appendLease/decodeLease, appendFail/decodeFail). Result rows are a
-// uvarint lease ID followed by the v2 columnar shard frame
-// (census.ShardRows).
+// Fixed binary for every frame the coordinator reads; gob only for the
+// welcome's configuration head. hello, lease, fail and rows come in from
+// any peer that can reach a -listen address, once per connection or once
+// per unit of work, so each has a hand-rolled layout read through
+// wireReader (appendHello/decodeHello, appendLease/decodeLease,
+// appendFail/decodeFail; rows are a uvarint lease ID followed by the v2
+// columnar shard frame, census.ShardRows). The welcome is read only by
+// agents, once per connection; its configuration head is nested and still
+// changing, so it rides as gob, while the target list and blacklist that
+// grow with the census follow it in fixed binary (appendWelcome).
 
 // helloMsg registers an agent with the coordinator.
 type helloMsg struct {
@@ -31,16 +34,22 @@ type helloMsg struct {
 	Capacity int
 }
 
-// welcomeMsg equips a fresh agent to probe: the deterministic world to
-// rebuild (or share, in-process), the fault weather, the probing
-// configuration, and the round-invariant target list and blacklist so
-// leases only need to carry spans.
+// welcomeMsg equips a fresh agent to probe: the configuration head, and
+// the round-invariant target list and blacklist so leases only need to
+// carry spans.
 type welcomeMsg struct {
+	Head      welcomeHead
+	Targets   []netsim.IP
+	Blacklist *prober.Greylist
+}
+
+// welcomeHead is the welcome's gob-encoded configuration: the
+// deterministic world to rebuild (or share, in-process), the fault
+// weather, the probing configuration and the heartbeat interval.
+type welcomeHead struct {
 	World     netsim.Config
 	Faults    *netsim.FaultConfig
 	Census    census.Config
-	Targets   []netsim.IP
-	Blacklist map[netsim.IP]netsim.ReplyKind
 	Heartbeat time.Duration
 }
 
@@ -67,19 +76,73 @@ type failMsg struct {
 	Crash bool
 }
 
-func encodeMsg(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("cluster: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
+// appendHello appends h's wire form: uvarint Capacity, then Name as a
+// uvarint length and the bytes.
+func appendHello(b []byte, h *helloMsg) []byte {
+	return appendString(binary.AppendUvarint(b, uint64(h.Capacity)), h.Name)
 }
 
-func decodeMsg(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("cluster: decode %T: %w", v, err)
+// decodeHello undoes appendHello. Capacity bounds the leases an agent is
+// handed at once, so values beyond int32 are refused here.
+func decodeHello(payload []byte) (helloMsg, error) {
+	r := wireReader{b: payload}
+	c := r.uvarint()
+	r.bad = r.bad || c > math.MaxInt32
+	h := helloMsg{Capacity: int(c), Name: r.str()}
+	return h, r.finish("hello")
+}
+
+// appendWelcome appends w's wire form: the gob-encoded head as a uvarint
+// length and the bytes; the targets as a uvarint count and 4 bytes each,
+// little-endian; then the blacklist as a greylist section
+// (census.AppendGreylist): a uvarint count, then per host in strictly
+// ascending address order a uvarint address delta and its kind byte.
+func appendWelcome(b []byte, w *welcomeMsg) ([]byte, error) {
+	var head bytes.Buffer
+	if err := gob.NewEncoder(&head).Encode(&w.Head); err != nil {
+		return nil, fmt.Errorf("cluster: encode welcome: %w", err)
 	}
-	return nil
+	b = binary.AppendUvarint(b, uint64(head.Len()))
+	b = append(b, head.Bytes()...)
+	b = binary.AppendUvarint(b, uint64(len(w.Targets)))
+	for _, ip := range w.Targets {
+		b = binary.LittleEndian.AppendUint32(b, uint32(ip))
+	}
+	return census.AppendGreylist(b, w.Blacklist), nil
+}
+
+// decodeWelcome undoes appendWelcome. The fixed-binary parts are checked
+// before the head is handed to gob, and the head must be exactly one gob
+// value.
+func decodeWelcome(payload []byte) (welcomeMsg, error) {
+	r := wireReader{b: payload}
+	var w welcomeMsg
+	head := r.take(r.uvarint())
+	n := r.uvarint()
+	r.bad = r.bad || n > uint64(len(r.b))/4
+	if raw := r.take(4 * n); raw != nil {
+		w.Targets = make([]netsim.IP, n)
+		for i := range w.Targets {
+			w.Targets[i] = netsim.IP(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+	}
+	if !r.bad {
+		var err error
+		if w.Blacklist, r.b, err = census.DecodeGreylist(r.b); err != nil {
+			return welcomeMsg{}, fmt.Errorf("cluster: welcome blacklist: %w", err)
+		}
+	}
+	if err := r.finish("welcome"); err != nil {
+		return welcomeMsg{}, err
+	}
+	hr := bytes.NewReader(head)
+	if err := gob.NewDecoder(hr).Decode(&w.Head); err != nil {
+		return welcomeMsg{}, fmt.Errorf("cluster: decode welcome: %w", err)
+	}
+	if hr.Len() != 0 {
+		return welcomeMsg{}, fmt.Errorf("cluster: malformed welcome payload")
+	}
+	return w, nil
 }
 
 // appendLease appends l's wire form: eight uvarints — ID, Round, Attempt,
@@ -151,7 +214,7 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// wireReader consumes a lease or fail payload. A varint that is truncated
+// wireReader consumes a fixed-binary payload. A varint that is truncated
 // or overflows, or a length beyond the bytes left, latches bad and reads
 // as zero from then on, so decoders read straight through and check once,
 // in finish; nothing is allocated beyond the bytes present.

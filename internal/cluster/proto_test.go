@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +17,9 @@ import (
 	"anycastmap/internal/census"
 	"anycastmap/internal/cities"
 	"anycastmap/internal/geo"
+	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/prober"
 )
 
 func sampleLease() leaseMsg {
@@ -181,7 +186,7 @@ func FuzzReadFrame(f *testing.F) {
 		// A small cap, never the 64 MiB default: the fuzzer would spend
 		// its time zeroing buffers for lengths the cap exists to refuse.
 		max := int(limit) + 1
-		typ, payload, err := readFrame(bytes.NewReader(data), max)
+		typ, payload, err := newFrameReader(bytes.NewReader(data), max).next()
 		if err != nil {
 			return
 		}
@@ -194,57 +199,264 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// An ACMC1 peer sends lease and fail payloads as gob: it must be turned
-// away at the magic, in both directions, not parsed as ACMC2.
-func TestACMC1PeerRefused(t *testing.T) {
-	const old = "ACMC1\n"
-	if err := readMagic(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "not speaking the census protocol") {
-		t.Fatalf("ACMC1 magic: %v", err)
-	}
+// Older peers are turned away at the magic, in both directions, not
+// parsed as ACMC3: an ACMC1 peer sends lease and fail payloads as gob, an
+// ACMC2 peer its hello and the whole welcome.
+func TestOldProtocolPeerRefused(t *testing.T) {
+	for _, old := range []string{"ACMC1\n", "ACMC2\n"} {
+		t.Run(strings.TrimSpace(old), func(t *testing.T) {
+			if err := readMagic(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "not speaking the census protocol") {
+				t.Fatalf("%q magic: %v", old, err)
+			}
 
-	// An ACMC2 agent dialling an ACMC1 coordinator gives up with that error.
-	coordSide, agentSide := net.Pipe()
-	go func() {
-		defer coordSide.Close()
-		io.ReadFull(coordSide, make([]byte, len(streamMagic))) // the agent's magic
-		if _, _, err := readFrame(coordSide, 0); err != nil {  // its hello
-			return
+			// An agent dialling an old coordinator gives up with that error.
+			coordSide, agentSide := net.Pipe()
+			go func() {
+				defer coordSide.Close()
+				fr := newFrameReader(coordSide, 0)
+				io.ReadFull(fr.r, make([]byte, len(streamMagic))) // the agent's magic
+				if _, _, err := fr.next(); err != nil {           // its hello
+					return
+				}
+				coordSide.Write([]byte(old))
+			}()
+			err := RunAgent(context.Background(), agentSide, AgentConfig{Name: "new"})
+			if err == nil || !strings.Contains(err.Error(), "not speaking the census protocol") {
+				t.Fatalf("agent against an old coordinator: %v", err)
+			}
+
+			// An old agent sending a gob hello is dropped before the hello
+			// is read: it never registers and never sees a welcome.
+			_, _, h, _ := clusterTestbed(t)
+			coord, err := NewCoordinator(Config{
+				Campaign: census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()}),
+				Targets:  h.Targets(),
+				Census:   testCensusCfg(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			coordSide, agentSide = net.Pipe()
+			if err := coord.Attach(coordSide); err != nil {
+				t.Fatal(err)
+			}
+			defer agentSide.Close()
+			agentSide.SetDeadline(time.Now().Add(5 * time.Second))
+			var hello bytes.Buffer
+			if err := gob.NewEncoder(&hello).Encode(&helloMsg{Name: "old", Capacity: 1}); err != nil {
+				t.Fatal(err)
+			}
+			go agentSide.Write(append([]byte(old), appendFrame(nil, frameHello, hello.Bytes())...))
+			got, err := io.ReadAll(agentSide)
+			if err != nil && err != io.ErrClosedPipe {
+				t.Fatalf("reading the coordinator's answer: %v", err)
+			}
+			if len(got) > len(streamMagic) {
+				t.Fatalf("coordinator answered an old peer with %d bytes past its magic", len(got)-len(streamMagic))
+			}
+			if joined := coord.Stats().AgentsJoined; joined != 0 {
+				t.Fatalf("old peer registered (%d joined)", joined)
+			}
+		})
+	}
+}
+
+func TestHelloCodec(t *testing.T) {
+	for _, h := range []helloMsg{{Name: "agent-3", Capacity: 4}, {}, {Name: strings.Repeat("n", 300), Capacity: math.MaxInt32}} {
+		got, err := decodeHello(appendHello(nil, &h))
+		if err != nil || got != h {
+			t.Fatalf("round-trip of %+v: %+v, %v", h, got, err)
 		}
-		coordSide.Write([]byte(old))
-	}()
-	err := RunAgent(context.Background(), agentSide, AgentConfig{Name: "new"})
-	if err == nil || !strings.Contains(err.Error(), "not speaking the census protocol") {
-		t.Fatalf("agent against an ACMC1 coordinator: %v", err)
 	}
+	hello := appendHello(nil, &helloMsg{Name: "agent-3", Capacity: 4})
+	for n := 0; n < len(hello); n++ {
+		if _, err := decodeHello(hello[:n]); err == nil {
+			t.Fatalf("hello truncated to %d of %d bytes accepted", n, len(hello))
+		}
+	}
+	if _, err := decodeHello(append(hello[:len(hello):len(hello)], 0)); err == nil {
+		t.Fatal("hello with a trailing byte accepted")
+	}
+	if _, err := decodeHello(appendString(binary.AppendUvarint(nil, math.MaxInt32+1), "greedy")); err == nil {
+		t.Fatal("hello with a capacity beyond int32 accepted")
+	}
+	if _, err := decodeHello(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<62)); err == nil {
+		t.Fatal("hello with a 2^62-byte name accepted")
+	}
+}
 
-	// An ACMC1 agent dialling an ACMC2 coordinator is dropped before its
-	// hello is read: it never registers and never sees a welcome.
-	_, _, h, _ := clusterTestbed(t)
-	coord, err := NewCoordinator(Config{
-		Campaign: census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()}),
-		Targets:  h.Targets(),
-		Census:   testCensusCfg(),
-	})
+func sampleWelcome() welcomeMsg {
+	bl := prober.NewGreylist()
+	bl.Add(0x01020304, netsim.ReplyAdminFiltered)
+	bl.Add(0x01020310, netsim.ReplyHostProhibited)
+	bl.Add(0xFFFFFFFF, netsim.ReplyNetProhibited)
+	return welcomeMsg{
+		Head: welcomeHead{
+			World:     netsim.DefaultConfig(),
+			Faults:    &netsim.FaultConfig{Seed: 7, CrashFraction: 0.1},
+			Census:    census.Config{Seed: 9, Rate: 2000, RetryBackoff: -1},
+			Heartbeat: time.Second,
+		},
+		Targets:   []netsim.IP{0x0A000001, 0, 0xFFFFFFFF, 0x0A000001},
+		Blacklist: bl,
+	}
+}
+
+// mustAppendWelcome is appendWelcome for a welcome that encodes.
+func mustAppendWelcome(tb testing.TB) func([]byte, *welcomeMsg) []byte {
+	return func(b []byte, w *welcomeMsg) []byte {
+		b, err := appendWelcome(b, w)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+}
+
+func TestWelcomeCodec(t *testing.T) {
+	want := sampleWelcome()
+	enc := mustAppendWelcome(t)(nil, &want)
+	got, err := decodeWelcome(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	coordSide, agentSide = net.Pipe()
-	if err := coord.Attach(coordSide); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.Head, want.Head) || !reflect.DeepEqual(got.Targets, want.Targets) ||
+		!reflect.DeepEqual(got.Blacklist.Snapshot(), want.Blacklist.Snapshot()) {
+		t.Fatalf("round-trip:\n%+v\n%+v", got, want)
 	}
-	defer agentSide.Close()
-	agentSide.SetDeadline(time.Now().Add(5 * time.Second))
-	hello, _ := encodeMsg(&helloMsg{Name: "old", Capacity: 1})
-	go agentSide.Write(append([]byte(old), appendFrame(nil, frameHello, hello)...))
-	got, err := io.ReadAll(agentSide)
-	if err != nil && err != io.ErrClosedPipe {
-		t.Fatalf("reading the coordinator's answer: %v", err)
+	// The blacklist arrives sorted, so the agent's plans read it without
+	// sorting it first.
+	for _, ip := range []netsim.IP{0x01020304, 0x01020310, 0xFFFFFFFF} {
+		if !got.Blacklist.Freeze().Contains(ip) {
+			t.Fatalf("frozen blacklist misses %v", ip)
+		}
 	}
-	if len(got) > len(streamMagic) {
-		t.Fatalf("coordinator answered an ACMC1 peer with %d bytes past its magic", len(got)-len(streamMagic))
+	if got.Blacklist.Freeze().Len() != 3 {
+		t.Fatalf("frozen blacklist holds %d hosts", got.Blacklist.Freeze().Len())
 	}
-	if joined := coord.Stats().AgentsJoined; joined != 0 {
-		t.Fatalf("ACMC1 peer registered (%d joined)", joined)
+	// No head faults, no blacklist: both travel as their zero values.
+	bare := welcomeMsg{Targets: []netsim.IP{1}}
+	if got, err := decodeWelcome(mustAppendWelcome(t)(nil, &bare)); err != nil || got.Head.Faults != nil || got.Blacklist.Len() != 0 {
+		t.Fatalf("bare welcome: %+v, %v", got, err)
+	}
+
+	for n := 0; n < len(enc); n++ {
+		if _, err := decodeWelcome(enc[:n]); err == nil {
+			t.Fatalf("welcome truncated to %d of %d bytes accepted", n, len(enc))
+		}
+	}
+	if _, err := decodeWelcome(append(enc[:len(enc):len(enc)], 0)); err == nil {
+		t.Fatal("welcome with a trailing byte accepted")
+	}
+	// The head must be one gob value and nothing after it.
+	headLen, n := binary.Uvarint(enc)
+	head := enc[n : n+int(headLen)]
+	rest := enc[n+int(headLen):]
+	padded := append(binary.AppendUvarint(nil, headLen+1), head...)
+	if _, err := decodeWelcome(append(append(padded, 0), rest...)); err == nil {
+		t.Fatal("welcome head with a trailing byte accepted")
+	}
+	// A target count beyond the payload fails before it is believed.
+	lying := append(binary.AppendUvarint(nil, headLen), head...)
+	if _, err := decodeWelcome(append(binary.AppendUvarint(lying, 1<<62), rest...)); err == nil {
+		t.Fatal("welcome with 2^62 targets accepted")
+	}
+	// The blacklist becomes every plan's skip mask and the campaign's
+	// idea of who objects to probes: echo and unknown kinds, repeated and
+	// descending addresses are refused.
+	targets := binary.LittleEndian.AppendUint32(binary.AppendUvarint(nil, 1), 0x0A000001)
+	for name, bl := range map[string][]byte{
+		"echo":       {1, 4, byte(netsim.ReplyEcho)},
+		"timeout":    {1, 4, byte(netsim.ReplyTimeout)},
+		"unknown":    {1, 4, 200},
+		"repeated":   {2, 4, byte(netsim.ReplyAdminFiltered), 0, byte(netsim.ReplyAdminFiltered)},
+		"overflowed": {2, 4, byte(netsim.ReplyAdminFiltered), 0xff, 0xff, 0xff, 0xff, 0x0f, byte(netsim.ReplyAdminFiltered)},
+	} {
+		if _, err := decodeWelcome(append(append(lying[:len(lying):len(lying)], targets...), bl...)); err == nil {
+			t.Fatalf("welcome blacklist %s accepted", name)
+		}
+	}
+}
+
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(appendHello(nil, &helloMsg{Name: "agent-0", Capacity: 4}))
+	f.Add(appendHello(nil, &helloMsg{}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reencodes(t, data, decodeHello, appendHello)
+		if h, err := decodeHello(data); err == nil && (h.Capacity < 0 || h.Capacity > math.MaxInt32) {
+			t.Fatalf("decoded a capacity of %d", h.Capacity)
+		}
+	})
+}
+
+func FuzzDecodeWelcome(f *testing.F) {
+	w := sampleWelcome()
+	f.Add(mustAppendWelcome(f)(nil, &w))
+	f.Add(mustAppendWelcome(f)(nil, &welcomeMsg{}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reencodes(t, data, decodeWelcome, mustAppendWelcome(t))
+		if w, err := decodeWelcome(data); err == nil {
+			if 4*len(w.Targets) > len(data) {
+				t.Fatalf("%d targets decoded from %d bytes", len(w.Targets), len(data))
+			}
+			for kind := range w.Blacklist.Breakdown() {
+				if !kind.Greylistable() {
+					t.Fatalf("blacklist holds kind %v", kind)
+				}
+			}
+		}
+	})
+}
+
+// The agent encodes a rows frame in place behind its header: over random
+// shards — widths, densities, RTT magnitudes and greylists — those bytes
+// are the frame assembled from the shard's own encoding.
+func TestRowsFrameInPlace(t *testing.T) {
+	rng := rand.New(rand.NewPCG(34, 1))
+	var buf []byte
+	for i := 0; i < 500; i++ {
+		width := rng.IntN(400)
+		lo := rng.IntN(1 << 20)
+		row := make([]int32, width)
+		density := rng.Float64()
+		echo := 0
+		for ti := range row {
+			row[ti] = census.NoSample
+			if rng.Float64() < density {
+				row[ti] = int32(rng.Int64N(1<<31 - 1))
+				if rng.IntN(2) == 0 {
+					row[ti] = int32(rng.IntN(300000))
+				}
+				echo++
+			}
+		}
+		sr := &census.ShardRows{
+			Round: rng.Uint64N(10), Lo: lo, Hi: lo + width,
+			Slots: []int{rng.IntN(400)}, RTTus: [][]int32{row},
+			Stats: []census.ShardStats{{Sent: width, Echo: echo, Timeouts: width - echo, Completion: time.Duration(rng.Int64N(1 << 40))}},
+		}
+		if rng.IntN(3) == 0 {
+			sr.Greylist = prober.NewGreylist()
+			for k := rng.IntN(5); k > 0; k-- {
+				sr.Greylist.Add(netsim.IP(rng.Uint32()), netsim.ReplyAdminFiltered+netsim.ReplyKind(rng.IntN(3)))
+			}
+		}
+		id := rng.Uint64() >> rng.IntN(64)
+		shard, err := sr.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := appendFrame(nil, frameRows, binary.AppendUvarint(nil, id), shard)
+		if buf, err = appendRowsFrame(buf[:0], id, sr); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("shard %d: in-place frame differs (%v)", i, err)
+		}
+	}
+	// A shard that does not encode leaves the buffer as it was.
+	bad := &census.ShardRows{Lo: 5, Hi: 4}
+	if got, err := appendRowsFrame([]byte("keep"), 1, bad); err == nil || string(got) != "keep" {
+		t.Fatalf("bad shard: %q, %v", got, err)
 	}
 }

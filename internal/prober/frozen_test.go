@@ -65,7 +65,13 @@ func TestGreylistMergeEdges(t *testing.T) {
 		return g
 	}
 	of := func(entries map[netsim.IP]netsim.ReplyKind) func(*Greylist) *Greylist {
-		return func(*Greylist) *Greylist { return FromSnapshot(entries) }
+		return func(*Greylist) *Greylist {
+			g := NewGreylist()
+			for ip, k := range entries {
+				g.Add(ip, k)
+			}
+			return g
+		}
 	}
 	for _, c := range []struct {
 		name     string

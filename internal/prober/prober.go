@@ -291,6 +291,13 @@ func (c Config) rate() float64 {
 	return c.Rate
 }
 
+// Completion is the simulated wall-clock time vp takes to send sent
+// probes at the configured rate, slowed by its load factor (Fig. 8): what
+// a run reports as Stats.Completion.
+func (c Config) Completion(sent int, vp platform.VP) time.Duration {
+	return time.Duration(float64(sent) / c.rate() * vp.LoadFactor * float64(time.Second))
+}
+
 // Stats summarizes one vantage point's census run.
 type Stats struct {
 	VP            platform.VP
@@ -411,7 +418,7 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 	dropProb := w.SourceDropProb(vp, rate)
 	msPerProbe := 1000.0 / rate
 	finish := func() {
-		stats.Completion = time.Duration(float64(stats.Sent) / rate * vp.LoadFactor * float64(time.Second))
+		stats.Completion = cfg.Completion(stats.Sent, vp)
 	}
 
 	faults := w.Faults()
@@ -505,11 +512,16 @@ func (g *Greylist) Snapshot() map[netsim.IP]netsim.ReplyKind {
 	return out
 }
 
-// FromSnapshot rebuilds a greylist from a persisted snapshot.
-func FromSnapshot(m map[netsim.IP]netsim.ReplyKind) *Greylist {
-	g := NewGreylist()
-	for ip, k := range m {
-		g.m[ip] = k
+// FromSorted builds a greylist from hosts in strictly ascending address
+// order, kinds[i] the error that put ips[i] there: the order the run,
+// shard and welcome codecs carry them in. The greylist adopts ips as its
+// frozen view, so its first Freeze does not sort; ips must not change
+// afterwards.
+func FromSorted(ips []netsim.IP, kinds []netsim.ReplyKind) *Greylist {
+	g := &Greylist{m: make(map[netsim.IP]netsim.ReplyKind, len(ips))}
+	for i, ip := range ips {
+		g.m[ip] = kinds[i]
 	}
+	g.frozen.Store(&FrozenGreylist{ips: ips})
 	return g
 }

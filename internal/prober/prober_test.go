@@ -1,6 +1,7 @@
 package prober
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -247,8 +248,14 @@ func TestGreylistSnapshotRoundTrip(t *testing.T) {
 	if g.Contains(netsim.IP(3)) {
 		t.Error("snapshot aliases the greylist")
 	}
-	back := FromSnapshot(snap)
-	if back.Len() != 3 || !back.Contains(netsim.IP(1)) || !back.Contains(netsim.IP(3)) {
+	// Rebuilt from its entries in address order, as the codecs carry
+	// them, the greylist is the snapshot again, and its frozen view is
+	// the sorted addresses without a sort.
+	back := FromSorted([]netsim.IP{1, 2, 3}, []netsim.ReplyKind{snap[1], snap[2], snap[3]})
+	if !reflect.DeepEqual(back.Snapshot(), snap) {
 		t.Errorf("rebuilt greylist wrong: %v", back.Snapshot())
+	}
+	if f := back.Freeze(); f.Len() != 3 || !f.Contains(netsim.IP(2)) || f.Contains(netsim.IP(4)) {
+		t.Errorf("rebuilt greylist's frozen view wrong: %v", f.ips)
 	}
 }
