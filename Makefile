@@ -130,18 +130,17 @@ full-scale:
 		-max-heap-mib 13266 -rate-baseline-targets 20000
 
 # cluster-smoke proves the distributed control plane end to end, in two
-# legs. First a 4-agent in-process census over net.Pipe with forced churn
-# (every agent's connection is severed after 25 streamed row frames and
-# respawned) and injected VP crashes; then real coordinator and agent
-# processes over TCP loopback, one agent killed with SIGKILL mid-census
-# (scripts/cluster_smoke.sh). In both, -verify fails the run unless the
-# combined matrix, greylist, and analysis outcomes are byte-identical to
-# a zero-fault in-process campaign.
+# legs (scripts/cluster_smoke.sh). First a 4-agent in-process census over
+# net.Pipe with forced churn (every agent's connection is severed after 25
+# streamed rows frames and respawned) and injected VP crashes, on one span
+# narrow enough that leases carry batches of units: it fails unless the
+# `cluster:` line counts more units than leases. Then real coordinator
+# and agent processes over TCP loopback, one agent killed with SIGKILL
+# mid-census. In both, -verify fails the run unless the combined matrix,
+# greylist, and analysis outcomes are byte-identical to a zero-fault
+# in-process campaign.
 cluster-smoke:
-	$(GO) run ./cmd/census -local 4 -unicast24s 6000 -censuses 3 -vps 24 \
-		-retries 50 -retry-backoff 1ms -churn-every 25 \
-		-fault-crash 0.25 -exit-on-crash -verify
-	./scripts/cluster_smoke.sh
+	GO=$(GO) ./scripts/cluster_smoke.sh
 
 # metrics-smoke boots anycastd (with its DNS front-end) and a `census
 # -local 2` coordinator against tiny worlds, scrapes GET /metrics on

@@ -62,7 +62,7 @@ func main() {
 	rate := flag.Float64("rate", 1000, "probing rate per VP (probes/s)")
 	retries := flag.Int("retries", 3, "per-VP probing attempts per census round (1 disables retrying)")
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff before retrying a failed VP (doubles per retry)")
-	spanTargets := flag.Int("span-targets", 0, "probe/fold unit (and lease) width in targets (0 = 16384)")
+	spanTargets := flag.Int("span-targets", 0, "probe/fold unit width in targets, and the most cells (targets x VPs) a lease holds (0 = 16384)")
 	analyzeWorkers := flag.Int("analyze-workers", 0, "goroutines analyzing targets (0 = GOMAXPROCS)")
 
 	// Fleet: -local and -listen.
@@ -354,8 +354,8 @@ func main() {
 	}
 	if coord != nil {
 		st := coord.Stats()
-		log.Printf("cluster: %d joins, %d losses, %d leases (%d re-leases, %d expired), %d frames folded, %d late",
-			st.AgentsJoined, st.AgentsLost, st.Leases, st.ReLeases, st.Expired, st.FramesFolded, st.LateFrames)
+		log.Printf("cluster: %d joins, %d losses, %d leases of %d units (%d re-leases, %d expired), %d frames folded, %d late",
+			st.AgentsJoined, st.AgentsLost, st.Leases, st.Units, st.ReLeases, st.Expired, st.FramesFolded, st.LateFrames)
 		if fleet != nil && fleet.Deaths() > 0 {
 			log.Printf("agent churn: %d deaths, fleet respawned", fleet.Deaths())
 		}

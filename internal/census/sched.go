@@ -237,6 +237,10 @@ func (s *RoundSched) quarantineErr(vi int) error {
 // Settled reports whether every vantage point is complete or quarantined.
 func (s *RoundSched) Settled() bool { return s.open == 0 }
 
+// Open reports how many vantage points are neither complete nor
+// quarantined: the ones in flight, parked or still to be handed out.
+func (s *RoundSched) Open() int { return s.open }
+
 // Close closes the round on the campaign (FinishRound) and reports it.
 // Vantage points with spans left — the round was aborted under them —
 // are marked "round aborted", or Skipped when they never ran; units still

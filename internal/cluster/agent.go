@@ -27,7 +27,7 @@ type AgentConfig struct {
 	// (connection dropped, RunAgent returns the crash) instead of
 	// reporting a retryable lease failure — the PlanetLab node that
 	// reboots rather than the prober that hiccups. The coordinator
-	// re-leases the lost shards either way.
+	// re-leases the lost units either way.
 	ExitOnCrash bool
 }
 
@@ -44,15 +44,15 @@ type agentSession struct {
 	conn net.Conn
 
 	// writeMu serializes frames onto conn and guards wbuf, the buffer
-	// every outbound frame is assembled in (Write has copied it out by
-	// the time it returns).
+	// every outbound frame but rows is assembled in (Write has copied it
+	// out by the time it returns).
 	writeMu sync.Mutex
 	wbuf    []byte
 
 	world   *netsim.World
 	targets []netsim.IP
 	ccfg    census.Config
-	// plans holds the current round's span plans, shared by every lease
+	// plans holds the current round's span plans, shared by every unit
 	// of a span in that round.
 	plans *census.SpanPlans
 
@@ -71,7 +71,7 @@ func (s *agentSession) send(typ byte, parts ...[]byte) error {
 	return err
 }
 
-// fail reports a lease the agent could not complete.
+// fail reports a unit the agent could not complete.
 func (s *agentSession) fail(f failMsg) error {
 	return s.send(frameFail, appendFail(nil, &f))
 }
@@ -94,7 +94,7 @@ func (s *agentSession) getFatal() error {
 // the coordinator sends a shutdown frame (returns nil), the context is
 // cancelled, the connection breaks, or — under ExitOnCrash — a vantage
 // point crashes mid-shard. It registers, receives the world and census
-// configuration, then executes shard leases and streams rows back,
+// configuration, then executes leases and streams their rows back,
 // heartbeating all the while.
 func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 	return (&agentSession{cfg: cfg, conn: conn}).run(ctx)
@@ -182,7 +182,8 @@ func (s *agentSession) run(ctx context.Context) error {
 	}()
 
 	// Lease executors: a small worker pool so Capacity leases probe
-	// concurrently while the main goroutine keeps reading frames.
+	// concurrently while the main goroutine keeps reading frames. Each
+	// executor assembles its rows frames in a buffer of its own.
 	leases := make(chan leaseMsg, 64)
 	var wg sync.WaitGroup
 	defer wg.Wait()     // after close(leases): drain in-flight executors
@@ -191,8 +192,9 @@ func (s *agentSession) run(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte
 			for l := range leases {
-				s.executeLease(l)
+				buf = s.executeLease(l, buf[:0])
 			}
 		}()
 	}
@@ -219,9 +221,11 @@ func (s *agentSession) run(ctx context.Context) error {
 			default:
 				// The coordinator never exceeds our advertised
 				// capacity; an overflowing queue means it is confused,
-				// and failing the lease tells it so.
-				if err := s.fail(failMsg{ID: l.ID, Err: "agent lease queue overflow"}); err != nil {
-					return err
+				// and failing the lease's units tells it so.
+				for _, u := range l.Units {
+					if err := s.fail(failMsg{ID: l.ID, Slot: u.Slot, Err: "agent lease queue overflow"}); err != nil {
+						return err
+					}
 				}
 			}
 		case frameShutdown:
@@ -232,45 +236,50 @@ func (s *agentSession) run(ctx context.Context) error {
 	}
 }
 
-// executeLease probes the leased span — through census.ProbeShard, the
-// row builder the in-process executor uses, over the span's plan for the
-// lease's round (the one state the agent keeps between leases) — and
-// streams the result (or the failure) back.
-func (s *agentSession) executeLease(l leaseMsg) {
-	if l.Lo < 0 || l.Hi < l.Lo || l.Hi > len(s.targets) {
-		s.fail(failMsg{ID: l.ID, Err: fmt.Sprintf("lease span [%d,%d) outside %d targets", l.Lo, l.Hi, len(s.targets))})
-		return
-	}
-	span := census.Span{Lo: l.Lo, Hi: l.Hi}
-	sr, err := census.ProbeShard(s.world, s.plans.Plan(l.Round, span), s.ccfg, census.Unit{
-		Round:   l.Round,
-		VP:      l.VP,
-		Slot:    l.Slot,
-		Span:    span,
-		Attempt: l.Attempt,
-	})
-	if err != nil {
+// executeLease probes a lease's units back to back — each through
+// census.ProbeShard, the row builder the in-process executor uses, over
+// its span's plan for the lease's round (the one state the agent keeps
+// between leases) — and returns their rows in one frame, assembled in buf,
+// which it hands back for the next lease. A unit that fails is reported
+// by its own fail frame at once, so the coordinator starts the vantage
+// point's backoff while the rest of the lease runs.
+func (s *agentSession) executeLease(l leaseMsg, buf []byte) []byte {
+	buf = beginRowsFrame(buf, l.ID)
+	empty := len(buf)
+	for _, u := range l.Units {
+		sr, err := s.probeUnit(u)
+		if err == nil {
+			if buf, err = appendRowsUnit(buf, sr); err == nil {
+				continue
+			}
+		}
 		var crash *netsim.VPCrashError
 		isCrash := errors.As(err, &crash)
 		if isCrash && s.cfg.ExitOnCrash {
-			// The node "reboots": the whole agent dies with the VP.
+			// The node "reboots": the whole agent dies with the VP, and
+			// the lease's unreported units with it.
 			s.setFatal(fmt.Errorf("cluster: agent %q: %w", s.cfg.Name, err))
 			s.conn.Close()
-			return
+			return buf
 		}
-		s.fail(failMsg{ID: l.ID, Err: err.Error(), Crash: isCrash})
-		return
+		s.fail(failMsg{ID: l.ID, Slot: u.Slot, Err: err.Error(), Crash: isCrash})
 	}
-	// The frame is encoded in wbuf under the write lock and goes out as
-	// one Write, like every other frame; a failed Write is a dead
+	if len(buf) == empty {
+		return buf
+	}
+	// One Write, like every other frame; a failed Write is a dead
 	// connection, which the read loop reports.
+	buf = endRowsFrame(buf, 0)
 	s.writeMu.Lock()
-	s.wbuf, err = appendRowsFrame(s.wbuf[:0], l.ID, sr)
-	if err == nil {
-		s.conn.Write(s.wbuf)
-	}
+	s.conn.Write(buf)
 	s.writeMu.Unlock()
-	if err != nil {
-		s.fail(failMsg{ID: l.ID, Err: err.Error()})
+	return buf
+}
+
+// probeUnit probes one unit of a lease.
+func (s *agentSession) probeUnit(u census.Unit) (*census.ShardRows, error) {
+	if u.Span.Hi > len(s.targets) {
+		return nil, fmt.Errorf("lease span [%d,%d) outside %d targets", u.Span.Lo, u.Span.Hi, len(s.targets))
 	}
+	return census.ProbeShard(s.world, s.plans.Plan(u.Round, u.Span), s.ccfg, u)
 }

@@ -16,11 +16,14 @@ import (
 
 // The fleet yardstick: the benchmark's census-fleet workload in its
 // shape — two rounds of 261 PlanetLab vantage points over 88 targets, one
-// lease per (VP, round), a tenth of the vantage points crashing once and
-// recovering on the 1 ms retry — so a lease's probing is a few tens of
+// unit per (VP, round), a tenth of the vantage points crashing once and
+// recovering on the 1 ms retry — so a unit's probing is a few tens of
 // microseconds and the control plane's cost per lease reads directly
-// against it. Each agent plans the one span once per round, so a rep
-// builds at most 4 plans (`plans/op`), not one per lease.
+// against it. The span is far narrower than ShardTargets, so a lease
+// carries a batch of units (`units/lease`): up to an even share of the
+// open vantage points across the two agents. Each agent plans the one
+// span once per round, so a rep builds at most 4 plans (`plans/op`), not
+// one per lease.
 // BenchmarkFleetRoundLocal runs the same rounds through the one-process
 // executor; `go test -bench Fleet -cpu 1 ./internal/cluster` prints both,
 // and their ratio is what distribution costs.
@@ -72,7 +75,7 @@ func fleetBed(tb testing.TB) {
 func BenchmarkFleetRound(b *testing.B) {
 	fleetBed(b)
 	ccfg := fleetCensusCfg()
-	leases := 0
+	leases, units := 0, 0
 	plans := prober.DefaultMetrics.Plans.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,11 +98,13 @@ func BenchmarkFleetRound(b *testing.B) {
 				b.Fatalf("round %d: %v", r+1, err)
 			}
 		}
-		leases += coord.Stats().Leases
+		st := coord.Stats()
+		leases, units = leases+st.Leases, units+st.Units
 		hs.Close()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leases), "ns/lease")
 	b.ReportMetric(float64(leases)/float64(b.N), "leases/op")
+	b.ReportMetric(float64(units)/float64(leases), "units/lease")
 	b.ReportMetric(float64(prober.DefaultMetrics.Plans.Load()-plans)/float64(b.N), "plans/op")
 }
 
@@ -117,12 +122,17 @@ func BenchmarkFleetRoundLocal(b *testing.B) {
 	}
 }
 
-// BenchmarkLeaseCodec is one lease across the wire: appended into a
-// reused buffer (no allocation), and decoded into a value (the vantage
-// point's three strings are the only allocations).
+// BenchmarkLeaseCodec is one lease of census-fleet's first batch across
+// the wire — 131 units, an even share of 261 vantage points between two
+// agents — appended into a reused buffer (no allocation), and decoded
+// into a value (the unit slice, its slot check and each vantage point's
+// three strings are the allocations).
 func BenchmarkLeaseCodec(b *testing.B) {
 	fleetBed(b)
-	l := leaseMsg{ID: 1 << 20, Round: 2, Attempt: 1, Slot: 137, VP: fleetRounds[0][137], Lo: 0, Hi: 88}
+	l := leaseMsg{ID: 1 << 20}
+	for i, vp := range fleetRounds[0][:131] {
+		l.Units = append(l.Units, census.Unit{Round: 2, Attempt: i % 2, Slot: i, VP: vp, Span: census.Span{Hi: 88}})
+	}
 	b.Run("encode", func(b *testing.B) {
 		var buf []byte
 		b.ReportAllocs()
@@ -135,8 +145,8 @@ func BenchmarkLeaseCodec(b *testing.B) {
 		buf := appendLease(nil, &l)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got, err := decodeLease(buf); err != nil || got != l {
-				b.Fatalf("decoded %+v, %v", got, err)
+			if got, err := decodeLease(buf); err != nil || len(got.Units) != len(l.Units) {
+				b.Fatalf("decoded %d units, %v", len(got.Units), err)
 			}
 		}
 	})

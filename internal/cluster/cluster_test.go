@@ -326,63 +326,96 @@ func TestHungAgentLeaseExpires(t *testing.T) {
 	assertIdentical(t, ref, cp)
 }
 
-// lyingConn is an agent's connection that rewrites the statistics of
-// every rows frame it carries (the agent writes each frame in one Write).
+// lyingConn is an agent's connection that rewrites every rows frame it
+// carries (the agent writes each frame in one Write) into the bytes lie
+// returns for the frame's lease and units.
 type lyingConn struct {
 	net.Conn
-	lie func(*census.ShardStats)
+	lie func(id uint64, srs []*census.ShardRows) ([]byte, error)
 }
 
 func (c *lyingConn) Write(b []byte) (int, error) {
 	if len(b) < 5 || b[4] != frameRows {
 		return c.Conn.Write(b)
 	}
-	id, shard, err := splitRowsPayload(b[5:])
+	id, srs, err := decodeRows(b[5:])
 	if err != nil {
 		return 0, err
 	}
-	sr, err := census.DecodeShardRows(shard)
+	out, err := c.lie(id, srs)
 	if err != nil {
 		return 0, err
 	}
-	c.lie(&sr.Stats[0])
-	frame, err := appendRowsFrame(nil, id, sr)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.Conn.Write(frame); err != nil {
+	if _, err := c.Conn.Write(out); err != nil {
 		return 0, err
 	}
 	return len(b), nil
 }
 
-// A lying agent probes honestly but misreports what its prober did. The
-// fold sums Sent into the round's probe count and Completion into each
-// vantage point's Fig. 8 time, so the coordinator must refuse such a
-// frame before it folds — drop the agent, re-lease its shards — and the
-// round must come out as if the liar had never joined.
+// statsLie misreports the first unit's statistics.
+func statsLie(lie func(*census.ShardStats)) func(uint64, []*census.ShardRows) ([]byte, error) {
+	return func(id uint64, srs []*census.ShardRows) ([]byte, error) {
+		lie(&srs[0].Stats[0])
+		return appendRowsFrame(nil, id, srs...)
+	}
+}
+
+// A lying agent probes honestly but misreports what it did. The fold sums
+// Sent into the round's probe count and Completion into each vantage
+// point's Fig. 8 time, and folds a unit wherever its slot says, so the
+// coordinator must refuse such a frame before it folds — drop the agent,
+// re-lease its units — and the round must come out as if the liar had
+// never joined. The statistics lies run on one-unit leases; the lies
+// about which units a frame reports run on leases of two (a span half
+// ShardTargets wide), where a lease outlives its first unit.
 func TestLyingAgentDropped(t *testing.T) {
 	cfg, w, h, vps := clusterTestbed(t)
-	const width = 700
+	const narrow, batched = 700, 2 * 4000
+	if h.Len() > batched/2 {
+		t.Fatalf("testbed has %d targets, want at most %d for two units a lease", h.Len(), batched/2)
+	}
 	ccfg := testCensusCfg()
 	ccfg.MaxAttempts = 50
-	ref := census.NewCampaign(census.CampaignConfig{Census: ccfg})
-	want, err := ref.ExecuteRoundPipelined(context.Background(), w, vps[0], h, nil, 1, census.PipelineConfig{SpanTargets: width})
-	if err != nil {
-		t.Fatal(err)
+	type want struct {
+		cp  *census.Campaign
+		sum census.RoundSummary
 	}
-	for name, lie := range map[string]func(*census.ShardStats){
-		"sent":       func(st *census.ShardStats) { st.Sent = math.MaxInt32 },
-		"completion": func(st *census.ShardStats) { st.Completion++ },
-		"echo":       func(st *census.ShardStats) { st.Echo++; st.Timeouts-- },
-		"fault-lost": func(st *census.ShardStats) { st.FaultLost = st.Timeouts + 1 },
-		"sum":        func(st *census.ShardStats) { st.Errors++ },
+	refs := map[int]want{}
+	for _, width := range []int{narrow, batched} {
+		ref := census.NewCampaign(census.CampaignConfig{Census: ccfg})
+		sum, err := ref.ExecuteRoundPipelined(context.Background(), w, vps[0], h, nil, 1, census.PipelineConfig{SpanTargets: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[width] = want{ref, sum}
+	}
+	for name, tc := range map[string]struct {
+		width int
+		lie   func(uint64, []*census.ShardRows) ([]byte, error)
+	}{
+		"sent":       {narrow, statsLie(func(st *census.ShardStats) { st.Sent = math.MaxInt32 })},
+		"completion": {narrow, statsLie(func(st *census.ShardStats) { st.Completion++ })},
+		"echo":       {narrow, statsLie(func(st *census.ShardStats) { st.Echo++; st.Timeouts-- })},
+		"fault-lost": {narrow, statsLie(func(st *census.ShardStats) { st.FaultLost = st.Timeouts + 1 })},
+		"sum":        {narrow, statsLie(func(st *census.ShardStats) { st.Errors++ })},
+		"slot-outside-lease": {batched, func(id uint64, srs []*census.ShardRows) ([]byte, error) {
+			srs[0].Slots[0] = 1 << 20
+			return appendRowsFrame(nil, id, srs...)
+		}},
+		"repeated-slot": {batched, func(id uint64, srs []*census.ShardRows) ([]byte, error) {
+			return appendRowsFrame(nil, id, append(srs, srs[0])...)
+		}},
+		"folds-failed-unit": {batched, func(id uint64, srs []*census.ShardRows) ([]byte, error) {
+			fail := appendFrame(nil, frameFail, appendFail(nil, &failMsg{ID: id, Slot: srs[0].Slots[0], Err: "changed my mind"}))
+			return appendRowsFrame(fail, id, srs...)
+		}},
 	} {
 		t.Run(name, func(t *testing.T) {
+			ref := refs[tc.width]
 			cp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
 			coord, err := NewCoordinator(Config{
 				Campaign: cp, Targets: h.Targets(), Census: ccfg, World: cfg,
-				ShardTargets: width, Tick: 10 * time.Millisecond,
+				ShardTargets: tc.width, Tick: 10 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -395,7 +428,7 @@ func TestLyingAgentDropped(t *testing.T) {
 			}
 			liar := make(chan error, 1)
 			go func() {
-				liar <- RunAgent(context.Background(), &lyingConn{Conn: agentSide, lie: lie}, AgentConfig{Name: "liar", World: w, Capacity: 2})
+				liar <- RunAgent(context.Background(), &lyingConn{Conn: agentSide, lie: tc.lie}, AgentConfig{Name: "liar", World: w, Capacity: 2})
 			}()
 			for coord.Stats().AgentsJoined == 0 {
 				time.Sleep(time.Millisecond)
@@ -412,14 +445,18 @@ func TestLyingAgentDropped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := ref.sum
 			if got.Probes != want.Probes || got.EchoTargets != want.EchoTargets || got.GreylistLen != want.GreylistLen ||
 				!reflect.DeepEqual(got.Completion, want.Completion) {
 				t.Fatalf("round differs from the reference: %d probes, %d echo targets, %d greylisted, completion %v; want %d, %d, %d, %v",
 					got.Probes, got.EchoTargets, got.GreylistLen, got.Completion, want.Probes, want.EchoTargets, want.GreylistLen, want.Completion)
 			}
-			assertIdentical(t, ref, cp)
+			assertIdentical(t, ref.cp, cp)
 			if stats.AgentsLost != 1 {
 				t.Fatalf("lost %d agents, want the liar alone", stats.AgentsLost)
+			}
+			if tc.width == batched && stats.Units <= stats.Leases {
+				t.Fatalf("%d leases carried %d units: nothing was batched", stats.Leases, stats.Units)
 			}
 		})
 	}

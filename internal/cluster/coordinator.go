@@ -36,12 +36,17 @@ type Config struct {
 	// Faults, when non-nil, is the fault weather agents install.
 	Faults *netsim.FaultConfig
 
-	// ShardTargets is the lease width in targets; non-positive means
-	// census.DefaultSpanTargets, as for the in-process executor.
+	// ShardTargets is the span width in targets and the most cells
+	// (targets × vantage points) a lease holds; non-positive means
+	// census.DefaultSpanTargets, as for the in-process executor. A lease
+	// over a span this wide carries one unit; over a narrower span (a
+	// target list shorter than ShardTargets) it carries as many units as
+	// fit, up to an even share of the round's open vantage points across
+	// the fleet's lease capacity.
 	ShardTargets int
 	// LeaseTTL is how long an agent may hold a lease before the
-	// coordinator presumes it dead; expiry drops the whole agent (its
-	// other leases fail with it). Zero means 30s.
+	// coordinator presumes it dead; expiry drops the whole agent (every
+	// unit it has not reported fails with it). Zero means 30s.
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the liveness interval announced to agents.
 	// Zero means 1s.
@@ -89,10 +94,13 @@ func (c Config) tick() time.Duration {
 }
 
 // Stats counts coordinator events; read it with Coordinator.Stats.
+// Leases counts lease frames and Units the units they carried; ReLeases
+// and FramesFolded count units.
 type Stats struct {
 	AgentsJoined int
 	AgentsLost   int
 	Leases       int
+	Units        int
 	ReLeases     int
 	Expired      int
 	LateFrames   int
@@ -113,12 +121,38 @@ type agentConn struct {
 	inflight map[uint64]*lease
 }
 
-// lease is one scheduler unit in an agent's hands.
+// lease is a batch of scheduler units in an agent's hands. It ends when
+// its last pending unit folds or fails.
 type lease struct {
 	id       uint64
-	u        census.Unit
+	units    []leasedUnit
+	pending  int
 	agent    *agentConn
 	deadline time.Time
+}
+
+type unitState uint8
+
+const (
+	unitPending unitState = iota
+	unitFolded
+	unitFailed
+)
+
+type leasedUnit struct {
+	u     census.Unit
+	state unitState
+}
+
+// unit returns the index of the lease's unit in slot, or -1. The search
+// starts at hint: an agent reports its units in lease order.
+func (l *lease) unit(slot, hint int) int {
+	for k := range l.units {
+		if i := (hint + k) % len(l.units); l.units[i].u.Slot == slot {
+			return i
+		}
+	}
+	return -1
 }
 
 type roundResult struct {
@@ -130,9 +164,12 @@ type roundResult struct {
 // what runs, retries and quarantines; the coordinator keeps only who
 // holds which unit and until when.
 type roundState struct {
-	round          uint64
-	sched          *census.RoundSched
-	leases         map[uint64]*lease
+	round  uint64
+	sched  *census.RoundSched
+	leases map[uint64]*lease
+	// fit is how many units of the round's widest span fit
+	// Config.ShardTargets cells: the most one lease may carry.
+	fit            int
 	start          time.Time
 	agentlessSince time.Time
 	aborted        error
@@ -160,9 +197,11 @@ type Coordinator struct {
 	// wake fires at wakeAt, when the round's earliest parked vantage
 	// point becomes runnable (zero: unarmed). dispatch arms it, the
 	// round's end stops it, and a fire only ever dispatches again.
-	wake     *time.Timer
-	wakeAt   time.Time
-	leaseBuf []byte // scratch for the lease payload being framed
+	wake   *time.Timer
+	wakeAt time.Time
+	// Scratch for the lease being built and framed.
+	batch    []census.Unit
+	leaseBuf []byte
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -383,15 +422,11 @@ func (c *Coordinator) readFrames(a *agentConn) error {
 			}
 			c.post(func() { c.onHello(a, hello) })
 		case frameRows:
-			id, frame, err := splitRowsPayload(payload)
+			id, srs, err := decodeRows(payload)
 			if err != nil {
-				return err
+				return fmt.Errorf("cluster: agent %q sent a bad rows frame: %w", a.name, err)
 			}
-			sr, err := census.DecodeShardRows(frame)
-			if err != nil {
-				return fmt.Errorf("cluster: agent %q sent a bad shard frame: %w", a.name, err)
-			}
-			c.post(func() { c.onRows(a, id, sr) })
+			c.post(func() { c.onRows(a, id, srs) })
 		case frameFail:
 			fail, err := decodeFail(payload)
 			if err != nil {
@@ -441,83 +476,113 @@ func (c *Coordinator) onHello(a *agentConn, hello helloMsg) {
 	}
 }
 
-func (c *Coordinator) onRows(a *agentConn, leaseID uint64, sr *census.ShardRows) {
-	if a.dead {
+// heldLease returns the round's lease id when agent a holds it. Otherwise
+// the frame naming it is late — its agent was dropped, the round is over,
+// or the lease ended or belongs to another connection — and is counted and
+// dropped unfolded: its units fold, or have folded, elsewhere.
+func (c *Coordinator) heldLease(a *agentConn, id uint64) *lease {
+	if r := c.round; r != nil && !a.dead {
+		if l, ok := r.leases[id]; ok && l.agent == a {
+			return l
+		}
+	}
+	c.bump(func(s *Stats) { s.LateFrames++ })
+	c.cfg.Metrics.late()
+	return nil
+}
+
+// onRows folds the units a rows frame reports. A unit is named by its
+// slot; a frame naming a slot outside the lease, one already folded or
+// one already failed drops its agent, like a frame whose span or
+// statistics no prober run over the unit produces.
+func (c *Coordinator) onRows(a *agentConn, leaseID uint64, srs []*census.ShardRows) {
+	l := c.heldLease(a, leaseID)
+	if l == nil {
 		return
 	}
 	r := c.round
-	if r == nil {
-		c.bump(func(s *Stats) { s.LateFrames++ })
-		c.cfg.Metrics.late()
-		return
+	hint := 0
+	for _, sr := range srs {
+		if len(sr.Slots) != 1 {
+			c.dropAgent(a, fmt.Sprintf("lease %d: shard frame has %d rows", leaseID, len(sr.Slots)))
+			return
+		}
+		slot := sr.Slots[0]
+		i := l.unit(slot, hint)
+		if i < 0 {
+			c.dropAgent(a, fmt.Sprintf("lease %d: rows name slot %d outside the lease", leaseID, slot))
+			return
+		}
+		lu := &l.units[i]
+		switch lu.state {
+		case unitFolded:
+			c.dropAgent(a, fmt.Sprintf("lease %d: rows repeat slot %d", leaseID, slot))
+			return
+		case unitFailed:
+			c.dropAgent(a, fmt.Sprintf("lease %d: rows for slot %d, which the agent failed", leaseID, slot))
+			return
+		}
+		u := lu.u
+		if sr.Round != r.round || sr.Lo != u.Span.Lo || sr.Hi != u.Span.Hi || len(sr.RTTus) != 1 {
+			c.dropAgent(a, fmt.Sprintf("lease %d: shard frame for slot %d disagrees with the lease", leaseID, slot))
+			return
+		}
+		// The fold sums the frame's statistics into the round unchecked:
+		// a frame that claims what no prober run over the unit produces
+		// goes the same way.
+		if err := sr.CheckStats(c.cfg.Census, u.VP); err != nil {
+			c.dropAgent(a, fmt.Sprintf("lease %d: shard frame for slot %d: %v", leaseID, slot, err))
+			return
+		}
+		foldStart := time.Now()
+		if err := r.sched.Done(u, sr); err != nil {
+			// The fold validates before mutating, so the campaign is
+			// intact; the agent is speaking nonsense and goes.
+			c.dropAgent(a, fmt.Sprintf("lease %d: fold of slot %d: %v", leaseID, slot, err))
+			return
+		}
+		c.bump(func(s *Stats) { s.FramesFolded++ })
+		c.cfg.Metrics.folded(time.Since(foldStart))
+		lu.state = unitFolded
+		l.pending--
+		hint = i + 1
 	}
-	l, ok := r.leases[leaseID]
-	if !ok || l.agent != a {
-		// The lease expired (its agent was presumed dead and the shard
-		// re-leased) or belongs to another connection: the fold already
-		// happened or will happen elsewhere, and folding twice would be
-		// harmless but the accounting would double. Drop it.
-		c.bump(func(s *Stats) { s.LateFrames++ })
-		c.cfg.Metrics.late()
-		return
-	}
-	u := l.u
-	if sr.Round != r.round || sr.Lo != u.Span.Lo || sr.Hi != u.Span.Hi ||
-		len(sr.Slots) != 1 || sr.Slots[0] != u.Slot || len(sr.RTTus) != 1 {
-		c.dropAgent(a, fmt.Sprintf("shard frame disagrees with lease %d", leaseID))
-		return
-	}
-	// The fold sums the frame's statistics into the round unchecked:
-	// a frame that claims what no prober run over the lease produces
-	// goes the same way.
-	if err := sr.CheckStats(c.cfg.Census, u.VP); err != nil {
-		c.dropAgent(a, fmt.Sprintf("shard frame disagrees with lease %d: %v", leaseID, err))
-		return
-	}
-	foldStart := time.Now()
-	if err := r.sched.Done(u, sr); err != nil {
-		// The fold validates before mutating, so the campaign is intact;
-		// the agent is speaking nonsense and goes.
-		c.dropAgent(a, fmt.Sprintf("fold of lease %d: %v", leaseID, err))
-		return
-	}
-	c.bump(func(s *Stats) { s.FramesFolded++ })
-	c.cfg.Metrics.folded(time.Since(foldStart))
-
-	delete(r.leases, leaseID)
-	delete(a.inflight, leaseID)
+	c.endIfSettled(l)
 	c.dispatch()
 	c.checkRoundDone()
 }
 
 func (c *Coordinator) onFail(a *agentConn, fail failMsg) {
-	if a.dead {
+	l := c.heldLease(a, fail.ID)
+	if l == nil {
 		return
 	}
-	r := c.round
-	if r == nil {
-		c.bump(func(s *Stats) { s.LateFrames++ })
-		c.cfg.Metrics.late()
+	i := l.unit(fail.Slot, 0)
+	if i < 0 || l.units[i].state != unitPending {
+		c.dropAgent(a, fmt.Sprintf("lease %d: fail for slot %d, which the lease does not hold pending", fail.ID, fail.Slot))
 		return
 	}
-	l, ok := r.leases[fail.ID]
-	if !ok || l.agent != a {
-		c.bump(func(s *Stats) { s.LateFrames++ })
-		c.cfg.Metrics.late()
-		return
-	}
-	delete(r.leases, fail.ID)
-	delete(a.inflight, fail.ID)
-	c.failLease(l, fail.Err)
+	l.units[i].state = unitFailed
+	l.pending--
+	c.failUnit(l.units[i].u, fail.Err)
+	c.endIfSettled(l)
 	c.dispatch()
 	c.checkRoundDone()
 }
 
-// failLease reports a failed lease to the scheduler, which bumps the
+// endIfSettled ends a lease none of whose units is pending.
+func (c *Coordinator) endIfSettled(l *lease) {
+	if l.pending == 0 {
+		delete(c.round.leases, l.id)
+		delete(l.agent.inflight, l.id)
+	}
+}
+
+// failUnit reports a failed unit to the scheduler, which bumps the
 // vantage point's attempt and parks or quarantines it; a unit that will
 // be handed out again counts as a re-lease.
-func (c *Coordinator) failLease(l *lease, reason string) {
-	if err := c.round.sched.Fail(l.u, errors.New(reason), time.Now()); err != nil {
+func (c *Coordinator) failUnit(u census.Unit, reason string) {
+	if err := c.round.sched.Fail(u, errors.New(reason), time.Now()); err != nil {
 		c.logf("cluster: %v", err)
 		return
 	}
@@ -525,8 +590,8 @@ func (c *Coordinator) failLease(l *lease, reason string) {
 	c.cfg.Metrics.reLease()
 }
 
-// dropAgent removes an agent from the cluster and fails its in-flight
-// leases so their shards re-lease elsewhere.
+// dropAgent removes an agent from the cluster and fails every unit of its
+// leases it has not reported, so they re-lease elsewhere.
 func (c *Coordinator) dropAgent(a *agentConn, reason string) {
 	if a.dead {
 		return
@@ -543,15 +608,17 @@ func (c *Coordinator) dropAgent(a *agentConn, reason string) {
 		c.cfg.Metrics.lost()
 		c.logf("cluster: agent %q lost: %s", a.name, reason)
 	}
-	lost := make([]*lease, 0, len(a.inflight))
-	for _, l := range a.inflight {
-		lost = append(lost, l)
-	}
+	lost := a.inflight
 	a.inflight = nil
 	if r := c.round; r != nil {
 		for _, l := range lost {
 			delete(r.leases, l.id)
-			c.failLease(l, fmt.Sprintf("agent %q lost: %s", a.name, reason))
+			for i := range l.units {
+				if lu := &l.units[i]; lu.state == unitPending {
+					lu.state = unitFailed
+					c.failUnit(lu.u, fmt.Sprintf("agent %q lost: %s", a.name, reason))
+				}
+			}
 		}
 		c.dispatch()
 		c.checkRoundDone()
@@ -600,26 +667,61 @@ func (c *Coordinator) onTick() {
 
 // dispatch leases runnable units — the scheduler keeps one outstanding
 // per vantage point and holds back parked ones — to agents while any has
-// spare capacity, the least-loaded first. When capacity is left and only
-// parked vantage points remain, the wake timer is pointed at the earliest
-// of them, unless it already fires sooner.
+// spare capacity, the least-loaded first, batchLimit units to a lease.
+// When only parked vantage points remain runnable, the wake timer is
+// pointed at the earliest of them, unless it already fires sooner.
 func (c *Coordinator) dispatch() {
 	r := c.round
 	if r == nil {
 		return
 	}
 	now := time.Now()
-	for r.aborted == nil && c.pickAgent() != nil {
-		u, ok, wake := r.sched.Next(now)
-		if !ok {
-			if !wake.IsZero() && (c.wakeAt.IsZero() || wake.Before(c.wakeAt)) {
-				c.wakeAt = wake
-				c.wake.Reset(wake.Sub(now))
-			}
+	limit := 0
+	for r.aborted == nil {
+		a := c.pickAgent()
+		if a == nil {
 			return
 		}
-		c.issueLease(r, u, c.pickAgent())
+		if limit == 0 {
+			limit = c.batchLimit(r)
+		}
+		c.batch = c.batch[:0]
+		for len(c.batch) < limit {
+			u, ok, wake := r.sched.Next(now)
+			if !ok {
+				if !wake.IsZero() && (c.wakeAt.IsZero() || wake.Before(c.wakeAt)) {
+					c.wakeAt = wake
+					c.wake.Reset(wake.Sub(now))
+				}
+				break
+			}
+			c.batch = append(c.batch, u)
+		}
+		if len(c.batch) == 0 {
+			return
+		}
+		c.issueLease(r, a)
 	}
+}
+
+// batchLimit is how many units a lease may carry: as many as fit
+// ShardTargets cells (one when the round's spans are that wide), and no
+// more than an even share of the round's open vantage points across the
+// lease capacity of the fleet, so no agent takes more than its share. A
+// connection still registering counts as one lease of capacity: the first
+// agent of a fleet to say hello does not take the others' shares.
+func (c *Coordinator) batchLimit(r *roundState) int {
+	if r.fit <= 1 {
+		return 1
+	}
+	capacity := 0
+	for _, a := range c.agents {
+		if !a.dead {
+			capacity += max(a.capacity, 1)
+		}
+	}
+	share := (r.sched.Open() + capacity - 1) / max(capacity, 1)
+	return max(1, min(r.fit, share))
 }
 
 // pickAgent chooses the least-loaded ready agent with spare capacity; ties
@@ -639,27 +741,24 @@ func (c *Coordinator) pickAgent() *agentConn {
 	return best
 }
 
-func (c *Coordinator) issueLease(r *roundState, u census.Unit, a *agentConn) {
+// issueLease leases the units in c.batch to a.
+func (c *Coordinator) issueLease(r *roundState, a *agentConn) {
 	c.leaseID++
 	l := &lease{
 		id:       c.leaseID,
-		u:        u,
+		units:    make([]leasedUnit, len(c.batch)),
+		pending:  len(c.batch),
 		agent:    a,
 		deadline: time.Now().Add(c.cfg.leaseTTL()),
 	}
-	c.leaseBuf = appendLease(c.leaseBuf[:0], &leaseMsg{
-		ID:      l.id,
-		Round:   u.Round,
-		Attempt: u.Attempt,
-		Slot:    u.Slot,
-		VP:      u.VP,
-		Lo:      u.Span.Lo,
-		Hi:      u.Span.Hi,
-	})
+	for i, u := range c.batch {
+		l.units[i].u = u
+	}
+	c.leaseBuf = appendLease(c.leaseBuf[:0], &leaseMsg{ID: l.id, Units: c.batch})
 	r.leases[l.id] = l
 	a.inflight[l.id] = l
-	c.bump(func(s *Stats) { s.Leases++ })
-	c.cfg.Metrics.lease()
+	c.bump(func(s *Stats) { s.Leases++; s.Units += len(l.units) })
+	c.cfg.Metrics.lease(len(l.units))
 	c.send(a, appendFrame(nil, frameLease, c.leaseBuf))
 }
 
@@ -674,6 +773,11 @@ func (c *Coordinator) finishRound(r *roundState) {
 	c.round = nil
 	c.wake.Stop()
 	c.wakeAt = time.Time{}
+	// Leases still out belong to an aborted round: their agents are free
+	// for the next one, and whatever they report of it is late.
+	for id, l := range r.leases {
+		delete(l.agent.inflight, id)
+	}
 	sum, err := r.sched.Close(r.aborted)
 	sum.Duration = time.Since(r.start)
 	r.result <- roundResult{summary: sum, err: err}
@@ -716,10 +820,16 @@ func (c *Coordinator) startRound(round uint64, vps []platform.VP, result chan ro
 		fail(err)
 		return
 	}
+	fit := 1
+	if n := len(c.cfg.Targets); n > 0 {
+		width := census.PipelineConfig{SpanTargets: c.cfg.ShardTargets}.EffectiveSpanTargets()
+		fit = width / min(width, n)
+	}
 	c.round = &roundState{
 		round:  round,
 		sched:  sched,
 		leases: make(map[uint64]*lease),
+		fit:    fit,
 		start:  time.Now(),
 		result: result,
 	}

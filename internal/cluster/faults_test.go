@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -85,6 +86,127 @@ func TestAgentLossReLease(t *testing.T) {
 		t.Fatalf("recoverable crashes quarantined VPs: %v", ch.Quarantined)
 	}
 
+	assertIdentical(t, ref, cp)
+
+	t.Run("mid-batch", agentLossMidBatch)
+}
+
+// agentLossMidBatch loses an agent halfway through a lease of five units.
+// The victim, a scripted agent, reports one unit's crash, folds a second,
+// then repeats that second unit — which drops it — in the same write as a
+// third unit's rows. Every unit it had not reported when it was dropped,
+// the third included, is leased again exactly once, to the fleet that
+// replaces it; the third's rows, read after the drop, count as a late
+// frame and fold nothing; and the census comes out as the fault-free
+// in-process one. The frames are small enough to reach the coordinator in
+// one read, so the late one is read before the drop closes the connection.
+func agentLossMidBatch(t *testing.T) {
+	cfg, w, h, vps := clusterTestbed(t)
+	const span, units = 40, 5
+	drop := make(map[netsim.IP]bool, h.Len())
+	for _, ip := range h.Targets()[span:] {
+		drop[ip] = true
+	}
+	hl := h.Without(drop)
+	ref := singleProcessReference(t, w, hl, vps[:1])
+
+	ccfg := testCensusCfg()
+	ccfg.MaxAttempts = 50
+	cp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
+	coord, err := NewCoordinator(Config{
+		Campaign: cp, Targets: hl.Targets(), Census: ccfg, World: cfg,
+		ShardTargets: units * span,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	// The victim joins alone, so the round's first lease is its own and
+	// carries as many units as fit.
+	coordSide, agentSide := net.Pipe()
+	if err := coord.Attach(coordSide); err != nil {
+		t.Fatal(err)
+	}
+	defer agentSide.Close()
+	agentSide.SetDeadline(time.Now().Add(10 * time.Second))
+	agentSide.Write(append([]byte(streamMagic), appendFrame(nil, frameHello, appendHello(nil, &helloMsg{Name: "victim", Capacity: 1}))...))
+	fr := newFrameReader(agentSide, 0)
+	if err := readMagic(fr.r); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := fr.next(); err != nil || typ != frameWelcome {
+		t.Fatalf("victim awaiting welcome: type %d, %v", typ, err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.ExecuteRound(context.Background(), 1, vps[0])
+		done <- err
+	}()
+	typ, payload, err := fr.next()
+	if err != nil || typ != frameLease {
+		t.Fatalf("victim awaiting its lease: type %d, %v", typ, err)
+	}
+	l, err := decodeLease(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Units) != units {
+		t.Fatalf("victim's lease carries %d units, want %d", len(l.Units), units)
+	}
+	plans := census.NewSpanPlans(w, hl.Targets(), nil)
+	probe := func(u census.Unit) *census.ShardRows {
+		sr, err := census.ProbeShard(w, plans.Plan(u.Round, u.Span), ccfg, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	folded, late := probe(l.Units[1]), probe(l.Units[2])
+	var out []byte
+	out = appendFrame(out, frameFail, appendFail(nil, &failMsg{ID: l.ID, Slot: l.Units[0].Slot, Err: "netsim: VP crashed", Crash: true}))
+	for _, sr := range []*census.ShardRows{folded, folded, late} {
+		if out, err = appendRowsFrame(out, l.ID, sr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(out) > 4096 {
+		t.Fatalf("the victim's %d bytes exceed one read of the coordinator's buffer", len(out))
+	}
+	if _, err := agentSide.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); coord.Stats().AgentsLost == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the victim was never dropped")
+		}
+	}
+
+	recs, wait := recordedFleet(t, coord, 2, AgentConfig{World: w, Capacity: 1})
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := coord.Stats()
+	coord.Close()
+	wait()
+
+	leased := map[int]int{}
+	for _, rec := range recs {
+		for _, rl := range rec.leases {
+			for _, u := range rl.Units {
+				leased[u.Slot]++
+			}
+		}
+	}
+	for i, u := range l.Units {
+		if want := map[bool]int{true: 0, false: 1}[i == 1]; leased[u.Slot] != want {
+			t.Errorf("victim's unit %d (slot %d) leased %d times after the loss, want %d", i, u.Slot, leased[u.Slot], want)
+		}
+	}
+	if st.LateFrames != 1 || st.ReLeases != units-1 || st.AgentsLost != 1 || st.Units != len(vps[0])+units-1 {
+		t.Fatalf("stats %+v; want 1 late frame, %d re-leases, 1 agent lost, %d units", st, units-1, len(vps[0])+units-1)
+	}
 	assertIdentical(t, ref, cp)
 }
 

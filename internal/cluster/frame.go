@@ -1,8 +1,8 @@
 // Package cluster is the distributed control plane of the census: a
-// coordinator that splits the target list into shard leases, hands them
-// to registered vantage-point agents with deadlines, and folds the
-// partial rows streaming back into the combined matrix; and the agent
-// that owns netsim vantage points, executes leased shards through
+// coordinator that leases batches of (vantage point, target span) units
+// to registered agents with deadlines, and folds the partial rows
+// streaming back into the combined matrix; and the agent that owns
+// netsim vantage points, executes leased units through
 // census.ProbeShard, heartbeats for liveness, and streams results home.
 //
 // The paper's census was this system in the flesh — hundreds of
@@ -37,22 +37,24 @@ import (
 // streamMagic opens every connection in both directions, so a peer
 // speaking the wrong protocol fails the handshake instead of confusing
 // the frame parser. ACMC1 sent lease and fail payloads as gob, ACMC2 the
-// hello and the whole welcome; ACMC3 sends everything fixed binary but
-// the welcome's configuration head, so older peers are refused here.
-const streamMagic = "ACMC3\n"
+// hello and the whole welcome, ACMC3 one unit per lease; ACMC4 leases a
+// batch of units and names a unit by its slot in rows and fail, so older
+// peers are refused here.
+const streamMagic = "ACMC4\n"
 
 // Frame types. A frame on the wire is a 4-byte big-endian length of what
 // follows (type byte + payload), then the type byte, then the payload.
 // proto.go lays out the payloads: hello, lease and fail are fixed binary,
 // the welcome a gob configuration head followed by fixed binary, rows a
-// uvarint lease ID followed by a census shard frame (the v2 columnar
-// codec, census.ShardRows); heartbeat and shutdown have none.
+// uvarint lease ID followed by one census shard frame (the v2 columnar
+// codec, census.ShardRows) per unit reported; heartbeat and shutdown have
+// none.
 const (
 	frameHello     = byte(1) // agent -> coordinator: registration
 	frameWelcome   = byte(2) // coordinator -> agent: world + census config
-	frameLease     = byte(3) // coordinator -> agent: shard lease
-	frameRows      = byte(4) // agent -> coordinator: shard result rows
-	frameFail      = byte(5) // agent -> coordinator: lease failed
+	frameLease     = byte(3) // coordinator -> agent: a batch of units
+	frameRows      = byte(4) // agent -> coordinator: units' result rows
+	frameFail      = byte(5) // agent -> coordinator: one unit failed
 	frameHeartbeat = byte(6) // agent -> coordinator: liveness
 	frameShutdown  = byte(7) // coordinator -> agent: drain and exit
 )
@@ -79,21 +81,34 @@ func appendFrame(dst []byte, typ byte, parts ...[]byte) []byte {
 	return dst
 }
 
-// appendRowsFrame appends the rows frame reporting lease id — length,
-// type, uvarint lease ID, then the shard frame — encoding the shard in
-// place behind the header: the same bytes as appendFrame(dst, frameRows,
-// id, sr.Encode()) without the intermediate shard buffer. On error dst
-// comes back as it was.
-func appendRowsFrame(dst []byte, id uint64, sr *census.ShardRows) ([]byte, error) {
+// A rows frame reports units of one lease — length, type, uvarint lease
+// ID, then per unit a 4-byte big-endian length and its shard frame — and
+// the agent builds it a unit at a time as its units finish, encoding each
+// shard in place: beginRowsFrame, appendRowsUnit per unit, endRowsFrame.
+
+// beginRowsFrame appends a rows frame's header and lease ID, its length
+// left for endRowsFrame to fill.
+func beginRowsFrame(dst []byte, id uint64) []byte {
+	return binary.AppendUvarint(append(dst, 0, 0, 0, 0, frameRows), id)
+}
+
+// appendRowsUnit appends one unit's rows to a frame begun by
+// beginRowsFrame. On error dst comes back as it was.
+func appendRowsUnit(dst []byte, sr *census.ShardRows) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, frameRows)
-	dst = binary.AppendUvarint(dst, id)
-	frame, err := sr.AppendEncode(dst)
+	out, err := sr.AppendEncode(append(dst, 0, 0, 0, 0))
 	if err != nil {
 		return dst[:start], err
 	}
+	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return out, nil
+}
+
+// endRowsFrame fills in the length of the rows frame that begins at
+// frame[start:].
+func endRowsFrame(frame []byte, start int) []byte {
 	binary.BigEndian.PutUint32(frame[start:], uint32(len(frame)-start-4))
-	return frame, nil
+	return frame
 }
 
 // frameBufKeep bounds the body buffer a frameReader keeps from frame to

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"anycastmap/internal/census"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -86,20 +88,36 @@ func TestReadMagic(t *testing.T) {
 }
 
 func TestRowsPayloadRoundTrip(t *testing.T) {
-	shard := []byte{1, 2, 3}
+	sr := &census.ShardRows{Round: 2, Lo: 8, Hi: 11, Slots: []int{7}, RTTus: [][]int32{{census.NoSample, 1500, census.NoSample}}}
+	shard, err := sr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	const leaseID = 1<<40 + 7
-	var idBuf [binary.MaxVarintLen64]byte
-	b := appendFrame(nil, frameRows, binary.AppendUvarint(idBuf[:0], leaseID), shard)
+	unit := append(binary.BigEndian.AppendUint32(nil, uint32(len(shard))), shard...)
+	b := appendFrame(nil, frameRows, binary.AppendUvarint(nil, leaseID), unit, unit)
 	typ, payload, err := newFrameReader(bytes.NewReader(b), 0).next()
 	if err != nil || typ != frameRows {
 		t.Fatalf("rows frame: type %d err %v", typ, err)
 	}
-	id, rest, err := splitRowsPayload(payload)
-	if err != nil || id != leaseID || !bytes.Equal(rest, shard) {
-		t.Fatalf("round-trip: id=%d rest=%v err=%v", id, rest, err)
+	id, srs, err := decodeRows(payload)
+	if err != nil || id != leaseID || len(srs) != 2 || srs[1].Slots[0] != 7 || srs[1].Lo != 8 || srs[1].Hi != 11 {
+		t.Fatalf("round-trip: id=%d units=%d err=%v", id, len(srs), err)
 	}
-	if _, _, err := splitRowsPayload(nil); err == nil {
-		t.Fatal("empty rows payload accepted")
+	// No lease ID, no unit, a unit length beyond the payload, a torn
+	// length and a unit that is not a shard frame are all refused.
+	idOnly := binary.AppendUvarint(nil, leaseID)
+	for name, p := range map[string][]byte{
+		"empty":          nil,
+		"no unit":        idOnly,
+		"long unit":      append(append(idOnly[:len(idOnly):len(idOnly)], 0, 0, 1, 0), shard...),
+		"torn length":    append(append(idOnly[:len(idOnly):len(idOnly)], unit...), 0, 0),
+		"not a shard":    append(idOnly[:len(idOnly):len(idOnly)], 0, 0, 0, 3, 'x', 'y', 'z'),
+		"truncated unit": append(idOnly[:len(idOnly):len(idOnly)], unit[:len(unit)-1]...),
+	} {
+		if _, _, err := decodeRows(p); err == nil {
+			t.Fatalf("rows payload %q accepted", name)
+		}
 	}
 }
 
@@ -186,4 +204,19 @@ func TestFrameReaderBuffer(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("refusing an over-cap frame allocated %d bytes", grew)
 	}
+}
+
+// appendRowsFrame appends the rows frame reporting srs as units of lease
+// id, as the agent builds it a unit at a time. On error dst comes back as
+// it was.
+func appendRowsFrame(dst []byte, id uint64, srs ...*census.ShardRows) ([]byte, error) {
+	start := len(dst)
+	frame := beginRowsFrame(dst, id)
+	for _, sr := range srs {
+		var err error
+		if frame, err = appendRowsUnit(frame, sr); err != nil {
+			return dst[:start], err
+		}
+	}
+	return endRowsFrame(frame, start), nil
 }

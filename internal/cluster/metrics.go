@@ -18,6 +18,7 @@ type Metrics struct {
 	AgentsLost    *obs.Counter
 	AgentsLive    *obs.Gauge
 	Leases        *obs.Counter
+	Units         *obs.Counter
 	ReLeases      *obs.Counter
 	LeaseExpiries *obs.Counter
 	LateFrames    *obs.Counter
@@ -33,11 +34,12 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		AgentsJoined:     r.Counter("anycastmap_cluster_agents_joined_total", "Agents that completed the hello handshake."),
 		AgentsLost:       r.Counter("anycastmap_cluster_agents_lost_total", "Agents dropped (disconnect, protocol violation, or expiry)."),
 		AgentsLive:       r.Gauge("anycastmap_cluster_agents_live", "Agents currently registered and alive."),
-		Leases:           r.Counter("anycastmap_cluster_leases_total", "Shard leases granted to agents."),
-		ReLeases:         r.Counter("anycastmap_cluster_re_leases_total", "Shards re-queued after a failed or lost lease."),
+		Leases:           r.Counter("anycastmap_cluster_leases_total", "Leases granted to agents."),
+		Units:            r.Counter("anycastmap_cluster_units_total", "(Vantage point, span) units the leases carried."),
+		ReLeases:         r.Counter("anycastmap_cluster_re_leases_total", "Units re-queued after a failure or a lost agent."),
 		LeaseExpiries:    r.Counter("anycastmap_cluster_lease_expiries_total", "Leases past their TTL deadline (the agent is presumed hung)."),
-		LateFrames:       r.Counter("anycastmap_cluster_late_frames_total", "Frames for expired or foreign leases, dropped unfolded."),
-		FramesFolded:     r.Counter("anycastmap_cluster_frames_folded_total", "ShardRows frames folded into the combined matrix."),
+		LateFrames:       r.Counter("anycastmap_cluster_late_frames_total", "Frames from dropped agents or for ended or foreign leases, dropped unfolded."),
+		FramesFolded:     r.Counter("anycastmap_cluster_frames_folded_total", "Units' ShardRows folded into the combined matrix."),
 		ShardFoldSeconds: r.Histogram("anycastmap_cluster_shard_fold_seconds", "Latency of folding one ShardRows frame.", obs.FastBuckets),
 	}
 }
@@ -56,9 +58,10 @@ func (m *Metrics) lost() {
 	}
 }
 
-func (m *Metrics) lease() {
+func (m *Metrics) lease(units int) {
 	if m != nil {
 		m.Leases.Inc()
+		m.Units.Add(uint64(units))
 	}
 }
 

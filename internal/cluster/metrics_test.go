@@ -47,6 +47,7 @@ func TestCoordinatorMetricsMatchStats(t *testing.T) {
 		{"AgentsJoined", m.AgentsJoined, stats.AgentsJoined},
 		{"AgentsLost", m.AgentsLost, stats.AgentsLost},
 		{"Leases", m.Leases, stats.Leases},
+		{"Units", m.Units, stats.Units},
 		{"ReLeases", m.ReLeases, stats.ReLeases},
 		{"LeaseExpiries", m.LeaseExpiries, stats.Expired},
 		{"LateFrames", m.LateFrames, stats.LateFrames},
@@ -57,7 +58,7 @@ func TestCoordinatorMetricsMatchStats(t *testing.T) {
 			t.Errorf("%s metric = %d, stats = %d", c.name, got, c.want)
 		}
 	}
-	if stats.AgentsJoined != 3 || stats.FramesFolded == 0 {
+	if stats.AgentsJoined != 3 || stats.FramesFolded == 0 || stats.Units <= stats.Leases {
 		t.Fatalf("run shape unexpected: %+v", stats)
 	}
 	if got := m.ShardFoldSeconds.Count(); got != uint64(stats.FramesFolded) {
@@ -74,6 +75,8 @@ func TestCoordinatorMetricsMatchStats(t *testing.T) {
 	for _, series := range []string{
 		"anycastmap_cluster_agents_joined_total 3",
 		"anycastmap_cluster_frames_folded_total",
+		"anycastmap_cluster_leases_total",
+		"anycastmap_cluster_units_total",
 		"anycastmap_cluster_shard_fold_seconds_count",
 	} {
 		if !strings.Contains(text.String(), series) {

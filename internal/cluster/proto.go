@@ -6,20 +6,20 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
-	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 )
 
 // Fixed binary for every frame the coordinator reads; gob only for the
 // welcome's configuration head. hello, lease, fail and rows come in from
 // any peer that can reach a -listen address, once per connection or once
-// per unit of work, so each has a hand-rolled layout read through
-// wireReader (appendHello/decodeHello, appendLease/decodeLease,
-// appendFail/decodeFail; rows are a uvarint lease ID followed by the v2
+// per lease, so each has a hand-rolled layout read through wireReader
+// (appendHello/decodeHello, appendLease/decodeLease, appendFail/decodeFail,
+// beginRowsFrame…endRowsFrame/decodeRows; a unit's rows are the v2
 // columnar shard frame, census.ShardRows). The welcome is read only by
 // agents, once per connection; its configuration head is nested and still
 // changing, so it rides as gob, while the target list and blacklist that
@@ -53,25 +53,26 @@ type welcomeHead struct {
 	Heartbeat time.Duration
 }
 
-// leaseMsg assigns one shard of one vantage point's round to an agent.
+// leaseMsg assigns a batch of units of one round to an agent: a unit is
+// one vantage point's row over one target span (census.Unit, as the
+// round's scheduler hands it out), and a lease's units add up to at most
+// Config.ShardTargets cells, so a lease over a full-width span carries
+// one unit and one over a narrow span carries several. A unit's Slot —
+// its vantage point's row in the coordinator's combined matrix — names it
+// within its lease, and the agent echoes it in the unit's rows or fail;
+// its Span indexes the welcome target list. Index stays on the
+// coordinator.
 type leaseMsg struct {
-	ID      uint64
-	Round   uint64
-	Attempt int
-	// Slot is the vantage point's row slot in the coordinator's
-	// combined matrix; the agent echoes it in the result frame.
-	Slot int
-	VP   platform.VP
-	// Lo, Hi is the target span [Lo, Hi) within the welcome target
-	// list.
-	Lo, Hi int
+	ID    uint64
+	Units []census.Unit
 }
 
-// failMsg reports a lease the agent could not complete. Crash marks an
-// injected VP crash (retryable infrastructure failure) as opposed to a
-// wire-path error.
+// failMsg reports a unit the agent could not complete, named by its
+// lease and its slot. Crash marks an injected VP crash (retryable
+// infrastructure failure) as opposed to a wire-path error.
 type failMsg struct {
 	ID    uint64
+	Slot  int
 	Err   string
 	Crash bool
 }
@@ -145,64 +146,105 @@ func decodeWelcome(payload []byte) (welcomeMsg, error) {
 	return w, nil
 }
 
-// appendLease appends l's wire form: eight uvarints — ID, Round, Attempt,
-// Slot, Lo, Hi, VP.ID, VP.City.Population — then five floats as IEEE-754
+// appendLease appends l's wire form: three uvarints — ID, the round of
+// its units, the unit count — then per unit six uvarints — Attempt, Slot,
+// Span.Lo, Span.Hi, VP.ID, VP.City.Population — five floats as IEEE-754
 // bits, little-endian — VP.City.Loc (Lat, Lon), VP.Loc (Lat, Lon),
-// VP.LoadFactor — then three strings, each a uvarint length and the
+// VP.LoadFactor — and three strings, each a uvarint length and the
 // bytes — VP.Name, VP.City.Name, VP.City.CC.
 func appendLease(b []byte, l *leaseMsg) []byte {
-	vp := &l.VP
-	for _, v := range [...]uint64{l.ID, l.Round, uint64(l.Attempt), uint64(l.Slot), uint64(l.Lo), uint64(l.Hi),
-		uint64(vp.ID), uint64(vp.City.Population)} {
-		b = binary.AppendUvarint(b, v)
+	var round uint64
+	if len(l.Units) > 0 {
+		round = l.Units[0].Round
 	}
-	for _, f := range [...]float64{vp.City.Loc.Lat, vp.City.Loc.Lon, vp.Loc.Lat, vp.Loc.Lon, vp.LoadFactor} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	}
-	for _, s := range [...]string{vp.Name, vp.City.Name, vp.City.CC} {
-		b = appendString(b, s)
+	b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, l.ID), round), uint64(len(l.Units)))
+	for i := range l.Units {
+		u := &l.Units[i]
+		vp := &u.VP
+		for _, v := range [...]uint64{uint64(u.Attempt), uint64(u.Slot), uint64(u.Span.Lo), uint64(u.Span.Hi),
+			uint64(vp.ID), uint64(vp.City.Population)} {
+			b = binary.AppendUvarint(b, v)
+		}
+		for _, f := range [...]float64{vp.City.Loc.Lat, vp.City.Loc.Lon, vp.Loc.Lat, vp.Loc.Lon, vp.LoadFactor} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+		for _, s := range [...]string{vp.Name, vp.City.Name, vp.City.CC} {
+			b = appendString(b, s)
+		}
 	}
 	return b
 }
 
-// decodeLease undoes appendLease. Attempt, Slot, Lo and Hi index slices
-// on the agent, so values beyond int32 are refused here.
+// minUnitBytes is the shortest wire form of a lease unit: six one-byte
+// uvarints, five floats and three empty strings.
+const minUnitBytes = 6 + 5*8 + 3
+
+// decodeLease undoes appendLease. The unit count is bounded by the bytes
+// left before the units are allocated. Attempt, Slot, Lo and Hi index
+// slices on the agent, so values beyond int32 are refused here, as are a
+// lease of no units, a span with Lo > Hi and a slot named twice.
 func decodeLease(payload []byte) (leaseMsg, error) {
 	r := wireReader{b: payload}
-	var l leaseMsg
-	vp := &l.VP
-	l.ID, l.Round = r.uvarint(), r.uvarint()
-	for _, dst := range [...]*int{&l.Attempt, &l.Slot, &l.Lo, &l.Hi} {
-		v := r.uvarint()
-		r.bad = r.bad || v > math.MaxInt32
-		*dst = int(v)
+	l := leaseMsg{ID: r.uvarint()}
+	round, n := r.uvarint(), r.uvarint()
+	r.bad = r.bad || n == 0 || n > uint64(len(r.b))/minUnitBytes
+	if r.bad {
+		return leaseMsg{}, r.finish("lease")
 	}
-	vp.ID, vp.City.Population = int(r.uvarint()), int(r.uvarint())
-	for _, dst := range [...]*float64{&vp.City.Loc.Lat, &vp.City.Loc.Lon, &vp.Loc.Lat, &vp.Loc.Lon, &vp.LoadFactor} {
-		if b := r.take(8); b != nil {
-			*dst = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	l.Units = make([]census.Unit, n)
+	for i := range l.Units {
+		u := &l.Units[i]
+		u.Round = round
+		vp := &u.VP
+		for _, dst := range [...]*int{&u.Attempt, &u.Slot, &u.Span.Lo, &u.Span.Hi} {
+			v := r.uvarint()
+			r.bad = r.bad || v > math.MaxInt32
+			*dst = int(v)
+		}
+		r.bad = r.bad || u.Span.Lo > u.Span.Hi
+		vp.ID, vp.City.Population = int(r.uvarint()), int(r.uvarint())
+		for _, dst := range [...]*float64{&vp.City.Loc.Lat, &vp.City.Loc.Lon, &vp.Loc.Lat, &vp.Loc.Lon, &vp.LoadFactor} {
+			if b := r.take(8); b != nil {
+				*dst = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			}
+		}
+		for _, dst := range [...]*string{&vp.Name, &vp.City.Name, &vp.City.CC} {
+			*dst = r.str()
 		}
 	}
-	for _, dst := range [...]*string{&vp.Name, &vp.City.Name, &vp.City.CC} {
-		*dst = r.str()
+	if err := r.finish("lease"); err != nil {
+		return leaseMsg{}, err
 	}
-	return l, r.finish("lease")
+	slots := make([]int, n)
+	for i, u := range l.Units {
+		slots[i] = u.Slot
+	}
+	slices.Sort(slots)
+	for i := 1; i < len(slots); i++ {
+		if slots[i] == slots[i-1] {
+			return leaseMsg{}, fmt.Errorf("cluster: lease names slot %d twice", slots[i])
+		}
+	}
+	return l, nil
 }
 
-// appendFail appends f's wire form: uvarint ID, a flag byte (1: Crash),
-// then Err as a uvarint length and the bytes.
+// appendFail appends f's wire form: uvarint ID, uvarint Slot, a flag byte
+// (1: Crash), then Err as a uvarint length and the bytes.
 func appendFail(b []byte, f *failMsg) []byte {
-	b = binary.AppendUvarint(b, f.ID)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, f.ID), uint64(f.Slot))
 	if f.Crash {
 		return appendString(append(b, 1), f.Err)
 	}
 	return appendString(append(b, 0), f.Err)
 }
 
-// decodeFail undoes appendFail.
+// decodeFail undoes appendFail; a slot beyond int32 is refused.
 func decodeFail(payload []byte) (failMsg, error) {
 	r := wireReader{b: payload}
 	f := failMsg{ID: r.uvarint()}
+	slot := r.uvarint()
+	r.bad = r.bad || slot > math.MaxInt32
+	f.Slot = int(slot)
 	if flags := r.take(1); flags != nil {
 		f.Crash, r.bad = flags[0] == 1, flags[0] > 1
 	}
@@ -255,12 +297,32 @@ func (r *wireReader) finish(what string) error {
 	return nil
 }
 
-// splitRowsPayload splits a rows payload into its uvarint lease ID and
-// the encoded census.ShardRows frame behind it.
-func splitRowsPayload(payload []byte) (uint64, []byte, error) {
-	id, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("cluster: rows frame missing lease ID")
+// decodeRows reads a rows frame's payload: a uvarint lease ID, then
+// one or more units, each a 4-byte big-endian length and that many bytes
+// of census.ShardRows frame. Each unit's frame is decoded as it is met, so
+// nothing is allocated for a unit the payload does not hold.
+func decodeRows(payload []byte) (uint64, []*census.ShardRows, error) {
+	r := wireReader{b: payload}
+	id := r.uvarint()
+	var srs []*census.ShardRows
+	for !r.bad && len(r.b) > 0 {
+		n := r.take(4)
+		if n == nil {
+			break
+		}
+		frame := r.take(uint64(binary.BigEndian.Uint32(n)))
+		if frame == nil {
+			break
+		}
+		sr, err := census.DecodeShardRows(frame)
+		if err != nil {
+			return 0, nil, err
+		}
+		srs = append(srs, sr)
 	}
-	return id, payload[n:], nil
+	r.bad = r.bad || len(srs) == 0
+	if err := r.finish("rows"); err != nil {
+		return 0, nil, err
+	}
+	return id, srs, nil
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,21 +25,34 @@ import (
 
 func sampleLease() leaseMsg {
 	return leaseMsg{
-		ID: 1<<40 + 7, Round: 3, Attempt: 2, Slot: 137, Lo: 16384, Hi: 32768,
-		VP: platform.VP{
-			ID:         -4, // signed on the wire: the codec carries any platform's IDs
-			Name:       "planetlab2.cs.example.edu",
-			City:       cities.City{Name: "São Paulo", CC: "BR", Loc: geo.Coord{Lat: -23.55, Lon: -46.63}, Population: 12_300_000},
-			Loc:        geo.Coord{Lat: -23.61, Lon: -46.7},
-			LoadFactor: 1.75,
+		ID: 1<<40 + 7,
+		Units: []census.Unit{
+			{
+				Round: 3, Attempt: 2, Slot: 137, Span: census.Span{Lo: 16384, Hi: 32768},
+				VP: platform.VP{
+					ID:         -4, // signed on the wire: the codec carries any platform's IDs
+					Name:       "planetlab2.cs.example.edu",
+					City:       cities.City{Name: "São Paulo", CC: "BR", Loc: geo.Coord{Lat: -23.55, Lon: -46.63}, Population: 12_300_000},
+					Loc:        geo.Coord{Lat: -23.61, Lon: -46.7},
+					LoadFactor: 1.75,
+				},
+			},
+			{
+				Round: 3, Slot: 4, Span: census.Span{Lo: 16384, Hi: 32768},
+				VP: platform.VP{ID: 9, Name: "pl1.example.org", City: cities.City{Name: "Oslo", CC: "NO"}, LoadFactor: 1},
+			},
 		},
 	}
 }
 
 func TestLeaseCodecRoundTrip(t *testing.T) {
-	for _, l := range []leaseMsg{sampleLease(), {}, {ID: math.MaxUint64, Round: math.MaxUint64, Attempt: math.MaxInt32, Slot: math.MaxInt32, Lo: math.MaxInt32, Hi: math.MaxInt32}} {
+	for _, l := range []leaseMsg{
+		sampleLease(),
+		{Units: []census.Unit{{}}},
+		{ID: math.MaxUint64, Units: []census.Unit{{Round: math.MaxUint64, Attempt: math.MaxInt32, Slot: math.MaxInt32, Span: census.Span{Lo: math.MaxInt32, Hi: math.MaxInt32}}}},
+	} {
 		got, err := decodeLease(appendLease(nil, &l))
-		if err != nil || got != l {
+		if err != nil || !reflect.DeepEqual(got, l) {
 			t.Fatalf("round-trip of %+v: %+v, %v", l, got, err)
 		}
 	}
@@ -55,12 +69,28 @@ func TestLeaseCodecRoundTrip(t *testing.T) {
 }
 
 func TestFailCodecRoundTrip(t *testing.T) {
-	for _, f := range []failMsg{{}, {ID: 9, Err: "netsim: VP crashed", Crash: true}, {ID: math.MaxUint64, Err: strings.Repeat("e", 300)}} {
+	for _, f := range []failMsg{{}, {ID: 9, Slot: 137, Err: "netsim: VP crashed", Crash: true}, {ID: math.MaxUint64, Slot: math.MaxInt32, Err: strings.Repeat("e", 300)}} {
 		got, err := decodeFail(appendFail(nil, &f))
 		if err != nil || got != f {
 			t.Fatalf("round-trip of %+v: %+v, %v", f, got, err)
 		}
 	}
+}
+
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// leaseUnitBytes is u's wire form alone, behind a lease's ID, round and
+// unit count.
+func leaseUnitBytes(u census.Unit) []byte {
+	u.Round = 0
+	b := appendLease(nil, &leaseMsg{Units: []census.Unit{u}})
+	return b[len(uvarints(0, 0, 1)):]
 }
 
 // Everything the decoders index or allocate by comes off the wire, so
@@ -69,7 +99,7 @@ func TestFailCodecRoundTrip(t *testing.T) {
 func TestLeaseAndFailDecodersRejectMalformed(t *testing.T) {
 	l := sampleLease()
 	lease := appendLease(nil, &l)
-	fail := appendFail(nil, &failMsg{ID: 9, Err: "boom", Crash: true})
+	fail := appendFail(nil, &failMsg{ID: 9, Slot: 137, Err: "boom", Crash: true})
 	for n := 0; n < len(lease); n++ {
 		if _, err := decodeLease(lease[:n]); err == nil {
 			t.Fatalf("lease truncated to %d of %d bytes accepted", n, len(lease))
@@ -87,43 +117,68 @@ func TestLeaseAndFailDecodersRejectMalformed(t *testing.T) {
 		t.Fatal("fail with a trailing byte accepted")
 	}
 
-	uv := func(vs ...uint64) []byte {
-		var b []byte
-		for _, v := range vs {
-			b = binary.AppendUvarint(b, v)
-		}
-		return b
-	}
 	// Attempt, Slot, Lo, Hi beyond int32: each in turn.
-	tail := lease[len(uv(l.ID, l.Round, uint64(l.Attempt), uint64(l.Slot), uint64(l.Lo), uint64(l.Hi))):]
-	for i := 2; i < 6; i++ {
-		head := []uint64{l.ID, l.Round, uint64(l.Attempt), uint64(l.Slot), uint64(l.Lo), uint64(l.Hi)}
-		head[i] = math.MaxInt32 + 1
-		if _, err := decodeLease(append(uv(head...), tail...)); err == nil {
-			t.Fatalf("lease field %d beyond int32 accepted", i)
+	u := l.Units[0]
+	head := uvarints(l.ID, u.Round, 1)
+	fields := []uint64{uint64(u.Attempt), uint64(u.Slot), uint64(u.Span.Lo), uint64(u.Span.Hi)}
+	tail := leaseUnitBytes(u)[len(uvarints(fields...)):]
+	for i := range fields {
+		lied := append([]uint64(nil), fields...)
+		lied[i] = math.MaxInt32 + 1
+		if _, err := decodeLease(append(append(head, uvarints(lied...)...), tail...)); err == nil {
+			t.Fatalf("lease unit field %d beyond int32 accepted", i)
+		}
+	}
+	// A lease of no units, a span that ends before it starts, and a slot
+	// named twice are nothing an agent can execute.
+	if _, err := decodeLease(uvarints(1, 1, 0)); err == nil {
+		t.Fatal("lease of zero units accepted")
+	}
+	if _, err := decodeLease(append(uvarints(1, 1, 1), leaseUnitBytes(census.Unit{Span: census.Span{Lo: 9, Hi: 8}})...)); err == nil {
+		t.Fatal("lease unit with Lo > Hi accepted")
+	}
+	span := census.Span{Hi: 8}
+	twice := appendLease(nil, &leaseMsg{ID: 1, Units: []census.Unit{{Slot: 3, Span: span}, {Slot: 5, Span: span}, {Slot: 3, Span: span}}})
+	if _, err := decodeLease(twice); err == nil || !strings.Contains(err.Error(), "slot 3 twice") {
+		t.Fatalf("lease naming slot 3 twice: %v", err)
+	}
+	// A unit count beyond what the payload holds fails before it is
+	// believed: nothing is allocated in proportion to it.
+	one := leaseUnitBytes(u)
+	for _, n := range []uint64{2, 1 << 62} {
+		if _, err := decodeLease(append(uvarints(1, 1, n), one...)); err == nil {
+			t.Fatalf("lease claiming %d units over one unit's bytes accepted", n)
 		}
 	}
 	// An 11-byte varint overflows uint64.
 	overlong := append(bytes.Repeat([]byte{0xff}, 10), 0x01)
-	if _, err := decodeLease(append(overlong, lease[len(uv(l.ID)):]...)); err == nil {
+	if _, err := decodeLease(append(overlong, lease[len(uvarints(l.ID)):]...)); err == nil {
 		t.Fatal("overlong lease ID varint accepted")
 	}
-	if _, err := decodeFail(append(overlong, fail[len(uv(9)):]...)); err == nil {
+	if _, err := decodeFail(append(overlong, fail[len(uvarints(9)):]...)); err == nil {
 		t.Fatal("overlong fail ID varint accepted")
 	}
 	// A string length beyond the payload must fail before it is believed.
-	if _, err := decodeFail(append(uv(9), append([]byte{0}, uv(1<<62)...)...)); err == nil {
+	if _, err := decodeFail(append(uvarints(9, 0), append([]byte{0}, uvarints(1<<62)...)...)); err == nil {
 		t.Fatal("fail with a 2^62-byte error string accepted")
 	}
-	huge := append(uv(1, 1, 0, 0, 0, 8, 5, 0), make([]byte, 5*8)...)
-	if _, err := decodeLease(append(huge, uv(0, 0, 0)...)); err != nil {
+	bare := append(uvarints(1, 1, 1, 0, 0, 0, 8, 5, 0), make([]byte, 5*8)...)
+	if _, err := decodeLease(append(bare, uvarints(0, 0, 0)...)); err != nil {
 		t.Fatalf("lease with three empty strings: %v", err)
 	}
-	if _, err := decodeLease(append(huge, uv(math.MaxUint64)...)); err == nil {
+	if _, err := decodeLease(append(bare, uvarints(math.MaxUint64)...)); err == nil {
 		t.Fatal("lease with a 2^64-byte VP name accepted")
 	}
+	// A fail names its unit: one without the slot (an ACMC3 fail) is
+	// refused, as is a slot beyond int32.
+	if _, err := decodeFail([]byte{9, 0, 0}); err == nil {
+		t.Fatal("fail without a slot accepted")
+	}
+	if _, err := decodeFail(append(uvarints(9, math.MaxInt32+1), 0, 0)); err == nil {
+		t.Fatal("fail with a slot beyond int32 accepted")
+	}
 	// Unknown flag bits are a newer or a confused peer.
-	if _, err := decodeFail(append(uv(9), 2, 0)); err == nil {
+	if _, err := decodeFail(append(uvarints(9, 0), 2, 0)); err == nil {
 		t.Fatal("fail with unknown flag bits accepted")
 	}
 }
@@ -154,26 +209,39 @@ func reencodes[M any](t *testing.T, data []byte, decode func([]byte) (M, error),
 func FuzzDecodeLease(f *testing.F) {
 	l := sampleLease()
 	f.Add(appendLease(nil, &l))
-	f.Add(appendLease(nil, &leaseMsg{}))
+	f.Add(appendLease(nil, &leaseMsg{Units: []census.Unit{{}}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reencodes(t, data, decodeLease, appendLease)
 		if l, err := decodeLease(data); err == nil {
-			for _, v := range [...]int{l.Attempt, l.Slot, l.Lo, l.Hi} {
-				if v < 0 || v > math.MaxInt32 {
-					t.Fatalf("decoded an index of %d", v)
+			if len(l.Units) == 0 || len(l.Units)*minUnitBytes > len(data) {
+				t.Fatalf("%d units decoded from %d bytes", len(l.Units), len(data))
+			}
+			slots := map[int]bool{}
+			for _, u := range l.Units {
+				for _, v := range [...]int{u.Attempt, u.Slot, u.Span.Lo, u.Span.Hi} {
+					if v < 0 || v > math.MaxInt32 {
+						t.Fatalf("decoded an index of %d", v)
+					}
 				}
+				if u.Span.Lo > u.Span.Hi || slots[u.Slot] {
+					t.Fatalf("decoded span %v of slot %d (seen: %v)", u.Span, u.Slot, slots[u.Slot])
+				}
+				slots[u.Slot] = true
 			}
 		}
 	})
 }
 
 func FuzzDecodeFail(f *testing.F) {
-	f.Add(appendFail(nil, &failMsg{ID: 9, Err: "netsim: VP crashed", Crash: true}))
+	f.Add(appendFail(nil, &failMsg{ID: 9, Slot: 137, Err: "netsim: VP crashed", Crash: true}))
 	f.Add(appendFail(nil, &failMsg{}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reencodes(t, data, decodeFail, appendFail)
+		if f, err := decodeFail(data); err == nil && (f.Slot < 0 || f.Slot > math.MaxInt32) {
+			t.Fatalf("decoded a slot of %d", f.Slot)
+		}
 	})
 }
 
@@ -200,13 +268,16 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // Older peers are turned away at the magic, in both directions, not
-// parsed as ACMC3: an ACMC1 peer sends lease and fail payloads as gob, an
-// ACMC2 peer its hello and the whole welcome.
+// parsed as ACMC4: an ACMC1 peer sends lease and fail payloads as gob, an
+// ACMC2 peer its hello and the whole welcome, an ACMC3 peer one unit per
+// lease and fails without a slot. Every refusal is the one error, quoting
+// the magic the peer sent.
 func TestOldProtocolPeerRefused(t *testing.T) {
-	for _, old := range []string{"ACMC1\n", "ACMC2\n"} {
+	for _, old := range []string{"ACMC1\n", "ACMC2\n", "ACMC3\n"} {
 		t.Run(strings.TrimSpace(old), func(t *testing.T) {
-			if err := readMagic(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "not speaking the census protocol") {
-				t.Fatalf("%q magic: %v", old, err)
+			refusal := "cluster: peer is not speaking the census protocol (got " + strconv.Quote(old) + ")"
+			if err := readMagic(strings.NewReader(old)); err == nil || err.Error() != refusal {
+				t.Fatalf("%q magic: %v, want %q", old, err, refusal)
 			}
 
 			// An agent dialling an old coordinator gives up with that error.
@@ -221,8 +292,8 @@ func TestOldProtocolPeerRefused(t *testing.T) {
 				coordSide.Write([]byte(old))
 			}()
 			err := RunAgent(context.Background(), agentSide, AgentConfig{Name: "new"})
-			if err == nil || !strings.Contains(err.Error(), "not speaking the census protocol") {
-				t.Fatalf("agent against an old coordinator: %v", err)
+			if err == nil || !strings.HasSuffix(err.Error(), refusal) {
+				t.Fatalf("agent against an old coordinator: %v, want %q", err, refusal)
 			}
 
 			// An old agent sending a gob hello is dropped before the hello
@@ -411,52 +482,82 @@ func FuzzDecodeWelcome(f *testing.F) {
 	})
 }
 
-// The agent encodes a rows frame in place behind its header: over random
-// shards — widths, densities, RTT magnitudes and greylists — those bytes
-// are the frame assembled from the shard's own encoding.
+// randomShard is one unit's rows over a random span — width, density,
+// RTT magnitudes and greylist drawn from rng.
+func randomShard(rng *rand.Rand) *census.ShardRows {
+	width := rng.IntN(400)
+	lo := rng.IntN(1 << 20)
+	row := make([]int32, width)
+	density := rng.Float64()
+	echo := 0
+	for ti := range row {
+		row[ti] = census.NoSample
+		if rng.Float64() < density {
+			row[ti] = int32(rng.Int64N(1<<31 - 1))
+			if rng.IntN(2) == 0 {
+				row[ti] = int32(rng.IntN(300000))
+			}
+			echo++
+		}
+	}
+	sr := &census.ShardRows{
+		Round: rng.Uint64N(10), Lo: lo, Hi: lo + width,
+		Slots: []int{rng.IntN(400)}, RTTus: [][]int32{row},
+		Stats: []census.ShardStats{{Sent: width, Echo: echo, Timeouts: width - echo, Completion: time.Duration(rng.Int64N(1 << 40))}},
+	}
+	if rng.IntN(3) == 0 {
+		sr.Greylist = prober.NewGreylist()
+		for k := rng.IntN(5); k > 0; k-- {
+			sr.Greylist.Add(netsim.IP(rng.Uint32()), netsim.ReplyAdminFiltered+netsim.ReplyKind(rng.IntN(3)))
+		}
+	}
+	return sr
+}
+
+// The agent encodes a rows frame in place, a unit at a time: over random
+// batches of random shards those bytes are the frame assembled from the
+// shards' own encodings, each behind its 4-byte length, and they decode
+// back to the shards.
 func TestRowsFrameInPlace(t *testing.T) {
 	rng := rand.New(rand.NewPCG(34, 1))
 	var buf []byte
 	for i := 0; i < 500; i++ {
-		width := rng.IntN(400)
-		lo := rng.IntN(1 << 20)
-		row := make([]int32, width)
-		density := rng.Float64()
-		echo := 0
-		for ti := range row {
-			row[ti] = census.NoSample
-			if rng.Float64() < density {
-				row[ti] = int32(rng.Int64N(1<<31 - 1))
-				if rng.IntN(2) == 0 {
-					row[ti] = int32(rng.IntN(300000))
-				}
-				echo++
+		srs := make([]*census.ShardRows, 1+rng.IntN(4))
+		var units []byte
+		for k := range srs {
+			srs[k] = randomShard(rng)
+			shard, err := srs[k].Encode()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		sr := &census.ShardRows{
-			Round: rng.Uint64N(10), Lo: lo, Hi: lo + width,
-			Slots: []int{rng.IntN(400)}, RTTus: [][]int32{row},
-			Stats: []census.ShardStats{{Sent: width, Echo: echo, Timeouts: width - echo, Completion: time.Duration(rng.Int64N(1 << 40))}},
-		}
-		if rng.IntN(3) == 0 {
-			sr.Greylist = prober.NewGreylist()
-			for k := rng.IntN(5); k > 0; k-- {
-				sr.Greylist.Add(netsim.IP(rng.Uint32()), netsim.ReplyAdminFiltered+netsim.ReplyKind(rng.IntN(3)))
-			}
+			units = append(binary.BigEndian.AppendUint32(units, uint32(len(shard))), shard...)
 		}
 		id := rng.Uint64() >> rng.IntN(64)
-		shard, err := sr.Encode()
-		if err != nil {
-			t.Fatal(err)
+		want := appendFrame(nil, frameRows, binary.AppendUvarint(nil, id), units)
+		var err error
+		if buf, err = appendRowsFrame(buf[:0], id, srs...); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("batch %d: in-place frame differs (%v)", i, err)
 		}
-		want := appendFrame(nil, frameRows, binary.AppendUvarint(nil, id), shard)
-		if buf, err = appendRowsFrame(buf[:0], id, sr); err != nil || !bytes.Equal(buf, want) {
-			t.Fatalf("shard %d: in-place frame differs (%v)", i, err)
+		gotID, got, err := decodeRows(buf[5:])
+		if err != nil || gotID != id || len(got) != len(srs) {
+			t.Fatalf("batch %d: decoded lease %d, %d units, %v", i, gotID, len(got), err)
+		}
+		var again []byte
+		for _, sr := range got {
+			shard, err := sr.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			again = append(binary.BigEndian.AppendUint32(again, uint32(len(shard))), shard...)
+		}
+		if !bytes.Equal(again, units) {
+			t.Fatalf("batch %d: units do not round-trip", i)
 		}
 	}
-	// A shard that does not encode leaves the buffer as it was.
+	// A shard that does not encode leaves the buffer as it was, wherever
+	// it sits in the batch.
 	bad := &census.ShardRows{Lo: 5, Hi: 4}
-	if got, err := appendRowsFrame([]byte("keep"), 1, bad); err == nil || string(got) != "keep" {
+	if got, err := appendRowsFrame([]byte("keep"), 1, randomShard(rng), bad); err == nil || string(got) != "keep" {
 		t.Fatalf("bad shard: %q, %v", got, err)
 	}
 }

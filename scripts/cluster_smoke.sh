@@ -1,11 +1,22 @@
 #!/usr/bin/env bash
-# cluster_smoke.sh is the multi-process leg of `make cluster-smoke`: a
-# `census -listen` coordinator and three `census -agent` processes run a
-# 150k-/24, four-round census over TCP loopback, and one agent is killed
-# with SIGKILL once the coordinator has logged its first round. It passes
-# only if the coordinator exits 0, -verify reports the fleet's result
-# byte-identical to the in-process executor's, and the coordinator's
-# `cluster:` line counts at least one lost agent.
+# cluster_smoke.sh is `make cluster-smoke`: the distributed control plane
+# end to end, in two legs.
+#
+# First, `census -local 4`: four in-process agents over net.Pipe, every
+# agent's connection severed after 25 streamed rows frames and respawned,
+# a quarter of the VPs crashing and taking their agent down with them
+# (-exit-on-crash). The ~3.5k-target census is one span narrower than
+# -span-targets, so leases carry batches of units: the leg passes only if
+# -verify reports the fleet's result byte-identical to the zero-fault
+# in-process executor's and the `cluster:` line counts more units than
+# leases.
+#
+# Then a `census -listen` coordinator and three `census -agent` processes
+# run a 150k-/24, four-round census over TCP loopback, and one agent is
+# killed with SIGKILL once the coordinator has logged its first round. It
+# passes only if the coordinator exits 0, -verify reports the fleet's
+# result byte-identical to the in-process executor's, and the
+# coordinator's `cluster:` line counts at least one lost agent.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,6 +42,24 @@ wait_log() { # file pattern attempts: poll every 50 ms
     cat "$file" >&2
     return 1
 }
+
+local=$BIN/local.log
+if ! "$BIN/census" -local 4 -unicast24s 6000 -censuses 3 -vps 24 \
+    -retries 50 -retry-backoff 1ms -churn-every 25 \
+    -fault-crash 0.25 -exit-on-crash -verify >"$BIN/local.out" 2>"$local"; then
+    cat "$local" >&2
+    echo "FAIL: census -local 4 exited non-zero" >&2
+    exit 1
+fi
+cat "$local"
+grep -q '^verify: fleet census == in-process census' "$local" ||
+    { echo "FAIL: -verify reported no byte-identity" >&2; exit 1; }
+read -r leases units < <(sed -n 's/^cluster: .*, \([0-9]*\) leases of \([0-9]*\) units .*/\1 \2/p' "$local")
+if [ "${units:-0}" -le "${leases:-0}" ]; then
+    echo "FAIL: the cluster: line counts ${units:-no} units in ${leases:-no} leases, want more units than leases" >&2
+    exit 1
+fi
+echo "cluster smoke (in-process) passed: $units units in $leases leases, fleet == in-process"
 
 log=$BIN/coordinator.log
 "$BIN/census" -listen 127.0.0.1:0 -min-agents 3 -unicast24s 150000 -censuses 4 -vps 24 \
