@@ -142,10 +142,12 @@ full-scale:
 cluster-smoke:
 	GO=$(GO) ./scripts/cluster_smoke.sh
 
-# metrics-smoke boots anycastd (with its DNS front-end) and a `census
-# -local 2` coordinator against tiny worlds, scrapes GET /metrics on
-# both, and fails unless every required series family is present: probe,
-# census, store, cluster, route, and per-endpoint HTTP.
+# metrics-smoke boots anycastd (with its DNS front-end) from a file
+# `census -snapshot` wrote, reloads a second census and rejects garbage
+# over the file, then runs a `census -local 2` coordinator; it scrapes
+# GET /metrics on both and fails unless every required series family is
+# present: store, reload, route and per-endpoint HTTP on anycastd; probe,
+# census and cluster on the coordinator.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 

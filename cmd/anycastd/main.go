@@ -1,19 +1,19 @@
 // Command anycastd is the anycast lookup daemon: the paper's public
-// anycast map ([21]) served as a high-QPS classification API. At startup
-// it builds the world, seeds the probing blacklist, runs a first census
-// campaign, and then answers
+// anycast map ([21]) served as a high-QPS classification API. It runs no
+// census of its own: `census -snapshot FILE` produces the map, and
+// `anycastd -snapshot-file FILE` serves that file mmap-backed and answers
 //
 //	GET  /v1/lookup?ip=188.114.97.7     one IP  -> anycast? AS, replicas, cities
 //	POST /v1/lookup/batch               JSON list of IPs -> one answer each
 //	GET  /v1/snapshot                   index version, census round, counts
-//	GET  /v1/stats                      lookup, per-endpoint and refresher counters
+//	GET  /v1/stats                      lookup, per-endpoint and reload counters
 //	GET  /metrics                       Prometheus text exposition
 //	GET  /healthz                       liveness/readiness
 //
-// while a background refresher keeps re-running census rounds and
-// hot-swaps the index with zero reader downtime: queries issued during a
-// refresh answer from the previous snapshot. SIGINT/SIGTERM drain the
-// server gracefully.
+// Once a second it stats the file; when a new census replaced it, the new
+// file is validated and hot-swapped in with zero reader downtime, and a
+// file that fails validation never replaces the one being served.
+// SIGINT/SIGTERM drain the server gracefully.
 //
 // With -admin ADDR a second, private listener serves /metrics again, the
 // Go runtime's profiles under /debug/pprof/ and the census browser (an
@@ -36,15 +36,10 @@ import (
 	"syscall"
 	"time"
 
-	"anycastmap/internal/bgp"
-	"anycastmap/internal/census"
 	"anycastmap/internal/cities"
-	"anycastmap/internal/hitlist"
-	"anycastmap/internal/netsim"
 	"anycastmap/internal/obs"
 	"anycastmap/internal/obs/admin"
 	"anycastmap/internal/platform"
-	"anycastmap/internal/prober"
 	"anycastmap/internal/route"
 	"anycastmap/internal/store"
 	"anycastmap/internal/webview"
@@ -56,81 +51,24 @@ func main() {
 	dnsAddr := flag.String("dns", "", "serve the DNS/UDP routing front-end on this address (empty = disabled)")
 	dnsListeners := flag.Int("dns-listeners", 0, "SO_REUSEPORT UDP listeners for the routing front-end (0 = GOMAXPROCS)")
 	dnsZone := flag.String("dns-zone", route.DefaultZone, "zone suffix the routing front-end answers for")
-	unicast := flag.Int("unicast24s", 6000, "unicast /24 background size")
-	rounds := flag.Int("censuses", 2, "census rounds combined per snapshot")
-	vpsPer := flag.Int("vps", 261, "vantage points per census round")
-	spanTargets := flag.Int("span-targets", 0, "probe/fold unit width in targets (0 = 16384)")
-	snapFile := flag.String("snapshot-file", "", "persist snapshots here and serve them mmap-backed; an existing file boots the daemon ready before the first census")
-	seed := flag.Uint64("seed", 2015, "world seed")
-	rate := flag.Float64("rate", 1000, "probing rate per VP (probes/s)")
-	workers := flag.Int("workers", 0, "vantage points probing concurrently (0 = GOMAXPROCS)")
-	refresh := flag.Duration("refresh", 15*time.Minute, "background census refresh interval")
+	snapFile := flag.String("snapshot-file", "", "serve the snapshot file `census -snapshot` writes here, reloading it when a new census replaces it (required)")
 	maxInFlight := flag.Int("max-inflight", 256, "maximum concurrently-served requests")
-	retries := flag.Int("retries", 3, "per-VP probing attempts per census round (1 disables retrying)")
-	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff before retrying a failed VP (doubles per retry)")
-	faultSeed := flag.Uint64("fault-seed", 0, "fault plan seed (0 = world seed)")
-	faultCrash := flag.Float64("fault-crash", 0, "fraction of VPs crashing mid-run per round")
-	faultSticky := flag.Float64("fault-crash-sticky", 0, "probability a crashed VP stays down across retries")
-	faultFlap := flag.Float64("fault-flap", 0, "fraction of VPs with a total-loss flap window per round")
-	faultBurst := flag.Float64("fault-burst", 0, "fraction of VPs with bursty reply loss per round")
-	faultOutage := flag.Float64("fault-outage", 0, "fraction of /24s transiently unreachable per round")
+	seed := flag.Uint64("seed", 2015, "seed of the routing front-end's synthetic client locator (HashLocator)")
 	flag.Parse()
 	log.SetFlags(0)
 
-	wcfg := netsim.DefaultConfig()
-	wcfg.Seed = *seed
-	wcfg.Unicast24s = *unicast
-	world := netsim.New(wcfg)
-	db := cities.Default()
-	pl := platform.PlanetLab(db)
-	full := hitlist.FromWorld(world)
-	log.Printf("world: %d /24s (%d anycast), hitlist %d entries",
-		world.NumPrefixes(), len(world.Deployments()), full.Len())
-
-	// Preliminary single-VP census seeds the blacklist (Sec. 3.3).
-	black, err := prober.BuildBlacklist(world, pl.VPs()[0], full.Targets(), prober.Config{Seed: *seed})
-	if err != nil {
-		log.Fatalf("blacklist census: %v", err)
-	}
-	targets := full.PruneNeverAlive().Without(black.Targets())
-	log.Printf("blacklist: %d hosts; pruned target list: %d", black.Len(), targets.Len())
-
-	// Fault injection applies to the census rounds, not the bootstrap
-	// blacklist run: a crashed bootstrap would just abort startup.
-	if *faultCrash > 0 || *faultFlap > 0 || *faultBurst > 0 || *faultOutage > 0 {
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed
-		}
-		plan, err := netsim.NewFaultPlan(netsim.FaultConfig{
-			Seed:                 fseed,
-			CrashFraction:        *faultCrash,
-			CrashStickiness:      *faultSticky,
-			FlapFraction:         *faultFlap,
-			BurstLossFraction:    *faultBurst,
-			TargetOutageFraction: *faultOutage,
-		})
-		if err != nil {
-			log.Fatalf("fault plan: %v", err)
-		}
-		world = world.WithFaults(plan)
-		log.Printf("fault injection: crash=%.2f (sticky %.2f) flap=%.2f burst=%.2f outage=%.2f seed=%d",
-			*faultCrash, *faultSticky, *faultFlap, *faultBurst, *faultOutage, fseed)
+	if *snapFile == "" {
+		log.Fatal("anycastd serves a census map: run `census -snapshot FILE` and pass -snapshot-file FILE")
 	}
 
-	// One registry serves every layer's series at GET /metrics: the
-	// prober's packet counters, the campaign/analyzer instruments, the
-	// store/refresher read-throughs and the per-endpoint HTTP series.
+	// One registry serves the store, reload, routing and per-endpoint HTTP
+	// series at GET /metrics.
 	reg := obs.NewRegistry()
-	prober.DefaultMetrics.Register(reg)
-	prober.RegisterGreylistGauge(reg, black, "blacklist")
-
 	st := store.New(store.Options{})
 
 	// The optional admin listener adds the runtime's profiles and the
 	// census browser over the same store, which the public listener never
-	// serves. It is up before the first census, so the synchronous initial
-	// build can be profiled too.
+	// serves.
 	if *adminAddr != "" {
 		web, err := webview.New(st)
 		if err != nil {
@@ -151,72 +89,29 @@ func main() {
 		log.Printf("admin on http://%s/ (/metrics, /debug/pprof/, census browser at /)", ln.Addr())
 	}
 
-	src := &store.CensusSource{
-		World:       world,
-		Cities:      db,
-		Platform:    pl,
-		Table:       bgp.FromWorld(world),
-		Registry:    world.Registry,
-		Hitlist:     targets,
-		Blacklist:   black,
-		Rounds:      *rounds,
-		VPsPerRound: *vpsPer,
-		Seed:        *seed,
-		SpanTargets: *spanTargets,
-		Metrics:     census.NewMetrics(reg),
-		Census: census.Config{
-			Seed: *seed, Rate: *rate, Workers: *workers,
-			MaxAttempts: *retries, RetryBackoff: *retryBackoff,
-		},
-	}
-	log.Printf("probing with %d concurrent vantage points per census", src.Census.EffectiveWorkers())
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	r := store.NewRefresher(st, src, *refresh)
-	r.Log = log.Printf
-	r.SnapshotPath = *snapFile
-
-	// Warm boot: an existing snapshot file serves immediately (mmap, no
-	// census wait); a corrupt or missing file just falls through to the
-	// normal cold start. The round counter advances past the file's round
-	// so refreshed campaigns stay monotone.
-	if *snapFile != "" {
-		if snap, err := store.OpenSnapshotFile(*snapFile); err == nil {
-			src.SetRound(snap.Round())
-			st.Publish(snap)
-			log.Printf("warm boot: serving %d anycast /24s from %s (census round %d)",
-				snap.Len(), *snapFile, snap.Round())
-		} else {
-			log.Printf("no usable snapshot file (%v); cold start", err)
-		}
+	// The file is read once now, so an existing map serves from the first
+	// request; without one /healthz answers 503 "starting" until a census
+	// writes it.
+	rl := store.NewReloader(st, *snapFile)
+	rl.Log = log.Printf
+	if !rl.Check() {
+		log.Printf("no servable snapshot at %s yet; /healthz answers 503 until `census -snapshot %s` writes one",
+			*snapFile, *snapFile)
 	}
-
-	// First snapshot synchronously, so the daemon usually comes up ready.
-	// A failed initial build is no longer fatal: Run retries it on a
-	// short backoff in the background while /healthz answers "starting",
-	// so a transient source error can't keep the daemon down. A warm boot
-	// skips the synchronous build; the refresher's ticker takes over.
-	if !st.Ready() {
-		start := time.Now()
-		log.Printf("building initial snapshot (%d census rounds)...", *rounds)
-		if !r.RefreshOnce(ctx) {
-			log.Printf("initial census failed after %v; serving unready, retrying in background",
-				time.Since(start).Round(time.Millisecond))
-		}
-	}
-	go r.Run(ctx)
+	go rl.Run(ctx)
 
 	// Routing front-end: the serving-side consumer of the map. It shares
-	// the store (so hot snapshot swaps steer traffic immediately), the
-	// world seed (so the synthetic client locator agrees with netsim) and
-	// the metrics registry (anycastmap_route_* series).
+	// the store (so hot snapshot swaps steer traffic immediately) and the
+	// metrics registry (anycastmap_route_* series); the platform's
+	// coordinates place each replica's isolating vantage point.
 	if *dnsAddr != "" {
 		eng, err := route.NewEngine(route.Config{
 			Store:   st,
 			Locator: route.HashLocator{Seed: *seed},
-			VPs:     pl.VPs(),
+			VPs:     platform.PlanetLab(cities.Default()).VPs(),
 		})
 		if err != nil {
 			log.Fatalf("routing engine: %v", err)
@@ -239,7 +134,7 @@ func main() {
 			dnsSrv.Addr(), dnsSrv.Listeners(), *dnsZone)
 	}
 
-	api := store.NewAPI(st, r, store.APIConfig{MaxInFlight: *maxInFlight, Metrics: reg})
+	api := store.NewAPI(st, rl, store.APIConfig{MaxInFlight: *maxInFlight, Metrics: reg})
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           api,
@@ -255,7 +150,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("anycastd serving on http://%s/ (refresh every %v)", *addr, *refresh)
+	log.Printf("anycastd serving %s on http://%s/", *snapFile, *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

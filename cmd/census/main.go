@@ -9,6 +9,9 @@
 // `census -agent -connect ADDR` processes. -verify holds a fleet's result
 // to byte-identity with a zero-fault in-process campaign.
 //
+// With -snapshot FILE it writes the analysis as the snapshot file anycastd
+// serves (`anycastd -snapshot-file FILE`), replacing FILE atomically; a
+// FILE that already opens makes this census continue its round numbers.
 // With -out DIR it also writes each vantage point's measurements in the
 // binary record format (and, with -format csv, the verbose textual format
 // of Census-0).
@@ -42,6 +45,7 @@ import (
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 	"anycastmap/internal/record"
+	"anycastmap/internal/store"
 )
 
 func main() {
@@ -84,13 +88,14 @@ func main() {
 	// Outputs and gates.
 	out := flag.String("out", "", "directory to dump per-VP measurement files")
 	save := flag.String("save", "", "directory to save the campaign's combined matrix and greylist as one run file (loadable with census.LoadRun, read by igreedy -runs)")
+	snapshot := flag.String("snapshot", "", "write the census's anycast map to this snapshot file, the one anycastd -snapshot-file serves (an existing file's round + 1 numbers the first round)")
 	format := flag.String("format", "binary", "record format for -out: binary or csv")
 	top := flag.Int("top", 15, "print the top-N anycast ASes")
 	maxHeapMiB := flag.Int("max-heap-mib", 0, "sample HeapAlloc through the run and fail if the peak exceeds this many MiB (0 = no assertion)")
 	rateBaselineTargets := flag.Int("rate-baseline-targets", 0, "measure a single-VP pilot probing run over the first N pruned targets and fail unless the campaign's aggregate probe rate stays within -rate-within of it (0 = no assertion)")
 	rateWithin := flag.Float64("rate-within", 2.0, "largest pilot/campaign probes-per-second ratio -rate-baseline-targets tolerates")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file right after the analysis, while the campaign is live")
 	flag.Parse()
 
 	log.SetFlags(0)
@@ -137,20 +142,6 @@ func main() {
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Printf("memprofile: %v", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Printf("memprofile: %v", err)
-			}
 		}()
 	}
 
@@ -330,9 +321,22 @@ func main() {
 		log.Printf("probing with %d concurrent vantage points", ccfg.EffectiveWorkers())
 	}
 
+	// Rounds stay monotone across censuses writing one snapshot file: the
+	// first round follows the round of the file this census replaces.
+	first := uint64(1)
+	if *snapshot != "" {
+		if prev, err := store.OpenSnapshotFile(*snapshot); err == nil {
+			first = prev.Round() + 1
+			prev.Close()
+		} else {
+			log.Printf("snapshot: starting at round 1 (%v)", err)
+		}
+	}
+	last := first + uint64(*rounds) - 1
+
 	var campaignProbes int64
 	var campaignWall time.Duration
-	for round := uint64(1); round <= uint64(*rounds); round++ {
+	for round := first; round <= last; round++ {
 		vps := pl.Sample(*vpsPer, *seed+round)
 		var sum census.RoundSummary
 		if coord != nil {
@@ -386,6 +390,9 @@ func main() {
 	analysisWall := time.Since(t0)
 	log.Printf("analysis: %d target analyses (%d witness-decided, %d split-scanned, %d pair tests)",
 		st.Analyzed, st.WitnessDecided, st.SplitScanned, st.PairTests)
+	if *memProfile != "" {
+		writeHeapProfile(*memProfile)
+	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	log.Printf("heap after campaign: %.1f MiB in use, %.1f MiB from OS, %d GC cycles; analysis wall %v",
@@ -393,7 +400,7 @@ func main() {
 		analysisWall.Round(time.Millisecond))
 	if *verify { // every round again, in-process and fault-free
 		ref := census.NewCampaign(census.CampaignConfig{Census: ccfg})
-		for round := uint64(1); round <= uint64(*rounds); round++ {
+		for round := first; round <= last; round++ {
 			if _, err := ref.ExecuteRoundPipelined(ctx, world, pl.Sample(*vpsPer, *seed+round), targets, black, round, pc); err != nil {
 				log.Fatalf("verify: in-process round %d: %v", round, err)
 			}
@@ -404,6 +411,14 @@ func main() {
 	g := analysis.GlanceOf(findings)
 	log.Printf("combined: %d anycast /24s across %d ASes, %d replicas in %d cities / %d countries",
 		g.IP24s, g.ASes, g.Replicas, g.Cities, g.CC)
+	if *snapshot != "" {
+		snap := store.NewSnapshot(findings, world.Registry, last, *rounds)
+		snap.SetHealth(cp.Health())
+		if err := store.SaveSnapshotFile(*snapshot, snap); err != nil {
+			log.Fatalf("snapshot: %v", err)
+		}
+		log.Printf("snapshot: %d anycast /24s of census rounds %d-%d written to %s", snap.Len(), first, last, *snapshot)
+	}
 
 	sts := analysis.PerAS(analysis.FilterMinReplicas(findings, 5), world.Registry)
 	fmt.Printf("\n%-24s %9s %7s\n", "AS", "replicas", "IP/24")
@@ -436,6 +451,23 @@ func main() {
 		}
 	}
 	log.Printf("\ntotal wall time %v", time.Since(start).Round(time.Millisecond))
+}
+
+// writeHeapProfile writes the heap profile as of a fresh GC. Called right
+// after the analysis, the combined matrix and the outcomes are still live,
+// so the profile shows the campaign's peak owners rather than an empty
+// heap at exit.
+func writeHeapProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Printf("memprofile: %v", err)
+		return
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		log.Printf("memprofile: %v", err)
+	}
 }
 
 // verifyAgainst dies unless the fleet's campaign cp is byte-identical to

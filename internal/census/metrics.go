@@ -7,10 +7,10 @@ import (
 )
 
 // Metrics is the campaign/analyzer instrument set, registered once per
-// process and shared by every Campaign a daemon builds (a refresher
-// builds a fresh Campaign per snapshot; the counters must outlive each
-// one to be a usable time series). All observation helpers are nil-safe
-// so campaigns without metrics pay a single pointer test.
+// process and shared by every Campaign the process builds (the counters
+// must outlive each one to be a usable time series). All observation
+// helpers are nil-safe so campaigns without metrics pay a single pointer
+// test.
 type Metrics struct {
 	// RoundsFolded counts census rounds folded into a combined matrix,
 	// counted when the round closes (FinishRound).

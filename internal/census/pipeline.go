@@ -13,8 +13,8 @@ import (
 )
 
 // pipeline.go — the in-process driver of the round engine (sched.go), and
-// the one executor every in-process caller runs: store.Refresher,
-// cmd/census (and its -verify reference for a fleet) and the paper's figures
+// the one executor every in-process caller runs: cmd/census (and its
+// -verify reference for a fleet) and the paper's figures
 // (internal/experiments).
 //
 // It works in (VP, target-span) units, the same unit the cluster

@@ -112,7 +112,7 @@ func NewLab(cfg LabConfig) *Lab {
 	l.Black = black
 	l.Hitlist = l.Full.PruneNeverAlive().Without(l.Black.Targets())
 
-	// The rounds run through one Campaign, as the serving refresher's do:
+	// The rounds run through one Campaign, as cmd/census's do:
 	// each census is probed in (VP, target span) units that fold into the
 	// combined minimum-RTT matrix as they land.
 	cp := l.newCampaign()
@@ -138,7 +138,7 @@ func (l *Lab) roundVPs(i int) []platform.VP {
 }
 
 // probeRound probes one census round into cp on the span-pipelined
-// executor, the one store.Refresher and cmd/census run.
+// executor, the one cmd/census runs.
 func probeRound(cp *census.Campaign, w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, black *prober.Greylist, round uint64) census.RoundSummary {
 	sum, err := cp.ExecuteRoundPipelined(context.Background(), w, vps, h, black, round, census.PipelineConfig{})
 	if err != nil {

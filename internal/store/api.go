@@ -25,7 +25,7 @@ type APIConfig struct {
 	MaxBodyBytes int64
 	// Metrics, when set, receives the per-endpoint request series and is
 	// served at GET /metrics in Prometheus text format. The store (and
-	// refresher, when present) series are registered on it too.
+	// reloader, when present) series are registered on it too.
 	Metrics *obs.Registry
 }
 
@@ -81,30 +81,31 @@ func (m *endpointMetrics) stats() EndpointStats {
 // /v1/lookup/batch, /v1/snapshot, /v1/stats and /healthz. It implements
 // http.Handler.
 type API struct {
-	store     *Store
-	refresher *Refresher // optional, enriches /v1/stats
-	mux       *http.ServeMux
-	sem       chan struct{}
-	maxBody   int64
-	registry  *obs.Registry
-	metrics   map[string]*endpointMetrics
+	store    *Store
+	reloader *Reloader // optional, enriches /healthz and /v1/stats
+	mux      *http.ServeMux
+	sem      chan struct{}
+	maxBody  int64
+	registry *obs.Registry
+	metrics  map[string]*endpointMetrics
 }
 
-// NewAPI builds the handler. refresher may be nil for a static index.
-// When cfg.Metrics is set, the store, refresher and per-endpoint series
-// are registered on it and GET /metrics serves the scrape.
-func NewAPI(st *Store, refresher *Refresher, cfg APIConfig) *API {
+// NewAPI builds the handler. reloader may be nil for a store something
+// else publishes into. When cfg.Metrics is set, the store, reloader and
+// per-endpoint series are registered on it and GET /metrics serves the
+// scrape.
+func NewAPI(st *Store, reloader *Reloader, cfg APIConfig) *API {
 	a := &API{
-		store:     st,
-		refresher: refresher,
-		mux:       http.NewServeMux(),
-		sem:       make(chan struct{}, cfg.maxInFlight()),
-		maxBody:   cfg.maxBodyBytes(),
-		registry:  cfg.Metrics,
-		metrics:   map[string]*endpointMetrics{},
+		store:    st,
+		reloader: reloader,
+		mux:      http.NewServeMux(),
+		sem:      make(chan struct{}, cfg.maxInFlight()),
+		maxBody:  cfg.maxBodyBytes(),
+		registry: cfg.Metrics,
+		metrics:  map[string]*endpointMetrics{},
 	}
 	if a.registry != nil {
-		RegisterMetrics(a.registry, st, refresher)
+		RegisterMetrics(a.registry, st, reloader)
 	}
 	a.handle("GET /healthz", "healthz", a.handleHealth)
 	a.handle("GET /v1/lookup", "lookup", a.handleLookup)
@@ -205,8 +206,16 @@ func (sc *lookupScratch) fill(ans Answer, withInstances bool) *LookupResponse {
 }
 
 func (a *API) handleHealth(w http.ResponseWriter, _ *http.Request) int {
+	var reloadErr string
+	if a.reloader != nil {
+		reloadErr = a.reloader.LastError()
+	}
 	if !a.store.Ready() {
-		return writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"status": "starting"})
+		body := map[string]any{"status": "starting"}
+		if reloadErr != "" {
+			body["reload_error"] = reloadErr
+		}
+		return writeJSONStatus(w, http.StatusServiceUnavailable, body)
 	}
 	snap := a.store.Current()
 	body := map[string]any{
@@ -215,12 +224,17 @@ func (a *API) handleHealth(w http.ResponseWriter, _ *http.Request) int {
 		"prefixes": snap.Len(),
 	}
 	// A degraded campaign still serves (the paper's censuses survived
-	// PlanetLab attrition the same way), but the health check says so:
-	// the body flips to "degraded" and names the quarantined count while
-	// the 200 keeps load balancers routing to the node.
+	// PlanetLab attrition the same way), and so does a node whose newest
+	// snapshot file was rejected, but the health check says so: the body
+	// flips to "degraded" and names the quarantined count or the reason
+	// while the 200 keeps load balancers routing to the node.
 	if h := snap.Health(); h.Degraded() {
 		body["status"] = "degraded"
 		body["quarantined_vps"] = len(h.Quarantined)
+	}
+	if reloadErr != "" {
+		body["status"] = "degraded"
+		body["reload_error"] = reloadErr
 	}
 	return writeJSONStatus(w, http.StatusOK, body)
 }
@@ -343,8 +357,8 @@ func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) int {
 	if snap := a.store.Current(); snap != nil {
 		body["campaign_health"] = snap.Health()
 	}
-	if a.refresher != nil {
-		body["refresher"] = a.refresher.Stats()
+	if a.reloader != nil {
+		body["reloader"] = a.reloader.Stats()
 	}
 	return writeJSONStatus(w, http.StatusOK, body)
 }

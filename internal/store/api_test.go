@@ -1,15 +1,14 @@
 package store
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"anycastmap/internal/obs"
 )
@@ -172,11 +171,15 @@ func TestAPINotReady(t *testing.T) {
 }
 
 func TestAPIStats(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "map.snap")
+	if err := SaveSnapshotFile(path, testSnapshot(t, 4)); err != nil {
+		t.Fatal(err)
+	}
 	st := New(Options{})
-	st.Publish(testSnapshot(t, 4))
-	r := NewRefresher(st, SourceFunc(func(context.Context) (*Snapshot, error) {
-		return testSnapshot(t, 4), nil
-	}), time.Minute)
+	r := NewReloader(st, path)
+	if !r.Check() {
+		t.Fatal(r.LastError())
+	}
 	a := NewAPI(st, r, APIConfig{})
 
 	doJSON(t, a, http.MethodGet, "/v1/lookup?ip=10.10.0.1", "")
@@ -198,8 +201,8 @@ func TestAPIStats(t *testing.T) {
 	if eps["lookup"].(map[string]any)["requests"].(float64) != 2 {
 		t.Errorf("endpoint stats = %v", eps["lookup"])
 	}
-	if _, ok := body["refresher"]; !ok {
-		t.Error("refresher stats missing")
+	if rs, ok := body["reloader"].(map[string]any); !ok || rs["loads"] != float64(1) {
+		t.Errorf("reloader stats = %v", body["reloader"])
 	}
 }
 

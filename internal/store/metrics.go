@@ -8,18 +8,18 @@ import (
 )
 
 // RegisterMetrics exposes the store's serving counters, the snapshot
-// gauges, and (when rf is non-nil) the refresher counters on r. The
+// gauges, and (when rl is non-nil) the reload counters on r. The
 // series read through to the same atomics Stats samples, so scraped
 // values always match /v1/stats. NewAPI calls this when APIConfig
 // carries a registry; call it directly only for daemons serving a store
 // without the HTTP API.
-func RegisterMetrics(r *obs.Registry, st *Store, rf *Refresher) {
+func RegisterMetrics(r *obs.Registry, st *Store, rl *Reloader) {
 	r.CounterFunc("anycastmap_store_lookups_total", "Single-IP and batch lookups served.", st.lookups.Load)
 	r.CounterFunc("anycastmap_store_snapshot_swaps_total", "Snapshots published (atomic hot-swaps).", st.swaps.Load)
 	r.GaugeFunc("anycastmap_store_snapshot_version", "Version of the live snapshot (0 before the first publish).", func() float64 {
 		return float64(st.version.Load())
 	})
-	r.GaugeFunc("anycastmap_store_snapshot_age_seconds", "Age of the live snapshot's build (NaN before the first publish).", func() float64 {
+	r.GaugeFunc("anycastmap_store_snapshot_age_seconds", "Age of the live snapshot's census: seconds since census -snapshot built it (NaN before the first publish).", func() float64 {
 		snap := st.Current()
 		if snap == nil {
 			return math.NaN()
@@ -40,16 +40,9 @@ func RegisterMetrics(r *obs.Registry, st *Store, rf *Refresher) {
 		}
 		return float64(len(snap.Health().Quarantined))
 	})
-	if rf == nil {
+	if rl == nil {
 		return
 	}
-	r.CounterFunc("anycastmap_refresh_completed_total", "Refreshes that published a snapshot.", rf.completed.Load)
-	r.CounterFunc("anycastmap_refresh_failed_total", "Refreshes that produced no snapshot.", rf.failed.Load)
-	r.CounterFunc("anycastmap_refresh_panics_total", "Refreshes whose build panicked (recovered).", rf.panics.Load)
-	r.CounterFunc("anycastmap_refresh_degraded_publishes_total", "Published snapshots whose campaign health quarantined a vantage point.", rf.degraded.Load)
-	r.CounterFunc("anycastmap_refresh_degraded_builds_total", "Published snapshots whose build returned an error alongside the snapshot.", rf.degradedBuilds.Load)
-	r.GaugeFunc("anycastmap_refresh_last_duration_seconds", "Wall time of the most recent refresh.", func() float64 {
-		return time.Duration(rf.lastNanos.Load()).Seconds()
-	})
-	r.GaugeFunc("anycastmap_refresh_interval_seconds", "Configured refresh interval.", rf.interval.Seconds)
+	r.CounterFunc("anycastmap_reload_total", "Snapshot files loaded and published.", rl.loads.Load)
+	r.CounterFunc("anycastmap_reload_rejected_total", "Snapshot files that failed to open and were not served.", rl.rejects.Load)
 }

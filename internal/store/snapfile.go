@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -313,9 +314,11 @@ func WriteSnapshot(buf *bytes.Buffer, s *Snapshot) error {
 }
 
 // SaveSnapshotFile writes the snapshot atomically: a temp file in the
-// same directory, synced, then renamed over path. A reader (or a crash)
-// never observes a half-written snapshot, and an old mapping of the
-// replaced file stays valid — the rename unlinks the name, not the pages.
+// same directory, synced, made world-readable (0644, so a server running
+// as another user can read what the census wrote), then renamed over
+// path. A reader (or a crash) never observes a half-written snapshot, and
+// an old mapping of the replaced file stays valid — the rename unlinks
+// the name, not the pages.
 func SaveSnapshotFile(path string, s *Snapshot) error {
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, s); err != nil {
@@ -335,6 +338,10 @@ func SaveSnapshotFile(path string, s *Snapshot) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
@@ -349,33 +356,52 @@ func SaveSnapshotFile(path string, s *Snapshot) error {
 // mapped bytes and entries decode lazily on first access. Close it (or
 // let Store.Publish close it on replacement) to drop the owner reference.
 func OpenSnapshotFile(path string) (*Snapshot, error) {
+	snap, _, err := openSnapshotFile(path, mmapFile)
+	return snap, err
+}
+
+// openSnapshotFile opens, sizes and validates the file at path, taking
+// its bytes with load (mmapFile, or readFile for a private heap copy). It
+// also returns what the open file's Stat said (nil when the open itself
+// failed), so a Reloader records the identity of the file it read.
+func openSnapshotFile(path string, load func(*os.File, int) ([]byte, bool, error)) (*Snapshot, os.FileInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fi.Size() < snapHeaderLen {
-		return nil, fmt.Errorf("store: snapshot file %s: %d bytes is shorter than the header", path, fi.Size())
+		return nil, fi, fmt.Errorf("store: snapshot file %s: %d bytes is shorter than the header", path, fi.Size())
 	}
 	if fi.Size() > snapMaxFileBytes {
-		return nil, fmt.Errorf("store: snapshot file %s: %d bytes exceeds the %d cap", path, fi.Size(), int64(snapMaxFileBytes))
+		return nil, fi, fmt.Errorf("store: snapshot file %s: %d bytes exceeds the %d cap", path, fi.Size(), int64(snapMaxFileBytes))
 	}
-	data, mapped, err := mmapFile(f, int(fi.Size()))
+	data, mapped, err := load(f, int(fi.Size()))
 	if err != nil {
-		return nil, fmt.Errorf("store: mapping snapshot file %s: %w", path, err)
+		return nil, fi, fmt.Errorf("store: reading snapshot file %s: %w", path, err)
 	}
 	snap, err := openSnapshotBytes(data, mapped)
 	if err != nil {
 		if mapped {
 			munmapFile(data)
 		}
-		return nil, fmt.Errorf("store: snapshot file %s: %w", path, err)
+		return nil, fi, fmt.Errorf("store: snapshot file %s: %w", path, err)
 	}
-	return snap, nil
+	return snap, fi, nil
+}
+
+// readFile reads the file's size bytes into the heap: a copy no later
+// write to the file can change.
+func readFile(f *os.File, size int) ([]byte, bool, error) {
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, false, err
+	}
+	return data, false, nil
 }
 
 // openSnapshotBytes validates an in-memory snapshot image and builds the

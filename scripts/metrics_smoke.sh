@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# metrics_smoke.sh boots anycastd (with its -dns routing front-end) and a
-# `census -local 2` coordinator against tiny worlds and asserts that GET
-# /metrics serves Prometheus text exposition carrying every required
-# series family: probe, census, store, cluster, route, and HTTP - that
-# anycastd's first census fed the analysis counters, that the runtime's
-# profiles answer under /debug/pprof/ on both admin listeners and nowhere
-# on anycastd's public one, and that the census browser answers on
-# anycastd's admin listener only. It is the end-to-end form of
+# metrics_smoke.sh runs the producer/server split end to end against tiny
+# worlds: `census -snapshot F` writes the map, anycastd (with its -dns
+# routing front-end) boots from F, reloads it when a second census
+# replaces it, and keeps serving when garbage lands on it. It asserts that
+# GET /metrics serves Prometheus text exposition carrying every required
+# series family - store, reload, route and HTTP on anycastd; probe,
+# census and cluster on a `census -local 2` coordinator - that the
+# runtime's profiles answer under /debug/pprof/ on both admin listeners
+# and nowhere on anycastd's public one, and that the census browser
+# answers on anycastd's admin listener only. It is the end-to-end form of
 # TestMetricsExposition, wired into CI as `make metrics-smoke`.
 set -euo pipefail
 
@@ -57,12 +59,35 @@ require_series() { # file series...
     done
 }
 
-echo "== anycastd /metrics =="
+json_field() { # url field
+    curl -fsS "$1" | grep -o "\"$2\":[^,}]*" | cut -d: -f2- | tr -d '"'
+}
+
+wait_field() { # url field value
+    for _ in $(seq 100); do
+        if [ "$(json_field "$1" "$2")" = "$3" ]; then return 0; fi
+        sleep 0.2
+    done
+    echo "FAIL: $1 never reported $2=$3 (last: $(json_field "$1" "$2"))" >&2
+    return 1
+}
+
+echo "== census -snapshot -> anycastd =="
+snap=$BIN/map.snap
+"$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -snapshot "$snap" >/dev/null 2>"$BIN/census1.log"
+detected=$(sed -n 's/^combined: \([0-9]*\) anycast.*/\1/p' "$BIN/census1.log")
 "$BIN/anycastd" -addr "$ANYCASTD_ADDR" -admin "$ANYCASTD_ADMIN" -dns "$ANYCASTD_DNS" \
-    -unicast24s 800 -vps 40 -censuses 1 -refresh 1h &
+    -snapshot-file "$snap" &
 pids+=($!)
 wait_http "http://$ANYCASTD_ADDR/healthz" 150
+served=$(json_field "http://$ANYCASTD_ADDR/v1/snapshot" anycast_prefixes)
+if [ -z "$detected" ] || [ "$served" != "$detected" ]; then
+    echo "FAIL: anycastd serves $served anycast /24s, census logged ${detected:-nothing}" >&2
+    exit 1
+fi
+echo "ok: anycastd serves the census's $served anycast /24s"
 
+echo "== anycastd /metrics =="
 scrape=$BIN/anycastd.metrics
 # A lookup first, so the HTTP series have non-registration traffic.
 curl -fsS "http://$ANYCASTD_ADDR/v1/lookup?ip=8.8.8.8" >/dev/null
@@ -76,27 +101,19 @@ text/plain*version=0.0.4*) ;;
     ;;
 esac
 require_series "$scrape" \
-    anycastmap_probe_probes_sent_total \
-    anycastmap_probe_echo_replies_total \
-    anycastmap_probe_span_seconds_count \
-    anycastmap_probe_spans_in_flight \
-    anycastmap_census_rounds_folded_total \
-    anycastmap_census_analyze_seconds_count \
-    anycastmap_census_analyses_total \
-    anycastmap_census_witness_decided_total \
-    anycastmap_census_split_scanned_total \
-    anycastmap_census_pair_tests_total \
     anycastmap_store_snapshot_version \
+    anycastmap_store_snapshot_age_seconds \
     anycastmap_store_lookups_total \
-    anycastmap_refresh_completed_total \
+    anycastmap_reload_total \
+    anycastmap_reload_rejected_total \
     anycastmap_route_queries_total \
     anycastmap_route_answers_total \
     anycastmap_route_answer_seconds_count \
     'anycastmap_http_requests_total{endpoint="lookup"}'
-grep -q '^anycastmap_refresh_completed_total 1$' "$scrape" ||
-    { echo "FAIL: anycastd first refresh not counted" >&2; exit 1; }
-if grep -q '^anycastmap_census_analyses_total 0$' "$scrape"; then
-    echo "FAIL: anycastd's first census fed no target analyses" >&2
+grep -q '^anycastmap_reload_total 1$' "$scrape" ||
+    { echo "FAIL: anycastd's boot load not counted" >&2; exit 1; }
+if grep -Eq '^anycastmap_(refresh|census|probe)_' "$scrape"; then
+    echo "FAIL: anycastd, a pure server, scrapes census series" >&2
     exit 1
 fi
 echo "ok: anycastd serves all required series"
@@ -108,6 +125,21 @@ require_status "http://$ANYCASTD_ADMIN/" 200
 require_status "http://$ANYCASTD_ADMIN/api/findings" 200
 require_status "http://$ANYCASTD_ADDR/api/findings" 404
 echo "ok: anycastd serves the census browser on its admin listener only"
+
+echo "== anycastd reloads =="
+"$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -snapshot "$snap" >/dev/null 2>"$BIN/census2.log"
+wait_field "http://$ANYCASTD_ADDR/v1/snapshot" version 2
+wait_field "http://$ANYCASTD_ADDR/v1/snapshot" census_round 2
+echo "ok: a second census reloads as version 2, census round 2"
+printf 'not a snapshot' >"$snap" # non-atomic, unlike census's rename
+wait_field "http://$ANYCASTD_ADDR/healthz" status degraded
+require_status "http://$ANYCASTD_ADDR/healthz" 200
+wait_field "http://$ANYCASTD_ADDR/v1/snapshot" version 2
+wait_field "http://$ANYCASTD_ADDR/v1/lookup?ip=8.8.8.8" snapshot_version 2
+curl -fsS "http://$ANYCASTD_ADDR/metrics" -o "$scrape"
+grep -q '^anycastmap_reload_rejected_total 1$' "$scrape" ||
+    { echo "FAIL: the rejected file was not counted once" >&2; exit 1; }
+echo "ok: garbage over the file turns /healthz degraded; version 2 keeps serving"
 
 echo "== census -local /metrics =="
 # The coordinator exits when its rounds are done, so the census must
@@ -138,6 +170,11 @@ require_series "$scrape" \
     anycastmap_probe_span_seconds_count \
     anycastmap_probe_spans_in_flight \
     anycastmap_census_rounds_folded_total \
+    anycastmap_census_analyze_seconds_count \
+    anycastmap_census_analyses_total \
+    anycastmap_census_witness_decided_total \
+    anycastmap_census_split_scanned_total \
+    anycastmap_census_pair_tests_total \
     anycastmap_cluster_agents_joined_total \
     anycastmap_cluster_leases_total \
     anycastmap_cluster_shard_fold_seconds_count
