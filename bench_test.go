@@ -287,7 +287,7 @@ func reportLookupRate(b *testing.B, lookups int) {
 }
 
 // BenchmarkStoreLookupCold measures the lookup path: the snapshot's binary
-// search, which every Store.Lookup runs under a pin.
+// search, which every Store.Lookup runs.
 func BenchmarkStoreLookupCold(b *testing.B) {
 	st, ips := benchServing(b)
 	snap := st.Current()

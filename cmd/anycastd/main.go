@@ -1,7 +1,7 @@
 // Command anycastd is the anycast lookup daemon: the paper's public
 // anycast map ([21]) served as a high-QPS classification API. It runs no
 // census of its own: `census -snapshot FILE` produces the map, and
-// `anycastd -snapshot-file FILE` serves that file mmap-backed and answers
+// `anycastd -snapshot-file FILE` decodes that file into memory and answers
 //
 //	GET  /v1/lookup?ip=188.114.97.7     one IP  -> anycast? AS, replicas, cities
 //	POST /v1/lookup/batch               JSON list of IPs -> one answer each

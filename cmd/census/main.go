@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
@@ -129,6 +131,13 @@ func main() {
 		if *faultSticky > 0 || *faultFlap > 0 || *faultBurst > 0 || *faultOutage > 0 {
 			log.Fatal("-verify only supports -fault-crash with zero stickiness")
 		}
+	}
+
+	// Rounds stay monotone across censuses writing one snapshot file: the
+	// first round follows the round of the file this census replaces.
+	first, err := firstRound(*snapshot)
+	if err != nil {
+		log.Fatalf("snapshot: %v", err)
 	}
 
 	if *cpuProfile != "" {
@@ -321,17 +330,6 @@ func main() {
 		log.Printf("probing with %d concurrent vantage points", ccfg.EffectiveWorkers())
 	}
 
-	// Rounds stay monotone across censuses writing one snapshot file: the
-	// first round follows the round of the file this census replaces.
-	first := uint64(1)
-	if *snapshot != "" {
-		if prev, err := store.OpenSnapshotFile(*snapshot); err == nil {
-			first = prev.Round() + 1
-			prev.Close()
-		} else {
-			log.Printf("snapshot: starting at round 1 (%v)", err)
-		}
-	}
 	last := first + uint64(*rounds) - 1
 
 	var campaignProbes int64
@@ -457,6 +455,25 @@ func main() {
 // after the analysis, the combined matrix and the outcomes are still live,
 // so the profile shows the campaign's peak owners rather than an empty
 // heap at exit.
+// firstRound numbers the first round of a census writing the snapshot
+// file at path: 1 when there is no file yet (or no path), else the file's
+// round + 1. Any other failure to open the file is an error, so a census
+// never replaces a file that is not a readable snapshot.
+func firstRound(path string) (uint64, error) {
+	if path == "" {
+		return 1, nil
+	}
+	prev, err := store.OpenSnapshotFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		log.Printf("snapshot: %s does not exist, starting at round 1", path)
+		return 1, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%w (not replacing it; move it away to start at round 1)", err)
+	}
+	return prev.Round() + 1, nil
+}
+
 func writeHeapProfile(path string) {
 	f, err := os.Create(path)
 	if err != nil {

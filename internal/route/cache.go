@@ -49,7 +49,7 @@ func decideSlot(key uint64) uint64 {
 // DecideForCached is DecideFor through the scratch's per-worker
 // decision cache. A hit — same client, service and preferred policy
 // against the currently published snapshot version — returns the
-// memoized answer without pinning, locating, or scoring; a miss runs
+// memoized answer without locating or scoring; a miss runs
 // the full DecideFor and caches its result. Answers are byte-identical
 // to the uncached path (pinned by TestDecideForCached) and the call
 // still performs zero heap allocations.
@@ -58,8 +58,8 @@ func (e *Engine) DecideForCached(sc *Scratch, client, service netsim.Prefix24, p
 	ent := &sc.dcache[decideSlot(key)]
 	if ent.key == key {
 		// Version gates the hit: Current() is one atomic load, and the
-		// version field is immutable after publish, so reading it off
-		// the unpinned snapshot is safe even mid-swap.
+		// version field is immutable after publish, so reading it is
+		// safe even mid-swap.
 		if snap := e.store.Current(); snap != nil && snap.Version() == ent.version {
 			return ent.ans, ent.policy
 		}

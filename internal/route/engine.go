@@ -21,7 +21,7 @@
 //   - health-weighted: nearest-replica restricted to instances whose
 //     isolating VP was not quarantined in the snapshot's campaign.
 //
-// Every decision reads only through Store.AcquirePinned, so hot
+// Every decision reads one snapshot loaded by Store.Current, so hot
 // snapshot swaps never stall a query and a query never mixes versions.
 package route
 
@@ -176,9 +176,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Answer is one routing decision. Strings are heap-owned snapshot
-// strings (never mapped memory), so an Answer stays valid across
-// snapshot swaps.
+// Answer is one routing decision. Its strings are the snapshot's own,
+// so an Answer stays valid across snapshot swaps.
 type Answer struct {
 	// Client and Service echo the question.
 	Client  netsim.Prefix24
@@ -216,18 +215,17 @@ func (e *Engine) Decide(client netsim.Prefix24) (Answer, Policy) {
 // DecideFor routes client to a replica of service. A non-None prefer
 // policy is tried before the configured chain (the chain still runs as
 // fallback, skipping the preferred policy). The whole call performs no
-// heap allocation: it pins the snapshot, walks the entry's instances,
-// and unpins before returning.
+// heap allocation: it loads the snapshot once and walks the entry's
+// instances.
 func (e *Engine) DecideFor(client, service netsim.Prefix24, prefer Policy) (Answer, Policy) {
 	ans := Answer{Client: client, Service: service, Replica: -1}
-	snap := e.store.AcquirePinned()
+	snap := e.store.Current()
 	if snap == nil {
 		return ans, PolicyNone
 	}
 	ans.Version = snap.Version()
 	entry, ok := snap.LookupPrefix(service)
 	if !ok {
-		snap.Unpin()
 		return ans, PolicyNone
 	}
 	ans.Anycast = true
@@ -269,7 +267,6 @@ func (e *Engine) DecideFor(client, service netsim.Prefix24, prefer Policy) (Answ
 			ans.DistKm = geo.VecDistKm(geo.VecDot(cvec, in.UnitVec()))
 		}
 	}
-	snap.Unpin()
 	return ans, decided
 }
 

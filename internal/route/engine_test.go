@@ -166,8 +166,8 @@ func TestDecideZeroAllocs(t *testing.T) {
 
 // TestDecideDeterministic pins the satellite contract: over a fixed
 // world, the full answer set is byte-identical across worker counts and
-// across mapped-vs-heap snapshots — the serving twin of the snapfile
-// parity test.
+// across a snapshot built in memory and its twin opened from a file — the
+// serving twin of the snapfile parity test.
 func TestDecideDeterministic(t *testing.T) {
 	fs := testFindings(t, 64500)
 	heapSnap := store.NewSnapshot(fs, nil, 1, 1)

@@ -447,13 +447,11 @@ func TestRespondZeroAllocsPerQuery(t *testing.T) {
 	}
 }
 
-// TestSwapUnderLoad publishes a dozen mapped snapshot generations while
-// workers hammer the answer path, then checks the two serving
-// invariants: no answer ever mixes fields from two versions, and every
-// replaced mapping's refcount drains to zero (the file actually
-// unmaps). The version is encoded in the findings' ASN, so mixing is
-// detectable from the answer alone. Run with -race to check the
-// publish/decide interleaving.
+// TestSwapUnderLoad publishes a dozen snapshot generations opened from
+// files while workers hammer the answer path, then checks the serving
+// invariant: no answer ever mixes fields from two versions. The version
+// is encoded in the findings' ASN, so mixing is detectable from the
+// answer alone. Run with -race to check the publish/decide interleaving.
 func TestSwapUnderLoad(t *testing.T) {
 	const versions = 12
 	const asnBase = 64500
@@ -474,9 +472,7 @@ func TestSwapUnderLoad(t *testing.T) {
 		}
 		return snap
 	}
-	snaps := make([]*store.Snapshot, versions+1)
-	snaps[1] = load(1)
-	st.Publish(snaps[1])
+	st.Publish(load(1))
 
 	e := testEngine(t, st)
 	r, err := NewResponder(e, "", 30, nil)
@@ -522,8 +518,7 @@ func TestSwapUnderLoad(t *testing.T) {
 
 	for k := 2; k <= versions; k++ {
 		time.Sleep(5 * time.Millisecond)
-		snaps[k] = load(k)
-		if v := st.Publish(snaps[k]); v != uint64(k) {
+		if v := st.Publish(load(k)); v != uint64(k) {
 			t.Errorf("publish %d assigned version %d", k, v)
 		}
 	}
@@ -536,16 +531,6 @@ func TestSwapUnderLoad(t *testing.T) {
 	}
 	if n := mixed.Load(); n != 0 {
 		t.Fatalf("%d answers mixed snapshot versions (of %d served)", n, served.Load())
-	}
-	// Every replaced snapshot's mapping must have drained: no worker
-	// holds a pin, and Publish dropped the owner reference.
-	for k := 1; k < versions; k++ {
-		if refs := snaps[k].MappingRefs(); refs != 0 {
-			t.Errorf("version %d still holds %d mapping refs", k, refs)
-		}
-	}
-	if refs := snaps[versions].MappingRefs(); refs < 1 {
-		t.Errorf("live snapshot refs = %d, want >= 1 (owner)", refs)
 	}
 	if got := st.Current().Version(); got != versions {
 		t.Errorf("current version = %d, want %d", got, versions)

@@ -327,9 +327,6 @@ type SnapshotInfo struct {
 	Prefixes      int       `json:"anycast_prefixes"`
 	ASes          int       `json:"ases"`
 	Replicas      int       `json:"replicas"`
-	// Mapped reports whether the snapshot serves from an mmap-backed file
-	// rather than the heap.
-	Mapped bool `json:"mapped"`
 }
 
 func (a *API) handleSnapshot(w http.ResponseWriter, _ *http.Request) int {
@@ -345,7 +342,6 @@ func (a *API) handleSnapshot(w http.ResponseWriter, _ *http.Request) int {
 		Prefixes:      snap.Len(),
 		ASes:          snap.ASes(),
 		Replicas:      snap.TotalReplicas(),
-		Mapped:        snap.Mapped(),
 	})
 }
 

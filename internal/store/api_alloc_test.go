@@ -1,7 +1,6 @@
 package store
 
 import (
-	"path/filepath"
 	"testing"
 
 	"anycastmap/internal/netsim"
@@ -41,38 +40,6 @@ func TestLookupResponseAllocs(t *testing.T) {
 	sc.fill(bigAns, false)
 	if got := testing.AllocsPerRun(100, func() { sc.fill(bigAns, false) }); got > 1 {
 		t.Errorf("fill over a 64-instance entry = %.1f allocs/op, want <= 1", got)
-	}
-}
-
-// TestAcquirePinnedAllocs asserts the closure-free pin path allocates
-// nothing, on both heap and mapped snapshots. Store.Acquire's release
-// closure costs one allocation per call on mapped snapshots, which is
-// why the routing engine (and the store's own miss path) use this one.
-func TestAcquirePinnedAllocs(t *testing.T) {
-	heap := New(Options{})
-	heap.Publish(testSnapshot(t, 4))
-
-	mappedStore := New(Options{})
-	path := filepath.Join(t.TempDir(), "census.snap")
-	if err := SaveSnapshotFile(path, testSnapshot(t, 4)); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappedStore.Publish(mapped)
-
-	for _, tc := range []struct {
-		name string
-		st   *Store
-	}{{"heap", heap}, {"mapped", mappedStore}} {
-		if got := testing.AllocsPerRun(100, func() {
-			snap := tc.st.AcquirePinned()
-			snap.Unpin()
-		}); got != 0 {
-			t.Errorf("%s AcquirePinned+Unpin = %.1f allocs/op, want 0", tc.name, got)
-		}
 	}
 }
 

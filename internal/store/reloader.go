@@ -69,11 +69,7 @@ func (r *Reloader) Check() bool {
 	if r.tried != nil && sameFile(r.tried, fi) {
 		return false
 	}
-	// The server keeps its own copy of the bytes rather than mapping the
-	// producer's inode: a non-atomic write over the file (cp, cat >) would
-	// rewrite the pages readers are using, or truncate them into a fault.
-	// The copy costs one map's size, about 1 MB for the paper's map.
-	snap, read, err := openSnapshotFile(r.path, readFile)
+	snap, read, err := openSnapshotFile(r.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		r.tried = nil
 		return false

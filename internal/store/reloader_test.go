@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -27,6 +29,19 @@ func overwrite(t *testing.T, path string, data []byte) {
 	}
 }
 
+// entryBlobOffset is where a snapshot image's entries blob starts: past
+// the header, the padded health blob, the prefixes and the offsets.
+func entryBlobOffset(t *testing.T, image []byte) int {
+	t.Helper()
+	count := int(binary.LittleEndian.Uint32(image[12:]))
+	health := int(binary.LittleEndian.Uint32(image[48:]))
+	off := snapHeaderLen + (health+3)/4*4 + 4*count + 4*(count+1)
+	if off >= len(image) {
+		t.Fatalf("image of %d bytes has no entries blob past %d", len(image), off)
+	}
+	return off
+}
+
 // A file that fails to open never replaces the serving snapshot: the
 // rejection is counted, /healthz stays 200 but degraded and quotes the
 // reason, and the next good file clears it.
@@ -46,6 +61,17 @@ func TestReloadRejectsCorruptFile(t *testing.T) {
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-3] ^= 0x10
+	// A CRC-valid file whose first entry's ASN is a run of continuation
+	// bytes: every check but the entry decode passes. It holds three
+	// entries, so its size tells it apart from the bit-flipped file
+	// written just before it.
+	var three bytes.Buffer
+	if err := WriteSnapshot(&three, testSnapshot(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	undecodable := three.Bytes()
+	copy(undecodable[entryBlobOffset(t, undecodable):], bytes.Repeat([]byte{0xff}, 5))
+	undecodable = resealed(undecodable)
 	for i, tc := range []struct {
 		name   string
 		data   []byte
@@ -53,6 +79,7 @@ func TestReloadRejectsCorruptFile(t *testing.T) {
 	}{
 		{"truncated", good[:len(good)-7], "truncated"},
 		{"bit-flipped", flipped, "CRC"},
+		{"undecodable-entry", undecodable, "entry 0 (10.10.0.0/24)"},
 	} {
 		overwrite(t, path, tc.data)
 		if rl.Check() {
@@ -61,11 +88,13 @@ func TestReloadRejectsCorruptFile(t *testing.T) {
 		if rs := rl.Stats(); rs.Rejects != uint64(i+1) || rs.Loads != 1 {
 			t.Errorf("%s: reloader stats = %+v", tc.name, rs)
 		}
-		rec, body := doJSON(t, a, http.MethodGet, "/v1/lookup?ip=10.10.2.7", "")
-		if rec.Code != http.StatusOK || body["anycast"] != true || body["snapshot_version"] != float64(1) {
-			t.Errorf("%s: old version stopped answering: %d %v", tc.name, rec.Code, body)
+		for _, ip := range []string{"10.10.0.7", "10.10.2.7"} {
+			rec, body := doJSON(t, a, http.MethodGet, "/v1/lookup?ip="+ip, "")
+			if rec.Code != http.StatusOK || body["anycast"] != true || body["snapshot_version"] != float64(1) {
+				t.Errorf("%s: old version stopped answering %s: %d %v", tc.name, ip, rec.Code, body)
+			}
 		}
-		rec, body = doJSON(t, a, http.MethodGet, "/healthz", "")
+		rec, body := doJSON(t, a, http.MethodGet, "/healthz", "")
 		reason, _ := body["reload_error"].(string)
 		if rec.Code != http.StatusOK || body["status"] != "degraded" || !strings.Contains(reason, tc.reason) {
 			t.Errorf("%s: /healthz = %d %v, want 200 degraded quoting %q", tc.name, rec.Code, body, tc.reason)
@@ -84,7 +113,7 @@ func TestReloadRejectsCorruptFile(t *testing.T) {
 		t.Errorf("reload error not cleared: %v", body)
 	}
 	_, body = doJSON(t, a, http.MethodGet, "/v1/stats", "")
-	if rs := body["reloader"].(map[string]any); rs["loads"] != float64(2) || rs["rejects"] != float64(2) || rs["last_error"] != nil {
+	if rs := body["reloader"].(map[string]any); rs["loads"] != float64(2) || rs["rejects"] != float64(3) || rs["last_error"] != nil {
 		t.Errorf("/v1/stats reloader = %v", rs)
 	}
 }
@@ -137,36 +166,6 @@ func TestReloadMissingFileThenReady(t *testing.T) {
 	rec, body = doJSON(t, a, http.MethodGet, "/healthz", "")
 	if rec.Code != http.StatusOK || body["status"] != "ok" {
 		t.Errorf("/healthz once the file exists = %d %v", rec.Code, body)
-	}
-}
-
-// A reload closes the snapshot it replaces; its file image is released
-// once the reader still holding it lets go.
-func TestReloadReleasesReplacedMapping(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "map.snap")
-	writeTestSnapshot(t, path, 4)
-	st := New(Options{})
-	rl := NewReloader(st, path)
-	if !rl.Check() {
-		t.Fatal(rl.LastError())
-	}
-	old, release := st.Acquire()
-	if refs := old.MappingRefs(); refs != 2 {
-		t.Fatalf("served snapshot refs with one reader = %d, want 2 (owner + reader)", refs)
-	}
-	writeTestSnapshot(t, path, 6)
-	if !rl.Check() {
-		t.Fatal(rl.LastError())
-	}
-	if refs := old.MappingRefs(); refs != 1 {
-		t.Errorf("replaced mapping refs with one reader = %d, want 1", refs)
-	}
-	release()
-	if refs := old.MappingRefs(); refs != 0 {
-		t.Errorf("replaced mapping refs after its reader = %d, want 0", refs)
-	}
-	if st.Current().Len() != 6 {
-		t.Errorf("serving %d entries, want the new file's 6", st.Current().Len())
 	}
 }
 

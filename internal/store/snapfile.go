@@ -10,27 +10,22 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/geo"
 	"anycastmap/internal/netsim"
 )
 
-// snapfile.go — the versioned on-disk snapshot format and its mmap-backed
-// reader.
+// snapfile.go — the versioned on-disk snapshot format and its reader.
 //
 // A census campaign's product — the anycast map — is rebuilt in minutes
-// but served for hours, and at paper scale the build happens on a census
-// box while the serving daemon wants to boot instantly and stay light.
-// The snapshot file makes the product a first-class artifact: one
-// little-endian, CRC-guarded, page-aligned-friendly file whose prefix
-// index is binary-searchable *in place*. anycastd maps it read-only:
-// serving needs no up-front decode (entries decode lazily, one at a time,
-// on first lookup) and no resident heap proportional to the census — the
-// kernel page cache owns the bytes.
+// but served for hours, and the build happens in `census -snapshot` while
+// anycastd only serves. The snapshot file is the one boundary between
+// them: a little-endian, CRC-guarded image that the reader validates as
+// a whole and then decodes, every entry, into the same heap Snapshot
+// NewSnapshot builds. A file that does not decode completely is rejected
+// before it can be published.
 //
 // Layout (all integers little-endian):
 //
@@ -50,12 +45,6 @@ import (
 //	        prefixes: count × u32, sorted ascending (the search index)
 //	        offsets:  (count+1) × u32 into the entries blob
 //	        entries blob
-//
-// The prefix array and offset table are 4-byte aligned by construction,
-// so on little-endian hosts the reader casts the mapped bytes straight to
-// []Prefix24 / []uint32 — zero copy, zero decode. Big-endian hosts fall
-// back to a decoded copy of the two index arrays (entries still decode
-// lazily from the map).
 
 // SnapshotFileMagic leads every snapshot file.
 const SnapshotFileMagic = "ACMSNAP1"
@@ -66,44 +55,6 @@ const (
 	snapMaxFileBytes  = 1 << 34 // 16 GiB: far beyond any real map, stops hostile headers
 	snapMaxEntryCount = 1 << 28
 )
-
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// mapping owns one mmap'd (or, off unix, heap-read) snapshot file and
-// refcounts its readers. The owner reference is held by the Snapshot and
-// dropped by Close; lookups pin the mapping with acquire/release around
-// raw-memory access. The last release unmaps, so a hot-swap never yanks
-// pages out from under an in-flight reader.
-type mapping struct {
-	data   []byte
-	mapped bool // true when data needs munmap
-	refs   atomic.Int64
-}
-
-// acquire takes a reader reference; it fails only after the last
-// reference died (the mapping is gone and a newer snapshot must be live).
-func (m *mapping) acquire() bool {
-	for {
-		r := m.refs.Load()
-		if r <= 0 {
-			return false
-		}
-		if m.refs.CompareAndSwap(r, r+1) {
-			return true
-		}
-	}
-}
-
-// release drops one reference, unmapping on the last.
-func (m *mapping) release() {
-	if m.refs.Add(-1) == 0 && m.mapped {
-		munmapFile(m.data)
-		m.data = nil
-	}
-}
 
 func putU32(b *bytes.Buffer, v uint32) {
 	var tmp [4]byte
@@ -159,7 +110,7 @@ func encodeSnapEntry(b *bytes.Buffer, e *Entry) error {
 func takeUv(p []byte, what string) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("store: truncated or invalid %s", what)
+		return 0, nil, fmt.Errorf("truncated or invalid %s", what)
 	}
 	return v, p[n:], nil
 }
@@ -170,69 +121,67 @@ func takeStr(p []byte, what string) (string, []byte, error) {
 		return "", nil, err
 	}
 	if n > uint64(len(p)) {
-		return "", nil, fmt.Errorf("store: %s length %d exceeds payload", what, n)
+		return "", nil, fmt.Errorf("%s length %d exceeds payload", what, n)
 	}
-	// string() copies: nothing decoded here may point into the mapping,
-	// or cached entries would dangle after the unmap.
 	return string(p[:n]), p[n:], nil
 }
 
-// decodeSnapEntry parses one entry blob into a fully heap-owned Entry.
-// Derived fields (the cached prefix string, instance unit vectors) are
-// recomputed here exactly as NewSnapshot computes them, so a decoded
-// entry is deep-equal to its heap-built twin.
-func decodeSnapEntry(p []byte, prefix netsim.Prefix24) (*Entry, error) {
-	e := &Entry{Prefix: prefix, prefixStr: prefix.String()}
+// decodeSnapEntry parses one entry blob into e. Derived fields (the
+// cached prefix string, instance unit vectors) are recomputed here
+// exactly as NewSnapshot computes them, so a decoded entry is deep-equal
+// to its heap-built twin.
+func decodeSnapEntry(e *Entry, p []byte, prefix netsim.Prefix24) error {
+	*e = Entry{Prefix: prefix, prefixStr: prefix.String()}
 	var v uint64
 	var err error
 	if v, p, err = takeUv(p, "entry ASN"); err != nil {
-		return nil, err
+		return err
 	}
 	if v > 1<<31 {
-		return nil, fmt.Errorf("store: entry ASN %d out of range", v)
+		return fmt.Errorf("entry ASN %d out of range", v)
 	}
 	e.ASN = int(v)
 	if v, p, err = takeUv(p, "entry replicas"); err != nil {
-		return nil, err
+		return err
 	}
 	if v > 1<<31 {
-		return nil, fmt.Errorf("store: entry replica count %d out of range", v)
+		return fmt.Errorf("entry replica count %d out of range", v)
 	}
 	e.Replicas = int(v)
 	if e.ASName, p, err = takeStr(p, "entry AS name"); err != nil {
-		return nil, err
+		return err
 	}
 	if e.Category, p, err = takeStr(p, "entry category"); err != nil {
-		return nil, err
+		return err
 	}
 	var n uint64
 	if n, p, err = takeUv(p, "entry city count"); err != nil {
-		return nil, err
+		return err
 	}
 	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("store: entry city count %d exceeds payload", n)
+		return fmt.Errorf("entry city count %d exceeds payload", n)
 	}
 	if n > 0 {
 		e.Cities = make([]string, n)
 		for i := range e.Cities {
 			if e.Cities[i], p, err = takeStr(p, "entry city"); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	if n, p, err = takeUv(p, "entry instance count"); err != nil {
-		return nil, err
+		return err
 	}
 	// Every instance costs at least 17 bytes (flags + two f64s).
 	if n > uint64(len(p))/17+1 {
-		return nil, fmt.Errorf("store: entry instance count %d exceeds payload", n)
+		return fmt.Errorf("entry instance count %d exceeds payload", n)
 	}
 	if n > 0 {
 		e.Instances = make([]Instance, n)
 		for i := range e.Instances {
 			in := &e.Instances[i]
 			if len(p) < 17 {
-				return nil, fmt.Errorf("store: truncated entry instance")
+				return fmt.Errorf("truncated entry instance")
 			}
 			in.Located = p[0]&1 != 0
 			in.Lat = math.Float64frombits(binary.LittleEndian.Uint64(p[1:]))
@@ -240,25 +189,24 @@ func decodeSnapEntry(p []byte, prefix netsim.Prefix24) (*Entry, error) {
 			in.vec = geo.UnitVec(geo.Coord{Lat: in.Lat, Lon: in.Lon})
 			p = p[17:]
 			if in.ViaVP, p, err = takeStr(p, "instance VP"); err != nil {
-				return nil, err
+				return err
 			}
 			if in.City, p, err = takeStr(p, "instance city"); err != nil {
-				return nil, err
+				return err
 			}
 			if in.CC, p, err = takeStr(p, "instance cc"); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("store: entry has %d trailing bytes", len(p))
+		return fmt.Errorf("entry has %d trailing bytes", len(p))
 	}
-	return e, nil
+	return nil
 }
 
 // WriteSnapshot serializes the snapshot in the on-disk format. The bytes
-// are a pure function of the snapshot's contents. Works for both heap and
-// mapped snapshots (re-encoding a mapped one decodes each entry once).
+// are a pure function of the snapshot's contents.
 func WriteSnapshot(buf *bytes.Buffer, s *Snapshot) error {
 	var health bytes.Buffer
 	if err := gob.NewEncoder(&health).Encode(s.health); err != nil {
@@ -269,11 +217,7 @@ func WriteSnapshot(buf *bytes.Buffer, s *Snapshot) error {
 	offsets := make([]uint32, 0, len(s.prefixes)+1)
 	for i := range s.prefixes {
 		offsets = append(offsets, uint32(entries.Len()))
-		e := s.entryAt(i)
-		if e == nil {
-			return fmt.Errorf("store: entry %d is unreadable", i)
-		}
-		if err := encodeSnapEntry(&entries, e); err != nil {
+		if err := encodeSnapEntry(&entries, &s.entries[i]); err != nil {
 			return err
 		}
 		if int64(entries.Len()) > 1<<31 {
@@ -316,9 +260,7 @@ func WriteSnapshot(buf *bytes.Buffer, s *Snapshot) error {
 // SaveSnapshotFile writes the snapshot atomically: a temp file in the
 // same directory, synced, made world-readable (0644, so a server running
 // as another user can read what the census wrote), then renamed over
-// path. A reader (or a crash) never observes a half-written snapshot, and
-// an old mapping of the replaced file stays valid — the rename unlinks
-// the name, not the pages.
+// path. A reader (or a crash) never observes a half-written snapshot.
 func SaveSnapshotFile(path string, s *Snapshot) error {
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, s); err != nil {
@@ -348,23 +290,20 @@ func SaveSnapshotFile(path string, s *Snapshot) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// OpenSnapshotFile maps a snapshot file for serving. The whole file is
+// OpenSnapshotFile reads and decodes a snapshot file. The whole file is
 // validated before the snapshot escapes — magic, version, region bounds,
-// CRC, offset monotonicity — so a truncated or corrupt file is rejected
-// here, never after a hot-swap. The returned snapshot serves lookups
-// straight off the page cache: the prefix index binary-searches the
-// mapped bytes and entries decode lazily on first access. Close it (or
-// let Store.Publish close it on replacement) to drop the owner reference.
+// CRC, index order, offset monotonicity and every entry's encoding — so a
+// truncated or corrupt file is rejected here, never after a hot-swap.
+// The returned snapshot owns its memory; nothing refers to the file.
 func OpenSnapshotFile(path string) (*Snapshot, error) {
-	snap, _, err := openSnapshotFile(path, mmapFile)
+	snap, _, err := openSnapshotFile(path)
 	return snap, err
 }
 
-// openSnapshotFile opens, sizes and validates the file at path, taking
-// its bytes with load (mmapFile, or readFile for a private heap copy). It
+// openSnapshotFile opens, sizes, reads and decodes the file at path. It
 // also returns what the open file's Stat said (nil when the open itself
 // failed), so a Reloader records the identity of the file it read.
-func openSnapshotFile(path string, load func(*os.File, int) ([]byte, bool, error)) (*Snapshot, os.FileInfo, error) {
+func openSnapshotFile(path string) (*Snapshot, os.FileInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -380,33 +319,20 @@ func openSnapshotFile(path string, load func(*os.File, int) ([]byte, bool, error
 	if fi.Size() > snapMaxFileBytes {
 		return nil, fi, fmt.Errorf("store: snapshot file %s: %d bytes exceeds the %d cap", path, fi.Size(), int64(snapMaxFileBytes))
 	}
-	data, mapped, err := load(f, int(fi.Size()))
-	if err != nil {
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, fi, fmt.Errorf("store: reading snapshot file %s: %w", path, err)
 	}
-	snap, err := openSnapshotBytes(data, mapped)
+	snap, err := openSnapshotBytes(data)
 	if err != nil {
-		if mapped {
-			munmapFile(data)
-		}
 		return nil, fi, fmt.Errorf("store: snapshot file %s: %w", path, err)
 	}
 	return snap, fi, nil
 }
 
-// readFile reads the file's size bytes into the heap: a copy no later
-// write to the file can change.
-func readFile(f *os.File, size int) ([]byte, bool, error) {
-	data := make([]byte, size)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, false, err
-	}
-	return data, false, nil
-}
-
-// openSnapshotBytes validates an in-memory snapshot image and builds the
-// serving Snapshot over it.
-func openSnapshotBytes(data []byte, mapped bool) (*Snapshot, error) {
+// openSnapshotBytes validates a snapshot image and decodes it into a
+// Snapshot that keeps no reference to data.
+func openSnapshotBytes(data []byte) (*Snapshot, error) {
 	if len(data) < snapHeaderLen || string(data[:8]) != SnapshotFileMagic {
 		return nil, fmt.Errorf("not a snapshot file")
 	}
@@ -446,52 +372,39 @@ func openSnapshotBytes(data []byte, mapped bool) (*Snapshot, error) {
 	offOff := prefOff + 4*uint64(count)
 	blobOff := offOff + 4*uint64(count+1)
 
-	var prefixes []netsim.Prefix24
-	var offsets []uint32
-	if hostLittleEndian {
-		// Zero-copy views into the mapping: Prefix24 and the offsets are
-		// u32, the regions are 4-aligned by construction, and the file is
-		// little-endian — binary search reads the page cache directly.
-		if count > 0 {
-			prefixes = unsafe.Slice((*netsim.Prefix24)(unsafe.Pointer(&data[prefOff])), count)
-		}
-		offsets = unsafe.Slice((*uint32)(unsafe.Pointer(&data[offOff])), count+1)
-	} else {
-		prefixes = make([]netsim.Prefix24, count)
-		for i := range prefixes {
-			prefixes[i] = netsim.Prefix24(binary.LittleEndian.Uint32(data[prefOff+4*uint64(i):]))
-		}
-		offsets = make([]uint32, count+1)
-		for i := range offsets {
-			offsets[i] = binary.LittleEndian.Uint32(data[offOff+4*uint64(i):])
-		}
-	}
-	for i := 0; i < int(count); i++ {
-		if prefixes != nil && i > 0 && prefixes[i] <= prefixes[i-1] {
+	prefixes := make([]netsim.Prefix24, count)
+	for i := range prefixes {
+		prefixes[i] = netsim.Prefix24(binary.LittleEndian.Uint32(data[prefOff+4*uint64(i):]))
+		if i > 0 && prefixes[i] <= prefixes[i-1] {
 			return nil, fmt.Errorf("snapshot prefixes not strictly ascending at %d", i)
 		}
-		if offsets[i] > offsets[i+1] {
-			return nil, fmt.Errorf("snapshot entry offsets not monotone at %d", i)
+	}
+	offsets := make([]uint32, count+1)
+	for i := range offsets {
+		offsets[i] = binary.LittleEndian.Uint32(data[offOff+4*uint64(i):])
+		if i > 0 && offsets[i] < offsets[i-1] {
+			return nil, fmt.Errorf("snapshot entry offsets not monotone at %d", i-1)
 		}
 	}
 	if offsets[0] != 0 || offsets[count] != entriesLen {
 		return nil, fmt.Errorf("snapshot entry offsets disagree with blob length")
 	}
+	blob := data[blobOff:]
+	entries := make([]Entry, count)
+	for i := range entries {
+		if err := decodeSnapEntry(&entries[i], blob[offsets[i]:offsets[i+1]], prefixes[i]); err != nil {
+			return nil, fmt.Errorf("entry %d (%v): %w", i, prefixes[i], err)
+		}
+	}
 
-	m := &mapping{data: data, mapped: mapped}
-	m.refs.Store(1) // the owner reference, dropped by Close
-	s := &Snapshot{
+	return &Snapshot{
 		round:         round,
 		rounds:        int(rounds),
 		builtAt:       time.Unix(0, builtNanos),
 		health:        health,
 		prefixes:      prefixes,
+		entries:       entries,
 		ases:          int(ases),
 		totalReplicas: int(totalReplicas),
-		m:             m,
-		entryOff:      offsets,
-		entriesBlob:   data[blobOff:],
-		lazy:          make([]atomic.Pointer[Entry], count),
-	}
-	return s, nil
+	}, nil
 }

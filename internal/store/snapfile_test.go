@@ -29,45 +29,29 @@ func TestSnapshotFileRoundtrip(t *testing.T) {
 	})
 	path := saveTestSnapshot(t, heap)
 
-	mapped, err := OpenSnapshotFile(path)
+	opened, err := OpenSnapshotFile(path)
 	if err != nil {
 		t.Fatalf("OpenSnapshotFile: %v", err)
 	}
-	defer mapped.Close()
 
-	if mapped.Len() != heap.Len() || mapped.ASes() != heap.ASes() ||
-		mapped.TotalReplicas() != heap.TotalReplicas() ||
-		mapped.Round() != heap.Round() || mapped.Rounds() != heap.Rounds() {
-		t.Errorf("metadata mismatch: mapped {len %d ases %d replicas %d round %d/%d}, heap {len %d ases %d replicas %d round %d/%d}",
-			mapped.Len(), mapped.ASes(), mapped.TotalReplicas(), mapped.Round(), mapped.Rounds(),
-			heap.Len(), heap.ASes(), heap.TotalReplicas(), heap.Round(), heap.Rounds())
+	// The opened file is its NewSnapshot twin bar the clock reading a
+	// file cannot carry: time.Now's monotonic part.
+	if !opened.BuiltAt().Equal(heap.BuiltAt()) {
+		t.Errorf("builtAt mismatch: %v vs %v", opened.BuiltAt(), heap.BuiltAt())
 	}
-	if !mapped.BuiltAt().Equal(heap.BuiltAt()) {
-		t.Errorf("builtAt mismatch: %v vs %v", mapped.BuiltAt(), heap.BuiltAt())
+	twin := *heap
+	twin.builtAt = opened.builtAt
+	if !reflect.DeepEqual(*opened, twin) {
+		t.Errorf("opened snapshot differs from its heap twin:\n opened %+v\n heap   %+v", *opened, twin)
 	}
-	if !reflect.DeepEqual(mapped.Health(), heap.Health()) {
-		t.Errorf("health mismatch:\n mapped %+v\n heap   %+v", mapped.Health(), heap.Health())
-	}
-
-	// Every entry must decode identically, via both the lazy single-entry
-	// path and the bulk Entries path.
 	for i, want := range heap.Entries() {
-		got, ok := mapped.LookupPrefix(want.Prefix)
-		if !ok {
-			t.Fatalf("mapped snapshot misses prefix %v", want.Prefix)
-		}
-		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("entry %d mismatch:\n mapped %+v\n heap   %+v", i, *got, want)
+		got, ok := opened.LookupPrefix(want.Prefix)
+		if !ok || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("entry %d: LookupPrefix(%v) = %+v, %v, want %+v", i, want.Prefix, got, ok, want)
 		}
 	}
-	if !reflect.DeepEqual(mapped.Entries(), heap.Entries()) {
-		t.Errorf("bulk Entries diverge from heap snapshot")
-	}
-	if d := mapped.DecodeErrors(); d != 0 {
-		t.Errorf("DecodeErrors = %d after clean roundtrip", d)
-	}
-	if _, ok := mapped.LookupPrefix(netsim.Prefix24(1)); ok {
-		t.Errorf("mapped snapshot claims a prefix it never indexed")
+	if _, ok := opened.LookupPrefix(netsim.Prefix24(1)); ok {
+		t.Errorf("opened snapshot claims a prefix it never indexed")
 	}
 }
 
@@ -102,10 +86,7 @@ func TestSnapshotFileRejectsCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenSnapshotFile(path)
-		if err == nil {
-			s.Close()
-		}
+		_, err := OpenSnapshotFile(path)
 		return err
 	}
 
@@ -143,9 +124,8 @@ func TestSnapshotFileRejectsCorrupt(t *testing.T) {
 }
 
 // TestSnapshotFileSwapUnderReaders hammers a store with lookups while
-// mapped snapshots hot-swap underneath; each replaced mapping must survive
-// until its last in-flight reader releases it and unmap afterwards. Run
-// under -race this doubles as the use-after-unmap detector.
+// snapshots opened from one file hot-swap underneath; every lookup of an
+// indexed prefix answers anycast from a whole snapshot. Run under -race.
 func TestSnapshotFileSwapUnderReaders(t *testing.T) {
 	snap := testSnapshot(t, 48)
 	path := saveTestSnapshot(t, snap)
@@ -188,87 +168,57 @@ func TestSnapshotFileSwapUnderReaders(t *testing.T) {
 					}
 				}
 				if i%64 == 0 {
-					cur, release := st.Acquire()
-					if n := len(cur.Entries()); n != len(prefixes) {
+					if n := len(st.Current().Entries()); n != len(prefixes) {
 						t.Errorf("Entries() = %d entries, want %d", n, len(prefixes))
 					}
-					release()
 				}
 			}
 		}(r * 7)
 	}
 
-	// 24 hot swaps, each a fresh mapping of the same file. Publish closes
-	// the predecessor, whose pages must outlive its in-flight readers.
-	swapped := make([]*Snapshot, 0, 24)
+	// 24 hot swaps, each a fresh open of the same file.
 	for i := 0; i < 24; i++ {
 		next, err := OpenSnapshotFile(path)
 		if err != nil {
 			t.Fatalf("swap %d: %v", i, err)
 		}
-		swapped = append(swapped, st.Current())
 		st.Publish(next)
 	}
 	close(stop)
 	wg.Wait()
-
-	for i, old := range swapped {
-		if refs := old.m.refs.Load(); refs != 0 {
-			t.Errorf("replaced snapshot %d still holds %d mapping refs", i, refs)
-		}
-	}
-	if live := st.Current(); live.m.refs.Load() <= 0 {
-		t.Errorf("live snapshot lost its owner reference")
-	}
 }
 
 func TestSnapshotFileEmpty(t *testing.T) {
 	empty := NewSnapshot(nil, nil, 9, 2)
 	path := saveTestSnapshot(t, empty)
-	mapped, err := OpenSnapshotFile(path)
+	opened, err := OpenSnapshotFile(path)
 	if err != nil {
 		t.Fatalf("OpenSnapshotFile(empty): %v", err)
 	}
-	defer mapped.Close()
-	if mapped.Len() != 0 || mapped.Round() != 9 || mapped.Rounds() != 2 {
-		t.Errorf("empty snapshot roundtrip: len %d round %d/%d", mapped.Len(), mapped.Round(), mapped.Rounds())
+	if opened.Len() != 0 || opened.Round() != 9 || opened.Rounds() != 2 {
+		t.Errorf("empty snapshot roundtrip: len %d round %d/%d", opened.Len(), opened.Round(), opened.Rounds())
 	}
-	if _, ok := mapped.Lookup(netsim.IP(0x08080808)); ok {
+	if _, ok := opened.Lookup(netsim.IP(0x08080808)); ok {
 		t.Errorf("empty snapshot answered anycast")
 	}
-	if n := len(mapped.Entries()); n != 0 {
+	if n := len(opened.Entries()); n != 0 {
 		t.Errorf("empty snapshot Entries() = %d", n)
 	}
 
 	st := New(Options{})
-	st.Publish(mapped)
+	st.Publish(opened)
 	if ans := st.Lookup(netsim.IP(0x01010101)); ans.Anycast {
 		t.Errorf("store over empty snapshot answered anycast")
 	}
 }
 
-func benchmarkSnapshotLookup(b *testing.B, mapped bool) {
+func BenchmarkSnapshotLookup(b *testing.B) {
 	base, err := netsim.ParsePrefix24("10.10.0.0/24")
 	if err != nil {
 		b.Fatal(err)
 	}
 	snap := testSnapshot(b, 4096)
-	if mapped {
-		path := filepath.Join(b.TempDir(), "census.snap")
-		if err := SaveSnapshotFile(path, snap); err != nil {
-			b.Fatal(err)
-		}
-		if snap, err = OpenSnapshotFile(path); err != nil {
-			b.Fatal(err)
-		}
-		defer snap.Close()
-		// Steady-state serving: the lazy cache is warm after first touch.
-		for i := 0; i < 4096; i++ {
-			snap.LookupPrefix(base + netsim.Prefix24(i))
-		}
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := base + netsim.Prefix24(i%4096)
 		if _, ok := snap.LookupPrefix(p); !ok {
@@ -276,6 +226,3 @@ func benchmarkSnapshotLookup(b *testing.B, mapped bool) {
 		}
 	}
 }
-
-func BenchmarkSnapshotLookupHeap(b *testing.B)   { benchmarkSnapshotLookup(b, false) }
-func BenchmarkSnapshotLookupMapped(b *testing.B) { benchmarkSnapshotLookup(b, true) }

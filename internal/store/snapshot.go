@@ -10,8 +10,6 @@ package store
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"anycastmap/internal/analysis"
@@ -87,29 +85,13 @@ type Snapshot struct {
 
 	// prefixes is sorted ascending; entries is parallel to it. The pair
 	// is the O(log n) lookup index: a /24 probe key binary-searches
-	// prefixes and lands on its entry. For a file-backed snapshot
-	// (OpenSnapshotFile) prefixes is a zero-copy view into the mapping,
-	// entries is nil, and the lazy table below takes its place.
+	// prefixes and lands on its entry. NewSnapshot and OpenSnapshotFile
+	// fill both.
 	prefixes []netsim.Prefix24
 	entries  []Entry
 
 	ases          int
 	totalReplicas int
-
-	// File-backed serving state (snapfile.go). m refcounts the mapped
-	// bytes; entriesBlob/entryOff address each entry's encoding inside
-	// them; lazy caches decoded entries (heap copies, safe to hold after
-	// the unmap) so a hot /24 decodes exactly once. Raw-memory access —
-	// LookupPrefix's binary search, an entry's first decode — must happen
-	// under an acquired mapping reference (Store.Acquire does this).
-	m           *mapping
-	entriesBlob []byte
-	entryOff    []uint32
-	lazy        []atomic.Pointer[Entry]
-	decodeErrs  atomic.Uint64
-	closed      atomic.Bool
-	allOnce     sync.Once
-	all         []Entry
 }
 
 // NewSnapshot indexes a finding set. round is the census round the
@@ -172,92 +154,19 @@ func (s *Snapshot) Lookup(ip netsim.IP) (*Entry, bool) {
 	return s.LookupPrefix(ip.Prefix())
 }
 
-// LookupPrefix is Lookup at /24 granularity. For a file-backed snapshot
-// the caller must hold an acquired mapping reference (Store lookups do).
+// LookupPrefix is Lookup at /24 granularity.
 func (s *Snapshot) LookupPrefix(p netsim.Prefix24) (*Entry, bool) {
 	i := sort.Search(len(s.prefixes), func(i int) bool { return s.prefixes[i] >= p })
 	if i < len(s.prefixes) && s.prefixes[i] == p {
-		e := s.entryAt(i)
-		return e, e != nil
+		return &s.entries[i], true
 	}
 	return nil, false
 }
 
-// entryAt returns the i-th entry, decoding it from the mapped blob on
-// first access for file-backed snapshots. A decode failure (a CRC-valid
-// file from a buggy writer) is counted and reported as absent rather than
-// poisoning the index.
-func (s *Snapshot) entryAt(i int) *Entry {
-	if s.m == nil {
-		return &s.entries[i]
-	}
-	if e := s.lazy[i].Load(); e != nil {
-		return e
-	}
-	e, err := decodeSnapEntry(s.entriesBlob[s.entryOff[i]:s.entryOff[i+1]], s.prefixes[i])
-	if err != nil {
-		s.decodeErrs.Add(1)
-		return nil
-	}
-	if !s.lazy[i].CompareAndSwap(nil, e) {
-		e = s.lazy[i].Load()
-	}
-	return e
-}
-
-// Mapped reports whether the snapshot serves from an mmap'd file, not
-// from a heap copy of one (a Reloader's, or the fallback off unix) nor a
-// heap build.
-func (s *Snapshot) Mapped() bool { return s.m != nil && s.m.mapped }
-
-// Pin takes a reader reference on a file-backed snapshot's mapping so
-// raw-memory access (LookupPrefix, a first entry decode) stays valid
-// against a concurrent Publish unmapping it. It reports false only when
-// the mapping is already dead — the snapshot was replaced and its last
-// reader finished — in which case the caller must reload the store's
-// current snapshot. Heap-built snapshots (and nil) pin trivially.
-// Unlike Store.Acquire, Pin/Unpin allocate nothing, so per-query hot
-// loops can pin without a release closure.
-func (s *Snapshot) Pin() bool {
-	if s == nil || s.m == nil {
-		return true
-	}
-	return s.m.acquire()
-}
-
-// Unpin releases a Pin. It is nil-safe and a no-op for heap-built
-// snapshots, so callers may defer it unconditionally.
-func (s *Snapshot) Unpin() {
-	if s != nil && s.m != nil {
-		s.m.release()
-	}
-}
-
-// MappingRefs returns the live reference count of a file-backed
-// snapshot's mapping (the owner reference counts as one until Close),
-// and 0 for heap-built snapshots. Tests use it to assert hot-swapped
-// mappings drain to zero.
-func (s *Snapshot) MappingRefs() int64 {
-	if s == nil || s.m == nil {
-		return 0
-	}
-	return s.m.refs.Load()
-}
-
-// DecodeErrors counts lazy entry decodes that failed (0 on a healthy
-// snapshot; non-zero only for a CRC-valid file with malformed entries).
-func (s *Snapshot) DecodeErrors() uint64 { return s.decodeErrs.Load() }
-
-// Close drops a file-backed snapshot's owner reference; the underlying
-// file unmaps once the last concurrent reader releases it. Heap-built
-// snapshots ignore Close. Store.Publish closes the snapshot it replaces,
-// so explicit Closes are only needed for snapshots that never publish.
-func (s *Snapshot) Close() error {
-	if s.m != nil && !s.closed.Swap(true) {
-		s.m.release()
-	}
-	return nil
-}
+// Close does nothing: a snapshot owns only heap memory, which the GC
+// reclaims once no reader holds it. It stays only because bench/ closes
+// the snapshots it opens.
+func (s *Snapshot) Close() error { return nil }
 
 // SetHealth records the campaign health of the snapshot's build. Like
 // every other field it must be set before the snapshot is published.
@@ -284,9 +193,8 @@ func (s *Snapshot) Rounds() int { return s.rounds }
 // BuiltAt is the construction time.
 func (s *Snapshot) BuiltAt() time.Time { return s.builtAt }
 
-// Len returns the number of indexed anycast /24s. prefixes rather than
-// entries is counted because a file-backed snapshot has no entries slice.
-func (s *Snapshot) Len() int { return len(s.prefixes) }
+// Len returns the number of indexed anycast /24s.
+func (s *Snapshot) Len() int { return len(s.entries) }
 
 // ASes returns the number of distinct origin ASes.
 func (s *Snapshot) ASes() int { return s.ases }
@@ -295,25 +203,5 @@ func (s *Snapshot) ASes() int { return s.ases }
 func (s *Snapshot) TotalReplicas() int { return s.totalReplicas }
 
 // Entries exposes the indexed entries in prefix order. The slice is the
-// snapshot's own storage: callers must treat it as read-only. On a
-// file-backed snapshot the first call decodes every entry into a
-// memoized heap slice (callers needing the full set pay the decode once;
-// single-IP lookups never do) and must run under an acquired mapping
-// reference, as Store.Acquire arranges.
-func (s *Snapshot) Entries() []Entry {
-	if s.m == nil {
-		return s.entries
-	}
-	s.allOnce.Do(func() {
-		out := make([]Entry, len(s.prefixes))
-		for i := range out {
-			if e := s.entryAt(i); e != nil {
-				out[i] = *e
-			} else {
-				out[i] = Entry{Prefix: s.prefixes[i]}
-			}
-		}
-		s.all = out
-	})
-	return s.all
-}
+// snapshot's own storage: callers must treat it as read-only.
+func (s *Snapshot) Entries() []Entry { return s.entries }

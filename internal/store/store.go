@@ -28,59 +28,20 @@ func New(Options) *Store { return &Store{} }
 
 // Publish stamps the snapshot with the next version and makes it the one
 // every subsequent Lookup sees. It returns the assigned version. The
-// snapshot must not be mutated after publishing. The snapshot it
-// replaces is Closed: for a file-backed predecessor that drops the owner
-// reference, so its file unmaps as soon as the last in-flight reader
-// releases it (new readers can no longer acquire it — they load the
-// fresh snapshot).
+// snapshot must not be mutated after publishing. Readers still holding
+// the snapshot it replaces keep using it; the GC reclaims it after them.
 func (s *Store) Publish(snap *Snapshot) uint64 {
 	v := s.version.Add(1)
 	snap.version = v
-	old := s.snap.Swap(snap)
+	s.snap.Store(snap)
 	s.swaps.Add(1)
-	if old != nil && old != snap {
-		old.Close()
-	}
 	return v
 }
 
 // Current returns the live snapshot, or nil before the first Publish.
-// For file-backed snapshots, prefer Acquire around any use that touches
-// entries or the prefix index: Current alone does not pin the mapping
-// against a concurrent Publish unmapping it.
+// A caller that reads it more than once uses the pointer it loaded, so
+// it never mixes two versions.
 func (s *Store) Current() *Snapshot { return s.snap.Load() }
-
-// Acquire returns the live snapshot pinned against unmapping, plus a
-// release function (call it when done; it is cheap and nil-safe to defer
-// even when the snapshot is nil). For heap-built snapshots the pin is
-// free. The retry loop handles the one race: a reader that loads a
-// snapshot just as a Publish replaces and closes it finds the mapping
-// dead and simply loads the successor.
-func (s *Store) Acquire() (*Snapshot, func()) {
-	for {
-		snap := s.snap.Load()
-		if snap == nil || snap.m == nil {
-			return snap, func() {}
-		}
-		if snap.m.acquire() {
-			return snap, func() { snap.m.release() }
-		}
-	}
-}
-
-// AcquirePinned is Acquire without the release closure: the returned
-// snapshot is pinned (call Snapshot.Unpin when done; it is nil-safe).
-// Unlike Acquire it allocates nothing even for mapped snapshots, so it
-// is the acquire path for per-query hot loops — the routing front-end
-// and Store.Lookup.
-func (s *Store) AcquirePinned() *Snapshot {
-	for {
-		snap := s.snap.Load()
-		if snap == nil || snap.Pin() {
-			return snap
-		}
-	}
-}
 
 // Ready reports whether a snapshot has been published.
 func (s *Store) Ready() bool { return s.snap.Load() != nil }
@@ -97,18 +58,14 @@ type Answer struct {
 }
 
 // Lookup classifies one IP against the current snapshot. It is safe for
-// any number of concurrent callers, including during a Publish. The index
-// walk touches raw snapshot memory, so the mapping is pinned for its
-// duration; the answer itself is heap-owned (decoded entries never point
-// into the mapping) and outlives the pin.
+// any number of concurrent callers, including during a Publish.
 func (s *Store) Lookup(ip netsim.IP) Answer {
 	s.lookups.Add(1)
-	snap := s.AcquirePinned()
+	snap := s.Current()
 	if snap == nil {
 		return Answer{IP: ip}
 	}
 	e, ok := snap.Lookup(ip)
-	snap.Unpin()
 	return Answer{IP: ip, Anycast: ok, Entry: e, Version: snap.version}
 }
 
@@ -116,8 +73,7 @@ func (s *Store) Lookup(ip netsim.IP) Answer {
 // answer carries the same version even if a swap lands mid-batch.
 func (s *Store) LookupBatch(ips []netsim.IP) []Answer {
 	out := make([]Answer, len(ips))
-	snap := s.AcquirePinned()
-	defer snap.Unpin()
+	snap := s.Current()
 	s.lookups.Add(uint64(len(ips)))
 	if snap == nil {
 		for i, ip := range ips {

@@ -158,13 +158,33 @@ func TestStoreNegativeCaching(t *testing.T) {
 // an address no later generation is asked about — the pattern under
 // which a per-IP answer cache kept every replaced snapshot's entries
 // alive — and the live heap after eight generations must stay within
-// twice that after one.
+// twice that after one. Generations come from NewSnapshot and from
+// snapshot files a Reloader would open.
 func TestSwapReleasesReplacedSnapshot(t *testing.T) {
 	const entries = 20_000
+	path := saveTestSnapshot(t, testSnapshot(t, entries))
+	for _, src := range []struct {
+		name string
+		next func() *Snapshot
+	}{
+		{"NewSnapshot", func() *Snapshot { return testSnapshot(t, entries) }},
+		{"OpenSnapshotFile", func() *Snapshot {
+			snap, err := OpenSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap
+		}},
+	} {
+		t.Run(src.name, func(t *testing.T) { checkSwapReleases(t, src.next) })
+	}
+}
+
+func checkSwapReleases(t *testing.T, next func() *Snapshot) {
 	live := func(generations int) uint64 {
 		st := New(Options{})
 		for g := 0; g < generations; g++ {
-			st.Publish(testSnapshot(t, entries))
+			st.Publish(next())
 			ip := netsim.IP(0x0A0A0000 + uint32(g)<<8 + 1)
 			if ans := st.Lookup(ip); !ans.Anycast {
 				t.Fatalf("generation %d: %v answered %+v", g, ip, ans)

@@ -89,10 +89,7 @@ func New(st *store.Store) (*Server, error) {
 // while the snapshot version is unchanged. Concurrent rebuilds after a
 // swap are benign: they produce identical views and the last store wins.
 func (s *Server) currentView() *view {
-	// Acquire pins a file-backed snapshot's mapping while buildView walks
-	// its entries; for in-heap snapshots the pin is free.
-	snap, release := s.store.Acquire()
-	defer release()
+	snap := s.store.Current()
 	if snap == nil {
 		return &view{replicas: map[netsim.Prefix24][]replica{}}
 	}

@@ -2,7 +2,8 @@
 # metrics_smoke.sh runs the producer/server split end to end against tiny
 # worlds: `census -snapshot F` writes the map, anycastd (with its -dns
 # routing front-end) boots from F, reloads it when a second census
-# replaces it, and keeps serving when garbage lands on it. It asserts that
+# replaces it, and keeps serving when garbage lands on it, which a third
+# census then refuses to overwrite. It asserts that
 # GET /metrics serves Prometheus text exposition carrying every required
 # series family - store, reload, route and HTTP on anycastd; probe,
 # census and cluster on a `census -local 2` coordinator - that the
@@ -140,6 +141,15 @@ curl -fsS "http://$ANYCASTD_ADDR/metrics" -o "$scrape"
 grep -q '^anycastmap_reload_rejected_total 1$' "$scrape" ||
     { echo "FAIL: the rejected file was not counted once" >&2; exit 1; }
 echo "ok: garbage over the file turns /healthz degraded; version 2 keeps serving"
+if "$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -snapshot "$snap" >/dev/null 2>"$BIN/census3.log"; then
+    echo "FAIL: census -snapshot overwrote a file that is not a snapshot" >&2
+    exit 1
+fi
+[ "$(cat "$snap")" = 'not a snapshot' ] ||
+    { echo "FAIL: census -snapshot changed a file it refused" >&2; exit 1; }
+grep -q '^world:' "$BIN/census3.log" &&
+    { echo "FAIL: census built its world before refusing the file" >&2; exit 1; }
+echo "ok: census -snapshot refuses a file that is not a snapshot and leaves it alone"
 
 echo "== census -local /metrics =="
 # The coordinator exits when its rounds are done, so the census must
