@@ -113,7 +113,7 @@ scale-smoke:
 # collapsed 3.4x here once the target list outgrew its RTT memo.
 full-scale-smoke:
 	GOMEMLIMIT=1380MiB $(GO) run ./cmd/census -unicast24s 1250000 -censuses 2 \
-		-max-heap-mib 1510 -rate-baseline-targets 20000 -rate-within 2
+		-max-heap-mib 1510 -rate-baseline-targets 20000
 
 # full-scale is the paper's Sec. 3 census on one box, on demand and never
 # in CI: 11M unicast /24s prune to the ~6.6M responsive targets, two

@@ -12,9 +12,8 @@
 // With -snapshot FILE it writes the analysis as the snapshot file anycastd
 // serves (`anycastd -snapshot-file FILE`), replacing FILE atomically; a
 // FILE that already opens makes this census continue its round numbers.
-// With -out DIR it also writes each vantage point's measurements in the
-// binary record format (and, with -format csv, the verbose textual format
-// of Census-0).
+// With -save DIR it writes the combined measurements as one Table 1 binary
+// record file per vantage point, the files `igreedy -runs DIR` re-analyzes.
 package main
 
 import (
@@ -31,6 +30,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -49,6 +49,10 @@ import (
 	"anycastmap/internal/record"
 	"anycastmap/internal/store"
 )
+
+// rateWithin is the largest pilot/campaign probes-per-second ratio
+// -rate-baseline-targets tolerates.
+const rateWithin = 2.0
 
 func main() {
 	// Executor: in-process unless one of -local, -listen or -agent.
@@ -69,7 +73,6 @@ func main() {
 	retries := flag.Int("retries", 3, "per-VP probing attempts per census round (1 disables retrying)")
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff before retrying a failed VP (doubles per retry)")
 	spanTargets := flag.Int("span-targets", 0, "probe/fold unit width in targets, and the most cells (targets x VPs) a lease holds (0 = 16384)")
-	analyzeWorkers := flag.Int("analyze-workers", 0, "goroutines analyzing targets (0 = GOMAXPROCS)")
 
 	// Fleet: -local and -listen.
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "how long an agent may hold a lease")
@@ -79,7 +82,7 @@ func main() {
 	verify := flag.Bool("verify", false, "after the fleet's census, run the zero-fault in-process campaign and fail unless combined rows, greylist, and outcomes are byte-identical")
 	metricsAddr := flag.String("metrics", "", "serve GET /metrics and /debug/pprof/ on this admin address")
 
-	// Failure weather: census rounds only, never the blacklist, pilot or dump.
+	// Failure weather: census rounds only, never the blacklist or pilot.
 	faultSeed := flag.Uint64("fault-seed", 0, "fault plan seed (0 = world seed)")
 	faultCrash := flag.Float64("fault-crash", 0, "fraction of VPs crashing mid-run per round")
 	faultSticky := flag.Float64("fault-crash-sticky", 0, "probability a crashed VP stays down across retries")
@@ -88,14 +91,11 @@ func main() {
 	faultOutage := flag.Float64("fault-outage", 0, "fraction of /24s transiently unreachable per round")
 
 	// Outputs and gates.
-	out := flag.String("out", "", "directory to dump per-VP measurement files")
-	save := flag.String("save", "", "directory to save the campaign's combined matrix and greylist as one run file (loadable with census.LoadRun, read by igreedy -runs)")
+	save := flag.String("save", "", "write one binary record file per combined vantage point into this new or empty directory (read by igreedy -runs)")
 	snapshot := flag.String("snapshot", "", "write the census's anycast map to this snapshot file, the one anycastd -snapshot-file serves (an existing file's round + 1 numbers the first round)")
-	format := flag.String("format", "binary", "record format for -out: binary or csv")
 	top := flag.Int("top", 15, "print the top-N anycast ASes")
 	maxHeapMiB := flag.Int("max-heap-mib", 0, "sample HeapAlloc through the run and fail if the peak exceeds this many MiB (0 = no assertion)")
-	rateBaselineTargets := flag.Int("rate-baseline-targets", 0, "measure a single-VP pilot probing run over the first N pruned targets and fail unless the campaign's aggregate probe rate stays within -rate-within of it (0 = no assertion)")
-	rateWithin := flag.Float64("rate-within", 2.0, "largest pilot/campaign probes-per-second ratio -rate-baseline-targets tolerates")
+	rateBaselineTargets := flag.Int("rate-baseline-targets", 0, "measure a single-VP pilot probing run over the first N pruned targets and fail unless the campaign's aggregate probe rate stays within 2x of it (0 = no assertion)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file right after the analysis, while the campaign is live")
 	flag.Parse()
@@ -138,6 +138,9 @@ func main() {
 	first, err := firstRound(*snapshot)
 	if err != nil {
 		log.Fatalf("snapshot: %v", err)
+	}
+	if err := prepareSaveDir(*save); err != nil {
+		log.Fatalf("save: %v", err)
 	}
 
 	if *cpuProfile != "" {
@@ -366,25 +369,20 @@ func main() {
 		log.Printf("campaign degraded: %s", cp.Health())
 	}
 
-	if *out != "" {
-		if err := dump(world, pl, targets, black, *out, *format, *seed); err != nil {
-			log.Fatalf("dump: %v", err)
-		}
-	}
-
 	combined := cp.Combined()
 	if combined == nil {
 		log.Fatal("no census rounds ran")
 	}
 	if *save != "" {
-		name, err := saveCombined(*save, cp)
+		cells, err := saveRecords(*save, combined)
 		if err != nil {
 			log.Fatalf("save: %v", err)
 		}
-		log.Printf("saved the %d-round combination to %s", combined.Rounds, name)
+		log.Printf("saved the %d-round combination to %s: %d VP files, %d samples (%d bytes)",
+			combined.Rounds, *save, len(combined.VPs), cells, record.BinarySize(cells))
 	}
 	t0 := time.Now()
-	outcomes, st := cp.Analyze(db, core.Options{}, 2, *analyzeWorkers)
+	outcomes, st := cp.Analyze(db, core.Options{}, 2, *workers)
 	analysisWall := time.Since(t0)
 	log.Printf("analysis: %d target analyses (%d witness-decided, %d split-scanned, %d pair tests)",
 		st.Analyzed, st.WitnessDecided, st.SplitScanned, st.PairTests)
@@ -431,12 +429,12 @@ func main() {
 		ratio := pilotRate / campaignRate
 		retried := cp.Health().Retries
 		log.Printf("campaign probing rate: %.2fM probes/s aggregate, %.2fx slower than the pilot (limit %.2fx, %d retries)",
-			campaignRate/1e6, ratio, *rateWithin, retried)
+			campaignRate/1e6, ratio, rateWithin, retried)
 		// A retry waits out its backoff inside the round's wall, so only a
 		// campaign that never retried measures its probing alone.
-		if ratio > *rateWithin && retried == 0 {
+		if ratio > rateWithin && retried == 0 {
 			log.Fatalf("probe-rate collapse: campaign rate %.0f probes/s is %.2fx below the %d-target pilot (%.0f probes/s), limit %.2fx",
-				campaignRate, ratio, *rateBaselineTargets, pilotRate, *rateWithin)
+				campaignRate, ratio, *rateBaselineTargets, pilotRate, rateWithin)
 		}
 	}
 	if *maxHeapMiB > 0 {
@@ -451,10 +449,6 @@ func main() {
 	log.Printf("\ntotal wall time %v", time.Since(start).Round(time.Millisecond))
 }
 
-// writeHeapProfile writes the heap profile as of a fresh GC. Called right
-// after the analysis, the combined matrix and the outcomes are still live,
-// so the profile shows the campaign's peak owners rather than an empty
-// heap at exit.
 // firstRound numbers the first round of a census writing the snapshot
 // file at path: 1 when there is no file yet (or no path), else the file's
 // round + 1. Any other failure to open the file is an error, so a census
@@ -474,6 +468,10 @@ func firstRound(path string) (uint64, error) {
 	return prev.Round() + 1, nil
 }
 
+// writeHeapProfile writes the heap profile as of a fresh GC. Called right
+// after the analysis, the combined matrix and the outcomes are still live,
+// so the profile shows the campaign's peak owners rather than an empty
+// heap at exit.
 func writeHeapProfile(path string) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -504,70 +502,48 @@ func verifyAgainst(ref, cp *census.Campaign, outcomes []census.Outcome, db *citi
 		len(cp.Combined().RTTus), len(outcomes))
 }
 
-// saveCombined writes the campaign's combined matrix and greylist into dir
-// as one run file (census.SaveRun's ACMR2 format): igreedy -runs
-// min-combines whatever run files it finds, so one combined file answers
-// exactly as the per-round files it replaces would.
-func saveCombined(dir string, cp *census.Campaign) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+// prepareSaveDir makes dir ready for saveRecords before any probing:
+// it creates dir when missing and refuses one that holds anything, since
+// igreedy -runs reads every file there and a leftover VP file would mix
+// into the analysis. An empty path is a no-op.
+func prepareSaveDir(dir string) error {
+	if dir == "" {
+		return nil
 	}
-	c := cp.Combined()
-	name := filepath.Join(dir, "combined.run")
-	f, err := os.Create(name)
-	if err != nil {
-		return "", err
-	}
-	run := &census.Run{Round: uint64(c.Rounds), VPs: c.VPs, Targets: c.Targets, RTTus: c.RTTus, Greylist: cp.Greylist()}
-	if err := census.SaveRun(f, run); err != nil {
-		f.Close()
-		return "", err
-	}
-	return name, f.Close()
-}
-
-// dump re-runs one probing round per VP, writing samples to files.
-func dump(world *netsim.World, pl *platform.Platform, targets *hitlist.Hitlist, black *prober.Greylist, dir, format string, seed uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	vps := pl.VPs()
-	if len(vps) > 8 {
-		vps = vps[:8] // keep the demo dump small
+	entries, err := os.ReadDir(dir)
+	if err == nil && len(entries) > 0 {
+		err = fmt.Errorf("%s is not empty (%d entries, e.g. %s); save into a new or empty directory", dir, len(entries), entries[0].Name())
 	}
-	var total int64
-	for _, vp := range vps {
-		name := filepath.Join(dir, fmt.Sprintf("%s.%s", vp.Name, format))
-		f, err := os.Create(name)
+	return err
+}
+
+// saveRecords writes the combined matrix into dir as one Table 1 binary
+// record file per vantage point, one echo sample per answered target: the
+// delay is the cell's minimum RTT and the timestamp 0, since a combined
+// cell has no single probe time. The zero-padded slot prefix of each file
+// name keeps the combined VP order, which the analysis depends on, in
+// directory order. It returns how many samples it wrote.
+func saveRecords(dir string, c *census.Combined) (int, error) {
+	width := len(strconv.Itoa(len(c.VPs) - 1))
+	cells := 0
+	for v, vp := range c.VPs {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%0*d-%s.rec", width, v, vp.Name)))
 		if err != nil {
-			return err
+			return cells, err
 		}
-		var w record.Writer
-		switch format {
-		case "csv":
-			w = record.NewCSVWriter(f, vp.Name)
-		default:
-			w = record.NewBinaryWriter(f)
+		w := record.NewBinaryWriter(f)
+		for t, us := range c.RTTus[v] {
+			if us >= 0 { // an echo always encodes; a failed write resurfaces in Flush
+				w.Write(record.Sample{Target: c.Targets[t], Kind: netsim.ReplyEcho, RTT: time.Duration(us) * time.Microsecond})
+				cells++
+			}
 		}
-		if _, _, err := prober.Run(world, vp, targets.Targets(), black, prober.Config{Seed: seed, Round: 1},
-			func(s record.Sample) {
-				if err := w.Write(s); err != nil {
-					log.Fatalf("write %s: %v", name, err)
-				}
-			}); err != nil {
-			return fmt.Errorf("probe from %s: %w", vp.Name, err)
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		st, _ := f.Stat()
-		if st != nil {
-			total += st.Size()
-		}
-		if err := f.Close(); err != nil {
-			return err
+		if err := errors.Join(w.Flush(), f.Close()); err != nil {
+			return cells, err
 		}
 	}
-	log.Printf("dumped %d VP files (%d bytes) to %s", len(vps), total, dir)
-	return nil
+	return cells, nil
 }

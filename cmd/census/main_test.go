@@ -2,10 +2,20 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"anycastmap/internal/census"
+	"anycastmap/internal/cities"
+	"anycastmap/internal/netsim"
+	"anycastmap/internal/platform"
+	"anycastmap/internal/record"
 	"anycastmap/internal/store"
 )
 
@@ -52,5 +62,90 @@ func TestFirstRound(t *testing.T) {
 	}
 	if got, err := os.ReadFile(notes); err != nil || !bytes.Equal(got, text) {
 		t.Errorf("notes.txt changed: %q, %v", got, err)
+	}
+}
+
+// A census saves only into a new or empty directory, and refuses anything
+// else before probing, leaving it as it was.
+func TestPrepareSaveDir(t *testing.T) {
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "runs", "D")
+	for _, path := range []string{"", fresh, fresh} { // an empty DIR is reused
+		if err := prepareSaveDir(path); err != nil {
+			t.Fatalf("prepareSaveDir(%q) = %v", path, err)
+		}
+	}
+	if st, err := os.Stat(fresh); err != nil || !st.IsDir() {
+		t.Fatalf("%s not created: %v", fresh, err)
+	}
+
+	leftover := filepath.Join(fresh, "000-planetlab1.cs.princeton.edu.rec")
+	if err := os.WriteFile(leftover, []byte("leftover"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	notADir := filepath.Join(dir, "notadir")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{fresh, filepath.Join(notADir, "D")} {
+		if err := prepareSaveDir(path); err == nil {
+			t.Errorf("prepareSaveDir(%s) = nil, want an error", path)
+		}
+	}
+	if entries, err := os.ReadDir(fresh); err != nil || len(entries) != 1 {
+		t.Errorf("refused directory changed: %v, %v", entries, err)
+	}
+	if st, err := os.Stat(notADir); err != nil || st.IsDir() {
+		t.Errorf("notadir changed: %v", err)
+	}
+}
+
+// saveRecords writes one record file per combined VP, in slot order, with
+// one echo sample per answered cell carrying its RTT.
+func TestSaveRecords(t *testing.T) {
+	vps := platform.PlanetLab(cities.Default()).VPs()
+	c := &census.Combined{
+		VPs:     []platform.VP{vps[11], vps[2], vps[7]},
+		Targets: []netsim.IP{0x01000001, 0x01000101, 0x01000201},
+		RTTus:   [][]int32{{1500, -1, 1 << 30}, {-1, -1, -1}, {0, 42, -1}},
+	}
+	dir := t.TempDir()
+	cells, err := saveRecords(dir, c)
+	if err != nil || cells != 4 {
+		t.Fatalf("saveRecords = %d, %v; want 4 samples", cells, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != len(c.VPs) {
+		t.Fatalf("ReadDir = %v, %v; want %d files", entries, err, len(c.VPs))
+	}
+	for v, e := range entries {
+		slot, name, _ := strings.Cut(strings.TrimSuffix(e.Name(), ".rec"), "-")
+		if want := strconv.Itoa(v); slot != want || name != c.VPs[v].Name {
+			t.Errorf("file %d is %s, want slot %s for %s", v, e.Name(), want, c.VPs[v].Name)
+		}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want []record.Sample
+		for r := record.NewBinaryReader(f); ; {
+			s, err := r.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+			got = append(got, s)
+		}
+		f.Close()
+		for ti, us := range c.RTTus[v] {
+			if us >= 0 {
+				want = append(want, record.Sample{Target: c.Targets[ti], Kind: netsim.ReplyEcho, RTT: time.Duration(us) * time.Microsecond})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: samples %+v, want %+v", e.Name(), got, want)
+		}
 	}
 }

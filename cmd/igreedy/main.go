@@ -7,7 +7,10 @@
 //
 // With -demo NAME (an AS name from the registry, e.g. "CLOUDFLARENET,US")
 // it instead generates the measurements by probing that AS's first anycast
-// /24 in the synthetic Internet from every PlanetLab vantage point.
+// /24 in the synthetic Internet from every PlanetLab vantage point. With
+// -runs DIR -prefix P it reads them from the per-VP binary record files
+// `census -save DIR` writes: each file's minimum echo RTT inside P, in
+// directory order.
 package main
 
 import (
@@ -23,19 +26,19 @@ import (
 	"strings"
 	"time"
 
-	"anycastmap/internal/census"
 	"anycastmap/internal/cities"
 	"anycastmap/internal/core"
 	"anycastmap/internal/geo"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/record"
 )
 
 func main() {
 	in := flag.String("in", "", "measurement CSV file (default stdin)")
 	demo := flag.String("demo", "", "generate measurements for this AS from the synthetic Internet")
 	rounds := flag.Int("rounds", 4, "probing rounds for -demo (minimum RTT is kept)")
-	runsDir := flag.String("runs", "", "directory of saved census runs (see cmd/census -save)")
+	runsDir := flag.String("runs", "", "directory of per-VP binary record files (see cmd/census -save)")
 	prefix := flag.String("prefix", "", "target /24 to analyze from -runs, e.g. 1.23.45.0/24")
 	flag.Parse()
 	log.SetFlags(0)
@@ -148,8 +151,11 @@ func demoMeasurements(asName string, rounds int) ([]core.Measurement, error) {
 	return ms, nil
 }
 
-// runsMeasurements loads saved census runs, combines them by minimum RTT,
-// and extracts the measurement set of the requested prefix.
+// runsMeasurements reads the per-VP binary record files in dir, in
+// directory order, and keeps each file's minimum echo RTT toward the /24
+// named by prefixStr. A file is named SLOT-VP.rec after its PlanetLab
+// vantage point; greylist-kind samples carry no echo delay and are
+// skipped, so a raw per-round file reads as well as a combined one.
 func runsMeasurements(dir, prefixStr string) ([]core.Measurement, error) {
 	if prefixStr == "" {
 		return nil, fmt.Errorf("igreedy: -runs requires -prefix")
@@ -162,34 +168,52 @@ func runsMeasurements(dir, prefixStr string) ([]core.Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	var runs []*census.Run
+	byName := make(map[string]platform.VP)
+	for _, vp := range platform.PlanetLab(cities.Default()).VPs() {
+		byName[vp.Name] = vp
+	}
+	var ms []core.Measurement
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".run") {
-			continue
+		_, name, _ := strings.Cut(strings.TrimSuffix(e.Name(), ".rec"), "-")
+		vp, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("igreedy: %s: no PlanetLab vantage point named %q", e.Name(), name)
 		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		run, err := census.LoadRun(f)
-		f.Close()
+		best, err := minEchoRTT(filepath.Join(dir, e.Name()), p)
 		if err != nil {
 			return nil, fmt.Errorf("igreedy: %s: %w", e.Name(), err)
 		}
-		runs = append(runs, run)
-	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("igreedy: no .run files in %s", dir)
-	}
-	combined, err := census.Combine(runs...)
-	if err != nil {
-		return nil, err
-	}
-	for ti, ip := range combined.Targets {
-		if ip.Prefix() == p {
-			log.Printf("loaded %d runs, %d combined VPs; analyzing %v", len(runs), len(combined.VPs), p)
-			return combined.Measurements(ti), nil
+		if best >= 0 {
+			ms = append(ms, core.Measurement{VP: vp.Name, VPLoc: vp.Loc, RTT: best})
 		}
 	}
-	return nil, fmt.Errorf("igreedy: prefix %v not in the saved target list", p)
+	if len(ms) == 0 {
+		return nil, fmt.Errorf("igreedy: no echo sample toward %v in the %d record files of %s", p, len(entries), dir)
+	}
+	log.Printf("read %d record files, %d with echoes from %v", len(entries), len(ms), p)
+	return ms, nil
+}
+
+// minEchoRTT returns the minimum echo RTT toward p in the binary record
+// file at path, or -1 when it has none.
+func minEchoRTT(path string, p netsim.Prefix24) (time.Duration, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	best := time.Duration(-1)
+	r := record.NewBinaryReader(f)
+	for {
+		s, err := r.Read()
+		if err == io.EOF {
+			return best, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+		if s.Kind == netsim.ReplyEcho && s.Target.Prefix() == p && (best < 0 || s.RTT < best) {
+			best = s.RTT
+		}
+	}
 }

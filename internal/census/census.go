@@ -322,9 +322,8 @@ type Combined struct {
 	Rounds  int
 }
 
-// Combine merges census runs. All runs must share the same target list.
-// It is the batch reference Campaign's fold is held to; cmd/igreedy -runs
-// min-combines saved files with it.
+// Combine merges census runs, which must share one target list. It is
+// the batch reference the tests hold Campaign's fold to.
 func Combine(runs ...*Run) (*Combined, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("census: nothing to combine")

@@ -10,15 +10,17 @@ import (
 	"testing"
 )
 
-// TestOneExecutor holds the module to one census executor and one
-// analysis path. No non-test file outside bench/ calls the whole-round
-// reference (ExecuteContext, FoldRun) or batch-combines runs (Combine) —
-// except cmd/igreedy -runs, which min-combines saved run files. Everything
-// that serves or reports goes through Campaign.ExecuteRoundPipelined or
-// the cluster coordinator; the reference lives on for the determinism
-// tests and the benchmark. And no non-test file outside bench/ and
-// internal/census builds its own Analyzer (NewAnalyzer): analysis runs
-// through AnalyzeAll or Campaign.Analyze.
+// TestOneExecutor holds the module to one census executor, one analysis
+// path and one on-disk census format. No non-test file outside bench/
+// calls the whole-round reference (ExecuteContext, FoldRun) or
+// batch-combines runs (Combine). Everything that serves or reports goes
+// through Campaign.ExecuteRoundPipelined or the cluster coordinator; the
+// reference lives on for the determinism tests and the benchmark. No
+// non-test file outside bench/ and internal/census builds its own
+// Analyzer (NewAnalyzer): analysis runs through AnalyzeAll or
+// Campaign.Analyze. And none of them calls the ACMR2 codec (SaveRun,
+// LoadRun) or builds a census.Run: saved censuses are the per-VP record
+// files of internal/record.
 func TestOneExecutor(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
@@ -44,7 +46,11 @@ func TestOneExecutor(t *testing.T) {
 		}
 		checked++
 		inCensus := filepath.ToSlash(filepath.Dir(rel)) == "internal/census"
+		const codec = "the ACMR2 codec is `bench/`'s until ROADMAP item 5"
 		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok && !inCensus && isCensusSel(lit.Type, "Run") {
+				t.Errorf("%s: builds a census.Run, %s", fset.Position(lit.Pos()), codec)
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -69,13 +75,13 @@ func TestOneExecutor(t *testing.T) {
 			switch name {
 			case "ExecuteContext", "FoldRun":
 				bad = true
-			case "Execute":
+			case "Execute", "Combine":
 				bad = qualified
-			case "Combine":
-				bad = qualified && !strings.HasPrefix(rel, "cmd/igreedy/")
 			case "NewAnalyzer":
 				bad = qualified && !inCensus
 				what = "a second analysis path; analyze through AnalyzeAll or Campaign.Analyze"
+			case "SaveRun", "LoadRun":
+				bad, what = qualified && !inCensus, codec
 			}
 			if bad {
 				t.Errorf("%s: calls %s, %s", fset.Position(call.Pos()), name, what)
@@ -90,4 +96,14 @@ func TestOneExecutor(t *testing.T) {
 	if checked < 50 {
 		t.Fatalf("walked only %d non-test Go files; is the module root %s?", checked, root)
 	}
+}
+
+// isCensusSel reports whether expr is census.<name>.
+func isCensusSel(expr ast.Expr, name string) bool {
+	sel, ok := expr.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == "census" && sel.Sel.Name == name
 }

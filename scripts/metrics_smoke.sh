@@ -3,7 +3,10 @@
 # worlds: `census -snapshot F` writes the map, anycastd (with its -dns
 # routing front-end) boots from F, reloads it when a second census
 # replaces it, and keeps serving when garbage lands on it, which a third
-# census then refuses to overwrite. It asserts that
+# census then refuses to overwrite. The first census also saves its
+# per-VP record files, and `igreedy -runs` must call a /24 the browser
+# lists ANYCAST from them; a second -save into that directory must be
+# refused before the world is built. It asserts that
 # GET /metrics serves Prometheus text exposition carrying every required
 # series family - store, reload, route and HTTP on anycastd; probe,
 # census and cluster on a `census -local 2` coordinator - that the
@@ -28,7 +31,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$GO" build -o "$BIN" ./cmd/anycastd ./cmd/census
+"$GO" build -o "$BIN" ./cmd/anycastd ./cmd/census ./cmd/igreedy
 
 wait_http() { # url attempts
     local url=$1 tries=${2:-100}
@@ -75,7 +78,8 @@ wait_field() { # url field value
 
 echo "== census -snapshot -> anycastd =="
 snap=$BIN/map.snap
-"$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -snapshot "$snap" >/dev/null 2>"$BIN/census1.log"
+runs=$BIN/runs
+"$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -snapshot "$snap" -save "$runs" >/dev/null 2>"$BIN/census1.log"
 detected=$(sed -n 's/^combined: \([0-9]*\) anycast.*/\1/p' "$BIN/census1.log")
 "$BIN/anycastd" -addr "$ANYCASTD_ADDR" -admin "$ANYCASTD_ADMIN" -dns "$ANYCASTD_DNS" \
     -snapshot-file "$snap" &
@@ -126,6 +130,22 @@ require_status "http://$ANYCASTD_ADMIN/" 200
 require_status "http://$ANYCASTD_ADMIN/api/findings" 200
 require_status "http://$ANYCASTD_ADDR/api/findings" 404
 echo "ok: anycastd serves the census browser on its admin listener only"
+
+echo "== census -save -> igreedy -runs =="
+prefix=$(json_field "http://$ANYCASTD_ADMIN/api/findings" prefix | sed -n '1{s/[[:space:]]//g;p;}')
+[ -n "$prefix" ] || { echo "FAIL: /api/findings lists no anycast /24" >&2; exit 1; }
+"$BIN/igreedy" -runs "$runs" -prefix "$prefix" 2>/dev/null | grep -q '^ANYCAST' ||
+    { echo "FAIL: igreedy -runs does not call $prefix, which anycastd serves as anycast, ANYCAST" >&2; exit 1; }
+ls "$runs" >"$BIN/runs.before"
+if "$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -save "$runs" >/dev/null 2>"$BIN/census-save.log"; then
+    echo "FAIL: census -save wrote into a directory that is not empty" >&2
+    exit 1
+fi
+grep -q '^world:' "$BIN/census-save.log" &&
+    { echo "FAIL: census built its world before refusing the -save directory" >&2; exit 1; }
+ls "$runs" | cmp -s - "$BIN/runs.before" ||
+    { echo "FAIL: census -save changed a directory it refused" >&2; exit 1; }
+echo "ok: igreedy -runs calls $prefix ANYCAST; a second -save into $(basename "$runs") is refused"
 
 echo "== anycastd reloads =="
 "$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -snapshot "$snap" >/dev/null 2>"$BIN/census2.log"
