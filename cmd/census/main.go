@@ -76,7 +76,6 @@ func main() {
 
 	// Fleet: -local and -listen.
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "how long an agent may hold a lease")
-	heartbeat := flag.Duration("heartbeat", time.Second, "agent heartbeat interval")
 	churnEvery := flag.Int("churn-every", 0, "-local: kill each agent's connection after this many row frames")
 	exitOnCrash := flag.Bool("exit-on-crash", false, "-local: an injected VP crash kills the whole agent")
 	verify := flag.Bool("verify", false, "after the fleet's census, run the zero-fault in-process campaign and fail unless combined rows, greylist, and outcomes are byte-identical")
@@ -143,6 +142,16 @@ func main() {
 		log.Fatalf("save: %v", err)
 	}
 
+	// A fault fraction that is set at all is validated before anything is
+	// built, so a negative or NaN one is refused rather than ignored.
+	faults := faultConfig(*faultSeed, *seed, *faultCrash, *faultSticky, *faultFlap, *faultBurst, *faultOutage)
+	var plan *netsim.FaultPlan
+	if faults != nil {
+		if plan, err = netsim.NewFaultPlan(*faults); err != nil {
+			log.Fatalf("fault plan: %v", err)
+		}
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -203,41 +212,23 @@ func main() {
 
 	// The census rounds probe probeWorld; everything else keeps the
 	// fault-free world.
-	var faults *netsim.FaultConfig
 	probeWorld := world
-	if *faultCrash > 0 || *faultFlap > 0 || *faultBurst > 0 || *faultOutage > 0 {
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed
-		}
-		faults = &netsim.FaultConfig{
-			Seed:                 fseed,
-			CrashFraction:        *faultCrash,
-			CrashStickiness:      *faultSticky,
-			FlapFraction:         *faultFlap,
-			BurstLossFraction:    *faultBurst,
-			TargetOutageFraction: *faultOutage,
-		}
-		plan, err := netsim.NewFaultPlan(*faults)
-		if err != nil {
-			log.Fatalf("fault plan: %v", err)
-		}
+	if plan != nil {
 		probeWorld = world.WithFaults(plan)
 		log.Printf("fault injection: crash=%.2f (sticky %.2f) flap=%.2f burst=%.2f outage=%.2f seed=%d",
-			*faultCrash, *faultSticky, *faultFlap, *faultBurst, *faultOutage, fseed)
+			*faultCrash, *faultSticky, *faultFlap, *faultBurst, *faultOutage, faults.Seed)
 	}
 
 	// The optional admin listener exposes the census in Prometheus text -
 	// prober, campaign/analyzer and cluster control-plane series - and the
 	// runtime's profiles.
+	var reg *obs.Registry
 	var censusMetrics *census.Metrics
-	var clusterMetrics *cluster.Metrics
 	if *metricsAddr != "" {
-		reg := obs.NewRegistry()
+		reg = obs.NewRegistry()
 		prober.DefaultMetrics.Register(reg)
 		prober.RegisterGreylistGauge(reg, black, "blacklist")
 		censusMetrics = census.NewMetrics(reg)
-		clusterMetrics = cluster.NewMetrics(reg)
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
@@ -285,20 +276,21 @@ func main() {
 	var fleet *cluster.Harness
 	if fleetMode {
 		coord, err = cluster.NewCoordinator(cluster.Config{
-			Campaign:       cp,
-			Targets:        targets.Targets(),
-			Blacklist:      black,
-			Census:         ccfg,
-			World:          cfg,
-			Faults:         faults,
-			ShardTargets:   *spanTargets,
-			LeaseTTL:       *leaseTTL,
-			HeartbeatEvery: *heartbeat,
-			Log:            log.Printf,
-			Metrics:        clusterMetrics,
+			Campaign:     cp,
+			Targets:      targets.Targets(),
+			Blacklist:    black,
+			Census:       ccfg,
+			World:        cfg,
+			Faults:       faults,
+			ShardTargets: *spanTargets,
+			LeaseTTL:     *leaseTTL,
+			Log:          log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("coordinator: %v", err)
+		}
+		if reg != nil {
+			coord.RegisterMetrics(reg)
 		}
 		if *local > 0 {
 			fleet, err = cluster.NewHarness(coord, cluster.HarnessConfig{
@@ -447,6 +439,21 @@ func main() {
 		}
 	}
 	log.Printf("\ntotal wall time %v", time.Since(start).Round(time.Millisecond))
+}
+
+// faultConfig is the failure weather the fault flags ask for: nil when
+// every fraction is zero, otherwise a config for NewFaultPlan to validate,
+// so a negative or NaN fraction is refused rather than read as "no
+// faults". A zero fault seed means the world seed.
+func faultConfig(faultSeed, worldSeed uint64, crash, sticky, flap, burst, outage float64) *netsim.FaultConfig {
+	if crash == 0 && sticky == 0 && flap == 0 && burst == 0 && outage == 0 {
+		return nil
+	}
+	if faultSeed == 0 {
+		faultSeed = worldSeed
+	}
+	return &netsim.FaultConfig{Seed: faultSeed, CrashFraction: crash, CrashStickiness: sticky,
+		FlapFraction: flap, BurstLossFraction: burst, TargetOutageFraction: outage}
 }
 
 // firstRound numbers the first round of a census writing the snapshot

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,6 +147,33 @@ func TestSaveRecords(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: samples %+v, want %+v", e.Name(), got, want)
+		}
+	}
+}
+
+// Any fault fraction that is set yields a config for NewFaultPlan to
+// validate: a negative or NaN one is refused instead of being read as "no
+// faults" and running a fault-free census without a word.
+func TestFaultConfig(t *testing.T) {
+	if got := faultConfig(0, 7, 0, 0, 0, 0, 0); got != nil {
+		t.Fatalf("no fault flags: %+v, want no faults", got)
+	}
+	want := netsim.FaultConfig{Seed: 7, CrashFraction: 0.25, CrashStickiness: 0.5}
+	if got := faultConfig(0, 7, 0.25, 0.5, 0, 0, 0); got == nil || *got != want {
+		t.Fatalf("-fault-crash 0.25 -fault-crash-sticky 0.5: %+v, want %+v", got, want)
+	}
+	if got := faultConfig(3, 7, 0, 0, 0, 0, 0.1); got == nil || got.Seed != 3 {
+		t.Fatalf("-fault-seed 3: %+v", got)
+	}
+	nan := math.NaN()
+	for _, fracs := range [][5]float64{{-0.5}, {nan}, {0, -1}, {0, 0, nan}, {0, 0, 0, -0.1}, {0, 0, 0, 0, math.Inf(-1)}} {
+		fc := faultConfig(0, 7, fracs[0], fracs[1], fracs[2], fracs[3], fracs[4])
+		if fc == nil {
+			t.Errorf("fault fractions %v: no fault config, so nothing validates them", fracs)
+			continue
+		}
+		if _, err := netsim.NewFaultPlan(*fc); err == nil {
+			t.Errorf("fault fractions %v: plan accepted", fracs)
 		}
 	}
 }

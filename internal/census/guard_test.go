@@ -22,29 +22,7 @@ import (
 // LoadRun) or builds a census.Run: saved censuses are the per-VP record
 // files of internal/record.
 func TestOneExecutor(t *testing.T) {
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	checked := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		rel = filepath.ToSlash(rel)
-		if d.IsDir() {
-			if rel != "." && (rel == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		checked++
+	forEachSourceFile(t, parser.SkipObjectResolution, func(fset *token.FileSet, rel string, f *ast.File) {
 		inCensus := filepath.ToSlash(filepath.Dir(rel)) == "internal/census"
 		const codec = "the ACMR2 codec is `bench/`'s until ROADMAP item 5"
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -88,6 +66,66 @@ func TestOneExecutor(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// TestNoGob fails on a non-test import of encoding/gob. Gob matches
+// fields by name: it drops the fields its reader lacks and zero-fills the
+// ones its writer lacks, so two builds that disagree on a struct exchange
+// different values without an error. Every byte that crosses a process,
+// file or socket boundary goes through a fixed-binary codec instead. Two
+// files are exempt until their formats are replaced, and an exemption
+// whose file no longer imports gob fails too.
+func TestNoGob(t *testing.T) {
+	exempt := map[string]string{
+		"internal/census/iov2.go":    "the ACMR2 run codec, deleted once bench/ stops calling it (ROADMAP item 5)",
+		"internal/store/snapfile.go": "the snapshot health section, fixed binary in ACMSNAP2 (ROADMAP item 9)",
+	}
+	forEachSourceFile(t, parser.ImportsOnly, func(fset *token.FileSet, rel string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value != `"encoding/gob"` {
+				continue
+			}
+			if _, ok := exempt[rel]; ok {
+				delete(exempt, rel)
+			} else {
+				t.Errorf("%s: imports encoding/gob; write a fixed-binary codec", fset.Position(imp.Pos()))
+			}
+		}
+	})
+	for rel, why := range exempt {
+		t.Errorf("%s no longer imports encoding/gob; drop its exemption (%s)", rel, why)
+	}
+}
+
+// forEachSourceFile parses every non-test Go file of the module outside
+// bench/ (its own module) and testdata, and hands each to check with its
+// slash-separated path relative to the module root.
+func forEachSourceFile(t *testing.T, mode parser.Mode, check func(fset *token.FileSet, rel string, f *ast.File)) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (rel == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, mode)
+		if err != nil {
+			return err
+		}
+		checked++
+		check(fset, rel, f)
 		return nil
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
@@ -94,8 +93,7 @@ func (s *agentSession) getFatal() error {
 // the coordinator sends a shutdown frame (returns nil), the context is
 // cancelled, the connection breaks, or — under ExitOnCrash — a vantage
 // point crashes mid-shard. It registers, receives the world and census
-// configuration, then executes leases and streams their rows back,
-// heartbeating all the while.
+// configuration, then executes leases and streams their rows back.
 func RunAgent(ctx context.Context, conn net.Conn, cfg AgentConfig) error {
 	return (&agentSession{cfg: cfg, conn: conn}).run(ctx)
 }
@@ -143,7 +141,7 @@ func (s *agentSession) run(ctx context.Context) error {
 		return err
 	}
 	s.targets = welcome.Targets
-	s.ccfg = welcome.Head.Census
+	s.ccfg = census.Config{Rate: welcome.Head.Rate, Seed: welcome.Head.Seed}
 	if cfg.World != nil {
 		s.world = cfg.World
 	} else {
@@ -158,28 +156,6 @@ func (s *agentSession) run(ctx context.Context) error {
 		s.world = w
 	}
 	s.plans = census.NewSpanPlans(s.world, s.targets, welcome.Blacklist)
-
-	// Heartbeats, until the session ends.
-	hbDone := make(chan struct{})
-	defer close(hbDone)
-	go func() {
-		every := welcome.Head.Heartbeat
-		if every <= 0 {
-			every = time.Second
-		}
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if err := s.send(frameHeartbeat); err != nil {
-					return
-				}
-			case <-hbDone:
-				return
-			}
-		}
-	}()
 
 	// Lease executors: a small worker pool so Capacity leases probe
 	// concurrently while the main goroutine keeps reading frames. Each

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
+	"anycastmap/internal/obs"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 )
@@ -48,9 +50,6 @@ type Config struct {
 	// coordinator presumes it dead; expiry drops the whole agent (every
 	// unit it has not reported fails with it). Zero means 30s.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the liveness interval announced to agents.
-	// Zero means 1s.
-	HeartbeatEvery time.Duration
 	// AgentGrace is how long a round may sit with zero registered
 	// agents before it aborts. Zero means 30s.
 	AgentGrace time.Duration
@@ -60,9 +59,6 @@ type Config struct {
 	Tick time.Duration
 	// Log, when non-nil, receives operational events.
 	Log func(format string, args ...any)
-	// Metrics, when non-nil, receives the same events as Stats plus the
-	// shard-fold latency histogram, for /metrics exposition.
-	Metrics *Metrics
 }
 
 func (c Config) leaseTTL() time.Duration {
@@ -70,13 +66,6 @@ func (c Config) leaseTTL() time.Duration {
 		return c.LeaseTTL
 	}
 	return 30 * time.Second
-}
-
-func (c Config) heartbeatEvery() time.Duration {
-	if c.HeartbeatEvery > 0 {
-		return c.HeartbeatEvery
-	}
-	return time.Second
 }
 
 func (c Config) agentGrace() time.Duration {
@@ -209,6 +198,9 @@ type Coordinator struct {
 
 	statsMu sync.Mutex
 	stats   Stats
+	// foldSeconds is the shard-fold latency histogram RegisterMetrics
+	// wires; nil until then, and observing nil is a no-op.
+	foldSeconds atomic.Pointer[obs.Histogram]
 }
 
 // NewCoordinator builds the coordinator and starts its loop. Close it
@@ -217,24 +209,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Campaign == nil {
 		return nil, fmt.Errorf("cluster: coordinator needs a campaign")
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	payload, err := appendWelcome(nil, &welcomeMsg{
-		Head: welcomeHead{
-			World:     cfg.World,
-			Faults:    cfg.Faults,
-			Census:    cfg.Census,
-			Heartbeat: cfg.heartbeatEvery(),
-		},
+	w := welcomeMsg{
+		Head:      welcomeHead{World: cfg.World, Faults: cfg.Faults, Rate: cfg.Census.Rate, Seed: cfg.Census.Seed},
 		Targets:   cfg.Targets,
 		Blacklist: cfg.Blacklist,
-	})
-	if err != nil {
+	}
+	if err := w.Head.validate(); err != nil {
 		return nil, err
 	}
+	payload := appendWelcome(nil, &w)
 	c := &Coordinator{
 		cfg:     cfg,
 		welcome: appendFrame(nil, frameWelcome, payload),
@@ -433,9 +416,6 @@ func (c *Coordinator) readFrames(a *agentConn) error {
 				return err
 			}
 			c.post(func() { c.onFail(a, fail) })
-		case frameHeartbeat:
-			// Proof the agent's writer is alive, nothing more: a lease
-			// ends by its rows, its fail, LeaseTTL or a dead connection.
 		default:
 			return fmt.Errorf("cluster: unexpected frame type %d from agent", typ)
 		}
@@ -467,7 +447,6 @@ func (c *Coordinator) onHello(a *agentConn, hello helloMsg) {
 	}
 	a.ready = true
 	c.bump(func(s *Stats) { s.AgentsJoined++ })
-	c.cfg.Metrics.joined()
 	c.logf("cluster: agent %q joined (capacity %d)", a.name, a.capacity)
 	c.send(a, c.welcome)
 	if c.round != nil {
@@ -487,7 +466,6 @@ func (c *Coordinator) heldLease(a *agentConn, id uint64) *lease {
 		}
 	}
 	c.bump(func(s *Stats) { s.LateFrames++ })
-	c.cfg.Metrics.late()
 	return nil
 }
 
@@ -542,7 +520,7 @@ func (c *Coordinator) onRows(a *agentConn, leaseID uint64, srs []*census.ShardRo
 			return
 		}
 		c.bump(func(s *Stats) { s.FramesFolded++ })
-		c.cfg.Metrics.folded(time.Since(foldStart))
+		c.foldSeconds.Load().ObserveSince(foldStart)
 		lu.state = unitFolded
 		l.pending--
 		hint = i + 1
@@ -587,7 +565,6 @@ func (c *Coordinator) failUnit(u census.Unit, reason string) {
 		return
 	}
 	c.bump(func(s *Stats) { s.ReLeases++ })
-	c.cfg.Metrics.reLease()
 }
 
 // dropAgent removes an agent from the cluster and fails every unit of its
@@ -605,7 +582,6 @@ func (c *Coordinator) dropAgent(a *agentConn, reason string) {
 	c.connMu.Unlock()
 	if a.ready {
 		c.bump(func(s *Stats) { s.AgentsLost++ })
-		c.cfg.Metrics.lost()
 		c.logf("cluster: agent %q lost: %s", a.name, reason)
 	}
 	lost := a.inflight
@@ -643,7 +619,6 @@ func (c *Coordinator) onTick() {
 	for _, a := range hung {
 		if !a.dead {
 			c.bump(func(s *Stats) { s.Expired++ })
-			c.cfg.Metrics.expired()
 			c.dropAgent(a, "lease past deadline")
 		}
 	}
@@ -758,7 +733,6 @@ func (c *Coordinator) issueLease(r *roundState, a *agentConn) {
 	r.leases[l.id] = l
 	a.inflight[l.id] = l
 	c.bump(func(s *Stats) { s.Leases++; s.Units += len(l.units) })
-	c.cfg.Metrics.lease(len(l.units))
 	c.send(a, appendFrame(nil, frameLease, c.leaseBuf))
 }
 

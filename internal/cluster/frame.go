@@ -3,7 +3,7 @@
 // to registered agents with deadlines, and folds the partial rows
 // streaming back into the combined matrix; and the agent that owns
 // netsim vantage points, executes leased units through
-// census.ProbeShard, heartbeats for liveness, and streams results home.
+// census.ProbeShard and streams results home.
 //
 // The paper's census was this system in the flesh — hundreds of
 // PlanetLab vantage points probing on behalf of a central repository
@@ -37,26 +37,24 @@ import (
 // streamMagic opens every connection in both directions, so a peer
 // speaking the wrong protocol fails the handshake instead of confusing
 // the frame parser. ACMC1 sent lease and fail payloads as gob, ACMC2 the
-// hello and the whole welcome, ACMC3 one unit per lease; ACMC4 leases a
-// batch of units and names a unit by its slot in rows and fail, so older
+// hello and the whole welcome, ACMC3 one unit per lease, ACMC4 a gob
+// welcome head and heartbeats; ACMC5 is fixed binary throughout, so older
 // peers are refused here.
-const streamMagic = "ACMC4\n"
+const streamMagic = "ACMC5\n"
 
 // Frame types. A frame on the wire is a 4-byte big-endian length of what
 // follows (type byte + payload), then the type byte, then the payload.
-// proto.go lays out the payloads: hello, lease and fail are fixed binary,
-// the welcome a gob configuration head followed by fixed binary, rows a
-// uvarint lease ID followed by one census shard frame (the v2 columnar
-// codec, census.ShardRows) per unit reported; heartbeat and shutdown have
-// none.
+// proto.go lays out the payloads, all fixed binary: hello, welcome, lease
+// and fail field by field, rows a uvarint lease ID followed by one census
+// shard frame (the v2 columnar codec, census.ShardRows) per unit
+// reported; shutdown has none. Type 6, ACMC4's heartbeat, is unused.
 const (
-	frameHello     = byte(1) // agent -> coordinator: registration
-	frameWelcome   = byte(2) // coordinator -> agent: world + census config
-	frameLease     = byte(3) // coordinator -> agent: a batch of units
-	frameRows      = byte(4) // agent -> coordinator: units' result rows
-	frameFail      = byte(5) // agent -> coordinator: one unit failed
-	frameHeartbeat = byte(6) // agent -> coordinator: liveness
-	frameShutdown  = byte(7) // coordinator -> agent: drain and exit
+	frameHello    = byte(1) // agent -> coordinator: registration
+	frameWelcome  = byte(2) // coordinator -> agent: world + census config
+	frameLease    = byte(3) // coordinator -> agent: a batch of units
+	frameRows     = byte(4) // agent -> coordinator: units' result rows
+	frameFail     = byte(5) // agent -> coordinator: one unit failed
+	frameShutdown = byte(7) // coordinator -> agent: drain and exit
 )
 
 // DefaultMaxFrame bounds a single frame; a wide shard of a large world
@@ -112,10 +110,10 @@ func endRowsFrame(frame []byte, start int) []byte {
 }
 
 // frameBufKeep bounds the body buffer a frameReader keeps from frame to
-// frame. Leases, rows frames of census-width spans and heartbeats reuse
-// it; a welcome, or anything else larger, is read into a buffer of its
-// own that goes with it, so one big frame cannot pin memory for the life
-// of the connection.
+// frame. Leases and rows frames of census-width spans reuse it; a
+// welcome, or anything else larger, is read into a buffer of its own that
+// goes with it, so one big frame cannot pin memory for the life of the
+// connection.
 const frameBufKeep = 1 << 20
 
 // frameReader reads one connection's frames through a buffer, so a frame

@@ -26,9 +26,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if b[4] != frameLease {
 		t.Fatalf("type byte not at offset 4: %v", b[:5])
 	}
-	// Empty payloads (heartbeat, shutdown) are legal.
-	typ, got, err = newFrameReader(bytes.NewReader(appendFrame(nil, frameHeartbeat)), 0).next()
-	if err != nil || typ != frameHeartbeat || len(got) != 0 {
+	// An empty payload (shutdown) is legal.
+	typ, got, err = newFrameReader(bytes.NewReader(appendFrame(nil, frameShutdown)), 0).next()
+	if err != nil || typ != frameShutdown || len(got) != 0 {
 		t.Fatalf("empty payload: %d %q %v", typ, got, err)
 	}
 	// Parts land back to back, and a frame appended to a reused buffer
@@ -37,10 +37,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if typ, got, err = newFrameReader(bytes.NewReader(two), 0).next(); err != nil || typ != frameRows || !bytes.Equal(got, payload) {
 		t.Fatalf("parts: %d %q %v", typ, got, err)
 	}
-	stream := appendFrame(appendFrame(nil, frameHeartbeat), frameFail, payload)
+	stream := appendFrame(appendFrame(nil, frameShutdown), frameFail, payload)
 	r := bytes.NewReader(stream)
 	fr := newFrameReader(r, 0)
-	if typ, _, err = fr.next(); err != nil || typ != frameHeartbeat {
+	if typ, _, err = fr.next(); err != nil || typ != frameShutdown {
 		t.Fatalf("first of two: %d %v", typ, err)
 	}
 	if typ, got, err = fr.next(); err != nil || typ != frameFail || !bytes.Equal(got, payload) || r.Len() != 0 {
@@ -141,7 +141,7 @@ func TestFrameReaderOneReadPerFrame(t *testing.T) {
 	l := sampleLease()
 	frames := [][]byte{
 		appendFrame(nil, frameLease, appendLease(nil, &l)),
-		appendFrame(nil, frameHeartbeat),
+		appendFrame(nil, frameShutdown),
 		appendFrame(nil, frameRows, make([]byte, 3000)),
 	}
 	go func() {

@@ -1,91 +1,34 @@
 package cluster
 
-import (
-	"time"
+import "anycastmap/internal/obs"
 
-	"anycastmap/internal/obs"
-)
-
-// Metrics is the coordinator instrument set: the live form of Stats,
-// exported through an obs.Registry so the control plane's event
-// counters become scrapeable time series. Counters mirror the Stats
-// fields one for one (TestCoordinatorMetricsMatchStats pins the
-// equality); AgentsLive and ShardFoldSeconds have no Stats counterpart.
-// All helpers are nil-safe: a coordinator without metrics pays one
-// pointer test per event.
-type Metrics struct {
-	AgentsJoined  *obs.Counter
-	AgentsLost    *obs.Counter
-	AgentsLive    *obs.Gauge
-	Leases        *obs.Counter
-	Units         *obs.Counter
-	ReLeases      *obs.Counter
-	LeaseExpiries *obs.Counter
-	LateFrames    *obs.Counter
-	FramesFolded  *obs.Counter
-	// ShardFoldSeconds is the latency of folding one ShardRows frame
-	// into the campaign's combined matrix.
-	ShardFoldSeconds *obs.Histogram
-}
-
-// NewMetrics registers the cluster series on r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
-		AgentsJoined:     r.Counter("anycastmap_cluster_agents_joined_total", "Agents that completed the hello handshake."),
-		AgentsLost:       r.Counter("anycastmap_cluster_agents_lost_total", "Agents dropped (disconnect, protocol violation, or expiry)."),
-		AgentsLive:       r.Gauge("anycastmap_cluster_agents_live", "Agents currently registered and alive."),
-		Leases:           r.Counter("anycastmap_cluster_leases_total", "Leases granted to agents."),
-		Units:            r.Counter("anycastmap_cluster_units_total", "(Vantage point, span) units the leases carried."),
-		ReLeases:         r.Counter("anycastmap_cluster_re_leases_total", "Units re-queued after a failure or a lost agent."),
-		LeaseExpiries:    r.Counter("anycastmap_cluster_lease_expiries_total", "Leases past their TTL deadline (the agent is presumed hung)."),
-		LateFrames:       r.Counter("anycastmap_cluster_late_frames_total", "Frames from dropped agents or for ended or foreign leases, dropped unfolded."),
-		FramesFolded:     r.Counter("anycastmap_cluster_frames_folded_total", "Units' ShardRows folded into the combined matrix."),
-		ShardFoldSeconds: r.Histogram("anycastmap_cluster_shard_fold_seconds", "Latency of folding one ShardRows frame.", obs.FastBuckets),
+// RegisterMetrics exposes the coordinator on r: its Stats counters as
+// anycastmap_cluster_* series read at scrape time, so a scrape and Stats
+// never disagree; agents_live as joined − lost; and the one live
+// instrument, the latency of folding a unit's rows.
+func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
+	counter := func(name, help string, field func(Stats) int) {
+		r.CounterFunc(name, help, func() uint64 { return uint64(field(c.Stats())) })
 	}
-}
-
-func (m *Metrics) joined() {
-	if m != nil {
-		m.AgentsJoined.Inc()
-		m.AgentsLive.Add(1)
-	}
-}
-
-func (m *Metrics) lost() {
-	if m != nil {
-		m.AgentsLost.Inc()
-		m.AgentsLive.Add(-1)
-	}
-}
-
-func (m *Metrics) lease(units int) {
-	if m != nil {
-		m.Leases.Inc()
-		m.Units.Add(uint64(units))
-	}
-}
-
-func (m *Metrics) reLease() {
-	if m != nil {
-		m.ReLeases.Inc()
-	}
-}
-
-func (m *Metrics) expired() {
-	if m != nil {
-		m.LeaseExpiries.Inc()
-	}
-}
-
-func (m *Metrics) late() {
-	if m != nil {
-		m.LateFrames.Inc()
-	}
-}
-
-func (m *Metrics) folded(d time.Duration) {
-	if m != nil {
-		m.FramesFolded.Inc()
-		m.ShardFoldSeconds.Observe(d.Seconds())
-	}
+	counter("anycastmap_cluster_agents_joined_total", "Agents that completed the hello handshake.",
+		func(s Stats) int { return s.AgentsJoined })
+	counter("anycastmap_cluster_agents_lost_total", "Agents dropped (disconnect, protocol violation, or expiry).",
+		func(s Stats) int { return s.AgentsLost })
+	r.GaugeFunc("anycastmap_cluster_agents_live", "Agents currently registered and alive.", func() float64 {
+		s := c.Stats()
+		return float64(s.AgentsJoined - s.AgentsLost)
+	})
+	counter("anycastmap_cluster_leases_total", "Leases granted to agents.",
+		func(s Stats) int { return s.Leases })
+	counter("anycastmap_cluster_units_total", "(Vantage point, span) units the leases carried.",
+		func(s Stats) int { return s.Units })
+	counter("anycastmap_cluster_re_leases_total", "Units re-queued after a failure or a lost agent.",
+		func(s Stats) int { return s.ReLeases })
+	counter("anycastmap_cluster_lease_expiries_total", "Leases past their TTL deadline (the agent is presumed hung).",
+		func(s Stats) int { return s.Expired })
+	counter("anycastmap_cluster_late_frames_total", "Frames from dropped agents or for ended or foreign leases, dropped unfolded.",
+		func(s Stats) int { return s.LateFrames })
+	counter("anycastmap_cluster_frames_folded_total", "Units' ShardRows folded into the combined matrix.",
+		func(s Stats) int { return s.FramesFolded })
+	c.foldSeconds.Store(r.Histogram("anycastmap_cluster_shard_fold_seconds", "Latency of folding one ShardRows frame.", obs.FastBuckets))
 }

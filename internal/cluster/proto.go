@@ -1,29 +1,23 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/prober"
 )
 
-// Fixed binary for every frame the coordinator reads; gob only for the
-// welcome's configuration head. hello, lease, fail and rows come in from
-// any peer that can reach a -listen address, once per connection or once
-// per lease, so each has a hand-rolled layout read through wireReader
-// (appendHello/decodeHello, appendLease/decodeLease, appendFail/decodeFail,
-// beginRowsFrame…endRowsFrame/decodeRows; a unit's rows are the v2
-// columnar shard frame, census.ShardRows). The welcome is read only by
-// agents, once per connection; its configuration head is nested and still
-// changing, so it rides as gob, while the target list and blacklist that
-// grow with the census follow it in fixed binary (appendWelcome).
+// Fixed binary for every frame, each laid out by a hand-rolled append and
+// read back through wireReader: appendHello/decodeHello,
+// appendWelcome/decodeWelcome, appendLease/decodeLease,
+// appendFail/decodeFail, and beginRowsFrame…endRowsFrame/decodeRows (a
+// unit's rows are the v2 columnar shard frame, census.ShardRows). A
+// decoder refuses a truncated or overlong varint, a flag byte other than
+// 0 or 1 and a trailing byte, none of which its append writes.
 
 // helloMsg registers an agent with the coordinator.
 type helloMsg struct {
@@ -43,14 +37,15 @@ type welcomeMsg struct {
 	Blacklist *prober.Greylist
 }
 
-// welcomeHead is the welcome's gob-encoded configuration: the
-// deterministic world to rebuild (or share, in-process), the fault
-// weather, the probing configuration and the heartbeat interval.
+// welcomeHead is what an agent reads of the coordinator's configuration:
+// the deterministic world to rebuild (or share, in-process), the fault
+// weather, and the census Rate and Seed that census.ProbeShard probes
+// with. Retry budgets, backoff and worker counts stay on the coordinator.
 type welcomeHead struct {
-	World     netsim.Config
-	Faults    *netsim.FaultConfig
-	Census    census.Config
-	Heartbeat time.Duration
+	World  netsim.Config
+	Faults *netsim.FaultConfig
+	Rate   float64
+	Seed   uint64
 }
 
 // leaseMsg assigns a batch of units of one round to an agent: a unit is
@@ -87,38 +82,76 @@ func appendHello(b []byte, h *helloMsg) []byte {
 // handed at once, so values beyond int32 are refused here.
 func decodeHello(payload []byte) (helloMsg, error) {
 	r := wireReader{b: payload}
-	c := r.uvarint()
-	r.bad = r.bad || c > math.MaxInt32
-	h := helloMsg{Capacity: int(c), Name: r.str()}
+	h := helloMsg{Capacity: r.int(), Name: r.str()}
 	return h, r.finish("hello")
 }
 
-// appendWelcome appends w's wire form: the gob-encoded head as a uvarint
-// length and the bytes; the targets as a uvarint count and 4 bytes each,
-// little-endian; then the blacklist as a greylist section
-// (census.AppendGreylist): a uvarint count, then per host in strictly
-// ascending address order a uvarint address delta and its kind byte.
-func appendWelcome(b []byte, w *welcomeMsg) ([]byte, error) {
-	var head bytes.Buffer
-	if err := gob.NewEncoder(&head).Encode(&w.Head); err != nil {
-		return nil, fmt.Errorf("cluster: encode welcome: %w", err)
-	}
-	b = binary.AppendUvarint(b, uint64(head.Len()))
-	b = append(b, head.Bytes()...)
-	b = binary.AppendUvarint(b, uint64(len(w.Targets)))
+// appendWelcome appends w's wire form: the head (appendHead); the targets
+// as a uvarint count and 4 bytes each, little-endian; then the blacklist
+// as a greylist section (census.AppendGreylist): a uvarint count, then per
+// host in strictly ascending address order a uvarint address delta and
+// its kind byte.
+func appendWelcome(b []byte, w *welcomeMsg) []byte {
+	b = binary.AppendUvarint(appendHead(b, &w.Head), uint64(len(w.Targets)))
 	for _, ip := range w.Targets {
 		b = binary.LittleEndian.AppendUint32(b, uint32(ip))
 	}
-	return census.AppendGreylist(b, w.Blacklist), nil
+	return census.AppendGreylist(b, w.Blacklist)
 }
 
-// decodeWelcome undoes appendWelcome. The fixed-binary parts are checked
-// before the head is handed to gob, and the head must be exactly one gob
-// value.
+// appendHead appends h's wire form: the world's Seed, Epoch and
+// Unicast24s as uvarints, its nine float fields as IEEE-754 bits,
+// little-endian, in declaration order (DeploymentInflation … JitterMs),
+// and DisableProbeCache as a flag byte; a flag byte for Faults and, when
+// set, its Seed and RecoveryAttempts as uvarints and its seven fractions
+// as floats in declaration order; then Rate as a float and Seed as a
+// uvarint.
+func appendHead(b []byte, h *welcomeHead) []byte {
+	c := &h.World
+	b = appendUvarints(b, c.Seed, c.Epoch, uint64(c.Unicast24s))
+	for _, f := range [...]float64{c.DeploymentInflation, c.ResponsiveFraction, c.AdminFilteredFraction,
+		c.HostProhibitedFraction, c.NetProhibitedFraction, c.StretchBase, c.StretchExtra, c.AccessMs, c.JitterMs} {
+		b = appendFloat(b, f)
+	}
+	b = appendFlag(appendFlag(b, c.DisableProbeCache), h.Faults != nil)
+	if f := h.Faults; f != nil {
+		b = appendUvarints(b, f.Seed, uint64(f.RecoveryAttempts))
+		for _, v := range [...]float64{f.CrashFraction, f.CrashStickiness, f.FlapFraction, f.FlapWindow,
+			f.BurstLossFraction, f.BurstLossProb, f.TargetOutageFraction} {
+			b = appendFloat(b, v)
+		}
+	}
+	return binary.AppendUvarint(appendFloat(b, h.Rate), h.Seed)
+}
+
+// head reads what appendHead wrote.
+func (r *wireReader) head() welcomeHead {
+	var h welcomeHead
+	c := &h.World
+	c.Seed, c.Epoch, c.Unicast24s = r.uvarint(), r.uvarint(), r.int()
+	for _, dst := range [...]*float64{&c.DeploymentInflation, &c.ResponsiveFraction, &c.AdminFilteredFraction,
+		&c.HostProhibitedFraction, &c.NetProhibitedFraction, &c.StretchBase, &c.StretchExtra, &c.AccessMs, &c.JitterMs} {
+		*dst = r.float()
+	}
+	c.DisableProbeCache = r.flag()
+	if r.flag() {
+		f := &netsim.FaultConfig{Seed: r.uvarint(), RecoveryAttempts: r.int()}
+		for _, dst := range [...]*float64{&f.CrashFraction, &f.CrashStickiness, &f.FlapFraction, &f.FlapWindow,
+			&f.BurstLossFraction, &f.BurstLossProb, &f.TargetOutageFraction} {
+			*dst = r.float()
+		}
+		h.Faults = f
+	}
+	h.Rate, h.Seed = r.float(), r.uvarint()
+	return h
+}
+
+// decodeWelcome undoes appendWelcome. An agent builds its world from the
+// head, and netsim.New panics on a configuration that fails Validate, so a
+// head whose world or fault config fails Validate is refused here.
 func decodeWelcome(payload []byte) (welcomeMsg, error) {
 	r := wireReader{b: payload}
-	var w welcomeMsg
-	head := r.take(r.uvarint())
+	w := welcomeMsg{Head: r.head()}
 	n := r.uvarint()
 	r.bad = r.bad || n > uint64(len(r.b))/4
 	if raw := r.take(4 * n); raw != nil {
@@ -136,14 +169,21 @@ func decodeWelcome(payload []byte) (welcomeMsg, error) {
 	if err := r.finish("welcome"); err != nil {
 		return welcomeMsg{}, err
 	}
-	hr := bytes.NewReader(head)
-	if err := gob.NewDecoder(hr).Decode(&w.Head); err != nil {
-		return welcomeMsg{}, fmt.Errorf("cluster: decode welcome: %w", err)
-	}
-	if hr.Len() != 0 {
-		return welcomeMsg{}, fmt.Errorf("cluster: malformed welcome payload")
+	if err := w.Head.validate(); err != nil {
+		return welcomeMsg{}, fmt.Errorf("cluster: welcome: %w", err)
 	}
 	return w, nil
+}
+
+// validate reports a world or fault config an agent cannot build.
+func (h *welcomeHead) validate() error {
+	if err := h.World.Validate(); err != nil {
+		return err
+	}
+	if h.Faults != nil {
+		return h.Faults.Validate()
+	}
+	return nil
 }
 
 // appendLease appends l's wire form: three uvarints — ID, the round of
@@ -157,16 +197,14 @@ func appendLease(b []byte, l *leaseMsg) []byte {
 	if len(l.Units) > 0 {
 		round = l.Units[0].Round
 	}
-	b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, l.ID), round), uint64(len(l.Units)))
+	b = appendUvarints(b, l.ID, round, uint64(len(l.Units)))
 	for i := range l.Units {
 		u := &l.Units[i]
 		vp := &u.VP
-		for _, v := range [...]uint64{uint64(u.Attempt), uint64(u.Slot), uint64(u.Span.Lo), uint64(u.Span.Hi),
-			uint64(vp.ID), uint64(vp.City.Population)} {
-			b = binary.AppendUvarint(b, v)
-		}
+		b = appendUvarints(b, uint64(u.Attempt), uint64(u.Slot), uint64(u.Span.Lo), uint64(u.Span.Hi),
+			uint64(vp.ID), uint64(vp.City.Population))
 		for _, f := range [...]float64{vp.City.Loc.Lat, vp.City.Loc.Lon, vp.Loc.Lat, vp.Loc.Lon, vp.LoadFactor} {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+			b = appendFloat(b, f)
 		}
 		for _, s := range [...]string{vp.Name, vp.City.Name, vp.City.CC} {
 			b = appendString(b, s)
@@ -197,16 +235,12 @@ func decodeLease(payload []byte) (leaseMsg, error) {
 		u.Round = round
 		vp := &u.VP
 		for _, dst := range [...]*int{&u.Attempt, &u.Slot, &u.Span.Lo, &u.Span.Hi} {
-			v := r.uvarint()
-			r.bad = r.bad || v > math.MaxInt32
-			*dst = int(v)
+			*dst = r.int()
 		}
 		r.bad = r.bad || u.Span.Lo > u.Span.Hi
 		vp.ID, vp.City.Population = int(r.uvarint()), int(r.uvarint())
 		for _, dst := range [...]*float64{&vp.City.Loc.Lat, &vp.City.Loc.Lon, &vp.Loc.Lat, &vp.Loc.Lon, &vp.LoadFactor} {
-			if b := r.take(8); b != nil {
-				*dst = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			}
+			*dst = r.float()
 		}
 		for _, dst := range [...]*string{&vp.Name, &vp.City.Name, &vp.City.CC} {
 			*dst = r.str()
@@ -231,24 +265,14 @@ func decodeLease(payload []byte) (leaseMsg, error) {
 // appendFail appends f's wire form: uvarint ID, uvarint Slot, a flag byte
 // (1: Crash), then Err as a uvarint length and the bytes.
 func appendFail(b []byte, f *failMsg) []byte {
-	b = binary.AppendUvarint(binary.AppendUvarint(b, f.ID), uint64(f.Slot))
-	if f.Crash {
-		return appendString(append(b, 1), f.Err)
-	}
-	return appendString(append(b, 0), f.Err)
+	b = appendUvarints(b, f.ID, uint64(f.Slot))
+	return appendString(appendFlag(b, f.Crash), f.Err)
 }
 
 // decodeFail undoes appendFail; a slot beyond int32 is refused.
 func decodeFail(payload []byte) (failMsg, error) {
 	r := wireReader{b: payload}
-	f := failMsg{ID: r.uvarint()}
-	slot := r.uvarint()
-	r.bad = r.bad || slot > math.MaxInt32
-	f.Slot = int(slot)
-	if flags := r.take(1); flags != nil {
-		f.Crash, r.bad = flags[0] == 1, flags[0] > 1
-	}
-	f.Err = r.str()
+	f := failMsg{ID: r.uvarint(), Slot: r.int(), Crash: r.flag(), Err: r.str()}
 	return f, r.finish("fail")
 }
 
@@ -256,10 +280,29 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// wireReader consumes a fixed-binary payload. A varint that is truncated
-// or overflows, or a length beyond the bytes left, latches bad and reads
-// as zero from then on, so decoders read straight through and check once,
-// in finish; nothing is allocated beyond the bytes present.
+func appendUvarints(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func appendFlag(b []byte, set bool) []byte {
+	if set {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// wireReader consumes a fixed-binary payload. A varint that is truncated,
+// overflows or is longer than it needs to be, a flag byte other than 0 or
+// 1, or a length beyond the bytes left latches bad and reads as zero from
+// then on, so decoders read straight through and check once, in finish;
+// nothing is allocated beyond the bytes present.
 type wireReader struct {
 	b   []byte
 	bad bool
@@ -278,12 +321,33 @@ func (r *wireReader) take(n uint64) []byte {
 
 func (r *wireReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
-	if r.bad || n <= 0 {
+	if r.bad || n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.bad = true
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
+}
+
+// int reads a uvarint that indexes or sizes something on the reading
+// side, so values beyond int32 are refused.
+func (r *wireReader) int() int {
+	v := r.uvarint()
+	r.bad = r.bad || v > math.MaxInt32
+	return int(v)
+}
+
+func (r *wireReader) float() float64 {
+	if b := r.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+func (r *wireReader) flag() bool {
+	b := r.take(1)
+	r.bad = r.bad || b != nil && b[0] > 1
+	return b != nil && b[0] == 1
 }
 
 func (r *wireReader) str() string { return string(r.take(r.uvarint())) }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"io"
 	"math"
 	"math/rand/v2"
@@ -247,7 +246,7 @@ func FuzzDecodeFail(f *testing.F) {
 
 func FuzzReadFrame(f *testing.F) {
 	f.Add(appendFrame(nil, frameLease, []byte("payload")), uint16(1024))
-	f.Add(appendFrame(nil, frameHeartbeat), uint16(0))
+	f.Add(appendFrame(nil, frameShutdown), uint16(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameRows}, uint16(64))
 	f.Add([]byte{0, 0, 0, 0}, uint16(64))
 	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
@@ -268,12 +267,13 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // Older peers are turned away at the magic, in both directions, not
-// parsed as ACMC4: an ACMC1 peer sends lease and fail payloads as gob, an
+// parsed as ACMC5: an ACMC1 peer sends lease and fail payloads as gob, an
 // ACMC2 peer its hello and the whole welcome, an ACMC3 peer one unit per
-// lease and fails without a slot. Every refusal is the one error, quoting
-// the magic the peer sent.
+// lease and fails without a slot, an ACMC4 peer a gob welcome head and
+// heartbeats. Every refusal is the one error, quoting the magic the peer
+// sent.
 func TestOldProtocolPeerRefused(t *testing.T) {
-	for _, old := range []string{"ACMC1\n", "ACMC2\n", "ACMC3\n"} {
+	for _, old := range []string{"ACMC1\n", "ACMC2\n", "ACMC3\n", "ACMC4\n"} {
 		t.Run(strings.TrimSpace(old), func(t *testing.T) {
 			refusal := "cluster: peer is not speaking the census protocol (got " + strconv.Quote(old) + ")"
 			if err := readMagic(strings.NewReader(old)); err == nil || err.Error() != refusal {
@@ -296,13 +296,14 @@ func TestOldProtocolPeerRefused(t *testing.T) {
 				t.Fatalf("agent against an old coordinator: %v, want %q", err, refusal)
 			}
 
-			// An old agent sending a gob hello is dropped before the hello
-			// is read: it never registers and never sees a welcome.
-			_, _, h, _ := clusterTestbed(t)
+			// An old agent is dropped before its hello is read: it never
+			// registers and never sees a welcome.
+			world, _, h, _ := clusterTestbed(t)
 			coord, err := NewCoordinator(Config{
 				Campaign: census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()}),
 				Targets:  h.Targets(),
 				Census:   testCensusCfg(),
+				World:    world,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -314,11 +315,8 @@ func TestOldProtocolPeerRefused(t *testing.T) {
 			}
 			defer agentSide.Close()
 			agentSide.SetDeadline(time.Now().Add(5 * time.Second))
-			var hello bytes.Buffer
-			if err := gob.NewEncoder(&hello).Encode(&helloMsg{Name: "old", Capacity: 1}); err != nil {
-				t.Fatal(err)
-			}
-			go agentSide.Write(append([]byte(old), appendFrame(nil, frameHello, hello.Bytes())...))
+			hello := appendHello(nil, &helloMsg{Name: "old", Capacity: 1})
+			go agentSide.Write(append([]byte(old), appendFrame(nil, frameHello, hello)...))
 			got, err := io.ReadAll(agentSide)
 			if err != nil && err != io.ErrClosedPipe {
 				t.Fatalf("reading the coordinator's answer: %v", err)
@@ -328,6 +326,50 @@ func TestOldProtocolPeerRefused(t *testing.T) {
 			}
 			if joined := coord.Stats().AgentsJoined; joined != 0 {
 				t.Fatalf("old peer registered (%d joined)", joined)
+			}
+		})
+	}
+}
+
+// A world an agent cannot build is an error on both ends, never a panic:
+// the coordinator refuses to start with it, and an agent welcomed with it
+// (by a coordinator that skipped the check) returns the decoder's refusal
+// instead of reaching netsim.New, which panics on an invalid config.
+func TestUnbuildableWorldRefused(t *testing.T) {
+	_, _, h, _ := clusterTestbed(t)
+	nanStretch := netsim.DefaultConfig()
+	nanStretch.StretchBase = math.NaN()
+	for name, head := range map[string]welcomeHead{
+		"zero world":        {},
+		"NaN StretchBase":   {World: nanStretch},
+		"NaN CrashFraction": {World: netsim.DefaultConfig(), Faults: &netsim.FaultConfig{CrashFraction: math.NaN()}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if coord, err := NewCoordinator(Config{
+				Campaign: census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()}),
+				Targets:  h.Targets(),
+				World:    head.World,
+				Faults:   head.Faults,
+			}); err == nil {
+				coord.Close()
+				t.Fatal("coordinator started with a world no agent can build")
+			}
+
+			coordSide, agentSide := net.Pipe()
+			go func() {
+				defer coordSide.Close()
+				fr := newFrameReader(coordSide, 0)
+				io.ReadFull(fr.r, make([]byte, len(streamMagic))) // the agent's magic
+				if _, _, err := fr.next(); err != nil {           // its hello
+					return
+				}
+				welcome := appendWelcome(nil, &welcomeMsg{Head: head, Targets: h.Targets()})
+				coordSide.Write(append([]byte(streamMagic), appendFrame(nil, frameWelcome, welcome)...))
+				io.Copy(io.Discard, coordSide)
+			}()
+			err := RunAgent(context.Background(), agentSide, AgentConfig{Name: "a"})
+			if err == nil || !strings.HasPrefix(err.Error(), "cluster: welcome: netsim:") {
+				t.Fatalf("agent welcomed with %s: %v", name, err)
 			}
 		})
 	}
@@ -364,30 +406,65 @@ func sampleWelcome() welcomeMsg {
 	bl.Add(0xFFFFFFFF, netsim.ReplyNetProhibited)
 	return welcomeMsg{
 		Head: welcomeHead{
-			World:     netsim.DefaultConfig(),
-			Faults:    &netsim.FaultConfig{Seed: 7, CrashFraction: 0.1},
-			Census:    census.Config{Seed: 9, Rate: 2000, RetryBackoff: -1},
-			Heartbeat: time.Second,
+			World:  netsim.DefaultConfig(),
+			Faults: &netsim.FaultConfig{Seed: 7, CrashFraction: 0.1},
+			Rate:   2000,
+			Seed:   9,
 		},
 		Targets:   []netsim.IP{0x0A000001, 0, 0xFFFFFFFF, 0x0A000001},
 		Blacklist: bl,
 	}
 }
 
-// mustAppendWelcome is appendWelcome for a welcome that encodes.
-func mustAppendWelcome(tb testing.TB) func([]byte, *welcomeMsg) []byte {
-	return func(b []byte, w *welcomeMsg) []byte {
-		b, err := appendWelcome(b, w)
-		if err != nil {
-			tb.Fatal(err)
+// welcomeWith is the sample welcome's bytes with its head replaced by
+// head, which may be any bytes at all.
+func welcomeWith(head []byte) []byte {
+	w := sampleWelcome()
+	return append(head, appendWelcome(nil, &w)[len(appendHead(nil, &w.Head)):]...)
+}
+
+// Every field of the configuration structs the head carries crosses the
+// wire: each is set to a distinct non-zero value by reflection, so a
+// field added to netsim.Config, netsim.FaultConfig or welcomeHead without
+// a place in appendHead and wireReader.head fails here instead of
+// reaching agents as its zero value.
+func TestWelcomeHeadCarriesEveryField(t *testing.T) {
+	var h welcomeHead
+	n := uint64(0)
+	var fill func(v reflect.Value, path string)
+	fill = func(v reflect.Value, path string) {
+		n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem(), path)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int:
+			v.SetInt(int64(n))
+		case reflect.Uint64:
+			v.SetUint(n<<40 | n)
+		case reflect.Float64:
+			v.SetFloat(float64(n) + 0.25)
+		default:
+			t.Fatalf("%s: the welcome head has no wire form for a %v", path, v.Kind())
 		}
-		return b
+	}
+	fill(reflect.ValueOf(&h).Elem(), "welcomeHead")
+	r := wireReader{b: appendHead(nil, &h)}
+	got := r.head()
+	if err := r.finish("head"); err != nil || !reflect.DeepEqual(got, h) {
+		t.Fatalf("head round-trip (%v):\n got %+v %+v\nwant %+v %+v", err, got, got.Faults, h, h.Faults)
 	}
 }
 
 func TestWelcomeCodec(t *testing.T) {
 	want := sampleWelcome()
-	enc := mustAppendWelcome(t)(nil, &want)
+	enc := appendWelcome(nil, &want)
 	got, err := decodeWelcome(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -406,9 +483,9 @@ func TestWelcomeCodec(t *testing.T) {
 	if got.Blacklist.Freeze().Len() != 3 {
 		t.Fatalf("frozen blacklist holds %d hosts", got.Blacklist.Freeze().Len())
 	}
-	// No head faults, no blacklist: both travel as their zero values.
-	bare := welcomeMsg{Targets: []netsim.IP{1}}
-	if got, err := decodeWelcome(mustAppendWelcome(t)(nil, &bare)); err != nil || got.Head.Faults != nil || got.Blacklist.Len() != 0 {
+	// No faults, no blacklist: both travel as their zero values.
+	bare := welcomeMsg{Head: welcomeHead{World: netsim.DefaultConfig()}, Targets: []netsim.IP{1}}
+	if got, err := decodeWelcome(appendWelcome(nil, &bare)); err != nil || got.Head.Faults != nil || got.Blacklist.Len() != 0 {
 		t.Fatalf("bare welcome: %+v, %v", got, err)
 	}
 
@@ -420,23 +497,54 @@ func TestWelcomeCodec(t *testing.T) {
 	if _, err := decodeWelcome(append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("welcome with a trailing byte accepted")
 	}
-	// The head must be one gob value and nothing after it.
-	headLen, n := binary.Uvarint(enc)
-	head := enc[n : n+int(headLen)]
-	rest := enc[n+int(headLen):]
-	padded := append(binary.AppendUvarint(nil, headLen+1), head...)
-	if _, err := decodeWelcome(append(append(padded, 0), rest...)); err == nil {
-		t.Fatal("welcome head with a trailing byte accepted")
+	// Bytes appendWelcome never writes: a varint longer than it needs to
+	// be (the world seed 2015 in three bytes), and a flag byte other than
+	// 0 or 1 for DisableProbeCache or for the fault config's presence.
+	head := appendHead(nil, &want.Head)
+	replaced := func(i int, with ...byte) []byte { // head with byte i replaced
+		return append(append(append([]byte(nil), head[:i]...), with...), head[i+1:]...)
+	}
+	wc := &want.Head.World
+	seedEnd := len(uvarints(wc.Seed)) - 1
+	flag := len(uvarints(wc.Seed, wc.Epoch, uint64(wc.Unicast24s))) + 9*8 // DisableProbeCache; presence follows
+	for name, lie := range map[string][]byte{
+		"overlong world seed":      replaced(seedEnd, head[seedEnd]|0x80, 0),
+		"DisableProbeCache byte 2": replaced(flag, 2),
+		"faults presence byte 2":   replaced(flag+1, 2),
+	} {
+		if _, err := decodeWelcome(welcomeWith(lie)); err == nil || !strings.Contains(err.Error(), "malformed welcome") {
+			t.Errorf("welcome with an %s: %v", name, err)
+		}
+	}
+	// A world or fault plan an agent cannot build is refused by the
+	// decoder, not discovered by netsim.New's panic: NaN and infinities
+	// included, which fail every bound.
+	nan := math.NaN()
+	for name, mutate := range map[string]func(*welcomeHead){
+		"zero world":               func(h *welcomeHead) { h.World = netsim.Config{} },
+		"NaN StretchBase":          func(h *welcomeHead) { h.World.StretchBase = nan },
+		"infinite StretchBase":     func(h *welcomeHead) { h.World.StretchBase = math.Inf(1) },
+		"NaN ResponsiveFraction":   func(h *welcomeHead) { h.World.ResponsiveFraction = nan },
+		"NaN DeploymentInflation":  func(h *welcomeHead) { h.World.DeploymentInflation = nan },
+		"NaN JitterMs":             func(h *welcomeHead) { h.World.JitterMs = nan },
+		"NaN CrashFraction":        func(h *welcomeHead) { h.Faults.CrashFraction = nan },
+		"negative FlapFraction":    func(h *welcomeHead) { h.Faults.FlapFraction = -0.5 },
+		"negative RecoveryAttempt": func(h *welcomeHead) { h.Faults.RecoveryAttempts = -1 },
+	} {
+		lie := sampleWelcome()
+		mutate(&lie.Head)
+		if _, err := decodeWelcome(appendWelcome(nil, &lie)); err == nil {
+			t.Errorf("welcome with a %s accepted", name)
+		}
 	}
 	// A target count beyond the payload fails before it is believed.
-	lying := append(binary.AppendUvarint(nil, headLen), head...)
-	if _, err := decodeWelcome(append(binary.AppendUvarint(lying, 1<<62), rest...)); err == nil {
+	if _, err := decodeWelcome(append(binary.AppendUvarint(head, 1<<62), 0, 0, 0, 0, 0)); err == nil {
 		t.Fatal("welcome with 2^62 targets accepted")
 	}
 	// The blacklist becomes every plan's skip mask and the campaign's
 	// idea of who objects to probes: echo and unknown kinds, repeated and
 	// descending addresses are refused.
-	targets := binary.LittleEndian.AppendUint32(binary.AppendUvarint(nil, 1), 0x0A000001)
+	targets := binary.LittleEndian.AppendUint32(binary.AppendUvarint(head, 1), 0x0A000001)
 	for name, bl := range map[string][]byte{
 		"echo":       {1, 4, byte(netsim.ReplyEcho)},
 		"timeout":    {1, 4, byte(netsim.ReplyTimeout)},
@@ -444,7 +552,7 @@ func TestWelcomeCodec(t *testing.T) {
 		"repeated":   {2, 4, byte(netsim.ReplyAdminFiltered), 0, byte(netsim.ReplyAdminFiltered)},
 		"overflowed": {2, 4, byte(netsim.ReplyAdminFiltered), 0xff, 0xff, 0xff, 0xff, 0x0f, byte(netsim.ReplyAdminFiltered)},
 	} {
-		if _, err := decodeWelcome(append(append(lying[:len(lying):len(lying)], targets...), bl...)); err == nil {
+		if _, err := decodeWelcome(append(targets[:len(targets):len(targets)], bl...)); err == nil {
 			t.Fatalf("welcome blacklist %s accepted", name)
 		}
 	}
@@ -464,12 +572,15 @@ func FuzzDecodeHello(f *testing.F) {
 
 func FuzzDecodeWelcome(f *testing.F) {
 	w := sampleWelcome()
-	f.Add(mustAppendWelcome(f)(nil, &w))
-	f.Add(mustAppendWelcome(f)(nil, &welcomeMsg{}))
+	f.Add(appendWelcome(nil, &w))
+	f.Add(appendWelcome(nil, &welcomeMsg{Head: welcomeHead{World: netsim.DefaultConfig()}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reencodes(t, data, decodeWelcome, mustAppendWelcome(t))
+		reencodes(t, data, decodeWelcome, appendWelcome)
 		if w, err := decodeWelcome(data); err == nil {
+			if err := w.Head.validate(); err != nil {
+				t.Fatalf("decoded a head no agent can build: %v", err)
+			}
 			if 4*len(w.Targets) > len(data) {
 				t.Fatalf("%d targets decoded from %d bytes", len(w.Targets), len(data))
 			}

@@ -63,7 +63,7 @@ type FaultConfig struct {
 // Validate reports the first problem with the configuration, or nil.
 func (c FaultConfig) Validate() error {
 	frac := func(name string, v float64) error {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) { // NaN fails both bounds
 			return fmt.Errorf("netsim: fault %s %v outside [0,1]", name, v)
 		}
 		return nil

@@ -252,21 +252,27 @@ const basePrefix = Prefix24(1 << 16)
 // full 10.6M announced /24s fit with room to spare.
 const maxUnicast24s = 14_600_000
 
-// Validate reports the first problem with the configuration, or nil.
+// Validate reports the first problem with the configuration, or nil. A
+// NaN or infinite parameter is refused: every bound is written so that
+// NaN fails it.
 func (c Config) Validate() error {
+	finite := func(v float64) bool { return v >= -math.MaxFloat64 && v <= math.MaxFloat64 }
 	switch {
 	case c.Unicast24s <= 0:
 		return fmt.Errorf("netsim: Unicast24s must be positive, got %d", c.Unicast24s)
 	case c.Unicast24s > maxUnicast24s:
 		return fmt.Errorf("netsim: Unicast24s %d exceeds the %d address budget", c.Unicast24s, maxUnicast24s)
-	case c.ResponsiveFraction < 0 || c.ResponsiveFraction > 1:
+	case !finite(c.DeploymentInflation):
+		return fmt.Errorf("netsim: DeploymentInflation %v not finite", c.DeploymentInflation)
+	case !(c.ResponsiveFraction >= 0 && c.ResponsiveFraction <= 1):
 		return fmt.Errorf("netsim: ResponsiveFraction %v outside [0,1]", c.ResponsiveFraction)
-	case c.ResponsiveFraction+c.AdminFilteredFraction+c.HostProhibitedFraction+c.NetProhibitedFraction > 1:
-		return fmt.Errorf("netsim: reply-class fractions exceed 1")
-	case c.StretchBase < 1:
-		return fmt.Errorf("netsim: StretchBase %v < 1 would break the speed-of-light invariant", c.StretchBase)
-	case c.StretchExtra < 0 || c.AccessMs < 0 || c.JitterMs < 0:
-		return fmt.Errorf("netsim: negative noise parameter")
+	case !(min(c.AdminFilteredFraction, c.HostProhibitedFraction, c.NetProhibitedFraction) >= 0 &&
+		c.ResponsiveFraction+c.AdminFilteredFraction+c.HostProhibitedFraction+c.NetProhibitedFraction <= 1):
+		return fmt.Errorf("netsim: reply-class fractions negative or exceeding 1")
+	case !(c.StretchBase >= 1 && finite(c.StretchBase)):
+		return fmt.Errorf("netsim: StretchBase %v below 1 or infinite would break the speed-of-light invariant", c.StretchBase)
+	case !(min(c.StretchExtra, c.AccessMs, c.JitterMs) >= 0 && finite(c.StretchExtra+c.AccessMs+c.JitterMs)):
+		return fmt.Errorf("netsim: noise parameter negative, NaN or infinite")
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"anycastmap/internal/asdb"
@@ -313,6 +315,38 @@ func TestConfigValidate(t *testing.T) {
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// NaN fails no `v < lo || v > hi` test, so every bound is written to fail
+// it: each float parameter set to NaN or an infinity is refused. A NaN
+// StretchBase would break the speed-of-light invariant, and netsim.New
+// panics only on what Validate refuses.
+func TestConfigValidateRefusesNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		forEachFloat(DefaultConfig(), v, func(name string, c Config) {
+			if err := c.Validate(); err == nil {
+				t.Errorf("Config.%s = %v accepted", name, v)
+			}
+		})
+		forEachFloat(FaultConfig{}, v, func(name string, c FaultConfig) {
+			if err := c.Validate(); err == nil {
+				t.Errorf("FaultConfig.%s = %v accepted", name, v)
+			}
+		})
+	}
+}
+
+// forEachFloat calls check with base's name and a copy of base whose one
+// float64 field of that name is v, once per float64 field.
+func forEachFloat[C any](base C, v float64, check func(string, C)) {
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() == reflect.Float64 {
+			c := base
+			reflect.ValueOf(&c).Elem().Field(i).SetFloat(v)
+			check(typ.Field(i).Name, c)
 		}
 	}
 }

@@ -170,6 +170,15 @@ fi
 grep -q '^world:' "$BIN/census3.log" &&
     { echo "FAIL: census built its world before refusing the file" >&2; exit 1; }
 echo "ok: census -snapshot refuses a file that is not a snapshot and leaves it alone"
+# A negative fault fraction is refused like one above 1, not run as a
+# fault-free census.
+if "$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -fault-crash -0.5 >/dev/null 2>"$BIN/census4.log"; then
+    echo "FAIL: census -fault-crash -0.5 ran" >&2
+    exit 1
+fi
+grep -q '^fault plan: .*CrashFraction' "$BIN/census4.log" && ! grep -q '^world:' "$BIN/census4.log" ||
+    { echo "FAIL: census did not refuse -fault-crash -0.5 before building its world" >&2; exit 1; }
+echo "ok: census -fault-crash -0.5 is refused before the world is built"
 
 echo "== census -local /metrics =="
 # The coordinator exits when its rounds are done, so the census must
