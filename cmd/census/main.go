@@ -142,8 +142,12 @@ func main() {
 		log.Fatalf("save: %v", err)
 	}
 
-	// A fault fraction that is set at all is validated before anything is
-	// built, so a negative or NaN one is refused rather than ignored.
+	// The rate and a fault fraction that is set at all are validated
+	// before anything is built, so a negative or NaN one is refused rather
+	// than ignored.
+	if err := prober.CheckRate(*rate); err != nil {
+		log.Fatalf("rate: %v", err)
+	}
 	faults := faultConfig(*faultSeed, *seed, *faultCrash, *faultSticky, *faultFlap, *faultBurst, *faultOutage)
 	var plan *netsim.FaultPlan
 	if faults != nil {

@@ -93,22 +93,33 @@ func (cp *Campaign) FoldRun(run *Run) error {
 		return err
 	}
 	for vi := range run.VPs {
-		mergeCells(cp.combined.RTTus[slots[vi]], run.RTTus[vi])
+		foldCells(cp.combined.RTTus[slots[vi]], run.RTTus[vi], nil, 0)
 	}
 	cp.grey.Merge(run.Greylist)
 	return cp.FinishRound(run.Health)
 }
 
-// mergeCells is the fold kernel: it min-merges src — one vantage point's
-// samples for a span of targets — into the same cells dst of its combined
-// row.
-func mergeCells(dst, src []int32) {
+// foldCells is the fold kernel: it min-merges src — one vantage point's
+// samples for the span of targets starting at target lo — into the same
+// cells dst of its combined row, and returns how many samples src holds,
+// marking each one's target in echo (a bit per target) unless echo is
+// nil.
+func foldCells(dst, src []int32, echo []uint64, lo int) (samples int) {
 	dst = dst[:len(src)] // one bounds check here instead of one per cell
 	for t, v := range src {
-		if v >= 0 && (dst[t] < 0 || v < dst[t]) {
+		if v < 0 {
+			continue
+		}
+		samples++
+		if dst[t] < 0 || v < dst[t] {
 			dst[t] = v
 		}
+		if echo != nil {
+			gt := lo + t
+			echo[gt>>6] |= 1 << uint(gt&63)
+		}
 	}
+	return samples
 }
 
 // Analyze runs detection, enumeration and geolocation over the combined

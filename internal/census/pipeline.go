@@ -74,6 +74,9 @@ func (cp *Campaign) ExecuteRoundPipelined(ctx context.Context, w *netsim.World, 
 	var wg sync.WaitGroup
 	worker := func() {
 		defer wg.Done()
+		// The worker's one row: Done folds it before the next unit
+		// probes into it.
+		var sr ShardRows
 		mu.Lock()
 		defer mu.Unlock()
 		for abort == nil && ctx.Err() == nil {
@@ -81,11 +84,11 @@ func (cp *Campaign) ExecuteRoundPipelined(ctx context.Context, w *netsim.World, 
 			switch {
 			case ok:
 				mu.Unlock()
-				sr, err := ProbeShard(w, plans.Plan(round, u.Span), cp.cfg.Census, u)
+				err := ProbeShard(w, plans.Plan(round, u.Span), cp.cfg.Census, u, &sr)
 				mu.Lock()
 				if err != nil {
 					s.Fail(u, err, time.Now())
-				} else if err := s.Done(u, sr); err != nil {
+				} else if err := s.Done(u, &sr); err != nil {
 					abort = err
 				}
 			case wake.IsZero():

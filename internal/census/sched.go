@@ -170,15 +170,17 @@ func (s *RoundSched) inFlight(u Unit) *vpSched {
 }
 
 // Done folds a successfully probed unit into the campaign and accounts
-// for it. A frame FoldShard rejects leaves the campaign and the unit
-// untouched (still in flight, for the caller to Fail).
+// for it, counting its samples in the fold's pass over the row. A frame
+// FoldShard rejects leaves the campaign and the unit untouched (still in
+// flight, for the caller to Fail). Done keeps nothing of sr.
 func (s *RoundSched) Done(u Unit, sr *ShardRows) error {
 	v := s.inFlight(u)
 	if v == nil {
 		return fmt.Errorf("census: round %d: VP %s span [%d,%d) is not in flight",
 			s.round, u.VP.Name, u.Span.Lo, u.Span.Hi)
 	}
-	if err := s.cp.FoldShard(sr); err != nil {
+	samples, err := s.cp.foldShard(sr, s.echo)
+	if err != nil {
 		return err
 	}
 	v.inflight = false
@@ -186,19 +188,10 @@ func (s *RoundSched) Done(u Unit, sr *ShardRows) error {
 	if v.next == len(s.spans) {
 		s.open--
 	}
+	v.samples += samples
 	for _, st := range sr.Stats {
 		s.probes += st.Sent
 		s.completion[u.Index] += st.Completion
-	}
-	for _, row := range sr.RTTus {
-		for t, c := range row {
-			if c < 0 {
-				continue
-			}
-			v.samples++
-			gt := sr.Lo + t
-			s.echo[gt>>6] |= 1 << uint(gt&63)
-		}
 	}
 	s.grey.Merge(sr.Greylist)
 	return nil
@@ -291,14 +284,23 @@ func (s *RoundSched) Close(aborted error) (RoundSummary, error) {
 
 // ProbeShard probes one unit over plan, the unit's span planned around the
 // round's blacklist (prober.NewPlan over targets[u.Span.Lo:u.Span.Hi]),
-// and returns its row as a shard frame. The prober hands the sink each
-// sample's span index, so the row fills positionally — no per-unit
-// target→index map, whose construction would dominate a narrow span's
-// probing time. Same sink filter and RTT clamp as ExecuteContext, so the
-// span is byte-identical to the corresponding span of the row the
+// and fills sr with its row as a shard frame. sr is the caller's, and its
+// storage is reused: a caller that keeps one per worker probes unit after
+// unit without allocating, each frame valid until the next ProbeShard
+// into sr. On an error sr's contents are undefined. The prober hands the
+// sink each sample's span index, so the row fills positionally — no
+// per-unit target→index map, whose construction would dominate a narrow
+// span's probing time. Same sink filter and RTT clamp as ExecuteContext,
+// so the span is byte-identical to the corresponding span of the row the
 // whole-round reference produces.
-func ProbeShard(w *netsim.World, plan *prober.Plan, cfg Config, u Unit) (*ShardRows, error) {
-	row := emptyRow(plan.Len())
+func ProbeShard(w *netsim.World, plan *prober.Plan, cfg Config, u Unit, sr *ShardRows) error {
+	var row []int32
+	if len(sr.RTTus) > 0 && cap(sr.RTTus[0]) >= plan.Len() {
+		row = sr.RTTus[0][:plan.Len()]
+	} else {
+		row = make([]int32, plan.Len())
+	}
+	fillNoSample(row)
 	sink := func(ti int, smp record.Sample) {
 		if smp.Kind != netsim.ReplyEcho {
 			return
@@ -313,15 +315,11 @@ func ProbeShard(w *netsim.World, plan *prober.Plan, cfg Config, u Unit) (*ShardR
 		prober.Config{Rate: cfg.Rate, Round: u.Round, Seed: cfg.Seed, Attempt: u.Attempt},
 		sink)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &ShardRows{
-		Round:    u.Round,
-		Lo:       u.Span.Lo,
-		Hi:       u.Span.Hi,
-		Slots:    []int{u.Slot},
-		RTTus:    [][]int32{row},
-		Stats:    []ShardStats{ShardStatsOf(stats)},
-		Greylist: grey,
-	}, nil
+	sr.Round, sr.Lo, sr.Hi, sr.Greylist = u.Round, u.Span.Lo, u.Span.Hi, grey
+	sr.Slots = append(sr.Slots[:0], u.Slot)
+	sr.RTTus = append(sr.RTTus[:0], row)
+	sr.Stats = append(sr.Stats[:0], ShardStatsOf(stats))
+	return nil
 }

@@ -267,3 +267,56 @@ func TestRoundSchedPolicy(t *testing.T) {
 		})
 	}
 }
+
+// TestUnitAllocatesNothing holds the in-process unit path — Next, the
+// span's plan from the round's cache, ProbeShard into the worker's row and
+// Done — to zero allocations once the vantage point's session is built,
+// the row sized and an RTT-base slab pooled, over spans without a
+// greylistable reply (a discovery makes the run's greylist). The plans are
+// built first: one serves every vantage point of a span, so it is not the
+// unit's cost.
+func TestUnitAllocatesNothing(t *testing.T) {
+	w, h, vps, _, _ := testbed(t)
+	vp := vps[0]
+	const round, width, runs = 1, 32, 50
+	var targets []netsim.IP
+	for _, ip := range h.Targets() {
+		if !w.ProbeICMP(vp, ip, round).Kind.Greylistable() {
+			targets = append(targets, ip)
+		}
+		if len(targets) == width*(runs+1) {
+			break
+		}
+	}
+	cp := NewCampaign(CampaignConfig{Census: Config{Seed: 9}})
+	s, err := cp.OpenRound(round, targets, []platform.VP{vp}, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := NewSpanPlans(w, targets, nil)
+	for _, sp := range ShardSpans(len(targets), width) {
+		plans.Plan(round, sp)
+	}
+	var sr ShardRows
+	now := time.Now()
+	units := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		u, ok, _ := s.Next(now)
+		if !ok {
+			t.Fatal("no unit left")
+		}
+		if err := ProbeShard(w, plans.Plan(round, u.Span), cp.cfg.Census, u, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Done(u, &sr); err != nil {
+			t.Fatal(err)
+		}
+		units++
+	})
+	if allocs != 0 {
+		t.Errorf("a (VP, span) unit allocates %v objects, want 0", allocs)
+	}
+	if sum, err := s.Close(nil); err != nil || units != runs+1 || sum.Probes != len(targets) || sr.Greylist != nil {
+		t.Fatalf("%d units probed %d of %d targets (err %v, greylist %v)", units, sum.Probes, len(targets), err, sr.Greylist)
+	}
+}

@@ -457,35 +457,44 @@ func (cp *Campaign) BeginRound(round uint64, targets []netsim.IP, vps []platform
 // way the campaign is untouched: a frame folds whole or not at all.
 // FoldShard must not run concurrently with itself or Analyze.
 func (cp *Campaign) FoldShard(sr *ShardRows) error {
+	_, err := cp.foldShard(sr, nil)
+	return err
+}
+
+// foldShard is FoldShard returning how many samples the frame's rows hold
+// and, unless echo is nil, marking each sample's target in echo (a bit per
+// campaign target): the round engine's accounting, in the fold's one pass
+// over the rows.
+func (cp *Campaign) foldShard(sr *ShardRows, echo []uint64) (samples int, err error) {
 	if !cp.shardOpen {
-		return fmt.Errorf("census: no shard round open (frame for round %d)", sr.Round)
+		return 0, fmt.Errorf("census: no shard round open (frame for round %d)", sr.Round)
 	}
 	if sr.Round != cp.shardRound {
-		return fmt.Errorf("census: shard frame for round %d, open round is %d", sr.Round, cp.shardRound)
+		return 0, fmt.Errorf("census: shard frame for round %d, open round is %d", sr.Round, cp.shardRound)
 	}
 	c := cp.combined
 	nT := len(c.Targets)
 	width := sr.Hi - sr.Lo
 	if sr.Lo < 0 || width < 0 || sr.Hi > nT {
-		return &ShardRangeError{Round: sr.Round, Lo: sr.Lo, Hi: sr.Hi, Targets: nT, RowCells: -1}
+		return 0, &ShardRangeError{Round: sr.Round, Lo: sr.Lo, Hi: sr.Hi, Targets: nT, RowCells: -1}
 	}
 	if len(sr.RTTus) != len(sr.Slots) {
-		return fmt.Errorf("census: shard frame has %d rows for %d slots", len(sr.RTTus), len(sr.Slots))
+		return 0, fmt.Errorf("census: shard frame has %d rows for %d slots", len(sr.RTTus), len(sr.Slots))
 	}
 	// Validate everything before mutating anything.
 	for i, slot := range sr.Slots {
 		if slot < 0 || slot >= len(c.VPs) || !cp.shardSlots[slot] {
-			return &UnknownVPSlotError{Round: sr.Round, Slot: slot, VPs: len(c.VPs)}
+			return 0, &UnknownVPSlotError{Round: sr.Round, Slot: slot, VPs: len(c.VPs)}
 		}
 		if len(sr.RTTus[i]) != width {
-			return &ShardRangeError{Round: sr.Round, Lo: sr.Lo, Hi: sr.Hi, Targets: nT, RowCells: len(sr.RTTus[i])}
+			return 0, &ShardRangeError{Round: sr.Round, Lo: sr.Lo, Hi: sr.Hi, Targets: nT, RowCells: len(sr.RTTus[i])}
 		}
 	}
 	for i, slot := range sr.Slots {
-		mergeCells(c.RTTus[slot][sr.Lo:sr.Hi], sr.RTTus[i])
+		samples += foldCells(c.RTTus[slot][sr.Lo:sr.Hi], sr.RTTus[i], echo, sr.Lo)
 	}
 	cp.grey.Merge(sr.Greylist)
-	return nil
+	return samples, nil
 }
 
 // FinishRound closes the open round, folding its health record into the

@@ -449,8 +449,8 @@ func TestShardCheckStats(t *testing.T) {
 	w, h, vps, _, _ := testbed(t)
 	targets := h.Targets()[:2000]
 	for _, vp := range vps[:10] {
-		sr, err := ProbeShard(w, prober.NewPlan(w, targets, nil), cfg, Unit{Round: 1, VP: vp, Span: Span{Lo: 0, Hi: len(targets)}})
-		if err != nil {
+		sr := new(ShardRows)
+		if err := ProbeShard(w, prober.NewPlan(w, targets, nil), cfg, Unit{Round: 1, VP: vp, Span: Span{Lo: 0, Hi: len(targets)}}, sr); err != nil {
 			t.Fatal(err)
 		}
 		if err := sr.CheckStats(cfg, vp); err != nil {

@@ -222,10 +222,11 @@ func (s *agentSession) run(ctx context.Context) error {
 func (s *agentSession) executeLease(l leaseMsg, buf []byte) []byte {
 	buf = beginRowsFrame(buf, l.ID)
 	empty := len(buf)
+	var sr census.ShardRows // each unit's row, encoded into buf before the next
 	for _, u := range l.Units {
-		sr, err := s.probeUnit(u)
+		err := s.probeUnit(u, &sr)
 		if err == nil {
-			if buf, err = appendRowsUnit(buf, sr); err == nil {
+			if buf, err = appendRowsUnit(buf, &sr); err == nil {
 				continue
 			}
 		}
@@ -252,10 +253,10 @@ func (s *agentSession) executeLease(l leaseMsg, buf []byte) []byte {
 	return buf
 }
 
-// probeUnit probes one unit of a lease.
-func (s *agentSession) probeUnit(u census.Unit) (*census.ShardRows, error) {
+// probeUnit probes one unit of a lease into sr.
+func (s *agentSession) probeUnit(u census.Unit, sr *census.ShardRows) error {
 	if u.Span.Hi > len(s.targets) {
-		return nil, fmt.Errorf("lease span [%d,%d) outside %d targets", u.Span.Lo, u.Span.Hi, len(s.targets))
+		return fmt.Errorf("lease span [%d,%d) outside %d targets", u.Span.Lo, u.Span.Hi, len(s.targets))
 	}
-	return census.ProbeShard(s.world, s.plans.Plan(u.Round, u.Span), s.ccfg, u)
+	return census.ProbeShard(s.world, s.plans.Plan(u.Round, u.Span), s.ccfg, u, sr)
 }

@@ -157,8 +157,8 @@ func agentLossMidBatch(t *testing.T) {
 	}
 	plans := census.NewSpanPlans(w, hl.Targets(), nil)
 	probe := func(u census.Unit) *census.ShardRows {
-		sr, err := census.ProbeShard(w, plans.Plan(u.Round, u.Span), ccfg, u)
-		if err != nil {
+		sr := new(census.ShardRows)
+		if err := census.ProbeShard(w, plans.Plan(u.Round, u.Span), ccfg, u, sr); err != nil {
 			t.Fatal(err)
 		}
 		return sr

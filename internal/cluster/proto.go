@@ -148,7 +148,8 @@ func (r *wireReader) head() welcomeHead {
 
 // decodeWelcome undoes appendWelcome. An agent builds its world from the
 // head, and netsim.New panics on a configuration that fails Validate, so a
-// head whose world or fault config fails Validate is refused here.
+// head whose world or fault config fails Validate, or whose probing rate
+// fails prober.CheckRate, is refused here.
 func decodeWelcome(payload []byte) (welcomeMsg, error) {
 	r := wireReader{b: payload}
 	w := welcomeMsg{Head: r.head()}
@@ -175,8 +176,12 @@ func decodeWelcome(payload []byte) (welcomeMsg, error) {
 	return w, nil
 }
 
-// validate reports a world or fault config an agent cannot build.
+// validate reports a world or fault config an agent cannot build, or a
+// rate it cannot probe at.
 func (h *welcomeHead) validate() error {
+	if err := prober.CheckRate(h.Rate); err != nil {
+		return err
+	}
 	if err := h.World.Validate(); err != nil {
 		return err
 	}

@@ -581,6 +581,9 @@ func FuzzDecodeWelcome(f *testing.F) {
 			if err := w.Head.validate(); err != nil {
 				t.Fatalf("decoded a head no agent can build: %v", err)
 			}
+			if r := w.Head.Rate; !(r >= 0 && r <= math.MaxFloat64) {
+				t.Fatalf("decoded a head with probing rate %v", r)
+			}
 			if 4*len(w.Targets) > len(data) {
 				t.Fatalf("%d targets decoded from %d bytes", len(w.Targets), len(data))
 			}

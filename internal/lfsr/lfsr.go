@@ -67,9 +67,18 @@ type Galois struct {
 // in [2, MaxBits] and the seed is reduced modulo the register size; a
 // reduced seed of zero (the lock-up state) is replaced by 1.
 func New(width uint, seed uint64) (*Galois, error) {
+	g, err := newGalois(width, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &g, nil
+}
+
+// newGalois is New by value.
+func newGalois(width uint, seed uint64) (Galois, error) {
 	tp, ok := taps[width]
 	if !ok {
-		return nil, fmt.Errorf("lfsr: unsupported width %d (want 2..%d)", width, MaxBits)
+		return Galois{}, fmt.Errorf("lfsr: unsupported width %d (want 2..%d)", width, MaxBits)
 	}
 	var mask uint64
 	for _, t := range tp {
@@ -79,7 +88,7 @@ func New(width uint, seed uint64) (*Galois, error) {
 	if s == 0 {
 		s = 1
 	}
-	return &Galois{state: s, seed: s, mask: mask, bits: width}, nil
+	return Galois{state: s, seed: s, mask: mask, bits: width}, nil
 }
 
 // Bits returns the register width.
@@ -123,25 +132,26 @@ func BitsFor(n uint64) (uint, error) {
 
 // Permutation iterates the indices [0, n) in the pseudo-random order induced
 // by a maximal-length LFSR, skipping register states beyond n. It visits
-// every index exactly once per cycle.
+// every index exactly once per cycle. It is a value with the register
+// inside, so a probing run walks its targets without allocating.
 type Permutation struct {
-	g       *Galois
+	g       Galois
 	n       uint64
 	emitted uint64
 }
 
 // NewPermutation returns a permutation over [0, n). Different seeds give
 // different (rotated) orders.
-func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
+func NewPermutation(n uint64, seed uint64) (Permutation, error) {
 	w, err := BitsFor(n)
 	if err != nil {
-		return nil, err
+		return Permutation{}, err
 	}
-	g, err := New(w, seed)
+	g, err := newGalois(w, seed)
 	if err != nil {
-		return nil, err
+		return Permutation{}, err
 	}
-	return &Permutation{g: g, n: n}, nil
+	return Permutation{g: g, n: n}, nil
 }
 
 // Len returns n, the number of indices in the permutation.

@@ -145,7 +145,7 @@ func BenchmarkBuildSession(b *testing.B) {
 				s = vpSession{}
 				w.buildSession(&s, p.vp)
 			}
-			b.ReportMetric(float64(unsafe.Sizeof(s)+uintptr(cap(s.cands))*unsafe.Sizeof(candSet{})), "B/session")
+			b.ReportMetric(float64(unsafe.Sizeof(s)+s.residentBytes()), "B/session")
 		})
 	}
 }

@@ -266,8 +266,9 @@ func (w *World) ServingReplica(vp platform.VP, p Prefix24, round uint64) (Replic
 // paper builds on.
 func (w *World) servingReplica(vp platform.VP, d *Deployment, round uint64) Replica {
 	if s := w.session(vp); s != nil {
-		c := &s.cands[d.idx]
-		return d.Replicas[c.idx[servingRank(c, s.st, uint64(d.Prefix), round)]]
+		dg := &w.geom[d.idx]
+		idx := &s.ranked[dg.group]
+		return d.Replicas[idx[servingRank(idx, s.st.With(dg.prefix), round)]]
 	}
 	return w.servingReplicaSlow(vp, d, round)
 }

@@ -12,15 +12,16 @@ import (
 // This file is the memoization layer under the probe hot path. A census
 // sends millions of probes, but almost everything a probe computes is a
 // stable property of the (vantage point, prefix) pair: the ranked nearest
-// replicas of a deployment, the stable catchment draw (0xB69), the
-// propagation+stretch+access base latency, the per-VP access constant
-// (0xB71), the vantage point's prepared location (geo.Point: every
-// distance a span resolves starts there) and the hash state of the
-// (seed, vp) prefix that every per-probe draw begins with
+// replicas of a deployment, the propagation+stretch+access base latency
+// toward the one that answers while the catchment is stable, the per-VP
+// access constant (0xB71), the vantage point's prepared location
+// (geo.Point: every distance a span resolves starts there) and the hash
+// state of the (seed, vp) prefix that every per-probe draw begins with
 // (detrand.State). Only the per-round draws - loss, catchment flap,
 // queueing jitter - actually vary probe to probe. The session caches the
 // stable part per vantage point and leaves the per-round draws, mixed
-// from the hoisted prefix, in the inner loop.
+// from the hoisted prefix, in the inner loop; the stable catchment draw
+// (0xB69) is redrawn only on the probes whose catchment flaps.
 // Per-unicast-/24 state (the RTT base) is NOT cached per vantage point -
 // at the paper's 10.6M /24s and ~300 VPs that would be tens of gigabytes -
 // but per (VP, span) work unit, over a span plan every vantage point
@@ -43,56 +44,55 @@ type sessionKey struct {
 	lat, lon float64
 }
 
-// candSet is the cached catchment of one (vantage point, deployment) pair:
-// the three nearest replicas in rank order, which of them answers while the
-// catchment does not flap, and the probe-invariant part of the RTT toward
-// that one - the only base a probe reads in every round. The bases toward
-// the other two are rebuilt by candBaseMs on the ~5.5% of anycast probes
-// whose catchment flaps onto them. 16 bytes: a session is one of these per
-// deployment.
-type candSet struct {
-	baseMs float64  // rttBaseMsDist toward idx[rank]
-	idx    [3]int16 // k-th nearest replica index into d.Replicas, -1 if absent
-	rank   uint8    // selectRank of the stable base-selection draw (0xB69); 0 for a single-replica list
-}
-
-// maxReplicas is the longest replica list candSet.idx can index; New
-// refuses a deployment beyond it.
+// maxReplicas is the longest replica list a vpSession.ranked entry can
+// index; New refuses a deployment beyond it.
 const maxReplicas = math.MaxInt16
 
 // vpSession holds everything probe-invariant about one vantage point that
-// a probe reads in every round. It deliberately carries no
-// per-unicast-/24 state: unicast RTT bases are resolved per (VP, span) by
-// PlannedSession, so session memory stays O(deployments) per vantage
-// point - 16 bytes each - at any world size.
+// a probe reads in every round, in two slabs: per deployment the RTT base
+// toward the replica that answers while the catchment is stable, 8 bytes,
+// and per rank group - deployments announcing the same replica list rank
+// it alike - its three nearest replicas, 6 bytes. Which of the three is
+// the stable one is the 0xB69 draw, redrawn on the ~12% of anycast probes
+// whose catchment flaps (candBaseMs) and by the ground-truth selection
+// (servingReplica); the bases toward the other two are rebuilt on the
+// flaps that land on them. The session carries no per-unicast-/24 state,
+// so its memory stays O(deployments) per vantage point at any world size.
 type vpSession struct {
 	once     sync.Once
 	vpAccess float64       // hoisted per-VP access term (0xB71)
 	pt       geo.Point     // the vantage point's location, prepared
 	st       detrand.State // vpState: the prefix of every per-VP draw
-	cands    []candSet     // indexed by Deployment.idx
+	baseMs   []float64     // indexed by Deployment.idx: rttBaseMsDist toward the stable rank
+	ranked   [][3]int16    // indexed by rank group: k-th nearest replica index into Replicas, -1 if absent
 }
 
 // sessionTable maps sessionKey -> *vpSession. It lives behind a pointer on
 // World so WithFaults views share one table: fault plans never change RTT
-// draws, only whether a reply arrives.
+// draws, only whether a reply arrives. A plain map under a lock looks a
+// session up without boxing its key, so a (VP, span) unit binds its
+// session allocation-free.
 type sessionTable struct {
-	m sync.Map
+	mu sync.Mutex
+	m  map[sessionKey]*vpSession
 }
 
 // session returns the vantage point's memoized session, building it on
 // first use, or nil when the cache is disabled (callers then take the
 // uncached code path, which is the behavioral reference).
 func (w *World) session(vp platform.VP) *vpSession {
-	if w.sessions == nil || w.cfg.DisableProbeCache {
+	t := w.sessions
+	if t == nil || w.cfg.DisableProbeCache {
 		return nil
 	}
 	key := sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}
-	v, ok := w.sessions.m.Load(key)
-	if !ok {
-		v, _ = w.sessions.m.LoadOrStore(key, new(vpSession))
+	t.mu.Lock()
+	s := t.m[key]
+	if s == nil {
+		s = new(vpSession)
+		t.m[key] = s
 	}
-	s := v.(*vpSession)
+	t.mu.Unlock()
 	s.once.Do(func() { w.buildSession(s, vp) })
 	return s
 }
@@ -105,12 +105,13 @@ func (w *World) session(vp platform.VP) *vpSession {
 // replica place, then rank group by rank group one three-nearest cascade
 // and, for each deployment announcing the list, the two draws that mix the
 // vantage point in: the stable catchment draw and one path stretch. It
-// allocates twice: the session's slab and the distance vector.
+// allocates three times: the session's two slabs and the distance vector.
 func (w *World) buildSession(s *vpSession, vp platform.VP) {
 	s.st = w.vpState(vp)
 	s.pt = geo.Prepare(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
-	s.cands = make([]candSet, len(w.geom))
+	s.baseMs = make([]float64, len(w.geom))
+	s.ranked = make([][3]int16, len(w.rankGroups))
 
 	dist := make([]float64, len(w.places))
 	for i, p := range w.places {
@@ -142,16 +143,13 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) {
 				i2, d2 = i, d
 			}
 		}
-		idx := [3]int16{int16(i0), int16(i1), int16(i2)}
+		idx := &s.ranked[gi]
+		*idx = [3]int16{int16(i0), int16(i1), int16(i2)}
 		near := [3]float64{d0, d1, d2}
 		for _, di := range g.members {
 			dg := &w.geom[di]
-			c := &s.cands[di]
-			c.idx = idx
-			if idx[1] >= 0 {
-				c.rank = uint8(selectRank(s.st.With(dg.prefix).With(0xB69).Unit(), idx[2] >= 0))
-			}
-			c.baseMs = w.geomBaseMs(s, dg, g, idx[c.rank], near[c.rank])
+			rank := stableRank(idx, s.st.With(dg.prefix))
+			s.baseMs[di] = w.geomBaseMs(s, dg, g, idx[rank], near[rank])
 		}
 	}
 }
@@ -165,18 +163,27 @@ func (w *World) geomBaseMs(s *vpSession, dg *deploymentGeom, g *rankGroup, i int
 
 // candBaseMs is the RTT base toward the candidate that answers deployment
 // di in the given round: the cached one unless the catchment flapped onto
-// another rank, in which case that base is rebuilt from the replica
-// geometry with the expressions buildSession evaluates - one haversine and
-// one path stretch, on about one anycast probe in eighteen.
+// another rank - the stable rank is redrawn only then - in which case that
+// base is rebuilt from the replica geometry with the expressions
+// buildSession evaluates: one haversine and one path stretch, on about one
+// anycast probe in eighteen.
 func (w *World) candBaseMs(s *vpSession, di int32, round uint64) float64 {
-	c := &s.cands[di]
 	dg := &w.geom[di]
-	rank := servingRank(c, s.st, dg.prefix, round)
-	if rank == int(c.rank) {
-		return c.baseMs
+	idx := &s.ranked[dg.group]
+	if idx[1] < 0 {
+		return s.baseMs[di] // single-replica deployment: no draws, like the slow path
+	}
+	pair := s.st.With(dg.prefix)
+	flap := pair.With(round)
+	if !(flap.With(0xF1A9).Unit() < 0.12) {
+		return s.baseMs[di]
+	}
+	rank := selectRank(flap.With(0xB6A).Unit(), idx[2] >= 0)
+	if rank == stableRank(idx, pair) {
+		return s.baseMs[di]
 	}
 	g := &w.rankGroups[dg.group]
-	i := c.idx[rank]
+	i := idx[rank]
 	return w.geomBaseMs(s, dg, g, i, geo.PointDistanceKm(s.pt, w.places[g.slots[i]]))
 }
 
@@ -194,19 +201,29 @@ func selectRank(u float64, hasThird bool) int {
 	}
 }
 
-// servingRank picks which cached candidate answers this round. It mirrors
-// the selection of servingReplicaSlow exactly; only the ranking and the
-// outcome of the stable 0xB69 draw come from the cache. vpSt is the
-// vantage point's vpState, prefix the deployment's uint64(Prefix).
-func servingRank(c *candSet, vpSt detrand.State, prefix uint64, round uint64) int {
-	if c.idx[1] < 0 {
+// stableRank is the rank of the candidate in idx that answers while the
+// catchment does not flap: the stable base-selection draw (0xB69), or 0
+// for a single-replica list. pair is the vantage point's vpState extended
+// by the deployment's uint64(Prefix).
+func stableRank(idx *[3]int16, pair detrand.State) int {
+	if idx[1] < 0 {
+		return 0
+	}
+	return selectRank(pair.With(0xB69).Unit(), idx[2] >= 0)
+}
+
+// servingRank picks which ranked candidate in idx answers this round. It
+// mirrors the selection of servingReplicaSlow exactly; only the ranking
+// comes from the cache. pair is as for stableRank.
+func servingRank(idx *[3]int16, pair detrand.State, round uint64) int {
+	if idx[1] < 0 {
 		return 0 // single-replica deployment: no draws, like the slow path
 	}
-	if flap := vpSt.With(prefix).With(round); flap.With(0xF1A9).Unit() < 0.12 {
+	if flap := pair.With(round); flap.With(0xF1A9).Unit() < 0.12 {
 		// Catchment flap: this round routes to a different candidate.
-		return selectRank(flap.With(0xB6A).Unit(), c.idx[2] >= 0)
+		return selectRank(flap.With(0xB6A).Unit(), idx[2] >= 0)
 	}
-	return int(c.rank)
+	return stableRank(idx, pair)
 }
 
 // unicastBaseMs is the RTT base toward the unicast host's home location,
@@ -341,23 +358,29 @@ func (w *World) PlanSpan(targets []IP) *SpanPlan {
 }
 
 // SpanSession is a (vantage point, target span) probing unit: the span's
-// shared plan plus one flat slab of its own, the RTT base toward each
-// unicast host. The per-probe path then touches only the slabs and the
-// per-round draws: no map lookups, no sync.Map, no allocation, and a
-// working set of ~45 bytes per span target instead of the whole world's
-// prefix index. That keeps the probe rate flat from 20k-target test runs
-// to full 6.6M-target censuses, where the global per-probe map walk used
-// to cost a DRAM miss per probe.
+// shared plan plus one flat slab, the RTT base toward each unicast host,
+// borrowed from a pool of slabs until Release. The per-probe path then
+// touches only the slabs and the per-round draws: no map lookups, no
+// allocation, and a working set of ~45 bytes per span target instead of
+// the whole world's prefix index. That keeps the probe rate flat from
+// 20k-target test runs to full 6.6M-target censuses, where the global
+// per-probe map walk used to cost a DRAM miss per probe.
 type SpanSession struct {
 	w    *World
 	vp   platform.VP
 	s    *vpSession
 	plan *SpanPlan
-	base []float64 // hostBaseMs per unicast-answering target, 0 elsewhere
+	base []float64  // hostBaseMs per unicast-answering target; no other cell is read
+	slab *[]float64 // base's pooled storage, nil once released
 	// slow forces every probe down the uncached reference path
 	// (Config.DisableProbeCache).
 	slow bool
 }
+
+// baseSlabs recycles SpanSession.base slabs: a (VP, span) unit is
+// short-lived, and a worker probes unit after unit, so a released slab is
+// the next unit's.
+var baseSlabs = sync.Pool{New: func() any { return new([]float64) }}
 
 // ProbeSpanSession is PlanSpan and PlannedSession in one: a session over
 // a plan nobody else reads.
@@ -366,11 +389,17 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 }
 
 // PlannedSession binds the vantage point to a span plan: per unicast host
-// one haversine and one path stretch (hostBaseMs), nothing else. The plan
-// may come from any WithFaults view of the world; it is only read. Replies
-// through the session are bit-identical to ProbeICMP's - the determinism
-// tests compare the two - because every planned and cached value is the
-// output of the exact expression the reference path evaluates.
+// one haversine and one path stretch (hostBaseMs), in target order, into
+// a pooled slab. The sequential pass is also what brings the plan's slabs
+// into cache for the probe loop's permuted reads: a plan is shared by
+// every vantage point of a round, so it is seldom still cached from the
+// previous unit over its span. After Release the slab is the next
+// session's, so a unit allocates nothing once its vantage point's session
+// is built. The plan may come from any WithFaults view of the world; it is
+// only read. Replies through the session are bit-identical to ProbeICMP's
+// - the determinism tests compare the two - because every planned and
+// cached value is the output of the exact expression the reference path
+// evaluates.
 func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
 	s := w.session(vp)
 	ss := SpanSession{w: w, vp: vp, s: s, plan: plan}
@@ -378,13 +407,27 @@ func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
 		ss.slow = true
 		return ss
 	}
-	ss.base = make([]float64, len(plan.cls))
+	ss.slab = baseSlabs.Get().(*[]float64)
+	if cap(*ss.slab) < len(plan.cls) {
+		*ss.slab = make([]float64, len(plan.cls))
+	}
+	ss.base = (*ss.slab)[:len(plan.cls)]
 	for i, c := range plan.cls {
 		if c >= spanUniEcho && c <= spanUniNet {
 			ss.base[i] = w.hostBaseMs(s, plan.targets[i].Prefix(), plan.pts[i], math.Float64frombits(plan.payload[i]))
 		}
 	}
 	return ss
+}
+
+// Release hands the session's slab back for the next session to reuse.
+// The session must not be probed afterwards; a session never released
+// leaves its slab to the garbage collector.
+func (ss *SpanSession) Release() {
+	if ss.slab != nil {
+		baseSlabs.Put(ss.slab)
+		ss.slab, ss.base = nil, nil
+	}
 }
 
 // seekPrefix returns the smallest i >= from with idx[i] >= p, or len(idx)

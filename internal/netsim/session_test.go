@@ -69,17 +69,18 @@ func (rt rankTransitions) note(path string, cached *World, vp platform.VP, d *De
 		return
 	}
 	s := cached.session(vp)
-	c := &s.cands[d.idx]
+	dg := &cached.geom[d.idx]
+	idx, pair := &s.ranked[dg.group], s.st.With(dg.prefix)
 	counts := rt[path]
 	if counts == nil {
 		counts = new([2][3][3]int)
 		rt[path] = counts
 	}
 	long := 0
-	if c.idx[2] >= 0 {
+	if idx[2] >= 0 {
 		long = 1
 	}
-	counts[long][c.rank][servingRank(c, s.st, uint64(d.Prefix), round)]++
+	counts[long][stableRank(idx, pair)][servingRank(idx, pair, round)]++
 }
 
 // check fails unless every path saw each off-diagonal transition - two of
@@ -230,9 +231,9 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildSessionAllocs pins a session build to its two allocations
-// - the session's candSet slab and the distance vector - whatever the
-// world holds: 1,696 deployments allocate as often as their longer-listed
+// TestBuildSessionAllocs pins a session build to its three allocations
+// - the session's two slabs and the distance vector - whatever the world
+// holds: 1,696 deployments allocate as often as their longer-listed
 // DeploymentInflation 2 twins, not once per deployment or per AS.
 func TestBuildSessionAllocs(t *testing.T) {
 	vp := sessionTestVPs()[0]
@@ -245,8 +246,34 @@ func TestBuildSessionAllocs(t *testing.T) {
 			var s vpSession
 			w.buildSession(&s, vp)
 		})
-		if allocs > 2 {
-			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 2", inflation, allocs, len(w.deployments))
+		if allocs > 3 {
+			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 3", inflation, allocs, len(w.deployments))
+		}
+	}
+}
+
+// residentBytes is what the session's slabs hold for the life of the
+// world.
+func (s *vpSession) residentBytes() uintptr {
+	return uintptr(cap(s.baseMs))*unsafe.Sizeof(float64(0)) + uintptr(cap(s.ranked))*unsafe.Sizeof([3]int16{})
+}
+
+// TestSessionResidentBytes holds a vantage point's session to 8 bytes per
+// deployment - the RTT base toward its stable rank - and 6 per rank group
+// - the three nearest replicas every deployment announcing the list
+// shares - in every sessionWorldShapes world; a per-deployment field
+// that belongs to the group, or that only a catchment flap reads, fails it.
+func TestSessionResidentBytes(t *testing.T) {
+	for _, shape := range sessionWorldShapes {
+		w := New(shape.config())
+		s := w.session(sessionTestVPs()[0])
+		want := uintptr(8*len(w.deployments) + 6*len(w.rankGroups))
+		if got := s.residentBytes(); got != want {
+			t.Errorf("%s: a session holds %d B for %d deployments in %d rank groups, want 8 x deployments + 6 x rank groups = %d B",
+				shape.name, got, len(w.deployments), len(w.rankGroups), want)
+		}
+		if len(w.rankGroups) >= len(w.deployments) {
+			t.Errorf("%s: %d rank groups for %d deployments: no replica list is shared", shape.name, len(w.rankGroups), len(w.deployments))
 		}
 	}
 }
@@ -255,7 +282,8 @@ func TestBuildSessionAllocs(t *testing.T) {
 // buildSession and candBaseMs read in place of deployments and replicas -
 // to the objects it was laid out from: every deployment's prefix key,
 // replica IDs, prepared places and endpoint access halves come back bit
-// for bit, and the rank groups' member lists partition the deployments.
+// for bit, and the rank groups' member lists partition the deployments,
+// the members of a group sharing one Replicas slice.
 func TestReplicaGeometryFlat(t *testing.T) {
 	for _, shape := range sessionWorldShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -292,9 +320,15 @@ func TestReplicaGeometryFlat(t *testing.T) {
 			listed := make([]bool, len(w.deployments))
 			members := 0
 			for gi, g := range w.rankGroups {
+				first := w.deployments[g.members[0]].Replicas
 				for _, di := range g.members {
 					if w.geom[di].group != int32(gi) || listed[di] {
 						t.Fatalf("rank group %d lists deployment %d, which is of group %d or listed twice", gi, di, w.geom[di].group)
+					}
+					// One replica list, one slice: the members share the
+					// first member's backing storage.
+					if r := w.deployments[di].Replicas; len(r) != len(first) || &r[0] != &first[0] {
+						t.Fatalf("rank group %d: deployment %d's replica list does not share the group's storage", gi, di)
 					}
 					listed[di] = true
 					members++
@@ -307,15 +341,12 @@ func TestReplicaGeometryFlat(t *testing.T) {
 	}
 }
 
-// TestReplicaIndexWidth holds candSet to its 16 bytes and the replica
-// lists the world can produce to the width of candSet.idx: every list is a
-// subset of the datacenter pool or a pinned footprint, and New refuses a
-// longer one - or a geometry index beyond int32 - by name where a
-// narrowing conversion would wrap silently.
+// TestReplicaIndexWidth holds the replica lists the world can produce to
+// the width of a vpSession.ranked entry: every list is a subset of the
+// datacenter pool or a pinned footprint, and New refuses a longer one - or
+// a geometry index beyond int32 - by name where a narrowing conversion
+// would wrap silently.
 func TestReplicaIndexWidth(t *testing.T) {
-	if size := unsafe.Sizeof(candSet{}); size != 16 {
-		t.Errorf("candSet is %d bytes, want 16", size)
-	}
 	if index32(math.MaxInt32, "rankGroup.slots") != math.MaxInt32 {
 		t.Error("index32 moved the last index that fits")
 	}
@@ -330,14 +361,14 @@ func TestReplicaIndexWidth(t *testing.T) {
 			index32(int(past), "rankGroup.slots")
 		}()
 	}
-	var c candSet
-	c.idx[0] = maxReplicas - 1 // the last index New lets through must fit
+	var ranked [3]int16
+	ranked[0] = maxReplicas - 1 // the last index New lets through must fit
 	if len(dcPool) > maxReplicas {
-		t.Errorf("dcPool has %d cities, candSet.idx indexes %d replicas", len(dcPool), maxReplicas)
+		t.Errorf("dcPool has %d cities, vpSession.ranked indexes %d replicas", len(dcPool), maxReplicas)
 	}
 	for name, footprint := range pinnedFootprints {
 		if len(footprint) > maxReplicas {
-			t.Errorf("%s pins %d replicas, candSet.idx indexes %d", name, len(footprint), maxReplicas)
+			t.Errorf("%s pins %d replicas, vpSession.ranked indexes %d", name, len(footprint), maxReplicas)
 		}
 	}
 
@@ -350,8 +381,8 @@ func TestReplicaIndexWidth(t *testing.T) {
 	pinnedFootprints["OPENDNS,US"] = wide
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "replicas") || !strings.Contains(msg, "candSet.idx") {
-			t.Errorf("New on a %d-replica deployment: recovered %q, want a panic naming the replica count and candSet.idx", len(wide), msg)
+		if !strings.Contains(msg, "replicas") || !strings.Contains(msg, "vpSession.ranked") {
+			t.Errorf("New on a %d-replica deployment: recovered %q, want a panic naming the replica count and vpSession.ranked", len(wide), msg)
 		}
 	}()
 	cfg := DefaultConfig()
@@ -421,7 +452,7 @@ func TestSessionSharedAcrossFaultViews(t *testing.T) {
 	if view.sessions != cached.sessions {
 		t.Fatal("WithFaults view does not share the session table")
 	}
-	if _, ok := view.sessions.m.Load(sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}); !ok {
+	if _, ok := view.sessions.m[sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}]; !ok {
 		t.Fatal("warmed session not visible through the fault view")
 	}
 }

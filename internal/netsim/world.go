@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"anycastmap/internal/asdb"
@@ -297,7 +298,7 @@ func New(cfg Config) *World {
 		// Allocated here, not on first injection: WithFaults views copy
 		// the World by value and must share the map, as they share sessions.
 		hijacks:  make(map[Prefix24]hijack),
-		sessions: &sessionTable{},
+		sessions: &sessionTable{m: make(map[sessionKey]*vpSession)},
 	}
 	w.Services = services.Build(w.Registry, cfg.Seed)
 	w.buildPool()
@@ -328,6 +329,7 @@ func New(cfg Config) *World {
 	// Instantiate deployments AS by AS, in registry order.
 	slotCursor := 0
 	groupOf := make(map[string]int32) // replica list, as place-slot bytes -> rank group
+	var subset []Replica              // prefixReplicaSubset's scratch
 	for _, as := range w.Registry.All() {
 		asReplicas := w.buildASReplicaSet(as)
 		// Replica i of the AS (Replica.ID == i) is place placeBase+i.
@@ -341,7 +343,8 @@ func New(cfg Config) *World {
 			slotCursor++
 			replicas := asReplicas
 			if !pinned {
-				replicas = w.prefixReplicaSubset(asReplicas, prefix)
+				subset = w.prefixReplicaSubset(subset, asReplicas, prefix)
+				replicas = subset
 			}
 			d := &Deployment{
 				Prefix:     prefix,
@@ -378,12 +381,15 @@ func New(cfg Config) *World {
 
 // indexReplicas ties a new deployment of the AS whose replicas start at
 // places[placeBase] into the world's replica geometry: its flat record, its
-// rank group (a new one unless groupOf knows the replica list already) and
-// the endpoint access halves. It panics on a replica list a session could
-// not index.
+// rank group and the endpoint access halves. d.Replicas may be storage the
+// caller reuses: a deployment announcing a replica list groupOf knows
+// already joins that list's rank group and shares the group's Replicas
+// slice (Deployments forbids modifying it), and one announcing a new list
+// opens a group with a copy of its own. It panics on a replica list a
+// session could not index.
 func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]int32) {
 	if len(d.Replicas) > maxReplicas {
-		panic(fmt.Sprintf("netsim: %v of AS%d announces %d replicas; a session indexes at most %d (candSet.idx)",
+		panic(fmt.Sprintf("netsim: %v of AS%d announces %d replicas; a session indexes at most %d (vpSession.ranked)",
 			d.Prefix, d.ASN, len(d.Replicas), maxReplicas))
 	}
 	g := deploymentGeom{
@@ -399,7 +405,10 @@ func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]i
 		w.endAccess = append(w.endAccess, w.endpointAccessMs(g.prefix, uint64(r.ID)))
 	}
 	group, ok := groupOf[string(key)]
-	if !ok {
+	if ok {
+		d.Replicas = w.deployments[w.rankGroups[group].members[0]].Replicas
+	} else {
+		d.Replicas = slices.Clone(d.Replicas)
 		group = index32(len(w.rankGroups), "deploymentGeom.group")
 		groupOf[string(key)] = group
 		w.rankGroups = append(w.rankGroups, rankGroup{slots: slots})
@@ -621,11 +630,11 @@ func (w *World) buildASReplicaSet(as asdb.AS) []Replica {
 }
 
 // prefixReplicaSubset selects the replicas announcing one specific /24 of
-// the AS: most prefixes are served from the full AS footprint, with a
-// little per-prefix variation (the paper reports small standard deviations
-// across /24s of the same AS, Fig. 9).
-func (w *World) prefixReplicaSubset(asReplicas []Replica, p Prefix24) []Replica {
-	out := make([]Replica, 0, len(asReplicas))
+// the AS, into buf's storage: most prefixes are served from the full AS
+// footprint, with a little per-prefix variation (the paper reports small
+// standard deviations across /24s of the same AS, Fig. 9).
+func (w *World) prefixReplicaSubset(buf, asReplicas []Replica, p Prefix24) []Replica {
+	out := buf[:0]
 	for i, r := range asReplicas {
 		if detrand.UnitFloat(w.cfg.Seed, uint64(p), uint64(i), 0x9004) < 0.9 {
 			out = append(out, r)

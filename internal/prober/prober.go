@@ -10,6 +10,7 @@ package prober
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,7 +94,8 @@ func RegisterGreylistGauge(r *obs.Registry, g *Greylist, list string) {
 
 // Greylist is a concurrency-safe set of hosts whose ICMP errors asked us to
 // stop probing them (type 3 codes 9, 10 and 13). Entries accumulate during
-// a census and merge into the persistent blacklist between censuses.
+// a census and merge into the persistent blacklist between censuses. A nil
+// *Greylist reads as empty: a probing run that found nothing returns one.
 type Greylist struct {
 	mu sync.RWMutex
 	m  map[netsim.IP]netsim.ReplyKind
@@ -205,6 +207,9 @@ func (f *FrozenGreylist) Window(lo, hi netsim.IP) FrozenGreylist {
 
 // Contains reports whether the host is greylisted.
 func (g *Greylist) Contains(ip netsim.IP) bool {
+	if g == nil {
+		return false
+	}
 	g.mu.RLock()
 	_, ok := g.m[ip]
 	g.mu.RUnlock()
@@ -213,6 +218,9 @@ func (g *Greylist) Contains(ip netsim.IP) bool {
 
 // Len returns the number of greylisted hosts.
 func (g *Greylist) Len() int {
+	if g == nil {
+		return 0
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.m)
@@ -243,9 +251,12 @@ func (g *Greylist) Merge(other *Greylist) {
 // Breakdown counts entries by ICMP error kind (Sec. 3.3 reports 98.5%
 // administratively filtered).
 func (g *Greylist) Breakdown() map[netsim.ReplyKind]int {
+	out := make(map[netsim.ReplyKind]int)
+	if g == nil {
+		return out
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make(map[netsim.ReplyKind]int)
 	for _, k := range g.m {
 		out[k]++
 	}
@@ -255,6 +266,9 @@ func (g *Greylist) Breakdown() map[netsim.ReplyKind]int {
 // Targets returns the greylisted addresses as a set usable with
 // Hitlist.Without.
 func (g *Greylist) Targets() map[netsim.IP]bool {
+	if g == nil {
+		return map[netsim.IP]bool{}
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make(map[netsim.IP]bool, len(g.m))
@@ -291,6 +305,17 @@ func (c Config) rate() float64 {
 	return c.Rate
 }
 
+// CheckRate refuses a probing rate no vantage point can pace itself to:
+// NaN, infinite or negative. Zero stands for the 1,000/s default. A
+// census checks its rate here before probing, and a fleet agent before
+// it takes the coordinator's.
+func CheckRate(rate float64) error {
+	if !(rate >= 0 && rate <= math.MaxFloat64) {
+		return fmt.Errorf("prober: probing rate %v is not a finite, non-negative number of probes per second", rate)
+	}
+	return nil
+}
+
 // Completion is the simulated wall-clock time vp takes to send sent
 // probes at the configured rate, slowed by its load factor (Fig. 8): what
 // a run reports as Stats.Completion.
@@ -323,7 +348,7 @@ func (s Stats) String() string {
 // Run probes every target from the vantage point, skipping greylisted
 // hosts, and streams recordable samples to sink (which may be nil). It
 // returns the run statistics and the greylist additions discovered during
-// the run.
+// the run, nil when there were none.
 //
 // When the world carries a fault plan, an injected VP crash aborts the run
 // with a *netsim.VPCrashError (retryable via Config.Attempt) together with
@@ -390,7 +415,10 @@ func NewPlan(w *netsim.World, targets []netsim.IP, skip *Greylist) *Plan {
 // Len returns the number of targets the plan covers.
 func (pl *Plan) Len() int { return len(pl.targets) }
 
-// RunPlan is RunIndexed over a planned span.
+// RunPlan is RunIndexed over a planned span. Over a span without a
+// greylistable reply it allocates nothing once the vantage point's
+// session is built: the greylist it returns is made on the first
+// discovery.
 func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(int, record.Sample)) (Stats, *Greylist, error) {
 	targets := plan.targets
 	stats := Stats{VP: vp}
@@ -403,7 +431,7 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 		DefaultMetrics.spanSeconds.Load().ObserveSince(started)
 		DefaultMetrics.observe(&stats)
 	}()
-	found := NewGreylist()
+	var found *Greylist
 	n := uint64(len(targets))
 	if n == 0 {
 		return stats, found, nil
@@ -432,6 +460,7 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 	// flat from 20k-target runs to full-Internet censuses.
 	skipped := plan.skip
 	span := w.PlannedSession(vp, plan.span)
+	defer span.Release()
 
 	for i := uint64(0); ; i++ {
 		idx, ok := perm.Next()
@@ -479,6 +508,9 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 			stats.Errors++
 			// found is local to this run until returned; writing the map
 			// directly keeps the loop free of lock acquisitions.
+			if found == nil {
+				found = NewGreylist()
+			}
 			found.m[target] = reply.Kind
 		default:
 			stats.Timeouts++
@@ -498,11 +530,17 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 // blacklist with the hosts that object to being probed.
 func BuildBlacklist(w *netsim.World, vp platform.VP, targets []netsim.IP, cfg Config) (*Greylist, error) {
 	_, grey, err := Run(w, vp, targets, nil, cfg, nil)
+	if grey == nil {
+		grey = NewGreylist()
+	}
 	return grey, err
 }
 
 // Snapshot returns a copy of the greylist contents for persistence.
 func (g *Greylist) Snapshot() map[netsim.IP]netsim.ReplyKind {
+	if g == nil {
+		return map[netsim.IP]netsim.ReplyKind{}
+	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make(map[netsim.IP]netsim.ReplyKind, len(g.m))

@@ -1,7 +1,9 @@
 package prober
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -257,5 +259,22 @@ func TestGreylistSnapshotRoundTrip(t *testing.T) {
 	}
 	if f := back.Freeze(); f.Len() != 3 || !f.Contains(netsim.IP(2)) || f.Contains(netsim.IP(4)) {
 		t.Errorf("rebuilt greylist's frozen view wrong: %v", f.ips)
+	}
+}
+
+// TestCheckRate holds the one rate check the census command and a fleet
+// agent's welcome share: zero (the default) and finite positive rates
+// pass; NaN, infinities and negative rates are refused, not probed at the
+// default or with NaN completion times.
+func TestCheckRate(t *testing.T) {
+	for _, rate := range []float64{0, 1, 1000, 12000, math.MaxFloat64} {
+		if err := CheckRate(rate); err != nil {
+			t.Errorf("CheckRate(%v) = %v, want nil", rate, err)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		if err := CheckRate(rate); err == nil || !strings.Contains(err.Error(), "rate") {
+			t.Errorf("CheckRate(%v) = %v, want an error naming the rate", rate, err)
+		}
 	}
 }

@@ -179,6 +179,15 @@ fi
 grep -q '^fault plan: .*CrashFraction' "$BIN/census4.log" && ! grep -q '^world:' "$BIN/census4.log" ||
     { echo "FAIL: census did not refuse -fault-crash -0.5 before building its world" >&2; exit 1; }
 echo "ok: census -fault-crash -0.5 is refused before the world is built"
+# A NaN rate is refused too: the fleet would quarantine every VP on its
+# frames and exit 0 with no detection.
+if "$BIN/census" -local 2 -unicast24s 800 -vps 40 -censuses 1 -rate NaN >/dev/null 2>"$BIN/census5.log"; then
+    echo "FAIL: census -rate NaN ran" >&2
+    exit 1
+fi
+grep -q '^rate: .*NaN' "$BIN/census5.log" && ! grep -q '^world:' "$BIN/census5.log" ||
+    { echo "FAIL: census did not refuse -rate NaN before building its world" >&2; exit 1; }
+echo "ok: census -rate NaN is refused before the world is built"
 
 echo "== census -local /metrics =="
 # The coordinator exits when its rounds are done, so the census must
