@@ -13,7 +13,6 @@ package asdb
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Category is the business category of an AS (the top x-axis labels of
@@ -411,31 +410,6 @@ func (r *Registry) TotalFootprint() int {
 		n += a.IP24s
 	}
 	return n
-}
-
-// CAIDATop100 returns the census ASes that are in the CAIDA top-100 rank.
-func (r *Registry) CAIDATop100() []AS {
-	var out []AS
-	for _, a := range r.list {
-		if a.CAIDARank > 0 && a.CAIDARank <= 100 {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].CAIDARank < out[j].CAIDARank })
-	return out
-}
-
-// AlexaHosts returns the census ASes serving at least one Alexa top-100k
-// website over anycast.
-func (r *Registry) AlexaHosts() []AS {
-	var out []AS
-	for _, a := range r.list {
-		if a.AlexaSites > 0 {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AlexaSites > out[j].AlexaSites })
-	return out
 }
 
 // CategoryBreakdown returns, for the given AS set, the fraction of ASes per

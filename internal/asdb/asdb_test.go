@@ -1,6 +1,7 @@
 package asdb
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -135,31 +136,36 @@ func TestHalfHaveSinglePrefix(t *testing.T) {
 }
 
 func TestCAIDATop100(t *testing.T) {
-	// Fig. 10: 8 census ASes are in the CAIDA top-100.
-	got := Default().CAIDATop100()
-	if len(got) != 8 {
-		t.Fatalf("CAIDA top-100 intersection has %d ASes, want 8", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].CAIDARank < got[i-1].CAIDARank {
-			t.Error("CAIDATop100 not sorted by rank")
+	// Fig. 10: 8 census ASes are in the CAIDA top-100, Level3 at rank 1.
+	var in []AS
+	for _, a := range Default().All() {
+		if a.CAIDARank > 0 && a.CAIDARank <= 100 {
+			in = append(in, a)
 		}
 	}
-	// Level3 holds CAIDA rank 1.
-	if got[0].Name != "LEVEL3,US" {
-		t.Errorf("CAIDA rank-1 census AS = %v, want LEVEL3,US", got[0])
+	if len(in) != 8 {
+		t.Fatalf("CAIDA top-100 intersection has %d ASes, want 8", len(in))
+	}
+	first := slices.MinFunc(in, func(a, b AS) int { return a.CAIDARank - b.CAIDARank })
+	if first.Name != "LEVEL3,US" || first.CAIDARank != 1 {
+		t.Errorf("best-ranked census AS = %v (rank %d), want LEVEL3,US at 1", first, first.CAIDARank)
 	}
 }
 
 func TestAlexaHosts(t *testing.T) {
 	// Sec. 4.1: 15 ASes serve Alexa top-100k sites; CloudFlare leads with 188.
-	got := Default().AlexaHosts()
-	if len(got) != 15 {
-		t.Fatalf("Alexa hosts = %d ASes, want 15", len(got))
+	var hosts []AS
+	for _, a := range Default().All() {
+		if a.AlexaSites > 0 {
+			hosts = append(hosts, a)
+		}
 	}
-	if got[0].Name != "CLOUDFLARENET,US" || got[0].AlexaSites != 188 {
-		t.Errorf("largest Alexa host = %v (%d sites), want CloudFlare with 188",
-			got[0], got[0].AlexaSites)
+	if len(hosts) != 15 {
+		t.Fatalf("Alexa hosts = %d ASes, want 15", len(hosts))
+	}
+	top := slices.MaxFunc(hosts, func(a, b AS) int { return a.AlexaSites - b.AlexaSites })
+	if top.Name != "CLOUDFLARENET,US" || top.AlexaSites != 188 {
+		t.Errorf("largest Alexa host = %v (%d sites), want CloudFlare with 188", top, top.AlexaSites)
 	}
 }
 

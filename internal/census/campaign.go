@@ -19,8 +19,8 @@ import (
 //
 // The fold is exact, not approximate: per-cell minimum is commutative and
 // associative and the greylist merge is a set union, so the combined
-// matrix is byte-identical to the batch Combine of the same rounds'
-// whole-round runs (TestCensusDeterminism).
+// matrix is byte-identical to the tests' batch Combine of the same
+// rounds' whole-round runs (TestCensusDeterminism, reference_test.go).
 
 // CampaignConfig tunes a campaign.
 type CampaignConfig struct {

@@ -12,10 +12,11 @@ import (
 
 // TestOneExecutor holds the module to one census executor, one analysis
 // path and one on-disk census format. No non-test file outside bench/
-// calls the whole-round reference (ExecuteContext, FoldRun) or
-// batch-combines runs (Combine). Everything that serves or reports goes
-// through Campaign.ExecuteRoundPipelined or the cluster coordinator; the
-// reference lives on for the determinism tests and the benchmark. No
+// calls the whole-round reference (ExecuteContext, FoldRun); the batch
+// Combine is defined only in a test file. Everything that serves or
+// reports goes through Campaign.ExecuteRoundPipelined or the cluster
+// coordinator; the reference lives on for the determinism tests and the
+// benchmark. No
 // non-test file outside bench/ and internal/census builds its own
 // Analyzer (NewAnalyzer): analysis runs through AnalyzeAll or
 // Campaign.Analyze. And none of them calls the ACMR2 codec (SaveRun,
@@ -53,8 +54,6 @@ func TestOneExecutor(t *testing.T) {
 			switch name {
 			case "ExecuteContext", "FoldRun":
 				bad = true
-			case "Execute", "Combine":
-				bad = qualified
 			case "NewAnalyzer":
 				bad = qualified && !inCensus
 				what = "a second analysis path; analyze through AnalyzeAll or Campaign.Analyze"

@@ -381,8 +381,8 @@ func (e *ShardRangeError) Error() string {
 
 // BeginRound opens a round for folding: it validates the target list
 // against earlier rounds, registers the round's vantage points (new VPs
-// extend the combined union in first-seen order, matching the batch
-// Combine; their fresh rows are slab-carved together and start
+// extend the combined union in first-seen order, matching the tests'
+// batch Combine; their fresh rows are slab-carved together and start
 // all-NoSample, so min-merging into one equals copying it), and returns
 // the combined row slot of each VP, in vps order. Only one round may be
 // open at a time.

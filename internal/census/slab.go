@@ -13,7 +13,7 @@ package census
 //
 // Rows stay ordinary []int32 slices (three-word headers into a block), so
 // every consumer of Combined.RTTus — the fold, the analyzer, the
-// experiments, the codecs — is untouched; the batch Combine, which
+// experiments, the codecs — is untouched; the tests' batch Combine, which
 // allocates per row, is the layout TestCensusDeterminism compares against.
 
 const (

@@ -113,30 +113,6 @@ func (db *DB) LargestInDisk(d geo.Disk) (City, bool) {
 	return City{}, false
 }
 
-// Nearest returns the city closest to p and its distance in km.
-func (db *DB) Nearest(p geo.Coord) (City, float64) {
-	best := -1
-	bestD := geo.MaxSurfaceDistanceKm + 1
-	for i, c := range db.cities {
-		if d := geo.DistanceKm(p, c.Loc); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return City{}, bestD
-	}
-	return db.cities[best], bestD
-}
-
-// TopByPopulation returns the n most populated cities (fewer if the database
-// is smaller).
-func (db *DB) TopByPopulation(n int) []City {
-	if n > len(db.cities) {
-		n = len(db.cities)
-	}
-	return db.cities[:n]
-}
-
 // Countries returns the sorted set of country codes present.
 func (db *DB) Countries() []string {
 	set := make(map[string]bool)

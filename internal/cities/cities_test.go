@@ -169,38 +169,6 @@ func TestLargestInDiskMatchesInDisk(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	db := Default()
-	// A point in the English Channel is nearest to London or a French
-	// coastal city, certainly within 400 km.
-	c, dist := db.Nearest(geo.Coord{Lat: 50.5, Lon: 0.0})
-	if dist > 400 {
-		t.Errorf("nearest city to the English Channel is %v at %.0f km", c, dist)
-	}
-	// Nearest to a city's own location is the city itself (or a colocated one).
-	tokyo := db.MustByName("Tokyo", "JP")
-	got, d := db.Nearest(tokyo.Loc)
-	if d > 30 {
-		t.Errorf("nearest to Tokyo = %v at %.0f km", got, d)
-	}
-}
-
-func TestTopByPopulation(t *testing.T) {
-	db := Default()
-	top := db.TopByPopulation(10)
-	if len(top) != 10 {
-		t.Fatalf("got %d cities, want 10", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Population > top[i-1].Population {
-			t.Error("TopByPopulation not sorted")
-		}
-	}
-	if n := len(db.TopByPopulation(1 << 20)); n != db.Len() {
-		t.Errorf("TopByPopulation(huge) returned %d, want %d", n, db.Len())
-	}
-}
-
 func TestFilter(t *testing.T) {
 	db := Default()
 	us := db.Filter(func(c City) bool { return c.CC == "US" })

@@ -484,6 +484,37 @@ func TestAgentlessRoundAborts(t *testing.T) {
 	}
 }
 
+// Attach and Close may race: a connection attached while the coordinator
+// shuts down is either refused or adopted and closed, and Close's wait
+// covers the goroutines Attach starts (go test -race reports the
+// WaitGroup misuse otherwise).
+func TestAttachRacesClose(t *testing.T) {
+	cfg := Config{
+		Campaign: census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()}),
+		Targets:  []netsim.IP{1},
+		Census:   testCensusCfg(),
+		World:    netsim.DefaultConfig(),
+	}
+	for range 3000 {
+		coord, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for range 8 {
+			coordSide, agentSide := net.Pipe()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				coord.Attach(coordSide) // refused once Close has begun
+				agentSide.Close()
+			}()
+		}
+		coord.Close()
+		wg.Wait()
+	}
+}
+
 func TestExecuteRoundContextCancel(t *testing.T) {
 	cfg, _, h, vps := clusterTestbed(t)
 	cp := census.NewCampaign(census.CampaignConfig{Census: testCensusCfg()})

@@ -294,6 +294,9 @@ func (c *Coordinator) Attach(conn net.Conn) error {
 		return fmt.Errorf("cluster: coordinator is closed")
 	}
 	c.conns[conn] = struct{}{}
+	// Counted under connMu: a Close that has not yet set closed waits for
+	// these goroutines; one that has set it refused the conn above.
+	c.wg.Add(2)
 	c.connMu.Unlock()
 
 	a := &agentConn{
@@ -307,7 +310,6 @@ func (c *Coordinator) Attach(conn net.Conn) error {
 		c.agents[a.id] = a
 	})
 
-	c.wg.Add(2)
 	go c.writeLoop(a)
 	go c.readLoop(a)
 	return nil

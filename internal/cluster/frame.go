@@ -38,9 +38,10 @@ import (
 // speaking the wrong protocol fails the handshake instead of confusing
 // the frame parser. ACMC1 sent lease and fail payloads as gob, ACMC2 the
 // hello and the whole welcome, ACMC3 one unit per lease, ACMC4 a gob
-// welcome head and heartbeats; ACMC5 is fixed binary throughout, so older
-// peers are refused here.
-const streamMagic = "ACMC5\n"
+// welcome head and heartbeats, ACMC5 a probe-cache flag byte in the
+// welcome head; ACMC6 is fixed binary throughout, so older peers are
+// refused here.
+const streamMagic = "ACMC6\n"
 
 // Frame types. A frame on the wire is a 4-byte big-endian length of what
 // follows (type byte + payload), then the type byte, then the payload.

@@ -101,8 +101,8 @@ func appendWelcome(b []byte, w *welcomeMsg) []byte {
 
 // appendHead appends h's wire form: the world's Seed, Epoch and
 // Unicast24s as uvarints, its nine float fields as IEEE-754 bits,
-// little-endian, in declaration order (DeploymentInflation … JitterMs),
-// and DisableProbeCache as a flag byte; a flag byte for Faults and, when
+// little-endian, in declaration order (DeploymentInflation … JitterMs);
+// a flag byte for Faults and, when
 // set, its Seed and RecoveryAttempts as uvarints and its seven fractions
 // as floats in declaration order; then Rate as a float and Seed as a
 // uvarint.
@@ -113,7 +113,7 @@ func appendHead(b []byte, h *welcomeHead) []byte {
 		c.HostProhibitedFraction, c.NetProhibitedFraction, c.StretchBase, c.StretchExtra, c.AccessMs, c.JitterMs} {
 		b = appendFloat(b, f)
 	}
-	b = appendFlag(appendFlag(b, c.DisableProbeCache), h.Faults != nil)
+	b = appendFlag(b, h.Faults != nil)
 	if f := h.Faults; f != nil {
 		b = appendUvarints(b, f.Seed, uint64(f.RecoveryAttempts))
 		for _, v := range [...]float64{f.CrashFraction, f.CrashStickiness, f.FlapFraction, f.FlapWindow,
@@ -133,7 +133,6 @@ func (r *wireReader) head() welcomeHead {
 		&c.HostProhibitedFraction, &c.NetProhibitedFraction, &c.StretchBase, &c.StretchExtra, &c.AccessMs, &c.JitterMs} {
 		*dst = r.float()
 	}
-	c.DisableProbeCache = r.flag()
 	if r.flag() {
 		f := &netsim.FaultConfig{Seed: r.uvarint(), RecoveryAttempts: r.int()}
 		for _, dst := range [...]*float64{&f.CrashFraction, &f.CrashStickiness, &f.FlapFraction, &f.FlapWindow,

@@ -267,13 +267,14 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // Older peers are turned away at the magic, in both directions, not
-// parsed as ACMC5: an ACMC1 peer sends lease and fail payloads as gob, an
+// parsed as ACMC6: an ACMC1 peer sends lease and fail payloads as gob, an
 // ACMC2 peer its hello and the whole welcome, an ACMC3 peer one unit per
 // lease and fails without a slot, an ACMC4 peer a gob welcome head and
-// heartbeats. Every refusal is the one error, quoting the magic the peer
+// heartbeats, an ACMC5 peer a probe-cache flag byte in the welcome head.
+// Every refusal is the one error, quoting the magic the peer
 // sent.
 func TestOldProtocolPeerRefused(t *testing.T) {
-	for _, old := range []string{"ACMC1\n", "ACMC2\n", "ACMC3\n", "ACMC4\n"} {
+	for _, old := range []string{"ACMC1\n", "ACMC2\n", "ACMC3\n", "ACMC4\n", "ACMC5\n"} {
 		t.Run(strings.TrimSpace(old), func(t *testing.T) {
 			refusal := "cluster: peer is not speaking the census protocol (got " + strconv.Quote(old) + ")"
 			if err := readMagic(strings.NewReader(old)); err == nil || err.Error() != refusal {
@@ -499,18 +500,17 @@ func TestWelcomeCodec(t *testing.T) {
 	}
 	// Bytes appendWelcome never writes: a varint longer than it needs to
 	// be (the world seed 2015 in three bytes), and a flag byte other than
-	// 0 or 1 for DisableProbeCache or for the fault config's presence.
+	// 0 or 1 for the fault config's presence.
 	head := appendHead(nil, &want.Head)
 	replaced := func(i int, with ...byte) []byte { // head with byte i replaced
 		return append(append(append([]byte(nil), head[:i]...), with...), head[i+1:]...)
 	}
 	wc := &want.Head.World
 	seedEnd := len(uvarints(wc.Seed)) - 1
-	flag := len(uvarints(wc.Seed, wc.Epoch, uint64(wc.Unicast24s))) + 9*8 // DisableProbeCache; presence follows
+	flag := len(uvarints(wc.Seed, wc.Epoch, uint64(wc.Unicast24s))) + 9*8 // the fault config's presence
 	for name, lie := range map[string][]byte{
-		"overlong world seed":      replaced(seedEnd, head[seedEnd]|0x80, 0),
-		"DisableProbeCache byte 2": replaced(flag, 2),
-		"faults presence byte 2":   replaced(flag+1, 2),
+		"overlong world seed":    replaced(seedEnd, head[seedEnd]|0x80, 0),
+		"faults presence byte 2": replaced(flag, 2),
 	} {
 		if _, err := decodeWelcome(welcomeWith(lie)); err == nil || !strings.Contains(err.Error(), "malformed welcome") {
 			t.Errorf("welcome with an %s: %v", name, err)

@@ -91,9 +91,6 @@ func newGalois(width uint, seed uint64) (Galois, error) {
 	return Galois{state: s, seed: s, mask: mask, bits: width}, nil
 }
 
-// Bits returns the register width.
-func (g *Galois) Bits() uint { return g.bits }
-
 // Period returns the sequence period, 2^width - 1.
 func (g *Galois) Period() uint64 { return (1 << g.bits) - 1 }
 

@@ -13,8 +13,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/reply_digest.golden from this checkout's replies")
 
 // TestReplyDigestGolden pins the substrate across commits. The bit-identity
-// tests compare the cached probe path with the DisableProbeCache reference
-// of the same checkout, so a change that moves both passes them; this one
+// tests compare the cached probe path with the uncached reference world
+// (newUncached) of the same checkout, so a change that moves both passes them; this one
 // compares both with a digest computed at an earlier commit. The committed
 // value was computed at a580fd2 (PR 21) - the parent of the commit that
 // added this test - before any netsim code changed. A change that means to
@@ -28,7 +28,7 @@ func TestReplyDigestGolden(t *testing.T) {
 	cached, uncached := sessionTestWorlds(t)
 	got := replyDigest(cached)
 	if ref := replyDigest(uncached); ref != got {
-		t.Fatalf("cached world digests to %s, DisableProbeCache world to %s", got, ref)
+		t.Fatalf("cached world digests to %s, uncached world to %s", got, ref)
 	}
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {

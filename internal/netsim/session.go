@@ -29,11 +29,12 @@ import (
 //
 // Determinism is the contract: every cached value is the output of the
 // exact detrand/geo expression the uncached code evaluates, so replies are
-// byte-identical with the cache on or off (Config.DisableProbeCache and
-// TestSessionCacheBitIdentical enforce this). That works because detrand
-// draws are pure functions of their key tuple - skipping or reordering
-// draws cannot influence other draws - and because the cached float
-// expressions are reassociated only along bitwise-exact lines.
+// byte-identical with the cache on or off (TestSessionCacheBitIdentical
+// holds them to a test-built world without a session table). That works
+// because detrand draws are pure functions of their key tuple - skipping
+// or reordering draws cannot influence other draws - and because the
+// cached float expressions are reassociated only along bitwise-exact
+// lines.
 
 // sessionKey identifies a vantage point. The ID alone is not enough:
 // PlanetLab and RIPE Atlas assign overlapping ID ranges, so the location
@@ -78,11 +79,11 @@ type sessionTable struct {
 }
 
 // session returns the vantage point's memoized session, building it on
-// first use, or nil when the cache is disabled (callers then take the
-// uncached code path, which is the behavioral reference).
+// first use, or nil on a world without a session table (callers then take
+// the uncached code path, which is the behavioral reference).
 func (w *World) session(vp platform.VP) *vpSession {
 	t := w.sessions
-	if t == nil || w.cfg.DisableProbeCache {
+	if t == nil {
 		return nil
 	}
 	key := sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}
@@ -294,12 +295,12 @@ type SpanPlan struct {
 // pays O(log gap) per target, never a walk over the prefixes in between; a
 // list in no order pays O(log position) per order break, a galloping
 // search from the start of the index. Non-unicast targets (~0.03% of a
-// census span) add one map lookup. With Config.DisableProbeCache the plan
-// holds no slabs and every session over it takes the reference path: the
-// resolver is part of the cache and must vanish with it.
+// census span) add one map lookup. On a world without a session table the
+// plan holds no slabs and every session over it takes the reference path:
+// the resolver is part of the cache and must vanish with it.
 func (w *World) PlanSpan(targets []IP) *SpanPlan {
 	pl := &SpanPlan{targets: targets}
-	if w.cfg.DisableProbeCache {
+	if w.sessions == nil {
 		return pl
 	}
 	pl.cls = make([]uint8, len(targets))
@@ -372,9 +373,6 @@ type SpanSession struct {
 	plan *SpanPlan
 	base []float64  // hostBaseMs per unicast-answering target; no other cell is read
 	slab *[]float64 // base's pooled storage, nil once released
-	// slow forces every probe down the uncached reference path
-	// (Config.DisableProbeCache).
-	slow bool
 }
 
 // baseSlabs recycles SpanSession.base slabs: a (VP, span) unit is
@@ -404,8 +402,7 @@ func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
 	s := w.session(vp)
 	ss := SpanSession{w: w, vp: vp, s: s, plan: plan}
 	if s == nil || plan.cls == nil {
-		ss.slow = true
-		return ss
+		return ss // no session table: every probe takes the reference path
 	}
 	ss.slab = baseSlabs.Get().(*[]float64)
 	if cap(*ss.slab) < len(plan.cls) {
@@ -475,7 +472,7 @@ func (w *World) isHijacked(p Prefix24) bool {
 func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 	pl := ss.plan
 	target := pl.targets[i]
-	if ss.slow {
+	if ss.s == nil || pl.cls == nil {
 		return ss.w.probeICMP(ss.s, ss.vp, target, round)
 	}
 	cls := pl.cls[i]

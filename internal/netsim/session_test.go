@@ -25,11 +25,9 @@ func sessionTestWorlds(t testing.TB) (cached, uncached *World) {
 }
 
 // sessionWorldPair builds the configured world twice: as configured, and
-// with DisableProbeCache set.
+// without a session table (newUncached).
 func sessionWorldPair(cfg Config) (cached, uncached *World) {
-	cached = New(cfg)
-	cfg.DisableProbeCache = true
-	return cached, New(cfg)
+	return New(cfg), newUncached(cfg)
 }
 
 // sessionTestTargets lists the representative of every allocated /24,
@@ -578,13 +576,11 @@ func TestSpanSessionHijackBypass(t *testing.T) {
 // hosts that are not their /24's representative, anycast /24s, and
 // addresses the world never allocated - below, inside the gaps of, and
 // above the prefix index. Every reply equals ProbeICMP's on a
-// DisableProbeCache world, with and without an injected hijack.
+// world without a session table, with and without an injected hijack.
 func TestSpanSessionSparseAndUnordered(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Unicast24s = 4000
-	cached := New(cfg)
-	cfg.DisableProbeCache = true
-	uncached := New(cfg)
+	cached, uncached := sessionWorldPair(cfg)
 	vps := sessionTestVPs()
 	vps = []platform.VP{vps[0], vps[5], vps[7]} // two PlanetLab, one RIPE
 
@@ -681,7 +677,7 @@ func TestSpanSessionSparseAndUnordered(t *testing.T) {
 // round through a WithFaults view (target outages) of the world the plan
 // was built on. Every reply through a session over the shared plan equals
 // the reply of a fresh single-use ProbeSpanSession and of ProbeICMP on a
-// DisableProbeCache world, over dense, sparse, unordered and repeated-/24
+// world without a session table, over dense, sparse, unordered and repeated-/24
 // spans, silent and non-representative hosts and anycast density misses,
 // first with a hijack injected before the plans are built, then with it
 // cleared before the next plans are.

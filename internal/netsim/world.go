@@ -72,13 +72,6 @@ type Config struct {
 	// processing) and JitterMs the per-probe queueing noise.
 	AccessMs float64
 	JitterMs float64
-
-	// DisableProbeCache turns off the per-VP session memoization of
-	// catchments and RTT bases (and with it the span-session resolver),
-	// forcing every probe down the uncached reference path. Replies are
-	// identical either way (the determinism tests compare the two); the
-	// switch exists for those tests and for memory-constrained callers.
-	DisableProbeCache bool
 }
 
 // DefaultConfig returns the configuration used throughout the benchmarks.
@@ -212,7 +205,8 @@ type World struct {
 	faults *FaultPlan
 
 	// sessions caches per-VP probe-invariant state (see session.go). It
-	// sits behind a pointer so WithFaults views share one table.
+	// sits behind a pointer so WithFaults views share one table. Only the
+	// tests' uncached reference world has none.
 	sessions *sessionTable
 }
 

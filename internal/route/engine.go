@@ -69,16 +69,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy parses a policy wire name.
-func ParsePolicy(s string) (Policy, error) {
-	for p := PolicyCatchmentAffine; p < numPolicies; p++ {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return PolicyNone, fmt.Errorf("route: unknown policy %q", s)
-}
-
 // DefaultChain is the decision order when the caller names no policy:
 // catchment affinity when the census saw the client's side of the
 // catchment, demoting unhealthy replicas otherwise, plain proximity as

@@ -16,13 +16,13 @@ import (
 
 func TestPolicyNames(t *testing.T) {
 	for p := PolicyCatchmentAffine; p < numPolicies; p++ {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		got, ok := parsePolicyLabel([]byte(p.String()))
+		if !ok || got != p {
+			t.Errorf("parsePolicyLabel(%q) = %v, %v", p.String(), got, ok)
 		}
 	}
-	if _, err := ParsePolicy("round-robin"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
+	if _, ok := parsePolicyLabel([]byte("round-robin")); ok {
+		t.Error("parsePolicyLabel accepted an unknown policy")
 	}
 }
 

@@ -9,8 +9,10 @@
 # a `go run ./cmd/<name>` line that cmd/<name>/main.go does not define:
 # the docs are where a deleted target, binary, file, metric, series, test
 # or flag otherwise lives on. A make invocation counts when it opens a line (a shell block)
-# or an inline code span; "make a note" in prose does not. Wired into CI
-# as `make doc-refs`.
+# or an inline code span; "make a note" in prose does not. It also fails
+# on a numbered CHANGES.md entry from 42 on that runs past 10 lines, or
+# on a line of more than 200 characters from that entry on. Wired into
+# CI as `make doc-refs`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -102,5 +104,29 @@ while IFS=: read -r file line match; do
         fi
     done
 done < <(grep -noE 'go run \./cmd/[a-z0-9_-]+[^`|;&>#]*' "${docs[@]}")
+
+# CHANGES.md: entry N opens with "- PR N:" and runs until the next entry
+# or a FOUND:/MENDED: line. Entries numbered below 42 predate the limits.
+LC_ALL=C.UTF-8 # count characters, not bytes
+n=0 pr=0 opened=0 entry=0
+while IFS= read -r l; do
+    n=$((n + 1))
+    if [[ $l =~ ^-\ PR\ ([0-9]+): ]]; then
+        pr=${BASH_REMATCH[1]} opened=$n entry=0
+    elif [[ $l =~ ^(FOUND|MENDED): ]]; then
+        opened=0
+    fi
+    if ((pr < 42)); then
+        continue
+    fi
+    if ((${#l} > 200)); then
+        echo "CHANGES.md:$n: ${#l} characters, more than 200" >&2
+        bad=1
+    fi
+    if ((opened)) && ((++entry == 11)); then
+        echo "CHANGES.md:$opened: entry $pr runs past 10 lines" >&2
+        bad=1
+    fi
+done <CHANGES.md
 
 exit $bad
