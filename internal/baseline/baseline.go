@@ -17,15 +17,12 @@
 package baseline
 
 import (
-	"fmt"
-
 	"anycastmap/internal/asdb"
 	"anycastmap/internal/cities"
 	"anycastmap/internal/core"
 	"anycastmap/internal/geo"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
-	"anycastmap/internal/wire"
 )
 
 // CHAOSResult is the outcome of a CHAOS enumeration campaign against one
@@ -42,39 +39,21 @@ type CHAOSResult struct {
 func (r CHAOSResult) Count() int { return len(r.ServerIDs) }
 
 // CHAOSEnumerate runs hostname.bind TXT/CH queries from every vantage
-// point across the given census rounds, going through the real DNS wire
-// codec both ways.
-func CHAOSEnumerate(w *netsim.World, vps []platform.VP, target netsim.IP, rounds int) (CHAOSResult, error) {
+// point across the given census rounds and collects the distinct server
+// identifiers the answers disclose.
+func CHAOSEnumerate(w *netsim.World, vps []platform.VP, target netsim.IP, rounds int) CHAOSResult {
 	res := CHAOSResult{ServerIDs: map[string]bool{}}
-	var id uint16
 	for _, vp := range vps {
 		for round := 1; round <= rounds; round++ {
-			id++
-			// Serialize the query exactly as dig would.
-			if _, err := wire.BuildCHAOSQuery(id); err != nil {
-				return CHAOSResult{}, fmt.Errorf("baseline: %w", err)
-			}
 			serverID, reply := w.QueryCHAOS(vp, target, uint64(round))
 			if !reply.OK() {
 				continue
 			}
-			// The server identity travels back as a TXT record.
-			respBytes, err := wire.BuildCHAOSResponse(id, serverID)
-			if err != nil {
-				return CHAOSResult{}, fmt.Errorf("baseline: %w", err)
-			}
-			resp, err := wire.ParseDNS(respBytes)
-			if err != nil {
-				return CHAOSResult{}, fmt.Errorf("baseline: %w", err)
-			}
-			if len(resp.Answers) != 1 || resp.Answers[0].TXT == "" {
-				continue
-			}
 			res.Answered = true
-			res.ServerIDs[resp.Answers[0].TXT] = true
+			res.ServerIDs[serverID] = true
 		}
 	}
-	return res, nil
+	return res
 }
 
 // SOLDetect is the detection-only speed-of-light baseline: true iff some

@@ -15,7 +15,7 @@ import (
 // attacked (79 GB of text vs 6 GB of binary) never returns as rounds × V
 // × T dense cells. Rounds arrive through ExecuteRoundPipelined
 // (pipeline.go) or the cluster coordinator, both driving RoundSched
-// (sched.go) into FoldShard (shard.go).
+// (sched.go), whose Done folds each unit's row.
 //
 // The fold is exact, not approximate: per-cell minimum is commutative and
 // associative and the greylist merge is a set union, so the combined
@@ -47,13 +47,10 @@ type Campaign struct {
 	grey     *prober.Greylist
 	health   CampaignHealth
 
-	// Open-round state (shard.go): the number of the round currently
-	// open for folding, and which combined row slots belong to it.
-	// BeginRound opens a round, FoldShard merges partial rows in any
-	// order (FoldRun merges whole ones), FinishRound closes it.
-	shardRound uint64
-	shardOpen  bool
-	shardSlots []bool
+	// roundOpen is set while a round is open for folding (shard.go):
+	// OpenRound opens one and RoundSched.Close closes it; FoldRun opens
+	// and closes its own.
+	roundOpen bool
 }
 
 // NewCampaign returns an empty campaign.
@@ -88,7 +85,7 @@ type RoundSummary struct {
 // folded before it. It is the fold of the ExecuteContext reference; no
 // executor that serves calls it.
 func (cp *Campaign) FoldRun(run *Run) error {
-	slots, err := cp.BeginRound(run.Round, run.Targets, run.VPs)
+	slots, err := cp.beginRound(run.Round, run.Targets, run.VPs)
 	if err != nil {
 		return err
 	}
@@ -96,7 +93,7 @@ func (cp *Campaign) FoldRun(run *Run) error {
 		foldCells(cp.combined.RTTus[slots[vi]], run.RTTus[vi], nil, 0)
 	}
 	cp.grey.Merge(run.Greylist)
-	return cp.FinishRound(run.Health)
+	return cp.finishRound(run.Health)
 }
 
 // foldCells is the fold kernel: it min-merges src — one vantage point's

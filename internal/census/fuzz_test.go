@@ -87,68 +87,3 @@ func FuzzLoadRun(f *testing.F) {
 		}
 	})
 }
-
-// fuzzSeedShard fabricates a small shard frame — the streaming unit the
-// cluster coordinator decodes straight off the network, so the decoder
-// is fuzzed with the same never-panic contract as the archive path.
-func fuzzSeedShard() *ShardRows {
-	run := fuzzSeedRun()
-	return &ShardRows{
-		Round:    run.Round,
-		Lo:       1,
-		Hi:       3,
-		Slots:    []int{0, 5},
-		RTTus:    [][]int32{{-1, 1 << 30}, {0, 42}},
-		Stats:    []ShardStats{ShardStatsOf(run.Stats[0]), ShardStatsOf(run.Stats[1])},
-		Greylist: run.Greylist,
-	}
-}
-
-// FuzzDecodeShardRows covers the streaming frame header introduced for
-// the distributed census: arbitrary bytes must never panic the decoder,
-// and every accepted frame must re-encode byte-identically.
-func FuzzDecodeShardRows(f *testing.F) {
-	enc, err := fuzzSeedShard().Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc)
-	f.Add(enc[:len(enc)/2])
-	f.Add([]byte{})
-	f.Add([]byte(ShardFrameMagic))
-	f.Add(append([]byte(ShardFrameMagic), 0))
-	f.Add(append([]byte(ShardFrameMagic), 0xFF))
-	f.Add([]byte("ACMS9\nwrong magic"))
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeShardRows(data)
-		if err != nil {
-			return
-		}
-		if len(got.RTTus) != len(got.Slots) || len(got.Stats) != len(got.Slots) {
-			t.Fatalf("accepted frame has %d rows / %d stats for %d slots",
-				len(got.RTTus), len(got.Stats), len(got.Slots))
-		}
-		width := got.Hi - got.Lo
-		for _, row := range got.RTTus {
-			if len(row) != width {
-				t.Fatalf("accepted frame has a %d-cell row for width %d", len(row), width)
-			}
-		}
-		re, err := got.Encode()
-		if err != nil {
-			t.Fatalf("re-encode of accepted frame failed: %v", err)
-		}
-		got2, err := DecodeShardRows(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		re2, err := got2.Encode()
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(re, re2) {
-			t.Fatal("accepted frame does not re-encode byte-identically")
-		}
-	})
-}

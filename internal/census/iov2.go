@@ -89,7 +89,7 @@ func saveRunV2(w io.Writer, r *Run) error {
 }
 
 // AppendGreylist appends g's greylist section — the one layout of a
-// greylist in run files, shard frames and the cluster welcome: a uvarint
+// greylist in run files and in the cluster's rows and welcome: a uvarint
 // count, then per host in ascending address order a uvarint delta from
 // the previous address (from 0 for the first) and the kind byte. A nil
 // or empty greylist is the single byte 0.
@@ -147,7 +147,7 @@ func encodeRowsV2(rttus [][]int32, nTargets int) ([][]byte, error) {
 				if vi >= len(rttus) {
 					return
 				}
-				rows[vi] = appendRowV2(nil, rttus[vi])
+				rows[vi] = AppendRow(nil, rttus[vi])
 			}
 		}()
 	}
@@ -155,12 +155,16 @@ func encodeRowsV2(rttus [][]int32, nTargets int) ([][]byte, error) {
 	return rows, nil
 }
 
-// appendRowV2 appends one row's payload: mode byte, uvarint sample
-// count, then the mode's payload. RTT values above the pipeline's 2^30 µs
-// clamp are clamped again here so re-encoding a foreign (legacy) run
-// stays within the decoder's bound. Into a buffer with room it allocates
-// nothing: the bitmap is set in place.
-func appendRowV2(dst []byte, row []int32) []byte {
+// AppendRow appends one row's v2 payload — the row codec of the run
+// format and of the cluster's rows frames: mode byte, uvarint sample
+// count, then the mode's payload. The mode is a pure function of the
+// row (bitmap when the bitmap is no longer than the sample count), and
+// with the row's width known the payload delimits itself, so DecodeRow
+// needs no length. RTT values above the pipeline's 2^30 µs clamp are
+// clamped again here so re-encoding a foreign (legacy) run stays within
+// the decoder's bound. Into a buffer with room it allocates nothing: the
+// bitmap is set in place.
+func AppendRow(dst []byte, row []int32) []byte {
 	n := 0
 	for _, v := range row {
 		if v >= 0 {
@@ -205,30 +209,6 @@ func appendRowV2(dst []byte, row []int32) []byte {
 	}
 	return dst
 }
-
-// rowV2Len is the number of bytes appendRowV2 appends for row, so a frame
-// can declare a row's length ahead of its payload without encoding it
-// twice.
-func rowV2Len(row []int32) int {
-	n, gaps, values := 0, 0, 0
-	prev := -1
-	for ti, v := range row {
-		if v < 0 {
-			continue
-		}
-		n++
-		gaps += uvarintLen(uint64(ti - prev))
-		values += uvarintLen(uint64(min(v, 1<<30)))
-		prev = ti
-	}
-	if bitmapLen := (len(row) + 7) / 8; bitmapLen <= n {
-		gaps = bitmapLen
-	}
-	return 1 + uvarintLen(uint64(n)) + gaps + values
-}
-
-// uvarintLen is the length of v's uvarint encoding.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // loadRunV2 decodes a v2 run; data starts immediately after the magic.
 func loadRunV2(data []byte) (*Run, error) {
@@ -340,7 +320,13 @@ func loadRunV2(data []byte) (*Run, error) {
 				if vi >= int(nVP) {
 					return
 				}
-				decErrs[vi] = decodeRowV2(payloads[vi], rttus[vi], vi)
+				rest, err := DecodeRow(payloads[vi], rttus[vi])
+				if err == nil && len(rest) != 0 {
+					err = fmt.Errorf("census: row has %d trailing bytes", len(rest))
+				}
+				if err != nil {
+					decErrs[vi] = fmt.Errorf("run row %d: %w", vi, err)
+				}
 			}
 		}()
 	}
@@ -362,27 +348,39 @@ func loadRunV2(data []byte) (*Run, error) {
 	}, nil
 }
 
-// decodeRowV2 expands one row payload into the dense destination row.
-func decodeRowV2(p []byte, row []int32, vi int) error {
+// DecodeRow expands the row payload AppendRow wrote at the front of p
+// into row, whose length is the row's width, and returns the bytes after
+// it. It accepts exactly what AppendRow writes for some row of that width
+// — the mode the encoder picks, minimal varints, no bit past the last
+// target — so an accepted payload re-encodes byte for byte, and it
+// allocates nothing: every count is checked against the width and the
+// bytes present.
+func DecodeRow(p []byte, row []int32) ([]byte, error) {
 	nTargets := len(row)
 	if len(p) < 1 {
-		return fmt.Errorf("census: row %d: truncated mode byte", vi)
+		return nil, fmt.Errorf("census: row: truncated mode byte")
 	}
 	mode := p[0]
-	p = p[1:]
-	n, p, err := takeUvarint(p, "row sample count")
+	n, p, err := takeUvarint(p[1:], "row sample count")
 	if err != nil {
-		return fmt.Errorf("census: row %d: %w", vi, err)
+		return nil, err
 	}
 	if n > uint64(nTargets) {
-		return fmt.Errorf("census: row %d claims %d samples for %d targets", vi, n, nTargets)
+		return nil, fmt.Errorf("census: row claims %d samples for %d targets", n, nTargets)
+	}
+	bitmapLen := (nTargets + 7) / 8
+	want := byte(rowModeGaps) // the mode AppendRow picks for n samples in nTargets cells
+	if uint64(bitmapLen) <= n {
+		want = rowModeBitmap
+	}
+	if mode != want {
+		return nil, fmt.Errorf("census: row of %d samples in %d cells has mode %d, want %d", n, nTargets, mode, want)
 	}
 
 	switch mode {
 	case rowModeBitmap:
-		bitmapLen := (nTargets + 7) / 8
 		if len(p) < bitmapLen {
-			return fmt.Errorf("census: row %d: truncated bitmap", vi)
+			return nil, fmt.Errorf("census: row: truncated bitmap")
 		}
 		bitmap := p[:bitmapLen]
 		p = p[bitmapLen:]
@@ -390,7 +388,7 @@ func decodeRowV2(p []byte, row []int32, vi int) error {
 		// two encodings of the same row could differ. Checked up front so
 		// the set-bit walk below never indexes past the row.
 		if nTargets%8 != 0 && bitmap[bitmapLen-1]>>(nTargets%8) != 0 {
-			return fmt.Errorf("census: row %d bitmap has bits past the last target", vi)
+			return nil, fmt.Errorf("census: row bitmap has bits past the last target")
 		}
 		// Prefill absent cells with one memmove and visit only set bits:
 		// the old walk branched on every target and paid a fastUvarint
@@ -412,25 +410,25 @@ func decodeRowV2(p []byte, row []int32, vi int) error {
 				case len(p) >= 1 && p[0] < 0x80:
 					us = uint64(p[0])
 					p = p[1:]
-				case len(p) >= 2 && p[1] < 0x80:
+				case len(p) >= 2 && p[1] < 0x80 && p[1] != 0: // a zero here is overlong
 					us = uint64(p[0]&0x7F) | uint64(p[1])<<7
 					p = p[2:]
 				default:
 					var err error
 					us, p, err = fastUvarint(p)
 					if err != nil {
-						return fmt.Errorf("census: row %d: truncated sample delay", vi)
+						return nil, fmt.Errorf("census: row sample delay: %w", err)
 					}
 				}
 				if us > 1<<30 {
-					return fmt.Errorf("census: row %d sample delay %d out of range", vi, us)
+					return nil, fmt.Errorf("census: row sample delay %d out of range", us)
 				}
 				row[ti] = int32(us)
 				seen++
 			}
 		}
 		if seen != n {
-			return fmt.Errorf("census: row %d bitmap has %d samples, header says %d", vi, seen, n)
+			return nil, fmt.Errorf("census: row bitmap has %d samples, header says %d", seen, n)
 		}
 	case rowModeGaps:
 		// Same trick as bitmap mode: one bulk prefill, then only sampled
@@ -441,51 +439,53 @@ func decodeRowV2(p []byte, row []int32, vi int) error {
 		for s := uint64(0); s < n; s++ {
 			gap, rest, err := fastUvarint(p)
 			if err != nil {
-				return fmt.Errorf("census: row %d: truncated sample gap", vi)
+				return nil, fmt.Errorf("census: row sample gap: %w", err)
 			}
 			us, rest, err := fastUvarint(rest)
 			if err != nil {
-				return fmt.Errorf("census: row %d: truncated sample delay", vi)
+				return nil, fmt.Errorf("census: row sample delay: %w", err)
 			}
 			p = rest
 			if gap == 0 || gap > uint64(nTargets) {
-				return fmt.Errorf("census: row %d has invalid sample gap %d", vi, gap)
+				return nil, fmt.Errorf("census: row has invalid sample gap %d", gap)
 			}
 			ti += int(gap)
 			if ti >= nTargets {
-				return fmt.Errorf("census: row %d sample index %d out of range", vi, ti)
+				return nil, fmt.Errorf("census: row sample index %d out of range", ti)
 			}
 			if us > 1<<30 {
-				return fmt.Errorf("census: row %d sample delay %d out of range", vi, us)
+				return nil, fmt.Errorf("census: row sample delay %d out of range", us)
 			}
 			row[ti] = int32(us)
 		}
-	default:
-		return fmt.Errorf("census: row %d has unknown mode %d", vi, mode)
 	}
-	if len(p) != 0 {
-		return fmt.Errorf("census: row %d has %d trailing bytes", vi, len(p))
-	}
-	return nil
+	return p, nil
 }
 
 // fastUvarint is binary.Uvarint with the one- to four-byte cases (every
 // gap and every census-scale RTT in µs) inlined ahead of the generic
-// loop.
+// loop. A varint longer than it needs to be is refused, so a decoded
+// payload has one encoding.
 func fastUvarint(p []byte) (uint64, []byte, error) {
+	var v uint64
+	var n int
 	switch {
 	case len(p) >= 1 && p[0] < 0x80:
 		return uint64(p[0]), p[1:], nil
 	case len(p) >= 2 && p[1] < 0x80:
-		return uint64(p[0]&0x7F) | uint64(p[1])<<7, p[2:], nil
+		v, n = uint64(p[0]&0x7F)|uint64(p[1])<<7, 2
 	case len(p) >= 3 && p[2] < 0x80:
-		return uint64(p[0]&0x7F) | uint64(p[1]&0x7F)<<7 | uint64(p[2])<<14, p[3:], nil
+		v, n = uint64(p[0]&0x7F)|uint64(p[1]&0x7F)<<7|uint64(p[2])<<14, 3
 	case len(p) >= 4 && p[3] < 0x80:
-		return uint64(p[0]&0x7F) | uint64(p[1]&0x7F)<<7 | uint64(p[2]&0x7F)<<14 | uint64(p[3])<<21, p[4:], nil
+		v, n = uint64(p[0]&0x7F)|uint64(p[1]&0x7F)<<7|uint64(p[2]&0x7F)<<14|uint64(p[3])<<21, 4
+	default:
+		if v, n = binary.Uvarint(p); n <= 0 {
+			return 0, nil, fmt.Errorf("census: truncated or invalid uvarint")
+		}
 	}
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("census: truncated or invalid uvarint")
+	// n > 1 here: a zero final byte adds nothing to v.
+	if p[n-1] == 0 {
+		return 0, nil, fmt.Errorf("census: overlong uvarint")
 	}
 	return v, p[n:], nil
 }
@@ -538,8 +538,8 @@ func DecodeGreylist(b []byte) (*prober.Greylist, []byte, error) {
 // takeUvarint consumes one uvarint from the front of b.
 func takeUvarint(b []byte, what string) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("census: truncated or invalid %s", what)
+	if n <= 0 || n > 1 && b[n-1] == 0 {
+		return 0, nil, fmt.Errorf("census: truncated, invalid or overlong %s", what)
 	}
 	return v, b[n:], nil
 }

@@ -2,6 +2,8 @@ package census
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -151,5 +153,58 @@ func TestLoadRunRejectsCorruptV2(t *testing.T) {
 		if _, err := LoadRun(bytes.NewReader(tc.data)); err == nil {
 			t.Errorf("%s: corrupt run accepted", tc.name)
 		}
+	}
+}
+
+// The row codec is the run format's and the rows frame's: DecodeRow reads
+// back exactly the row AppendRow wrote, delimits it by the row's width
+// alone, and refuses every other encoding of the same row, so an accepted
+// payload re-encodes byte for byte. Into a buffer with room AppendRow
+// allocates nothing.
+func TestRowCodecCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 300; i++ {
+		row := make([]int32, rng.Intn(300))
+		density := rng.Float64()
+		for ti := range row {
+			row[ti] = NoSample
+			if rng.Float64() < density {
+				row[ti] = rng.Int31n(1 << 30)
+			}
+		}
+		p := AppendRow(nil, row)
+		got := make([]int32, len(row))
+		rest, err := DecodeRow(append(p, "tail"...), got)
+		if err != nil || string(rest) != "tail" || !slices.Equal(got, row) {
+			t.Fatalf("row %d (%d cells): rest %q, %v", i, len(row), rest, err)
+		}
+	}
+	// Two samples in 16 cells: the bitmap (2 bytes) is no longer than the
+	// sample count, so the encoder picks it.
+	row := []int32{5, NoSample, NoSample, NoSample, NoSample, NoSample, NoSample, NoSample,
+		NoSample, NoSample, NoSample, NoSample, NoSample, NoSample, NoSample, 300}
+	want := AppendRow(nil, row)
+	if _, err := DecodeRow(want, make([]int32, 16)); err != nil || want[0] != rowModeBitmap {
+		t.Fatalf("canonical row %v refused: %v", want, err)
+	}
+	for name, p := range map[string][]byte{
+		"gap mode for a dense row":  {rowModeGaps, 2, 1, 5, 15, 0xAC, 0x02},
+		"bitmap mode for a sparse":  {rowModeBitmap, 1, 1, 0, 5}, // one sample in 16 cells
+		"overlong sample count":     append([]byte{rowModeBitmap, 0x82, 0x00}, want[2:]...),
+		"overlong sample delay":     {rowModeBitmap, 2, 1, 0x80, 0x85, 0x00, 0xAC, 0x02},
+		"unknown mode":              append([]byte{2}, want[1:]...),
+		"bits past the last target": {rowModeBitmap, 2, 1, 0x80, 5, 0xAC, 0x02},
+	} {
+		cells := 16
+		if name == "bits past the last target" {
+			cells = 15
+		}
+		if _, err := DecodeRow(p, make([]int32, cells)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(50, func() { buf = AppendRow(buf[:0], row) }); n != 0 {
+		t.Fatalf("AppendRow into a buffer with room allocates %v times", n)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // test.
 type Metrics struct {
 	// RoundsFolded counts census rounds folded into a combined matrix,
-	// counted when the round closes (FinishRound).
+	// counted when the round closes (RoundSched.Close).
 	RoundsFolded *obs.Counter
 	// AnalyzeSeconds is the latency of one Campaign.Analyze.
 	AnalyzeSeconds *obs.Histogram

@@ -97,12 +97,12 @@ type RoundSched struct {
 	grey       *prober.Greylist
 }
 
-// OpenRound opens round on the campaign (BeginRound) and returns its
+// OpenRound opens round on the campaign and returns its
 // scheduler. spanTargets is the unit width in targets; non-positive means
 // DefaultSpanTargets, and anything wider than the target list means one
 // span per row.
 func (cp *Campaign) OpenRound(round uint64, targets []netsim.IP, vps []platform.VP, spanTargets int) (*RoundSched, error) {
-	slots, err := cp.BeginRound(round, targets, vps)
+	slots, err := cp.beginRound(round, targets, vps)
 	if err != nil {
 		return nil, err
 	}
@@ -163,36 +163,41 @@ func (s *RoundSched) finished(v *vpSched) bool {
 
 // inFlight returns u's vantage point when u is its unit in flight.
 func (s *RoundSched) inFlight(u Unit) *vpSched {
-	if v := &s.state[u.Index]; v.inflight && s.spans[v.next] == u.Span {
+	if v := &s.state[u.Index]; v.inflight && u.Round == s.round && u.Slot == s.slots[u.Index] && s.spans[v.next] == u.Span {
 		return v
 	}
 	return nil
 }
 
-// Done folds a successfully probed unit into the campaign and accounts
-// for it, counting its samples in the fold's pass over the row. A frame
-// FoldShard rejects leaves the campaign and the unit untouched (still in
-// flight, for the caller to Fail). Done keeps nothing of sr.
+// Done folds a successfully probed unit's row into the campaign —
+// per-cell minimum into the combined row over the unit's span, set union
+// into the campaign greylist — and accounts for it, counting its samples
+// in the fold's one pass over the row. The per-cell min is commutative,
+// associative and idempotent, so units may fold in any order across
+// vantage points (TestFoldShardOrderInvariance). A unit that is not in
+// flight, or a row that is not the unit's span wide, is refused, and the
+// campaign and the unit are left untouched (still in flight, for the
+// caller to Fail). Done keeps nothing of sr.
 func (s *RoundSched) Done(u Unit, sr *ShardRows) error {
 	v := s.inFlight(u)
 	if v == nil {
 		return fmt.Errorf("census: round %d: VP %s span [%d,%d) is not in flight",
 			s.round, u.VP.Name, u.Span.Lo, u.Span.Hi)
 	}
-	samples, err := s.cp.foldShard(sr, s.echo)
-	if err != nil {
-		return err
+	if len(sr.RTTus) != u.Span.Hi-u.Span.Lo {
+		return fmt.Errorf("census: round %d: VP %s: a %d-cell row for span [%d,%d)",
+			s.round, u.VP.Name, len(sr.RTTus), u.Span.Lo, u.Span.Hi)
 	}
+	samples := foldCells(s.cp.combined.RTTus[u.Slot][u.Span.Lo:u.Span.Hi], sr.RTTus, s.echo, u.Span.Lo)
+	s.cp.grey.Merge(sr.Greylist)
 	v.inflight = false
 	v.next++
 	if v.next == len(s.spans) {
 		s.open--
 	}
 	v.samples += samples
-	for _, st := range sr.Stats {
-		s.probes += st.Sent
-		s.completion[u.Index] += st.Completion
-	}
+	s.probes += sr.Stats.Sent
+	s.completion[u.Index] += sr.Stats.Completion
 	s.grey.Merge(sr.Greylist)
 	return nil
 }
@@ -234,11 +239,11 @@ func (s *RoundSched) Settled() bool { return s.open == 0 }
 // quarantined: the ones in flight, parked or still to be handed out.
 func (s *RoundSched) Open() int { return s.open }
 
-// Close closes the round on the campaign (FinishRound) and reports it.
+// Close closes the round on the campaign and reports it.
 // Vantage points with spans left — the round was aborted under them —
 // are marked "round aborted", or Skipped when they never ran; units still
 // in flight are abandoned. The error joins every quarantine, a
-// FinishRound failure, and aborted. The caller stamps Duration.
+// second Close, and aborted. The caller stamps Duration.
 func (s *RoundSched) Close(aborted error) (RoundSummary, error) {
 	perVP := make([]VPHealth, len(s.vps))
 	rowSamples := make([]int, len(s.vps))
@@ -264,7 +269,7 @@ func (s *RoundSched) Close(aborted error) (RoundSummary, error) {
 		rowSamples[vi] = v.samples
 	}
 	health := buildHealth(s.round, perVP, rowSamples)
-	if err := s.cp.FinishRound(health); err != nil {
+	if err := s.cp.finishRound(health); err != nil {
 		errs = append(errs, err)
 	}
 	echoTargets := 0
@@ -284,22 +289,21 @@ func (s *RoundSched) Close(aborted error) (RoundSummary, error) {
 
 // ProbeShard probes one unit over plan, the unit's span planned around the
 // round's blacklist (prober.NewPlan over targets[u.Span.Lo:u.Span.Hi]),
-// and fills sr with its row as a shard frame. sr is the caller's, and its
-// storage is reused: a caller that keeps one per worker probes unit after
-// unit without allocating, each frame valid until the next ProbeShard
-// into sr. On an error sr's contents are undefined. The prober hands the
-// sink each sample's span index, so the row fills positionally — no
-// per-unit target→index map, whose construction would dominate a narrow
-// span's probing time. Same sink filter and RTT clamp as ExecuteContext,
-// so the span is byte-identical to the corresponding span of the row the
+// and fills sr with its result. sr is the caller's, and its row is
+// reused: a caller that keeps one per worker probes unit after unit
+// without allocating, each result valid until the next ProbeShard into
+// sr. On an error sr's contents are undefined. The prober hands the sink
+// each sample's span index, so the row fills positionally — no per-unit
+// target→index map, whose construction would dominate a narrow span's
+// probing time. Same sink filter and RTT clamp as ExecuteContext, so the
+// span is byte-identical to the corresponding span of the row the
 // whole-round reference produces.
 func ProbeShard(w *netsim.World, plan *prober.Plan, cfg Config, u Unit, sr *ShardRows) error {
-	var row []int32
-	if len(sr.RTTus) > 0 && cap(sr.RTTus[0]) >= plan.Len() {
-		row = sr.RTTus[0][:plan.Len()]
-	} else {
+	row := sr.RTTus[:0]
+	if cap(row) < plan.Len() {
 		row = make([]int32, plan.Len())
 	}
+	row = row[:plan.Len()]
 	fillNoSample(row)
 	sink := func(ti int, smp record.Sample) {
 		if smp.Kind != netsim.ReplyEcho {
@@ -317,9 +321,6 @@ func ProbeShard(w *netsim.World, plan *prober.Plan, cfg Config, u Unit, sr *Shar
 	if err != nil {
 		return err
 	}
-	sr.Round, sr.Lo, sr.Hi, sr.Greylist = u.Round, u.Span.Lo, u.Span.Hi, grey
-	sr.Slots = append(sr.Slots[:0], u.Slot)
-	sr.RTTus = append(sr.RTTus[:0], row)
-	sr.Stats = append(sr.Stats[:0], ShardStatsOf(stats))
+	sr.RTTus, sr.Stats, sr.Greylist = row, ShardStatsOf(stats), grey
 	return nil
 }

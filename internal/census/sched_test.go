@@ -220,11 +220,7 @@ func TestRoundSchedPolicy(t *testing.T) {
 					for c := range row {
 						row[c] = 1000
 					}
-					err := s.Done(u, &ShardRows{
-						Round: 5, Lo: u.Span.Lo, Hi: u.Span.Hi,
-						Slots: []int{u.Slot}, RTTus: [][]int32{row},
-						Stats: []ShardStats{{Sent: len(row)}},
-					})
+					err := s.Done(u, &ShardRows{RTTus: row, Stats: ShardStats{Sent: len(row)}})
 					if (err == nil) != (st.rejected == "") || (err != nil && !strings.Contains(err.Error(), st.rejected)) {
 						t.Fatalf("step %d: Done = %v, want %q", i, err, st.rejected)
 					}

@@ -2,73 +2,57 @@ package census
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 )
 
-// shardsOf slices a run into per-(VP, span) shard frames, the shape an
-// agent streams back to the coordinator.
-func shardsOf(run *Run, slots []int, width int) []*ShardRows {
-	var out []*ShardRows
-	for _, sp := range ShardSpans(len(run.Targets), width) {
-		for vi := range run.VPs {
-			row := make([]int32, sp.Hi-sp.Lo)
-			copy(row, run.RTTus[vi][sp.Lo:sp.Hi])
-			out = append(out, &ShardRows{
-				Round:    run.Round,
-				Lo:       sp.Lo,
-				Hi:       sp.Hi,
-				Slots:    []int{slots[vi]},
-				RTTus:    [][]int32{row},
-				Stats:    []ShardStats{ShardStatsOf(run.Stats[vi])},
-				Greylist: run.Greylist,
-			})
-		}
-	}
-	return out
-}
-
-// foldByShards replays a run through the shard-wise fold path.
-func foldByShards(t *testing.T, cp *Campaign, run *Run, width int, shuffleSeed int64, duplicate bool) {
+// foldByUnits replays a whole-round run through the round scheduler, as
+// an executor does: it puts every vantage point's next unit in flight,
+// then calls Done on them in an order shuffled by shuffleSeed (0: VP
+// order), wave after wave until the round settles. A unit's row is its
+// span of the run's row.
+func foldByUnits(t *testing.T, cp *Campaign, run *Run, width int, shuffleSeed int64) {
 	t.Helper()
-	slots, err := cp.BeginRound(run.Round, run.Targets, run.VPs)
+	s, err := cp.OpenRound(run.Round, run.Targets, run.VPs, width)
 	if err != nil {
-		t.Fatalf("BeginRound: %v", err)
+		t.Fatalf("OpenRound: %v", err)
 	}
-	shards := shardsOf(run, slots, width)
-	if duplicate {
-		// A re-lease after agent loss delivers the same shard twice.
-		shards = append(shards, shards[:len(shards)/3]...)
-	}
-	if shuffleSeed != 0 {
-		rng := rand.New(rand.NewSource(shuffleSeed))
-		rng.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
-	}
-	for _, sr := range shards {
-		// Round-trip every frame through the wire codec: the fold path
-		// under test is the one the coordinator runs on decoded frames.
-		enc, err := sr.Encode()
-		if err != nil {
-			t.Fatalf("Encode: %v", err)
+	rng := rand.New(rand.NewSource(shuffleSeed))
+	now := time.Now()
+	var wave []Unit
+	for !s.Settled() {
+		wave = wave[:0]
+		for {
+			u, ok, _ := s.Next(now)
+			if !ok {
+				break
+			}
+			wave = append(wave, u)
 		}
-		dec, err := DecodeShardRows(enc)
-		if err != nil {
-			t.Fatalf("DecodeShardRows: %v", err)
+		if shuffleSeed != 0 {
+			rng.Shuffle(len(wave), func(i, j int) { wave[i], wave[j] = wave[j], wave[i] })
 		}
-		if err := cp.FoldShard(dec); err != nil {
-			t.Fatalf("FoldShard: %v", err)
+		for _, u := range wave {
+			sr := &ShardRows{
+				RTTus:    run.RTTus[u.Index][u.Span.Lo:u.Span.Hi],
+				Stats:    ShardStatsOf(run.Stats[u.Index]),
+				Greylist: run.Greylist,
+			}
+			if err := s.Done(u, sr); err != nil {
+				t.Fatalf("Done: %v", err)
+			}
 		}
 	}
-	if err := cp.FinishRound(run.Health); err != nil {
-		t.Fatalf("FinishRound: %v", err)
+	if _, err := s.Close(nil); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -94,54 +78,65 @@ func sameCampaign(t *testing.T, want, got *Campaign) {
 	}
 }
 
-// The shard-wise fold must reproduce FoldRun byte-for-byte: same combined
-// matrix, same greylist — the acceptance bar for the distributed census.
+// Folding a round unit by unit through RoundSched.Done, in a shuffled
+// order, must reproduce FoldRun of the same whole-round runs byte for
+// byte: same combined matrix, same greylist — the acceptance bar for the
+// distributed census. Widths: one target (over the runs' first 300
+// targets: a round of one-target units schedules V units per target), an
+// odd width, the default and one span per row.
 func TestFoldShardMatchesFoldRun(t *testing.T) {
 	_, _, _, r1, r2 := testbed(t)
-
-	ref := NewCampaign(CampaignConfig{})
-	if err := ref.FoldRun(r1); err != nil {
-		t.Fatal(err)
+	head := func(run *Run, n int) *Run {
+		cut := *run
+		cut.Targets = run.Targets[:n]
+		cut.RTTus = make([][]int32, len(run.RTTus))
+		for v, row := range run.RTTus {
+			cut.RTTus[v] = row[:n]
+		}
+		return &cut
 	}
-	if err := ref.FoldRun(r2); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, width := range []int{0, 509, 1931, len(r1.Targets) + 5} {
+	for _, tc := range []struct{ width, targets int }{
+		{1, 300}, {509, len(r1.Targets)}, {0, len(r1.Targets)}, {len(r1.Targets) + 5, len(r1.Targets)},
+	} {
+		a, b := head(r1, tc.targets), head(r2, tc.targets)
+		ref := NewCampaign(CampaignConfig{})
+		if err := ref.FoldRun(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.FoldRun(b); err != nil {
+			t.Fatal(err)
+		}
 		cp := NewCampaign(CampaignConfig{})
-		foldByShards(t, cp, r1, width, 0, false)
-		foldByShards(t, cp, r2, width, 0, false)
+		foldByUnits(t, cp, a, tc.width, 7)
+		foldByUnits(t, cp, b, tc.width, 7)
 		sameCampaign(t, ref, cp)
 	}
 }
 
-// Per-cell min is commutative, associative, and idempotent: shards folded
-// in any order, even duplicated (a re-leased shard after agent loss),
-// give the identical combined state.
+// Per-cell min is commutative and associative: units folded in any
+// order across vantage points give the identical combined state.
 func TestFoldShardOrderInvariance(t *testing.T) {
 	_, _, _, r1, r2 := testbed(t)
 
 	ref := NewCampaign(CampaignConfig{})
-	foldByShards(t, ref, r1, 512, 0, false)
-	foldByShards(t, ref, r2, 512, 0, false)
+	foldByUnits(t, ref, r1, 512, 0)
+	foldByUnits(t, ref, r2, 512, 0)
 
 	for _, seed := range []int64{1, 42, 1337} {
 		cp := NewCampaign(CampaignConfig{})
-		foldByShards(t, cp, r1, 512, seed, true)
-		foldByShards(t, cp, r2, 512, seed, true)
+		foldByUnits(t, cp, r1, 512, seed)
+		foldByUnits(t, cp, r2, 512, seed)
 		sameCampaign(t, ref, cp)
 	}
 }
 
+// Done refuses a unit that is not in flight and a row that is not its
+// unit's span wide, leaving the campaign and the unit as they were; a
+// campaign opens one round at a time and closes it once.
 func TestFoldShardTypedErrors(t *testing.T) {
 	_, _, _, r1, _ := testbed(t)
 	cp := NewCampaign(CampaignConfig{})
-
-	if err := cp.FoldShard(&ShardRows{Round: r1.Round}); err == nil || !strings.Contains(err.Error(), "no shard round open") {
-		t.Fatalf("fold without round: %v", err)
-	}
-
-	slots, err := cp.BeginRound(r1.Round, r1.Targets, r1.VPs[:2])
+	s, err := cp.OpenRound(r1.Round, r1.Targets, r1.VPs[:2], 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,162 +145,53 @@ func TestFoldShardTypedErrors(t *testing.T) {
 		before[v] = append([]int32(nil), row...)
 	}
 
-	if _, err := cp.BeginRound(r1.Round+1, r1.Targets, r1.VPs); err == nil || !strings.Contains(err.Error(), "still open") {
-		t.Fatalf("nested BeginRound: %v", err)
+	if _, err := cp.OpenRound(r1.Round+1, r1.Targets, r1.VPs, 64); err == nil || !strings.Contains(err.Error(), "still open") {
+		t.Fatalf("nested OpenRound: %v", err)
 	}
-	if err := cp.FoldRun(r1); err == nil || !strings.Contains(err.Error(), "FinishRound first") {
-		t.Fatalf("FoldRun during shard round: %v", err)
-	}
-	if err := cp.FoldShard(&ShardRows{Round: r1.Round + 9}); err == nil || !strings.Contains(err.Error(), "open round is") {
-		t.Fatalf("round mismatch: %v", err)
+	if err := cp.FoldRun(r1); err == nil || !strings.Contains(err.Error(), "still open") {
+		t.Fatalf("FoldRun during an open round: %v", err)
 	}
 
-	row := func(n int) [][]int32 { return [][]int32{make([]int32, n)} }
-
-	var slotErr *UnknownVPSlotError
-	err = cp.FoldShard(&ShardRows{Round: r1.Round, Lo: 0, Hi: 4, Slots: []int{99}, RTTus: row(4)})
-	if !errors.As(err, &slotErr) || slotErr.Slot != 99 {
-		t.Fatalf("out-of-range slot: %v", err)
+	u, ok, _ := s.Next(time.Now())
+	if !ok {
+		t.Fatal("no unit")
 	}
-	// Register only the first two VPs, then reference a slot belonging to
-	// a VP outside the open round.
-	cp2 := NewCampaign(CampaignConfig{})
-	if err := cp2.FoldRun(r1); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := cp2.BeginRound(r1.Round+1, r1.Targets, r1.VPs[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cp2.FoldShard(&ShardRows{Round: r1.Round + 1, Lo: 0, Hi: 4, Slots: []int{s2[0] + 1}, RTTus: row(4)})
-	if !errors.As(err, &slotErr) {
-		t.Fatalf("slot outside round: %v", err)
-	}
-
-	var rangeErr *ShardRangeError
-	err = cp.FoldShard(&ShardRows{Round: r1.Round, Lo: 0, Hi: len(r1.Targets) + 1, Slots: []int{slots[0]}, RTTus: row(len(r1.Targets) + 1)})
-	if !errors.As(err, &rangeErr) || rangeErr.RowCells != -1 {
-		t.Fatalf("span beyond targets: %v", err)
-	}
-	err = cp.FoldShard(&ShardRows{Round: r1.Round, Lo: 0, Hi: 8, Slots: []int{slots[0]}, RTTus: row(5)})
-	if !errors.As(err, &rangeErr) || rangeErr.RowCells != 5 {
-		t.Fatalf("row width mismatch: %v", err)
-	}
-
-	// None of the rejected frames may have touched the combined rows.
-	if !reflect.DeepEqual(before, cp.Combined().RTTus) {
-		t.Fatal("rejected frames changed the combined rows")
-	}
-
-	if err := cp.FinishRound(RunHealth{Round: r1.Round}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.FinishRound(RunHealth{}); err == nil {
-		t.Fatal("double FinishRound succeeded")
-	}
-}
-
-func TestShardRowsEncodeDeterministic(t *testing.T) {
-	_, _, _, r1, _ := testbed(t)
-	sr := &ShardRows{
-		Round:    r1.Round,
-		Lo:       10,
-		Hi:       500,
-		Slots:    []int{0, 1},
-		RTTus:    [][]int32{r1.RTTus[0][10:500], r1.RTTus[1][10:500]},
-		Stats:    []ShardStats{ShardStatsOf(r1.Stats[0]), ShardStatsOf(r1.Stats[1])},
-		Greylist: r1.Greylist,
-	}
-	a, err := sr.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sr.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("shard frame encoding is not deterministic")
-	}
-	dec, err := DecodeShardRows(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Round != sr.Round || dec.Lo != sr.Lo || dec.Hi != sr.Hi {
-		t.Fatalf("header round-trip: %+v", dec)
-	}
-	if !reflect.DeepEqual(dec.Slots, sr.Slots) || !reflect.DeepEqual(dec.Stats, sr.Stats) {
-		t.Fatal("slots/stats round-trip mismatch")
-	}
-	for i := range sr.RTTus {
-		if !reflect.DeepEqual(dec.RTTus[i], sr.RTTus[i]) {
-			t.Fatalf("row %d round-trip mismatch", i)
-		}
-	}
-	if !reflect.DeepEqual(dec.Greylist.Snapshot(), sr.Greylist.Snapshot()) {
-		t.Fatal("greylist round-trip mismatch")
-	}
-}
-
-func TestShardRowsEncodeRejectsBadShapes(t *testing.T) {
-	for _, sr := range []*ShardRows{
-		{Lo: 5, Hi: 3},
-		{Lo: -1, Hi: 3},
-		{Lo: 0, Hi: 2, Slots: []int{0}}, // missing row
-		{Lo: 0, Hi: 2, Slots: []int{0}, RTTus: [][]int32{{1}}},                                 // narrow row
-		{Lo: 0, Hi: 2, Slots: []int{-1}, RTTus: [][]int32{{1, 2}}},                             // negative slot
-		{Lo: 0, Hi: 2, Slots: []int{0}, RTTus: [][]int32{{1, 2}}, Stats: []ShardStats{{}, {}}}, // stats mismatch
-		{Lo: 0, Hi: 2, Slots: []int{0}, RTTus: [][]int32{{1, 2}}, Stats: []ShardStats{{Sent: -1}}},
+	row := func(n int) *ShardRows { return &ShardRows{RTTus: make([]int32, n)} }
+	notInFlight := map[string]Unit{"other span": u, "other slot": u, "other round": u, "other VP": u}
+	for name, lie := range map[string]func(*Unit){
+		"other span":  func(v *Unit) { v.Span = Span{Lo: 64, Hi: 128} },
+		"other slot":  func(v *Unit) { v.Slot++ },
+		"other round": func(v *Unit) { v.Round++ },
+		"other VP":    func(v *Unit) { v.Index = 1 },
 	} {
-		if _, err := sr.Encode(); err == nil {
-			t.Errorf("Encode accepted %+v", sr)
+		v := notInFlight[name]
+		lie(&v)
+		if err := s.Done(v, row(64)); err == nil || !strings.Contains(err.Error(), "not in flight") {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
-}
-
-func TestDecodeShardRowsHostile(t *testing.T) {
-	good := &ShardRows{
-		Round: 3, Lo: 0, Hi: 4,
-		Slots: []int{0},
-		RTTus: [][]int32{{100, NoSample, 250, 3}},
-		Stats: []ShardStats{{Sent: 4, Echo: 3}},
-		Greylist: func() *prober.Greylist {
-			g := prober.NewGreylist()
-			g.Add(netsim.IP(77), netsim.ReplyAdminFiltered)
-			return g
-		}(),
+	for _, cells := range []int{0, 63, 65} {
+		if err := s.Done(u, row(cells)); err == nil || !strings.Contains(err.Error(), "-cell row") {
+			t.Fatalf("%d-cell row: %v", cells, err)
+		}
 	}
-	enc, err := good.Encode()
-	if err != nil {
+	// None of the refused rows may have touched the combined rows.
+	if !reflect.DeepEqual(before, cp.Combined().RTTus) {
+		t.Fatal("refused rows changed the combined rows")
+	}
+	// The unit is still in flight: its row at the right width folds, once.
+	if err := s.Done(u, row(64)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeShardRows(enc); err != nil {
+	if err := s.Done(u, row(64)); err == nil || !strings.Contains(err.Error(), "not in flight") {
+		t.Fatalf("second Done: %v", err)
+	}
+
+	if _, err := s.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-
-	// Every truncation of a valid frame must fail cleanly, not panic.
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeShardRows(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// And so must single-byte corruptions of the header region.
-	for i := 0; i < len(enc) && i < 24; i++ {
-		mut := append([]byte(nil), enc...)
-		mut[i] ^= 0xff
-		DecodeShardRows(mut) // must not panic; error or success both fine
-	}
-
-	hostile := [][]byte{
-		[]byte("ACMS9\n"),
-		append([]byte(ShardFrameMagic), 0x01), // bad flags
-		append([]byte(ShardFrameMagic), 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x7f, 0),    // giant width, no payload
-		append([]byte(ShardFrameMagic), 0, 1, 0, 4, 0, 0xff, 0xff, 0xff, 0xff, 0x0f), // giant row count
-	}
-	for i, b := range hostile {
-		if _, err := DecodeShardRows(b); err == nil {
-			t.Errorf("hostile frame %d accepted", i)
-		}
+	if _, err := s.Close(nil); err == nil || !strings.Contains(err.Error(), "no round open") {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 
@@ -334,7 +220,7 @@ func TestShardSpans(t *testing.T) {
 
 // A greylist section feeds the campaign greylist, which becomes the next
 // census's blacklist: an entry whose kind is not an ICMP error, or that
-// repeats an address, is refused in shard frames and saved runs alike.
+// repeats an address, is refused in rows frames and saved runs alike.
 func TestGreylistSectionRefusesBadEntries(t *testing.T) {
 	for name, add := range map[string]func(*prober.Greylist){
 		"echo":    func(g *prober.Greylist) { g.Add(0x01020304, netsim.ReplyEcho) },
@@ -344,13 +230,8 @@ func TestGreylistSectionRefusesBadEntries(t *testing.T) {
 		g := prober.NewGreylist()
 		g.Add(0x01020300, netsim.ReplyAdminFiltered)
 		add(g)
-		sr := &ShardRows{Round: 1, Lo: 0, Hi: 2, Slots: []int{0}, RTTus: [][]int32{{1, NoSample}}, Greylist: g}
-		frame, err := sr.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec, err := DecodeShardRows(frame); err == nil {
-			t.Errorf("%s: shard frame decoded with greylist %v", name, dec.Greylist.Breakdown())
+		if dec, _, err := DecodeGreylist(AppendGreylist(nil, g)); err == nil {
+			t.Errorf("%s: greylist section decoded as %v", name, dec.Breakdown())
 		}
 		var buf bytes.Buffer
 		if err := SaveRun(&buf, &Run{Round: 1, Targets: []netsim.IP{1}, Greylist: g}); err != nil {
@@ -373,87 +254,53 @@ func TestGreylistSectionRefusesBadEntries(t *testing.T) {
 	}
 }
 
-// The in-place encoder appends to dst, allocates nothing into a buffer
-// with room when the greylist is empty, and declares every row's length
-// exactly.
-func TestShardRowsAppendEncode(t *testing.T) {
-	_, _, _, r1, _ := testbed(t)
-	sr := &ShardRows{
-		Round: r1.Round, Lo: 10, Hi: 500, Slots: []int{0},
-		RTTus: [][]int32{r1.RTTus[0][10:500]},
-		Stats: []ShardStats{ShardStatsOf(r1.Stats[0])},
-	}
-	want, err := sr.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sr.AppendEncode([]byte("head"))
-	if err != nil || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
-		t.Fatalf("AppendEncode differs from Encode (%v)", err)
-	}
-	buf := make([]byte, 0, 2*len(want))
-	if n := testing.AllocsPerRun(50, func() { buf, _ = sr.AppendEncode(buf[:0]) }); n != 0 {
-		t.Fatalf("AppendEncode into a buffer with room allocates %v times", n)
-	}
-	rng := rand.New(rand.NewSource(34))
-	for i := 0; i < 200; i++ {
-		row := make([]int32, rng.Intn(300))
-		density := rng.Float64()
-		for ti := range row {
-			row[ti] = NoSample
-			if rng.Float64() < density {
-				row[ti] = rng.Int31()
-			}
-		}
-		if got := len(appendRowV2(nil, row)); got != rowV2Len(row) {
-			t.Fatalf("row %d: %d bytes appended, rowV2Len says %d", i, got, rowV2Len(row))
-		}
-	}
-}
-
 func TestShardCheckStats(t *testing.T) {
 	cfg := Config{Rate: 2000}
 	vp := platform.VP{ID: 3, Name: "vp", LoadFactor: 1.5}
+	unit := Unit{Round: 1, VP: vp, Span: Span{Lo: 20, Hi: 30}}
 	honest := func() *ShardRows {
 		return &ShardRows{
-			Round: 1, Lo: 20, Hi: 30, Slots: []int{0},
-			RTTus: [][]int32{{5, NoSample, 7, NoSample, NoSample, 0, NoSample, 9, NoSample, NoSample}},
-			Stats: []ShardStats{{Sent: 8, Echo: 4, Errors: 1, Timeouts: 3, SourceDropped: 1, FaultLost: 1,
-				Completion: prober.Config{Rate: 2000}.Completion(8, vp)}},
+			RTTus: []int32{5, NoSample, 7, NoSample, NoSample, 0, NoSample, 9, NoSample, NoSample},
+			Stats: ShardStats{Sent: 8, Echo: 4, Errors: 1, Timeouts: 3, SourceDropped: 1, FaultLost: 1,
+				Completion: prober.Config{Rate: 2000}.Completion(8, vp)},
 		}
 	}
-	if err := honest().CheckStats(cfg, vp); err != nil {
+	if err := honest().CheckStats(cfg, unit); err != nil {
 		t.Fatalf("honest shard refused: %v", err)
 	}
 	const half = math.MaxInt/2 + 1 // two of them wrap an int
 	for name, lie := range map[string]func(*ShardRows){
-		"no-stats":        func(sr *ShardRows) { sr.Stats = nil },
-		"two-stats":       func(sr *ShardRows) { sr.Stats = append(sr.Stats, sr.Stats[0]) },
-		"sent-over-width": func(sr *ShardRows) { sr.Stats[0].Sent, sr.Stats[0].Timeouts = 11, 6 },
-		"sum":             func(sr *ShardRows) { sr.Stats[0].Sent = 7 },
-		"negative":        func(sr *ShardRows) { sr.Stats[0].Errors, sr.Stats[0].Timeouts = -1, 5 },
-		"wrapping-sum":    func(sr *ShardRows) { sr.Stats[0].Echo, sr.Stats[0].Errors = half, half },
-		"losses":          func(sr *ShardRows) { sr.Stats[0].FaultLost = 3 },
-		"wrapping-losses": func(sr *ShardRows) { sr.Stats[0].FaultLost, sr.Stats[0].SourceDropped = half, half },
-		"samples":         func(sr *ShardRows) { sr.RTTus[0][1] = 3 },
-		"completion":      func(sr *ShardRows) { sr.Stats[0].Completion++ },
-		"sent-huge":       func(sr *ShardRows) { sr.Stats[0].Sent, sr.Stats[0].Timeouts = math.MaxInt32, math.MaxInt32-5 },
+		"sent-over-width": func(sr *ShardRows) { sr.Stats.Sent, sr.Stats.Timeouts = 11, 6 },
+		"sum":             func(sr *ShardRows) { sr.Stats.Sent = 7 },
+		"negative":        func(sr *ShardRows) { sr.Stats.Errors, sr.Stats.Timeouts = -1, 5 },
+		"wrapping-sum":    func(sr *ShardRows) { sr.Stats.Echo, sr.Stats.Errors = half, half },
+		"losses":          func(sr *ShardRows) { sr.Stats.FaultLost = 3 },
+		"wrapping-losses": func(sr *ShardRows) { sr.Stats.FaultLost, sr.Stats.SourceDropped = half, half },
+		"samples":         func(sr *ShardRows) { sr.RTTus[1] = 3 },
+		"completion":      func(sr *ShardRows) { sr.Stats.Completion++ },
+		"sent-huge":       func(sr *ShardRows) { sr.Stats.Sent, sr.Stats.Timeouts = math.MaxInt32, math.MaxInt32-5 },
 	} {
 		sr := honest()
 		lie(sr)
-		if err := sr.CheckStats(cfg, vp); err == nil {
+		if err := sr.CheckStats(cfg, unit); err == nil {
 			t.Errorf("%s: shard accepted", name)
 		}
+	}
+	// The width is the unit's: the same result over a narrower span claims
+	// more probes than it has targets.
+	if err := honest().CheckStats(cfg, Unit{VP: vp, Span: Span{Lo: 20, Hi: 27}}); err == nil {
+		t.Error("8 probes over a 7-target unit accepted")
 	}
 	// A real probe of a span passes, greylist discoveries and all.
 	w, h, vps, _, _ := testbed(t)
 	targets := h.Targets()[:2000]
 	for _, vp := range vps[:10] {
 		sr := new(ShardRows)
-		if err := ProbeShard(w, prober.NewPlan(w, targets, nil), cfg, Unit{Round: 1, VP: vp, Span: Span{Lo: 0, Hi: len(targets)}}, sr); err != nil {
+		u := Unit{Round: 1, VP: vp, Span: Span{Lo: 0, Hi: len(targets)}}
+		if err := ProbeShard(w, prober.NewPlan(w, targets, nil), cfg, u, sr); err != nil {
 			t.Fatal(err)
 		}
-		if err := sr.CheckStats(cfg, vp); err != nil {
+		if err := sr.CheckStats(cfg, u); err != nil {
 			t.Fatalf("%s: honest probe refused: %v", vp.Name, err)
 		}
 	}

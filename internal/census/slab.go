@@ -28,7 +28,7 @@ const (
 // slabArena carves fixed-width []int32 rows from large contiguous blocks.
 // The zero value is not usable; construct with newSlabArena. Not safe for
 // concurrent use — the campaign carves rows serially while registering a
-// round's vantage points (BeginRound), before any fold starts.
+// round's vantage points (OpenRound), before any fold starts.
 type slabArena struct {
 	rowLen int
 	cur    []int32 // unused tail of the newest block

@@ -222,13 +222,12 @@ func (s *agentSession) run(ctx context.Context) error {
 func (s *agentSession) executeLease(l leaseMsg, buf []byte) []byte {
 	buf = beginRowsFrame(buf, l.ID)
 	empty := len(buf)
-	var sr census.ShardRows // each unit's row, encoded into buf before the next
+	var sr census.ShardRows // each unit's result, encoded into buf before the next
 	for _, u := range l.Units {
 		err := s.probeUnit(u, &sr)
 		if err == nil {
-			if buf, err = appendRowsUnit(buf, &sr); err == nil {
-				continue
-			}
+			buf = appendRowsUnit(buf, u.Slot, &sr)
+			continue
 		}
 		var crash *netsim.VPCrashError
 		isCrash := errors.As(err, &crash)

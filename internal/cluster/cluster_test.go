@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -328,35 +332,74 @@ func TestHungAgentLeaseExpires(t *testing.T) {
 
 // lyingConn is an agent's connection that rewrites every rows frame it
 // carries (the agent writes each frame in one Write) into the bytes lie
-// returns for the frame's lease and units.
+// returns for the frame's lease and units. It reads the units at the
+// widths of their spans, which it learns from the lease frames the
+// coordinator sends the agent through it.
 type lyingConn struct {
 	net.Conn
-	lie func(id uint64, srs []*census.ShardRows) ([]byte, error)
+	lie func(id uint64, units []unitRows) []byte
+
+	mu     sync.Mutex
+	magic  bool                   // the coordinator's magic is read
+	in     []byte                 // coordinator bytes not yet parsed into frames
+	widths map[uint64]map[int]int // lease ID -> slot -> span width
+}
+
+func (c *lyingConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.in = append(c.in, b[:n]...)
+	if !c.magic && len(c.in) >= len(streamMagic) {
+		c.in, c.magic = c.in[len(streamMagic):], true
+	}
+	for c.magic && len(c.in) >= 5 && len(c.in)-4 >= int(binary.BigEndian.Uint32(c.in)) {
+		frame := c.in[4 : 4+binary.BigEndian.Uint32(c.in)]
+		c.in = c.in[4+len(frame):]
+		if frame[0] != frameLease {
+			continue
+		}
+		l, err := decodeLease(frame[1:])
+		if err != nil {
+			return 0, err
+		}
+		if c.widths == nil {
+			c.widths = map[uint64]map[int]int{}
+		}
+		c.widths[l.ID] = map[int]int{}
+		for _, u := range l.Units {
+			c.widths[l.ID][u.Slot] = u.Span.Hi - u.Span.Lo
+		}
+	}
+	return n, err
 }
 
 func (c *lyingConn) Write(b []byte) (int, error) {
 	if len(b) < 5 || b[4] != frameRows {
 		return c.Conn.Write(b)
 	}
-	id, srs, err := decodeRows(b[5:])
+	id, _ := binary.Uvarint(b[5:])
+	c.mu.Lock()
+	widths := c.widths[id]
+	c.mu.Unlock()
+	_, units, err := decodeRows(b[5:], func(slot int) (int, bool) {
+		w, ok := widths[slot]
+		return w, ok
+	})
 	if err != nil {
 		return 0, err
 	}
-	out, err := c.lie(id, srs)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.Conn.Write(out); err != nil {
+	if _, err := c.Conn.Write(c.lie(id, units)); err != nil {
 		return 0, err
 	}
 	return len(b), nil
 }
 
 // statsLie misreports the first unit's statistics.
-func statsLie(lie func(*census.ShardStats)) func(uint64, []*census.ShardRows) ([]byte, error) {
-	return func(id uint64, srs []*census.ShardRows) ([]byte, error) {
-		lie(&srs[0].Stats[0])
-		return appendRowsFrame(nil, id, srs...)
+func statsLie(lie func(*census.ShardStats)) func(uint64, []unitRows) []byte {
+	return func(id uint64, units []unitRows) []byte {
+		lie(&units[0].Stats)
+		return appendRowsFrame(nil, id, units...)
 	}
 }
 
@@ -391,23 +434,32 @@ func TestLyingAgentDropped(t *testing.T) {
 	}
 	for name, tc := range map[string]struct {
 		width int
-		lie   func(uint64, []*census.ShardRows) ([]byte, error)
+		lie   func(uint64, []unitRows) []byte
 	}{
 		"sent":       {narrow, statsLie(func(st *census.ShardStats) { st.Sent = math.MaxInt32 })},
 		"completion": {narrow, statsLie(func(st *census.ShardStats) { st.Completion++ })},
 		"echo":       {narrow, statsLie(func(st *census.ShardStats) { st.Echo++; st.Timeouts-- })},
 		"fault-lost": {narrow, statsLie(func(st *census.ShardStats) { st.FaultLost = st.Timeouts + 1 })},
 		"sum":        {narrow, statsLie(func(st *census.ShardStats) { st.Errors++ })},
-		"slot-outside-lease": {batched, func(id uint64, srs []*census.ShardRows) ([]byte, error) {
-			srs[0].Slots[0] = 1 << 20
-			return appendRowsFrame(nil, id, srs...)
+		// The first unit's row reports eight more targets than its span
+		// has, each answered, and its statistics agree with the row.
+		"row-width": {narrow, func(id uint64, units []unitRows) []byte {
+			u := &units[0]
+			u.RTTus = append(u.RTTus, 900, 900, 900, 900, 900, 900, 900, 900)
+			u.Stats.Sent += 8
+			u.Stats.Echo += 8
+			return appendRowsFrame(nil, id, units...)
 		}},
-		"repeated-slot": {batched, func(id uint64, srs []*census.ShardRows) ([]byte, error) {
-			return appendRowsFrame(nil, id, append(srs, srs[0])...)
+		"slot-outside-lease": {batched, func(id uint64, units []unitRows) []byte {
+			units[0].Slot = 1 << 20
+			return appendRowsFrame(nil, id, units...)
 		}},
-		"folds-failed-unit": {batched, func(id uint64, srs []*census.ShardRows) ([]byte, error) {
-			fail := appendFrame(nil, frameFail, appendFail(nil, &failMsg{ID: id, Slot: srs[0].Slots[0], Err: "changed my mind"}))
-			return appendRowsFrame(fail, id, srs...)
+		"repeated-slot": {batched, func(id uint64, units []unitRows) []byte {
+			return appendRowsFrame(nil, id, append(units, units[0])...)
+		}},
+		"folds-failed-unit": {batched, func(id uint64, units []unitRows) []byte {
+			fail := appendFrame(nil, frameFail, appendFail(nil, &failMsg{ID: id, Slot: units[0].Slot, Err: "changed my mind"}))
+			return appendRowsFrame(fail, id, units...)
 		}},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -459,6 +511,97 @@ func TestLyingAgentDropped(t *testing.T) {
 				t.Fatalf("%d leases carried %d units: nothing was batched", stats.Leases, stats.Units)
 			}
 		})
+	}
+}
+
+// A rows frame of a few bytes cannot make the coordinator allocate by its
+// own claim: it is read only against a lease its agent holds, at the
+// width of the leased unit it names. A frame naming a lease the agent
+// does not hold is counted late and not read; one for a held lease whose
+// row claims 2^26 samples drops its agent. Together the coordinator
+// allocates under 1 MiB for them.
+func TestHostileRowsFrameBounded(t *testing.T) {
+	cfg, _, h, vps := clusterTestbed(t)
+	ccfg := testCensusCfg()
+	var mu sync.Mutex
+	var logged []string
+	coord, err := NewCoordinator(Config{
+		Campaign: census.NewCampaign(census.CampaignConfig{Census: ccfg}),
+		Targets:  h.Targets(), Census: ccfg, World: cfg, ShardTargets: 700,
+		Log: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	// A scripted agent joins and takes the round's first lease.
+	coordSide, agentSide := net.Pipe()
+	if err := coord.Attach(coordSide); err != nil {
+		t.Fatal(err)
+	}
+	defer agentSide.Close()
+	agentSide.SetDeadline(time.Now().Add(10 * time.Second))
+	go agentSide.Write(append([]byte(streamMagic), appendFrame(nil, frameHello, appendHello(nil, &helloMsg{Name: "hostile", Capacity: 1}))...))
+	fr := newFrameReader(agentSide, 0)
+	if err := readMagic(fr.r); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := fr.next(); err != nil || typ != frameWelcome {
+		t.Fatalf("awaiting welcome: type %d, %v", typ, err)
+	}
+	go coord.ExecuteRound(context.Background(), 1, vps[0])
+	typ, payload, err := fr.next()
+	if err != nil || typ != frameLease {
+		t.Fatalf("awaiting a lease: type %d, %v", typ, err)
+	}
+	l, err := decodeLease(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The unit: its slot, seven zero statistics, an empty greylist, then
+	// a gap-mode row claiming 2^26 samples.
+	hostile := func(id uint64) []byte {
+		unit := binary.AppendUvarint(appendUvarints(nil, uint64(l.Units[0].Slot), 0, 0, 0, 0, 0, 0, 0, 0), 0)
+		unit = binary.AppendUvarint(unit, 1<<26)
+		return appendFrame(nil, frameRows, binary.AppendUvarint(nil, id), unit)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, step := range []struct {
+		frame []byte
+		done  func(Stats) bool
+	}{
+		{hostile(l.ID + 1000), func(s Stats) bool { return s.LateFrames == 1 }},
+		{hostile(l.ID), func(s Stats) bool { return s.AgentsLost == 1 }},
+	} {
+		if len(step.frame) > 64 {
+			t.Fatalf("%d-byte hostile frame", len(step.frame))
+		}
+		if _, err := agentSide.Write(step.frame); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); !step.done(coord.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("hostile frame %x not refused: %+v", step.frame, coord.Stats())
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if st := coord.Stats(); st.FramesFolded != 0 || st.AgentsLost != 1 || st.LateFrames != 1 {
+		t.Fatalf("after the hostile frames: %+v", st)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("two hostile rows frames made the coordinator allocate %d bytes", grew)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(strings.Join(logged, "\n"), "claims 67108864 samples for 700 targets") {
+		t.Fatalf("the agent was not dropped for its row: %q", logged)
 	}
 }
 

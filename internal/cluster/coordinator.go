@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -188,9 +189,11 @@ type Coordinator struct {
 	// round's end stops it, and a fire only ever dispatches again.
 	wake   *time.Timer
 	wakeAt time.Time
-	// Scratch for the lease being built and framed.
+	// Scratch for the lease being built and framed, and for the unit
+	// result being read and folded.
 	batch    []census.Unit
 	leaseBuf []byte
+	rows     census.ShardRows
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -407,11 +410,10 @@ func (c *Coordinator) readFrames(a *agentConn) error {
 			}
 			c.post(func() { c.onHello(a, hello) })
 		case frameRows:
-			id, srs, err := decodeRows(payload)
-			if err != nil {
-				return fmt.Errorf("cluster: agent %q sent a bad rows frame: %w", a.name, err)
-			}
-			c.post(func() { c.onRows(a, id, srs) })
+			// Read on the loop, against the lease the frame names; the
+			// body buffer is the reader's again at the next frame.
+			rows := bytes.Clone(payload)
+			c.post(func() { c.onRows(a, rows) })
 		case frameFail:
 			fail, err := decodeFail(payload)
 			if err != nil {
@@ -471,23 +473,32 @@ func (c *Coordinator) heldLease(a *agentConn, id uint64) *lease {
 	return nil
 }
 
-// onRows folds the units a rows frame reports. A unit is named by its
-// slot; a frame naming a slot outside the lease, one already folded or
-// one already failed drops its agent, like a frame whose span or
-// statistics no prober run over the unit produces.
-func (c *Coordinator) onRows(a *agentConn, leaseID uint64, srs []*census.ShardRows) {
+// onRows folds the units a rows frame reports. Nothing of the frame is
+// read before the lease it names is found in the agent's hands: a late
+// frame is counted and dropped unread. Then each unit is named by its
+// slot, and only a slot of the lease that is still pending is read, at
+// the width of the unit's span; a frame naming a slot outside the lease,
+// one already folded or one already failed drops its agent, like a frame
+// that does not parse at that width or whose statistics no prober run
+// over the unit produces.
+func (c *Coordinator) onRows(a *agentConn, payload []byte) {
+	r := wireReader{b: payload}
+	leaseID := r.uvarint()
+	if r.bad {
+		c.dropAgent(a, "malformed rows frame")
+		return
+	}
 	l := c.heldLease(a, leaseID)
 	if l == nil {
 		return
 	}
-	r := c.round
-	hint := 0
-	for _, sr := range srs {
-		if len(sr.Slots) != 1 {
-			c.dropAgent(a, fmt.Sprintf("lease %d: shard frame has %d rows", leaseID, len(sr.Slots)))
+	sr := &c.rows
+	for hint := 0; ; {
+		slot := r.int()
+		if r.bad {
+			c.dropAgent(a, fmt.Sprintf("lease %d: malformed rows frame", leaseID))
 			return
 		}
-		slot := sr.Slots[0]
 		i := l.unit(slot, hint)
 		if i < 0 {
 			c.dropAgent(a, fmt.Sprintf("lease %d: rows name slot %d outside the lease", leaseID, slot))
@@ -503,21 +514,21 @@ func (c *Coordinator) onRows(a *agentConn, leaseID uint64, srs []*census.ShardRo
 			return
 		}
 		u := lu.u
-		if sr.Round != r.round || sr.Lo != u.Span.Lo || sr.Hi != u.Span.Hi || len(sr.RTTus) != 1 {
-			c.dropAgent(a, fmt.Sprintf("lease %d: shard frame for slot %d disagrees with the lease", leaseID, slot))
+		if err := r.rowsUnit(sr, u.Span.Hi-u.Span.Lo); err != nil {
+			c.dropAgent(a, fmt.Sprintf("lease %d: rows for slot %d: %v", leaseID, slot, err))
 			return
 		}
-		// The fold sums the frame's statistics into the round unchecked:
-		// a frame that claims what no prober run over the unit produces
+		// The fold sums the unit's statistics into the round unchecked:
+		// a result that claims what no prober run over the unit produces
 		// goes the same way.
-		if err := sr.CheckStats(c.cfg.Census, u.VP); err != nil {
-			c.dropAgent(a, fmt.Sprintf("lease %d: shard frame for slot %d: %v", leaseID, slot, err))
+		if err := sr.CheckStats(c.cfg.Census, u); err != nil {
+			c.dropAgent(a, fmt.Sprintf("lease %d: rows for slot %d: %v", leaseID, slot, err))
 			return
 		}
 		foldStart := time.Now()
-		if err := r.sched.Done(u, sr); err != nil {
-			// The fold validates before mutating, so the campaign is
-			// intact; the agent is speaking nonsense and goes.
+		if err := c.round.sched.Done(u, sr); err != nil {
+			// Done refuses before it mutates, so the campaign is intact;
+			// the agent is speaking nonsense and goes.
 			c.dropAgent(a, fmt.Sprintf("lease %d: fold of slot %d: %v", leaseID, slot, err))
 			return
 		}
@@ -526,6 +537,9 @@ func (c *Coordinator) onRows(a *agentConn, leaseID uint64, srs []*census.ShardRo
 		lu.state = unitFolded
 		l.pending--
 		hint = i + 1
+		if len(r.b) == 0 {
+			break
+		}
 	}
 	c.endIfSettled(l)
 	c.dispatch()

@@ -294,13 +294,9 @@ func diffCompare(want, got diffResult, sameSpans bool) string {
 // checkFaultTruth holds a fault case's reference to its plan: each
 // round quarantines exactly the vantage points whose crash is sticky,
 // reports the error only then, and recovers every other crashed one. It
-// returns how many crashes of each sort it checked. A one-target unit
-// never crashes (netsim.FaultPlan.CrashIndex lands at index 1 or later),
-// so at width 1 the plan's crashes stay silent and nothing is checked.
+// returns how many crashes of each sort it checked, at every unit width,
+// one target included.
 func checkFaultTruth(c *diffCase, ref diffResult) (recovering, sticky int, msg string) {
-	if c.variants[0].width == 1 {
-		return 0, 0, ""
-	}
 	plan, _ := netsim.NewFaultPlan(*c.fault)
 	for r, set := range c.rounds {
 		rec, st := 0, 0

@@ -155,20 +155,18 @@ func agentLossMidBatch(t *testing.T) {
 		t.Fatalf("victim's lease carries %d units, want %d", len(l.Units), units)
 	}
 	plans := census.NewSpanPlans(w, hl.Targets(), nil)
-	probe := func(u census.Unit) *census.ShardRows {
-		sr := new(census.ShardRows)
-		if err := census.ProbeShard(w, plans.Plan(u.Round, u.Span), ccfg, u, sr); err != nil {
+	probe := func(u census.Unit) unitRows {
+		ur := unitRows{Slot: u.Slot}
+		if err := census.ProbeShard(w, plans.Plan(u.Round, u.Span), ccfg, u, &ur.ShardRows); err != nil {
 			t.Fatal(err)
 		}
-		return sr
+		return ur
 	}
 	folded, late := probe(l.Units[1]), probe(l.Units[2])
 	var out []byte
 	out = appendFrame(out, frameFail, appendFail(nil, &failMsg{ID: l.ID, Slot: l.Units[0].Slot, Err: "netsim: VP crashed", Crash: true}))
-	for _, sr := range []*census.ShardRows{folded, folded, late} {
-		if out, err = appendRowsFrame(out, l.ID, sr); err != nil {
-			t.Fatal(err)
-		}
+	for _, ur := range []unitRows{folded, folded, late} {
+		out = appendRowsFrame(out, l.ID, ur)
 	}
 	if len(out) > 4096 {
 		t.Fatalf("the victim's %d bytes exceed one read of the coordinator's buffer", len(out))

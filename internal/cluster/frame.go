@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-
-	"anycastmap/internal/census"
 )
 
 // streamMagic opens every connection in both directions, so a peer
@@ -39,16 +37,17 @@ import (
 // the frame parser. ACMC1 sent lease and fail payloads as gob, ACMC2 the
 // hello and the whole welcome, ACMC3 one unit per lease, ACMC4 a gob
 // welcome head and heartbeats, ACMC5 a probe-cache flag byte in the
-// welcome head; ACMC6 is fixed binary throughout, so older peers are
-// refused here.
-const streamMagic = "ACMC6\n"
+// welcome head, ACMC6 a self-describing ACMS1 shard frame per unit of a
+// rows frame; ACMC7 is fixed binary throughout and reports a unit by its
+// slot and result alone, so older peers are refused here.
+const streamMagic = "ACMC7\n"
 
 // Frame types. A frame on the wire is a 4-byte big-endian length of what
 // follows (type byte + payload), then the type byte, then the payload.
 // proto.go lays out the payloads, all fixed binary: hello, welcome, lease
-// and fail field by field, rows a uvarint lease ID followed by one census
-// shard frame (the v2 columnar codec, census.ShardRows) per unit
-// reported; shutdown has none. Type 6, ACMC4's heartbeat, is unused.
+// and fail field by field, rows a uvarint lease ID followed by each
+// reported unit's slot, statistics, greylist and row; shutdown has none.
+// Type 6, ACMC4's heartbeat, is unused.
 const (
 	frameHello    = byte(1) // agent -> coordinator: registration
 	frameWelcome  = byte(2) // coordinator -> agent: world + census config
@@ -78,36 +77,6 @@ func appendFrame(dst []byte, typ byte, parts ...[]byte) []byte {
 		dst = append(dst, p...)
 	}
 	return dst
-}
-
-// A rows frame reports units of one lease — length, type, uvarint lease
-// ID, then per unit a 4-byte big-endian length and its shard frame — and
-// the agent builds it a unit at a time as its units finish, encoding each
-// shard in place: beginRowsFrame, appendRowsUnit per unit, endRowsFrame.
-
-// beginRowsFrame appends a rows frame's header and lease ID, its length
-// left for endRowsFrame to fill.
-func beginRowsFrame(dst []byte, id uint64) []byte {
-	return binary.AppendUvarint(append(dst, 0, 0, 0, 0, frameRows), id)
-}
-
-// appendRowsUnit appends one unit's rows to a frame begun by
-// beginRowsFrame. On error dst comes back as it was.
-func appendRowsUnit(dst []byte, sr *census.ShardRows) ([]byte, error) {
-	start := len(dst)
-	out, err := sr.AppendEncode(append(dst, 0, 0, 0, 0))
-	if err != nil {
-		return dst[:start], err
-	}
-	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-	return out, nil
-}
-
-// endRowsFrame fills in the length of the rows frame that begins at
-// frame[start:].
-func endRowsFrame(frame []byte, start int) []byte {
-	binary.BigEndian.PutUint32(frame[start:], uint32(len(frame)-start-4))
-	return frame
 }
 
 // frameBufKeep bounds the body buffer a frameReader keeps from frame to

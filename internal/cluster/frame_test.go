@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,35 +90,42 @@ func TestReadMagic(t *testing.T) {
 }
 
 func TestRowsPayloadRoundTrip(t *testing.T) {
-	sr := &census.ShardRows{Round: 2, Lo: 8, Hi: 11, Slots: []int{7}, RTTus: [][]int32{{census.NoSample, 1500, census.NoSample}}}
-	shard, err := sr.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	unit := unitRows{Slot: 7, ShardRows: census.ShardRows{
+		RTTus: []int32{census.NoSample, 1500, census.NoSample},
+		Stats: census.ShardStats{Sent: 3, Echo: 1, Timeouts: 2, Completion: 1500},
+	}}
 	const leaseID = 1<<40 + 7
-	unit := append(binary.BigEndian.AppendUint32(nil, uint32(len(shard))), shard...)
-	b := appendFrame(nil, frameRows, binary.AppendUvarint(nil, leaseID), unit, unit)
+	b := appendRowsFrame(nil, leaseID, unit, unit)
 	typ, payload, err := newFrameReader(bytes.NewReader(b), 0).next()
 	if err != nil || typ != frameRows {
 		t.Fatalf("rows frame: type %d err %v", typ, err)
 	}
-	id, srs, err := decodeRows(payload)
-	if err != nil || id != leaseID || len(srs) != 2 || srs[1].Slots[0] != 7 || srs[1].Lo != 8 || srs[1].Hi != 11 {
-		t.Fatalf("round-trip: id=%d units=%d err=%v", id, len(srs), err)
+	three := func(int) (int, bool) { return 3, true }
+	id, units, err := decodeRows(payload, three)
+	if err != nil || id != leaseID || len(units) != 2 || units[1].Slot != 7 || !slices.Equal(units[1].RTTus, unit.RTTus) || units[1].Stats != unit.Stats {
+		t.Fatalf("round-trip: id=%d units=%+v err=%v", id, units, err)
 	}
-	// No lease ID, no unit, a unit length beyond the payload, a torn
-	// length and a unit that is not a shard frame are all refused.
+	// No lease ID, no unit, a trailing byte, a truncated unit, a slot the
+	// lease does not hold and a row read at a width that cannot hold it
+	// are all refused: at width 1 the sample falls outside the row, at 16 the
+	// encoder would have picked the gap mode.
 	idOnly := binary.AppendUvarint(nil, leaseID)
 	for name, p := range map[string][]byte{
 		"empty":          nil,
 		"no unit":        idOnly,
-		"long unit":      append(append(idOnly[:len(idOnly):len(idOnly)], 0, 0, 1, 0), shard...),
-		"torn length":    append(append(idOnly[:len(idOnly):len(idOnly)], unit...), 0, 0),
-		"not a shard":    append(idOnly[:len(idOnly):len(idOnly)], 0, 0, 0, 3, 'x', 'y', 'z'),
-		"truncated unit": append(idOnly[:len(idOnly):len(idOnly)], unit[:len(unit)-1]...),
+		"trailing byte":  append(bytes.Clone(payload), 0),
+		"truncated unit": payload[:len(payload)-1],
 	} {
-		if _, _, err := decodeRows(p); err == nil {
+		if _, _, err := decodeRows(p, three); err == nil {
 			t.Fatalf("rows payload %q accepted", name)
+		}
+	}
+	if _, _, err := decodeRows(payload, func(int) (int, bool) { return 0, false }); err == nil {
+		t.Fatal("rows for a slot outside the lease accepted")
+	}
+	for _, width := range []int{1, 16} {
+		if _, _, err := decodeRows(payload, func(int) (int, bool) { return width, true }); err == nil {
+			t.Fatalf("3-cell rows read at width %d", width)
 		}
 	}
 }
@@ -206,17 +215,46 @@ func TestFrameReaderBuffer(t *testing.T) {
 	}
 }
 
-// appendRowsFrame appends the rows frame reporting srs as units of lease
-// id, as the agent builds it a unit at a time. On error dst comes back as
-// it was.
-func appendRowsFrame(dst []byte, id uint64, srs ...*census.ShardRows) ([]byte, error) {
+// unitRows is one unit of a rows frame: its slot and its result.
+type unitRows struct {
+	Slot int
+	census.ShardRows
+}
+
+// appendRowsFrame appends the rows frame reporting units of lease id, as
+// the agent builds it a unit at a time.
+func appendRowsFrame(dst []byte, id uint64, units ...unitRows) []byte {
 	start := len(dst)
 	frame := beginRowsFrame(dst, id)
-	for _, sr := range srs {
-		var err error
-		if frame, err = appendRowsUnit(frame, sr); err != nil {
-			return dst[:start], err
-		}
+	for i := range units {
+		frame = appendRowsUnit(frame, units[i].Slot, &units[i].ShardRows)
 	}
-	return endRowsFrame(frame, start), nil
+	return endRowsFrame(frame, start)
+}
+
+// decodeRows reads a rows payload as the coordinator does: the lease ID,
+// then units, each read at the width width gives its slot; false means the
+// lease holds no such slot. At least one unit must be present.
+func decodeRows(payload []byte, width func(slot int) (int, bool)) (uint64, []unitRows, error) {
+	r := wireReader{b: payload}
+	id := r.uvarint()
+	var units []unitRows
+	for !r.bad && (len(units) == 0 || len(r.b) > 0) {
+		u := unitRows{Slot: r.int()}
+		if r.bad {
+			break
+		}
+		w, ok := width(u.Slot)
+		if !ok {
+			return 0, nil, fmt.Errorf("cluster: rows name slot %d outside the lease", u.Slot)
+		}
+		if err := r.rowsUnit(&u.ShardRows, w); err != nil {
+			return 0, nil, err
+		}
+		units = append(units, u)
+	}
+	if err := r.finish("rows"); err != nil {
+		return 0, nil, err
+	}
+	return id, units, nil
 }

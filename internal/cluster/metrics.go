@@ -30,5 +30,5 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 		func(s Stats) int { return s.LateFrames })
 	counter("anycastmap_cluster_frames_folded_total", "Units' ShardRows folded into the combined matrix.",
 		func(s Stats) int { return s.FramesFolded })
-	c.foldSeconds.Store(r.Histogram("anycastmap_cluster_shard_fold_seconds", "Latency of folding one ShardRows frame.", obs.FastBuckets))
+	c.foldSeconds.Store(r.Histogram("anycastmap_cluster_shard_fold_seconds", "Latency of reading and folding one unit's ShardRows.", obs.FastBuckets))
 }

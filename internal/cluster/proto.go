@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
@@ -14,8 +15,8 @@ import (
 // Fixed binary for every frame, each laid out by a hand-rolled append and
 // read back through wireReader: appendHello/decodeHello,
 // appendWelcome/decodeWelcome, appendLease/decodeLease,
-// appendFail/decodeFail, and beginRowsFrame…endRowsFrame/decodeRows (a
-// unit's rows are the v2 columnar shard frame, census.ShardRows). A
+// appendFail/decodeFail, and beginRowsFrame…endRowsFrame/rowsUnit (a
+// unit's result, census.ShardRows, read at its leased width). A
 // decoder refuses a truncated or overlong varint, a flag byte other than
 // 0 or 1 and a trailing byte, none of which its append writes.
 
@@ -365,32 +366,70 @@ func (r *wireReader) finish(what string) error {
 	return nil
 }
 
-// decodeRows reads a rows frame's payload: a uvarint lease ID, then
-// one or more units, each a 4-byte big-endian length and that many bytes
-// of census.ShardRows frame. Each unit's frame is decoded as it is met, so
-// nothing is allocated for a unit the payload does not hold.
-func decodeRows(payload []byte) (uint64, []*census.ShardRows, error) {
-	r := wireReader{b: payload}
-	id := r.uvarint()
-	var srs []*census.ShardRows
-	for !r.bad && len(r.b) > 0 {
-		n := r.take(4)
-		if n == nil {
-			break
-		}
-		frame := r.take(uint64(binary.BigEndian.Uint32(n)))
-		if frame == nil {
-			break
-		}
-		sr, err := census.DecodeShardRows(frame)
-		if err != nil {
-			return 0, nil, err
-		}
-		srs = append(srs, sr)
+// A rows frame reports units of one lease. After the frame header
+// (appendFrame's length and type byte) its payload is a uvarint lease ID,
+// then per unit:
+//
+//	slot    uvarint — the unit's slot, naming it within the lease
+//	stats   seven uvarints — Sent, Echo, Errors, Timeouts, SourceDropped,
+//	        FaultLost, Completion in ns (census.ShardStats)
+//	grey    the greylist section (census.AppendGreylist)
+//	row     the v2 row payload (census.AppendRow), as many cells as the
+//	        unit's span is wide
+//
+// Nothing the lease already says — round, span, vantage point — is
+// repeated, and the row delimits itself at its unit's width, so the
+// coordinator reads a unit only once it has found the slot in a lease the
+// agent holds, and then at that unit's width: what a frame can make it
+// allocate is bounded by the leases it issued, not by the frame. The
+// agent builds a frame a unit at a time as its units finish, encoding
+// each result in place: beginRowsFrame, appendRowsUnit per unit,
+// endRowsFrame.
+
+// beginRowsFrame appends a rows frame's header and lease ID, its length
+// left for endRowsFrame to fill.
+func beginRowsFrame(dst []byte, id uint64) []byte {
+	return binary.AppendUvarint(append(dst, 0, 0, 0, 0, frameRows), id)
+}
+
+// appendRowsUnit appends the result of the unit in slot to a frame begun
+// by beginRowsFrame. Into a buffer with room, a result with an empty
+// greylist appends without allocating.
+func appendRowsUnit(dst []byte, slot int, sr *census.ShardRows) []byte {
+	st := &sr.Stats
+	dst = appendUvarints(dst, uint64(slot), uint64(st.Sent), uint64(st.Echo), uint64(st.Errors),
+		uint64(st.Timeouts), uint64(st.SourceDropped), uint64(st.FaultLost), uint64(st.Completion))
+	return census.AppendRow(census.AppendGreylist(dst, sr.Greylist), sr.RTTus)
+}
+
+// endRowsFrame fills in the length of the rows frame that begins at
+// frame[start:].
+func endRowsFrame(frame []byte, start int) []byte {
+	binary.BigEndian.PutUint32(frame[start:], uint32(len(frame)-start-4))
+	return frame
+}
+
+// rowsUnit reads what appendRowsUnit wrote after a unit's slot into sr,
+// whose row becomes width cells wide (its storage reused). The counters
+// are refused beyond int32, as every count a prober run over a unit
+// reports fits it; census.ShardRows.CheckStats holds them to the unit.
+func (r *wireReader) rowsUnit(sr *census.ShardRows, width int) error {
+	st := &sr.Stats
+	for _, dst := range [...]*int{&st.Sent, &st.Echo, &st.Errors, &st.Timeouts, &st.SourceDropped, &st.FaultLost} {
+		*dst = r.int()
 	}
-	r.bad = r.bad || len(srs) == 0
-	if err := r.finish("rows"); err != nil {
-		return 0, nil, err
+	st.Completion = time.Duration(r.uvarint())
+	if r.bad {
+		return fmt.Errorf("cluster: malformed rows unit")
 	}
-	return id, srs, nil
+	var err error
+	if sr.Greylist, r.b, err = census.DecodeGreylist(r.b); err != nil {
+		r.bad = true
+		return err
+	}
+	sr.RTTus = slices.Grow(sr.RTTus[:0], width)[:width]
+	if r.b, err = census.DecodeRow(r.b, sr.RTTus); err != nil {
+		r.bad = true
+	}
+	return err
 }

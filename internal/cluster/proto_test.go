@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -267,14 +268,15 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // Older peers are turned away at the magic, in both directions, not
-// parsed as ACMC6: an ACMC1 peer sends lease and fail payloads as gob, an
+// parsed as ACMC7: an ACMC1 peer sends lease and fail payloads as gob, an
 // ACMC2 peer its hello and the whole welcome, an ACMC3 peer one unit per
 // lease and fails without a slot, an ACMC4 peer a gob welcome head and
-// heartbeats, an ACMC5 peer a probe-cache flag byte in the welcome head.
+// heartbeats, an ACMC5 peer a probe-cache flag byte in the welcome head,
+// an ACMC6 peer a self-describing ACMS1 shard frame per unit of its rows.
 // Every refusal is the one error, quoting the magic the peer
 // sent.
 func TestOldProtocolPeerRefused(t *testing.T) {
-	for _, old := range []string{"ACMC1\n", "ACMC2\n", "ACMC3\n", "ACMC4\n", "ACMC5\n"} {
+	for _, old := range []string{"ACMC1\n", "ACMC2\n", "ACMC3\n", "ACMC4\n", "ACMC5\n", "ACMC6\n"} {
 		t.Run(strings.TrimSpace(old), func(t *testing.T) {
 			refusal := "cluster: peer is not speaking the census protocol (got " + strconv.Quote(old) + ")"
 			if err := readMagic(strings.NewReader(old)); err == nil || err.Error() != refusal {
@@ -596,82 +598,166 @@ func FuzzDecodeWelcome(f *testing.F) {
 	})
 }
 
-// randomShard is one unit's rows over a random span — width, density,
-// RTT magnitudes and greylist drawn from rng.
-func randomShard(rng *rand.Rand) *census.ShardRows {
+// randomUnit is one unit's result over a random width — density, RTT
+// magnitudes, statistics and greylist drawn from rng — under a random
+// slot.
+func randomUnit(rng *rand.Rand) unitRows {
 	width := rng.IntN(400)
-	lo := rng.IntN(1 << 20)
 	row := make([]int32, width)
 	density := rng.Float64()
 	echo := 0
 	for ti := range row {
 		row[ti] = census.NoSample
 		if rng.Float64() < density {
-			row[ti] = int32(rng.Int64N(1<<31 - 1))
+			row[ti] = int32(rng.IntN(1<<30 + 1))
 			if rng.IntN(2) == 0 {
 				row[ti] = int32(rng.IntN(300000))
 			}
 			echo++
 		}
 	}
-	sr := &census.ShardRows{
-		Round: rng.Uint64N(10), Lo: lo, Hi: lo + width,
-		Slots: []int{rng.IntN(400)}, RTTus: [][]int32{row},
-		Stats: []census.ShardStats{{Sent: width, Echo: echo, Timeouts: width - echo, Completion: time.Duration(rng.Int64N(1 << 40))}},
-	}
+	u := unitRows{Slot: rng.IntN(400), ShardRows: census.ShardRows{
+		RTTus: row,
+		Stats: census.ShardStats{Sent: width, Echo: echo, Timeouts: width - echo, Completion: time.Duration(rng.Int64N(1 << 40))},
+	}}
 	if rng.IntN(3) == 0 {
-		sr.Greylist = prober.NewGreylist()
+		u.Greylist = prober.NewGreylist()
 		for k := rng.IntN(5); k > 0; k-- {
-			sr.Greylist.Add(netsim.IP(rng.Uint32()), netsim.ReplyAdminFiltered+netsim.ReplyKind(rng.IntN(3)))
+			u.Greylist.Add(netsim.IP(rng.Uint32()), netsim.ReplyAdminFiltered+netsim.ReplyKind(rng.IntN(3)))
 		}
 	}
-	return sr
+	return u
+}
+
+// widthsOf answers decodeRows with each unit's own width, by slot.
+func widthsOf(units []unitRows) func(int) (int, bool) {
+	return func(slot int) (int, bool) {
+		for _, u := range units {
+			if u.Slot == slot {
+				return len(u.RTTus), true
+			}
+		}
+		return 0, false
+	}
 }
 
 // The agent encodes a rows frame in place, a unit at a time: over random
-// batches of random shards those bytes are the frame assembled from the
-// shards' own encodings, each behind its 4-byte length, and they decode
-// back to the shards.
+// batches of random units the frame's length is its own, its payload
+// decodes back to the units at their widths, and the decoded units
+// re-encode to the same bytes. Into a buffer with room, a unit with an
+// empty greylist encodes without allocating.
 func TestRowsFrameInPlace(t *testing.T) {
 	rng := rand.New(rand.NewPCG(34, 1))
 	var buf []byte
 	for i := 0; i < 500; i++ {
-		srs := make([]*census.ShardRows, 1+rng.IntN(4))
-		var units []byte
-		for k := range srs {
-			srs[k] = randomShard(rng)
-			shard, err := srs[k].Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			units = append(binary.BigEndian.AppendUint32(units, uint32(len(shard))), shard...)
+		units := make([]unitRows, 1+rng.IntN(4))
+		for k := range units {
+			units[k] = randomUnit(rng)
+			units[k].Slot = 400*k + units[k].Slot // distinct, as in a lease
 		}
 		id := rng.Uint64() >> rng.IntN(64)
-		want := appendFrame(nil, frameRows, binary.AppendUvarint(nil, id), units)
-		var err error
-		if buf, err = appendRowsFrame(buf[:0], id, srs...); err != nil || !bytes.Equal(buf, want) {
-			t.Fatalf("batch %d: in-place frame differs (%v)", i, err)
+		buf = appendRowsFrame(buf[:0], id, units...)
+		if n := binary.BigEndian.Uint32(buf); int(n) != len(buf)-4 || buf[4] != frameRows {
+			t.Fatalf("batch %d: frame header %x for %d bytes", i, buf[:5], len(buf))
 		}
-		gotID, got, err := decodeRows(buf[5:])
-		if err != nil || gotID != id || len(got) != len(srs) {
+		gotID, got, err := decodeRows(buf[5:], widthsOf(units))
+		if err != nil || gotID != id || len(got) != len(units) {
 			t.Fatalf("batch %d: decoded lease %d, %d units, %v", i, gotID, len(got), err)
 		}
-		var again []byte
-		for _, sr := range got {
-			shard, err := sr.Encode()
-			if err != nil {
-				t.Fatal(err)
+		for k, u := range got {
+			want := units[k]
+			if u.Slot != want.Slot || u.Stats != want.Stats || !slices.Equal(u.RTTus, want.RTTus) ||
+				!reflect.DeepEqual(u.Greylist.Snapshot(), want.Greylist.Snapshot()) {
+				t.Fatalf("batch %d unit %d does not round-trip", i, k)
 			}
-			again = append(binary.BigEndian.AppendUint32(again, uint32(len(shard))), shard...)
 		}
-		if !bytes.Equal(again, units) {
-			t.Fatalf("batch %d: units do not round-trip", i)
+		if again := appendRowsFrame(nil, gotID, got...); !bytes.Equal(again, buf) {
+			t.Fatalf("batch %d: decoded units re-encode differently", i)
 		}
 	}
-	// A shard that does not encode leaves the buffer as it was, wherever
-	// it sits in the batch.
-	bad := &census.ShardRows{Lo: 5, Hi: 4}
-	if got, err := appendRowsFrame([]byte("keep"), 1, randomShard(rng), bad); err == nil || string(got) != "keep" {
-		t.Fatalf("bad shard: %q, %v", got, err)
+	u := randomUnit(rng)
+	u.Greylist = nil
+	buf = make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(50, func() { buf = appendRowsUnit(buf[:0], u.Slot, &u.ShardRows) }); n != 0 {
+		t.Fatalf("appendRowsUnit into a buffer with room allocates %v times", n)
 	}
+}
+
+// hostileRows are rows payloads no agent writes, read at width 4: each
+// must be refused without a panic and without allocating by its own
+// claim.
+var hostileRows = map[string][]byte{
+	"lease id only":         {1},
+	"overlong lease id":     {0x81, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	"slot beyond int32":     {1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	"sent beyond int32":     {1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	"giant greylist count":  {1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0},
+	"giant sample count":    {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	"unknown row mode":      {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0},
+	"row past the width":    {1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 5, 9},
+	"truncated stats":       {1, 0, 0, 0, 0},
+	"second unit truncated": {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+}
+
+// Every truncation of a valid rows payload but the one between its units
+// is refused, a corruption of any
+// byte never panics, and the hostile payloads are refused.
+func TestDecodeRowsHostile(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	units := []unitRows{randomUnit(rng), randomUnit(rng)}
+	units[1].Slot = units[0].Slot + 1
+	units[0].Greylist = prober.NewGreylist()
+	units[0].Greylist.Add(netsim.IP(77), netsim.ReplyAdminFiltered)
+	payload := appendRowsFrame(nil, 3, units...)[5:]
+	widths := widthsOf(units)
+	if _, _, err := decodeRows(payload, widths); err != nil {
+		t.Fatal(err)
+	}
+	first := len(appendRowsFrame(nil, 3, units[0])) - 5
+	for cut := 0; cut < len(payload); cut++ {
+		if _, _, err := decodeRows(payload[:cut], widths); err == nil && cut != first {
+			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+	for i := range payload {
+		mut := bytes.Clone(payload)
+		mut[i] ^= 0xff
+		decodeRows(mut, widths) // must not panic; error or success both fine
+	}
+	for name, p := range hostileRows {
+		if _, _, err := decodeRows(p, func(int) (int, bool) { return 4, true }); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzDecodeRows reads arbitrary rows payloads at an arbitrary width, as
+// the coordinator reads a frame for a lease it issued: no input may
+// panic the decoder, and every accepted payload re-encodes byte for byte.
+func FuzzDecodeRows(f *testing.F) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 3; i++ {
+		u := randomUnit(rng)
+		p := appendRowsFrame(nil, uint64(i), u, unitRows{Slot: u.Slot + 1, ShardRows: u.ShardRows})[5:]
+		f.Add(p, uint16(len(u.RTTus)))
+		f.Add(p[:len(p)/2], uint16(len(u.RTTus)))
+	}
+	f.Add([]byte{}, uint16(0))
+	for _, name := range []string{"giant sample count", "giant greylist count", "row past the width", "overlong lease id"} {
+		f.Add(hostileRows[name], uint16(4))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, width uint16) {
+		id, units, err := decodeRows(data, func(int) (int, bool) { return int(width), true })
+		if err != nil {
+			return
+		}
+		for _, u := range units {
+			if len(u.RTTus) != int(width) {
+				t.Fatalf("accepted a %d-cell row at width %d", len(u.RTTus), width)
+			}
+		}
+		if again := appendRowsFrame(nil, id, units...)[5:]; !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload %x re-encodes as %x", data, again)
+		}
+	})
 }

@@ -56,10 +56,7 @@ func (l *Lab) Baselines(sampleSize int) BaselineComparison {
 		set, hasSvc := l.World.Services.ByASN(d.ASN)
 		isDNS := hasSvc && set.ServesDNSOverUDP
 
-		chaos, err := baseline.CHAOSEnumerate(l.World, vps, target, l.Config.Censuses)
-		if err != nil {
-			panic(fmt.Sprintf("baselines: %v", err))
-		}
+		chaos := baseline.CHAOSEnumerate(l.World, vps, target, l.Config.Censuses)
 		if isDNS {
 			res.DNSTargets++
 			res.TruthTotal += len(d.Replicas)

@@ -155,7 +155,8 @@ func (p *FaultPlan) Crashes(vpID int, round uint64) (crashes, sticky bool) {
 // CrashIndex returns the probe index at which the VP's run aborts during
 // the given (round, attempt), and whether it aborts at all. Non-sticky
 // crashed VPs recover once attempt reaches RecoveryAttempts; sticky ones
-// crash on every attempt (at varying points). n is the run length.
+// crash on every attempt (at varying points). n is the run length; a run
+// that crashes aborts at an index below n, whatever n >= 1.
 func (p *FaultPlan) CrashIndex(vpID int, round uint64, attempt int, n uint64) (uint64, bool) {
 	if p == nil || n == 0 {
 		return 0, false
@@ -169,13 +170,10 @@ func (p *FaultPlan) CrashIndex(vpID int, round uint64, attempt int, n uint64) (u
 	}
 	// The crash lands somewhere in the middle 90% of the run, at a point
 	// that differs between attempts: a retried VP gets further (or less
-	// far) before dying again.
+	// far) before dying again. frac < 0.95, so the index is below n: a
+	// run of one probe crashes before it, at index 0.
 	frac := 0.05 + 0.9*detrand.UnitFloat(p.cfg.Seed, uint64(vpID), round, uint64(attempt), tagCrashAt)
-	at := uint64(frac * float64(n))
-	if at == 0 {
-		at = 1
-	}
-	return at, true
+	return uint64(frac * float64(n)), true
 }
 
 // ReplyLost reports whether probe i of n from the VP is silently lost to a

@@ -302,3 +302,23 @@ func TestVPCrashError(t *testing.T) {
 		}
 	}
 }
+
+// Every crashing (VP, round, attempt) aborts inside the run, whatever its
+// length: a one-probe run (a one-target unit) crashes too, at index 0.
+// From 20 probes on the 5% lead-in keeps the crash past the first probe.
+func TestCrashIndexWithinRun(t *testing.T) {
+	p, _ := NewFaultPlan(FaultConfig{Seed: 8, CrashFraction: 1, CrashStickiness: 1})
+	for n := uint64(1); n <= 40; n++ {
+		for vp := 0; vp < 50; vp++ {
+			for attempt := 0; attempt < 3; attempt++ {
+				at, ok := p.CrashIndex(vp, 2, attempt, n)
+				if !ok || at >= n {
+					t.Fatalf("n=%d VP %d attempt %d: crash at %d, %v", n, vp, attempt, at, ok)
+				}
+				if n >= 20 && at == 0 {
+					t.Fatalf("n=%d VP %d attempt %d: crash before the first probe", n, vp, attempt)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh is `make cluster-smoke`: the distributed control plane
-# end to end, in two legs.
+# end to end, in three legs.
 #
 # First, `census -local 4`: four in-process agents over net.Pipe, every
 # agent's connection severed after 25 streamed rows frames and respawned,
@@ -10,6 +10,11 @@
 # -verify reports the fleet's result byte-identical to the zero-fault
 # in-process executor's and the `cluster:` line counts more units than
 # leases.
+#
+# Second, `census -local 2` over one-target units with half the VPs
+# crashing: a crash lands inside every run, one probe long included, so
+# the leg passes only if the `cluster:` line counts re-leases and -verify
+# reports byte-identity.
 #
 # Then a `census -listen` coordinator and three `census -agent` processes
 # run a 150k-/24, four-round census over TCP loopback, and one agent is
@@ -60,6 +65,23 @@ if [ "${units:-0}" -le "${leases:-0}" ]; then
     exit 1
 fi
 echo "cluster smoke (in-process) passed: $units units in $leases leases, fleet == in-process"
+
+crash=$BIN/crash.log
+if ! "$BIN/census" -local 2 -unicast24s 1000 -censuses 1 -vps 12 -span-targets 1 \
+    -fault-crash 0.5 -retry-backoff 1ms -verify >"$BIN/crash.out" 2>"$crash"; then
+    cat "$crash" >&2
+    echo "FAIL: census -local 2 -span-targets 1 exited non-zero" >&2
+    exit 1
+fi
+grep -q '^verify: fleet census == in-process census' "$crash" ||
+    { cat "$crash" >&2; echo "FAIL: -verify reported no byte-identity at -span-targets 1" >&2; exit 1; }
+releases=$(sed -n 's/^cluster: .*(\([0-9]*\) re-leases,.*/\1/p' "$crash")
+if [ "${releases:-0}" -eq 0 ]; then
+    grep '^cluster: ' "$crash" >&2
+    echo "FAIL: no one-target unit crashed (${releases:-no} re-leases)" >&2
+    exit 1
+fi
+echo "cluster smoke (one-target units) passed: $releases re-leases, fleet == in-process"
 
 log=$BIN/coordinator.log
 "$BIN/census" -listen 127.0.0.1:0 -min-agents 3 -unicast24s 150000 -censuses 4 -vps 24 \
