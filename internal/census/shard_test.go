@@ -305,3 +305,94 @@ func TestShardCheckStats(t *testing.T) {
 		}
 	}
 }
+
+// A unit's result travels as its row (AppendRow, at the unit's width)
+// and its greylist section (AppendGreylist). Probing the same unit twice
+// writes the same bytes, and the bytes decode back to the result.
+func TestShardRowsEncodeDeterministic(t *testing.T) {
+	w, h, vps, _, _ := testbed(t)
+	cfg := Config{Rate: 2000, Seed: 9}
+	u := Unit{Round: 1, VP: vps[0], Span: Span{Lo: 10, Hi: 500}}
+	targets := h.Targets()[u.Span.Lo:u.Span.Hi]
+	encode := func() ([]byte, *ShardRows) {
+		sr := new(ShardRows)
+		if err := ProbeShard(w, prober.NewPlan(w, targets, nil), cfg, u, sr); err != nil {
+			t.Fatal(err)
+		}
+		return AppendGreylist(AppendRow(nil, sr.RTTus), sr.Greylist), sr
+	}
+	a, sr := encode()
+	if sr.Stats.Echo == 0 {
+		t.Fatal("the unit drew no samples")
+	}
+	b, _ := encode()
+	if !bytes.Equal(a, b) {
+		t.Fatal("a unit's result does not encode deterministically")
+	}
+	row := make([]int32, u.Span.Hi-u.Span.Lo)
+	rest, err := DecodeRow(a, row)
+	if err != nil || !reflect.DeepEqual(row, sr.RTTus) {
+		t.Fatalf("row round-trip mismatch (%v)", err)
+	}
+	g, rest, err := DecodeGreylist(rest)
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(g.Snapshot(), sr.Greylist.Snapshot()) {
+		t.Fatalf("greylist round-trip mismatch: %d bytes left, %v", len(rest), err)
+	}
+}
+
+// Appending a unit's row and greylist after other bytes writes what a
+// fresh encode writes and leaves those bytes alone; into a buffer with
+// room the row appends without allocating.
+func TestShardRowsAppendEncode(t *testing.T) {
+	_, _, _, r1, _ := testbed(t)
+	sr := &ShardRows{RTTus: r1.RTTus[0][10:500], Greylist: r1.Greylist}
+	want := AppendGreylist(AppendRow(nil, sr.RTTus), sr.Greylist)
+	got := AppendGreylist(AppendRow([]byte("head"), sr.RTTus), sr.Greylist)
+	if string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+		t.Fatal("appending a unit's result differs from encoding it fresh")
+	}
+	buf := make([]byte, 0, 2*len(want))
+	if n := testing.AllocsPerRun(50, func() { buf = AppendRow(buf[:0], sr.RTTus) }); n != 0 {
+		t.Fatalf("AppendRow of a unit's row into a buffer with room allocates %v times", n)
+	}
+}
+
+// The shapes a unit's result must not take are refused before they fold:
+// a span or slot the scheduler did not issue is not in flight, a row not
+// the span wide is refused by Done, and negative statistics by
+// CheckStats. None of them touches the combined rows.
+func TestShardRowsEncodeRejectsBadShapes(t *testing.T) {
+	_, _, _, r1, _ := testbed(t)
+	cp := NewCampaign(CampaignConfig{})
+	s, err := cp.OpenRound(r1.Round, r1.Targets, r1.VPs[:1], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, ok, _ := s.Next(time.Now())
+	if !ok {
+		t.Fatal("no unit")
+	}
+	before := make([][]int32, len(cp.Combined().RTTus))
+	for v, row := range cp.Combined().RTTus {
+		before[v] = append([]int32(nil), row...)
+	}
+	for name, shape := range map[string]func(*Unit, *ShardRows){
+		"inverted span":  func(v *Unit, _ *ShardRows) { v.Span = Span{Lo: 5, Hi: 3} },
+		"negative span":  func(v *Unit, _ *ShardRows) { v.Span = Span{Lo: -1, Hi: 1} },
+		"negative slot":  func(v *Unit, _ *ShardRows) { v.Slot = -1 },
+		"missing row":    func(_ *Unit, sr *ShardRows) { sr.RTTus = nil },
+		"narrow row":     func(_ *Unit, sr *ShardRows) { sr.RTTus = sr.RTTus[:1] },
+		"wide row":       func(_ *Unit, sr *ShardRows) { sr.RTTus = append(sr.RTTus, NoSample) },
+		"negative stats": func(_ *Unit, sr *ShardRows) { sr.Stats.Sent = -1 },
+	} {
+		v := u
+		sr := &ShardRows{RTTus: []int32{NoSample, NoSample}, Stats: ShardStats{Sent: 2, Timeouts: 2}}
+		shape(&v, sr)
+		if sr.CheckStats(Config{}, v) == nil && s.Done(v, sr) == nil {
+			t.Fatalf("%s: folded", name)
+		}
+	}
+	if !reflect.DeepEqual(before, cp.Combined().RTTus) {
+		t.Fatal("refused results changed the combined rows")
+	}
+}
