@@ -142,9 +142,19 @@ func main() {
 		log.Fatalf("save: %v", err)
 	}
 
-	// The rate and a fault fraction that is set at all are validated
-	// before anything is built, so a negative or NaN one is refused rather
-	// than ignored.
+	// The world, the platform sample, the rate and a fault fraction that
+	// is set at all are validated before anything is built, so a negative
+	// or NaN one is refused rather than ignored - or left to panic inside
+	// netsim.New.
+	cfg := netsim.DefaultConfig()
+	cfg.Seed = *seed
+	cfg.Unicast24s = *unicast
+	if err := cfg.Validate(); err != nil {
+		log.Fatalf("unicast24s: %v", err)
+	}
+	if *vpsPer < 1 {
+		log.Fatalf("vps: %d vantage points per census, want at least 1", *vpsPer)
+	}
 	if err := prober.CheckRate(*rate); err != nil {
 		log.Fatalf("rate: %v", err)
 	}
@@ -194,9 +204,6 @@ func main() {
 		}()
 	}
 
-	cfg := netsim.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Unicast24s = *unicast
 	world := netsim.New(cfg)
 	db := cities.Default()
 	pl := platform.PlanetLab(db)

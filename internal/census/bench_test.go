@@ -176,6 +176,9 @@ func sampledCensus(tb testing.TB, nVPs, nAnycast, nUnicast int) *Combined {
 // census (8 anycast and 80 unicast targets spread over a 25k-/24 world) and
 // a dense census span of 16,384 consecutive targets. Sessions are built
 // before the timer starts, so the figure is planning, probing and folding.
+// Each shape also reports its anycast /24s and their share of the world's:
+// a unit builds one RTT base per anycast target it holds, as it does per
+// unicast host, so a span that holds most deployments pays most of them.
 func BenchmarkRoundPipelined(b *testing.B) {
 	cfg := netsim.DefaultConfig()
 	cfg.Unicast24s = 25000
@@ -217,6 +220,12 @@ func BenchmarkRoundPipelined(b *testing.B) {
 		{"dense16k", keep(full.Targets()[:DefaultSpanTargets])},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
+			held := 0
+			for _, ip := range shape.h.Targets() {
+				if w.IsAnycast(ip.Prefix()) {
+					held++
+				}
+			}
 			ccfg := CampaignConfig{Census: Config{Seed: 5}}
 			round := func(r uint64) int {
 				sum, err := NewCampaign(ccfg).ExecuteRoundPipelined(context.Background(), w, vps, shape.h, nil, r, PipelineConfig{})
@@ -233,6 +242,8 @@ func BenchmarkRoundPipelined(b *testing.B) {
 				probes += round(uint64(i%2 + 1))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
+			b.ReportMetric(float64(held), "anycast/24s")
+			b.ReportMetric(float64(held)/float64(len(anycast)), "anycast-share")
 		})
 	}
 }

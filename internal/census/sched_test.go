@@ -268,9 +268,11 @@ func TestRoundSchedPolicy(t *testing.T) {
 // span's plan from the round's cache, ProbeShard into the worker's row and
 // Done — to zero allocations once the vantage point's session is built,
 // the row sized and an RTT-base slab pooled, over spans without a
-// greylistable reply (a discovery makes the run's greylist). The plans are
-// built first: one serves every vantage point of a span, so it is not the
-// unit's cost.
+// greylistable reply (a discovery makes the run's greylist). Every span
+// holds anycast targets, so the stable-rank RTT bases the unit writes into
+// its slab beside the unicast hosts' are under the guard too. The plans
+// are built first: one serves every vantage point of a span, so it is not
+// the unit's cost.
 func TestUnitAllocatesNothing(t *testing.T) {
 	w, h, vps, _, _ := testbed(t)
 	vp := vps[0]
@@ -292,6 +294,15 @@ func TestUnitAllocatesNothing(t *testing.T) {
 	plans := NewSpanPlans(w, targets, nil)
 	for _, sp := range ShardSpans(len(targets), width) {
 		plans.Plan(round, sp)
+		anycast := 0
+		for _, ip := range targets[sp.Lo:sp.Hi] {
+			if w.IsAnycast(ip.Prefix()) {
+				anycast++
+			}
+		}
+		if anycast == 0 {
+			t.Fatalf("span %v holds no anycast target", sp)
+		}
 	}
 	var sr ShardRows
 	now := time.Now()

@@ -9,6 +9,7 @@ import (
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/netsim"
+	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
 )
 
@@ -225,7 +226,8 @@ const minUnitBytes = 6 + 5*8 + 3
 // decodeLease undoes appendLease. The unit count is bounded by the bytes
 // left before the units are allocated. Attempt, Slot, Lo and Hi index
 // slices on the agent, so values beyond int32 are refused here, as are a
-// lease of no units, a span with Lo > Hi and a slot named twice.
+// lease of no units, a span with Lo > Hi, a slot named twice and a VP no
+// probe can be sent from (placedVP).
 func decodeLease(payload []byte) (leaseMsg, error) {
 	r := wireReader{b: payload}
 	l := leaseMsg{ID: r.uvarint()}
@@ -256,6 +258,9 @@ func decodeLease(payload []byte) (leaseMsg, error) {
 	}
 	slots := make([]int, n)
 	for i, u := range l.Units {
+		if err := placedVP(u.VP); err != nil {
+			return leaseMsg{}, fmt.Errorf("cluster: lease unit for slot %d: %w", u.Slot, err)
+		}
 		slots[i] = u.Slot
 	}
 	slices.Sort(slots)
@@ -265,6 +270,20 @@ func decodeLease(payload []byte) (leaseMsg, error) {
 		}
 	}
 	return l, nil
+}
+
+// placedVP refuses a vantage point whose location or city location is not
+// a coordinate (NaN, infinite or beyond ±90/±180) or whose load factor is
+// negative or not finite: every distance from a NaN location is NaN, and
+// the agent's session build would rank no replica at all.
+func placedVP(vp platform.VP) error {
+	if !vp.Loc.Valid() || !vp.City.Loc.Valid() {
+		return fmt.Errorf("VP %d placed at %v in a city at %v", vp.ID, vp.Loc, vp.City.Loc)
+	}
+	if !(vp.LoadFactor >= 0) || math.IsInf(vp.LoadFactor, 1) {
+		return fmt.Errorf("VP %d has load factor %v", vp.ID, vp.LoadFactor)
+	}
+	return nil
 }
 
 // appendFail appends f's wire form: uvarint ID, uvarint Slot, a flag byte

@@ -137,6 +137,27 @@ func TestLeaseAndFailDecodersRejectMalformed(t *testing.T) {
 	if _, err := decodeLease(append(uvarints(1, 1, 1), leaseUnitBytes(census.Unit{Span: census.Span{Lo: 9, Hi: 8}})...)); err == nil {
 		t.Fatal("lease unit with Lo > Hi accepted")
 	}
+	// A VP no probe can be sent from: a coordinate that is NaN, infinite
+	// or off the globe, at the VP or at its city, or a load factor that is
+	// negative or not finite. A NaN location ranks no replica in the
+	// agent's session build.
+	for name, lie := range map[string]func(*platform.VP){
+		"NaN VP latitude":         func(vp *platform.VP) { vp.Loc.Lat = math.NaN() },
+		"NaN VP longitude":        func(vp *platform.VP) { vp.Loc.Lon = math.NaN() },
+		"VP latitude beyond 90":   func(vp *platform.VP) { vp.Loc.Lat = 90.5 },
+		"VP longitude beyond 180": func(vp *platform.VP) { vp.Loc.Lon = -180.5 },
+		"infinite city latitude":  func(vp *platform.VP) { vp.City.Loc.Lat = math.Inf(-1) },
+		"NaN city longitude":      func(vp *platform.VP) { vp.City.Loc.Lon = math.NaN() },
+		"NaN load factor":         func(vp *platform.VP) { vp.LoadFactor = math.NaN() },
+		"negative load factor":    func(vp *platform.VP) { vp.LoadFactor = -0.5 },
+		"infinite load factor":    func(vp *platform.VP) { vp.LoadFactor = math.Inf(1) },
+	} {
+		bad := sampleLease()
+		lie(&bad.Units[1].VP)
+		if _, err := decodeLease(appendLease(nil, &bad)); err == nil || !strings.Contains(err.Error(), "slot 4") {
+			t.Errorf("lease with a %s: %v", name, err)
+		}
+	}
 	span := census.Span{Hi: 8}
 	twice := appendLease(nil, &leaseMsg{ID: 1, Units: []census.Unit{{Slot: 3, Span: span}, {Slot: 5, Span: span}, {Slot: 3, Span: span}}})
 	if _, err := decodeLease(twice); err == nil || !strings.Contains(err.Error(), "slot 3 twice") {
@@ -228,6 +249,9 @@ func FuzzDecodeLease(f *testing.F) {
 					t.Fatalf("decoded span %v of slot %d (seen: %v)", u.Span, u.Slot, slots[u.Slot])
 				}
 				slots[u.Slot] = true
+				if vp := u.VP; !vp.Loc.Valid() || !vp.City.Loc.Valid() || !(vp.LoadFactor >= 0) || math.IsInf(vp.LoadFactor, 1) {
+					t.Fatalf("decoded VP %d at %v in a city at %v, load factor %v", vp.ID, vp.Loc, vp.City.Loc, vp.LoadFactor)
+				}
 			}
 		}
 	})

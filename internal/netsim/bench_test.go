@@ -125,10 +125,11 @@ func BenchmarkProbeSpanSession(b *testing.B) {
 }
 
 // BenchmarkBuildSession measures what a vantage point costs before its
-// first probe: one session build - every deployment's catchment ranked and
-// its RTT bases drawn - for a PlanetLab and a RIPE Atlas vantage point.
-// B/op counts the build's scratch too; B/session is what stays resident
-// per vantage point for the life of the world.
+// first probe: one session build - every rank group's three nearest
+// replicas ranked; no RTT base is drawn, a (VP, span) unit draws the ones
+// it reads - for a PlanetLab and a RIPE Atlas vantage point. B/op counts
+// the build's scratch too; B/session is what stays resident per vantage
+// point for the life of the world.
 func BenchmarkBuildSession(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	for _, p := range []struct {

@@ -121,11 +121,13 @@ func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64)
 	return Reply{Kind: ReplyEcho, RTT: rtt}
 }
 
-// anycastRTT produces the RTT of a successful anycast probe: cached
-// catchment + base when a session is bound, the full computation otherwise.
+// anycastRTT produces the RTT of a successful anycast probe: the cached
+// ranking, with the stable base built on the spot, when a session is
+// bound; the full computation otherwise.
 func (w *World) anycastRTT(s *vpSession, vp platform.VP, d *Deployment, target IP, round uint64) time.Duration {
 	if s != nil {
-		return w.rttFromBaseMs(w.candBaseMs(s, d.idx, round), vp.LoadFactor, probeState(s.st, target, round))
+		base := w.candBaseMs(s, d.idx, round, w.stableBaseMs(s, d.idx))
+		return w.rttFromBaseMs(base, vp.LoadFactor, probeState(s.st, target, round))
 	}
 	r := w.servingReplicaSlow(vp, d, round)
 	return w.pathRTT(vp, uint64(d.Prefix), r.Loc, uint64(r.ID), target, round)

@@ -18,13 +18,16 @@ import (
 // (geo.Point: every distance a span resolves starts there) and the hash
 // state of the (seed, vp) prefix that every per-probe draw begins with
 // (detrand.State). Only the per-round draws - loss, catchment flap,
-// queueing jitter - actually vary probe to probe. The session caches the
-// stable part per vantage point and leaves the per-round draws, mixed
+// queueing jitter - actually vary probe to probe. The session caches per
+// vantage point what no target span changes - the ranking, the access
+// term, the point and the prefix - and leaves the per-round draws, mixed
 // from the hoisted prefix, in the inner loop; the stable catchment draw
 // (0xB69) is redrawn only on the probes whose catchment flaps.
-// Per-unicast-/24 state (the RTT base) is NOT cached per vantage point -
-// at the paper's 10.6M /24s and ~300 VPs that would be tens of gigabytes -
-// but per (VP, span) work unit, over a span plan every vantage point
+// Per-target state - the RTT base, toward a unicast host or toward the
+// stable replica of a deployment - is NOT cached per vantage point: at
+// the paper's 10.6M /24s and ~300 VPs that would be tens of gigabytes,
+// and even the deployments' bases would be two thirds of a session. It
+// lives per (VP, span) work unit, over a span plan every vantage point
 // shares: see PlanSpan and PlannedSession.
 //
 // Determinism is the contract: every cached value is the output of the
@@ -49,22 +52,23 @@ type sessionKey struct {
 // index; New refuses a deployment beyond it.
 const maxReplicas = math.MaxInt16
 
-// vpSession holds everything probe-invariant about one vantage point that
-// a probe reads in every round, in two slabs: per deployment the RTT base
-// toward the replica that answers while the catchment is stable, 8 bytes,
-// and per rank group - deployments announcing the same replica list rank
-// it alike - its three nearest replicas, 6 bytes. Which of the three is
-// the stable one is the 0xB69 draw, redrawn on the ~12% of anycast probes
-// whose catchment flaps (candBaseMs) and by the ground-truth selection
-// (servingReplica); the bases toward the other two are rebuilt on the
-// flaps that land on them. The session carries no per-unicast-/24 state,
-// so its memory stays O(deployments) per vantage point at any world size.
+// vpSession holds everything about one vantage point that a probe reads in
+// every round and that no target span changes: its prepared location, the
+// hash prefix of its draws, its access term and, per rank group -
+// deployments announcing the same replica list rank it alike - its three
+// nearest replicas, 6 bytes in one slab. Which of the three answers is the
+// 0xB69 draw, redrawn on the ~12% of anycast probes whose catchment flaps
+// (candBaseMs) and by the ground-truth selection (servingReplica). The RTT
+// bases toward them are the unit's: a span session holds the stable one
+// per anycast target in its slab, beside the unicast hosts' (PlannedSession),
+// and an ad-hoc probe builds it on the spot. So the session carries
+// nothing per deployment and nothing per unicast /24: its memory is
+// O(rank groups) per vantage point at any world size.
 type vpSession struct {
 	once     sync.Once
 	vpAccess float64       // hoisted per-VP access term (0xB71)
 	pt       geo.Point     // the vantage point's location, prepared
 	st       detrand.State // vpState: the prefix of every per-VP draw
-	baseMs   []float64     // indexed by Deployment.idx: rttBaseMsDist toward the stable rank
 	ranked   [][3]int16    // indexed by rank group: k-th nearest replica index into Replicas, -1 if absent
 }
 
@@ -99,19 +103,17 @@ func (w *World) session(vp platform.VP) *vpSession {
 }
 
 // buildSession ranks every deployment's replicas by distance from the
-// vantage point and caches the RTT base toward the one that answers while
-// the catchment is stable. Everything that does not depend on the vantage
-// point is read from the world's flat replica geometry (World.places,
-// rankGroups, geom, endAccess), so a build is one haversine per distinct
-// replica place, then rank group by rank group one three-nearest cascade
-// and, for each deployment announcing the list, the two draws that mix the
-// vantage point in: the stable catchment draw and one path stretch. It
-// allocates three times: the session's two slabs and the distance vector.
+// vantage point. Everything that does not depend on the vantage point is
+// read from the world's flat replica geometry (World.places, rankGroups),
+// so a build is one haversine per distinct replica place, then one
+// three-nearest cascade per rank group. It draws nothing per deployment:
+// the RTT base toward the replica that answers is a (VP, span) unit's to
+// build (PlannedSession) or the ad-hoc probe's (anycastRTT). It allocates
+// twice: the ranking and the distance vector.
 func (w *World) buildSession(s *vpSession, vp platform.VP) {
 	s.st = w.vpState(vp)
 	s.pt = geo.Prepare(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
-	s.baseMs = make([]float64, len(w.geom))
 	s.ranked = make([][3]int16, len(w.rankGroups))
 
 	dist := make([]float64, len(w.places))
@@ -120,7 +122,6 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) {
 	}
 
 	for gi := range w.rankGroups {
-		g := &w.rankGroups[gi]
 		// The same strict-< cascade servingReplicaSlow runs, over the same
 		// DistanceKm outputs in the same Replicas order, so the ranking is
 		// bit-identical. d0 <= d1 <= d2 throughout, so a distance that is
@@ -128,7 +129,7 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) {
 		// one compare.
 		i0, i1, i2 := -1, -1, -1
 		d0, d1, d2 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
-		for i, slot := range g.slots {
+		for i, slot := range w.rankGroups[gi].slots {
 			d := dist[slot]
 			if !(d < d2) {
 				continue
@@ -144,48 +145,50 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) {
 				i2, d2 = i, d
 			}
 		}
-		idx := &s.ranked[gi]
-		*idx = [3]int16{int16(i0), int16(i1), int16(i2)}
-		near := [3]float64{d0, d1, d2}
-		for _, di := range g.members {
-			dg := &w.geom[di]
-			rank := stableRank(idx, s.st.With(dg.prefix))
-			s.baseMs[di] = w.geomBaseMs(s, dg, g, idx[rank], near[rank])
-		}
+		s.ranked[gi] = [3]int16{int16(i0), int16(i1), int16(i2)}
 	}
 }
 
-// geomBaseMs is the RTT base from the session's vantage point toward
-// Replicas[i], distKm away, of the deployment recorded as dg in rank group
-// g: pathRTT's base with the endpoint half read from the world's geometry.
-func (w *World) geomBaseMs(s *vpSession, dg *deploymentGeom, g *rankGroup, i int16, distKm float64) float64 {
-	return w.rttBaseMsDist(s.st, dg.prefix, distKm, uint64(g.slots[i]-dg.placeBase), s.vpAccess, w.endAccess[dg.access+int32(i)])
+// rankBaseMs is the RTT base from the session's vantage point toward the
+// rank-th nearest replica of the deployment recorded as dg, idx being its
+// rank group's ranking: pathRTT's base with the endpoint half read from
+// the world's geometry - one haversine and one path stretch.
+func (w *World) rankBaseMs(s *vpSession, dg *deploymentGeom, idx *[3]int16, rank int) float64 {
+	slot := w.rankGroups[dg.group].slots[idx[rank]]
+	return w.rttBaseMsDist(s.st, dg.prefix, geo.PointDistanceKm(s.pt, w.places[slot]), uint64(slot-dg.placeBase), s.vpAccess, w.endAccess[dg.access+int32(idx[rank])])
+}
+
+// stableBaseMs is the RTT base toward the replica that answers deployment
+// di while the catchment is stable: the stable rank draw (0xB69), then
+// rankBaseMs. A span session holds it per anycast target in its slab; an
+// ad-hoc probe builds it per probe.
+func (w *World) stableBaseMs(s *vpSession, di int32) float64 {
+	dg := &w.geom[di]
+	idx := &s.ranked[dg.group]
+	return w.rankBaseMs(s, dg, idx, stableRank(idx, s.st.With(dg.prefix)))
 }
 
 // candBaseMs is the RTT base toward the candidate that answers deployment
-// di in the given round: the cached one unless the catchment flapped onto
-// another rank - the stable rank is redrawn only then - in which case that
-// base is rebuilt from the replica geometry with the expressions
-// buildSession evaluates: one haversine and one path stretch, on about one
-// anycast probe in eighteen.
-func (w *World) candBaseMs(s *vpSession, di int32, round uint64) float64 {
+// di in the given round: stable, the caller's stableBaseMs, unless the
+// catchment flapped onto another rank - the stable rank is redrawn only
+// then - in which case that base is built on the spot (rankBaseMs), on
+// about one anycast probe in eighteen.
+func (w *World) candBaseMs(s *vpSession, di int32, round uint64, stable float64) float64 {
 	dg := &w.geom[di]
 	idx := &s.ranked[dg.group]
 	if idx[1] < 0 {
-		return s.baseMs[di] // single-replica deployment: no draws, like the slow path
+		return stable // single-replica deployment: no draws, like the slow path
 	}
 	pair := s.st.With(dg.prefix)
 	flap := pair.With(round)
 	if !(flap.With(0xF1A9).Unit() < 0.12) {
-		return s.baseMs[di]
+		return stable
 	}
 	rank := selectRank(flap.With(0xB6A).Unit(), idx[2] >= 0)
 	if rank == stableRank(idx, pair) {
-		return s.baseMs[di]
+		return stable
 	}
-	g := &w.rankGroups[dg.group]
-	i := idx[rank]
-	return w.geomBaseMs(s, dg, g, i, geo.PointDistanceKm(s.pt, w.places[g.slots[i]]))
+	return w.rankBaseMs(s, dg, idx, rank)
 }
 
 // selectRank maps a base-selection draw to the rank of the candidate that
@@ -359,8 +362,8 @@ func (w *World) PlanSpan(targets []IP) *SpanPlan {
 }
 
 // SpanSession is a (vantage point, target span) probing unit: the span's
-// shared plan plus one flat slab, the RTT base toward each unicast host,
-// borrowed from a pool of slabs until Release. The per-probe path then
+// shared plan plus one flat slab, the RTT base toward each unicast host
+// and toward each anycast target's stable replica, borrowed from a pool of slabs until Release. The per-probe path then
 // touches only the slabs and the per-round draws: no map lookups, no
 // allocation, and a working set of ~45 bytes per span target instead of
 // the whole world's prefix index. That keeps the probe rate flat from
@@ -371,7 +374,7 @@ type SpanSession struct {
 	vp   platform.VP
 	s    *vpSession
 	plan *SpanPlan
-	base []float64  // hostBaseMs per unicast-answering target; no other cell is read
+	base []float64  // hostBaseMs per unicast-answering target, stableBaseMs per anycast one; no other cell is read
 	slab *[]float64 // base's pooled storage, nil once released
 }
 
@@ -387,8 +390,9 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 }
 
 // PlannedSession binds the vantage point to a span plan: per unicast host
-// one haversine and one path stretch (hostBaseMs), in target order, into
-// a pooled slab. The sequential pass is also what brings the plan's slabs
+// one haversine and one path stretch (hostBaseMs), per anycast target the
+// stable rank draw, one haversine and one path stretch (stableBaseMs), in
+// target order, into a pooled slab. The sequential pass is also what brings the plan's slabs
 // into cache for the probe loop's permuted reads: a plan is shared by
 // every vantage point of a round, so it is seldom still cached from the
 // previous unit over its span. After Release the slab is the next
@@ -410,7 +414,10 @@ func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
 	}
 	ss.base = (*ss.slab)[:len(plan.cls)]
 	for i, c := range plan.cls {
-		if c >= spanUniEcho && c <= spanUniNet {
+		switch {
+		case c == spanAnycast:
+			ss.base[i] = w.stableBaseMs(s, int32(plan.payload[i]))
+		case c >= spanUniEcho && c <= spanUniNet:
 			ss.base[i] = w.hostBaseMs(s, plan.targets[i].Prefix(), plan.pts[i], math.Float64frombits(plan.payload[i]))
 		}
 	}
@@ -492,7 +499,7 @@ func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 		return Reply{Kind: ReplyTimeout}
 	}
 	if cls == spanAnycast {
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.candBaseMs(ss.s, int32(pl.payload[i]), round), ss.vp.LoadFactor, probe)}
+		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.candBaseMs(ss.s, int32(pl.payload[i]), round, ss.base[i]), ss.vp.LoadFactor, probe)}
 	}
 	rtt := w.rttFromBaseMs(ss.base[i], ss.vp.LoadFactor, probe)
 	switch cls {

@@ -54,8 +54,9 @@ func sessionTestVPs() []platform.VP {
 
 // rankTransitions counts, per probe path, the (stored rank -> serving rank)
 // pair behind every anycast echo a bit-identity test compared, apart for
-// two-replica lists and longer ones. A session caches only the base toward
-// the stored rank; a reply from another rank had its base rebuilt by
+// two-replica lists and longer ones. The stored rank's base lives in a span
+// session's slab or, on an ad-hoc probe, is computed on the spot
+// (stableBaseMs); a reply from another rank had its base built by
 // candBaseMs, and the off-diagonal counts are the proof that the
 // comparison walked that path.
 type rankTransitions map[string]*[2][3][3]int
@@ -135,10 +136,11 @@ func (shape worldShape) config() Config {
 // TestSessionCacheBitIdentical is the memoization's contract: every probe
 // reply - kind and RTT, anycast and unicast, ICMP, TCP and DNS - and every
 // replica selection is bit-identical with the memoization on or off, in
-// every sessionWorldShapes world. A session caches one RTT base per
-// deployment and rebuilds the others on demand, so the test also counts
-// the rank transitions behind the replies it compared and fails unless
-// every probe path rebuilt every kind of base (rankTransitions).
+// every sessionWorldShapes world. A session caches only the ranking, and
+// a base toward a rank other than the stable one is built only when a
+// catchment flaps onto it, so the test also counts the rank transitions
+// behind the replies it compared and fails unless every probe path built
+// every kind of base (rankTransitions).
 func TestSessionCacheBitIdentical(t *testing.T) {
 	vps := sessionTestVPs()
 	for _, shape := range sessionWorldShapes {
@@ -229,10 +231,10 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildSessionAllocs pins a session build to its three allocations
-// - the session's two slabs and the distance vector - whatever the world
-// holds: 1,696 deployments allocate as often as their longer-listed
-// DeploymentInflation 2 twins, not once per deployment or per AS.
+// TestBuildSessionAllocs pins a session build to its two allocations
+// - the ranking and the distance vector - whatever the world holds: 1,696
+// deployments allocate as often as their longer-listed DeploymentInflation
+// 2 twins, not once per deployment or per AS.
 func TestBuildSessionAllocs(t *testing.T) {
 	vp := sessionTestVPs()[0]
 	for _, inflation := range []float64{1, 2} {
@@ -244,30 +246,30 @@ func TestBuildSessionAllocs(t *testing.T) {
 			var s vpSession
 			w.buildSession(&s, vp)
 		})
-		if allocs > 3 {
-			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 3", inflation, allocs, len(w.deployments))
+		if allocs > 2 {
+			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 2", inflation, allocs, len(w.deployments))
 		}
 	}
 }
 
-// residentBytes is what the session's slabs hold for the life of the
+// residentBytes is what the session's slab holds for the life of the
 // world.
 func (s *vpSession) residentBytes() uintptr {
-	return uintptr(cap(s.baseMs))*unsafe.Sizeof(float64(0)) + uintptr(cap(s.ranked))*unsafe.Sizeof([3]int16{})
+	return uintptr(cap(s.ranked)) * unsafe.Sizeof([3]int16{})
 }
 
-// TestSessionResidentBytes holds a vantage point's session to 8 bytes per
-// deployment - the RTT base toward its stable rank - and 6 per rank group
-// - the three nearest replicas every deployment announcing the list
-// shares - in every sessionWorldShapes world; a per-deployment field
-// that belongs to the group, or that only a catchment flap reads, fails it.
+// TestSessionResidentBytes holds a vantage point's session to 6 bytes per
+// rank group - the three nearest replicas every deployment announcing the
+// list shares - and nothing per deployment, in every sessionWorldShapes
+// world: a per-deployment field, an RTT base toward the stable rank
+// included, belongs to the (VP, span) unit that reads it.
 func TestSessionResidentBytes(t *testing.T) {
 	for _, shape := range sessionWorldShapes {
 		w := New(shape.config())
 		s := w.session(sessionTestVPs()[0])
-		want := uintptr(8*len(w.deployments) + 6*len(w.rankGroups))
+		want := uintptr(6 * len(w.rankGroups))
 		if got := s.residentBytes(); got != want {
-			t.Errorf("%s: a session holds %d B for %d deployments in %d rank groups, want 8 x deployments + 6 x rank groups = %d B",
+			t.Errorf("%s: a session holds %d B for %d deployments in %d rank groups, want 6 x rank groups = %d B",
 				shape.name, got, len(w.deployments), len(w.rankGroups), want)
 		}
 		if len(w.rankGroups) >= len(w.deployments) {
@@ -280,8 +282,8 @@ func TestSessionResidentBytes(t *testing.T) {
 // buildSession and candBaseMs read in place of deployments and replicas -
 // to the objects it was laid out from: every deployment's prefix key,
 // replica IDs, prepared places and endpoint access halves come back bit
-// for bit, and the rank groups' member lists partition the deployments,
-// the members of a group sharing one Replicas slice.
+// for bit, and every deployment of a rank group shares one Replicas slice,
+// the one of the group's first deployment.
 func TestReplicaGeometryFlat(t *testing.T) {
 	for _, shape := range sessionWorldShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -315,25 +317,18 @@ func TestReplicaGeometryFlat(t *testing.T) {
 				t.Errorf("%d endpoint access halves for %d replicas", len(w.endAccess), replicas)
 			}
 
-			listed := make([]bool, len(w.deployments))
-			members := 0
 			for gi, g := range w.rankGroups {
-				first := w.deployments[g.members[0]].Replicas
-				for _, di := range g.members {
-					if w.geom[di].group != int32(gi) || listed[di] {
-						t.Fatalf("rank group %d lists deployment %d, which is of group %d or listed twice", gi, di, w.geom[di].group)
-					}
-					// One replica list, one slice: the members share the
-					// first member's backing storage.
-					if r := w.deployments[di].Replicas; len(r) != len(first) || &r[0] != &first[0] {
-						t.Fatalf("rank group %d: deployment %d's replica list does not share the group's storage", gi, di)
-					}
-					listed[di] = true
-					members++
+				if w.geom[g.first].group != int32(gi) {
+					t.Fatalf("rank group %d opens with deployment %d, which is of group %d", gi, g.first, w.geom[g.first].group)
 				}
 			}
-			if members != len(w.deployments) {
-				t.Errorf("rank groups list %d members for %d deployments", members, len(w.deployments))
+			for di, dg := range w.geom {
+				// One replica list, one slice: a group's deployments share
+				// its first deployment's backing storage.
+				first := w.deployments[w.rankGroups[dg.group].first].Replicas
+				if r := w.deployments[di].Replicas; len(r) != len(first) || &r[0] != &first[0] {
+					t.Fatalf("rank group %d: deployment %d's replica list does not share the group's storage", dg.group, di)
+				}
 			}
 		})
 	}

@@ -175,8 +175,8 @@ type World struct {
 	unicast     []unicastHost
 
 	// Replica geometry, the vantage-point-independent half of a session
-	// build, flat and pointer-free so neither buildSession nor the flap
-	// path (candBaseMs) touches a *Deployment or a Replica. places holds
+	// build, flat and pointer-free so neither buildSession nor a base
+	// build (rankBaseMs) touches a *Deployment or a Replica. places holds
 	// every distinct replica location of the world, prepared: one slot
 	// per (AS, replica), shared by all /24s of the AS. rankGroups holds
 	// the distinct replica lists; deployments announcing the same list
@@ -212,8 +212,8 @@ type World struct {
 
 // rankGroup is one distinct replica list of the world.
 type rankGroup struct {
-	slots   []int32 // the list's places, in Replicas order
-	members []int32 // the deployments announcing it
+	slots []int32 // the list's places, in Replicas order
+	first int32   // the first deployment announcing it, whose Replicas every later one shares
 }
 
 // deploymentGeom is what the session cache reads of one deployment.
@@ -400,15 +400,14 @@ func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]i
 	}
 	group, ok := groupOf[string(key)]
 	if ok {
-		d.Replicas = w.deployments[w.rankGroups[group].members[0]].Replicas
+		d.Replicas = w.deployments[w.rankGroups[group].first].Replicas
 	} else {
 		d.Replicas = slices.Clone(d.Replicas)
 		group = index32(len(w.rankGroups), "deploymentGeom.group")
 		groupOf[string(key)] = group
-		w.rankGroups = append(w.rankGroups, rankGroup{slots: slots})
+		w.rankGroups = append(w.rankGroups, rankGroup{slots: slots, first: d.idx})
 	}
 	g.group = group
-	w.rankGroups[group].members = append(w.rankGroups[group].members, d.idx)
 	w.geom = append(w.geom, g)
 }
 
