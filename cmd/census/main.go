@@ -132,20 +132,10 @@ func main() {
 		}
 	}
 
-	// Rounds stay monotone across censuses writing one snapshot file: the
-	// first round follows the round of the file this census replaces.
-	first, err := firstRound(*snapshot)
-	if err != nil {
-		log.Fatalf("snapshot: %v", err)
-	}
-	if err := prepareSaveDir(*save); err != nil {
-		log.Fatalf("save: %v", err)
-	}
-
 	// The world, the platform sample, the rate and a fault fraction that
-	// is set at all are validated before anything is built, so a negative
-	// or NaN one is refused rather than ignored - or left to panic inside
-	// netsim.New.
+	// is set at all are validated before anything is read, written or
+	// built, so a negative or NaN one is refused - with no -save directory
+	// left behind - rather than ignored or left to panic inside netsim.New.
 	cfg := netsim.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Unicast24s = *unicast
@@ -161,9 +151,20 @@ func main() {
 	faults := faultConfig(*faultSeed, *seed, *faultCrash, *faultSticky, *faultFlap, *faultBurst, *faultOutage)
 	var plan *netsim.FaultPlan
 	if faults != nil {
+		var err error
 		if plan, err = netsim.NewFaultPlan(*faults); err != nil {
 			log.Fatalf("fault plan: %v", err)
 		}
+	}
+
+	// Rounds stay monotone across censuses writing one snapshot file: the
+	// first round follows the round of the file this census replaces.
+	first, err := firstRound(*snapshot)
+	if err != nil {
+		log.Fatalf("snapshot: %v", err)
+	}
+	if err := prepareSaveDir(*save); err != nil {
+		log.Fatalf("save: %v", err)
 	}
 
 	if *cpuProfile != "" {

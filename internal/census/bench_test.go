@@ -177,7 +177,7 @@ func sampledCensus(tb testing.TB, nVPs, nAnycast, nUnicast int) *Combined {
 // a dense census span of 16,384 consecutive targets. Sessions are built
 // before the timer starts, so the figure is planning, probing and folding.
 // Each shape also reports its anycast /24s and their share of the world's:
-// a unit builds one RTT base per anycast target it holds, as it does per
+// an anycast probe builds its RTT base on the spot, as a unit does per
 // unicast host, so a span that holds most deployments pays most of them.
 func BenchmarkRoundPipelined(b *testing.B) {
 	cfg := netsim.DefaultConfig()

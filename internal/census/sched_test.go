@@ -269,8 +269,8 @@ func TestRoundSchedPolicy(t *testing.T) {
 // Done — to zero allocations once the vantage point's session is built,
 // the row sized and an RTT-base slab pooled, over spans without a
 // greylistable reply (a discovery makes the run's greylist). Every span
-// holds anycast targets, so the stable-rank RTT bases the unit writes into
-// its slab beside the unicast hosts' are under the guard too. The plans
+// holds anycast targets, so the RTT bases their probes build on the spot
+// are under the guard too. The plans
 // are built first: one serves every vantage point of a span, so it is not
 // the unit's cost.
 func TestUnitAllocatesNothing(t *testing.T) {

@@ -122,12 +122,11 @@ func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64)
 }
 
 // anycastRTT produces the RTT of a successful anycast probe: the cached
-// ranking, with the stable base built on the spot, when a session is
-// bound; the full computation otherwise.
+// ranking, with the serving candidate's base built on the spot, when a
+// session is bound; the full computation otherwise.
 func (w *World) anycastRTT(s *vpSession, vp platform.VP, d *Deployment, target IP, round uint64) time.Duration {
 	if s != nil {
-		base := w.candBaseMs(s, d.idx, round, w.stableBaseMs(s, d.idx))
-		return w.rttFromBaseMs(base, vp.LoadFactor, probeState(s.st, target, round))
+		return w.rttFromBaseMs(w.servedBaseMs(s, d.idx, round), vp.LoadFactor, probeState(s.st, target, round))
 	}
 	r := w.servingReplicaSlow(vp, d, round)
 	return w.pathRTT(vp, uint64(d.Prefix), r.Loc, uint64(r.ID), target, round)

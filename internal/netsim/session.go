@@ -21,14 +21,14 @@ import (
 // queueing jitter - actually vary probe to probe. The session caches per
 // vantage point what no target span changes - the ranking, the access
 // term, the point and the prefix - and leaves the per-round draws, mixed
-// from the hoisted prefix, in the inner loop; the stable catchment draw
-// (0xB69) is redrawn only on the probes whose catchment flaps.
+// from the hoisted prefix, in the inner loop.
 // Per-target state - the RTT base, toward a unicast host or toward the
-// stable replica of a deployment - is NOT cached per vantage point: at
+// replica that answers a deployment - is NOT cached per vantage point: at
 // the paper's 10.6M /24s and ~300 VPs that would be tens of gigabytes,
-// and even the deployments' bases would be two thirds of a session. It
-// lives per (VP, span) work unit, over a span plan every vantage point
-// shares: see PlanSpan and PlannedSession.
+// and even the deployments' bases would be two thirds of a session. A
+// unicast host's lives per (VP, span) work unit, over a span plan every
+// vantage point shares (see PlanSpan and PlannedSession); a deployment's
+// is built by the probe that reads it (servedBaseMs).
 //
 // Determinism is the contract: every cached value is the output of the
 // exact detrand/geo expression the uncached code evaluates, so replies are
@@ -56,14 +56,12 @@ const maxReplicas = math.MaxInt16
 // every round and that no target span changes: its prepared location, the
 // hash prefix of its draws, its access term and, per rank group -
 // deployments announcing the same replica list rank it alike - its three
-// nearest replicas, 6 bytes in one slab. Which of the three answers is the
-// 0xB69 draw, redrawn on the ~12% of anycast probes whose catchment flaps
-// (candBaseMs) and by the ground-truth selection (servingReplica). The RTT
-// bases toward them are the unit's: a span session holds the stable one
-// per anycast target in its slab, beside the unicast hosts' (PlannedSession),
-// and an ad-hoc probe builds it on the spot. So the session carries
-// nothing per deployment and nothing per unicast /24: its memory is
-// O(rank groups) per vantage point at any world size.
+// nearest replicas, 6 bytes in one slab. Which of the three answers is
+// servingRank's draw, made per anycast probe (servedBaseMs) and by the
+// ground-truth selection (servingReplica), and the RTT base toward it is
+// built by the probe that reads it. So the session carries nothing per
+// deployment and nothing per unicast /24: its memory is O(rank groups) per
+// vantage point at any world size.
 type vpSession struct {
 	once     sync.Once
 	vpAccess float64       // hoisted per-VP access term (0xB71)
@@ -107,9 +105,9 @@ func (w *World) session(vp platform.VP) *vpSession {
 // read from the world's flat replica geometry (World.places, rankGroups),
 // so a build is one haversine per distinct replica place, then one
 // three-nearest cascade per rank group. It draws nothing per deployment:
-// the RTT base toward the replica that answers is a (VP, span) unit's to
-// build (PlannedSession) or the ad-hoc probe's (anycastRTT). It allocates
-// twice: the ranking and the distance vector.
+// the RTT base toward the replica that answers is built by the probe that
+// reads it (servedBaseMs). It allocates twice: the ranking and the
+// distance vector.
 func (w *World) buildSession(s *vpSession, vp platform.VP) {
 	s.st = w.vpState(vp)
 	s.pt = geo.Prepare(vp.Loc)
@@ -158,37 +156,16 @@ func (w *World) rankBaseMs(s *vpSession, dg *deploymentGeom, idx *[3]int16, rank
 	return w.rttBaseMsDist(s.st, dg.prefix, geo.PointDistanceKm(s.pt, w.places[slot]), uint64(slot-dg.placeBase), s.vpAccess, w.endAccess[dg.access+int32(idx[rank])])
 }
 
-// stableBaseMs is the RTT base toward the replica that answers deployment
-// di while the catchment is stable: the stable rank draw (0xB69), then
-// rankBaseMs. A span session holds it per anycast target in its slab; an
-// ad-hoc probe builds it per probe.
-func (w *World) stableBaseMs(s *vpSession, di int32) float64 {
+// servedBaseMs is the RTT base toward the candidate that answers
+// deployment di in the given round: servingRank's pick, then one
+// haversine and one path stretch (rankBaseMs). A (VP, span) unit probes
+// each target once, so a base stored ahead of the probe would be read at
+// most once: SpanSession.ICMP and an ad-hoc probe build it on the spot,
+// one per answered anycast probe, and none for a probe lost or skipped.
+func (w *World) servedBaseMs(s *vpSession, di int32, round uint64) float64 {
 	dg := &w.geom[di]
 	idx := &s.ranked[dg.group]
-	return w.rankBaseMs(s, dg, idx, stableRank(idx, s.st.With(dg.prefix)))
-}
-
-// candBaseMs is the RTT base toward the candidate that answers deployment
-// di in the given round: stable, the caller's stableBaseMs, unless the
-// catchment flapped onto another rank - the stable rank is redrawn only
-// then - in which case that base is built on the spot (rankBaseMs), on
-// about one anycast probe in eighteen.
-func (w *World) candBaseMs(s *vpSession, di int32, round uint64, stable float64) float64 {
-	dg := &w.geom[di]
-	idx := &s.ranked[dg.group]
-	if idx[1] < 0 {
-		return stable // single-replica deployment: no draws, like the slow path
-	}
-	pair := s.st.With(dg.prefix)
-	flap := pair.With(round)
-	if !(flap.With(0xF1A9).Unit() < 0.12) {
-		return stable
-	}
-	rank := selectRank(flap.With(0xB6A).Unit(), idx[2] >= 0)
-	if rank == stableRank(idx, pair) {
-		return stable
-	}
-	return w.rankBaseMs(s, dg, idx, rank)
+	return w.rankBaseMs(s, dg, idx, servingRank(idx, s.st.With(dg.prefix), round))
 }
 
 // selectRank maps a base-selection draw to the rank of the candidate that
@@ -362,8 +339,8 @@ func (w *World) PlanSpan(targets []IP) *SpanPlan {
 }
 
 // SpanSession is a (vantage point, target span) probing unit: the span's
-// shared plan plus one flat slab, the RTT base toward each unicast host
-// and toward each anycast target's stable replica, borrowed from a pool of slabs until Release. The per-probe path then
+// shared plan plus one flat slab, the RTT base toward each unicast host,
+// borrowed from a pool of slabs until Release. The per-probe path then
 // touches only the slabs and the per-round draws: no map lookups, no
 // allocation, and a working set of ~45 bytes per span target instead of
 // the whole world's prefix index. That keeps the probe rate flat from
@@ -374,7 +351,7 @@ type SpanSession struct {
 	vp   platform.VP
 	s    *vpSession
 	plan *SpanPlan
-	base []float64  // hostBaseMs per unicast-answering target, stableBaseMs per anycast one; no other cell is read
+	base []float64  // hostBaseMs per unicast-answering target; no other cell is read
 	slab *[]float64 // base's pooled storage, nil once released
 }
 
@@ -390,9 +367,8 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 }
 
 // PlannedSession binds the vantage point to a span plan: per unicast host
-// one haversine and one path stretch (hostBaseMs), per anycast target the
-// stable rank draw, one haversine and one path stretch (stableBaseMs), in
-// target order, into a pooled slab. The sequential pass is also what brings the plan's slabs
+// one haversine and one path stretch (hostBaseMs), in target order, into
+// a pooled slab. The sequential pass is also what brings the plan's slabs
 // into cache for the probe loop's permuted reads: a plan is shared by
 // every vantage point of a round, so it is seldom still cached from the
 // previous unit over its span. After Release the slab is the next
@@ -414,10 +390,7 @@ func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
 	}
 	ss.base = (*ss.slab)[:len(plan.cls)]
 	for i, c := range plan.cls {
-		switch {
-		case c == spanAnycast:
-			ss.base[i] = w.stableBaseMs(s, int32(plan.payload[i]))
-		case c >= spanUniEcho && c <= spanUniNet:
+		if c >= spanUniEcho && c <= spanUniNet {
 			ss.base[i] = w.hostBaseMs(s, plan.targets[i].Prefix(), plan.pts[i], math.Float64frombits(plan.payload[i]))
 		}
 	}
@@ -499,7 +472,7 @@ func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 		return Reply{Kind: ReplyTimeout}
 	}
 	if cls == spanAnycast {
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.candBaseMs(ss.s, int32(pl.payload[i]), round, ss.base[i]), ss.vp.LoadFactor, probe)}
+		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.servedBaseMs(ss.s, int32(pl.payload[i]), round), ss.vp.LoadFactor, probe)}
 	}
 	rtt := w.rttFromBaseMs(ss.base[i], ss.vp.LoadFactor, probe)
 	switch cls {

@@ -52,13 +52,13 @@ func sessionTestVPs() []platform.VP {
 	return append(vps, ripe[:6]...)
 }
 
-// rankTransitions counts, per probe path, the (stored rank -> serving rank)
+// rankTransitions counts, per probe path, the (stable rank -> serving rank)
 // pair behind every anycast echo a bit-identity test compared, apart for
-// two-replica lists and longer ones. The stored rank's base lives in a span
-// session's slab or, on an ad-hoc probe, is computed on the spot
-// (stableBaseMs); a reply from another rank had its base built by
-// candBaseMs, and the off-diagonal counts are the proof that the
-// comparison walked that path.
+// two-replica lists and longer ones. Every anycast probe, span or ad hoc,
+// builds the serving rank's base on the spot (servedBaseMs); a serving
+// rank other than the stable one comes from servingRank's flap branch,
+// and the off-diagonal counts are the proof that the comparison walked it
+// onto every other rank.
 type rankTransitions map[string]*[2][3][3]int
 
 // note records the transition behind got, the cached world's reply to a
@@ -137,10 +137,10 @@ func (shape worldShape) config() Config {
 // reply - kind and RTT, anycast and unicast, ICMP, TCP and DNS - and every
 // replica selection is bit-identical with the memoization on or off, in
 // every sessionWorldShapes world. A session caches only the ranking, and
-// a base toward a rank other than the stable one is built only when a
-// catchment flaps onto it, so the test also counts the rank transitions
-// behind the replies it compared and fails unless every probe path built
-// every kind of base (rankTransitions).
+// a probe builds the base toward the rank that serves it - another rank
+// than the stable one only when a catchment flaps onto it - so the test
+// also counts the rank transitions behind the replies it compared and
+// fails unless every probe path built every kind of base (rankTransitions).
 func TestSessionCacheBitIdentical(t *testing.T) {
 	vps := sessionTestVPs()
 	for _, shape := range sessionWorldShapes {
@@ -261,8 +261,8 @@ func (s *vpSession) residentBytes() uintptr {
 // TestSessionResidentBytes holds a vantage point's session to 6 bytes per
 // rank group - the three nearest replicas every deployment announcing the
 // list shares - and nothing per deployment, in every sessionWorldShapes
-// world: a per-deployment field, an RTT base toward the stable rank
-// included, belongs to the (VP, span) unit that reads it.
+// world: a per-deployment value, the RTT base toward the replica that
+// answers included, is built by the probe that reads it.
 func TestSessionResidentBytes(t *testing.T) {
 	for _, shape := range sessionWorldShapes {
 		w := New(shape.config())
@@ -279,7 +279,7 @@ func TestSessionResidentBytes(t *testing.T) {
 }
 
 // TestReplicaGeometryFlat holds the world's flat replica geometry - what
-// buildSession and candBaseMs read in place of deployments and replicas -
+// buildSession and rankBaseMs read in place of deployments and replicas -
 // to the objects it was laid out from: every deployment's prefix key,
 // replica IDs, prepared places and endpoint access halves come back bit
 // for bit, and every deployment of a rank group shares one Replicas slice,

@@ -189,15 +189,18 @@ grep -q '^rate: .*NaN' "$BIN/census5.log" && ! grep -q '^world:' "$BIN/census5.l
     { echo "FAIL: census did not refuse -rate NaN before building its world" >&2; exit 1; }
 echo "ok: census -rate NaN is refused before the world is built"
 # A world netsim.New cannot build and a census of no vantage point are
-# refused with an error, not a panic or four empty rounds.
+# refused with an error, not a panic or four empty rounds, and before the
+# -save directory is made.
 for lie in "-unicast24s -5" "-vps 0"; do
     # shellcheck disable=SC2086 # the flag and its value are two words
-    if "$BIN/census" $lie -censuses 1 >/dev/null 2>"$BIN/census6.log"; then
+    if "$BIN/census" $lie -censuses 1 -save "$BIN/refused.save" >/dev/null 2>"$BIN/census6.log"; then
         echo "FAIL: census $lie ran" >&2
         exit 1
     fi
     ! grep -q '^world:' "$BIN/census6.log" && ! grep -q 'panic' "$BIN/census6.log" ||
         { echo "FAIL: census $lie built its world or panicked: $(head -c 300 "$BIN/census6.log")" >&2; exit 1; }
+    [ ! -e "$BIN/refused.save" ] ||
+        { echo "FAIL: census $lie made its -save directory" >&2; exit 1; }
     echo "ok: census $lie is refused before the world is built: $(head -1 "$BIN/census6.log")"
 done
 
