@@ -81,9 +81,11 @@ exp-smoke:
 		echo "$$out" | grep -q "\[$$exp in " || { echo "exp-smoke: no $$exp report" >&2; exit 1; }; \
 	done
 
-# doc-refs fails when README.md, DESIGN.md, EXPERIMENTS.md or the verify
-# recipe under .claude/skills names a `make <target>` this Makefile does
-# not have or a cmd/<name> that is not a directory.
+# doc-refs fails when README.md, DESIGN.md, EXPERIMENTS.md, the verify
+# recipe under .claude/skills or a docs/bench-history/*-costs.md
+# derivation names a `make <target>` this Makefile does not have, a
+# cmd/<name> that is not a directory, or anything else scripts/doc_refs.sh
+# checks, and when README.md or DESIGN.md outgrows its line cap.
 doc-refs:
 	./scripts/doc_refs.sh
 
@@ -153,13 +155,13 @@ metrics-smoke:
 
 # profile captures CPU and heap profiles of a full census run, and four
 # single-benchmark CPU profiles: probe.pprof, the prober's dense-span loop alone
-# (BenchmarkProberRun) - the attribution in DESIGN.md "What a probe costs" -
+# (BenchmarkProberRun) - the attribution in docs/bench-history/probe-costs.md -
 # session.pprof, one vantage point's session build alone
-# (BenchmarkBuildSession) - the one behind "What a vantage point costs" -
+# (BenchmarkBuildSession) - the one behind docs/bench-history/vp-costs.md -
 # round.pprof, a 261-VP round over one span through the pipelined
 # executor, span plans shared (BenchmarkRoundPipelined) - and fleet.pprof,
 # the same shape of rounds leased to two agents over net.Pipe
-# (BenchmarkFleetRound), the one DESIGN.md's "µs per lease" table reads.
+# (BenchmarkFleetRound), the one docs/bench-history/lease-costs.md reads.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof -top probe.pprof`.
 profile:
 	$(GO) run ./cmd/census -unicast24s 8000 -censuses 2 -cpuprofile cpu.pprof -memprofile mem.pprof

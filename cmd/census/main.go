@@ -132,10 +132,10 @@ func main() {
 		}
 	}
 
-	// The world, the platform sample, the rate and a fault fraction that
-	// is set at all are validated before anything is read, written or
-	// built, so a negative or NaN one is refused - with no -save directory
-	// left behind - rather than ignored or left to panic inside netsim.New.
+	// The world, the platform sample, the rounds, the retry budget, the
+	// rate and any fault fraction set are validated before anything is
+	// read, written or built: a bad one is refused, no -save directory
+	// left, not ignored, run without end or left to panic in netsim.New.
 	cfg := netsim.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Unicast24s = *unicast
@@ -144,6 +144,12 @@ func main() {
 	}
 	if *vpsPer < 1 {
 		log.Fatalf("vps: %d vantage points per census, want at least 1", *vpsPer)
+	}
+	if *rounds < 1 {
+		log.Fatalf("censuses: %d census rounds, want at least 1", *rounds)
+	}
+	if *retries < 1 {
+		log.Fatalf("retries: %d probing attempts per VP and round, want at least 1", *retries)
 	}
 	if err := prober.CheckRate(*rate); err != nil {
 		log.Fatalf("rate: %v", err)

@@ -79,7 +79,6 @@ func New(st *store.Store) (*Server, error) {
 		tmpl:  tmpl,
 	}
 	s.mux.HandleFunc("GET /", s.handleIndex)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /api/findings", s.handleFindings)
 	s.mux.HandleFunc("GET /api/geojson", s.handleGeoJSON)
 	return s, nil
@@ -136,12 +135,6 @@ func buildView(snap *store.Snapshot) *view {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	v := s.currentView()
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"status":"ok","findings":%d,"snapshot_version":%d}`, len(v.findings), v.version)
-}
 
 // handleIndex renders the HTML table.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# doc_refs.sh fails when README.md, DESIGN.md, EXPERIMENTS.md or the
-# verify recipe (.claude/skills/verify/SKILL.md) names a `make <target>` the Makefile does not define, a cmd/<name> that is not
+# doc_refs.sh fails when README.md, DESIGN.md, EXPERIMENTS.md, the
+# verify recipe (.claude/skills/verify/SKILL.md) or a design derivation
+# (docs/bench-history/*-costs.md; the per-PR PR-N.md records are exempt)
+# names a `make <target>` the Makefile does not define, a cmd/<name> that is not
 # a directory, an internal/, scripts/ or docs/ path that does not exist,
 # a back-quoted `layer.metric` that BENCHMARK.json does not declare, a
 # back-quoted `anycastmap_*` series no non-test Go file under internal/
@@ -11,13 +13,23 @@
 # or flag otherwise lives on. A make invocation counts when it opens a line (a shell block)
 # or an inline code span; "make a note" in prose does not. It also fails
 # on a numbered CHANGES.md entry from 42 on that runs past 10 lines, or
-# on a line of more than 200 characters from that entry on. Wired into
+# on a line of more than 200 characters from that entry on, and when
+# README.md runs past 400 lines or DESIGN.md past the length it was cut
+# to, so a change that adds lines to either removes as many. Wired into
 # CI as `make doc-refs`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
+docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md docs/bench-history/*-costs.md)
 bad=0
+
+for cap in README.md:400 DESIGN.md:477; do
+    file=${cap%:*} n=$(wc -l <"${cap%:*}")
+    if ((n > ${cap#*:})); then
+        echo "$file: $n lines, more than ${cap#*:}" >&2
+        bad=1
+    fi
+done
 
 targets=$(grep -oE '^[a-z][a-z0-9-]*:' Makefile | tr -d ':')
 while IFS=: read -r file line match; do

@@ -129,7 +129,8 @@ echo "ok: anycastd serves profiles on its admin listener only"
 require_status "http://$ANYCASTD_ADMIN/" 200
 require_status "http://$ANYCASTD_ADMIN/api/findings" 200
 require_status "http://$ANYCASTD_ADDR/api/findings" 404
-echo "ok: anycastd serves the census browser on its admin listener only"
+require_status "http://$ANYCASTD_ADMIN/healthz" 404
+echo "ok: anycastd serves the census browser on its admin listener only, and one /healthz"
 
 echo "== census -save -> igreedy -runs =="
 prefix=$(json_field "http://$ANYCASTD_ADMIN/api/findings" prefix | sed -n '1{s/[[:space:]]//g;p;}')
@@ -188,12 +189,15 @@ fi
 grep -q '^rate: .*NaN' "$BIN/census5.log" && ! grep -q '^world:' "$BIN/census5.log" ||
     { echo "FAIL: census did not refuse -rate NaN before building its world" >&2; exit 1; }
 echo "ok: census -rate NaN is refused before the world is built"
-# A world netsim.New cannot build and a census of no vantage point are
-# refused with an error, not a panic or four empty rounds, and before the
-# -save directory is made.
-for lie in "-unicast24s -5" "-vps 0"; do
+# A world netsim.New cannot build, a census of no vantage point, of no
+# round or of a negative round count (which wrapped into an endless
+# census), and a retry budget of no attempt are refused with an error,
+# not a panic, empty rounds or a census without end, and before the -save
+# directory is made. A later flag overrides an earlier one, and timeout
+# turns a census that keeps probing into a failed leg, not a hang.
+for lie in "-unicast24s -5" "-vps 0" "-censuses 0" "-censuses -1" "-retries 0"; do
     # shellcheck disable=SC2086 # the flag and its value are two words
-    if "$BIN/census" $lie -censuses 1 -save "$BIN/refused.save" >/dev/null 2>"$BIN/census6.log"; then
+    if timeout 60 "$BIN/census" -unicast24s 800 -vps 20 -censuses 1 $lie -save "$BIN/refused.save" >/dev/null 2>"$BIN/census6.log"; then
         echo "FAIL: census $lie ran" >&2
         exit 1
     fi
