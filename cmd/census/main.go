@@ -69,7 +69,7 @@ func main() {
 	rounds := flag.Int("censuses", 4, "number of census rounds")
 	vpsPer := flag.Int("vps", 261, "vantage points per census")
 	seed := flag.Uint64("seed", 2015, "world seed")
-	rate := flag.Float64("rate", 1000, "probing rate per VP (probes/s)")
+	rate := flag.Float64("rate", 1000, "probing rate per VP (probes/s; 0 = 1000)")
 	retries := flag.Int("retries", 3, "per-VP probing attempts per census round (1 disables retrying)")
 	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff before retrying a failed VP (doubles per retry)")
 	spanTargets := flag.Int("span-targets", 0, "probe/fold unit width in targets, and the most cells (targets x VPs) a lease holds (0 = 16384)")
@@ -104,12 +104,16 @@ func main() {
 
 	// An agent executes leases until its coordinator shuts down or goes away.
 	if *agent {
+		workerCfg := census.Config{Workers: *workers}
+		if err := workerCfg.Validate(); err != nil {
+			log.Fatalf("workers: %v", err)
+		}
 		conn, err := net.Dial("tcp", *connect)
 		if err != nil {
 			log.Fatalf("agent mode needs -connect HOST:PORT of a coordinator: %v", err)
 		}
 		log.Printf("agent %q connected to %s", *name, *connect)
-		acfg := cluster.AgentConfig{Name: *name, Capacity: census.Config{Workers: *workers}.EffectiveWorkers()}
+		acfg := cluster.AgentConfig{Name: *name, Capacity: workerCfg.EffectiveWorkers()}
 		if err := cluster.RunAgent(context.Background(), conn, acfg); err != nil {
 			log.Fatalf("agent: %v", err)
 		}
@@ -151,9 +155,24 @@ func main() {
 	if *retries < 1 {
 		log.Fatalf("retries: %d probing attempts per VP and round, want at least 1", *retries)
 	}
-	if err := prober.CheckRate(*rate); err != nil {
-		log.Fatalf("rate: %v", err)
+	// The census and pipeline configs refuse a NaN or negative -rate and
+	// a negative -workers or -span-targets: each means nothing, not its
+	// default. They are asked one flag at a time, so the refusal names it.
+	for _, f := range []struct {
+		name string
+		err  error
+	}{
+		{"rate", census.Config{Rate: *rate}.Validate()},
+		{"workers", census.Config{Workers: *workers}.Validate()},
+		{"span-targets", census.PipelineConfig{SpanTargets: *spanTargets}.Validate()},
+	} {
+		if f.err != nil {
+			log.Fatalf("%s: %v", f.name, f.err)
+		}
 	}
+	ccfg := census.Config{Seed: *seed, Rate: *rate, Workers: *workers,
+		MaxAttempts: *retries, RetryBackoff: *retryBackoff}
+	pc := census.PipelineConfig{SpanTargets: *spanTargets}
 	faults := faultConfig(*faultSeed, *seed, *faultCrash, *faultSticky, *faultFlap, *faultBurst, *faultOutage)
 	var plan *netsim.FaultPlan
 	if faults != nil {
@@ -260,9 +279,6 @@ func main() {
 		log.Printf("metrics on http://%s/metrics, profiles under /debug/pprof/", ln.Addr())
 	}
 
-	ccfg := census.Config{Seed: *seed, Rate: *rate, Workers: *workers,
-		MaxAttempts: *retries, RetryBackoff: *retryBackoff}
-
 	// The pilot run pins the small-campaign probe rate in this very
 	// process: a single-VP probing loop over a prefix of the pruned list,
 	// one warm-up pass (session build, greylist freeze) and one measured
@@ -288,7 +304,7 @@ func main() {
 	// Every executor probes in (VP, target-span) units driven by the
 	// campaign's round scheduler and folds spans as they land, so no whole
 	// round is ever held.
-	ctx, pc := context.Background(), census.PipelineConfig{SpanTargets: *spanTargets}
+	ctx := context.Background()
 	cp := census.NewCampaign(census.CampaignConfig{Census: ccfg, Metrics: censusMetrics})
 	var coord *cluster.Coordinator
 	var fleet *cluster.Harness

@@ -54,6 +54,19 @@ type Config struct {
 	RetryBackoff time.Duration
 }
 
+// Validate reports the first setting that means nothing, or nil: a
+// negative worker count or attempt budget - zero means the default, a
+// negative number never does - or a rate prober.CheckRate refuses.
+func (c Config) Validate() error {
+	switch {
+	case c.Workers < 0:
+		return fmt.Errorf("census: Workers %d is negative (0 means GOMAXPROCS)", c.Workers)
+	case c.MaxAttempts < 0:
+		return fmt.Errorf("census: MaxAttempts %d is negative (0 means 3)", c.MaxAttempts)
+	}
+	return prober.CheckRate(c.Rate)
+}
+
 // retryBackoffCap caps the exponential retry backoff.
 const retryBackoffCap = 2 * time.Second
 

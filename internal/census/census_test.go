@@ -3,6 +3,8 @@ package census
 import (
 	"bytes"
 	"context"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -319,5 +321,37 @@ func TestExecuteContextCancellation(t *testing.T) {
 	}
 	if run.TotalProbes() != 0 {
 		t.Errorf("cancelled census sent %d probes", run.TotalProbes())
+	}
+}
+
+// TestConfigValidate holds the census and pipeline configs to refusing
+// every value that means nothing - a negative worker count, attempt budget
+// or unit width, a NaN, negative or infinite rate - with an error naming
+// the field, and to accepting zero, which means the default, in each.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		err   error
+		field string // "" when the config is valid
+	}{
+		{"zero", Config{}.Validate(), ""},
+		{"set", Config{Rate: 500, Workers: 4, MaxAttempts: 1, RetryBackoff: -1}.Validate(), ""},
+		{"workers -3", Config{Workers: -3}.Validate(), "Workers"},
+		{"attempts -1", Config{MaxAttempts: -1}.Validate(), "MaxAttempts"},
+		{"rate NaN", Config{Rate: math.NaN()}.Validate(), "rate"},
+		{"rate -1", Config{Rate: -1}.Validate(), "rate"},
+		{"rate +Inf", Config{Rate: math.Inf(1)}.Validate(), "rate"},
+		{"span zero", PipelineConfig{}.Validate(), ""},
+		{"span 16", PipelineConfig{SpanTargets: 16}.Validate(), ""},
+		{"span -5", PipelineConfig{SpanTargets: -5}.Validate(), "SpanTargets"},
+	} {
+		switch {
+		case c.field == "" && c.err != nil:
+			t.Errorf("%s: refused: %v", c.name, c.err)
+		case c.field != "" && c.err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.field != "" && !strings.Contains(c.err.Error(), c.field):
+			t.Errorf("%s: %q does not name %s", c.name, c.err, c.field)
+		}
 	}
 }

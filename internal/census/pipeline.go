@@ -3,6 +3,7 @@ package census
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -49,6 +50,14 @@ func (pc PipelineConfig) EffectiveSpanTargets() int {
 		return pc.SpanTargets
 	}
 	return DefaultSpanTargets
+}
+
+// Validate reports a negative SpanTargets, which means no width, or nil.
+func (pc PipelineConfig) Validate() error {
+	if pc.SpanTargets < 0 {
+		return fmt.Errorf("census: SpanTargets %d is negative (0 means %d)", pc.SpanTargets, DefaultSpanTargets)
+	}
+	return nil
 }
 
 // ExecuteRoundPipelined probes one census round in (VP, target-span)

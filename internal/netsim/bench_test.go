@@ -79,6 +79,24 @@ func BenchmarkProbeTCP(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeTCPParallel is BenchmarkProbeTCP from every P at once over
+// 64 vantage points: each probe looks its vantage point's session up, so
+// this is the session table's lookup path under contention.
+func BenchmarkProbeTCPParallel(b *testing.B) {
+	w, vps, targets := benchSetup(b)
+	vps = vps[:64]
+	for _, vp := range vps {
+		w.session(vp) // build outside the timed loop: only lookups are timed
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			w.ProbeTCP(vps[i%len(vps)], targets[i%len(targets)], 80, uint64(i%4+1))
+		}
+	})
+}
+
 // BenchmarkProbeSpanSession measures span resolution alone - what a
 // (VP, span) unit pays before its first probe - per target, on the two
 // shapes that matter: a dense census span (up to 16,384 consecutive
@@ -128,8 +146,10 @@ func BenchmarkProbeSpanSession(b *testing.B) {
 // first probe: one session build - every rank group's three nearest
 // replicas ranked; no RTT base is drawn, a (VP, span) unit draws the ones
 // it reads - for a PlanetLab and a RIPE Atlas vantage point. B/op counts
-// the build's scratch too; B/session is what stays resident per vantage
-// point for the life of the world.
+// what a build allocates; B/session is what stays resident per vantage
+// point for the life of the world, and haversines/session how many near
+// ties the build settled by distance (rankByDistance) rather than by dot
+// product.
 func BenchmarkBuildSession(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	for _, p := range []struct {
@@ -142,11 +162,13 @@ func BenchmarkBuildSession(b *testing.B) {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s vpSession
+			haversines := 0
 			for i := 0; i < b.N; i++ {
 				s = vpSession{}
-				w.buildSession(&s, p.vp)
+				haversines += w.buildSession(&s, p.vp)
 			}
 			b.ReportMetric(float64(unsafe.Sizeof(s)+s.residentBytes()), "B/session")
+			b.ReportMetric(float64(haversines)/float64(b.N), "haversines/session")
 		})
 	}
 }

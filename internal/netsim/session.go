@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"anycastmap/internal/detrand"
 	"anycastmap/internal/geo"
@@ -72,12 +73,88 @@ type vpSession struct {
 
 // sessionTable maps sessionKey -> *vpSession. It lives behind a pointer on
 // World so WithFaults views share one table: fault plans never change RTT
-// draws, only whether a reply arrives. A plain map under a lock looks a
-// session up without boxing its key, so a (VP, span) unit binds its
-// session allocation-free.
+// draws, only whether a reply arrives. Every ad-hoc probe and every
+// (VP, span) unit looks its session up, and after the first few lookups
+// of each vantage point none inserts, so the table is read-mostly: an
+// open-addressed array of entry pointers, published whole through an
+// atomic pointer. A lookup takes no lock, boxes no key and allocates
+// nothing; an insert takes the lock, stores into a free slot of the
+// current array and, when that would fill it past half, first copies the
+// entries into one twice as large, so inserts cost amortised O(1). A
+// reader still walking a replaced array may miss a newer entry; it then
+// looks again under the lock.
 type sessionTable struct {
-	mu sync.Mutex
-	m  map[sessionKey]*vpSession
+	slots atomic.Pointer[[]atomic.Pointer[sessionEntry]] // power-of-two length, at most half full
+	mu    sync.Mutex                                     // serializes inserts
+	n     int                                            // entries, under mu
+}
+
+// sessionEntry is one vantage point's slot: its key and its session, in
+// one allocation.
+type sessionEntry struct {
+	key sessionKey
+	s   vpSession
+}
+
+// hash mixes the key's three fields, splitmix64 step by step, so every
+// bit reaches the low bits a slot index reads. Adding zero turns -0 into
+// +0: two keys that compare equal - as a map's keys would - hash equal.
+func (k sessionKey) hash() uint64 {
+	var h detrand.State
+	return uint64(h.With(uint64(k.id)).With(math.Float64bits(k.lat + 0)).With(math.Float64bits(k.lon + 0)))
+}
+
+// newSessionTable returns an empty table.
+func newSessionTable() *sessionTable {
+	t := new(sessionTable)
+	slots := make([]atomic.Pointer[sessionEntry], 64)
+	t.slots.Store(&slots)
+	return t
+}
+
+// find returns the key's entry in slots, or nil.
+func find(slots []atomic.Pointer[sessionEntry], key sessionKey, h uint64) *sessionEntry {
+	mask := uint64(len(slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := slots[i].Load()
+		if e == nil || e.key == key {
+			return e
+		}
+	}
+}
+
+// insert returns the key's entry, adding it unless a racing insert has.
+func (t *sessionTable) insert(key sessionKey, h uint64) *sessionEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	slots := *t.slots.Load()
+	if e := find(slots, key, h); e != nil {
+		return e
+	}
+	if 2*(t.n+1) > len(slots) {
+		grown := make([]atomic.Pointer[sessionEntry], 2*len(slots))
+		for i := range slots {
+			if e := slots[i].Load(); e != nil {
+				place(grown, e, e.key.hash())
+			}
+		}
+		t.slots.Store(&grown)
+		slots = grown
+	}
+	e := &sessionEntry{key: key}
+	place(slots, e, h)
+	t.n++
+	return e
+}
+
+// place stores e in the first free slot of its probe sequence.
+func place(slots []atomic.Pointer[sessionEntry], e *sessionEntry, h uint64) {
+	mask := uint64(len(slots) - 1)
+	i := h & mask
+	for slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	slots[i].Store(e)
 }
 
 // session returns the vantage point's memoized session, building it on
@@ -89,62 +166,131 @@ func (w *World) session(vp platform.VP) *vpSession {
 		return nil
 	}
 	key := sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}
-	t.mu.Lock()
-	s := t.m[key]
-	if s == nil {
-		s = new(vpSession)
-		t.m[key] = s
+	h := key.hash()
+	e := find(*t.slots.Load(), key, h)
+	if e == nil {
+		e = t.insert(key, h)
 	}
-	t.mu.Unlock()
+	s := &e.s
 	s.once.Do(func() { w.buildSession(s, vp) })
 	return s
 }
 
+// rankMargin is how far apart, in cosine of the central angle, a session
+// build needs the dot-product keys of a rank group's four nearest places
+// before it trusts their order without a haversine. A cosine gap above it
+// is a true distance gap above EarthRadiusKm*rankMargin = 6.4 m (the
+// cosine is 1-Lipschitz in the angle), and each computed haversine is
+// within 0.3 m of its true distance, so the two haversines order strictly
+// the same way, with 10x headroom (TestRankMarginBound measures both
+// errors; docs/bench-history/vp-costs.md has the derivation).
+const rankMargin = 1e-6
+
 // buildSession ranks every deployment's replicas by distance from the
 // vantage point. Everything that does not depend on the vantage point is
-// read from the world's flat replica geometry (World.places, rankGroups),
-// so a build is one haversine per distinct replica place, then one
-// three-nearest cascade per rank group. It draws nothing per deployment:
-// the RTT base toward the replica that answers is built by the probe that
-// reads it (servedBaseMs). It allocates twice: the ranking and the
-// distance vector.
-func (w *World) buildSession(s *vpSession, vp platform.VP) {
+// read from the world's flat replica geometry (World.places, placeVecs,
+// rankGroups), so a build is one dot product per distinct replica place,
+// then one nearest-places cascade per rank group on the negated dot
+// product, which orders places as the great-circle distance does. A group
+// whose four nearest keys are not rankMargin apart - a near tie, where
+// rounding could order the two differently - reruns the haversine cascade
+// servingReplicaSlow runs (rankByDistance), so the ranking is bit-identical
+// to it either way. It draws nothing per deployment: the RTT base toward
+// the replica that answers is built by the probe that reads it
+// (servedBaseMs). It allocates once, the ranking - the keys and the
+// remembered haversines live in a pooled scratch - and returns how many
+// haversines it computed.
+func (w *World) buildSession(s *vpSession, vp platform.VP) (haversines int) {
 	s.st = w.vpState(vp)
 	s.pt = geo.Prepare(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
 	s.ranked = make([][3]int16, len(w.rankGroups))
 
-	dist := make([]float64, len(w.places))
-	for i, p := range w.places {
-		dist[i] = geo.PointDistanceKm(s.pt, p)
+	n := len(w.places)
+	scratch := rankScratch.Get().(*[]float64)
+	defer rankScratch.Put(scratch)
+	if cap(*scratch) < 2*n {
+		*scratch = make([]float64, 2*n)
+	}
+	key, km := (*scratch)[:n], (*scratch)[n:2*n]
+	clear(km)
+	u := geo.UnitVec(vp.Loc)
+	for i, v := range w.placeVecs {
+		key[i] = -geo.VecDot(u, v)
 	}
 
 	for gi := range w.rankGroups {
-		// The same strict-< cascade servingReplicaSlow runs, over the same
-		// DistanceKm outputs in the same Replicas order, so the ranking is
-		// bit-identical. d0 <= d1 <= d2 throughout, so a distance that is
-		// not below d2 matches no case: most of a long list leaves after
-		// one compare.
-		i0, i1, i2 := -1, -1, -1
-		d0, d1, d2 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
-		for i, slot := range w.rankGroups[gi].slots {
-			d := dist[slot]
-			if !(d < d2) {
+		slots := w.rankGroups[gi].slots
+		// servingReplicaSlow's strict-< cascade one rank deeper: k3 is the
+		// best key left out, the one the third must clear. k0 <= ... <= k3
+		// throughout, so a key that is not below k3 matches no case: most
+		// of a long list leaves after one compare.
+		i0, i1, i2, i3 := -1, -1, -1, -1
+		k0, k1, k2, k3 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
+		for i, slot := range slots {
+			k := key[slot]
+			if !(k < k3) {
 				continue
 			}
 			switch {
-			case d < d0:
-				i2, i1, i0 = i1, i0, i
-				d2, d1, d0 = d1, d0, d
-			case d < d1:
-				i2, i1 = i1, i
-				d2, d1 = d1, d
+			case k < k0:
+				i3, i2, i1, i0 = i2, i1, i0, i
+				k3, k2, k1, k0 = k2, k1, k0, k
+			case k < k1:
+				i3, i2, i1 = i2, i1, i
+				k3, k2, k1 = k2, k1, k
+			case k < k2:
+				i3, i2 = i2, i
+				k3, k2 = k2, k
 			default:
-				i2, d2 = i, d
+				i3, k3 = i, k
 			}
 		}
-		s.ranked[gi] = [3]int16{int16(i0), int16(i1), int16(i2)}
+		if (i1 < 0 || k1-k0 > rankMargin) && (i2 < 0 || k2-k1 > rankMargin) && (i3 < 0 || k3-k2 > rankMargin) {
+			s.ranked[gi] = [3]int16{int16(i0), int16(i1), int16(i2)}
+			continue
+		}
+		var h int
+		s.ranked[gi], h = rankByDistance(s.pt, w.places, slots, km)
+		haversines += h
 	}
+	return haversines
+}
+
+// rankScratch recycles buildSession's scratch: a key and a remembered
+// haversine per place, read only during the build.
+var rankScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// rankByDistance is the three-nearest cascade servingReplicaSlow runs -
+// strict <, over the same PointDistanceKm outputs in the same Replicas
+// order - over the places of one rank group. km remembers a place's
+// distance across groups as its negation, so that the zero a build starts
+// from (sign bit clear) reads as not yet computed; it returns the ranking
+// and how many haversines it computed.
+func rankByDistance(from geo.Point, places []geo.Point, slots []int32, km []float64) (ranked [3]int16, haversines int) {
+	i0, i1, i2 := -1, -1, -1
+	d0, d1, d2 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
+	for i, slot := range slots {
+		if !math.Signbit(km[slot]) {
+			km[slot] = -geo.PointDistanceKm(from, places[slot])
+			haversines++
+		}
+		d := -km[slot]
+		if !(d < d2) {
+			continue
+		}
+		switch {
+		case d < d0:
+			i2, i1, i0 = i1, i0, i
+			d2, d1, d0 = d1, d0, d
+		case d < d1:
+			i2, i1 = i1, i
+			d2, d1 = d1, d
+		default:
+			i2, d2 = i, d
+		}
+	}
+	return [3]int16{int16(i0), int16(i1), int16(i2)}, haversines
 }
 
 // rankBaseMs is the RTT base from the session's vantage point toward the

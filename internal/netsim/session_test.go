@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -231,10 +232,11 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildSessionAllocs pins a session build to its two allocations
-// - the ranking and the distance vector - whatever the world holds: 1,696
-// deployments allocate as often as their longer-listed DeploymentInflation
-// 2 twins, not once per deployment or per AS.
+// TestBuildSessionAllocs pins a session build to its one allocation, the
+// ranking - the keys and remembered haversines are pooled scratch -
+// whatever the world holds: 1,696 deployments allocate as often as their
+// longer-listed DeploymentInflation 2 twins, not once per deployment or
+// per AS.
 func TestBuildSessionAllocs(t *testing.T) {
 	vp := sessionTestVPs()[0]
 	for _, inflation := range []float64{1, 2} {
@@ -246,8 +248,8 @@ func TestBuildSessionAllocs(t *testing.T) {
 			var s vpSession
 			w.buildSession(&s, vp)
 		})
-		if allocs > 2 {
-			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 2", inflation, allocs, len(w.deployments))
+		if allocs > 1 {
+			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 1", inflation, allocs, len(w.deployments))
 		}
 	}
 }
@@ -281,9 +283,9 @@ func TestSessionResidentBytes(t *testing.T) {
 // TestReplicaGeometryFlat holds the world's flat replica geometry - what
 // buildSession and rankBaseMs read in place of deployments and replicas -
 // to the objects it was laid out from: every deployment's prefix key,
-// replica IDs, prepared places and endpoint access halves come back bit
-// for bit, and every deployment of a rank group shares one Replicas slice,
-// the one of the group's first deployment.
+// replica IDs, prepared places, unit vectors and endpoint access halves
+// come back bit for bit, and every deployment of a rank group shares one
+// Replicas slice, the one of the group's first deployment.
 func TestReplicaGeometryFlat(t *testing.T) {
 	for _, shape := range sessionWorldShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -305,6 +307,9 @@ func TestReplicaGeometryFlat(t *testing.T) {
 					}
 					if got, want := w.places[slots[ri]], geo.Prepare(r.Loc); got != want {
 						t.Fatalf("%v replica %d: place %+v, want %+v", d, ri, got, want)
+					}
+					if got, want := w.placeVecs[slots[ri]], geo.UnitVec(r.Loc); got != want {
+						t.Fatalf("%v replica %d: unit vector %v, want %v", d, ri, got, want)
 					}
 					got, want := w.endAccess[int(dg.access)+ri], w.endpointAccessMs(uint64(d.Prefix), uint64(r.ID))
 					if math.Float64bits(got) != math.Float64bits(want) {
@@ -445,7 +450,7 @@ func TestSessionSharedAcrossFaultViews(t *testing.T) {
 	if view.sessions != cached.sessions {
 		t.Fatal("WithFaults view does not share the session table")
 	}
-	if _, ok := view.sessions.m[sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}]; !ok {
+	if key := (sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}); find(*view.sessions.slots.Load(), key, key.hash()) == nil {
 		t.Fatal("warmed session not visible through the fault view")
 	}
 }
@@ -811,5 +816,69 @@ func TestSeekPrefix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSessionTableConcurrent looks sessions up from 8 goroutines at once
+// over overlapping vantage points, enough of them that the table grows
+// while others read it: each key yields one *vpSession, built once - every
+// goroutine sees the same ranking storage - a PlanetLab and a RIPE Atlas
+// vantage point sharing an ID get two sessions, keys that compare equal
+// (-0 and +0) share one, and a warm lookup allocates nothing.
+func TestSessionTableConcurrent(t *testing.T) {
+	cached, _ := sessionTestWorlds(t)
+	pl := platform.PlanetLab(cities.Default()).VPs()
+	ripe := platform.RIPEAtlas(cities.Default()).VPs()
+	vps := append(append([]platform.VP{}, pl[:150]...), ripe[:150]...)
+	shared := -1
+	for i := range 150 {
+		if pl[i].ID == ripe[i].ID && pl[i].Loc != ripe[i].Loc {
+			shared = i
+			break
+		}
+	}
+	if shared < 0 {
+		t.Fatal("no PlanetLab and RIPE Atlas vantage point share an ID")
+	}
+	zero := platform.VP{ID: 1 << 20, Name: "zero", Loc: geo.Coord{Lat: 0, Lon: 10}, LoadFactor: 1}
+	negZero := zero
+	negZero.Loc.Lat = math.Copysign(0, -1)
+	vps = append(vps, zero, negZero)
+
+	const goroutines = 8
+	type seen struct {
+		s      *vpSession
+		ranked *[3]int16
+	}
+	got := make([][]seen, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]seen, len(vps))
+			for k := range vps {
+				i := (k*(2*g+1) + 37*g) % len(vps) // a different order per goroutine
+				s := cached.session(vps[i])
+				got[g][i] = seen{s, &s.ranked[0]}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, vp := range vps {
+		for g := 1; g < goroutines; g++ {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("vp %d (%s): goroutines 0 and %d saw sessions %+v and %+v", i, vp.Name, g, got[0][i], got[g][i])
+			}
+		}
+	}
+	if got[0][shared].s == got[0][150+shared].s {
+		t.Errorf("PlanetLab %s and RIPE Atlas %s share ID %d and one session", pl[shared].Name, ripe[shared].Name, pl[shared].ID)
+	}
+	if n := len(vps); got[0][n-2].s != got[0][n-1].s {
+		t.Error("latitudes -0 and +0 compare equal but got two sessions")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cached.session(vps[shared]) }); allocs != 0 {
+		t.Errorf("a warm lookup allocates %v times, want 0", allocs)
 	}
 }

@@ -178,12 +178,15 @@ type World struct {
 	// build, flat and pointer-free so neither buildSession nor a base
 	// build (rankBaseMs) touches a *Deployment or a Replica. places holds
 	// every distinct replica location of the world, prepared: one slot
-	// per (AS, replica), shared by all /24s of the AS. rankGroups holds
+	// per (AS, replica), shared by all /24s of the AS; placeVecs[slot] is
+	// the same location's unit vector, which a session build ranks by
+	// (buildSession). rankGroups holds
 	// the distinct replica lists; deployments announcing the same list
 	// rank the same from any vantage point. geom[i] is deployments[i]'s
 	// record and endAccess the endpoint halves of the access latency
 	// (endpointAccessMs) of every deployment's replicas, back to back.
 	places     []geo.Point
+	placeVecs  [][3]float64
 	rankGroups []rankGroup
 	geom       []deploymentGeom
 	endAccess  []float64
@@ -292,7 +295,7 @@ func New(cfg Config) *World {
 		// Allocated here, not on first injection: WithFaults views copy
 		// the World by value and must share the map, as they share sessions.
 		hijacks:  make(map[Prefix24]hijack),
-		sessions: &sessionTable{m: make(map[sessionKey]*vpSession)},
+		sessions: newSessionTable(),
 	}
 	w.Services = services.Build(w.Registry, cfg.Seed)
 	w.buildPool()
@@ -330,6 +333,7 @@ func New(cfg Config) *World {
 		placeBase := len(w.places)
 		for _, r := range asReplicas {
 			w.places = append(w.places, geo.Prepare(r.Loc))
+			w.placeVecs = append(w.placeVecs, geo.UnitVec(r.Loc))
 		}
 		_, pinned := pinnedFootprints[as.Name]
 		for p := 0; p < as.IP24s; p++ {

@@ -191,11 +191,13 @@ grep -q '^rate: .*NaN' "$BIN/census5.log" && ! grep -q '^world:' "$BIN/census5.l
 echo "ok: census -rate NaN is refused before the world is built"
 # A world netsim.New cannot build, a census of no vantage point, of no
 # round or of a negative round count (which wrapped into an endless
-# census), and a retry budget of no attempt are refused with an error,
-# not a panic, empty rounds or a census without end, and before the -save
-# directory is made. A later flag overrides an earlier one, and timeout
-# turns a census that keeps probing into a failed leg, not a hang.
-for lie in "-unicast24s -5" "-vps 0" "-censuses 0" "-censuses -1" "-retries 0"; do
+# census), a retry budget of no attempt, and a negative worker count or
+# unit width (which ran as their defaults) are refused with an error
+# naming the flag, not a panic, empty rounds, a census without end or a
+# default, and before the -save directory is made. A later flag overrides
+# an earlier one, and timeout turns a census that keeps probing into a
+# failed leg, not a hang.
+for lie in "-unicast24s -5" "-vps 0" "-censuses 0" "-censuses -1" "-retries 0" "-workers -3" "-span-targets -5"; do
     # shellcheck disable=SC2086 # the flag and its value are two words
     if timeout 60 "$BIN/census" -unicast24s 800 -vps 20 -censuses 1 $lie -save "$BIN/refused.save" >/dev/null 2>"$BIN/census6.log"; then
         echo "FAIL: census $lie ran" >&2
@@ -205,6 +207,9 @@ for lie in "-unicast24s -5" "-vps 0" "-censuses 0" "-censuses -1" "-retries 0"; 
         { echo "FAIL: census $lie built its world or panicked: $(head -c 300 "$BIN/census6.log")" >&2; exit 1; }
     [ ! -e "$BIN/refused.save" ] ||
         { echo "FAIL: census $lie made its -save directory" >&2; exit 1; }
+    flag=${lie%% *}
+    head -1 "$BIN/census6.log" | grep -q "^${flag#-}: " ||
+        { echo "FAIL: census $lie was refused without naming the flag: $(head -1 "$BIN/census6.log")" >&2; exit 1; }
     echo "ok: census $lie is refused before the world is built: $(head -1 "$BIN/census6.log")"
 done
 
