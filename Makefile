@@ -38,18 +38,19 @@ race:
 
 verify: fmt-check vet build race
 
-# bench runs the probe-path (distance kernel, hash states, city index,
-# span resolution), prober, detection-kernel, census, fleet (a lease's
+# bench runs the set-up (world build, BGP table, hitlist), probe-path
+# (distance kernel, hash states, city index, span resolution), prober,
+# detection-kernel, census, fleet (a lease's
 # codec, a fleet round beside its one-process twin) and serving
 # microbenchmarks with allocation reporting; compare runs with benchstat
 # if available.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/geo ./internal/detrand ./internal/cities ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/cluster ./internal/store ./internal/route .
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/geo ./internal/detrand ./internal/cities ./internal/netsim ./internal/bgp ./internal/hitlist ./internal/prober ./internal/core ./internal/census ./internal/cluster ./internal/store ./internal/route .
 
 # bench-smoke is the CI gate: every benchmark must still run (one
 # iteration), catching bit-rot in the benchmark harness itself.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/geo ./internal/detrand ./internal/cities ./internal/netsim ./internal/prober ./internal/core ./internal/census ./internal/cluster ./internal/store ./internal/route .
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/geo ./internal/detrand ./internal/cities ./internal/netsim ./internal/bgp ./internal/hitlist ./internal/prober ./internal/core ./internal/census ./internal/cluster ./internal/store ./internal/route .
 
 # fuzz-smoke gives every fuzz target in the module five seconds: enough to
 # replay its seed corpus and mutate a few hundred thousand inputs, so a

@@ -155,6 +155,15 @@ func main() {
 	if *retries < 1 {
 		log.Fatalf("retries: %d probing attempts per VP and round, want at least 1", *retries)
 	}
+	// A negative count means nothing: not "none", not its default.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"top", *top}, {"max-heap-mib", *maxHeapMiB}, {"rate-baseline-targets", *rateBaselineTargets}} {
+		if f.v < 0 {
+			log.Fatalf("%s: %d is negative, want 0 or more", f.name, f.v)
+		}
+	}
 	// The census and pipeline configs refuse a NaN or negative -rate and
 	// a negative -workers or -span-targets: each means nothing, not its
 	// default. They are asked one flag at a time, so the refusal names it.
@@ -230,6 +239,7 @@ func main() {
 		}()
 	}
 
+	setupStart := time.Now()
 	world := netsim.New(cfg)
 	db := cities.Default()
 	pl := platform.PlanetLab(db)
@@ -246,6 +256,14 @@ func main() {
 	}
 	targets := full.PruneNeverAlive().Without(black.Targets())
 	log.Printf("blacklist: %d hosts; pruned target list: %d", black.Len(), targets.Len())
+	// Set-up is world build to pruned target list; its heap is what stays
+	// live once the collector has run.
+	setupWall := time.Since(setupStart)
+	runtime.GC()
+	var setupMem runtime.MemStats
+	runtime.ReadMemStats(&setupMem)
+	log.Printf("setup: %v from world build to pruned target list, %.1f MiB heap after GC",
+		setupWall.Round(time.Millisecond), float64(setupMem.HeapAlloc)/(1<<20))
 
 	// The census rounds probe probeWorld; everything else keeps the
 	// fault-free world.

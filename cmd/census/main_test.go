@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
+	"io/fs"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -19,6 +23,53 @@ import (
 	"anycastmap/internal/record"
 	"anycastmap/internal/store"
 )
+
+// mainArgsEnv, when set, makes the test binary the census command itself,
+// run with these space-separated arguments: how a test sees the command's
+// exit status and log.
+const mainArgsEnv = "CENSUS_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"census"}, strings.Fields(args)...)
+		flag.CommandLine = flag.NewFlagSet("census", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Every value a flag cannot mean is refused before the world is built:
+// exit 1, a first log line naming the flag, no world: line and no -save
+// directory.
+func TestRefusesFlagValues(t *testing.T) {
+	for _, bad := range []string{
+		"-top -1", "-max-heap-mib -1", "-rate-baseline-targets -1",
+		"-unicast24s -5", "-vps 0", "-censuses 0", "-censuses -1", "-retries 0", "-workers -3", "-span-targets -5",
+	} {
+		save := filepath.Join(t.TempDir(), "refused.save")
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), mainArgsEnv+"=-unicast24s 800 -vps 20 -censuses 1 -save "+save+" "+bad)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("census %s: %v, want exit status 1; log:\n%s", bad, err, stderr.String())
+			continue
+		}
+		flagName := strings.TrimPrefix(strings.Fields(bad)[0], "-")
+		if first, _, _ := strings.Cut(stderr.String(), "\n"); !strings.HasPrefix(first, flagName+": ") {
+			t.Errorf("census %s: refused without naming the flag: %q", bad, first)
+		}
+		if strings.Contains(stderr.String(), "world:") {
+			t.Errorf("census %s: built its world before refusing", bad)
+		}
+		if _, err := os.Stat(save); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("census %s: made its -save directory (%v)", bad, err)
+		}
+	}
+}
 
 // A census continues the round numbers of the snapshot file it replaces,
 // starts at round 1 only when there is no file, and refuses any other

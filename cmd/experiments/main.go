@@ -22,17 +22,24 @@ import (
 	"time"
 
 	"anycastmap/internal/experiments"
+	"anycastmap/internal/netsim"
 )
 
 func main() {
-	unicast := flag.Int("unicast24s", 20000, "unicast /24 background size (paper: 10.6M routed /24s)")
-	censuses := flag.Int("censuses", 4, "number of census rounds")
+	unicast := flag.Int("unicast24s", 20000, "unicast /24 background size (paper: 10.6M routed /24s; 0 = 20000)")
+	censuses := flag.Int("censuses", 4, "number of census rounds (0 = 4)")
 	seed := flag.Uint64("seed", 2015, "world seed")
 	csvDir := flag.String("csv", "", "export the figure data series as CSV files to this directory")
 	expList := flag.String("exp", "all", "comma-separated experiments: table1,fig4..fig16,coverage,opendns,ablate-vps,ablate-rate,ablate-iter,ablate-mis,fusion,longitudinal,longitudinal-campaign,baselines,ripe")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
+
+	cfg, err := labConfig(*unicast, *censuses, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -63,11 +70,6 @@ func main() {
 			}
 		}()
 	}
-
-	cfg := experiments.DefaultLabConfig()
-	cfg.Unicast24s = *unicast
-	cfg.Censuses = *censuses
-	cfg.Seed = *seed
 
 	fmt.Printf("building lab: %d unicast /24s, %d censuses, seed %d ...\n", cfg.Unicast24s, cfg.Censuses, cfg.Seed)
 	start := time.Now()
@@ -137,4 +139,31 @@ func main() {
 		}
 		fmt.Printf("exported %d CSV series to %s\n", len(files), *csvDir)
 	}
+}
+
+// labConfig is the lab the flags ask for: 0 keeps the default lab's
+// background size or round count, so the lab line prints what runs, and a
+// negative value or a background the world cannot hold is refused with
+// the flag's name.
+func labConfig(unicast, censuses int, seed uint64) (experiments.LabConfig, error) {
+	cfg := experiments.DefaultLabConfig()
+	cfg.Seed = seed
+	if censuses < 0 {
+		return cfg, fmt.Errorf("censuses: %d census rounds is negative, want 0 (the default %d) or more", censuses, cfg.Censuses)
+	}
+	if censuses > 0 {
+		cfg.Censuses = censuses
+	}
+	if unicast < 0 {
+		return cfg, fmt.Errorf("unicast24s: %d is negative, want 0 (the default %d) or more", unicast, cfg.Unicast24s)
+	}
+	if unicast > 0 {
+		cfg.Unicast24s = unicast
+	}
+	wcfg := netsim.DefaultConfig()
+	wcfg.Unicast24s = cfg.Unicast24s
+	if err := wcfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("unicast24s: %v", err)
+	}
+	return cfg, nil
 }

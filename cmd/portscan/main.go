@@ -25,6 +25,9 @@ func main() {
 	maxPorts := flag.Int("show", 12, "ports to print per AS")
 	flag.Parse()
 	log.SetFlags(0)
+	if *maxPorts < 0 {
+		log.Fatalf("show: %d ports per AS is negative, want 0 or more", *maxPorts)
+	}
 
 	cfg := netsim.DefaultConfig()
 	cfg.Seed = *seed

@@ -8,6 +8,9 @@
 package bgp
 
 import (
+	"cmp"
+	"slices"
+
 	"anycastmap/internal/detrand"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
@@ -24,10 +27,10 @@ type Route struct {
 	AnnouncedLen int
 }
 
-// Table is the /24-split view of the global routing table.
+// Table is the /24-split view of the global routing table, in prefix
+// order: lookups binary-search it.
 type Table struct {
-	routes   []Route
-	byPrefix map[netsim.Prefix24]int
+	routes []Route
 }
 
 // FromWorld derives the routing table from the world's ground truth:
@@ -36,7 +39,7 @@ type Table struct {
 // is a mix of announcement sizes.
 func FromWorld(w *netsim.World) *Table {
 	seed := w.Config().Seed
-	var routes []Route
+	routes := make([]Route, 0, w.NumPrefixes())
 	w.Prefixes(func(p netsim.Prefix24) {
 		asn, ok := w.ASNOf(p)
 		if !ok {
@@ -57,11 +60,12 @@ func FromWorld(w *netsim.World) *Table {
 		}
 		routes = append(routes, Route{Prefix: p, OriginASN: asn, AnnouncedLen: length})
 	})
-	byPrefix := make(map[netsim.Prefix24]int, len(routes))
-	for i, r := range routes {
-		byPrefix[r.Prefix] = i
-	}
-	return &Table{routes: routes, byPrefix: byPrefix}
+	return &Table{routes: routes}
+}
+
+// find returns the index of the /24's route.
+func (t *Table) find(p netsim.Prefix24) (int, bool) {
+	return slices.BinarySearchFunc(t.routes, p, func(r Route, p netsim.Prefix24) int { return cmp.Compare(r.Prefix, p) })
 }
 
 // Len returns the number of routed /24s after splitting.
@@ -73,7 +77,7 @@ func (t *Table) Routes() []Route { return t.routes }
 // OriginAS maps a /24 to its origin AS (the a-posteriori mapping of
 // Sec. 3.1 used to attribute census findings to ASes).
 func (t *Table) OriginAS(p netsim.Prefix24) (int, bool) {
-	i, ok := t.byPrefix[p]
+	i, ok := t.find(p)
 	if !ok {
 		return 0, false
 	}
@@ -82,7 +86,7 @@ func (t *Table) OriginAS(p netsim.Prefix24) (int, bool) {
 
 // Routed reports whether the /24 appears in the table.
 func (t *Table) Routed(p netsim.Prefix24) bool {
-	_, ok := t.byPrefix[p]
+	_, ok := t.find(p)
 	return ok
 }
 
@@ -94,7 +98,7 @@ func (t *Table) FractionSlash24(prefixes []netsim.Prefix24) float64 {
 	}
 	n := 0
 	for _, p := range prefixes {
-		if i, ok := t.byPrefix[p]; ok && t.routes[i].AnnouncedLen == 24 {
+		if i, ok := t.find(p); ok && t.routes[i].AnnouncedLen == 24 {
 			n++
 		}
 	}

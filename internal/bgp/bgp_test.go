@@ -98,3 +98,70 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupsMatchMap holds OriginAS, Routed and FractionSlash24 to the
+// per-/24 map index the table kept before it binary-searched its routes,
+// on every routed /24 and on /24s just outside the routed run: 0.0.0.0/24,
+// the /24s just below the first and just past the last route,
+// 224.0.0.0/24 and the last /24 of the address space.
+func TestLookupsMatchMap(t *testing.T) {
+	w, tbl := testbed(t)
+	ref := make(map[netsim.Prefix24]Route, tbl.Len())
+	var prefixes []netsim.Prefix24
+	for _, r := range tbl.Routes() {
+		ref[r.Prefix] = r
+		prefixes = append(prefixes, r.Prefix)
+	}
+	first, last := prefixes[0], prefixes[len(prefixes)-1]
+	outside := []netsim.Prefix24{0, first - 1, last + 1, 0xE00000, 1<<24 - 1}
+	for _, p := range outside {
+		if _, ok := ref[p]; ok {
+			t.Fatalf("%v is routed; it should lie outside the table", p)
+		}
+	}
+	all := append(append([]netsim.Prefix24{}, prefixes...), outside...)
+	for _, p := range all {
+		r, routed := ref[p]
+		if got := tbl.Routed(p); got != routed {
+			t.Fatalf("Routed(%v) = %v, want %v", p, got, routed)
+		}
+		asn, ok := tbl.OriginAS(p)
+		if ok != routed || asn != r.OriginASN {
+			t.Fatalf("OriginAS(%v) = %d, %v; want %d, %v", p, asn, ok, r.OriginASN, routed)
+		}
+		want := 0.0
+		if routed && r.AnnouncedLen == 24 {
+			want = 1
+		}
+		if got := tbl.FractionSlash24([]netsim.Prefix24{p}); got != want {
+			t.Fatalf("FractionSlash24([%v]) = %v, want %v", p, got, want)
+		}
+	}
+	n := 0
+	for _, p := range all {
+		if r, ok := ref[p]; ok && r.AnnouncedLen == 24 {
+			n++
+		}
+	}
+	if got, want := tbl.FractionSlash24(all), float64(n)/float64(len(all)); got != want {
+		t.Errorf("FractionSlash24 over every routed /24 and the outside ones = %v, want %v", got, want)
+	}
+	if got := tbl.Len(); got != w.NumPrefixes() {
+		t.Errorf("table has %d routes for %d /24s", got, w.NumPrefixes())
+	}
+}
+
+var tableSink *Table
+
+// BenchmarkFromWorld derives the routing table of the census-wide
+// benchmark workload's world (25,000 unicast /24s).
+func BenchmarkFromWorld(b *testing.B) {
+	cfg := netsim.DefaultConfig()
+	cfg.Unicast24s = 25000
+	w := netsim.New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tableSink = FromWorld(w)
+	}
+}

@@ -220,10 +220,12 @@ func Destination(start Coord, bearingDeg, distKm float64) Coord {
 	brg := deg2rad(bearingDeg)
 	ad := distKm / EarthRadiusKm // angular distance
 
-	la2 := math.Asin(math.Sin(la1)*math.Cos(ad) + math.Cos(la1)*math.Sin(ad)*math.Cos(brg))
+	sinLa1, cosLa1 := math.Sin(la1), math.Cos(la1)
+	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
+	la2 := math.Asin(sinLa1*cosAd + cosLa1*sinAd*math.Cos(brg))
 	lo2 := lo1 + math.Atan2(
-		math.Sin(brg)*math.Sin(ad)*math.Cos(la1),
-		math.Cos(ad)-math.Sin(la1)*math.Sin(la2),
+		math.Sin(brg)*sinAd*cosLa1,
+		cosAd-sinLa1*math.Sin(la2),
 	)
 	// Normalize longitude to [-180, 180).
 	lon := math.Mod(rad2deg(lo2)+540, 360) - 180

@@ -208,6 +208,30 @@ func TestDestination(t *testing.T) {
 	}
 }
 
+// TestDestinationBitIdentical holds Destination, which evaluates each sine
+// and cosine once, to the expression that evaluated them twice, bit for
+// bit: the world's replica and host positions come out of it.
+func TestDestinationBitIdentical(t *testing.T) {
+	ref := func(start Coord, bearingDeg, distKm float64) Coord {
+		la1, lo1, brg := deg2rad(start.Lat), deg2rad(start.Lon), deg2rad(bearingDeg)
+		ad := distKm / EarthRadiusKm
+		la2 := math.Asin(math.Sin(la1)*math.Cos(ad) + math.Cos(la1)*math.Sin(ad)*math.Cos(brg))
+		lo2 := lo1 + math.Atan2(math.Sin(brg)*math.Sin(ad)*math.Cos(la1), math.Cos(ad)-math.Sin(la1)*math.Sin(la2))
+		return Coord{Lat: rad2deg(la2), Lon: math.Mod(rad2deg(lo2)+540, 360) - 180}
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		start, brg, dist := randCoord(r), r.Float64()*360, r.Float64()*120
+		if i%4 == 0 {
+			dist *= 100
+		}
+		got, want := Destination(start, brg, dist), ref(start, brg, dist)
+		if math.Float64bits(got.Lat) != math.Float64bits(want.Lat) || math.Float64bits(got.Lon) != math.Float64bits(want.Lon) {
+			t.Fatalf("Destination(%v, %v, %v) = %v, want %v", start, brg, dist, got, want)
+		}
+	}
+}
+
 func TestDestinationDueNorth(t *testing.T) {
 	start := Coord{0, 0}
 	end := Destination(start, 0, 111.195) // ~1 degree of latitude

@@ -8,7 +8,8 @@
 package hitlist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"anycastmap/internal/detrand"
 	"anycastmap/internal/netsim"
@@ -27,17 +28,19 @@ type Entry struct {
 // EverAlive reports whether the /24 has a positive liveness history.
 func (e Entry) EverAlive() bool { return e.Score > 0 }
 
-// Hitlist is an immutable target list sorted by prefix.
+// Hitlist is an immutable target list sorted by prefix, one entry per /24:
+// lookups binary-search it. Every constructor builds it in prefix order,
+// FromWorld from the world's ordered /24s and the filters by keeping
+// order, so nothing ever sorts it.
 type Hitlist struct {
 	entries []Entry
-	byIP    map[netsim.IP]int
 }
 
 // FromWorld builds the full hitlist over every allocated /24 of the world.
 // A tiny fraction of routed /24s (~0.01%, the paper's coverage gap in
 // Sec. 3.1) has no representative and is skipped.
 func FromWorld(w *netsim.World) *Hitlist {
-	var entries []Entry
+	entries := make([]Entry, 0, w.NumPrefixes())
 	seed := w.Config().Seed
 	w.Prefixes(func(p netsim.Prefix24) {
 		// Coverage gap: 99.99% of routed /24s have a representative.
@@ -53,16 +56,12 @@ func FromWorld(w *netsim.World) *Hitlist {
 		}
 		entries = append(entries, Entry{Prefix: p, IP: ip, Score: score})
 	})
-	return build(entries)
+	return &Hitlist{entries: entries}
 }
 
-func build(entries []Entry) *Hitlist {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Prefix < entries[j].Prefix })
-	byIP := make(map[netsim.IP]int, len(entries))
-	for i, e := range entries {
-		byIP[e.IP] = i
-	}
-	return &Hitlist{entries: entries, byIP: byIP}
+// find returns the index of the /24's entry.
+func (h *Hitlist) find(p netsim.Prefix24) (int, bool) {
+	return slices.BinarySearchFunc(h.entries, p, func(e Entry, p netsim.Prefix24) int { return cmp.Compare(e.Prefix, p) })
 }
 
 // Len returns the number of entries.
@@ -83,8 +82,8 @@ func (h *Hitlist) Targets() []netsim.IP {
 
 // Lookup returns the entry for a target address.
 func (h *Hitlist) Lookup(ip netsim.IP) (Entry, bool) {
-	i, ok := h.byIP[ip]
-	if !ok {
+	i, ok := h.find(ip.Prefix())
+	if !ok || h.entries[i].IP != ip {
 		return Entry{}, false
 	}
 	return h.entries[i], true
@@ -92,8 +91,8 @@ func (h *Hitlist) Lookup(ip netsim.IP) (Entry, bool) {
 
 // Covers reports whether the hitlist has a representative for the prefix.
 func (h *Hitlist) Covers(p netsim.Prefix24) bool {
-	i := sort.Search(len(h.entries), func(i int) bool { return h.entries[i].Prefix >= p })
-	return i < len(h.entries) && h.entries[i].Prefix == p
+	_, ok := h.find(p)
+	return ok
 }
 
 // PruneNeverAlive drops the negative-score entries after the first census
@@ -105,7 +104,7 @@ func (h *Hitlist) PruneNeverAlive() *Hitlist {
 			kept = append(kept, e)
 		}
 	}
-	return build(kept)
+	return &Hitlist{entries: kept}
 }
 
 // Without returns a hitlist with the blacklisted targets removed (the
@@ -120,5 +119,5 @@ func (h *Hitlist) Without(blacklist map[netsim.IP]bool) *Hitlist {
 			kept = append(kept, e)
 		}
 	}
-	return build(kept)
+	return &Hitlist{entries: kept}
 }

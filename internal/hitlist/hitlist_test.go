@@ -150,3 +150,64 @@ func TestDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupsMatchMap holds Lookup and Covers to the per-address map index
+// the hitlist kept before it binary-searched its entries, on the full, the
+// pruned and a blacklisted list: every entry's address and /24, an address
+// beside each representative, every /24 of the world (the coverage gap
+// included), and /24s outside it - 0.0.0.0/24, the /24s just below the
+// first and just past the last, 224.0.0.0/24 and the last /24 of the
+// address space.
+func TestLookupsMatchMap(t *testing.T) {
+	w := smallWorld()
+	full := FromWorld(w)
+	pruned := full.PruneNeverAlive()
+	black := map[netsim.IP]bool{}
+	for i, e := range pruned.Entries() {
+		if i%11 == 0 {
+			black[e.IP] = true
+		}
+	}
+	var prefixes []netsim.Prefix24
+	w.Prefixes(func(p netsim.Prefix24) { prefixes = append(prefixes, p) })
+	first, last := prefixes[0], prefixes[len(prefixes)-1]
+	prefixes = append(prefixes, 0, first-1, last+1, 0xE00000, 1<<24-1)
+
+	for name, h := range map[string]*Hitlist{"full": full, "pruned": pruned, "blacklisted": pruned.Without(black)} {
+		byIP := make(map[netsim.IP]Entry, h.Len())
+		covered := make(map[netsim.Prefix24]bool, h.Len())
+		for _, e := range h.Entries() {
+			byIP[e.IP] = e
+			covered[e.Prefix] = true
+		}
+		var ips []netsim.IP
+		for _, p := range prefixes {
+			if got := h.Covers(p); got != covered[p] {
+				t.Fatalf("%s: Covers(%v) = %v, want %v", name, p, got, covered[p])
+			}
+			rep, _ := w.Representative(p)
+			ips = append(ips, rep, rep^1, p.Host(0), p.Host(255))
+		}
+		for _, ip := range ips {
+			want, wantOK := byIP[ip]
+			if got, ok := h.Lookup(ip); got != want || ok != wantOK {
+				t.Fatalf("%s: Lookup(%v) = %+v, %v; want %+v, %v", name, ip, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+var hitlistSink *Hitlist
+
+// BenchmarkFromWorld builds the full hitlist of the census-wide benchmark
+// workload's world (25,000 unicast /24s).
+func BenchmarkFromWorld(b *testing.B) {
+	cfg := netsim.DefaultConfig()
+	cfg.Unicast24s = 25000
+	w := netsim.New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hitlistSink = FromWorld(w)
+	}
+}

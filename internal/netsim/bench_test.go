@@ -172,3 +172,18 @@ func BenchmarkBuildSession(b *testing.B) {
 		})
 	}
 }
+
+// benchWorldSink keeps BenchmarkNew's world reachable.
+var benchWorldSink *World
+
+// BenchmarkNew builds the world of the census-wide benchmark workload
+// (25,000 unicast /24s beside the 1,696-/24 anycast catalogue): set-up's
+// first and largest step.
+func BenchmarkNew(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Unicast24s = 25000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchWorldSink = New(cfg)
+	}
+}

@@ -76,7 +76,7 @@ func (w *World) ProbeICMP(vp platform.VP, target IP, round uint64) Reply {
 
 func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64) Reply {
 	p := target.Prefix()
-	i, ok := w.byPrefix[p]
+	i, ok := w.lookup(p)
 	if !ok {
 		return Reply{Kind: ReplyTimeout}
 	}
@@ -155,7 +155,7 @@ func (w *World) ProbeTCP(vp platform.VP, target IP, port uint16, round uint64) R
 }
 
 func (w *World) probeTCP(s *vpSession, vp platform.VP, target IP, port uint16, round uint64) Reply {
-	i, ok := w.byPrefix[target.Prefix()]
+	i, ok := w.lookup(target.Prefix())
 	if !ok {
 		return Reply{Kind: ReplyTimeout}
 	}
@@ -216,7 +216,7 @@ func (w *World) ProbeDNSUDP(vp platform.VP, target IP, round uint64) Reply {
 }
 
 func (w *World) probeDNSUDP(s *vpSession, vp platform.VP, target IP, round uint64) Reply {
-	i, ok := w.byPrefix[target.Prefix()]
+	i, ok := w.lookup(target.Prefix())
 	if !ok || i < 0 {
 		return Reply{Kind: ReplyTimeout}
 	}
@@ -234,7 +234,7 @@ func (w *World) probeDNSUDP(s *vpSession, vp platform.VP, target IP, round uint6
 // ProbeDNSTCP sends a DNS query over TCP: it needs both an open port 53 and
 // a DNS service behind it.
 func (w *World) ProbeDNSTCP(vp platform.VP, target IP, round uint64) Reply {
-	i, ok := w.byPrefix[target.Prefix()]
+	i, ok := w.lookup(target.Prefix())
 	if !ok || i < 0 {
 		return Reply{Kind: ReplyTimeout}
 	}
@@ -479,7 +479,7 @@ func (w *World) ProbeTLS(vp platform.VP, target IP, port uint16, round uint64) b
 // Injection must happen before probing starts; it is not safe to call
 // concurrently with probes.
 func (w *World) InjectHijack(p Prefix24, hijackerLoc geo.Coord, catchment float64) error {
-	i, ok := w.byPrefix[p]
+	i, ok := w.lookup(p)
 	if !ok {
 		return fmt.Errorf("netsim: prefix %v not allocated", p)
 	}

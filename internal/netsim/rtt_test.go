@@ -61,7 +61,7 @@ func TestServingReplicaStable(t *testing.T) {
 	if r1.ID != r2.ID {
 		t.Error("BGP selection must be stable per (vantage, prefix, round)")
 	}
-	if _, ok := w.ServingReplica(vp, w.unicastPrefix[0], 0); ok {
+	if _, ok := w.ServingReplica(vp, w.unicastPrefixes()[0], 0); ok {
 		t.Error("unicast prefix should have no serving replica")
 	}
 }
@@ -98,7 +98,7 @@ func TestUnicastReplies(t *testing.T) {
 	w := testWorld(t)
 	vp := pickVP(t)
 	var echo, timeout, grey int
-	for i, p := range w.unicastPrefix {
+	for i, p := range w.unicastPrefixes() {
 		if i >= 2000 {
 			break
 		}
@@ -130,7 +130,7 @@ func TestUnicastReplies(t *testing.T) {
 func TestNonRepresentativeUnicastSilent(t *testing.T) {
 	w := testWorld(t)
 	vp := pickVP(t)
-	p := w.unicastPrefix[1]
+	p := w.unicastPrefixes()[1]
 	rep, _ := w.Representative(p)
 	other := p.Host(rep.HostByte() + 1)
 	if got := w.ProbeICMP(vp, other, 0); got.Kind != ReplyTimeout {
@@ -266,7 +266,7 @@ func BenchmarkProbeICMPAnycast(b *testing.B) {
 func BenchmarkProbeICMPUnicast(b *testing.B) {
 	w := New(testConfig())
 	vp := platform.PlanetLab(cities.Default()).VPs()[0]
-	target, _ := w.Representative(w.unicastPrefix[0])
+	target, _ := w.Representative(w.unicastPrefixes()[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.ProbeICMP(vp, target, uint64(i))
@@ -283,7 +283,7 @@ func TestInjectHijackValidation(t *testing.T) {
 	if err := w.InjectHijack(Prefix24(1), loc, 0.4); err == nil {
 		t.Error("hijack of an unallocated prefix accepted")
 	}
-	uni := w.unicastPrefix[0]
+	uni := w.unicastPrefixes()[0]
 	for _, bad := range []float64{0, -1, 1.5} {
 		if err := w.InjectHijack(uni, loc, bad); err == nil {
 			t.Errorf("catchment %v accepted", bad)
@@ -371,7 +371,7 @@ func TestAlexaHostedInPackage(t *testing.T) {
 	if hosted != cf.AlexaIP24s {
 		t.Errorf("CloudFlare hosts Alexa sites on %d /24s, want %d", hosted, cf.AlexaIP24s)
 	}
-	if w.AlexaHosted(w.unicastPrefix[0]) {
+	if w.AlexaHosted(w.unicastPrefixes()[0]) {
 		t.Error("unicast prefix hosts an Alexa site")
 	}
 }
@@ -381,7 +381,7 @@ func TestProbeTCPUnicastServices(t *testing.T) {
 	w := testWorld(t)
 	vp := pickVP(t)
 	open80, tried := 0, 0
-	for _, p := range w.unicastPrefix {
+	for _, p := range w.unicastPrefixes() {
 		if tried >= 600 {
 			break
 		}

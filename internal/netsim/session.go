@@ -398,7 +398,7 @@ const (
 // span: three flat, pointer-free slabs - a class byte, a prepared host
 // point and a 64-bit payload per target, ~33 bytes - that every vantage
 // point probing the span reads and none writes. A census round builds one
-// per span and hands it to all of the span's units, so the cursor walk,
+// per span and hands it to all of the span's units, so the slot lookup,
 // the host records, the anycast lookup with its density draw and the
 // endpoint access draw are paid once per target instead of once per
 // (VP, target). Hijacks are read when the plan is built, which
@@ -413,17 +413,12 @@ type SpanPlan struct {
 // PlanSpan resolves the vantage-point-independent half of a span covering
 // exactly the given targets (callers working in [lo, hi) units pass
 // targets[lo:hi]). Resolution costs what the span costs, not what the
-// world costs: the resolver keeps a cursor into the sorted unicast prefix
-// index and moves it with seekPrefix, a galloping search. A dense census
-// span, ascending in address order with neighbouring /24s, pays a compare
-// or two per target, O(span) in all; a sparse ascending list - a sample of
-// a hundred targets, a re-probe of the known-anycast /24s, a dirty set -
-// pays O(log gap) per target, never a walk over the prefixes in between; a
-// list in no order pays O(log position) per order break, a galloping
-// search from the start of the index. Non-unicast targets (~0.03% of a
-// census span) add one map lookup. On a world without a session table the
-// plan holds no slabs and every session over it takes the reference path:
-// the resolver is part of the cache and must vanish with it.
+// world costs: each target's /24 is found by its slot in the world's
+// index, O(1) whatever the targets' order or gaps, so a dense census span,
+// a sparse sample and a list in no order all pay one array read per
+// target. On a world without a session table the plan holds no slabs and
+// every session over it takes the reference path: the resolver is part of
+// the cache and must vanish with it.
 func (w *World) PlanSpan(targets []IP) *SpanPlan {
 	pl := &SpanPlan{targets: targets}
 	if w.sessions == nil {
@@ -433,20 +428,15 @@ func (w *World) PlanSpan(targets []IP) *SpanPlan {
 	pl.pts = make([]geo.Point, len(targets))
 	pl.payload = make([]uint64, len(targets))
 	hijacksLive := len(w.hijacks) > 0
-	nUni := len(w.unicastPrefix)
-	cursor := 0
-	prev := Prefix24(0)
 	for i, target := range targets {
 		p := target.Prefix()
-		// Restart on any order break (a span of census targets breaks
-		// order never; ad-hoc spans may).
-		if p <= prev {
-			cursor = 0
+		di, ok := w.lookup(p)
+		if !ok {
+			pl.cls[i] = spanTimeout
+			continue
 		}
-		cursor = seekPrefix(w.unicastPrefix, cursor, p)
-		prev = p
-		if cursor < nUni && w.unicastPrefix[cursor] == p {
-			h := &w.unicast[cursor]
+		if di < 0 {
+			h := &w.unicast[-(di + 1)]
 			switch {
 			case target != h.rep || h.class == classSilent:
 				pl.cls[i] = spanTimeout
@@ -466,11 +456,6 @@ func (w *World) PlanSpan(targets []IP) *SpanPlan {
 				pl.pts[i] = geo.PrepareCos(h.loc, h.cosLat)
 				pl.payload[i] = math.Float64bits(w.endpointAccessMs(uint64(p), 0))
 			}
-			continue
-		}
-		di, ok := w.byPrefix[p]
-		if !ok {
-			pl.cls[i] = spanTimeout
 			continue
 		}
 		d := w.deployments[di]
@@ -551,37 +536,6 @@ func (ss *SpanSession) Release() {
 		baseSlabs.Put(ss.slab)
 		ss.slab, ss.base = nil, nil
 	}
-}
-
-// seekPrefix returns the smallest i >= from with idx[i] >= p, or len(idx)
-// when there is none. It gallops: after idx[from] it tries from+1, +2, +4,
-// ... until it has stepped past p, then binary-searches the last step, so
-// moving a cursor forward by a gap of g entries costs O(log g) compares -
-// one or two when the next target is the next prefix.
-func seekPrefix(idx []Prefix24, from int, p Prefix24) int {
-	n := len(idx)
-	if from >= n || idx[from] >= p {
-		return from
-	}
-	// idx[lo] < p throughout; hi is n or has idx[hi] >= p.
-	lo, hi := from, n
-	for step := 1; lo+step < n; step <<= 1 {
-		if idx[lo+step] >= p {
-			hi = lo + step
-			break
-		}
-		lo += step
-	}
-	lo++
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if idx[mid] < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // isHijacked reports whether a live hijack covers the prefix.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -495,9 +494,8 @@ func TestSpanSessionBitIdentical(t *testing.T) {
 	}
 	seen.check(t, 10*len(widths), "SpanSession.ICMP") // every width compares every reply
 
-	// The resolver's sequential cursor must survive arbitrary target
-	// order (reversed spans break order at every step) and targets the
-	// world never allocated.
+	// The resolver must survive arbitrary target order (reversed spans
+	// break order at every step) and targets the world never allocated.
 	rev := make([]IP, 0, 512)
 	for i := 400; i >= 0; i-- {
 		rev = append(rev, targets[i])
@@ -570,12 +568,13 @@ func TestSpanSessionHijackBypass(t *testing.T) {
 	}
 }
 
-// TestSpanSessionSparseAndUnordered pins the resolver's galloping cursor on
+// TestSpanSessionSparseAndUnordered pins the resolver's slot lookup on
 // the target lists a census span never is: strided samples, clusters with
 // long gaps between them, descending and shuffled lists, repeated /24s,
 // hosts that are not their /24's representative, anycast /24s, and
-// addresses the world never allocated - below, inside the gaps of, and
-// above the prefix index. Every reply equals ProbeICMP's on a
+// addresses the world never allocated - 0.0.0.0, below and just past the
+// slot index, far above it, at 224.0.0.0/24 and in the last /24 of the
+// address space. Every reply equals ProbeICMP's on a
 // world without a session table, with and without an injected hijack.
 func TestSpanSessionSparseAndUnordered(t *testing.T) {
 	cfg := DefaultConfig()
@@ -609,7 +608,8 @@ func TestSpanSessionSparseAndUnordered(t *testing.T) {
 	if victim == 0 {
 		t.Fatal("no responsive unicast /24 found")
 	}
-	outside := []IP{0x00000101, (first - 1).Host(1), (last + 1).Host(1), (last + 5000).Host(9), 0xDF000001}
+	outside := []IP{0x00000101, (first - 1).Host(1), (last + 1).Host(1), (last + 5000).Host(9), 0xDF000001,
+		0, Prefix24(0xE00000).Host(1), Prefix24(1<<24 - 1).Host(254)}
 
 	lists := map[string][]IP{}
 	var strided []IP
@@ -744,7 +744,7 @@ func TestSpanPlanSharedBitIdentical(t *testing.T) {
 				seen["anycast density hit"]++
 			case anycast:
 				continue
-			case pl.cls[i] == spanTimeout && target == cached.unicast[-(cached.byPrefix[p]+1)].rep:
+			case pl.cls[i] == spanTimeout && target == cached.unicast[-(cached.slots[p-basePrefix]+1)].rep:
 				seen["silent"]++
 			case pl.cls[i] == spanTimeout:
 				seen["non-representative"]++
@@ -801,22 +801,6 @@ func TestSpanPlanSharedBitIdentical(t *testing.T) {
 		t.Errorf("%d plans classed the hijacked /24 slow, want the %d built before the clear", slowPlans, want)
 	}
 	t.Logf("planned targets by kind: %v", seen)
-}
-
-// TestSeekPrefix holds the galloping search to sort.Search from every
-// starting cursor of a small index with gaps.
-func TestSeekPrefix(t *testing.T) {
-	idx := []Prefix24{3, 4, 5, 9, 10, 40, 41, 42, 43, 44, 45, 46, 47, 100, 1000}
-	for n := 0; n <= len(idx); n++ {
-		for from := 0; from <= n; from++ {
-			for p := Prefix24(0); p < 1002; p++ {
-				want := from + sort.Search(n-from, func(i int) bool { return idx[from+i] >= p })
-				if got := seekPrefix(idx[:n], from, p); got != want {
-					t.Fatalf("seekPrefix(idx[:%d], %d, %d) = %d, want %d", n, from, p, got, want)
-				}
-			}
-		}
-	}
 }
 
 // TestSessionTableConcurrent looks sessions up from 8 goroutines at once

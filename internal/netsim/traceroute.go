@@ -25,7 +25,7 @@ type Hop struct {
 // routers and path divergence is observable, exactly what the hijack
 // cross-check needs. It returns nil when the target does not answer.
 func (w *World) Traceroute(vp platform.VP, target IP, round uint64) []Hop {
-	i, ok := w.byPrefix[target.Prefix()]
+	i, ok := w.lookup(target.Prefix())
 	if !ok {
 		return nil
 	}

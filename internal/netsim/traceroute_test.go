@@ -11,7 +11,7 @@ import (
 
 func responsiveUnicast(t *testing.T, w *World, vp platform.VP) IP {
 	t.Helper()
-	for _, p := range w.unicastPrefix {
+	for _, p := range w.unicastPrefixes() {
 		rep, _ := w.Representative(p)
 		if w.ProbeICMP(vp, rep, 0).OK() && w.Traceroute(vp, rep, 0) != nil {
 			return rep

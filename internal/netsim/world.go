@@ -191,10 +191,11 @@ type World struct {
 	geom       []deploymentGeom
 	endAccess  []float64
 
-	// byPrefix maps a /24 to its object: values >= 0 index deployments,
-	// values < 0 encode -(unicastIndex+1).
-	byPrefix       map[Prefix24]int32
-	unicastPrefix  []Prefix24 // unicast index -> prefix
+	// slots indexes every allocated /24 by its slot, p - basePrefix (the
+	// world is one contiguous run of /24s): values >= 0 index
+	// deployments, values < 0 encode -(unicastIndex+1). Unicast indexes
+	// ascend with the slot. See lookup.
+	slots          []int32
 	anycastByASN   map[int][]*Deployment
 	dcPool         []poolCity
 	cityCumWeights []float64 // population-cumulative weights over Cities.All()
@@ -290,7 +291,6 @@ func New(cfg Config) *World {
 		seedSt:       detrand.Begin(cfg.Seed),
 		Registry:     asdb.Default(),
 		Cities:       cities.Default(),
-		byPrefix:     make(map[Prefix24]int32),
 		anycastByASN: make(map[int][]*Deployment),
 		// Allocated here, not on first injection: WithFaults views copy
 		// the World by value and must share the map, as they share sessions.
@@ -318,17 +318,15 @@ func New(cfg Config) *World {
 		}
 		anycastSlots = append(anycastSlots, v)
 	}
-	slotOf := make(map[uint64]bool, totalAnycast)
-	for _, s := range anycastSlots {
-		slotOf[s] = true
-	}
+	w.slots = make([]int32, total)
 
 	// Instantiate deployments AS by AS, in registry order.
 	slotCursor := 0
-	groupOf := make(map[string]int32) // replica list, as place-slot bytes -> rank group
-	var subset []Replica              // prefixReplicaSubset's scratch
+	groupOf := make(map[string]int32)            // replica list, as place-slot bytes -> rank group
+	var subset []Replica                         // prefixReplicaSubset's scratch
+	anchorKm := make([][]float64, len(w.dcPool)) // buildASReplicaSet's distance rows
 	for _, as := range w.Registry.All() {
-		asReplicas := w.buildASReplicaSet(as)
+		asReplicas := w.buildASReplicaSet(as, anchorKm)
 		// Replica i of the AS (Replica.ID == i) is place placeBase+i.
 		placeBase := len(w.places)
 		for _, r := range asReplicas {
@@ -355,26 +353,37 @@ func New(cfg Config) *World {
 				rep: prefix.Host(byte(1 + detrand.Intn(32, cfg.Seed, uint64(prefix), 0x4E01))),
 			}
 			w.indexReplicas(d, placeBase, groupOf)
-			w.byPrefix[prefix] = int32(len(w.deployments))
+			w.slots[prefix-basePrefix] = d.idx
 			w.deployments = append(w.deployments, d)
 			w.anycastByASN[as.ASN] = append(w.anycastByASN[as.ASN], d)
 		}
 	}
 
-	// Fill the remaining slots with unicast representatives.
+	// Fill the remaining slots with unicast representatives, walking the
+	// anycast slots in order beside them.
+	slices.Sort(anycastSlots)
 	w.unicast = make([]unicastHost, 0, cfg.Unicast24s)
-	w.unicastPrefix = make([]Prefix24, 0, cfg.Unicast24s)
-	for slot := uint64(0); slot < uint64(total); slot++ {
-		if slotOf[slot] {
+	next := 0 // anycastSlots[next] is the first anycast slot not passed
+	for slot := range w.slots {
+		if next < len(anycastSlots) && anycastSlots[next] == uint64(slot) {
+			next++
 			continue
 		}
-		prefix := basePrefix + Prefix24(slot)
-		idx := len(w.unicast)
-		w.unicast = append(w.unicast, w.buildUnicastHost(prefix))
-		w.unicastPrefix = append(w.unicastPrefix, prefix)
-		w.byPrefix[prefix] = int32(-(idx + 1))
+		w.slots[slot] = int32(-(len(w.unicast) + 1))
+		w.unicast = append(w.unicast, w.buildUnicastHost(basePrefix+Prefix24(slot)))
 	}
 	return w
+}
+
+// lookup returns the slots entry of the /24, with ok false for a prefix
+// outside the world. Below basePrefix the subtraction wraps past every
+// slot.
+func (w *World) lookup(p Prefix24) (i int32, ok bool) {
+	slot := uint32(p - basePrefix)
+	if uint(slot) >= uint(len(w.slots)) {
+		return 0, false
+	}
+	return w.slots[slot], true
 }
 
 // indexReplicas ties a new deployment of the AS whose replicas start at
@@ -450,7 +459,7 @@ func (w *World) DeploymentsByASN(asn int) []*Deployment { return w.anycastByASN[
 
 // Deployment returns the deployment owning the prefix, if any.
 func (w *World) Deployment(p Prefix24) (*Deployment, bool) {
-	i, ok := w.byPrefix[p]
+	i, ok := w.lookup(p)
 	if !ok || i < 0 {
 		return nil, false
 	}
@@ -467,7 +476,7 @@ func (w *World) IsAnycast(p Prefix24) bool {
 // ASNOf returns the AS announcing the prefix (ground truth used by the BGP
 // table substitute).
 func (w *World) ASNOf(p Prefix24) (int, bool) {
-	i, ok := w.byPrefix[p]
+	i, ok := w.lookup(p)
 	if !ok {
 		return 0, false
 	}
@@ -483,8 +492,7 @@ func (w *World) NumPrefixes() int { return len(w.deployments) + len(w.unicast) }
 
 // Prefixes calls fn for every allocated /24 in increasing order.
 func (w *World) Prefixes(fn func(Prefix24)) {
-	total := w.Registry.TotalFootprint() + w.cfg.Unicast24s
-	for slot := 0; slot < total; slot++ {
+	for slot := range w.slots {
 		fn(basePrefix + Prefix24(slot))
 	}
 }
@@ -493,7 +501,7 @@ func (w *World) Prefixes(fn func(Prefix24)) {
 // and whether any host in the /24 has ever been seen alive (targets with no
 // alive host carry a negative hitlist score, Sec. 3.1).
 func (w *World) Representative(p Prefix24) (IP, bool) {
-	i, ok := w.byPrefix[p]
+	i, ok := w.lookup(p)
 	if !ok {
 		return 0, false
 	}
@@ -508,7 +516,7 @@ func (w *World) Representative(p Prefix24) (IP, bool) {
 // probes, according to the deployment density (used by the Sec. 3.1
 // spot-check that any alive IP of a /24 is equivalent).
 func (w *World) HostAlive(ip IP) bool {
-	i, ok := w.byPrefix[ip.Prefix()]
+	i, ok := w.lookup(ip.Prefix())
 	if !ok {
 		return false
 	}
@@ -550,8 +558,10 @@ func (w *World) buildCityWeights() {
 // 70% of tail ASes keep every replica within ~800 km of an anchor hub,
 // which makes them borderline for speed-of-light detection - the population
 // behind Fig. 12's two-replica tail and the recall gained by combining
-// censuses.
-func (w *World) buildASReplicaSet(as asdb.AS) []Replica {
+// censuses. anchorKm[a] is pool city a's row of distances to every pool
+// city, computed the first time an AS anchors there and shared by every
+// later one.
+func (w *World) buildASReplicaSet(as asdb.AS, anchorKm [][]float64) []Replica {
 	if pinned, ok := pinnedFootprints[as.Name]; ok {
 		replicas := make([]Replica, 0, len(pinned))
 		for i, nc := range pinned {
@@ -577,9 +587,17 @@ func (w *World) buildASReplicaSet(as asdb.AS) []Replica {
 	}
 
 	regional := !as.Top100 && detrand.UnitFloat(w.cfg.Seed, uint64(as.ASN), 0x9010) < 0.7
-	var anchor geo.Coord
+	var anchorDist []float64 // anchorDist[i]: the anchor hub's distance to dcPool[i]
 	if regional {
-		anchor = w.dcPool[detrand.Intn(len(w.dcPool), w.cfg.Seed, uint64(as.ASN), 0x9011)].city.Loc
+		a := detrand.Intn(len(w.dcPool), w.cfg.Seed, uint64(as.ASN), 0x9011)
+		if anchorKm[a] == nil {
+			anchor := w.dcPool[a].city.Loc
+			anchorKm[a] = make([]float64, len(w.dcPool))
+			for i, pc := range w.dcPool {
+				anchorKm[a][i] = geo.DistanceKm(anchor, pc.city.Loc)
+			}
+		}
+		anchorDist = anchorKm[a]
 	}
 
 	// Weighted sampling without replacement, deterministic per AS.
@@ -590,7 +608,7 @@ func (w *World) buildASReplicaSet(as asdb.AS) []Replica {
 	build := func(regionOnly bool) []cand {
 		out := make([]cand, 0, len(w.dcPool))
 		for i, pc := range w.dcPool {
-			if regionOnly && geo.DistanceKm(anchor, pc.city.Loc) > 800 {
+			if regionOnly && anchorDist[i] > 800 {
 				continue
 			}
 			// Efraimidis-Spirakis weighted reservoir keys.

@@ -78,7 +78,7 @@ func TestGroundTruthLookups(t *testing.T) {
 		t.Errorf("ASNOf = %d,%v want %d", asn, ok, d.ASN)
 	}
 	// A unicast prefix.
-	up := w.unicastPrefix[0]
+	up := w.unicastPrefixes()[0]
 	if w.IsAnycast(up) {
 		t.Error("unicast prefix reported as anycast")
 	}
@@ -126,7 +126,7 @@ func TestRepresentative(t *testing.T) {
 	if !seenDead {
 		t.Error("some hitlist entries should have negative liveness scores")
 	}
-	if _, ok := w.byPrefix[Prefix24(7)]; ok {
+	if _, ok := w.lookup(Prefix24(7)); ok {
 		t.Fatal("test assumes prefix 7 unallocated")
 	}
 	if _, alive := w.Representative(Prefix24(7)); alive {
@@ -258,8 +258,9 @@ func TestEvolve(t *testing.T) {
 	if w1.NumPrefixes() != w0.NumPrefixes() {
 		t.Fatal("prefix space changed across epochs")
 	}
-	for i, p := range w0.unicastPrefix[:500] {
-		if w1.unicastPrefix[i] != p {
+	u1 := w1.unicastPrefixes()
+	for i, p := range w0.unicastPrefixes()[:500] {
+		if u1[i] != p {
 			t.Fatal("unicast allocation changed across epochs")
 		}
 		if w0.unicast[i] != w1.unicast[i] {

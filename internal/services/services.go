@@ -12,6 +12,7 @@
 package services
 
 import (
+	"math/bits"
 	"sort"
 
 	"anycastmap/internal/asdb"
@@ -473,24 +474,35 @@ func noTCPProb(cat asdb.Category) float64 {
 
 // buildBulkPorts produces a deterministic large port inventory: the three
 // service staples, lowWellKnown ports drawn from the system range, and the
-// rest spread over the ephemeral range.
+// rest spread over the ephemeral range. The draws mark a bit per port, so
+// the inventory comes out in port order with no map and no sort.
 func buildBulkPorts(seed uint64, total, lowWellKnown int) []Service {
-	ports := map[uint16]bool{53: true, 80: true, 443: true, 22: true, 3306: true, 21: true, 25: true}
-	for i := 0; len(ports) < lowWellKnown; i++ {
-		p := uint16(detrand.Intn(1023, seed, uint64(i), 0xB07) + 1)
-		ports[p] = true
+	var set [1 << 16 / 64]uint64
+	n := 0
+	mark := func(p uint16) {
+		if set[p/64]&(1<<(p%64)) == 0 {
+			set[p/64] |= 1 << (p % 64)
+			n++
+		}
 	}
-	for i := 0; len(ports) < total; i++ {
-		p := uint16(detrand.Intn(64512, seed, uint64(i), 0xB17) + 1024)
-		ports[p] = true
+	for _, p := range []uint16{53, 80, 443, 22, 3306, 21, 25} {
+		mark(p)
 	}
-	out := make([]Service, 0, len(ports))
-	for p := range ports {
-		// A sliver of the seedbox services run HTTPS on arbitrary high
-		// ports (the paper finds 185 SSL services in the 10.5k union).
-		ssl := detrand.UnitFloat(seed, uint64(p), 0xB55) < 0.017
-		out = append(out, Service{Port: p, SSL: ssl})
+	for i := 0; n < lowWellKnown; i++ {
+		mark(uint16(detrand.Intn(1023, seed, uint64(i), 0xB07) + 1))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
+	for i := 0; n < total; i++ {
+		mark(uint16(detrand.Intn(64512, seed, uint64(i), 0xB17) + 1024))
+	}
+	out := make([]Service, 0, n)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			p := uint16(w*64 + bits.TrailingZeros64(word))
+			// A sliver of the seedbox services run HTTPS on arbitrary high
+			// ports (the paper finds 185 SSL services in the 10.5k union).
+			ssl := detrand.UnitFloat(seed, uint64(p), 0xB55) < 0.017
+			out = append(out, Service{Port: p, SSL: ssl})
+		}
+	}
 	return out
 }

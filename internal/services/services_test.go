@@ -1,9 +1,12 @@
 package services
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"anycastmap/internal/asdb"
+	"anycastmap/internal/detrand"
 )
 
 func build(t *testing.T) (*asdb.Registry, *Inventory) {
@@ -231,5 +234,39 @@ func TestDNSOverUDPFlag(t *testing.T) {
 	ms, _ := inv.ByASN(reg.MustByName("MICROSOFT,US").ASN)
 	if ms.ServesDNSOverUDP {
 		t.Error("Microsoft should not serve public DNS over UDP")
+	}
+}
+
+// refBulkPorts is buildBulkPorts as it was with a port map and a sort: the
+// reference the bit-set inventory is held to.
+func refBulkPorts(seed uint64, total, lowWellKnown int) []Service {
+	ports := map[uint16]bool{53: true, 80: true, 443: true, 22: true, 3306: true, 21: true, 25: true}
+	for i := 0; len(ports) < lowWellKnown; i++ {
+		ports[uint16(detrand.Intn(1023, seed, uint64(i), 0xB07)+1)] = true
+	}
+	for i := 0; len(ports) < total; i++ {
+		ports[uint16(detrand.Intn(64512, seed, uint64(i), 0xB17)+1024)] = true
+	}
+	out := make([]Service, 0, len(ports))
+	for p := range ports {
+		out = append(out, Service{Port: p, SSL: detrand.UnitFloat(seed, uint64(p), 0xB55) < 0.017})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
+	return out
+}
+
+// TestBulkPortsMatchReference holds the bit-set inventory to the map and
+// sort it replaced, at OVH's and Incapsula's sizes and at the edges: no
+// draw beyond the staples, and every port of the ephemeral range beside
+// the 599 system ports of 600 marked (3306 is ephemeral).
+func TestBulkPortsMatchReference(t *testing.T) {
+	for _, c := range []struct {
+		seed         uint64
+		total, lowWK int
+	}{{2015, 10148, 450}, {2016, 313, 7}, {1, 7, 7}, {3, 599 + 64512, 600}} {
+		got, want := buildBulkPorts(c.seed, c.total, c.lowWK), refBulkPorts(c.seed, c.total, c.lowWK)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("buildBulkPorts(%d, %d, %d): %d services, want %d, or they differ", c.seed, c.total, c.lowWK, len(got), len(want))
+		}
 	}
 }
