@@ -159,21 +159,24 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"top", *top}, {"max-heap-mib", *maxHeapMiB}, {"rate-baseline-targets", *rateBaselineTargets}} {
+	}{{"local", *local}, {"top", *top}, {"max-heap-mib", *maxHeapMiB}, {"rate-baseline-targets", *rateBaselineTargets}} {
 		if f.v < 0 {
 			log.Fatalf("%s: %d is negative, want 0 or more", f.name, f.v)
 		}
 	}
-	// The census and pipeline configs refuse a NaN or negative -rate and
-	// a negative -workers or -span-targets: each means nothing, not its
-	// default. They are asked one flag at a time, so the refusal names it.
+	// The census, pipeline and cluster configs refuse a NaN or negative
+	// -rate, a negative -workers, -span-targets or -retry-backoff and a
+	// -lease-ttl of zero or less: each means nothing, not its default.
+	// They are asked one flag at a time, so the refusal names it.
 	for _, f := range []struct {
 		name string
 		err  error
 	}{
 		{"rate", census.Config{Rate: *rate}.Validate()},
 		{"workers", census.Config{Workers: *workers}.Validate()},
+		{"retry-backoff", census.Config{RetryBackoff: *retryBackoff}.Validate()},
 		{"span-targets", census.PipelineConfig{SpanTargets: *spanTargets}.Validate()},
+		{"lease-ttl", cluster.Config{LeaseTTL: *leaseTTL}.Validate()},
 	} {
 		if f.err != nil {
 			log.Fatalf("%s: %v", f.name, f.err)

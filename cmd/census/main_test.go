@@ -46,6 +46,7 @@ func TestRefusesFlagValues(t *testing.T) {
 	for _, bad := range []string{
 		"-top -1", "-max-heap-mib -1", "-rate-baseline-targets -1",
 		"-unicast24s -5", "-vps 0", "-censuses 0", "-censuses -1", "-retries 0", "-workers -3", "-span-targets -5",
+		"-local -2", "-retry-backoff -1s", "-lease-ttl -1s -local 2", "-lease-ttl 0 -local 2",
 	} {
 		save := filepath.Join(t.TempDir(), "refused.save")
 		cmd := exec.Command(os.Args[0], "-test.run=^$")

@@ -31,6 +31,7 @@ import (
 	"anycastmap/internal/geo"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/prober"
 	"anycastmap/internal/record"
 )
 
@@ -135,20 +136,9 @@ func demoMeasurements(asName string, rounds int) ([]core.Measurement, error) {
 	target, _ := world.Representative(d.Prefix)
 	log.Printf("probing %v (%s, truth: %d replicas) from PlanetLab", d.Prefix, asName, len(d.Replicas))
 
-	var ms []core.Measurement
-	for _, vp := range platform.PlanetLab(cities.Default()).VPs() {
-		best := time.Duration(-1)
-		for r := 1; r <= rounds; r++ {
-			reply := world.ProbeICMP(vp, target, uint64(r))
-			if reply.OK() && (best < 0 || reply.RTT < best) {
-				best = reply.RTT
-			}
-		}
-		if best >= 0 {
-			ms = append(ms, core.Measurement{VP: vp.Name, VPLoc: vp.Loc, RTT: best})
-		}
-	}
-	return ms, nil
+	return prober.MinRTT(platform.PlanetLab(cities.Default()).VPs(), rounds, func(vp platform.VP, r uint64) netsim.Reply {
+		return world.ProbeICMP(vp, target, r)
+	}), nil
 }
 
 // runsMeasurements reads the per-VP binary record files in dir, in

@@ -11,6 +11,7 @@ import (
 	"anycastmap/internal/geo"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/prober"
 )
 
 var (
@@ -33,21 +34,7 @@ func testbed(t *testing.T) (*netsim.World, *platform.Platform) {
 }
 
 func measure(w *netsim.World, vps []platform.VP, target netsim.IP, rounds int) []core.Measurement {
-	var ms []core.Measurement
-	for _, vp := range vps {
-		best := time.Duration(-1)
-		for r := 1; r <= rounds; r++ {
-			if reply := w.ProbeICMP(vp, target, uint64(r)); reply.OK() {
-				if best < 0 || reply.RTT < best {
-					best = reply.RTT
-				}
-			}
-		}
-		if best >= 0 {
-			ms = append(ms, core.Measurement{VP: vp.Name, VPLoc: vp.Loc, RTT: best})
-		}
-	}
-	return ms
+	return prober.MinRTT(vps, rounds, func(vp platform.VP, r uint64) netsim.Reply { return w.ProbeICMP(vp, target, r) })
 }
 
 func repOf(t *testing.T, name string) netsim.IP {

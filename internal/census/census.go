@@ -50,19 +50,23 @@ type Config struct {
 	MaxAttempts int
 	// RetryBackoff is the base delay before the first retry; each
 	// further retry doubles it, capped at retryBackoffCap. Zero means
-	// 50ms; negative disables the backoff entirely (tests).
+	// 50ms; negative disables the backoff entirely, a setting for tests
+	// built in code that Validate refuses.
 	RetryBackoff time.Duration
 }
 
 // Validate reports the first setting that means nothing, or nil: a
-// negative worker count or attempt budget - zero means the default, a
-// negative number never does - or a rate prober.CheckRate refuses.
+// negative worker count, attempt budget or retry backoff - zero means the
+// default, a negative number never does from outside input - or a rate
+// prober.CheckRate refuses.
 func (c Config) Validate() error {
 	switch {
 	case c.Workers < 0:
 		return fmt.Errorf("census: Workers %d is negative (0 means GOMAXPROCS)", c.Workers)
 	case c.MaxAttempts < 0:
 		return fmt.Errorf("census: MaxAttempts %d is negative (0 means 3)", c.MaxAttempts)
+	case c.RetryBackoff < 0:
+		return fmt.Errorf("census: RetryBackoff %v is negative (0 means 50ms)", c.RetryBackoff)
 	}
 	return prober.CheckRate(c.Rate)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"anycastmap/internal/cities"
 	"anycastmap/internal/core"
@@ -325,9 +326,10 @@ func TestExecuteContextCancellation(t *testing.T) {
 }
 
 // TestConfigValidate holds the census and pipeline configs to refusing
-// every value that means nothing - a negative worker count, attempt budget
-// or unit width, a NaN, negative or infinite rate - with an error naming
-// the field, and to accepting zero, which means the default, in each.
+// every value that means nothing - a negative worker count, attempt
+// budget, retry backoff or unit width, a NaN, negative or infinite rate -
+// with an error naming the field, and to accepting zero, which means the
+// default, in each.
 func TestConfigValidate(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -335,9 +337,10 @@ func TestConfigValidate(t *testing.T) {
 		field string // "" when the config is valid
 	}{
 		{"zero", Config{}.Validate(), ""},
-		{"set", Config{Rate: 500, Workers: 4, MaxAttempts: 1, RetryBackoff: -1}.Validate(), ""},
+		{"set", Config{Rate: 500, Workers: 4, MaxAttempts: 1, RetryBackoff: time.Second}.Validate(), ""},
 		{"workers -3", Config{Workers: -3}.Validate(), "Workers"},
 		{"attempts -1", Config{MaxAttempts: -1}.Validate(), "MaxAttempts"},
+		{"backoff -1s", Config{RetryBackoff: -time.Second}.Validate(), "RetryBackoff"},
 		{"rate NaN", Config{Rate: math.NaN()}.Validate(), "rate"},
 		{"rate -1", Config{Rate: -1}.Validate(), "rate"},
 		{"rate +Inf", Config{Rate: math.Inf(1)}.Validate(), "rate"},

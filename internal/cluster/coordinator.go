@@ -49,7 +49,8 @@ type Config struct {
 	ShardTargets int
 	// LeaseTTL is how long an agent may hold a lease before the
 	// coordinator presumes it dead; expiry drops the whole agent (every
-	// unit it has not reported fails with it). Zero means 30s.
+	// unit it has not reported fails with it). Zero means 30s; Validate
+	// refuses it.
 	LeaseTTL time.Duration
 	// AgentGrace is how long a round may sit with zero registered
 	// agents before it aborts. Zero means 30s.
@@ -60,6 +61,17 @@ type Config struct {
 	Tick time.Duration
 	// Log, when non-nil, receives operational events.
 	Log func(format string, args ...any)
+}
+
+// Validate reports the first lease setting outside input may not ask
+// for, or nil: a LeaseTTL of zero or less. Zero means 30s in a Config
+// built in code; a command line, whose flag already defaults to 30s,
+// can only mean a lease that expires at once.
+func (c Config) Validate() error {
+	if c.LeaseTTL <= 0 {
+		return fmt.Errorf("cluster: LeaseTTL %v is not positive", c.LeaseTTL)
+	}
+	return nil
 }
 
 func (c Config) leaseTTL() time.Duration {

@@ -268,7 +268,7 @@ func (l *Lab) FusePlatforms(topN int) PlatformFusion {
 			continue
 		}
 		ms := l.Combined.Measurements(ti)
-		ms = append(ms, measureFromVPs(l.RIPE.VPs(), l.Config.Censuses, func(vp platform.VP, round uint64) netsim.Reply {
+		ms = append(ms, prober.MinRTT(l.RIPE.VPs(), l.Config.Censuses, func(vp platform.VP, round uint64) netsim.Reply {
 			return l.World.ProbeICMP(vp, target, round)
 		})...)
 		refined := core.Analyze(l.Cities, ms, core.Options{})

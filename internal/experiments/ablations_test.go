@@ -7,8 +7,8 @@ import (
 )
 
 func TestAblateVPCount(t *testing.T) {
-	l := getLab(t)
-	r := l.AblateVPCount([]int{40, 120, 250})
+	getLab(t)
+	r := labAblateVPs()
 	if len(r.Detected24s) != 3 {
 		t.Fatal("sweep incomplete")
 	}
@@ -32,8 +32,8 @@ func TestAblateVPCount(t *testing.T) {
 }
 
 func TestAblateRate(t *testing.T) {
-	l := getLab(t)
-	r := l.AblateRate([]float64{1000, 12000})
+	getLab(t)
+	r := labAblateRate()
 	if r.Dropped[0] != 0 {
 		t.Errorf("replies dropped at the slow rate: %d", r.Dropped[0])
 	}
@@ -50,8 +50,8 @@ func TestAblateRate(t *testing.T) {
 }
 
 func TestAblateIteration(t *testing.T) {
-	l := getLab(t)
-	r := l.AblateIteration()
+	getLab(t)
+	r := labAblateIteration()
 	if r.Prefixes == 0 {
 		t.Fatal("nothing analyzed")
 	}
@@ -66,8 +66,8 @@ func TestAblateIteration(t *testing.T) {
 }
 
 func TestAblateMIS(t *testing.T) {
-	l := getLab(t)
-	r := l.AblateMIS(25)
+	getLab(t)
+	r := labAblateMIS()
 	if r.Instances < 10 {
 		t.Fatalf("only %d instances solved", r.Instances)
 	}
@@ -82,8 +82,8 @@ func TestAblateMIS(t *testing.T) {
 }
 
 func TestFusePlatforms(t *testing.T) {
-	l := getLab(t)
-	r := l.FusePlatforms(10)
+	getLab(t)
+	r := labFusion()
 	if r.Prefixes != 10 {
 		t.Fatalf("refined %d prefixes, want 10", r.Prefixes)
 	}
@@ -134,8 +134,8 @@ func TestLongitudinal(t *testing.T) {
 }
 
 func TestBaselines(t *testing.T) {
-	l := getLab(t)
-	r := l.Baselines(40)
+	getLab(t)
+	r := labBaselines()
 	if r.DNSTargets == 0 || r.NonDNSTargets == 0 {
 		t.Fatalf("sample did not cover both DNS and non-DNS deployments: %+v", r)
 	}

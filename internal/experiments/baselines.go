@@ -8,6 +8,7 @@ import (
 	"anycastmap/internal/core"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/prober"
 )
 
 // BaselineComparison reproduces the Sec. 2.2 positioning of the paper's
@@ -41,7 +42,7 @@ func (l *Lab) Baselines(sampleSize int) BaselineComparison {
 	vps := l.roundVPs(0)
 
 	measureTarget := func(target netsim.IP) []core.Measurement {
-		return measureFromVPs(vps, l.Config.Censuses, func(vp platform.VP, round uint64) netsim.Reply {
+		return prober.MinRTT(vps, l.Config.Censuses, func(vp platform.VP, round uint64) netsim.Reply {
 			return l.World.ProbeICMP(vp, target, round)
 		})
 	}
@@ -122,11 +123,4 @@ func (r BaselineComparison) Report() string {
 	fmt.Fprintf(&b, "  CBG triangulation [28]: feasible on %d/%d unicast but only %d/%d anycast targets\n",
 		r.CBGFeasibleUnicast, r.UnicastTargets, r.CBGFeasibleAnycast, r.AnycastTargets)
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

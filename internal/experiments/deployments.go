@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"anycastmap/internal/core"
 	"anycastmap/internal/geo"
 	"anycastmap/internal/groundtruth"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/prober"
 )
 
 // targetIndex finds a prefix's index in the combined target list.
@@ -21,28 +21,6 @@ func (l *Lab) targetIndex(p netsim.Prefix24) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// measureFromVPs builds a min-over-rounds measurement set toward one target
-// from an arbitrary VP list using the given probe function.
-func measureFromVPs(vps []platform.VP, rounds int, probe func(platform.VP, uint64) netsim.Reply) []core.Measurement {
-	var ms []core.Measurement
-	for _, vp := range vps {
-		best := time.Duration(-1)
-		for r := 1; r <= rounds; r++ {
-			reply := probe(vp, uint64(r))
-			if !reply.OK() {
-				continue
-			}
-			if best < 0 || reply.RTT < best {
-				best = reply.RTT
-			}
-		}
-		if best >= 0 {
-			ms = append(ms, core.Measurement{VP: vp.Name, VPLoc: vp.Loc, RTT: best})
-		}
-	}
-	return ms
 }
 
 // Fig5Result compares the Microsoft deployment as seen from PlanetLab and
@@ -74,7 +52,7 @@ func (l *Lab) Fig5() Fig5Result {
 		res.PLCities = pl.Cities()
 	}
 
-	ripeMs := measureFromVPs(l.RIPE.VPs(), l.Config.Censuses, func(vp platform.VP, round uint64) netsim.Reply {
+	ripeMs := prober.MinRTT(l.RIPE.VPs(), l.Config.Censuses, func(vp platform.VP, round uint64) netsim.Reply {
 		return l.World.ProbeICMP(vp, target, round)
 	})
 	ripe := core.Analyze(l.Cities, ripeMs, core.Options{})
@@ -272,7 +250,7 @@ func (l *Lab) OpenDNS() OpenDNSResult {
 		"DNS/TCP": func(vp platform.VP, r uint64) netsim.Reply { return l.World.ProbeDNSTCP(vp, target, r) },
 	}
 	for proto, probe := range probes {
-		ms := measureFromVPs(l.PL.VPs(), l.Config.Censuses, probe)
+		ms := prober.MinRTT(l.PL.VPs(), l.Config.Censuses, probe)
 		r := core.Analyze(l.Cities, ms, core.Options{})
 		res.InstancesByProtocol[proto] = r.Count()
 		if proto != "ICMP" {

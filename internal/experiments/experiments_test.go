@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"anycastmap/internal/analysis"
+	"anycastmap/internal/netsim"
 )
 
 // The shared test lab runs the full four-census campaign at a reduced
@@ -26,6 +29,16 @@ func getLab(t *testing.T) *Lab {
 	return testLab
 }
 
+// getDefaultLab returns the default lab (20,000 /24s), the one
+// cmd/experiments builds and EXPERIMENTS.md quotes.
+func getDefaultLab(t *testing.T) *Lab {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full campaign lab skipped in -short mode")
+	}
+	return DefaultLab()
+}
+
 // The expensive experiments over the shared lab run once for every test
 // that reads them (their own test and TestScienceGolden); call getLab
 // first.
@@ -35,6 +48,13 @@ var (
 	labLongitudinal = sync.OnceValue(func() LongitudinalResult { return testLab.Longitudinal(3, 150) })
 
 	labLongitudinalCampaign = sync.OnceValue(func() LongitudinalCampaignResult { return testLab.LongitudinalCampaign(3, 60) })
+
+	labAblateVPs       = sync.OnceValue(func() VPCountAblation { return testLab.AblateVPCount([]int{40, 120, 250}) })
+	labAblateRate      = sync.OnceValue(func() RateAblation { return testLab.AblateRate([]float64{1000, 12000}) })
+	labAblateIteration = sync.OnceValue(func() IterationAblation { return testLab.AblateIteration() })
+	labAblateMIS       = sync.OnceValue(func() MISAblation { return testLab.AblateMIS(25) })
+	labFusion          = sync.OnceValue(func() PlatformFusion { return testLab.FusePlatforms(10) })
+	labBaselines       = sync.OnceValue(func() BaselineComparison { return testLab.Baselines(40) })
 )
 
 func between(t *testing.T, name string, got, lo, hi float64) {
@@ -59,6 +79,30 @@ func TestLabWorkflow(t *testing.T) {
 	}
 	if len(l.Findings) == 0 {
 		t.Fatal("campaign detected nothing")
+	}
+}
+
+// Each lab scans its own detections: a second lab in the process must not
+// read the first lab's portscan.
+func TestPortscanPerLab(t *testing.T) {
+	for _, l := range []*Lab{getLab(t), getDefaultLab(t)} {
+		var want []netsim.IP
+		for _, f := range analysis.FilterMinReplicas(l.Findings, 5) {
+			if ip, ok := l.World.Representative(f.Prefix); ok {
+				want = append(want, ip)
+			}
+		}
+		got := l.Portscan().Reports
+		if len(got) != len(want) {
+			t.Errorf("%d-/24 lab: portscan of %d hosts, want its %d >=5-replica /24s", l.Config.Unicast24s, len(got), len(want))
+			continue
+		}
+		for i, ip := range want {
+			if got[i].Target != ip {
+				t.Errorf("%d-/24 lab: host %d is %v, want %v", l.Config.Unicast24s, i, got[i].Target, ip)
+				break
+			}
+		}
 	}
 }
 

@@ -183,15 +183,8 @@ func (r Table1Result) Report() string {
 	fmt.Fprintf(&b, "  %-28s %12v %12v   paper: 3 h vs >3 days\n", "est. parse, paper scale", r.EstBinaryParse.Round(time.Second), r.EstTextParse.Round(time.Second))
 	fmt.Fprintf(&b, "  size ratio %.1fx (paper ~13x), parse ratio %.1fx\n",
 		float64(r.TextBytesPerVP)/float64(r.BinaryBytesPerVP),
-		float64(r.EstTextParse)/float64(max64(1, int64(r.EstBinaryParse))))
+		float64(r.EstTextParse)/float64(max(1, int64(r.EstBinaryParse))))
 	return b.String()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fig8Result is the per-VP completion-time distribution.

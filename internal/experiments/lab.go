@@ -20,6 +20,7 @@ import (
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
+	"anycastmap/internal/portscan"
 	"anycastmap/internal/prober"
 )
 
@@ -69,6 +70,8 @@ type Lab struct {
 	Combined *census.Combined
 	Outcomes []census.Outcome
 	Findings []analysis.Finding
+
+	portscan func() *portscan.Campaign // this lab's Portscan, run once
 }
 
 // ScaleFactor returns the downscale of the allocated /24 space relative to
@@ -123,6 +126,7 @@ func NewLab(cfg LabConfig) *Lab {
 	l.Combined = cp.Combined()
 	l.Outcomes = census.AnalyzeAll(l.Cities, l.Combined, core.Options{}, 2, 0)
 	l.Findings = analysis.Attribute(l.Outcomes, l.Table)
+	l.portscan = sync.OnceValue(l.scan)
 	return l
 }
 

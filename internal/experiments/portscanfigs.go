@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"anycastmap/internal/analysis"
 	"anycastmap/internal/netsim"
@@ -11,26 +10,21 @@ import (
 	"anycastmap/internal/stats"
 )
 
-var (
-	scanOnce sync.Once
-	scanCamp *portscan.Campaign
-)
+// Portscan returns the lab's Sec. 4.3 campaign, run on first use: every
+// detected /24 of the >=5-replica ASes, one representative each, full 2^16
+// TCP port space from one vantage point.
+func (l *Lab) Portscan() *portscan.Campaign { return l.portscan() }
 
-// Portscan lazily runs the Sec. 4.3 campaign: every detected /24 of the
-// >=5-replica ASes, one representative each, full 2^16 TCP port space from
-// one vantage point.
-func (l *Lab) Portscan() *portscan.Campaign {
-	scanOnce.Do(func() {
-		top := analysis.FilterMinReplicas(l.Findings, 5)
-		var targets []netsim.IP
-		for _, f := range top {
-			if ip, ok := l.World.Representative(f.Prefix); ok {
-				targets = append(targets, ip)
-			}
+// scan runs the lab's portscan campaign; NewLab memoizes it per lab.
+func (l *Lab) scan() *portscan.Campaign {
+	top := analysis.FilterMinReplicas(l.Findings, 5)
+	var targets []netsim.IP
+	for _, f := range top {
+		if ip, ok := l.World.Representative(f.Prefix); ok {
+			targets = append(targets, ip)
 		}
-		scanCamp = portscan.Scan(l.World, l.PL.VPs()[0], targets, portscan.Config{Round: 1})
-	})
-	return scanCamp
+	}
+	return portscan.Scan(l.World, l.PL.VPs()[0], targets, portscan.Config{Round: 1})
 }
 
 // Fig14Result is the portscan statistics header plus the top-10 port bars.

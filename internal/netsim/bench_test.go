@@ -162,10 +162,11 @@ func BenchmarkBuildSession(b *testing.B) {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s vpSession
+			var scratch []float64
 			haversines := 0
 			for i := 0; i < b.N; i++ {
 				s = vpSession{}
-				haversines += w.buildSession(&s, p.vp)
+				haversines += w.buildSession(&s, p.vp, &scratch)
 			}
 			b.ReportMetric(float64(unsafe.Sizeof(s)+s.residentBytes()), "B/session")
 			b.ReportMetric(float64(haversines)/float64(b.N), "haversines/session")

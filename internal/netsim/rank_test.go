@@ -105,9 +105,10 @@ func TestSessionRankingMatchesHaversine(t *testing.T) {
 			vps := rankingVPs(w, c.random, c.places)
 			haversines := 0
 			km := make([]float64, len(w.places))
+			var scratch []float64
 			for _, vp := range vps {
 				var s vpSession
-				haversines += w.buildSession(&s, vp)
+				haversines += w.buildSession(&s, vp, &scratch)
 				from := geo.Prepare(vp.Loc)
 				for i, p := range w.places {
 					km[i] = geo.PointDistanceKm(from, p)

@@ -172,7 +172,11 @@ func (w *World) session(vp platform.VP) *vpSession {
 		e = t.insert(key, h)
 	}
 	s := &e.s
-	s.once.Do(func() { w.buildSession(s, vp) })
+	s.once.Do(func() {
+		scratch := rankScratch.Get().(*[]float64)
+		w.buildSession(s, vp, scratch)
+		rankScratch.Put(scratch)
+	})
 	return s
 }
 
@@ -198,17 +202,15 @@ const rankMargin = 1e-6
 // to it either way. It draws nothing per deployment: the RTT base toward
 // the replica that answers is built by the probe that reads it
 // (servedBaseMs). It allocates once, the ranking - the keys and the
-// remembered haversines live in a pooled scratch - and returns how many
-// haversines it computed.
-func (w *World) buildSession(s *vpSession, vp platform.VP) (haversines int) {
+// remembered haversines live in the caller's scratch, grown to fit - and
+// returns how many haversines it computed.
+func (w *World) buildSession(s *vpSession, vp platform.VP, scratch *[]float64) (haversines int) {
 	s.st = w.vpState(vp)
 	s.pt = geo.Prepare(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
 	s.ranked = make([][3]int16, len(w.rankGroups))
 
 	n := len(w.places)
-	scratch := rankScratch.Get().(*[]float64)
-	defer rankScratch.Put(scratch)
 	if cap(*scratch) < 2*n {
 		*scratch = make([]float64, 2*n)
 	}
@@ -257,8 +259,8 @@ func (w *World) buildSession(s *vpSession, vp platform.VP) (haversines int) {
 	return haversines
 }
 
-// rankScratch recycles buildSession's scratch: a key and a remembered
-// haversine per place, read only during the build.
+// rankScratch recycles the sessions' build scratch: a key and a
+// remembered haversine per place, read only during the build.
 var rankScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // rankByDistance is the three-nearest cascade servingReplicaSlow runs -

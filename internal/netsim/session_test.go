@@ -232,10 +232,11 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 }
 
 // TestBuildSessionAllocs pins a session build to its one allocation, the
-// ranking - the keys and remembered haversines are pooled scratch -
-// whatever the world holds: 1,696 deployments allocate as often as their
-// longer-listed DeploymentInflation 2 twins, not once per deployment or
-// per AS.
+// ranking - the keys and remembered haversines live in the caller's
+// scratch, which the test keeps across builds as a sync.Pool cannot under
+// the race detector - whatever the world holds: 1,696 deployments allocate
+// as often as their longer-listed DeploymentInflation 2 twins, not once
+// per deployment or per AS.
 func TestBuildSessionAllocs(t *testing.T) {
 	vp := sessionTestVPs()[0]
 	for _, inflation := range []float64{1, 2} {
@@ -243,9 +244,10 @@ func TestBuildSessionAllocs(t *testing.T) {
 		cfg.Unicast24s = 600
 		cfg.DeploymentInflation = inflation
 		w := New(cfg)
+		var scratch []float64
 		allocs := testing.AllocsPerRun(10, func() {
 			var s vpSession
-			w.buildSession(&s, vp)
+			w.buildSession(&s, vp, &scratch)
 		})
 		if allocs > 1 {
 			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 1", inflation, allocs, len(w.deployments))

@@ -278,3 +278,34 @@ func TestCheckRate(t *testing.T) {
 		}
 	}
 }
+
+// MinRTT keeps each vantage point's smallest echo RTT over the rounds,
+// skips what is not an echo - an ICMP error carries an RTT too - and
+// drops a vantage point that never answered.
+func TestMinRTT(t *testing.T) {
+	vps := []platform.VP{{ID: 1, Name: "a"}, {ID: 2, Name: "b"}, {ID: 3, Name: "c"}}
+	replies := map[[2]int]netsim.Reply{
+		{1, 1}: {Kind: netsim.ReplyEcho, RTT: 30 * time.Millisecond},
+		{1, 2}: {Kind: netsim.ReplyAdminFiltered, RTT: time.Millisecond},
+		{1, 3}: {Kind: netsim.ReplyEcho, RTT: 20 * time.Millisecond},
+		{2, 1}: {Kind: netsim.ReplyAdminFiltered, RTT: time.Millisecond},
+		{3, 2}: {Kind: netsim.ReplyEcho, RTT: 5 * time.Millisecond},
+		{3, 4}: {Kind: netsim.ReplyEcho, RTT: time.Millisecond}, // past the last round
+	}
+	probes := 0
+	ms := MinRTT(vps, 3, func(vp platform.VP, round uint64) netsim.Reply {
+		probes++
+		return replies[[2]int{vp.ID, int(round)}]
+	})
+	if probes != 9 {
+		t.Errorf("%d probes, want 3 rounds of 3 vantage points", probes)
+	}
+	want := []string{"a 20ms", "c 5ms"}
+	var got []string
+	for _, m := range ms {
+		got = append(got, m.VP+" "+m.RTT.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("measurements %v, want %v", got, want)
+	}
+}

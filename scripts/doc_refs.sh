@@ -6,9 +6,10 @@
 # a directory, an internal/, scripts/ or docs/ path that does not exist,
 # a back-quoted `layer.metric` that BENCHMARK.json does not declare, a
 # back-quoted `anycastmap_*` series no non-test Go file under internal/
-# or cmd/ registers, a back-quoted `Test*`, `Benchmark*` or `Fuzz*` name
-# no _test.go file defines (a trailing * matches a prefix), or a -flag on
-# a `go run ./cmd/<name>` line that cmd/<name>/main.go does not define:
+# or cmd/ registers, a back-quoted `Test*`, `Benchmark*`, `Fuzz*` or
+# `Example*` name no _test.go file defines (a trailing * matches a
+# prefix), or a -flag on a `go run ./cmd/<name>` line that
+# cmd/<name>/main.go does not define:
 # the docs are where a deleted target, binary, file, metric, series, test
 # or flag otherwise lives on. A make invocation counts when it opens a line (a shell block)
 # or an inline code span; "make a note" in prose does not. It also fails
@@ -89,7 +90,7 @@ while IFS=: read -r file line match; do
 done < <(grep -noE '`anycastmap_[a-z0-9_]+' "${docs[@]}")
 
 # A subtest's /name after the test is not checked.
-tests=$(find . -name '*_test.go' -not -path './.git/*' -exec grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' {} + | cut -d' ' -f2 | sort -u)
+tests=$(find . -name '*_test.go' -not -path './.git/*' -exec grep -hoE '^func (Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*' {} + | cut -d' ' -f2 | sort -u)
 while IFS=: read -r file line match; do
     name=${match#\`}
     if [[ $name == *\* ]]; then
@@ -99,7 +100,7 @@ while IFS=: read -r file line match; do
     fi
     echo "$file:$line: $name: no _test.go file defines this test" >&2
     bad=1
-done < <(grep -noE '`(Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?' "${docs[@]}")
+done < <(grep -noE '`(Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*\*?' "${docs[@]}")
 
 # Flags are checked up to the end of the command (a pipe, a redirect, a
 # comment or the closing back-quote); a continuation line is not read.
