@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,28 +42,48 @@ func TestMain(m *testing.M) {
 }
 
 // Every value a flag cannot mean is refused before the world is built:
-// exit 1, a first log line naming the flag, no world: line and no -save
-// directory.
+// exit 1 - not 0, not a panic, not a census without end (a minute's
+// timeout fails the case) - a first log line naming the flag, no world:
+// line and no -save directory. A world netsim.New cannot build, a census
+// of no vantage point or of no round, a negative round count (which
+// wrapped into an endless census), a retry budget of no attempt, a
+// negative worker count or unit width (which ran as their defaults), a
+// negative fault fraction (which ran fault-free; its line names the
+// fault plan) and a NaN rate (on which the fleet quarantined every VP and
+// exited 0) are among them. A later flag overrides an earlier one.
 func TestRefusesFlagValues(t *testing.T) {
+	firstLine := map[string]*regexp.Regexp{
+		"-fault-crash -0.5":  regexp.MustCompile(`^fault plan: .*CrashFraction`),
+		"-rate NaN -local 2": regexp.MustCompile(`^rate: .*NaN`),
+	}
 	for _, bad := range []string{
 		"-top -1", "-max-heap-mib -1", "-rate-baseline-targets -1",
 		"-unicast24s -5", "-vps 0", "-censuses 0", "-censuses -1", "-retries 0", "-workers -3", "-span-targets -5",
 		"-local -2", "-retry-backoff -1s", "-lease-ttl -1s -local 2", "-lease-ttl 0 -local 2",
+		"-fault-crash -0.5", "-rate NaN -local 2",
 	} {
 		save := filepath.Join(t.TempDir(), "refused.save")
-		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), mainArgsEnv+"=-unicast24s 800 -vps 20 -censuses 1 -save "+save+" "+bad)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
+		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("census %s: %v, want exit status 1; log:\n%s", bad, err, stderr.String())
 			continue
 		}
-		flagName := strings.TrimPrefix(strings.Fields(bad)[0], "-")
-		if first, _, _ := strings.Cut(stderr.String(), "\n"); !strings.HasPrefix(first, flagName+": ") {
-			t.Errorf("census %s: refused without naming the flag: %q", bad, first)
+		want := firstLine[bad]
+		if want == nil {
+			want = regexp.MustCompile("^" + strings.TrimPrefix(strings.Fields(bad)[0], "-") + ": ")
+		}
+		if first, _, _ := strings.Cut(stderr.String(), "\n"); !want.MatchString(first) {
+			t.Errorf("census %s: refused without naming the flag: %q, want %v", bad, first, want)
+		}
+		if strings.Contains(stderr.String(), "panic") {
+			t.Errorf("census %s: panicked:\n%s", bad, stderr.String())
 		}
 		if strings.Contains(stderr.String(), "world:") {
 			t.Errorf("census %s: built its world before refusing", bad)

@@ -172,8 +172,8 @@ func campaignDigest(t *testing.T, dc digestConfig) []byte {
 // every executor, worker count and span width to it - must match, in saved
 // run bytes, per-round analysis outcomes, combined matrix and greylist
 // union, the whole rounds batch-Combined and the whole rounds folded
-// through a Campaign. netsim's bit-identity tests hold the probe cache to
-// the uncached reference world.
+// through a Campaign. netsim's bit-identity tests hold the probe path to
+// the model's reference.
 func TestCensusDeterminism(t *testing.T) {
 	anchor := campaignDigest(t, digestConfig{workers: 1, pipelined: true})
 	for _, tc := range []struct {

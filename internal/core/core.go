@@ -287,17 +287,12 @@ type Locator interface {
 // Analyze runs the full detection / enumeration / geolocation / iteration
 // pipeline over the measurements for one target.
 func Analyze(db *cities.DB, ms []Measurement, opt Options) Result {
-	return AnalyzeWith(db, ms, opt)
-}
-
-// AnalyzeWith is Analyze over any Locator.
-func AnalyzeWith(db Locator, ms []Measurement, opt Options) Result {
 	return AnalyzeWithDist(db, ms, nil, opt)
 }
 
-// AnalyzeWithDist is AnalyzeWith with a CenterDist oracle replacing the
-// haversines between the measurements' vantage points, in detection and
-// in enumeration alike.
+// AnalyzeWithDist is Analyze over any Locator, with a CenterDist oracle
+// replacing the haversines between the measurements' vantage points, in
+// detection and in enumeration alike (nil: the haversines).
 func AnalyzeWithDist(db Locator, ms []Measurement, dist CenterDist, opt Options) Result {
 	if len(ms) < 2 {
 		return Result{}

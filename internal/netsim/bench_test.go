@@ -57,19 +57,6 @@ func BenchmarkServingReplica(b *testing.B) {
 	}
 }
 
-// BenchmarkPathRTT measures the latency model for a fixed (VP, endpoint)
-// pair across rounds: the propagation/stretch/access part is static, only
-// the queueing jitter varies.
-func BenchmarkPathRTT(b *testing.B) {
-	w, vps, targets := benchSetup(b)
-	d := w.Deployments()[0]
-	r := d.Replicas[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.pathRTT(vps[i%8], uint64(d.Prefix), r.Loc, uint64(r.ID), targets[i%len(targets)], uint64(i%4+1))
-	}
-}
-
 // BenchmarkProbeTCP measures the portscan probe path.
 func BenchmarkProbeTCP(b *testing.B) {
 	w, vps, targets := benchSetup(b)

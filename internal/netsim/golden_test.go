@@ -13,9 +13,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/reply_digest.golden from this checkout's replies")
 
 // TestReplyDigestGolden pins the substrate across commits. The bit-identity
-// tests compare the cached probe path with the uncached reference world
-// (newUncached) of the same checkout, so a change that moves both passes them; this one
-// compares both with a digest computed at an earlier commit. The committed
+// tests compare the probe path with the model's reference of the same
+// checkout (reference_test.go), so a change that moves both passes them;
+// this one compares both with a digest computed at an earlier commit. The committed
 // value was computed at a580fd2 (PR 21) - the parent of the commit that
 // added this test - before any netsim code changed. A change that means to
 // move the model's replies regenerates it with
@@ -25,10 +25,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/reply_digest.gol
 // and says so; any other change must leave it alone.
 func TestReplyDigestGolden(t *testing.T) {
 	const path = "testdata/reply_digest.golden"
-	cached, uncached := sessionTestWorlds(t)
-	got := replyDigest(cached)
-	if ref := replyDigest(uncached); ref != got {
-		t.Fatalf("cached world digests to %s, uncached world to %s", got, ref)
+	w, ref := sessionTestWorlds(t)
+	got := replyDigest(w, sessionTestTargets(w))
+	if want := replyDigest(ref, sessionTestTargets(w)); want != got {
+		t.Fatalf("world digests to %s, reference to %s", got, want)
 	}
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
@@ -49,7 +49,7 @@ func TestReplyDigestGolden(t *testing.T) {
 // the PlanetLab+RIPE vantage-point mix against every representative in
 // rounds 1-4, ICMP everywhere and TCP/80 plus DNS/UDP on every seventh
 // target.
-func replyDigest(w *World) string {
+func replyDigest(pr prober, targets []IP) string {
 	h := fnv.New64a()
 	var buf [9]byte
 	add := func(r Reply) {
@@ -57,14 +57,13 @@ func replyDigest(w *World) string {
 		binary.LittleEndian.PutUint64(buf[1:], uint64(r.RTT))
 		h.Write(buf[:])
 	}
-	targets := sessionTestTargets(w)
 	for _, vp := range sessionTestVPs() {
 		for ti, target := range targets {
 			for round := uint64(1); round <= 4; round++ {
-				add(w.ProbeICMP(vp, target, round))
+				add(pr.ProbeICMP(vp, target, round))
 				if ti%7 == 0 {
-					add(w.ProbeTCP(vp, target, 80, round))
-					add(w.ProbeDNSUDP(vp, target, round))
+					add(pr.ProbeTCP(vp, target, 80, round))
+					add(pr.ProbeDNSUDP(vp, target, round))
 				}
 			}
 		}

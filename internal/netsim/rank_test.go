@@ -10,7 +10,7 @@ import (
 	"anycastmap/internal/platform"
 )
 
-// haversineRanking is the session ranking as servingReplicaSlow computes
+// haversineRanking is the session ranking as the reference computes
 // it: the strict-< three-nearest cascade over PointDistanceKm, km[slot]
 // being the distance to places[slot], in the rank group's Replicas order.
 func haversineRanking(km []float64, slots []int32) [3]int16 {

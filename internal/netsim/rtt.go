@@ -69,105 +69,43 @@ func (r Reply) OK() bool { return r.Kind == ReplyEcho }
 // ProbeICMP sends one ICMP echo request from vp to target during census
 // round `round`. Rounds matter: the per-probe queueing jitter differs
 // between rounds, so combining censuses by minimum RTT sharpens the
-// estimate toward the propagation delay (Sec. 4.1).
+// estimate toward the propagation delay (Sec. 4.1). An ad hoc probe is a
+// span of one: its target is planned and bound on the stack and answered
+// by SpanSession.ICMP, the census's own path.
 func (w *World) ProbeICMP(vp platform.VP, target IP, round uint64) Reply {
-	return w.probeICMP(w.session(vp), vp, target, round)
+	var (
+		targets  = [1]IP{target}
+		cls      [1]uint8
+		pts      [1]geo.Point
+		payload  [1]uint64
+		hijacked [1]int32
+		base     [1]float64
+	)
+	pl := SpanPlan{targets: targets[:], cls: cls[:], pts: pts[:], payload: payload[:], hijacked: hijacked[:0]}
+	pl.hijacked = w.plan(&pl)
+	ss := SpanSession{w: w, s: w.session(vp), vpID: vp.ID, load: vp.LoadFactor, plan: &pl, base: base[:]}
+	ss.bind()
+	return ss.ICMP(0, round)
 }
 
-func (w *World) probeICMP(s *vpSession, vp platform.VP, target IP, round uint64) Reply {
-	p := target.Prefix()
-	i, ok := w.lookup(p)
-	if !ok {
-		return Reply{Kind: ReplyTimeout}
-	}
-	if w.faults.TargetUnreachable(p, round) {
-		return Reply{Kind: ReplyTimeout}
-	}
-	if i >= 0 {
-		// Structural checks first: a dead host times out whatever the
-		// loss draw would have said, so it never pays for one.
-		d := w.deployments[i]
-		if target != d.rep && detrand.UnitFloat(w.cfg.Seed, uint64(target), 0xA11E) >= d.Density {
-			return Reply{Kind: ReplyTimeout}
-		}
-		// Transient loss: a few percent of probes get no answer in any
-		// given census round; repeating the census recovers them (one
-		// reason the combination of censuses has higher recall, Sec. 4.1).
-		if lost(probeState(w.stateOf(s, vp), target, round)) {
-			return Reply{Kind: ReplyTimeout}
-		}
-		return Reply{Kind: ReplyEcho, RTT: w.anycastRTT(s, vp, d, target, round)}
-	}
-	h := &w.unicast[-(i + 1)]
-	if target != h.rep {
-		// Only the representative host of a unicast /24 is modelled.
-		return Reply{Kind: ReplyTimeout}
-	}
-	if h.class == classSilent {
-		return Reply{Kind: ReplyTimeout}
-	}
-	if lost(probeState(w.stateOf(s, vp), target, round)) {
-		return Reply{Kind: ReplyTimeout}
-	}
-	rtt := w.unicastRTT(s, vp, h, target, round)
-	switch h.class {
-	case classAdminFiltered:
-		return Reply{Kind: ReplyAdminFiltered, RTT: rtt}
-	case classHostProhibited:
-		return Reply{Kind: ReplyHostProhibited, RTT: rtt}
-	case classNetProhibited:
-		return Reply{Kind: ReplyNetProhibited, RTT: rtt}
-	}
-	return Reply{Kind: ReplyEcho, RTT: rtt}
-}
-
-// anycastRTT produces the RTT of a successful anycast probe: the cached
-// ranking, with the serving candidate's base built on the spot, when a
-// session is bound; the full computation otherwise.
-func (w *World) anycastRTT(s *vpSession, vp platform.VP, d *Deployment, target IP, round uint64) time.Duration {
-	if s != nil {
-		return w.rttFromBaseMs(w.servedBaseMs(s, d.idx, round), vp.LoadFactor, probeState(s.st, target, round))
-	}
-	r := w.servingReplicaSlow(vp, d, round)
-	return w.pathRTT(vp, uint64(d.Prefix), r.Loc, uint64(r.ID), target, round)
-}
-
-// unicastRTT produces the RTT toward a unicast representative. Hijacked
-// prefixes bypass the cache: their effective endpoint depends on a live
-// per-VP catchment draw (0x41AC), and hijacks are injected after sessions
-// may already be warm.
-func (w *World) unicastRTT(s *vpSession, vp platform.VP, h *unicastHost, target IP, round uint64) time.Duration {
-	p := target.Prefix()
-	if s == nil {
-		return w.pathRTT(vp, uint64(p), w.hijackedLoc(vp, p, h.loc), 0, target, round)
-	}
-	if len(w.hijacks) > 0 && w.isHijacked(p) {
-		return w.pathRTT(vp, uint64(p), w.hijackedLoc(vp, p, h.loc), 0, target, round)
-	}
-	return w.rttFromBaseMs(w.unicastBaseMs(s, h, p), vp.LoadFactor, probeState(s.st, target, round))
+// anycastRTT produces the RTT of a successful anycast probe of deployment
+// di: the session's ranking, with the serving candidate's base built on
+// the spot.
+func (w *World) anycastRTT(vp platform.VP, di int32, target IP, round uint64) time.Duration {
+	s := w.session(vp)
+	return w.rttFromBaseMs(w.servedBaseMs(s, di, round), vp.LoadFactor, probeState(s.st, target, round))
 }
 
 // ProbeTCP attempts a TCP SYN/SYN-ACK handshake to the given port
 // (Sec. 3.4: L4 measurements only succeed when the service is known a
 // priori; Sec. 4.3: the portscan campaign).
 func (w *World) ProbeTCP(vp platform.VP, target IP, port uint16, round uint64) Reply {
-	return w.probeTCP(w.session(vp), vp, target, port, round)
-}
-
-func (w *World) probeTCP(s *vpSession, vp platform.VP, target IP, port uint16, round uint64) Reply {
-	i, ok := w.lookup(target.Prefix())
-	if !ok {
+	cls, i := w.classify(target)
+	if cls != spanAnycast && cls != spanUniEcho || w.faults.TargetUnreachable(target.Prefix(), round) {
 		return Reply{Kind: ReplyTimeout}
 	}
-	if w.faults.TargetUnreachable(target.Prefix(), round) {
-		return Reply{Kind: ReplyTimeout}
-	}
-	if i >= 0 {
-		d := w.deployments[i]
-		if target != d.rep && detrand.UnitFloat(w.cfg.Seed, uint64(target), 0xA11E) >= d.Density {
-			return Reply{Kind: ReplyTimeout}
-		}
-		set, has := w.Services.ByASN(d.ASN)
+	if cls == spanAnycast {
+		set, has := w.Services.ByASN(w.deployments[i].ASN)
 		if !has || !set.Open(port) {
 			return Reply{Kind: ReplyTimeout}
 		}
@@ -177,68 +115,53 @@ func (w *World) probeTCP(s *vpSession, vp platform.VP, target IP, port uint16, r
 		if detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(target), uint64(port), 0xF11) < 0.02 {
 			return Reply{Kind: ReplyTimeout}
 		}
-		return Reply{Kind: ReplyEcho, RTT: w.anycastRTT(s, vp, d, target, round)}
+		return Reply{Kind: ReplyEcho, RTT: w.anycastRTT(vp, i, target, round)}
 	}
-	// Unicast hosts run the occasional service. TCP probes always reach
-	// the host's home location: the injected hijacks model an ICMP-era
-	// attack and never attract transport traffic, so the cached base is
-	// valid here even while a hijack is live.
-	h := &w.unicast[-(i + 1)]
-	if target != h.rep || h.class != classResponsive {
-		return Reply{Kind: ReplyTimeout}
-	}
-	var p float64
+	// Responsive unicast representatives run the occasional service. TCP
+	// probes always reach the host's home location: the injected hijacks
+	// model an ICMP-era attack and never attract transport traffic.
+	var odds float64
 	switch port {
 	case 80:
-		p = 0.20
+		odds = 0.20
 	case 443:
-		p = 0.15
+		odds = 0.15
 	case 22:
-		p = 0.12
+		odds = 0.12
 	case 53:
-		p = 0.04
+		odds = 0.04
 	default:
-		p = 0.01
+		odds = 0.01
 	}
-	if detrand.UnitFloat(w.cfg.Seed, uint64(target), uint64(port), 0xF12) >= p {
+	if detrand.UnitFloat(w.cfg.Seed, uint64(target), uint64(port), 0xF12) >= odds {
 		return Reply{Kind: ReplyTimeout}
 	}
-	if s != nil {
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.unicastBaseMs(s, h, target.Prefix()), vp.LoadFactor, probeState(s.st, target, round))}
-	}
-	return Reply{Kind: ReplyEcho, RTT: w.pathRTT(vp, uint64(target.Prefix()), h.loc, 0, target, round)}
+	h, p, s := &w.unicast[-(i+1)], target.Prefix(), w.session(vp)
+	base := w.hostBaseMs(s, p, geo.PrepareCos(h.loc, h.cosLat), w.endpointAccessMs(uint64(p), 0))
+	return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(base, vp.LoadFactor, probeState(s.st, target, round))}
 }
 
 // ProbeDNSUDP sends a DNS query over UDP (the dig test of Fig. 6): only
 // deployments actually operating a UDP DNS service answer.
 func (w *World) ProbeDNSUDP(vp platform.VP, target IP, round uint64) Reply {
-	return w.probeDNSUDP(w.session(vp), vp, target, round)
-}
-
-func (w *World) probeDNSUDP(s *vpSession, vp platform.VP, target IP, round uint64) Reply {
-	i, ok := w.lookup(target.Prefix())
-	if !ok || i < 0 {
+	cls, i := w.classify(target)
+	if cls != spanAnycast {
 		return Reply{Kind: ReplyTimeout}
 	}
-	d := w.deployments[i]
-	if target != d.rep && detrand.UnitFloat(w.cfg.Seed, uint64(target), 0xA11E) >= d.Density {
-		return Reply{Kind: ReplyTimeout}
-	}
-	set, has := w.Services.ByASN(d.ASN)
+	set, has := w.Services.ByASN(w.deployments[i].ASN)
 	if !has || !set.ServesDNSOverUDP {
 		return Reply{Kind: ReplyTimeout}
 	}
-	return Reply{Kind: ReplyEcho, RTT: w.anycastRTT(s, vp, d, target, round)}
+	return Reply{Kind: ReplyEcho, RTT: w.anycastRTT(vp, i, target, round)}
 }
 
 // ProbeDNSTCP sends a DNS query over TCP: it needs both an open port 53 and
 // a DNS service behind it.
 func (w *World) ProbeDNSTCP(vp platform.VP, target IP, round uint64) Reply {
-	i, ok := w.lookup(target.Prefix())
-	if !ok || i < 0 {
+	d, ok := w.Deployment(target.Prefix())
+	if !ok {
 		return Reply{Kind: ReplyTimeout}
 	}
-	d := w.deployments[i]
 	set, has := w.Services.ByASN(d.ASN)
 	if !has || !set.Open(53) || !set.ServesDNSOverUDP {
 		return Reply{Kind: ReplyTimeout}
@@ -262,89 +185,22 @@ func (w *World) ServingReplica(vp platform.VP, p Prefix24, round uint64) (Replic
 // servingReplica implements BGP-like replica selection: mostly stable per
 // (vantage, prefix), usually - but not always - the geographically nearest
 // replica, because BGP picks paths by AS hops and policy, not distance.
-// About 12% of (vantage, prefix) catchments flap between census rounds,
-// the imperfect anycast affinity documented by the DNS literature the
-// paper builds on.
+// The three replicas nearest the vantage point, by great-circle distance
+// (ties to the earlier replica), answer 70%, 20% and 10% of the
+// (vantage, prefix) pairs (draw 0xB69). About 12% of (vantage, prefix)
+// catchments flap between census rounds (0xF1A9), a fresh draw (0xB6A)
+// picking among the three for that round: the imperfect anycast affinity
+// documented by the DNS literature the paper builds on. The session holds
+// the ranking (buildSession); servingRank makes the draws.
 func (w *World) servingReplica(vp platform.VP, d *Deployment, round uint64) Replica {
-	if s := w.session(vp); s != nil {
-		dg := &w.geom[d.idx]
-		idx := &s.ranked[dg.group]
-		return d.Replicas[idx[servingRank(idx, s.st.With(dg.prefix), round)]]
-	}
-	return w.servingReplicaSlow(vp, d, round)
-}
-
-// servingReplicaSlow is the uncached reference implementation; the session
-// cache must reproduce its selections bit for bit.
-func (w *World) servingReplicaSlow(vp platform.VP, d *Deployment, round uint64) Replica {
-	n := len(d.Replicas)
-	if n == 1 {
-		return d.Replicas[0]
-	}
-	// Rank the three nearest replicas.
-	type cand struct {
-		idx  int
-		dist float64
-	}
-	best := [3]cand{{-1, math.MaxFloat64}, {-1, math.MaxFloat64}, {-1, math.MaxFloat64}}
-	for i := range d.Replicas {
-		dist := geo.DistanceKm(vp.Loc, d.Replicas[i].Loc)
-		switch {
-		case dist < best[0].dist:
-			best[2], best[1], best[0] = best[1], best[0], cand{i, dist}
-		case dist < best[1].dist:
-			best[2], best[1] = best[1], cand{i, dist}
-		case dist < best[2].dist:
-			best[2] = cand{i, dist}
-		}
-	}
-	pair := w.vpState(vp).With(uint64(d.Prefix))
-	u := pair.With(0xB69).Unit()
-	if flap := pair.With(round); flap.With(0xF1A9).Unit() < 0.12 {
-		// Catchment flap: this round routes to a different candidate.
-		u = flap.With(0xB6A).Unit()
-	}
-	switch {
-	case u < 0.70 || best[1].idx < 0:
-		return d.Replicas[best[0].idx]
-	case u < 0.90 || best[2].idx < 0:
-		return d.Replicas[best[1].idx]
-	default:
-		return d.Replicas[best[2].idx]
-	}
-}
-
-// pathRTT models the round-trip time between a vantage point and an
-// endpoint at loc: fiber propagation along a stretched path, fixed access
-// latency at both ends, and per-probe queueing jitter.
-//
-// The model maintains the physical invariant the detection technique relies
-// on: RTT >= PropagationRTT(vp, loc), so a disk built from a measured RTT
-// always contains the answering endpoint.
-func (w *World) pathRTT(vp platform.VP, endpointKey uint64, loc geo.Coord, subKey uint64, target IP, round uint64) time.Duration {
-	vpSt := w.vpState(vp)
-	base := w.rttBaseMsDist(vpSt, endpointKey, geo.DistanceKm(vp.Loc, loc), subKey, w.vpAccessMs(vpSt), w.endpointAccessMs(endpointKey, subKey))
-	return w.rttFromBaseMs(base, vp.LoadFactor, probeState(vpSt, target, round))
-}
-
-// vpState is the hash state of the (seed, vantage point) tuple prefix that
-// every per-VP draw of the model begins with. A session computes it once
-// (vpSession.st); the reference path computes it per call. Either way the
-// draws below continue from it, so both paths mix the same tuples.
-func (w *World) vpState(vp platform.VP) detrand.State {
-	return detrand.Begin(w.cfg.Seed, uint64(vp.ID))
-}
-
-// stateOf is vpState from the session when one is bound.
-func (w *World) stateOf(s *vpSession, vp platform.VP) detrand.State {
-	if s != nil {
-		return s.st
-	}
-	return w.vpState(vp)
+	s := w.session(vp)
+	dg := &w.geom[d.idx]
+	idx := &s.ranked[dg.group]
+	return d.Replicas[idx[servingRank(idx, s.st.With(dg.prefix), round)]]
 }
 
 // probeState mixes one probe's (target, round) into the vantage point's
-// vpState: the state both per-probe draws - loss (0xC0FF) and queueing
+// session state (vpSession.st): the state both per-probe draws - loss (0xC0FF) and queueing
 // jitter (0xB73) - finish with their tag.
 func probeState(vpSt detrand.State, target IP, round uint64) detrand.State {
 	return vpSt.With(uint64(target)).With(round)
@@ -365,17 +221,21 @@ func (w *World) vpAccessMs(vpSt detrand.State) float64 {
 // endpointAccessMs is the endpoint's half of the access-latency term:
 // server-side processing, a property of the endpoint alone - no vantage
 // point enters the draw, so New tabulates it per replica (World.endAccess)
-// and the reference path computes it per call.
+// and a span plan per unicast host.
 func (w *World) endpointAccessMs(endpointKey, subKey uint64) float64 {
 	return w.cfg.AccessMs * 0.5 * w.seedSt.With(endpointKey).With(subKey).With(0xB72).Unit()
 }
 
 // rttBaseMsDist is the probe-invariant part of the RTT model: propagation
-// along the stretched path plus access latency at both ends. The float
-// expressions are associated exactly as the pre-memoization code wrote
-// them, so a cached base plus live jitter reproduces the original RTT bit
-// for bit. vpSt is the vantage point's vpState, vpAccess its vpAccessMs
-// and endAccess the endpoint's endpointAccessMs.
+// along the stretched path (2 x distKm at fiber speed, times the pair's
+// stretch) plus access latency at both ends. The model maintains the
+// physical invariant the detection technique relies on: RTT >=
+// PropagationRTT(vp, endpoint), so a disk built from a measured RTT
+// always contains the answering endpoint. The float expressions are
+// associated exactly as the model's reference writes them, so a cached
+// base plus live jitter reproduces its RTT bit for bit. vpSt is the
+// session's st, vpAccess its vpAccessMs and endAccess the endpoint's
+// endpointAccessMs.
 func (w *World) rttBaseMsDist(vpSt detrand.State, endpointKey uint64, distKm float64, subKey uint64, vpAccess, endAccess float64) float64 {
 	propMs := 2 * distKm / geo.FiberSpeedKmPerMs
 
@@ -498,17 +358,15 @@ func (w *World) ClearHijack(p Prefix24) {
 	delete(w.hijacks, p)
 }
 
-// hijacked returns the effective endpoint location for a unicast probe,
-// accounting for injected hijacks.
-func (w *World) hijackedLoc(vp platform.VP, p Prefix24, orig geo.Coord) geo.Coord {
+// hijacker returns where a live hijack of p takes the traffic of the
+// vantage point with ID vpID, and false when no hijack covers p or the
+// vantage point lies outside its catchment (draw 0x41AC).
+func (w *World) hijacker(vpID int, p Prefix24) (geo.Coord, bool) {
 	h, ok := w.hijacks[p]
-	if !ok {
-		return orig
+	if !ok || detrand.UnitFloat(w.cfg.Seed, uint64(vpID), uint64(p), 0x41AC) >= h.catchment {
+		return geo.Coord{}, false
 	}
-	if detrand.UnitFloat(w.cfg.Seed, uint64(vp.ID), uint64(p), 0x41AC) < h.catchment {
-		return h.loc
-	}
-	return orig
+	return h.loc, true
 }
 
 // QueryCHAOS issues the hostname.bind TXT/CH query of the Fan et al.

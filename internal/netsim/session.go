@@ -32,13 +32,13 @@ import (
 // is built by the probe that reads it (servedBaseMs).
 //
 // Determinism is the contract: every cached value is the output of the
-// exact detrand/geo expression the uncached code evaluates, so replies are
-// byte-identical with the cache on or off (TestSessionCacheBitIdentical
-// holds them to a test-built world without a session table). That works
-// because detrand draws are pure functions of their key tuple - skipping
-// or reordering draws cannot influence other draws - and because the
-// cached float expressions are reassociated only along bitwise-exact
-// lines.
+// exact detrand/geo expression the model defines, so replies are
+// byte-identical to the model's reference written out without any cache
+// (reference_test.go; TestSessionCacheBitIdentical and the span tests hold
+// every probe path to it). That works because detrand draws are pure
+// functions of their key tuple - skipping or reordering draws cannot
+// influence other draws - and because the cached float expressions are
+// reassociated only along bitwise-exact lines.
 
 // sessionKey identifies a vantage point. The ID alone is not enough:
 // PlanetLab and RIPE Atlas assign overlapping ID ranges, so the location
@@ -67,7 +67,7 @@ type vpSession struct {
 	once     sync.Once
 	vpAccess float64       // hoisted per-VP access term (0xB71)
 	pt       geo.Point     // the vantage point's location, prepared
-	st       detrand.State // vpState: the prefix of every per-VP draw
+	st       detrand.State // detrand.Begin(seed, vp.ID): the prefix of every per-VP draw
 	ranked   [][3]int16    // indexed by rank group: k-th nearest replica index into Replicas, -1 if absent
 }
 
@@ -158,13 +158,9 @@ func place(slots []atomic.Pointer[sessionEntry], e *sessionEntry, h uint64) {
 }
 
 // session returns the vantage point's memoized session, building it on
-// first use, or nil on a world without a session table (callers then take
-// the uncached code path, which is the behavioral reference).
+// first use. Every probe reads its vantage point through one.
 func (w *World) session(vp platform.VP) *vpSession {
 	t := w.sessions
-	if t == nil {
-		return nil
-	}
 	key := sessionKey{id: vp.ID, lat: vp.Loc.Lat, lon: vp.Loc.Lon}
 	h := key.hash()
 	e := find(*t.slots.Load(), key, h)
@@ -198,14 +194,14 @@ const rankMargin = 1e-6
 // product, which orders places as the great-circle distance does. A group
 // whose four nearest keys are not rankMargin apart - a near tie, where
 // rounding could order the two differently - reruns the haversine cascade
-// servingReplicaSlow runs (rankByDistance), so the ranking is bit-identical
+// the model defines (rankByDistance), so the ranking is bit-identical
 // to it either way. It draws nothing per deployment: the RTT base toward
 // the replica that answers is built by the probe that reads it
 // (servedBaseMs). It allocates once, the ranking - the keys and the
 // remembered haversines live in the caller's scratch, grown to fit - and
 // returns how many haversines it computed.
 func (w *World) buildSession(s *vpSession, vp platform.VP, scratch *[]float64) (haversines int) {
-	s.st = w.vpState(vp)
+	s.st = detrand.Begin(w.cfg.Seed, uint64(vp.ID))
 	s.pt = geo.Prepare(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
 	s.ranked = make([][3]int16, len(w.rankGroups))
@@ -223,7 +219,7 @@ func (w *World) buildSession(s *vpSession, vp platform.VP, scratch *[]float64) (
 
 	for gi := range w.rankGroups {
 		slots := w.rankGroups[gi].slots
-		// servingReplicaSlow's strict-< cascade one rank deeper: k3 is the
+		// The model's strict-< cascade one rank deeper: k3 is the
 		// best key left out, the one the third must clear. k0 <= ... <= k3
 		// throughout, so a key that is not below k3 matches no case: most
 		// of a long list leaves after one compare.
@@ -263,9 +259,9 @@ func (w *World) buildSession(s *vpSession, vp platform.VP, scratch *[]float64) (
 // remembered haversine per place, read only during the build.
 var rankScratch = sync.Pool{New: func() any { return new([]float64) }}
 
-// rankByDistance is the three-nearest cascade servingReplicaSlow runs -
-// strict <, over the same PointDistanceKm outputs in the same Replicas
-// order - over the places of one rank group. km remembers a place's
+// rankByDistance is the model's three-nearest cascade - strict <, over
+// the great-circle distances in Replicas order (servingReplica) - over
+// the places of one rank group. km remembers a place's
 // distance across groups as its negation, so that the zero a build starts
 // from (sign bit clear) reads as not yet computed; it returns the ranking
 // and how many haversines it computed.
@@ -297,7 +293,7 @@ func rankByDistance(from geo.Point, places []geo.Point, slots []int32, km []floa
 
 // rankBaseMs is the RTT base from the session's vantage point toward the
 // rank-th nearest replica of the deployment recorded as dg, idx being its
-// rank group's ranking: pathRTT's base with the endpoint half read from
+// rank group's ranking: rttBaseMsDist with the endpoint half read from
 // the world's geometry - one haversine and one path stretch.
 func (w *World) rankBaseMs(s *vpSession, dg *deploymentGeom, idx *[3]int16, rank int) float64 {
 	slot := w.rankGroups[dg.group].slots[idx[rank]]
@@ -308,7 +304,7 @@ func (w *World) rankBaseMs(s *vpSession, dg *deploymentGeom, idx *[3]int16, rank
 // deployment di in the given round: servingRank's pick, then one
 // haversine and one path stretch (rankBaseMs). A (VP, span) unit probes
 // each target once, so a base stored ahead of the probe would be read at
-// most once: SpanSession.ICMP and an ad-hoc probe build it on the spot,
+// most once: SpanSession.ICMP and the TCP and DNS probes build it on the spot,
 // one per answered anycast probe, and none for a probe lost or skipped.
 func (w *World) servedBaseMs(s *vpSession, di int32, round uint64) float64 {
 	dg := &w.geom[di]
@@ -317,7 +313,7 @@ func (w *World) servedBaseMs(s *vpSession, di int32, round uint64) float64 {
 }
 
 // selectRank maps a base-selection draw to the rank of the candidate that
-// answers, with the thresholds of servingReplicaSlow. The caller has
+// answers: 70% the nearest, 20% the second, 10% the third. The caller has
 // established that a second candidate exists.
 func selectRank(u float64, hasThird bool) int {
 	switch {
@@ -332,7 +328,7 @@ func selectRank(u float64, hasThird bool) int {
 
 // stableRank is the rank of the candidate in idx that answers while the
 // catchment does not flap: the stable base-selection draw (0xB69), or 0
-// for a single-replica list. pair is the vantage point's vpState extended
+// for a single-replica list. pair is the session's st extended
 // by the deployment's uint64(Prefix).
 func stableRank(idx *[3]int16, pair detrand.State) int {
 	if idx[1] < 0 {
@@ -341,12 +337,12 @@ func stableRank(idx *[3]int16, pair detrand.State) int {
 	return selectRank(pair.With(0xB69).Unit(), idx[2] >= 0)
 }
 
-// servingRank picks which ranked candidate in idx answers this round. It
-// mirrors the selection of servingReplicaSlow exactly; only the ranking
-// comes from the cache. pair is as for stableRank.
+// servingRank picks which ranked candidate in idx answers this round:
+// the selection servingReplica describes, over the cached ranking. pair
+// is as for stableRank.
 func servingRank(idx *[3]int16, pair detrand.State, round uint64) int {
 	if idx[1] < 0 {
-		return 0 // single-replica deployment: no draws, like the slow path
+		return 0 // single-replica deployment: no draws
 	}
 	if flap := pair.With(round); flap.With(0xF1A9).Unit() < 0.12 {
 		// Catchment flap: this round routes to a different candidate.
@@ -355,46 +351,69 @@ func servingRank(idx *[3]int16, pair detrand.State, round uint64) int {
 	return stableRank(idx, pair)
 }
 
-// unicastBaseMs is the RTT base toward the unicast host's home location,
-// for ad-hoc and TCP probes; the span path evaluates the same hostBaseMs
-// over the host's planned point and access term, so replies stay
-// bit-identical across them.
-func (w *World) unicastBaseMs(s *vpSession, h *unicastHost, p Prefix24) float64 {
-	return w.hostBaseMs(s, p, geo.PrepareCos(h.loc, h.cosLat), w.endpointAccessMs(uint64(p), 0))
-}
-
 // hostBaseMs is the RTT base from the session's vantage point toward the
-// unicast host of p at pt, endAccess being its endpointAccessMs(p, 0).
+// endpoint of p at pt - its unicast host, a hijacker, a traceroute's
+// endpoint - endAccess being its endpointAccessMs(p, 0).
 func (w *World) hostBaseMs(s *vpSession, p Prefix24, pt geo.Point, endAccess float64) float64 {
 	return w.rttBaseMsDist(s.st, uint64(p), geo.PointDistanceKm(s.pt, pt), 0, s.vpAccess, endAccess)
 }
 
-// Span classification codes. Everything a probe's outcome depends on that
-// is NOT a per-round draw is a stable property of the (VP, target) pair,
-// and most of it - which host answers, with which reply kind, from where -
-// is a property of the target alone, so a span plan decides it once for
-// every vantage point and leaves only the fault check, the loss draw and
-// the RTT jitter in the inner loop.
+// Target classes. Everything an ICMP reply depends on that is NOT a
+// per-round draw is a stable property of the (VP, target) pair, and most
+// of it - which host answers, with which reply kind, from where - is a
+// property of the target alone, so classify decides it once per target
+// and leaves only the fault check, the loss draw and the RTT jitter to
+// the probe. A unicast class is the reply kind its host answers with.
 const (
 	// spanTimeout marks targets that time out structurally in every
 	// round: unallocated prefixes, dead anycast host addresses, unicast
-	// non-representatives and silent hosts. probeICMP returns before any
-	// per-round draw for all of them, so no draw is skipped unsafely.
-	spanTimeout uint8 = iota
-	// spanAnycast targets answer from a deployment; the plan's payload
-	// holds the deployments index.
-	spanAnycast
-	// spanUniEcho..spanUniNet are unicast hosts that answer with the
-	// corresponding reply kind; the plan holds the host's prepared point
-	// and its payload the host's endpointAccessMs as math.Float64bits.
-	spanUniEcho
-	spanUniAdmin
-	spanUniHost
-	spanUniNet
-	// spanSlow delegates to the full probeICMP path: hijacked prefixes,
-	// whose effective endpoint depends on a live per-VP catchment draw.
-	spanSlow
+	// non-representatives and silent hosts. No per-round draw is made
+	// for them.
+	spanTimeout = uint8(ReplyTimeout)
+	// spanUniEcho..spanUniNet are unicast representatives that answer
+	// with the corresponding reply kind.
+	spanUniEcho  = uint8(ReplyEcho)
+	spanUniAdmin = uint8(ReplyAdminFiltered)
+	spanUniHost  = uint8(ReplyHostProhibited)
+	spanUniNet   = uint8(ReplyNetProhibited)
+	// spanAnycast targets answer from a deployment.
+	spanAnycast = spanUniNet + 1
 )
+
+// classify is the one resolution of a probe target: its class and its
+// slots entry - the deployments index for spanAnycast, -(unicast index+1)
+// for a unicast class. Every probe finds its target through it: a span
+// plan for each of its targets (an ad hoc ICMP probe is a span of one),
+// the TCP and DNS probes and a traceroute.
+func (w *World) classify(target IP) (cls uint8, i int32) {
+	i, ok := w.lookup(target.Prefix())
+	if !ok {
+		return spanTimeout, 0
+	}
+	if i >= 0 {
+		d := w.deployments[i]
+		if target != d.rep && detrand.UnitFloat(w.cfg.Seed, uint64(target), 0xA11E) >= d.Density {
+			return spanTimeout, i
+		}
+		return spanAnycast, i
+	}
+	h := &w.unicast[-(i + 1)]
+	if target != h.rep {
+		// Only the representative host of a unicast /24 is modelled.
+		return spanTimeout, i
+	}
+	switch h.class {
+	case classSilent:
+		return spanTimeout, i
+	case classAdminFiltered:
+		return spanUniAdmin, i
+	case classHostProhibited:
+		return spanUniHost, i
+	case classNetProhibited:
+		return spanUniNet, i
+	}
+	return spanUniEcho, i
+}
 
 // SpanPlan is the vantage-point-independent half of resolving a target
 // span: three flat, pointer-free slabs - a class byte, a prepared host
@@ -404,12 +423,15 @@ const (
 // the host records, the anycast lookup with its density draw and the
 // endpoint access draw are paid once per target instead of once per
 // (VP, target). Hijacks are read when the plan is built, which
-// InjectHijack's "before probing starts" contract allows.
+// InjectHijack's "before probing starts" contract allows: hijacked lists
+// the unicast targets a live hijack covers, whose RTT base depends on the
+// vantage point's catchment draw (PlannedSession).
 type SpanPlan struct {
-	targets []IP
-	cls     []uint8
-	pts     []geo.Point
-	payload []uint64
+	targets  []IP
+	cls      []uint8
+	pts      []geo.Point
+	payload  []uint64
+	hijacked []int32
 }
 
 // PlanSpan resolves the vantage-point-independent half of a span covering
@@ -418,57 +440,44 @@ type SpanPlan struct {
 // world costs: each target's /24 is found by its slot in the world's
 // index, O(1) whatever the targets' order or gaps, so a dense census span,
 // a sparse sample and a list in no order all pay one array read per
-// target. On a world without a session table the plan holds no slabs and
-// every session over it takes the reference path: the resolver is part of
-// the cache and must vanish with it.
+// target.
 func (w *World) PlanSpan(targets []IP) *SpanPlan {
-	pl := &SpanPlan{targets: targets}
-	if w.sessions == nil {
-		return pl
+	pl := &SpanPlan{
+		targets: targets,
+		cls:     make([]uint8, len(targets)),
+		pts:     make([]geo.Point, len(targets)),
+		payload: make([]uint64, len(targets)),
 	}
-	pl.cls = make([]uint8, len(targets))
-	pl.pts = make([]geo.Point, len(targets))
-	pl.payload = make([]uint64, len(targets))
-	hijacksLive := len(w.hijacks) > 0
-	for i, target := range targets {
-		p := target.Prefix()
-		di, ok := w.lookup(p)
-		if !ok {
-			pl.cls[i] = spanTimeout
-			continue
-		}
-		if di < 0 {
-			h := &w.unicast[-(di + 1)]
-			switch {
-			case target != h.rep || h.class == classSilent:
-				pl.cls[i] = spanTimeout
-			case hijacksLive && w.isHijacked(p):
-				pl.cls[i] = spanSlow
-			default:
-				switch h.class {
-				case classAdminFiltered:
-					pl.cls[i] = spanUniAdmin
-				case classHostProhibited:
-					pl.cls[i] = spanUniHost
-				case classNetProhibited:
-					pl.cls[i] = spanUniNet
-				default:
-					pl.cls[i] = spanUniEcho
-				}
-				pl.pts[i] = geo.PrepareCos(h.loc, h.cosLat)
-				pl.payload[i] = math.Float64bits(w.endpointAccessMs(uint64(p), 0))
-			}
-			continue
-		}
-		d := w.deployments[di]
-		if target != d.rep && detrand.UnitFloat(w.cfg.Seed, uint64(target), 0xA11E) >= d.Density {
-			pl.cls[i] = spanTimeout
-			continue
-		}
-		pl.cls[i] = spanAnycast
-		pl.payload[i] = uint64(di)
-	}
+	pl.hijacked = w.plan(pl)
 	return pl
+}
+
+// plan fills pl's slabs, sized to its targets: per target its class, and
+// its payload - the deployments index of an anycast target; a unicast
+// host's endpointAccessMs as math.Float64bits, beside its prepared point.
+// It returns pl.hijacked with the hijacked targets appended; returning it
+// rather than storing it keeps an ad hoc probe's stack plan on the stack.
+func (w *World) plan(pl *SpanPlan) (hijacked []int32) {
+	hijacked = pl.hijacked
+	hijacksLive := len(w.hijacks) > 0
+	for i, target := range pl.targets {
+		cls, di := w.classify(target)
+		pl.cls[i] = cls
+		switch cls {
+		case spanTimeout:
+		case spanAnycast:
+			pl.payload[i] = uint64(di)
+		default:
+			h := &w.unicast[-(di + 1)]
+			p := target.Prefix()
+			pl.pts[i] = geo.PrepareCos(h.loc, h.cosLat)
+			pl.payload[i] = math.Float64bits(w.endpointAccessMs(uint64(p), 0))
+			if hijacksLive && w.isHijacked(p) {
+				hijacked = append(hijacked, int32(i))
+			}
+		}
+	}
+	return hijacked
 }
 
 // SpanSession is a (vantage point, target span) probing unit: the span's
@@ -481,8 +490,9 @@ func (w *World) PlanSpan(targets []IP) *SpanPlan {
 // per-probe map walk used to cost a DRAM miss per probe.
 type SpanSession struct {
 	w    *World
-	vp   platform.VP
 	s    *vpSession
+	vpID int     // the vantage point's ID, which a hijack's catchment draw reads
+	load float64 // the vantage point's LoadFactor, which scales its jitter
 	plan *SpanPlan
 	base []float64  // hostBaseMs per unicast-answering target; no other cell is read
 	slab *[]float64 // base's pooled storage, nil once released
@@ -507,27 +517,33 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 // previous unit over its span. After Release the slab is the next
 // session's, so a unit allocates nothing once its vantage point's session
 // is built. The plan may come from any WithFaults view of the world; it is
-// only read. Replies through the session are bit-identical to ProbeICMP's
-// - the determinism tests compare the two - because every planned and
-// cached value is the output of the exact expression the reference path
-// evaluates.
+// only read.
 func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
-	s := w.session(vp)
-	ss := SpanSession{w: w, vp: vp, s: s, plan: plan}
-	if s == nil || plan.cls == nil {
-		return ss // no session table: every probe takes the reference path
-	}
-	ss.slab = baseSlabs.Get().(*[]float64)
+	ss := SpanSession{w: w, s: w.session(vp), vpID: vp.ID, load: vp.LoadFactor, plan: plan, slab: baseSlabs.Get().(*[]float64)}
 	if cap(*ss.slab) < len(plan.cls) {
 		*ss.slab = make([]float64, len(plan.cls))
 	}
 	ss.base = (*ss.slab)[:len(plan.cls)]
-	for i, c := range plan.cls {
+	ss.bind()
+	return ss
+}
+
+// bind builds the session's RTT base toward each unicast host of its
+// plan. Toward a hijacked /24 the base is the hijacker's when the vantage
+// point falls in the hijack's catchment, the host's otherwise.
+func (ss *SpanSession) bind() {
+	w, s, pl := ss.w, ss.s, ss.plan
+	for i, c := range pl.cls {
 		if c >= spanUniEcho && c <= spanUniNet {
-			ss.base[i] = w.hostBaseMs(s, plan.targets[i].Prefix(), plan.pts[i], math.Float64frombits(plan.payload[i]))
+			ss.base[i] = w.hostBaseMs(s, pl.targets[i].Prefix(), pl.pts[i], math.Float64frombits(pl.payload[i]))
 		}
 	}
-	return ss
+	for _, i := range pl.hijacked {
+		p := pl.targets[i].Prefix()
+		if loc, ok := w.hijacker(ss.vpID, p); ok {
+			ss.base[i] = w.hostBaseMs(s, p, geo.Prepare(loc), math.Float64frombits(pl.payload[i]))
+		}
+	}
 }
 
 // Release hands the session's slab back for the next session to reuse.
@@ -546,44 +562,32 @@ func (w *World) isHijacked(p Prefix24) bool {
 	return ok
 }
 
-// ICMP probes the i-th span target in the given round. The fast path
-// reads the two slab cells and pays only the per-round draws: target
-// fault check, transient loss, catchment flap (anycast) and queueing
-// jitter, all mixed from one (target, round) state on top of the
-// session's hoisted (seed, vp) prefix.
+// ICMP probes the i-th span target in the given round: the one ICMP reply
+// of the model, which ad hoc probes reach as a span of one (ProbeICMP).
+// It reads the target's class and one slab cell and pays only the
+// per-round draws: target fault check, transient loss, catchment flap
+// (anycast) and queueing jitter, all mixed from one (target, round) state
+// on top of the session's hoisted (seed, vp) prefix.
 func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 	pl := ss.plan
-	target := pl.targets[i]
-	if ss.s == nil || pl.cls == nil {
-		return ss.w.probeICMP(ss.s, ss.vp, target, round)
-	}
 	cls := pl.cls[i]
 	if cls == spanTimeout {
 		return Reply{Kind: ReplyTimeout}
 	}
-	if cls == spanSlow {
-		return ss.w.probeICMP(ss.s, ss.vp, target, round)
-	}
 	w := ss.w
-	p := target.Prefix()
-	if w.faults.TargetUnreachable(p, round) {
+	target := pl.targets[i]
+	if w.faults.TargetUnreachable(target.Prefix(), round) {
 		return Reply{Kind: ReplyTimeout}
 	}
+	// Transient loss: a few percent of probes get no answer in any given
+	// census round; repeating the census recovers them (one reason the
+	// combination of censuses has higher recall, Sec. 4.1).
 	probe := probeState(ss.s.st, target, round)
 	if lost(probe) {
 		return Reply{Kind: ReplyTimeout}
 	}
 	if cls == spanAnycast {
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.servedBaseMs(ss.s, int32(pl.payload[i]), round), ss.vp.LoadFactor, probe)}
+		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.servedBaseMs(ss.s, int32(pl.payload[i]), round), ss.load, probe)}
 	}
-	rtt := w.rttFromBaseMs(ss.base[i], ss.vp.LoadFactor, probe)
-	switch cls {
-	case spanUniAdmin:
-		return Reply{Kind: ReplyAdminFiltered, RTT: rtt}
-	case spanUniHost:
-		return Reply{Kind: ReplyHostProhibited, RTT: rtt}
-	case spanUniNet:
-		return Reply{Kind: ReplyNetProhibited, RTT: rtt}
-	}
-	return Reply{Kind: ReplyEcho, RTT: rtt}
+	return Reply{Kind: ReplyKind(cls), RTT: w.rttFromBaseMs(ss.base[i], ss.load, probe)}
 }

@@ -25,27 +25,24 @@ type Hop struct {
 // routers and path divergence is observable, exactly what the hijack
 // cross-check needs. It returns nil when the target does not answer.
 func (w *World) Traceroute(vp platform.VP, target IP, round uint64) []Hop {
-	i, ok := w.lookup(target.Prefix())
-	if !ok {
+	var endpoint geo.Coord
+	switch cls, i := w.classify(target); cls {
+	case spanAnycast:
+		endpoint = w.servingReplica(vp, w.deployments[i], round).Loc
+	case spanUniEcho:
+		endpoint = w.unicast[-(i + 1)].loc
+		if loc, ok := w.hijacker(vp.ID, target.Prefix()); ok {
+			endpoint = loc
+		}
+	default:
 		return nil
 	}
-	var endpoint geo.Coord
-	switch {
-	case i >= 0:
-		d := w.deployments[i]
-		if !w.HostAlive(target) {
-			return nil
-		}
-		endpoint = w.servingReplica(vp, d, round).Loc
-	default:
-		h := w.unicast[-(i + 1)]
-		if rep, _ := w.Representative(target.Prefix()); rep != target || h.class != classResponsive {
-			return nil
-		}
-		endpoint = w.hijackedLoc(vp, target.Prefix(), h.loc)
-	}
 
-	total := w.pathRTT(vp, uint64(target.Prefix()), endpoint, 0, target, round)
+	// The final hop's RTT is the model's, keyed to the /24 alone.
+	p := target.Prefix()
+	s := w.session(vp)
+	base := w.hostBaseMs(s, p, geo.Prepare(endpoint), w.endpointAccessMs(uint64(p), 0))
+	total := w.rttFromBaseMs(base, vp.LoadFactor, probeState(s.st, target, round))
 	dist := geo.DistanceKm(vp.Loc, endpoint)
 
 	// One router roughly every 1,200 km, at least two (access + border),

@@ -12,6 +12,7 @@
 package netsim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -209,8 +210,7 @@ type World struct {
 	faults *FaultPlan
 
 	// sessions caches per-VP probe-invariant state (see session.go). It
-	// sits behind a pointer so WithFaults views share one table. Only the
-	// tests' uncached reference world has none.
+	// sits behind a pointer so WithFaults views share one table.
 	sessions *sessionTable
 }
 
@@ -323,6 +323,7 @@ func New(cfg Config) *World {
 	// Instantiate deployments AS by AS, in registry order.
 	slotCursor := 0
 	groupOf := make(map[string]int32)            // replica list, as place-slot bytes -> rank group
+	var groupKey []byte                          // indexReplicas' key scratch
 	var subset []Replica                         // prefixReplicaSubset's scratch
 	anchorKm := make([][]float64, len(w.dcPool)) // buildASReplicaSet's distance rows
 	for _, as := range w.Registry.All() {
@@ -352,7 +353,7 @@ func New(cfg Config) *World {
 				// Anycast infrastructure: a low, alive host address.
 				rep: prefix.Host(byte(1 + detrand.Intn(32, cfg.Seed, uint64(prefix), 0x4E01))),
 			}
-			w.indexReplicas(d, placeBase, groupOf)
+			w.indexReplicas(d, placeBase, groupOf, &groupKey)
 			w.slots[prefix-basePrefix] = d.idx
 			w.deployments = append(w.deployments, d)
 			w.anycastByASN[as.ASN] = append(w.anycastByASN[as.ASN], d)
@@ -392,9 +393,10 @@ func (w *World) lookup(p Prefix24) (i int32, ok bool) {
 // caller reuses: a deployment announcing a replica list groupOf knows
 // already joins that list's rank group and shares the group's Replicas
 // slice (Deployments forbids modifying it), and one announcing a new list
-// opens a group with a copy of its own. It panics on a replica list a
-// session could not index.
-func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]int32) {
+// opens a group with a copy of its own. key is the caller's scratch for
+// the list's lookup key, reused across deployments, so only a new group
+// allocates. It panics on a replica list a session could not index.
+func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]int32, key *[]byte) {
 	if len(d.Replicas) > maxReplicas {
 		panic(fmt.Sprintf("netsim: %v of AS%d announces %d replicas; a session indexes at most %d (vpSession.ranked)",
 			d.Prefix, d.ASN, len(d.Replicas), maxReplicas))
@@ -404,20 +406,23 @@ func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]i
 		placeBase: index32(placeBase, "deploymentGeom.placeBase"),
 		access:    index32(len(w.endAccess), "deploymentGeom.access"),
 	}
-	slots := make([]int32, len(d.Replicas))
-	key := make([]byte, 0, 4*len(d.Replicas))
-	for i, r := range d.Replicas {
-		slots[i] = index32(placeBase+r.ID, "rankGroup.slots")
-		key = binary.LittleEndian.AppendUint32(key, uint32(slots[i]))
+	k := (*key)[:0]
+	for _, r := range d.Replicas {
+		k = binary.LittleEndian.AppendUint32(k, uint32(index32(placeBase+r.ID, "rankGroup.slots")))
 		w.endAccess = append(w.endAccess, w.endpointAccessMs(g.prefix, uint64(r.ID)))
 	}
-	group, ok := groupOf[string(key)]
+	*key = k
+	group, ok := groupOf[string(k)]
 	if ok {
 		d.Replicas = w.deployments[w.rankGroups[group].first].Replicas
 	} else {
 		d.Replicas = slices.Clone(d.Replicas)
+		slots := make([]int32, len(d.Replicas))
+		for i, r := range d.Replicas {
+			slots[i] = int32(placeBase + r.ID)
+		}
 		group = index32(len(w.rankGroups), "deploymentGeom.group")
-		groupOf[string(key)] = group
+		groupOf[string(k)] = group
 		w.rankGroups = append(w.rankGroups, rankGroup{slots: slots, first: d.idx})
 	}
 	g.group = group
@@ -626,7 +631,7 @@ func (w *World) buildASReplicaSet(as asdb.AS, anchorKm [][]float64) []Replica {
 		// fall back to a global spread.
 		cands = build(false)
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].key > cands[b].key })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(b.key, a.key) })
 	if n > len(cands) {
 		n = len(cands)
 	}

@@ -161,7 +161,7 @@ func TestFrozenGreylistWindow(t *testing.T) {
 // Each run over the shared plan equals a RunIndexed that plans for itself
 // - statistics, discoveries and every sample at its index - on dense,
 // sparse and unordered spans with greylisted targets among them (netsim's
-// own tests hold a plan's replies to the uncached reference world). A host the blacklist gains after
+// own tests hold a plan's replies to the model's reference). A host the blacklist gains after
 // the plan is built is probed by runs over that plan: it is a snapshot.
 func TestPlanSharedBitIdentical(t *testing.T) {
 	cfg := netsim.DefaultConfig()

@@ -171,47 +171,8 @@ fi
 grep -q '^world:' "$BIN/census3.log" &&
     { echo "FAIL: census built its world before refusing the file" >&2; exit 1; }
 echo "ok: census -snapshot refuses a file that is not a snapshot and leaves it alone"
-# A negative fault fraction is refused like one above 1, not run as a
-# fault-free census.
-if "$BIN/census" -unicast24s 800 -vps 40 -censuses 1 -fault-crash -0.5 >/dev/null 2>"$BIN/census4.log"; then
-    echo "FAIL: census -fault-crash -0.5 ran" >&2
-    exit 1
-fi
-grep -q '^fault plan: .*CrashFraction' "$BIN/census4.log" && ! grep -q '^world:' "$BIN/census4.log" ||
-    { echo "FAIL: census did not refuse -fault-crash -0.5 before building its world" >&2; exit 1; }
-echo "ok: census -fault-crash -0.5 is refused before the world is built"
-# A NaN rate is refused too: the fleet would quarantine every VP on its
-# frames and exit 0 with no detection.
-if "$BIN/census" -local 2 -unicast24s 800 -vps 40 -censuses 1 -rate NaN >/dev/null 2>"$BIN/census5.log"; then
-    echo "FAIL: census -rate NaN ran" >&2
-    exit 1
-fi
-grep -q '^rate: .*NaN' "$BIN/census5.log" && ! grep -q '^world:' "$BIN/census5.log" ||
-    { echo "FAIL: census did not refuse -rate NaN before building its world" >&2; exit 1; }
-echo "ok: census -rate NaN is refused before the world is built"
-# A world netsim.New cannot build, a census of no vantage point, of no
-# round or of a negative round count (which wrapped into an endless
-# census), a retry budget of no attempt, and a negative worker count or
-# unit width (which ran as their defaults) are refused with an error
-# naming the flag, not a panic, empty rounds, a census without end or a
-# default, and before the -save directory is made. A later flag overrides
-# an earlier one, and timeout turns a census that keeps probing into a
-# failed leg, not a hang.
-for lie in "-unicast24s -5" "-vps 0" "-censuses 0" "-censuses -1" "-retries 0" "-workers -3" "-span-targets -5"; do
-    # shellcheck disable=SC2086 # the flag and its value are two words
-    if timeout 60 "$BIN/census" -unicast24s 800 -vps 20 -censuses 1 $lie -save "$BIN/refused.save" >/dev/null 2>"$BIN/census6.log"; then
-        echo "FAIL: census $lie ran" >&2
-        exit 1
-    fi
-    ! grep -q '^world:' "$BIN/census6.log" && ! grep -q 'panic' "$BIN/census6.log" ||
-        { echo "FAIL: census $lie built its world or panicked: $(head -c 300 "$BIN/census6.log")" >&2; exit 1; }
-    [ ! -e "$BIN/refused.save" ] ||
-        { echo "FAIL: census $lie made its -save directory" >&2; exit 1; }
-    flag=${lie%% *}
-    head -1 "$BIN/census6.log" | grep -q "^${flag#-}: " ||
-        { echo "FAIL: census $lie was refused without naming the flag: $(head -1 "$BIN/census6.log")" >&2; exit 1; }
-    echo "ok: census $lie is refused before the world is built: $(head -1 "$BIN/census6.log")"
-done
+# Every other value a census flag cannot mean is refused by
+# cmd/census TestRefusesFlagValues.
 
 echo "== census -local /metrics =="
 # The coordinator exits when its rounds are done, so the census must
