@@ -157,8 +157,9 @@ metrics-smoke:
 # profile captures CPU and heap profiles of a full census run, and four
 # single-benchmark CPU profiles: probe.pprof, the prober's dense-span loop alone
 # (BenchmarkProberRun) - the attribution in docs/bench-history/probe-costs.md -
-# session.pprof, one vantage point's session build alone
-# (BenchmarkBuildSession) - the one behind docs/bench-history/vp-costs.md -
+# session.pprof, what a vantage point costs: its session build and the
+# ranking an anycast probe pays per list length (BenchmarkBuildSession,
+# BenchmarkProbeICMPAnycast) - the one behind docs/bench-history/vp-costs.md -
 # round.pprof, a 261-VP round over one span through the pipelined
 # executor, span plans shared (BenchmarkRoundPipelined) - and fleet.pprof,
 # the same shape of rounds leased to two agents over net.Pipe
@@ -167,7 +168,7 @@ metrics-smoke:
 profile:
 	$(GO) run ./cmd/census -unicast24s 8000 -censuses 2 -cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) test -run '^$$' -bench ProberRun -cpuprofile probe.pprof -o prober.test ./internal/prober
-	$(GO) test -run '^$$' -bench BuildSession -cpu 1 -cpuprofile session.pprof -o netsim.test ./internal/netsim
+	$(GO) test -run '^$$' -bench 'BuildSession|ProbeICMPAnycast' -cpu 1 -cpuprofile session.pprof -o netsim.test ./internal/netsim
 	$(GO) test -run '^$$' -bench RoundPipelined -cpu 1 -cpuprofile round.pprof -o census.test ./internal/census
 	$(GO) test -run '^$$' -bench 'FleetRound$$' -cpu 1 -cpuprofile fleet.pprof -o cluster.test ./internal/cluster
 

@@ -43,6 +43,10 @@ func main() {
 	prefix := flag.String("prefix", "", "target /24 to analyze from -runs, e.g. 1.23.45.0/24")
 	flag.Parse()
 	log.SetFlags(0)
+	if *rounds < 1 {
+		// Zero or fewer rounds probe nothing; refused before a world is built.
+		log.Fatalf("rounds: %d probing rounds; want at least 1", *rounds)
+	}
 
 	var ms []core.Measurement
 	var err error

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -14,6 +19,48 @@ import (
 	"anycastmap/internal/platform"
 	"anycastmap/internal/record"
 )
+
+// mainArgsEnv, when set, makes the test binary the igreedy command
+// itself, run with these space-separated arguments: how a test sees the
+// command's exit status and log.
+const mainArgsEnv = "IGREEDY_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"igreedy"}, strings.Fields(args)...)
+		flag.CommandLine = flag.NewFlagSet("igreedy", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A round count that probes nothing is refused before the demo world is
+// built: exit 1 and a first log line naming -rounds, where it used to
+// build a 2,000-/24 world, probe nothing and fail for want of two
+// measurements.
+func TestRefusesRounds(t *testing.T) {
+	for _, bad := range []string{"-rounds 0", "-rounds -2"} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), mainArgsEnv+"=-demo CLOUDFLARENET,US "+bad)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("igreedy %s: %v, want exit status 1; log:\n%s", bad, err, stderr.String())
+			continue
+		}
+		if first, _, _ := strings.Cut(stderr.String(), "\n"); !strings.HasPrefix(first, "rounds: ") {
+			t.Errorf("igreedy %s: refused without naming the flag: %q", bad, first)
+		}
+		if strings.Contains(stderr.String(), "truth:") { // the demo's "probing P (AS, truth: N replicas)" line
+			t.Errorf("igreedy %s: built its world before refusing:\n%s", bad, stderr.String())
+		}
+	}
+}
 
 func TestParse(t *testing.T) {
 	for _, tc := range []struct {

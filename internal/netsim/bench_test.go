@@ -130,13 +130,11 @@ func BenchmarkProbeSpanSession(b *testing.B) {
 }
 
 // BenchmarkBuildSession measures what a vantage point costs before its
-// first probe: one session build - every rank group's three nearest
-// replicas ranked; no RTT base is drawn, a (VP, span) unit draws the ones
-// it reads - for a PlanetLab and a RIPE Atlas vantage point. B/op counts
-// what a build allocates; B/session is what stays resident per vantage
-// point for the life of the world, and haversines/session how many near
-// ties the build settled by distance (rankByDistance) rather than by dot
-// product.
+// first probe: one session build - the prepared location, the unit
+// vector, the draw prefix and the access term; nothing is ranked or
+// drawn per deployment - for a PlanetLab and a RIPE Atlas vantage point.
+// B/op counts what a build allocates; B/session is what stays resident
+// per vantage point for the life of the world.
 func BenchmarkBuildSession(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	for _, p := range []struct {
@@ -149,14 +147,11 @@ func BenchmarkBuildSession(b *testing.B) {
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var s vpSession
-			var scratch []float64
-			haversines := 0
 			for i := 0; i < b.N; i++ {
 				s = vpSession{}
-				haversines += w.buildSession(&s, p.vp, &scratch)
+				w.buildSession(&s, p.vp)
 			}
-			b.ReportMetric(float64(unsafe.Sizeof(s)+s.residentBytes()), "B/session")
-			b.ReportMetric(float64(haversines)/float64(b.N), "haversines/session")
+			b.ReportMetric(float64(unsafe.Sizeof(s)), "B/session")
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anycastmap/internal/geo"
+	"anycastmap/internal/platform"
 )
 
 func TestFaultConfigValidate(t *testing.T) {
@@ -188,6 +189,49 @@ func TestTargetOutageTransient(t *testing.T) {
 	// product of two independent 10% draws, not like a persistent set.
 	if both >= down1 {
 		t.Errorf("every round-1 outage persisted into round 2 (%d of %d)", both, down1)
+	}
+}
+
+// TestTargetOutageSilencesEveryProbe holds every probe kind to target
+// outages: with every /24 down, every deployment representative times
+// out on ICMP, TCP/53, DNS over UDP and TCP and CHAOS, from every vantage
+// point, while the healthy world answers each of them somewhere - so a
+// probe that ignored the outage would show.
+func TestTargetOutageSilencesEveryProbe(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Unicast24s = 50
+	w := New(cfg)
+	outage, err := NewFaultPlan(FaultConfig{Seed: 3, TargetOutageFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := w.WithFaults(outage)
+	probes := []struct {
+		name  string
+		probe func(w *World, vp platform.VP, target IP) Reply
+	}{
+		{"ICMP", func(w *World, vp platform.VP, target IP) Reply { return w.ProbeICMP(vp, target, 1) }},
+		{"TCP/53", func(w *World, vp platform.VP, target IP) Reply { return w.ProbeTCP(vp, target, 53, 1) }},
+		{"DNS/UDP", func(w *World, vp platform.VP, target IP) Reply { return w.ProbeDNSUDP(vp, target, 1) }},
+		{"DNS/TCP", func(w *World, vp platform.VP, target IP) Reply { return w.ProbeDNSTCP(vp, target, 1) }},
+		{"CHAOS", func(w *World, vp platform.VP, target IP) Reply { _, r := w.QueryCHAOS(vp, target, 1); return r }},
+	}
+	vps := sessionTestVPs()[:3]
+	for _, p := range probes {
+		healthy := 0
+		for _, d := range w.Deployments() {
+			for _, vp := range vps {
+				if p.probe(w, vp, d.rep).OK() {
+					healthy++
+				}
+				if r := p.probe(down, vp, d.rep); r.Kind != ReplyTimeout {
+					t.Fatalf("%s from %s to %v under a total outage: %+v, want a timeout", p.name, vp.Name, d.Prefix, r)
+				}
+			}
+		}
+		if healthy == 0 {
+			t.Errorf("%s: no deployment answers even without faults", p.name)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"anycastmap/internal/cities"
@@ -10,10 +11,11 @@ import (
 	"anycastmap/internal/platform"
 )
 
-// haversineRanking is the session ranking as the reference computes
-// it: the strict-< three-nearest cascade over PointDistanceKm, km[slot]
-// being the distance to places[slot], in the rank group's Replicas order.
-func haversineRanking(km []float64, slots []int32) [3]int16 {
+// haversineRanking is the ranking as the reference computes it: the
+// strict-< three-nearest cascade over PointDistanceKm, km[slot] being the
+// distance to places[slot], in the rank group's Replicas order; -1 where
+// the list is shorter.
+func haversineRanking(km []float64, slots []int32) [3]int {
 	i0, i1, i2 := -1, -1, -1
 	d0, d1, d2 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
 	for i, slot := range slots {
@@ -29,7 +31,33 @@ func haversineRanking(km []float64, slots []int32) [3]int16 {
 			i2, d2 = i, d
 		}
 	}
-	return [3]int16{int16(i0), int16(i1), int16(i2)}
+	return [3]int{i0, i1, i2}
+}
+
+// checkRanks holds rank, for every rank group of w and every rank the
+// group's list has, to the haversine cascade from vp, km being the
+// scratch for the distances to every place. It returns how many ranks
+// the near-tie fallback settled.
+func checkRanks(t testing.TB, w *World, vp platform.VP, km []float64) (byDistance int) {
+	t.Helper()
+	var s vpSession
+	w.buildSession(&s, vp)
+	for i, p := range w.places {
+		km[i] = geo.PointDistanceKm(s.pt, p)
+	}
+	for gi, g := range w.rankGroups {
+		want := haversineRanking(km, g.slots)
+		for r := range min(3, len(g.slots)) {
+			got, tie := w.rank(&s, int32(gi), r)
+			if got != want[r] {
+				t.Fatalf("vp %v, rank group %d, rank %d: replica %d, the haversine cascade %v", vp.Loc, gi, r, got, want)
+			}
+			if tie {
+				byDistance++
+			}
+		}
+	}
+	return byDistance
 }
 
 // antipode is the point diametrically opposite c.
@@ -87,13 +115,14 @@ func rankingVPs(w *World, random int, places bool) []platform.VP {
 	return vps
 }
 
-// TestSessionRankingMatchesHaversine holds the ranking a session build
-// reaches by dot product, falling back to the haversine only on a near
-// tie, to the haversine cascade for every rank group: from every
-// rankingVPs vantage point in the default world, and from the platforms,
-// 500 random points and the midpoints in the one with the longest replica
-// lists (3,192 places; every vantage point there would take seconds). It
-// also fails unless the fallback ran: the midpoints force near ties.
+// TestSessionRankingMatchesHaversine holds what rank reaches by dot
+// product, falling back to the haversine only on a near tie, to the
+// haversine cascade for every rank group and every rank its list has:
+// from every rankingVPs vantage point in the default world, and from the
+// platforms, 500 random points and the midpoints in the one with the
+// longest replica lists (3,192 places; every vantage point there would
+// take seconds). It also fails unless the fallback ran - the midpoints
+// force near ties - and unless a fallback allocates nothing.
 func TestSessionRankingMatchesHaversine(t *testing.T) {
 	for _, c := range []struct {
 		shape  worldShape
@@ -103,29 +132,72 @@ func TestSessionRankingMatchesHaversine(t *testing.T) {
 		t.Run(c.shape.name, func(t *testing.T) {
 			w := New(c.shape.config())
 			vps := rankingVPs(w, c.random, c.places)
-			haversines := 0
 			km := make([]float64, len(w.places))
-			var scratch []float64
+			byDistance := 0
 			for _, vp := range vps {
-				var s vpSession
-				haversines += w.buildSession(&s, vp, &scratch)
-				from := geo.Prepare(vp.Loc)
-				for i, p := range w.places {
-					km[i] = geo.PointDistanceKm(from, p)
-				}
-				for gi, g := range w.rankGroups {
-					if want := haversineRanking(km, g.slots); s.ranked[gi] != want {
-						t.Fatalf("vp %v, rank group %d: ranked %v, the haversine cascade %v", vp.Loc, gi, s.ranked[gi], want)
-					}
-				}
+				byDistance += checkRanks(t, w, vp, km)
 			}
-			t.Logf("%d vantage points x %d rank groups: %d fallback haversines, %.2f per build",
-				len(vps), len(w.rankGroups), haversines, float64(haversines)/float64(len(vps)))
-			if haversines == 0 {
-				t.Error("no build fell back to the haversine: the near-tie path went untested")
+			t.Logf("%d vantage points x %d rank groups: %d ranks settled by the haversine, %.2f per vantage point",
+				len(vps), len(w.rankGroups), byDistance, float64(byDistance)/float64(len(vps)))
+			if byDistance == 0 {
+				t.Fatal("no rank fell back to the haversine: the near-tie path went untested")
+			}
+			s, g := tiedSession(t, w)
+			if allocs := testing.AllocsPerRun(100, func() { w.rank(s, g, 0) }); allocs != 0 {
+				t.Errorf("a near-tie rank allocates %v times, want 0", allocs)
 			}
 		})
 	}
+}
+
+// tiedSession returns a session at the midpoint of the first two places of
+// a rank group whose nearest replica from there is a near tie - rank 0
+// falls back to the haversine - and that group.
+func tiedSession(t testing.TB, w *World) (*vpSession, int32) {
+	t.Helper()
+	for gi, g := range w.rankGroups {
+		if len(g.slots) < 2 {
+			continue
+		}
+		reps := w.deployments[g.first].Replicas
+		s := new(vpSession)
+		w.buildSession(s, platform.VP{ID: 1, Loc: geo.Midpoint(reps[0].Loc, reps[1].Loc)})
+		if _, tie := w.rank(s, int32(gi), 0); tie {
+			return s, int32(gi)
+		}
+	}
+	t.Fatal("no midpoint of two places makes a near tie")
+	return nil, 0
+}
+
+// rankFuzzWorld is FuzzRankMatchesHaversine's world, built once.
+var rankFuzzWorld = sync.OnceValue(func() *World { return New(sessionWorldShapes[0].config()) })
+
+// FuzzRankMatchesHaversine holds rank, for every rank group of a small
+// world and every rank its list has, to the haversine cascade from an
+// arbitrary vantage point. The seeds are the midpoints of the first two
+// places of rank groups, where the nearest two are a near tie and the
+// fallback decides, the poles and the ±180° seam.
+func FuzzRankMatchesHaversine(f *testing.F) {
+	w := rankFuzzWorld()
+	for _, g := range w.rankGroups[:min(64, len(w.rankGroups))] {
+		if len(g.slots) >= 2 {
+			reps := w.deployments[g.first].Replicas
+			m := geo.Midpoint(reps[0].Loc, reps[1].Loc)
+			f.Add(m.Lat, m.Lon)
+		}
+	}
+	f.Add(90.0, 0.0)
+	f.Add(-90.0, 180.0)
+	f.Add(12.5, -180.0)
+	f.Add(-40.0, 179.9999999)
+	f.Fuzz(func(t *testing.T, lat, lon float64) {
+		loc := geo.Coord{Lat: lat, Lon: lon}
+		if !loc.Valid() {
+			t.Skip("not a coordinate")
+		}
+		checkRanks(t, w, platform.VP{ID: 1, Loc: loc}, make([]float64, len(w.places)))
+	})
 }
 
 // TestRankMarginBound measures the two errors rankMargin's derivation

@@ -209,11 +209,10 @@ func (r reference) ProbeTCP(vp platform.VP, target IP, port uint16, round uint64
 }
 
 // ProbeDNSUDP is World.ProbeDNSUDP from the model: an alive address of a
-// deployment whose AS serves DNS over UDP answers; target outages do not
-// apply.
+// reachable deployment whose AS serves DNS over UDP answers.
 func (r reference) ProbeDNSUDP(vp platform.VP, target IP, round uint64) Reply {
 	d, ok := r.w.Deployment(target.Prefix())
-	if !ok || !r.alive(d, target) {
+	if !ok || r.w.faults.TargetUnreachable(d.Prefix, round) || !r.alive(d, target) {
 		return Reply{Kind: ReplyTimeout}
 	}
 	if set, has := r.w.Services.ByASN(d.ASN); !has || !set.ServesDNSOverUDP {

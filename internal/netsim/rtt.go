@@ -142,10 +142,11 @@ func (w *World) ProbeTCP(vp platform.VP, target IP, port uint16, round uint64) R
 }
 
 // ProbeDNSUDP sends a DNS query over UDP (the dig test of Fig. 6): only
-// deployments actually operating a UDP DNS service answer.
+// deployments actually operating a UDP DNS service answer, and none
+// while a target outage has their /24 down.
 func (w *World) ProbeDNSUDP(vp platform.VP, target IP, round uint64) Reply {
 	cls, i := w.classify(target)
-	if cls != spanAnycast {
+	if cls != spanAnycast || w.faults.TargetUnreachable(target.Prefix(), round) {
 		return Reply{Kind: ReplyTimeout}
 	}
 	set, has := w.Services.ByASN(w.deployments[i].ASN)
@@ -190,13 +191,10 @@ func (w *World) ServingReplica(vp platform.VP, p Prefix24, round uint64) (Replic
 // (vantage, prefix) pairs (draw 0xB69). About 12% of (vantage, prefix)
 // catchments flap between census rounds (0xF1A9), a fresh draw (0xB6A)
 // picking among the three for that round: the imperfect anycast affinity
-// documented by the DNS literature the paper builds on. The session holds
-// the ranking (buildSession); servingRank makes the draws.
+// documented by the DNS literature the paper builds on. servingRank makes
+// the draws and rank finds the replica of the rank drawn (servingIndex).
 func (w *World) servingReplica(vp platform.VP, d *Deployment, round uint64) Replica {
-	s := w.session(vp)
-	dg := &w.geom[d.idx]
-	idx := &s.ranked[dg.group]
-	return d.Replicas[idx[servingRank(idx, s.st.With(dg.prefix), round)]]
+	return d.Replicas[w.servingIndex(w.session(vp), &w.geom[d.idx], round)]
 }
 
 // probeState mixes one probe's (target, round) into the vantage point's

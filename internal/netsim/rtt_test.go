@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"anycastmap/internal/cities"
@@ -253,15 +254,45 @@ func TestAnycastPrefixesSorted(t *testing.T) {
 	}
 }
 
+// BenchmarkProbeICMPAnycast measures an ad hoc ICMP probe of a deployment's
+// representative per replica-count bucket - 1, 2-3, 4-16 and 17 or more
+// replicas - since an answered anycast probe ranks its deployment's
+// replicas (rank): ns/probe is what one costs at that list length. It
+// cycles over the bucket's deployments, eight PlanetLab vantage points and
+// four rounds, so every serving rank is drawn.
 func BenchmarkProbeICMPAnycast(b *testing.B) {
 	w := New(testConfig())
-	vp := platform.PlanetLab(cities.Default()).VPs()[0]
-	target, _ := w.Representative(w.Deployments()[0].Prefix)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.ProbeICMP(vp, target, uint64(i))
+	vps := platform.PlanetLab(cities.Default()).VPs()[:8]
+	for _, bucket := range []struct {
+		name     string
+		min, max int
+	}{{"replicas=1", 1, 1}, {"replicas=2-3", 2, 3}, {"replicas=4-16", 4, 16}, {"replicas=17+", 17, math.MaxInt}} {
+		var targets []IP
+		for _, d := range w.Deployments() {
+			if n := len(d.Replicas); n >= bucket.min && n <= bucket.max {
+				targets = append(targets, d.rep)
+			}
+		}
+		b.Run(bucket.name, func(b *testing.B) {
+			if len(targets) == 0 {
+				b.Skip("no deployment in the bucket")
+			}
+			for _, vp := range vps {
+				w.session(vp) // build outside the timed loop
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				probeSink = w.ProbeICMP(vps[i%len(vps)], targets[i%len(targets)], uint64(i/len(vps)%4+1))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
+			b.ReportMetric(float64(len(targets)), "deployments")
+		})
 	}
 }
+
+// probeSink keeps the probe benchmarks' replies reachable.
+var probeSink Reply
 
 func BenchmarkProbeICMPUnicast(b *testing.B) {
 	w := New(testConfig())

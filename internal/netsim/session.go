@@ -11,25 +11,21 @@ import (
 )
 
 // This file is the memoization layer under the probe hot path. A census
-// sends millions of probes, but almost everything a probe computes is a
-// stable property of the (vantage point, prefix) pair: the ranked nearest
-// replicas of a deployment, the propagation+stretch+access base latency
-// toward the one that answers while the catchment is stable, the per-VP
-// access constant (0xB71), the vantage point's prepared location
-// (geo.Point: every distance a span resolves starts there) and the hash
-// state of the (seed, vp) prefix that every per-probe draw begins with
-// (detrand.State). Only the per-round draws - loss, catchment flap,
-// queueing jitter - actually vary probe to probe. The session caches per
-// vantage point what no target span changes - the ranking, the access
-// term, the point and the prefix - and leaves the per-round draws, mixed
-// from the hoisted prefix, in the inner loop.
-// Per-target state - the RTT base, toward a unicast host or toward the
-// replica that answers a deployment - is NOT cached per vantage point: at
-// the paper's 10.6M /24s and ~300 VPs that would be tens of gigabytes,
-// and even the deployments' bases would be two thirds of a session. A
-// unicast host's lives per (VP, span) work unit, over a span plan every
-// vantage point shares (see PlanSpan and PlannedSession); a deployment's
-// is built by the probe that reads it (servedBaseMs).
+// sends millions of probes, but much of what a probe computes is a stable
+// property of its vantage point: the per-VP access constant (0xB71), the
+// vantage point's prepared location (geo.Point: every distance a probe
+// computes starts there), its unit vector (every replica ranking is a dot
+// product with it) and the hash state of the (seed, vp) prefix that every
+// per-probe draw begins with (detrand.State). The session caches those
+// four per vantage point, 80 bytes whatever the world holds, and leaves
+// everything per target to the probe.
+// Per-target state is NOT cached per vantage point: at the paper's 10.6M
+// /24s and ~300 VPs that would be tens of gigabytes, and even one ranking
+// per replica list would be most of a session. A unicast host's RTT base
+// lives per (VP, span) work unit, over a span plan every vantage point
+// shares (see PlanSpan and PlannedSession); an anycast probe ranks its
+// own deployment's replicas, only as deep as the rank that answers it
+// reads, and builds the RTT base toward that one (servedBaseMs).
 //
 // Determinism is the contract: every cached value is the output of the
 // exact detrand/geo expression the model defines, so replies are
@@ -49,26 +45,18 @@ type sessionKey struct {
 	lat, lon float64
 }
 
-// maxReplicas is the longest replica list a vpSession.ranked entry can
-// index; New refuses a deployment beyond it.
-const maxReplicas = math.MaxInt16
-
 // vpSession holds everything about one vantage point that a probe reads in
-// every round and that no target span changes: its prepared location, the
-// hash prefix of its draws, its access term and, per rank group -
-// deployments announcing the same replica list rank it alike - its three
-// nearest replicas, 6 bytes in one slab. Which of the three answers is
-// servingRank's draw, made per anycast probe (servedBaseMs) and by the
-// ground-truth selection (servingReplica), and the RTT base toward it is
-// built by the probe that reads it. So the session carries nothing per
-// deployment and nothing per unicast /24: its memory is O(rank groups) per
-// vantage point at any world size.
+// every round and that no target span changes: its prepared location, its
+// unit vector, the hash prefix of its draws and its access term. It holds
+// nothing per rank group, per deployment or per unicast /24: which replica
+// answers an anycast probe is ranked by the probe (rank), so a session is
+// the same 80 bytes at any world size.
 type vpSession struct {
 	once     sync.Once
 	vpAccess float64       // hoisted per-VP access term (0xB71)
 	pt       geo.Point     // the vantage point's location, prepared
+	u        [3]float64    // geo.UnitVec of the location, which rank dots with every place
 	st       detrand.State // detrand.Begin(seed, vp.ID): the prefix of every per-VP draw
-	ranked   [][3]int16    // indexed by rank group: k-th nearest replica index into Replicas, -1 if absent
 }
 
 // sessionTable maps sessionKey -> *vpSession. It lives behind a pointer on
@@ -168,148 +156,123 @@ func (w *World) session(vp platform.VP) *vpSession {
 		e = t.insert(key, h)
 	}
 	s := &e.s
-	s.once.Do(func() {
-		scratch := rankScratch.Get().(*[]float64)
-		w.buildSession(s, vp, scratch)
-		rankScratch.Put(scratch)
-	})
+	s.once.Do(func() { w.buildSession(s, vp) })
 	return s
 }
 
-// rankMargin is how far apart, in cosine of the central angle, a session
-// build needs the dot-product keys of a rank group's four nearest places
-// before it trusts their order without a haversine. A cosine gap above it
-// is a true distance gap above EarthRadiusKm*rankMargin = 6.4 m (the
-// cosine is 1-Lipschitz in the angle), and each computed haversine is
-// within 0.3 m of its true distance, so the two haversines order strictly
-// the same way, with 10x headroom (TestRankMarginBound measures both
-// errors; docs/bench-history/vp-costs.md has the derivation).
-const rankMargin = 1e-6
-
-// buildSession ranks every deployment's replicas by distance from the
-// vantage point. Everything that does not depend on the vantage point is
-// read from the world's flat replica geometry (World.places, placeVecs,
-// rankGroups), so a build is one dot product per distinct replica place,
-// then one nearest-places cascade per rank group on the negated dot
-// product, which orders places as the great-circle distance does. A group
-// whose four nearest keys are not rankMargin apart - a near tie, where
-// rounding could order the two differently - reruns the haversine cascade
-// the model defines (rankByDistance), so the ranking is bit-identical
-// to it either way. It draws nothing per deployment: the RTT base toward
-// the replica that answers is built by the probe that reads it
-// (servedBaseMs). It allocates once, the ranking - the keys and the
-// remembered haversines live in the caller's scratch, grown to fit - and
-// returns how many haversines it computed.
-func (w *World) buildSession(s *vpSession, vp platform.VP, scratch *[]float64) (haversines int) {
+// buildSession fills the session with what every probe from the vantage
+// point reads. It ranks nothing and allocates nothing: a probe ranks the
+// replicas of the deployment it reaches (rank).
+func (w *World) buildSession(s *vpSession, vp platform.VP) {
 	s.st = detrand.Begin(w.cfg.Seed, uint64(vp.ID))
 	s.pt = geo.Prepare(vp.Loc)
+	s.u = geo.UnitVec(vp.Loc)
 	s.vpAccess = w.vpAccessMs(s.st)
-	s.ranked = make([][3]int16, len(w.rankGroups))
-
-	n := len(w.places)
-	if cap(*scratch) < 2*n {
-		*scratch = make([]float64, 2*n)
-	}
-	key, km := (*scratch)[:n], (*scratch)[n:2*n]
-	clear(km)
-	u := geo.UnitVec(vp.Loc)
-	for i, v := range w.placeVecs {
-		key[i] = -geo.VecDot(u, v)
-	}
-
-	for gi := range w.rankGroups {
-		slots := w.rankGroups[gi].slots
-		// The model's strict-< cascade one rank deeper: k3 is the
-		// best key left out, the one the third must clear. k0 <= ... <= k3
-		// throughout, so a key that is not below k3 matches no case: most
-		// of a long list leaves after one compare.
-		i0, i1, i2, i3 := -1, -1, -1, -1
-		k0, k1, k2, k3 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
-		for i, slot := range slots {
-			k := key[slot]
-			if !(k < k3) {
-				continue
-			}
-			switch {
-			case k < k0:
-				i3, i2, i1, i0 = i2, i1, i0, i
-				k3, k2, k1, k0 = k2, k1, k0, k
-			case k < k1:
-				i3, i2, i1 = i2, i1, i
-				k3, k2, k1 = k2, k1, k
-			case k < k2:
-				i3, i2 = i2, i
-				k3, k2 = k2, k
-			default:
-				i3, k3 = i, k
-			}
-		}
-		if (i1 < 0 || k1-k0 > rankMargin) && (i2 < 0 || k2-k1 > rankMargin) && (i3 < 0 || k3-k2 > rankMargin) {
-			s.ranked[gi] = [3]int16{int16(i0), int16(i1), int16(i2)}
-			continue
-		}
-		var h int
-		s.ranked[gi], h = rankByDistance(s.pt, w.places, slots, km)
-		haversines += h
-	}
-	return haversines
 }
 
-// rankScratch recycles the sessions' build scratch: a key and a
-// remembered haversine per place, read only during the build.
-var rankScratch = sync.Pool{New: func() any { return new([]float64) }}
+// rankMargin is how far apart, in cosine of the central angle, rank needs
+// the dot-product keys of the places it orders before it trusts their
+// order without a haversine. A cosine gap above it is a true distance gap
+// above EarthRadiusKm*rankMargin = 6.4 m (the cosine is 1-Lipschitz in the
+// angle), and each computed haversine is within 0.3 m of its true
+// distance, so the two haversines order strictly the same way, with 10x
+// headroom (TestRankMarginBound measures both errors;
+// docs/bench-history/vp-costs.md has the derivation).
+const rankMargin = 1e-6
 
-// rankByDistance is the model's three-nearest cascade - strict <, over
-// the great-circle distances in Replicas order (servingReplica) - over
-// the places of one rank group. km remembers a place's
-// distance across groups as its negation, so that the zero a build starts
-// from (sign bit clear) reads as not yet computed; it returns the ranking
-// and how many haversines it computed.
-func rankByDistance(from geo.Point, places []geo.Point, slots []int32, km []float64) (ranked [3]int16, haversines int) {
-	i0, i1, i2 := -1, -1, -1
-	d0, d1, d2 := math.MaxFloat64, math.MaxFloat64, math.MaxFloat64
+// nearest is the model's strict-< nearest-places cascade: the smallest
+// keys seen so far, ascending, with their list indexes, a tie keeping the
+// earlier index ahead, kept as deep as one rank needs.
+type nearest struct {
+	key [4]float64
+	idx [4]int
+}
+
+// newNearest returns an empty cascade, every key at math.MaxFloat64.
+func newNearest() nearest {
+	return nearest{key: [4]float64{math.MaxFloat64, math.MaxFloat64, math.MaxFloat64, math.MaxFloat64}}
+}
+
+// insert places key, of list index i, into the cascade's first last+1
+// entries, the caller having checked that it is below the last of them:
+// what it passes moves one rank down and the last falls out.
+func (c *nearest) insert(key float64, i, last int) {
+	j := last
+	for ; j > 0 && key < c.key[j-1]; j-- {
+		c.key[j], c.idx[j] = c.key[j-1], c.idx[j-1]
+	}
+	c.key[j], c.idx[j] = key, i
+}
+
+// rank returns the index, into its replica list, of the replica of rank
+// group g that the model's three-nearest cascade - strict <, over the
+// great-circle distances in Replicas order (servingReplica) - puts r-th
+// nearest the session's vantage point, r < min(3, list length). It reads
+// only the world's flat replica geometry (places, placeVecs, rankGroups):
+// one dot product per place of the group, in a cascade r+2 deep on the
+// negated dot product, which orders places as the great-circle distance
+// does. The place the cascade puts r-th is the model's when its key is
+// rankMargin clear of the key just below it, so every nearer place is
+// nearer by distance too, and of the one just above, the nearest left
+// out, so no farther place is. Otherwise - a near tie, where rounding
+// could order the two differently - the haversine cascade decides
+// (rankByDistance), reported as byDistance. Either way the answer is
+// bit-identical to the model's, and nothing is allocated.
+func (w *World) rank(s *vpSession, g int32, r int) (i int, byDistance bool) {
+	slots := w.rankGroups[g].slots
+	c, last := newNearest(), r+1
+	worst, vecs := c.key[last], w.placeVecs
+	// geo.VecDot(s.u, v), written out on registers: the inlined call
+	// copies both arrays through the stack at every place.
+	u0, u1, u2 := s.u[0], s.u[1], s.u[2]
 	for i, slot := range slots {
-		if !math.Signbit(km[slot]) {
-			km[slot] = -geo.PointDistanceKm(from, places[slot])
-			haversines++
-		}
-		d := -km[slot]
-		if !(d < d2) {
-			continue
-		}
-		switch {
-		case d < d0:
-			i2, i1, i0 = i1, i0, i
-			d2, d1, d0 = d1, d0, d
-		case d < d1:
-			i2, i1 = i1, i
-			d2, d1 = d1, d
-		default:
-			i2, d2 = i, d
+		v := &vecs[slot]
+		// Most of a long list leaves after this one compare.
+		if k := -(u0*v[0] + u1*v[1] + u2*v[2]); k < worst {
+			c.insert(k, i, last)
+			worst = c.key[last]
 		}
 	}
-	return [3]int16{int16(i0), int16(i1), int16(i2)}, haversines
+	if c.key[r+1]-c.key[r] > rankMargin && (r == 0 || c.key[r]-c.key[r-1] > rankMargin) {
+		return c.idx[r], false
+	}
+	return rankByDistance(s.pt, w.places, slots, r), true
 }
 
-// rankBaseMs is the RTT base from the session's vantage point toward the
-// rank-th nearest replica of the deployment recorded as dg, idx being its
-// rank group's ranking: rttBaseMsDist with the endpoint half read from
-// the world's geometry - one haversine and one path stretch.
-func (w *World) rankBaseMs(s *vpSession, dg *deploymentGeom, idx *[3]int16, rank int) float64 {
-	slot := w.rankGroups[dg.group].slots[idx[rank]]
-	return w.rttBaseMsDist(s.st, dg.prefix, geo.PointDistanceKm(s.pt, w.places[slot]), uint64(slot-dg.placeBase), s.vpAccess, w.endAccess[dg.access+int32(idx[rank])])
+// rankByDistance is the model's three-nearest cascade over the haversine
+// distances from the vantage point to the places of one rank group, kept
+// r+1 deep: it returns the index of the r-th nearest.
+func rankByDistance(from geo.Point, places []geo.Point, slots []int32, r int) int {
+	c := newNearest()
+	for i, slot := range slots {
+		if d := geo.PointDistanceKm(from, places[slot]); d < c.key[r] {
+			c.insert(d, i, r)
+		}
+	}
+	return c.idx[r]
 }
 
-// servedBaseMs is the RTT base toward the candidate that answers
-// deployment di in the given round: servingRank's pick, then one
-// haversine and one path stretch (rankBaseMs). A (VP, span) unit probes
-// each target once, so a base stored ahead of the probe would be read at
-// most once: SpanSession.ICMP and the TCP and DNS probes build it on the spot,
-// one per answered anycast probe, and none for a probe lost or skipped.
+// servingIndex is the index, into the replica list of the deployment
+// recorded as dg, of the replica that answers the session's vantage point
+// in the given round (servingReplica): servingRank's draw, which reads
+// only the list's length, then the replica of that rank (rank).
+func (w *World) servingIndex(s *vpSession, dg *deploymentGeom, round uint64) int {
+	i, _ := w.rank(s, dg.group, servingRank(len(w.rankGroups[dg.group].slots), s.st.With(dg.prefix), round))
+	return i
+}
+
+// servedBaseMs is the RTT base toward the replica that answers deployment
+// di in the given round (servingIndex): one haversine and one path
+// stretch, rttBaseMsDist with the endpoint half read from the world's
+// geometry. A (VP, span) unit probes each target once, so a base stored
+// ahead of the probe would be read at most once: SpanSession.ICMP and the
+// TCP and DNS probes build it on the spot, one per answered anycast
+// probe, and none for a probe lost or skipped.
 func (w *World) servedBaseMs(s *vpSession, di int32, round uint64) float64 {
 	dg := &w.geom[di]
-	idx := &s.ranked[dg.group]
-	return w.rankBaseMs(s, dg, idx, servingRank(idx, s.st.With(dg.prefix), round))
+	i := w.servingIndex(s, dg, round)
+	slot := w.rankGroups[dg.group].slots[i]
+	return w.rttBaseMsDist(s.st, dg.prefix, geo.PointDistanceKm(s.pt, w.places[slot]), uint64(slot-dg.placeBase), s.vpAccess, w.endAccess[dg.access+int32(i)])
 }
 
 // selectRank maps a base-selection draw to the rank of the candidate that
@@ -326,29 +289,30 @@ func selectRank(u float64, hasThird bool) int {
 	}
 }
 
-// stableRank is the rank of the candidate in idx that answers while the
-// catchment does not flap: the stable base-selection draw (0xB69), or 0
-// for a single-replica list. pair is the session's st extended
-// by the deployment's uint64(Prefix).
-func stableRank(idx *[3]int16, pair detrand.State) int {
-	if idx[1] < 0 {
+// stableRank is the rank of the candidate that answers, out of a list of
+// n replicas, while the catchment does not flap: the stable
+// base-selection draw (0xB69), or 0 for a single-replica list. pair is
+// the session's st extended by the deployment's uint64(Prefix).
+func stableRank(n int, pair detrand.State) int {
+	if n < 2 {
 		return 0
 	}
-	return selectRank(pair.With(0xB69).Unit(), idx[2] >= 0)
+	return selectRank(pair.With(0xB69).Unit(), n > 2)
 }
 
-// servingRank picks which ranked candidate in idx answers this round:
-// the selection servingReplica describes, over the cached ranking. pair
-// is as for stableRank.
-func servingRank(idx *[3]int16, pair detrand.State, round uint64) int {
-	if idx[1] < 0 {
+// servingRank picks which rank of a list of n replicas answers this
+// round: the selection servingReplica describes. It reads the list's
+// length and no distance, so a probe draws it before ranking anything.
+// pair is as for stableRank.
+func servingRank(n int, pair detrand.State, round uint64) int {
+	if n < 2 {
 		return 0 // single-replica deployment: no draws
 	}
 	if flap := pair.With(round); flap.With(0xF1A9).Unit() < 0.12 {
 		// Catchment flap: this round routes to a different candidate.
-		return selectRank(flap.With(0xB6A).Unit(), idx[2] >= 0)
+		return selectRank(flap.With(0xB6A).Unit(), n > 2)
 	}
-	return stableRank(idx, pair)
+	return stableRank(n, pair)
 }
 
 // hostBaseMs is the RTT base from the session's vantage point toward the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"unsafe"
 
 	"anycastmap/internal/cities"
+	"anycastmap/internal/detrand"
 	"anycastmap/internal/geo"
 	"anycastmap/internal/platform"
 )
@@ -67,19 +69,17 @@ func (rt rankTransitions) note(path string, w *World, vp platform.VP, d *Deploym
 	if !got.OK() {
 		return
 	}
-	s := w.session(vp)
-	dg := &w.geom[d.idx]
-	idx, pair := &s.ranked[dg.group], s.st.With(dg.prefix)
+	n, pair := len(d.Replicas), w.session(vp).st.With(uint64(d.Prefix))
 	counts := rt[path]
 	if counts == nil {
 		counts = new([2][3][3]int)
 		rt[path] = counts
 	}
 	long := 0
-	if idx[2] >= 0 {
+	if n > 2 {
 		long = 1
 	}
-	counts[long][stableRank(idx, pair)][servingRank(idx, pair, round)]++
+	counts[long][stableRank(n, pair)][servingRank(n, pair, round)]++
 }
 
 // check fails unless every path saw each off-diagonal transition - two of
@@ -137,9 +137,9 @@ func (shape worldShape) config() Config {
 // reply - kind and RTT, anycast and unicast, ICMP, TCP, DNS and a
 // traceroute's last hop - and every replica selection is bit-identical to
 // the model's reference (reference_test.go), in every sessionWorldShapes
-// world. A session caches only the ranking, and
-// a probe builds the base toward the rank that serves it - another rank
-// than the stable one only when a catchment flaps onto it - so the test
+// world. A probe ranks its deployment only as deep as the rank that
+// serves it, and builds the base toward that one - another rank than the
+// stable one only when a catchment flaps onto it - so the test
 // also counts the rank transitions behind the replies it compared and
 // fails unless every probe path built every kind of base (rankTransitions).
 func TestSessionCacheBitIdentical(t *testing.T) {
@@ -233,12 +233,9 @@ func TestSessionCacheBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildSessionAllocs pins a session build to its one allocation, the
-// ranking - the keys and remembered haversines live in the caller's
-// scratch, which the test keeps across builds as a sync.Pool cannot under
-// the race detector - whatever the world holds: 1,696 deployments allocate
-// as often as their longer-listed DeploymentInflation 2 twins, not once
-// per deployment or per AS.
+// TestBuildSessionAllocs pins a session build to no allocation, whatever
+// the world holds: it ranks nothing, so 1,696 deployments cost what their
+// longer-listed DeploymentInflation 2 twins cost, which is nothing.
 func TestBuildSessionAllocs(t *testing.T) {
 	vp := sessionTestVPs()[0]
 	for _, inflation := range []float64{1, 2} {
@@ -246,45 +243,46 @@ func TestBuildSessionAllocs(t *testing.T) {
 		cfg.Unicast24s = 600
 		cfg.DeploymentInflation = inflation
 		w := New(cfg)
-		var scratch []float64
 		allocs := testing.AllocsPerRun(10, func() {
 			var s vpSession
-			w.buildSession(&s, vp, &scratch)
+			w.buildSession(&s, vp)
 		})
-		if allocs > 1 {
-			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want <= 1", inflation, allocs, len(w.deployments))
+		if allocs != 0 {
+			t.Errorf("inflation %v: %v allocations per session build of %d deployments, want 0", inflation, allocs, len(w.deployments))
 		}
 	}
 }
 
-// residentBytes is what the session's slab holds for the life of the
-// world.
-func (s *vpSession) residentBytes() uintptr {
-	return uintptr(cap(s.ranked)) * unsafe.Sizeof([3]int16{})
-}
+// maxSessionBytes is the most a vantage point's session may hold.
+const maxSessionBytes = 100
 
-// TestSessionResidentBytes holds a vantage point's session to 6 bytes per
-// rank group - the three nearest replicas every deployment announcing the
-// list shares - and nothing per deployment, in every sessionWorldShapes
-// world: a per-deployment value, the RTT base toward the replica that
-// answers included, is built by the probe that reads it.
+// TestSessionResidentBytes holds a vantage point's session to what every
+// probe from it reads and nothing per rank group, per deployment or per
+// /24: no field of a vpSession refers to memory outside it - no slice,
+// map, pointer, string or interface, at any depth - so its size is all
+// it holds, the same in every world, and that is at most maxSessionBytes.
 func TestSessionResidentBytes(t *testing.T) {
-	for _, shape := range sessionWorldShapes {
-		w := New(shape.config())
-		s := w.session(sessionTestVPs()[0])
-		want := uintptr(6 * len(w.rankGroups))
-		if got := s.residentBytes(); got != want {
-			t.Errorf("%s: a session holds %d B for %d deployments in %d rank groups, want 6 x rank groups = %d B",
-				shape.name, got, len(w.deployments), len(w.rankGroups), want)
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("vpSession%s is a %v: a session would hold memory beyond its own %d bytes", path, typ.Kind(), unsafe.Sizeof(vpSession{}))
 		}
-		if len(w.rankGroups) >= len(w.deployments) {
-			t.Errorf("%s: %d rank groups for %d deployments: no replica list is shared", shape.name, len(w.rankGroups), len(w.deployments))
-		}
+	}
+	walk("", reflect.TypeFor[vpSession]())
+	if got := unsafe.Sizeof(vpSession{}); got > maxSessionBytes {
+		t.Errorf("a session holds %d B, want <= %d", got, maxSessionBytes)
 	}
 }
 
 // TestReplicaGeometryFlat holds the world's flat replica geometry - what
-// buildSession and rankBaseMs read in place of deployments and replicas -
+// rank and servedBaseMs read in place of deployments and replicas -
 // to the objects it was laid out from: every deployment's prefix key,
 // replica IDs, prepared places, unit vectors and endpoint access halves
 // come back bit for bit, and every deployment of a rank group shares one
@@ -342,53 +340,22 @@ func TestReplicaGeometryFlat(t *testing.T) {
 	}
 }
 
-// TestReplicaIndexWidth holds the replica lists the world can produce to
-// the width of a vpSession.ranked entry: every list is a subset of the
-// datacenter pool or a pinned footprint, and New refuses a longer one - or
-// a geometry index beyond int32 - by name where a narrowing conversion
-// would wrap silently.
-func TestReplicaIndexWidth(t *testing.T) {
+// TestIndex32 holds the replica geometry's int32 indexes to their
+// width: index32 passes the last index that fits and refuses, by name,
+// the first that would wrap silently.
+func TestIndex32(t *testing.T) {
 	if index32(math.MaxInt32, "rankGroup.slots") != math.MaxInt32 {
 		t.Error("index32 moved the last index that fits")
 	}
 	// On a 32-bit int no index can pass int32; the check is for 64-bit.
 	if past := int64(math.MaxInt32) + 1; int64(int(past)) == past {
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "rankGroup.slots") {
-					t.Errorf("index32 past int32: recovered %q, want a panic naming rankGroup.slots", msg)
-				}
-			}()
-			index32(int(past), "rankGroup.slots")
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "rankGroup.slots") {
+				t.Errorf("index32 past int32: recovered %q, want a panic naming rankGroup.slots", msg)
+			}
 		}()
+		index32(int(past), "rankGroup.slots")
 	}
-	var ranked [3]int16
-	ranked[0] = maxReplicas - 1 // the last index New lets through must fit
-	if len(dcPool) > maxReplicas {
-		t.Errorf("dcPool has %d cities, vpSession.ranked indexes %d replicas", len(dcPool), maxReplicas)
-	}
-	for name, footprint := range pinnedFootprints {
-		if len(footprint) > maxReplicas {
-			t.Errorf("%s pins %d replicas, vpSession.ranked indexes %d", name, len(footprint), maxReplicas)
-		}
-	}
-
-	saved := pinnedFootprints["OPENDNS,US"]
-	defer func() { pinnedFootprints["OPENDNS,US"] = saved }()
-	wide := make([][2]string, maxReplicas+1)
-	for i := range wide {
-		wide[i] = saved[i%len(saved)]
-	}
-	pinnedFootprints["OPENDNS,US"] = wide
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "replicas") || !strings.Contains(msg, "vpSession.ranked") {
-			t.Errorf("New on a %d-replica deployment: recovered %q, want a panic naming the replica count and vpSession.ranked", len(wide), msg)
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.Unicast24s = 600
-	New(cfg)
 }
 
 // TestSessionCacheHijackBypass verifies the cache interplay with injected
@@ -806,8 +773,8 @@ func TestSpanPlanSharedBitIdentical(t *testing.T) {
 
 // TestSessionTableConcurrent looks sessions up from 8 goroutines at once
 // over overlapping vantage points, enough of them that the table grows
-// while others read it: each key yields one *vpSession, built once - every
-// goroutine sees the same ranking storage - a PlanetLab and a RIPE Atlas
+// while others read it: each key yields one *vpSession, built before any
+// goroutine reads it - the race detector sees every read - a PlanetLab and a RIPE Atlas
 // vantage point sharing an ID get two sessions, keys that compare equal
 // (-0 and +0) share one, and a warm lookup allocates nothing.
 func TestSessionTableConcurrent(t *testing.T) {
@@ -832,8 +799,8 @@ func TestSessionTableConcurrent(t *testing.T) {
 
 	const goroutines = 8
 	type seen struct {
-		s      *vpSession
-		ranked *[3]int16
+		s  *vpSession
+		st detrand.State // what the goroutine read of the session: built before it was handed out
 	}
 	got := make([][]seen, goroutines)
 	var wg sync.WaitGroup
@@ -845,12 +812,15 @@ func TestSessionTableConcurrent(t *testing.T) {
 			for k := range vps {
 				i := (k*(2*g+1) + 37*g) % len(vps) // a different order per goroutine
 				s := w.session(vps[i])
-				got[g][i] = seen{s, &s.ranked[0]}
+				got[g][i] = seen{s, s.st}
 			}
 		}()
 	}
 	wg.Wait()
 	for i, vp := range vps {
+		if want := detrand.Begin(w.cfg.Seed, uint64(vp.ID)); got[0][i].st != want {
+			t.Fatalf("vp %d (%s): a goroutine read the session before its build", i, vp.Name)
+		}
 		for g := 1; g < goroutines; g++ {
 			if got[g][i] != got[0][i] {
 				t.Fatalf("vp %d (%s): goroutines 0 and %d saw sessions %+v and %+v", i, vp.Name, g, got[0][i], got[g][i])

@@ -175,15 +175,15 @@ type World struct {
 	deployments []*Deployment
 	unicast     []unicastHost
 
-	// Replica geometry, the vantage-point-independent half of a session
-	// build, flat and pointer-free so neither buildSession nor a base
-	// build (rankBaseMs) touches a *Deployment or a Replica. places holds
-	// every distinct replica location of the world, prepared: one slot
-	// per (AS, replica), shared by all /24s of the AS; placeVecs[slot] is
-	// the same location's unit vector, which a session build ranks by
-	// (buildSession). rankGroups holds
-	// the distinct replica lists; deployments announcing the same list
-	// rank the same from any vantage point. geom[i] is deployments[i]'s
+	// Replica geometry, the vantage-point-independent half of ranking a
+	// deployment's replicas, flat and pointer-free so neither the ranking
+	// (rank) nor a base build (servedBaseMs) touches a *Deployment or a
+	// Replica. places holds every distinct replica location of the world,
+	// prepared: one slot per (AS, replica), shared by all /24s of the AS;
+	// placeVecs[slot] is the same location's unit vector, which rank
+	// orders places by. rankGroups holds the distinct replica lists;
+	// deployments announcing the same list rank the same from any vantage
+	// point. geom[i] is deployments[i]'s
 	// record and endAccess the endpoint halves of the access latency
 	// (endpointAccessMs) of every deployment's replicas, back to back.
 	places     []geo.Point
@@ -395,12 +395,8 @@ func (w *World) lookup(p Prefix24) (i int32, ok bool) {
 // slice (Deployments forbids modifying it), and one announcing a new list
 // opens a group with a copy of its own. key is the caller's scratch for
 // the list's lookup key, reused across deployments, so only a new group
-// allocates. It panics on a replica list a session could not index.
+// allocates.
 func (w *World) indexReplicas(d *Deployment, placeBase int, groupOf map[string]int32, key *[]byte) {
-	if len(d.Replicas) > maxReplicas {
-		panic(fmt.Sprintf("netsim: %v of AS%d announces %d replicas; a session indexes at most %d (vpSession.ranked)",
-			d.Prefix, d.ASN, len(d.Replicas), maxReplicas))
-	}
 	g := deploymentGeom{
 		prefix:    uint64(d.Prefix),
 		placeBase: index32(placeBase, "deploymentGeom.placeBase"),

@@ -113,7 +113,8 @@ type ServerConfig struct {
 	Addr string
 	// Listeners is the number of SO_REUSEPORT sockets sharing the port,
 	// each served by its own goroutine with its own Scratch. 0 means
-	// GOMAXPROCS. Platforms without SO_REUSEPORT fall back to 1.
+	// GOMAXPROCS; a negative count is refused. Platforms without
+	// SO_REUSEPORT fall back to 1.
 	Listeners int
 	// Engine makes the decisions. Required.
 	Engine *Engine
@@ -144,6 +145,9 @@ type Server struct {
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("route: ServerConfig.Engine is required")
+	}
+	if cfg.Listeners < 0 {
+		return nil, fmt.Errorf("route: ServerConfig.Listeners is %d; want a count of sockets, or 0 for GOMAXPROCS", cfg.Listeners)
 	}
 	r, err := NewResponder(cfg.Engine, cfg.Zone, cfg.TTL, cfg.Metrics)
 	if err != nil {

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/netip"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,6 +94,32 @@ func exchange(t *testing.T, addr string, pkt []byte) []byte {
 }
 
 func respRcode(resp []byte) int { return int(resp[3] & 0xf) }
+
+// TestNewServerRefusesNegativeListeners holds NewServer to refusing a
+// negative listener count, which used to mean GOMAXPROCS as 0 does, by
+// the field's name and before binding anything; 0 still binds GOMAXPROCS
+// sockets, or one where SO_REUSEPORT is missing.
+func TestNewServerRefusesNegativeListeners(t *testing.T) {
+	e := testEngine(t, testStore(t))
+	for _, n := range []int{-1, -8} {
+		s, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Listeners: n, Engine: e})
+		if err == nil {
+			s.Close()
+			t.Fatalf("Listeners %d: a server bound %d sockets, want an error", n, s.Listeners())
+		}
+		if !strings.Contains(err.Error(), "Listeners") {
+			t.Errorf("Listeners %d: %v, want an error naming Listeners", n, err)
+		}
+	}
+	s, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Engine: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := s.Listeners(); n < 1 || n > runtime.GOMAXPROCS(0) {
+		t.Errorf("Listeners 0 bound %d sockets, want 1 to GOMAXPROCS (%d)", n, runtime.GOMAXPROCS(0))
+	}
+}
 
 func TestServerEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
