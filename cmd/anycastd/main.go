@@ -52,10 +52,20 @@ func main() {
 	dnsListeners := flag.Int("dns-listeners", 0, "SO_REUSEPORT UDP listeners for the routing front-end (0 = GOMAXPROCS)")
 	dnsZone := flag.String("dns-zone", route.DefaultZone, "zone suffix the routing front-end answers for")
 	snapFile := flag.String("snapshot-file", "", "serve the snapshot file `census -snapshot` writes here, reloading it when a new census replaces it (required)")
-	maxInFlight := flag.Int("max-inflight", 256, "maximum concurrently-served requests")
+	maxInFlight := flag.Int("max-inflight", 256, "maximum concurrently-served requests (0 = 256)")
 	seed := flag.Uint64("seed", 2015, "seed of the routing front-end's synthetic client locator (HashLocator)")
 	flag.Parse()
 	log.SetFlags(0)
+
+	// A value no flag can mean is refused before anything is served, with
+	// a first log line naming the flag.
+	apiCfg := store.APIConfig{MaxInFlight: *maxInFlight}
+	if err := apiCfg.Validate(); err != nil {
+		log.Fatalf("max-inflight: %v", err)
+	}
+	if err := (route.ServerConfig{Listeners: *dnsListeners}).Validate(); err != nil {
+		log.Fatalf("dns-listeners: %v", err)
+	}
 
 	if *snapFile == "" {
 		log.Fatal("anycastd serves a census map: run `census -snapshot FILE` and pass -snapshot-file FILE")
@@ -134,7 +144,8 @@ func main() {
 			dnsSrv.Addr(), dnsSrv.Listeners(), *dnsZone)
 	}
 
-	api := store.NewAPI(st, rl, store.APIConfig{MaxInFlight: *maxInFlight, Metrics: reg})
+	apiCfg.Metrics = reg
+	api := store.NewAPI(st, rl, apiCfg)
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           api,

@@ -13,6 +13,7 @@ package asdb
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Category is the business category of an AS (the top x-axis labels of
@@ -258,10 +259,17 @@ type Registry struct {
 	byASN map[int]int
 }
 
-// Default builds the census AS registry: the transcribed top-100 plus a
+// Default returns the census AS registry: the transcribed top-100 plus a
 // deterministic synthetic tail of 246 ASes, with /24 footprints matching the
-// paper's totals exactly (1,696 /24s overall, 897 in the top-100).
-func Default() *Registry {
+// paper's totals exactly (1,696 /24s overall, 897 in the top-100). A
+// Registry is immutable, so it is built on the first call and every caller
+// of the process shares it.
+func Default() *Registry { return defaultRegistry() }
+
+var defaultRegistry = sync.OnceValue(buildDefault)
+
+// buildDefault builds the registry Default returns.
+func buildDefault() *Registry {
 	rng := rand.New(rand.NewSource(2015)) // deterministic: same registry every run
 
 	list := make([]AS, len(top100))

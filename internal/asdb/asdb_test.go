@@ -1,7 +1,9 @@
 package asdb
 
 import (
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -31,14 +33,40 @@ func TestDefaultTotals(t *testing.T) {
 	}
 }
 
+// TestDeterministic builds the registry twice (Default hands out one
+// shared build, so it is asked for a fresh one) and holds Default to it.
 func TestDeterministic(t *testing.T) {
-	a, b := Default(), Default()
+	a, b := buildDefault(), buildDefault()
 	if a.Len() != b.Len() {
-		t.Fatal("two Default() registries differ in size")
+		t.Fatal("two registry builds differ in size")
 	}
 	for i := range a.All() {
 		if a.All()[i] != b.All()[i] {
 			t.Fatalf("registry not deterministic at index %d: %+v vs %+v", i, a.All()[i], b.All()[i])
+		}
+	}
+	if !reflect.DeepEqual(Default(), a) {
+		t.Error("the shared registry differs from a fresh build")
+	}
+}
+
+// TestDefaultShared holds Default to one registry per process: concurrent
+// callers get the same *Registry (run it under -race).
+func TestDefaultShared(t *testing.T) {
+	const n = 8
+	got := make([]*Registry, n)
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = Default()
+		}()
+	}
+	wg.Wait()
+	for g, r := range got {
+		if r != got[0] {
+			t.Fatalf("caller %d got registry %p, caller 0 %p", g, r, got[0])
 		}
 	}
 }

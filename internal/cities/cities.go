@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"anycastmap/internal/geo"
 )
@@ -54,14 +55,18 @@ func New(list []City) *DB {
 	return &DB{cities: cs, byKey: byKey}
 }
 
-// Default returns a database over the embedded world-city list (the
-// primary list plus the secondary-city extension).
-func Default() *DB {
+// Default returns the database over the embedded world-city list (the
+// primary list plus the secondary-city extension). A DB is immutable, so
+// the table is built on the first call and every caller of the process
+// shares it.
+func Default() *DB { return defaultDB() }
+
+var defaultDB = sync.OnceValue(func() *DB {
 	all := make([]City, 0, len(worldCities)+len(moreCities))
 	all = append(all, worldCities...)
 	all = append(all, moreCities...)
 	return New(all)
-}
+})
 
 // Len returns the number of cities.
 func (db *DB) Len() int { return len(db.cities) }

@@ -2,11 +2,40 @@ package cities
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"anycastmap/internal/geo"
 )
+
+// TestDefaultShared holds Default to one table per process: concurrent
+// first callers get the same *DB (run it under -race), and that table is
+// the one a fresh build of the embedded list gives. It is the first test
+// of the package, so its callers race the table's build.
+func TestDefaultShared(t *testing.T) {
+	const n = 8
+	got := make([]*DB, n)
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = Default()
+		}()
+	}
+	wg.Wait()
+	for g, db := range got {
+		if db != got[0] {
+			t.Fatalf("caller %d got table %p, caller 0 %p", g, db, got[0])
+		}
+	}
+	fresh := New(append(append([]City(nil), worldCities...), moreCities...))
+	if !reflect.DeepEqual(got[0], fresh) {
+		t.Error("the shared table differs from a fresh build of the embedded list")
+	}
+}
 
 func TestDefaultDatabaseSanity(t *testing.T) {
 	db := Default()

@@ -70,10 +70,15 @@ func UnitFloat(vs ...uint64) float64 {
 
 // Intn maps a hash tuple to [0, n). It panics if n <= 0.
 func Intn(n int, vs ...uint64) int {
+	return Begin(vs...).Intn(n)
+}
+
+// Intn maps the state to [0, n). It panics if n <= 0.
+func (s State) Intn(n int) int {
 	if n <= 0 {
 		panic("detrand: Intn with non-positive n")
 	}
-	return int(Hash64(vs...) % uint64(n))
+	return int(uint64(s) % uint64(n))
 }
 
 // Norm maps a hash tuple to an approximately standard normal variate using

@@ -150,11 +150,11 @@ func refExp(vs ...uint64) float64 {
 
 // TestStateMatchesHash64 pins the prefix property the probe path is built
 // on: a tuple may be split anywhere into a Begin prefix (arity 0 to 6) and
-// With steps, and the state - and the Unit and Exp variates drawn from it -
-// is the very bits of Hash64, UnitFloat and Exp over the whole tuple, which
-// in turn are the bits of the pre-State implementation.
+// With steps, and the state - and the Unit, Exp and Intn variates drawn
+// from it - is the very bits of Hash64, UnitFloat, Exp and Intn over the
+// whole tuple, which in turn are the bits of the pre-State implementation.
 func TestStateMatchesHash64(t *testing.T) {
-	f := func(a [6]uint64, arity uint8, b, c uint64) bool {
+	f := func(a [6]uint64, arity uint8, b, c uint64, n uint16) bool {
 		prefix := a[:int(arity)%7]
 		whole := append(append([]uint64{}, prefix...), b, c)
 		st := Begin(prefix...).With(b).With(c)
@@ -164,7 +164,9 @@ func TestStateMatchesHash64(t *testing.T) {
 			math.Float64bits(st.Unit()) == math.Float64bits(UnitFloat(whole...)) &&
 			math.Float64bits(st.Unit()) == math.Float64bits(Float64(refHash64(whole...))) &&
 			math.Float64bits(st.Exp()) == math.Float64bits(Exp(whole...)) &&
-			math.Float64bits(st.Exp()) == math.Float64bits(refExp(whole...))
+			math.Float64bits(st.Exp()) == math.Float64bits(refExp(whole...)) &&
+			st.Intn(int(n)+1) == Intn(int(n)+1, whole...) &&
+			st.Intn(int(n)+1) == int(refHash64(whole...)%(uint64(n)+1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)

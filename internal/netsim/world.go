@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"anycastmap/internal/asdb"
 	"anycastmap/internal/cities"
@@ -238,6 +239,7 @@ type hijack struct {
 
 type poolCity struct {
 	city cities.City
+	pt   geo.Point // city.Loc, prepared
 	w    float64
 }
 
@@ -292,13 +294,13 @@ func New(cfg Config) *World {
 		Registry:     asdb.Default(),
 		Cities:       cities.Default(),
 		anycastByASN: make(map[int][]*Deployment),
+		dcPool:       placementPool(),
 		// Allocated here, not on first injection: WithFaults views copy
 		// the World by value and must share the map, as they share sessions.
 		hijacks:  make(map[Prefix24]hijack),
 		sessions: newSessionTable(),
 	}
 	w.Services = services.Build(w.Registry, cfg.Seed)
-	w.buildPool()
 	w.buildCityWeights()
 
 	totalAnycast := w.Registry.TotalFootprint()
@@ -320,14 +322,19 @@ func New(cfg Config) *World {
 	}
 	w.slots = make([]int32, total)
 
-	// Instantiate deployments AS by AS, in registry order.
+	// Instantiate deployments AS by AS, in registry order, from one slab.
+	// An AS's deployments are consecutive in w.deployments, and
+	// anycastByASN holds each AS's run of them.
+	slab := make([]Deployment, totalAnycast)
+	w.deployments = make([]*Deployment, 0, totalAnycast)
+	w.geom = make([]deploymentGeom, 0, totalAnycast)
 	slotCursor := 0
-	groupOf := make(map[string]int32)            // replica list, as place-slot bytes -> rank group
-	var groupKey []byte                          // indexReplicas' key scratch
-	var subset []Replica                         // prefixReplicaSubset's scratch
-	anchorKm := make([][]float64, len(w.dcPool)) // buildASReplicaSet's distance rows
+	groupOf := make(map[string]int32, totalAnycast) // replica list, as place-slot bytes -> rank group
+	var groupKey []byte                             // indexReplicas' key scratch
+	var subset []Replica                            // prefixReplicaSubset's scratch
+	draw := replicaDraw{anchorKm: make([][]float64, len(w.dcPool))}
 	for _, as := range w.Registry.All() {
-		asReplicas := w.buildASReplicaSet(as, anchorKm)
+		asReplicas := w.buildASReplicaSet(as, &draw)
 		// Replica i of the AS (Replica.ID == i) is place placeBase+i.
 		placeBase := len(w.places)
 		for _, r := range asReplicas {
@@ -335,28 +342,35 @@ func New(cfg Config) *World {
 			w.placeVecs = append(w.placeVecs, geo.UnitVec(r.Loc))
 		}
 		_, pinned := pinnedFootprints[as.Name]
+		first := len(w.deployments)
 		for p := 0; p < as.IP24s; p++ {
 			prefix := basePrefix + Prefix24(anycastSlots[slotCursor])
 			slotCursor++
+			// Every per-prefix draw starts from the prefix's state:
+			// w.seedSt.With(prefix) is detrand.Begin(cfg.Seed, prefix).
+			pSt := w.seedSt.With(uint64(prefix))
 			replicas := asReplicas
 			if !pinned {
-				subset = w.prefixReplicaSubset(subset, asReplicas, prefix)
+				subset = prefixReplicaSubset(subset, asReplicas, pSt)
 				replicas = subset
 			}
-			d := &Deployment{
+			d := &slab[len(w.deployments)]
+			*d = Deployment{
 				Prefix:     prefix,
 				ASN:        as.ASN,
 				Replicas:   replicas,
-				Density:    w.density(as, prefix),
+				Density:    density(as, pSt),
 				HostsAlexa: p < as.AlexaIP24s,
 				idx:        int32(len(w.deployments)),
 				// Anycast infrastructure: a low, alive host address.
-				rep: prefix.Host(byte(1 + detrand.Intn(32, cfg.Seed, uint64(prefix), 0x4E01))),
+				rep: prefix.Host(byte(1 + pSt.With(0x4E01).Intn(32))),
 			}
 			w.indexReplicas(d, placeBase, groupOf, &groupKey)
 			w.slots[prefix-basePrefix] = d.idx
 			w.deployments = append(w.deployments, d)
-			w.anycastByASN[as.ASN] = append(w.anycastByASN[as.ASN], d)
+		}
+		if as.IP24s > 0 {
+			w.anycastByASN[as.ASN] = w.deployments[first:len(w.deployments):len(w.deployments)]
 		}
 	}
 
@@ -532,13 +546,20 @@ func (w *World) HostAlive(ip IP) bool {
 	return detrand.UnitFloat(w.cfg.Seed, uint64(ip), 0xA11E) < d.Density
 }
 
-// buildPool assembles the datacenter-city pool replicas are placed in:
-// the classic interconnection hubs get the highest weights.
-func (w *World) buildPool() {
-	for _, e := range dcPool {
-		w.dcPool = append(w.dcPool, poolCity{city: w.Cities.MustByName(e.name, e.cc), w: e.w})
+// placementPool is the datacenter-city pool replicas are placed in, over
+// the shared city table (cities.Default) with each city's location
+// prepared: the classic interconnection hubs get the highest weights. It
+// depends on nothing but the embedded tables, so it is built once per
+// process.
+var placementPool = sync.OnceValue(func() []poolCity {
+	db := cities.Default()
+	pool := make([]poolCity, len(dcPool))
+	for i, e := range dcPool {
+		c := db.MustByName(e.name, e.cc)
+		pool[i] = poolCity{city: c, pt: geo.Prepare(c.Loc), w: e.w}
 	}
-}
+	return pool
+})
 
 // buildCityWeights prepares population-proportional sampling for unicast
 // host placement.
@@ -552,6 +573,22 @@ func (w *World) buildCityWeights() {
 	}
 }
 
+// replicaDraw is buildASReplicaSet's scratch, reused from AS to AS.
+// anchorKm[a] is pool city a's row of distances to every pool city,
+// computed the first time an AS anchors there and shared by every later
+// one.
+type replicaDraw struct {
+	anchorKm   [][]float64
+	cands, top []replicaCand
+	replicas   []Replica
+}
+
+// replicaCand is a pool city with its Efraimidis-Spirakis key.
+type replicaCand struct {
+	idx int
+	key float64
+}
+
 // buildASReplicaSet chooses the true replica cities of an AS: the paper's
 // measured mean footprint inflated to deployment truth, sampled from the
 // datacenter pool with hub bias. Small operators outside the top-100
@@ -559,18 +596,24 @@ func (w *World) buildCityWeights() {
 // 70% of tail ASes keep every replica within ~800 km of an anchor hub,
 // which makes them borderline for speed-of-light detection - the population
 // behind Fig. 12's two-replica tail and the recall gained by combining
-// censuses. anchorKm[a] is pool city a's row of distances to every pool
-// city, computed the first time an AS anchors there and shared by every
-// later one.
-func (w *World) buildASReplicaSet(as asdb.AS, anchorKm [][]float64) []Replica {
+// censuses. The returned replicas live in draw's storage, valid until the
+// next call.
+func (w *World) buildASReplicaSet(as asdb.AS, draw *replicaDraw) []Replica {
+	// Every per-AS draw starts from the AS's state, and a replica's from
+	// its index's: asSt.With(i) is detrand.Begin(cfg.Seed, ASN, i).
+	asSt := w.seedSt.With(uint64(as.ASN))
+	replicas := draw.replicas[:0]
+	place := func(city cities.City, i int) {
+		st := asSt.With(uint64(i))
+		bearing := 360 * st.With(0x9002).Unit()
+		dist := 12 * st.With(0x9003).Unit()
+		replicas = append(replicas, Replica{ID: i, City: city, Loc: geo.Destination(city.Loc, bearing, dist)})
+	}
 	if pinned, ok := pinnedFootprints[as.Name]; ok {
-		replicas := make([]Replica, 0, len(pinned))
 		for i, nc := range pinned {
-			city := w.Cities.MustByName(nc[0], nc[1])
-			bearing := 360 * detrand.UnitFloat(w.cfg.Seed, uint64(as.ASN), uint64(i), 0x9002)
-			dist := 12 * detrand.UnitFloat(w.cfg.Seed, uint64(as.ASN), uint64(i), 0x9003)
-			replicas = append(replicas, Replica{ID: i, City: city, Loc: geo.Destination(city.Loc, bearing, dist)})
+			place(w.Cities.MustByName(nc[0], nc[1]), i)
 		}
+		draw.replicas = replicas
 		return replicas
 	}
 	n := int(math.Round(float64(as.PaperMeanReplicas) * w.cfg.DeploymentInflation))
@@ -591,34 +634,31 @@ func (w *World) buildASReplicaSet(as asdb.AS, anchorKm [][]float64) []Replica {
 	var anchorDist []float64 // anchorDist[i]: the anchor hub's distance to dcPool[i]
 	if regional {
 		a := detrand.Intn(len(w.dcPool), w.cfg.Seed, uint64(as.ASN), 0x9011)
-		if anchorKm[a] == nil {
-			anchor := w.dcPool[a].city.Loc
-			anchorKm[a] = make([]float64, len(w.dcPool))
+		if draw.anchorKm[a] == nil {
+			row := make([]float64, len(w.dcPool))
 			for i, pc := range w.dcPool {
-				anchorKm[a][i] = geo.DistanceKm(anchor, pc.city.Loc)
+				row[i] = geo.PointDistanceKm(w.dcPool[a].pt, pc.pt)
 			}
+			draw.anchorKm[a] = row
 		}
-		anchorDist = anchorKm[a]
+		anchorDist = draw.anchorKm[a]
 	}
 
 	// Weighted sampling without replacement, deterministic per AS.
-	type cand struct {
-		idx int
-		key float64
-	}
-	build := func(regionOnly bool) []cand {
-		out := make([]cand, 0, len(w.dcPool))
+	build := func(regionOnly bool) []replicaCand {
+		out := draw.cands[:0]
 		for i, pc := range w.dcPool {
 			if regionOnly && anchorDist[i] > 800 {
 				continue
 			}
 			// Efraimidis-Spirakis weighted reservoir keys.
-			u := detrand.UnitFloat(w.cfg.Seed, uint64(as.ASN), uint64(i), 0x9001)
+			u := asSt.With(uint64(i)).With(0x9001).Unit()
 			if u <= 0 {
 				u = 1e-12
 			}
-			out = append(out, cand{idx: i, key: math.Pow(u, 1/pc.w)})
+			out = append(out, replicaCand{idx: i, key: math.Pow(u, 1/pc.w)})
 		}
+		draw.cands = out
 		return out
 	}
 	cands := build(regional)
@@ -627,32 +667,69 @@ func (w *World) buildASReplicaSet(as asdb.AS, anchorKm [][]float64) []Replica {
 		// fall back to a global spread.
 		cands = build(false)
 	}
-	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(b.key, a.key) })
-	if n > len(cands) {
-		n = len(cands)
+	draw.top = topCands(draw.top[:0], cands, n)
+	for i, c := range draw.top {
+		place(w.dcPool[c.idx].city, i)
 	}
-	replicas := make([]Replica, 0, n)
-	for i := 0; i < n; i++ {
-		pc := w.dcPool[cands[i].idx]
-		bearing := 360 * detrand.UnitFloat(w.cfg.Seed, uint64(as.ASN), uint64(i), 0x9002)
-		dist := 12 * detrand.UnitFloat(w.cfg.Seed, uint64(as.ASN), uint64(i), 0x9003)
-		replicas = append(replicas, Replica{
-			ID:   i,
-			City: pc.city,
-			Loc:  geo.Destination(pc.city.Loc, bearing, dist),
-		})
-	}
+	draw.replicas = replicas
 	return replicas
+}
+
+// topCands appends to dst the min(n, len(cands)) candidates of largest
+// key, largest first: exactly the first n of cands after
+// slices.SortFunc(cands, by key descending), which fixes every world's
+// replica sets. A candidate below the n kept so far costs one comparison.
+// In the default world n is 2 to 5 for three ASes in four (33 at most)
+// against 92 candidates for most, and the selection takes ~2 ms off a
+// ~9.5 ms catalogue build that sorted every candidate list. The
+// sort orders keys, not candidates: where two equal keys meet among the
+// kept ones, only the sort knows which comes first, so topCands then
+// sorts cands after all. Keys are never NaN (u in (0, 1], weights
+// positive).
+func topCands(dst, cands []replicaCand, n int) []replicaCand {
+	n = min(n, len(cands))
+	if n <= 0 {
+		return dst
+	}
+	top := dst
+	for _, c := range cands {
+		if len(top) == n {
+			if c.key < top[n-1].key {
+				continue
+			}
+			if c.key == top[n-1].key {
+				return sortedTop(dst, cands, n)
+			}
+			top = top[:n-1]
+		}
+		j := len(top)
+		top = append(top, c)
+		for ; j > 0 && top[j-1].key < c.key; j-- {
+			top[j] = top[j-1]
+		}
+		if j > 0 && top[j-1].key == c.key {
+			return sortedTop(dst, cands, n)
+		}
+		top[j] = c
+	}
+	return top
+}
+
+// sortedTop is topCands by a full sort: it reorders cands.
+func sortedTop(dst, cands []replicaCand, n int) []replicaCand {
+	slices.SortFunc(cands, func(a, b replicaCand) int { return cmp.Compare(b.key, a.key) })
+	return append(dst[:0], cands[:n]...)
 }
 
 // prefixReplicaSubset selects the replicas announcing one specific /24 of
 // the AS, into buf's storage: most prefixes are served from the full AS
 // footprint, with a little per-prefix variation (the paper reports small
-// standard deviations across /24s of the same AS, Fig. 9).
-func (w *World) prefixReplicaSubset(buf, asReplicas []Replica, p Prefix24) []Replica {
+// standard deviations across /24s of the same AS, Fig. 9). pSt is the
+// prefix's state, detrand.Begin(cfg.Seed, prefix).
+func prefixReplicaSubset(buf, asReplicas []Replica, pSt detrand.State) []Replica {
 	out := buf[:0]
 	for i, r := range asReplicas {
-		if detrand.UnitFloat(w.cfg.Seed, uint64(p), uint64(i), 0x9004) < 0.9 {
+		if pSt.With(uint64(i)).With(0x9004).Unit() < 0.9 {
 			out = append(out, r)
 		}
 	}
@@ -663,32 +740,35 @@ func (w *World) prefixReplicaSubset(buf, asReplicas []Replica, p Prefix24) []Rep
 }
 
 // density draws the alive-host density of a /24 (Sec. 4.2: Google's DNS
-// /24s are nearly empty, CloudFlare's nearly full).
-func (w *World) density(as asdb.AS, p Prefix24) float64 {
+// /24s are nearly empty, CloudFlare's nearly full) from the prefix's state.
+func density(as asdb.AS, pSt detrand.State) float64 {
 	switch as.Name {
 	case "CLOUDFLARENET,US":
 		return 0.995
 	case "GOOGLE,US":
 		return 0.008 // 8.8.8.8-style: one or two alive addresses
 	}
-	return 0.1 + 0.8*detrand.UnitFloat(w.cfg.Seed, uint64(p), 0x9005)
+	return 0.1 + 0.8*pSt.With(0x9005).Unit()
 }
 
 // buildUnicastHost places a unicast representative in a population-weighted
-// city with rural jitter and draws its ICMP behaviour class.
+// city with rural jitter and draws its ICMP behaviour class. Every draw
+// starts from the prefix's state, w.seedSt.With(p), which is
+// detrand.Begin(cfg.Seed, p).
 func (w *World) buildUnicastHost(p Prefix24) unicastHost {
+	st := w.seedSt.With(uint64(p))
 	all := w.Cities.All()
 	total := w.cityCumWeights[len(w.cityCumWeights)-1]
-	x := detrand.UnitFloat(w.cfg.Seed, uint64(p), 0x9006) * total
+	x := st.With(0x9006).Unit() * total
 	idx := sort.SearchFloat64s(w.cityCumWeights, x)
 	if idx >= len(all) {
 		idx = len(all) - 1
 	}
-	bearing := 360 * detrand.UnitFloat(w.cfg.Seed, uint64(p), 0x9007)
-	dist := 120 * detrand.UnitFloat(w.cfg.Seed, uint64(p), 0x9008)
+	bearing := 360 * st.With(0x9007).Unit()
+	dist := 120 * st.With(0x9008).Unit()
 	loc := geo.Destination(all[idx].Loc, bearing, dist)
 
-	u := detrand.UnitFloat(w.cfg.Seed, uint64(p), 0x9009)
+	u := st.With(0x9009).Unit()
 	cfg := w.cfg
 	var class hostClass
 	switch {
@@ -706,12 +786,11 @@ func (w *World) buildUnicastHost(p Prefix24) unicastHost {
 	// A silent host may still have been seen alive by past hitlist
 	// campaigns; about a third were (this makes the score-pruned hitlist
 	// ~62% of the full space, matching the paper's 6.6M of 10.6M).
-	everAlive := class != classSilent ||
-		detrand.UnitFloat(w.cfg.Seed, uint64(p), 0x4E03) < 1.0/3
+	everAlive := class != classSilent || st.With(0x4E03).Unit() < 1.0/3
 	return unicastHost{
 		loc:       loc,
 		cosLat:    geo.Prepare(loc).CosLat(),
-		rep:       p.Host(byte(1 + detrand.Intn(253, w.cfg.Seed, uint64(p), 0x4E02))),
+		rep:       p.Host(byte(1 + st.With(0x4E02).Intn(253))),
 		cityIdx:   int32(idx),
 		class:     class,
 		everAlive: everAlive,

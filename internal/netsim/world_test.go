@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"anycastmap/internal/asdb"
@@ -348,6 +351,30 @@ func forEachFloat[C any](base C, v float64, check func(string, C)) {
 			c := base
 			reflect.ValueOf(&c).Elem().Field(i).SetFloat(v)
 			check(typ.Field(i).Name, c)
+		}
+	}
+}
+
+// TestTopCandsMatchesSort holds the replica draw's selection to the sort it
+// replaced: over random candidate lists whose keys come from a few values
+// (ties everywhere) or many (ties rare), and every n, topCands returns the
+// first n of slices.SortFunc by key descending - the same candidates in the
+// same order, equal keys included.
+func TestTopCandsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 4000; trial++ {
+		m := 1 + rng.Intn(100)
+		cands := make([]replicaCand, m)
+		distinct := 1 + rng.Intn(4*m)
+		for i := range cands {
+			cands[i] = replicaCand{idx: i, key: float64(rng.Intn(distinct))}
+		}
+		n := rng.Intn(m + 3)
+		want := slices.Clone(cands)
+		slices.SortFunc(want, func(a, b replicaCand) int { return cmp.Compare(b.key, a.key) })
+		want = want[:min(n, m)]
+		if got := topCands(nil, slices.Clone(cands), n); !slices.Equal(got, want) {
+			t.Fatalf("m=%d n=%d keys<%d: topCands %v, sort %v", m, n, distinct, got, want)
 		}
 	}
 }

@@ -141,13 +141,24 @@ type Server struct {
 	closed    atomic.Bool
 }
 
+// Validate reports the first setting no server can mean, or nil: a
+// negative Listeners (zero means GOMAXPROCS). NewServer refuses what it
+// refuses, so a caller taking the count from its user can check it before
+// it builds the Engine.
+func (c ServerConfig) Validate() error {
+	if c.Listeners < 0 {
+		return fmt.Errorf("route: ServerConfig.Listeners is %d; want a count of sockets, or 0 for GOMAXPROCS", c.Listeners)
+	}
+	return nil
+}
+
 // NewServer binds the listeners and starts the serve goroutines.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("route: ServerConfig.Engine is required")
 	}
-	if cfg.Listeners < 0 {
-		return nil, fmt.Errorf("route: ServerConfig.Listeners is %d; want a count of sockets, or 0 for GOMAXPROCS", cfg.Listeners)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	r, err := NewResponder(cfg.Engine, cfg.Zone, cfg.TTL, cfg.Metrics)
 	if err != nil {

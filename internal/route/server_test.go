@@ -98,10 +98,17 @@ func respRcode(resp []byte) int { return int(resp[3] & 0xf) }
 // TestNewServerRefusesNegativeListeners holds NewServer to refusing a
 // negative listener count, which used to mean GOMAXPROCS as 0 does, by
 // the field's name and before binding anything; 0 still binds GOMAXPROCS
-// sockets, or one where SO_REUSEPORT is missing.
+// sockets, or one where SO_REUSEPORT is missing. Validate holds the same
+// rule without an Engine, for a caller that checks its flags first.
 func TestNewServerRefusesNegativeListeners(t *testing.T) {
+	if err := (ServerConfig{}).Validate(); err != nil {
+		t.Errorf("Listeners 0: Validate says %v, want nil", err)
+	}
 	e := testEngine(t, testStore(t))
 	for _, n := range []int{-1, -8} {
+		if err := (ServerConfig{Listeners: n}).Validate(); err == nil || !strings.Contains(err.Error(), "Listeners") {
+			t.Errorf("Listeners %d: Validate says %v, want an error naming Listeners", n, err)
+		}
 		s, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Listeners: n, Engine: e})
 		if err == nil {
 			s.Close()

@@ -14,6 +14,7 @@ package services
 import (
 	"math/bits"
 	"sort"
+	"sync"
 
 	"anycastmap/internal/asdb"
 	"anycastmap/internal/detrand"
@@ -215,15 +216,17 @@ func newSet(asn int, dnsUDP bool, svcs []Service) *Set {
 	return &Set{ASN: asn, services: svcs, byPort: byPort, ServesDNSOverUDP: dnsUDP}
 }
 
-// Inventory maps each AS of the registry to its service set.
+// Inventory maps each AS of the registry to its service set. The sets are
+// built on the first ByASN call, not by Build: only the TCP and DNS probe
+// paths read them, and an ICMP census never does.
 type Inventory struct {
-	byASN map[int]*Set
+	byASN func() map[int]*Set
 }
 
 // ByASN returns the service set of an AS (nil, false if the AS has no open
-// TCP service).
+// TCP service). It is safe for concurrent use.
 func (inv *Inventory) ByASN(asn int) (*Set, bool) {
-	s, ok := inv.byASN[asn]
+	s, ok := inv.byASN()[asn]
 	return s, ok
 }
 
@@ -246,14 +249,19 @@ func withSoftware(svcs []Service, port uint16, sw string) []Service {
 	return svcs
 }
 
-// Build constructs the inventory for the registry. Deterministic for a
-// given seed.
+// Build returns the inventory of the registry, deterministic for a given
+// seed. Its sets are built on first use.
 func Build(reg *asdb.Registry, seed uint64) *Inventory {
-	inv := &Inventory{byASN: make(map[int]*Set, reg.Len())}
+	return &Inventory{byASN: sync.OnceValue(func() map[int]*Set { return buildSets(reg, seed) })}
+}
+
+// buildSets builds every AS's service set.
+func buildSets(reg *asdb.Registry, seed uint64) map[int]*Set {
+	byASN := make(map[int]*Set, reg.Len())
 
 	add := func(name string, dnsUDP bool, svcs []Service) {
 		a := reg.MustByName(name)
-		inv.byASN[a.ASN] = newSet(a.ASN, dnsUDP, svcs)
+		byASN[a.ASN] = newSet(a.ASN, dnsUDP, svcs)
 	}
 
 	// CloudFlare: 22 open ports, the cPanel-style 2xxx range plus web and
@@ -366,7 +374,7 @@ func Build(reg *asdb.Registry, seed uint64) *Inventory {
 	webIdx := 0
 	dnsIdx := 0
 	for _, a := range reg.Top100() {
-		if _, done := inv.byASN[a.ASN]; done {
+		if _, done := byASN[a.ASN]; done {
 			continue
 		}
 		// A fraction of deployments expose no TCP service at all: UDP-only
@@ -374,7 +382,7 @@ func Build(reg *asdb.Registry, seed uint64) *Inventory {
 		// keeps the portscan at ~81 of 100 ASes with any open port
 		// (Fig. 14) despite ICMP reaching all of them.
 		if detrand.UnitFloat(seed, uint64(a.ASN), 11) < noTCPProb(a.Category) {
-			inv.byASN[a.ASN] = newSet(a.ASN, a.Category.Coarse() == "DNS", nil)
+			byASN[a.ASN] = newSet(a.ASN, a.Category.Coarse() == "DNS", nil)
 			continue
 		}
 		switch a.Category.Coarse() {
@@ -390,7 +398,7 @@ func Build(reg *asdb.Registry, seed uint64) *Inventory {
 			if detrand.UnitFloat(seed, uint64(a.ASN), 1) < 0.25 {
 				svcs = append(svcs, Service{Port: 80})
 			}
-			inv.byASN[a.ASN] = newSet(a.ASN, true, svcs)
+			byASN[a.ASN] = newSet(a.ASN, true, svcs)
 		case "CDN":
 			svcs := open(80, 443)
 			if detrand.UnitFloat(seed, uint64(a.ASN), 2) < 0.5 {
@@ -401,7 +409,7 @@ func Build(reg *asdb.Registry, seed uint64) *Inventory {
 			}
 			svcs = withSoftware(svcs, 80, webSW[webIdx%len(webSW)])
 			webIdx++
-			inv.byASN[a.ASN] = newSet(a.ASN, false, svcs)
+			byASN[a.ASN] = newSet(a.ASN, false, svcs)
 		case "ISP":
 			// ISPs anycast internal infrastructure; BGP and SSH show up.
 			svcs := open(179)
@@ -411,7 +419,7 @@ func Build(reg *asdb.Registry, seed uint64) *Inventory {
 			if detrand.UnitFloat(seed, uint64(a.ASN), 5) < 0.5 {
 				svcs = append(svcs, Service{Port: 53}, Service{Port: 80})
 			}
-			inv.byASN[a.ASN] = newSet(a.ASN, false, svcs)
+			byASN[a.ASN] = newSet(a.ASN, false, svcs)
 		case "Cloud", "Security", "Social", "Other":
 			svcs := open(80, 443)
 			if detrand.UnitFloat(seed, uint64(a.ASN), 6) < 0.35 {
@@ -425,12 +433,12 @@ func Build(reg *asdb.Registry, seed uint64) *Inventory {
 			}
 			svcs = withSoftware(svcs, 80, webSW[webIdx%len(webSW)])
 			webIdx++
-			inv.byASN[a.ASN] = newSet(a.ASN, false, svcs)
+			byASN[a.ASN] = newSet(a.ASN, false, svcs)
 		default:
 			// "Unknown" ASes: ~half expose nothing (these account for
 			// the top-100 members without open TCP ports).
 			if detrand.UnitFloat(seed, uint64(a.ASN), 9) < 0.35 {
-				inv.byASN[a.ASN] = newSet(a.ASN, false, open(80))
+				byASN[a.ASN] = newSet(a.ASN, false, open(80))
 			}
 		}
 	}
@@ -440,19 +448,19 @@ func Build(reg *asdb.Registry, seed uint64) *Inventory {
 		if a.Top100 {
 			continue
 		}
-		if _, done := inv.byASN[a.ASN]; done {
+		if _, done := byASN[a.ASN]; done {
 			continue
 		}
 		switch a.Category.Coarse() {
 		case "DNS":
-			inv.byASN[a.ASN] = newSet(a.ASN, true, open(53))
+			byASN[a.ASN] = newSet(a.ASN, true, open(53))
 		default:
 			if detrand.UnitFloat(seed, uint64(a.ASN), 10) < 0.6 {
-				inv.byASN[a.ASN] = newSet(a.ASN, false, open(80, 443))
+				byASN[a.ASN] = newSet(a.ASN, false, open(80, 443))
 			}
 		}
 	}
-	return inv
+	return byASN
 }
 
 // noTCPProb is the probability that a deployment of the given category

@@ -29,6 +29,20 @@ type APIConfig struct {
 	Metrics *obs.Registry
 }
 
+// Validate reports the first bound no API can mean, or nil: a negative
+// MaxInFlight or MaxBodyBytes (zero means the default). NewAPI reads a
+// non-positive bound as its default, so a caller taking a bound from its
+// user validates it first.
+func (c APIConfig) Validate() error {
+	switch {
+	case c.MaxInFlight < 0:
+		return fmt.Errorf("store: APIConfig.MaxInFlight is %d; want a bound, or 0 for 256", c.MaxInFlight)
+	case c.MaxBodyBytes < 0:
+		return fmt.Errorf("store: APIConfig.MaxBodyBytes is %d; want a bound, or 0 for 1 MiB", c.MaxBodyBytes)
+	}
+	return nil
+}
+
 func (c APIConfig) maxInFlight() int {
 	if c.MaxInFlight > 0 {
 		return c.MaxInFlight

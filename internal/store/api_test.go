@@ -367,3 +367,22 @@ func TestAPIConcurrentLookupsDuringSwap(t *testing.T) {
 	default:
 	}
 }
+
+// TestAPIConfigValidate: zero bounds mean the defaults; a negative one is
+// refused by name.
+func TestAPIConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  APIConfig
+		want string // substring of the error; "" means valid
+	}{
+		{APIConfig{}, ""},
+		{APIConfig{MaxInFlight: 8, MaxBodyBytes: 1 << 10}, ""},
+		{APIConfig{MaxInFlight: -1}, "MaxInFlight"},
+		{APIConfig{MaxBodyBytes: -1}, "MaxBodyBytes"},
+	} {
+		err := tc.cfg.Validate()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: Validate() = %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+}
