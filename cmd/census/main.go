@@ -39,7 +39,6 @@ import (
 	"anycastmap/internal/census"
 	"anycastmap/internal/cities"
 	"anycastmap/internal/cluster"
-	"anycastmap/internal/core"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/obs"
@@ -159,7 +158,7 @@ func main() {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"local", *local}, {"top", *top}, {"max-heap-mib", *maxHeapMiB}, {"rate-baseline-targets", *rateBaselineTargets}} {
+	}{{"local", *local}, {"min-agents", *minAgents}, {"top", *top}, {"max-heap-mib", *maxHeapMiB}, {"rate-baseline-targets", *rateBaselineTargets}} {
 		if f.v < 0 {
 			log.Fatalf("%s: %d is negative, want 0 or more", f.name, f.v)
 		}
@@ -327,6 +326,7 @@ func main() {
 	// round is ever held.
 	ctx := context.Background()
 	cp := census.NewCampaign(census.CampaignConfig{Census: ccfg, Metrics: censusMetrics})
+	exec := cp.Local(probeWorld, targets, black, pc)
 	var coord *cluster.Coordinator
 	var fleet *cluster.Harness
 	if fleetMode {
@@ -347,6 +347,7 @@ func main() {
 		if reg != nil {
 			coord.RegisterMetrics(reg)
 		}
+		exec = coord
 		if *local > 0 {
 			fleet, err = cluster.NewHarness(coord, cluster.HarnessConfig{
 				Agents: *local,
@@ -381,29 +382,12 @@ func main() {
 	}
 
 	last := first + uint64(*rounds) - 1
-
-	var campaignProbes int64
-	var campaignWall time.Duration
-	for round := first; round <= last; round++ {
-		vps := pl.Sample(*vpsPer, *seed+round)
-		var sum census.RoundSummary
-		if coord != nil {
-			sum, err = coord.ExecuteRound(ctx, round, vps)
-		} else {
-			sum, err = cp.ExecuteRoundPipelined(ctx, probeWorld, vps, targets, black, round, pc)
-		}
-		if err != nil {
-			log.Printf("census %d: probing errors (partial rows kept): %v", sum.Round, err)
-		}
-		log.Printf("census %d: %d VPs, %d probes, %d echo targets, %d greylisted (%v)",
-			sum.Round, sum.VPs, sum.Probes, sum.EchoTargets, sum.GreylistLen,
-			sum.Duration.Round(time.Millisecond))
-		campaignProbes += int64(sum.Probes)
-		campaignWall += sum.Duration
-		if sum.Health.Retries > 0 || sum.Health.Degraded() {
-			log.Printf("census %d health: %s", sum.Round, sum.Health)
-		}
+	schedule := make([][]platform.VP, *rounds)
+	for i := range schedule {
+		schedule[i] = pl.Sample(*vpsPer, *seed+first+uint64(i))
 	}
+	outcomes, rep, err := cp.Drive(ctx, census.Drive{Executor: exec, First: first, Schedule: schedule,
+		Workers: *workers, Log: log.Printf})
 	if coord != nil {
 		st := coord.Stats()
 		log.Printf("cluster: %d joins, %d losses, %d leases of %d units (%d re-leases, %d expired), %d frames folded, %d late",
@@ -417,8 +401,8 @@ func main() {
 	}
 
 	combined := cp.Combined()
-	if combined == nil {
-		log.Fatal("no census rounds ran")
+	if combined == nil { // no round opened; Drive logged why
+		log.Fatalf("no census rounds ran: %v", err)
 	}
 	if *save != "" {
 		cells, err := saveRecords(*save, combined)
@@ -428,9 +412,7 @@ func main() {
 		log.Printf("saved the %d-round combination to %s: %d VP files, %d samples (%d bytes)",
 			combined.Rounds, *save, len(combined.VPs), cells, record.BinarySize(cells))
 	}
-	t0 := time.Now()
-	outcomes, st := cp.Analyze(db, core.Options{}, 2, *workers)
-	analysisWall := time.Since(t0)
+	st := rep.Analysis
 	log.Printf("analysis: %d target analyses (%d witness-decided, %d split-scanned, %d pair tests)",
 		st.Analyzed, st.WitnessDecided, st.SplitScanned, st.PairTests)
 	if *memProfile != "" {
@@ -440,15 +422,15 @@ func main() {
 	runtime.ReadMemStats(&ms)
 	log.Printf("heap after campaign: %.1f MiB in use, %.1f MiB from OS, %d GC cycles; analysis wall %v",
 		float64(ms.HeapAlloc)/(1<<20), float64(ms.Sys)/(1<<20), ms.NumGC,
-		analysisWall.Round(time.Millisecond))
+		rep.AnalysisWall.Round(time.Millisecond))
 	if *verify { // every round again, in-process and fault-free
 		ref := census.NewCampaign(census.CampaignConfig{Census: ccfg})
-		for round := first; round <= last; round++ {
-			if _, err := ref.ExecuteRoundPipelined(ctx, world, pl.Sample(*vpsPer, *seed+round), targets, black, round, pc); err != nil {
-				log.Fatalf("verify: in-process round %d: %v", round, err)
-			}
+		refOutcomes, _, err := ref.Drive(ctx, census.Drive{Executor: ref.Local(world, targets, black, pc),
+			First: first, Schedule: schedule})
+		if err != nil {
+			log.Fatalf("verify: in-process campaign: %v", err)
 		}
-		verifyAgainst(ref, cp, outcomes, db)
+		verifyAgainst(ref, cp, refOutcomes, outcomes)
 	}
 	findings := analysis.Attribute(outcomes, table)
 	g := analysis.GlanceOf(findings)
@@ -471,8 +453,8 @@ func main() {
 		}
 		fmt.Printf("%-24s %9.1f %7d\n", st.AS.Name, st.MeanReplicas, st.IP24s)
 	}
-	if *rateBaselineTargets > 0 && campaignWall > 0 {
-		campaignRate := float64(campaignProbes) / campaignWall.Seconds()
+	if *rateBaselineTargets > 0 && rep.ProbeWall > 0 {
+		campaignRate := float64(rep.Probes) / rep.ProbeWall.Seconds()
 		ratio := pilotRate / campaignRate
 		retried := cp.Health().Retries
 		log.Printf("campaign probing rate: %.2fM probes/s aggregate, %.2fx slower than the pilot (limit %.2fx, %d retries)",
@@ -547,11 +529,10 @@ func writeHeapProfile(path string) {
 	}
 }
 
-// verifyAgainst dies unless the fleet's campaign cp is byte-identical to
-// ref, its zero-fault in-process twin: same combined rows, same greylist,
-// same outcomes.
-func verifyAgainst(ref, cp *census.Campaign, outcomes []census.Outcome, db *cities.DB) {
-	refOutcomes, _ := ref.Analyze(db, core.Options{}, 2, 0)
+// verifyAgainst dies unless the fleet's campaign cp and its outcomes are
+// byte-identical to ref's, its zero-fault in-process twin: same combined
+// rows, same greylist, same outcomes.
+func verifyAgainst(ref, cp *census.Campaign, refOutcomes, outcomes []census.Outcome) {
 	switch {
 	case !reflect.DeepEqual(ref.Combined(), cp.Combined()):
 		log.Fatal("verify: the combined matrix (VPs, targets, rows) diverges from the in-process campaign")

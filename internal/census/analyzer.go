@@ -11,7 +11,7 @@ import (
 	"anycastmap/internal/platform"
 )
 
-// This file is the analysis engine behind AnalyzeAll and Campaign.Analyze.
+// This file is the analysis engine behind AnalyzeAll and Campaign.Drive.
 // Every target of the combined matrix is decided by the split scan of
 // internal/core/scan.go. Detection reads radii and vantage-point slots
 // straight off the combined matrix and rows of one VP-pair distance
@@ -96,7 +96,7 @@ func (a *Analyzer) Stats() AnalyzerStats { return a.stats }
 // list every target whose measurement set changed since the last call.
 // It stays only because the bench/ analyzer microloop calls it for
 // census.analyzer_update_s, as CertHits stays for census.cert_hit_ratio;
-// everything else analyzes through AnalyzeAll or Campaign.Analyze.
+// everything else analyzes through AnalyzeAll or Campaign.Drive.
 func (a *Analyzer) Update(c *Combined, list []int) {
 	a.bind(c)
 	a.run(list, false)

@@ -3,8 +3,6 @@ package census
 import (
 	"time"
 
-	"anycastmap/internal/cities"
-	"anycastmap/internal/core"
 	"anycastmap/internal/prober"
 )
 
@@ -13,9 +11,9 @@ import (
 // go, so peak memory is O(combined + a span per worker) however many
 // censuses run — the failure mode the paper's own Table 1 rewrite
 // attacked (79 GB of text vs 6 GB of binary) never returns as rounds × V
-// × T dense cells. Rounds arrive through ExecuteRoundPipelined
-// (pipeline.go) or the cluster coordinator, both driving RoundSched
-// (sched.go), whose Done folds each unit's row.
+// × T dense cells. Campaign.Drive (drive.go) runs the rounds through
+// ExecuteRoundPipelined (pipeline.go) or the cluster coordinator, both
+// driving RoundSched (sched.go), whose Done folds each unit's row.
 //
 // The fold is exact, not approximate: per-cell minimum is commutative and
 // associative and the greylist merge is a set union, so the combined
@@ -76,7 +74,8 @@ type RoundSummary struct {
 	// (Fig. 8).
 	Completion []time.Duration
 	Health     RunHealth
-	Duration   time.Duration
+	// Duration is the round's wall, timed by Campaign.Drive.
+	Duration time.Duration
 }
 
 // FoldRun merges one whole-round run into the campaign: per-cell minimum
@@ -117,21 +116,6 @@ func foldCells(dst, src []int32, echo []uint64, lo int) (samples int) {
 		}
 	}
 	return samples
-}
-
-// Analyze runs detection, enumeration and geolocation over the combined
-// matrix of every round folded so far (AnalyzeAll) and records the pass in
-// the campaign's metrics: its latency and the detection counters. It needs
-// at least one folded round and must not run concurrently with a fold.
-// Analysis is not incremental: each round probes from a fresh
-// vantage-point sample, and a vantage point new to the combined matrix
-// changes every target it answers, so every caller analyzes the whole
-// matrix once, after its last round.
-func (cp *Campaign) Analyze(db *cities.DB, opt core.Options, minSamples, workers int) ([]Outcome, AnalyzerStats) {
-	t0 := time.Now()
-	outcomes, st := analyzeAll(db, cp.combined, opt, minSamples, workers)
-	cp.cfg.Metrics.analyzeObserved(time.Since(t0), st)
-	return outcomes, st
 }
 
 // Combined returns the minimum-RTT combination of every round folded so

@@ -7,8 +7,8 @@
 // This is the distributed system of Sec. 3 of the paper, with goroutines
 // (or the agents of package cluster) standing in for PlanetLab nodes: the
 // workflow (Fig. 1) is blacklist -> N censuses -> combination -> analysis,
-// and one executor, Campaign.ExecuteRoundPipelined, runs it for every
-// caller that serves or reports.
+// and one driver, Campaign.Drive, runs it for every caller that serves or
+// reports, in process or on a cluster coordinator.
 package census
 
 import (

@@ -10,16 +10,18 @@ import (
 	"testing"
 )
 
-// TestOneExecutor holds the module to one census executor, one analysis
+// TestOneExecutor holds the module to one campaign driver, one analysis
 // path and one on-disk census format. No non-test file outside bench/
 // calls the whole-round reference (ExecuteContext, FoldRun); the batch
 // Combine is defined only in a test file. Everything that serves or
-// reports goes through Campaign.ExecuteRoundPipelined or the cluster
-// coordinator; the reference lives on for the determinism tests and the
-// benchmark. No
+// reports runs its rounds through Campaign.Drive: no non-test file
+// outside bench/ but internal/census/drive.go calls an executor
+// (ExecuteRoundPipelined, or any ExecuteRound, the cluster
+// coordinator's); the reference lives on for the determinism tests and
+// the benchmark. No
 // non-test file outside bench/ and internal/census builds its own
 // Analyzer (NewAnalyzer): analysis runs through AnalyzeAll or
-// Campaign.Analyze. And none of them calls the ACMR2 codec (SaveRun,
+// Campaign.Drive. And none of them calls the ACMR2 codec (SaveRun,
 // LoadRun) or builds a census.Run: saved censuses are the per-VP record
 // files of internal/record.
 func TestOneExecutor(t *testing.T) {
@@ -50,13 +52,15 @@ func TestOneExecutor(t *testing.T) {
 			default:
 				return true
 			}
-			bad, what := false, "the whole-round reference; run rounds through Campaign.ExecuteRoundPipelined"
+			bad, what := false, "the whole-round reference; run rounds through Campaign.Drive"
 			switch name {
 			case "ExecuteContext", "FoldRun":
 				bad = true
+			case "ExecuteRoundPipelined", "ExecuteRound":
+				bad, what = rel != "internal/census/drive.go", "a second round loop; run rounds through Campaign.Drive"
 			case "NewAnalyzer":
 				bad = qualified && !inCensus
-				what = "a second analysis path; analyze through AnalyzeAll or Campaign.Analyze"
+				what = "a second analysis path; analyze through AnalyzeAll or Campaign.Drive"
 			case "SaveRun", "LoadRun":
 				bad, what = qualified && !inCensus, codec
 			}

@@ -15,7 +15,7 @@ type Metrics struct {
 	// RoundsFolded counts census rounds folded into a combined matrix,
 	// counted when the round closes (RoundSched.Close).
 	RoundsFolded *obs.Counter
-	// AnalyzeSeconds is the latency of one Campaign.Analyze.
+	// AnalyzeSeconds is the latency of one analysis (Campaign.Drive).
 	AnalyzeSeconds *obs.Histogram
 	// GreylistSize is the campaign greylist size after the most recent
 	// fold.
@@ -35,14 +35,15 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		RoundsFolded:   r.Counter("anycastmap_census_rounds_folded_total", "Census rounds folded into the combined min-RTT matrix."),
 		AnalyzeSeconds: r.Histogram("anycastmap_census_analyze_seconds", "Latency of one analysis of a campaign's combined matrix.", obs.DefBuckets),
 		GreylistSize:   r.Gauge("anycastmap_census_greylist_size", "Campaign greylist size after the most recent fold."),
-		Analyses:       r.Counter("anycastmap_census_analyses_total", "Per-target analyses run by Campaign.Analyze."),
+		Analyses:       r.Counter("anycastmap_census_analyses_total", "Per-target analyses run by Campaign.Drive."),
 		WitnessDecided: r.Counter("anycastmap_census_witness_decided_total", "Detection passes decided in O(n): every disk held the smallest disk's center."),
 		SplitScanned:   r.Counter("anycastmap_census_split_scanned_total", "Detection passes that tested the disks not holding that center against all."),
 		PairTests:      r.Counter("anycastmap_census_pair_tests_total", "Disk-pair overlap tests executed by detection passes."),
 	}
 }
 
-// analyzeObserved records one Campaign.Analyze: its latency and counters.
+// analyzeObserved records one analysis of Campaign.Drive: its latency and
+// counters.
 func (m *Metrics) analyzeObserved(d time.Duration, st AnalyzerStats) {
 	if m == nil {
 		return

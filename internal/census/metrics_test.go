@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"anycastmap/internal/cities"
-	"anycastmap/internal/core"
 	"anycastmap/internal/obs"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/prober"
@@ -49,10 +48,12 @@ func TestCampaignMetricsExposition(t *testing.T) {
 
 	cp := NewCampaign(CampaignConfig{Census: Config{Seed: 9}, Metrics: NewMetrics(reg)})
 	vps := platform.PlanetLab(db).Sample(40, 3)
-	if _, err := cp.ExecuteRoundPipelined(context.Background(), w, vps, h, nil, 1, PipelineConfig{}); err != nil {
+	_, rep, err := cp.Drive(context.Background(), Drive{Executor: cp.Local(w, h, nil, PipelineConfig{}),
+		First: 1, Schedule: [][]platform.VP{vps}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, st := cp.Analyze(db, core.Options{}, 2, 0)
+	st := rep.Analysis
 	m := scrape(t, reg)
 
 	if m["anycastmap_census_rounds_folded_total"] != 1 {
@@ -63,7 +64,7 @@ func TestCampaignMetricsExposition(t *testing.T) {
 	}
 	analyses := m["anycastmap_census_analyses_total"]
 	if analyses == 0 || analyses != float64(st.Analyzed) {
-		t.Errorf("analyses = %v, Analyze says %d", analyses, st.Analyzed)
+		t.Errorf("analyses = %v, Drive says %d", analyses, st.Analyzed)
 	}
 	if w, s := m["anycastmap_census_witness_decided_total"], m["anycastmap_census_split_scanned_total"]; w+s != analyses {
 		t.Errorf("witness-decided %v + split-scanned %v != analyses %v", w, s, analyses)

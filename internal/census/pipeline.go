@@ -13,8 +13,8 @@ import (
 	"anycastmap/internal/prober"
 )
 
-// pipeline.go — the in-process driver of the round engine (sched.go), and
-// the one executor every in-process caller runs: cmd/census (and its
+// pipeline.go — the in-process executor of the round engine (sched.go):
+// what Campaign.Local runs under Campaign.Drive for cmd/census (and its
 // -verify reference for a fleet) and the paper's figures
 // (internal/experiments).
 //
@@ -68,7 +68,6 @@ func (pc PipelineConfig) Validate() error {
 // budget, a VP whose budget is exhausted is quarantined keeping its folded
 // spans, and the joined error is returned alongside the round summary.
 func (cp *Campaign) ExecuteRoundPipelined(ctx context.Context, w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, blacklist *prober.Greylist, round uint64, pc PipelineConfig) (RoundSummary, error) {
-	t0 := time.Now()
 	targets := h.Targets()
 	s, err := cp.OpenRound(round, targets, vps, pc.SpanTargets)
 	if err != nil {
@@ -123,7 +122,5 @@ func (cp *Campaign) ExecuteRoundPipelined(ctx context.Context, w *netsim.World, 
 	}
 	wg.Wait()
 
-	sum, err := s.Close(errors.Join(abort, ctx.Err()))
-	sum.Duration = time.Since(t0)
-	return sum, err
+	return s.Close(errors.Join(abort, ctx.Err()))
 }

@@ -172,7 +172,6 @@ type roundState struct {
 	// fit is how many units of the round's widest span fit
 	// Config.ShardTargets cells: the most one lease may carry.
 	fit            int
-	start          time.Time
 	agentlessSince time.Time
 	aborted        error
 	result         chan roundResult
@@ -781,13 +780,13 @@ func (c *Coordinator) finishRound(r *roundState) {
 		delete(l.agent.inflight, id)
 	}
 	sum, err := r.sched.Close(r.aborted)
-	sum.Duration = time.Since(r.start)
 	r.result <- roundResult{summary: sum, err: err}
 }
 
-// ExecuteRound runs one census round across the cluster: it opens the
-// round on the campaign, leases the scheduler's units to agents, and
-// returns when the round settles (or aborts). The summary is the one
+// ExecuteRound runs one census round across the cluster, as the
+// RoundExecutor Campaign.Drive runs for a fleet: it opens the round on the
+// campaign, leases the scheduler's units to agents, and returns when the
+// round settles (or aborts). The summary is the one
 // Campaign.ExecuteRoundPipelined returns for the same round.
 func (c *Coordinator) ExecuteRound(ctx context.Context, round uint64, vps []platform.VP) (census.RoundSummary, error) {
 	result := make(chan roundResult, 1)
@@ -832,7 +831,6 @@ func (c *Coordinator) startRound(round uint64, vps []platform.VP, result chan ro
 		sched:  sched,
 		leases: make(map[uint64]*lease),
 		fit:    fit,
-		start:  time.Now(),
 		result: result,
 	}
 	c.dispatch()

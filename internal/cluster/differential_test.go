@@ -14,7 +14,6 @@ import (
 
 	"anycastmap/internal/census"
 	"anycastmap/internal/cities"
-	"anycastmap/internal/core"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
@@ -195,20 +194,9 @@ func (b diffBed) execute(t *testing.T, c *diffCase, v diffVariant) diffResult {
 	ccfg := census.Config{Seed: 9, Workers: v.workers, RetryBackoff: -1}
 	cp := census.NewCampaign(census.CampaignConfig{Census: ccfg})
 	var res diffResult
-	record := func(sum census.RoundSummary, err error) {
-		sum.Duration = 0
-		r := diffRound{sum: sum}
-		if err != nil {
-			r.err = err.Error()
-		}
-		res.rounds = append(res.rounds, r)
-	}
-	if v.agents == 0 {
-		for r, set := range c.rounds {
-			record(cp.ExecuteRoundPipelined(context.Background(), b.world, set, b.h, b.blacklist, uint64(r+1),
-				census.PipelineConfig{SpanTargets: v.width}))
-		}
-	} else {
+	exec := cp.Local(b.world, b.h, b.blacklist, census.PipelineConfig{SpanTargets: v.width})
+	var hs *Harness
+	if v.agents > 0 {
 		coord, err := NewCoordinator(Config{
 			Campaign:     cp,
 			Targets:      b.h.Targets(),
@@ -222,8 +210,7 @@ func (b diffBed) execute(t *testing.T, c *diffCase, v diffVariant) diffResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs, err := NewHarness(coord, HarnessConfig{Agents: v.agents, Agent: AgentConfig{World: b.world, Capacity: v.capacity}})
-		if err != nil {
+		if hs, err = NewHarness(coord, HarnessConfig{Agents: v.agents, Agent: AgentConfig{World: b.world, Capacity: v.capacity}}); err != nil {
 			coord.Close()
 			t.Fatal(err)
 		}
@@ -232,11 +219,28 @@ func (b diffBed) execute(t *testing.T, c *diffCase, v diffVariant) diffResult {
 		for deadline := time.Now().Add(10 * time.Second); coord.Stats().AgentsJoined < v.agents && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
-		for r, set := range c.rounds {
-			record(coord.ExecuteRound(context.Background(), uint64(r+1), set))
+		exec = coord
+	}
+	outcomes, rep, err := cp.Drive(context.Background(), census.Drive{Executor: exec, First: 1, Schedule: c.rounds,
+		Workers: v.workers})
+	// The drive's error joins one per failed round, each naming its round.
+	roundErrs := map[uint64]string{}
+	if err != nil {
+		for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+			var round uint64
+			if _, serr := fmt.Sscanf(e.Error(), "census %d:", &round); serr != nil {
+				t.Fatalf("%v\n%v: a drive error that names no round: %v", c, v, e)
+			}
+			roundErrs[round] = e.Error()
 		}
+	}
+	for i, sum := range rep.Rounds {
+		sum.Duration = 0
+		res.rounds = append(res.rounds, diffRound{sum: sum, err: roundErrs[uint64(i+1)]})
+	}
+	if hs != nil {
 		res.deaths = hs.Deaths()
-		res.stats = coord.Stats()
+		res.stats = exec.(*Coordinator).Stats()
 		if err := hs.Close(); err != nil {
 			t.Fatalf("%v\n%v: harness close: %v", c, v, err)
 		}
@@ -244,7 +248,7 @@ func (b diffBed) execute(t *testing.T, c *diffCase, v diffVariant) diffResult {
 	res.combined = cp.Combined()
 	res.greylist = cp.Greylist().Snapshot()
 	res.health = cp.Health()
-	res.outcomes = census.AnalyzeAll(cities.Default(), res.combined, core.Options{}, 2, v.workers)
+	res.outcomes = outcomes
 	return res
 }
 

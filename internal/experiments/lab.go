@@ -16,7 +16,6 @@ import (
 	"anycastmap/internal/bgp"
 	"anycastmap/internal/census"
 	"anycastmap/internal/cities"
-	"anycastmap/internal/core"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
@@ -119,12 +118,15 @@ func NewLab(cfg LabConfig) *Lab {
 	// each census is probed in (VP, target span) units that fold into the
 	// combined minimum-RTT matrix as they land.
 	cp := l.newCampaign()
-	for round := 0; round < cfg.Censuses; round++ {
-		l.Rounds = append(l.Rounds, probeRound(cp, l.World, l.roundVPs(round), l.Hitlist, l.Black, uint64(round+1)))
+	schedule := make([][]platform.VP, cfg.Censuses)
+	for i := range schedule {
+		schedule[i] = l.roundVPs(i)
 	}
+	var rep census.Report
+	l.Outcomes, rep = l.drive(cp, l.World, l.Hitlist, l.Black, 1, schedule...)
+	l.Rounds = rep.Rounds
 	l.Greylist = cp.Greylist()
 	l.Combined = cp.Combined()
-	l.Outcomes = census.AnalyzeAll(l.Cities, l.Combined, core.Options{}, 2, 0)
 	l.Findings = analysis.Attribute(l.Outcomes, l.Table)
 	l.portscan = sync.OnceValue(l.scan)
 	return l
@@ -141,14 +143,16 @@ func (l *Lab) roundVPs(i int) []platform.VP {
 	return l.PL.Sample(l.Config.VPsPerCensus[i], l.Config.Seed+uint64(i))
 }
 
-// probeRound probes one census round into cp on the span-pipelined
-// executor, the one cmd/census runs.
-func probeRound(cp *census.Campaign, w *netsim.World, vps []platform.VP, h *hitlist.Hitlist, black *prober.Greylist, round uint64) census.RoundSummary {
-	sum, err := cp.ExecuteRoundPipelined(context.Background(), w, vps, h, black, round, census.PipelineConfig{})
+// drive runs schedule's rounds, numbered from first, over the targets of
+// h on w into cp on the in-process executor, the one cmd/census runs, and
+// analyzes cp's combination.
+func (l *Lab) drive(cp *census.Campaign, w *netsim.World, h *hitlist.Hitlist, black *prober.Greylist, first uint64, schedule ...[]platform.VP) ([]census.Outcome, census.Report) {
+	outcomes, rep, err := cp.Drive(context.Background(), census.Drive{Executor: cp.Local(w, h, black, census.PipelineConfig{}),
+		First: first, Schedule: schedule})
 	if err != nil {
-		panic(fmt.Sprintf("experiments: census round %d: %v", round, err))
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return sum
+	return outcomes, rep
 }
 
 // singleCensus probes one census of vps over the pruned hitlist into a
@@ -156,9 +160,8 @@ func probeRound(cp *census.Campaign, w *netsim.World, vps []platform.VP, h *hitl
 // (VP, target, round, seed), so re-probing one of the lab's rounds yields
 // exactly that round's matrix.
 func (l *Lab) singleCensus(vps []platform.VP, round uint64) []census.Outcome {
-	cp := l.newCampaign()
-	probeRound(cp, l.World, vps, l.Hitlist, l.Black, round)
-	return census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)
+	outcomes, _ := l.drive(l.newCampaign(), l.World, l.Hitlist, l.Black, round, vps)
+	return outcomes
 }
 
 var (

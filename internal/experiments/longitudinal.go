@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"anycastmap/internal/census"
-	"anycastmap/internal/core"
 	"anycastmap/internal/detrand"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
@@ -44,9 +42,7 @@ func (l *Lab) Longitudinal(epochs int, vps int) LongitudinalResult {
 		h := hitlist.FromWorld(world).PruneNeverAlive()
 		sample := l.PL.Sample(vps, l.Config.Seed+100+uint64(e))
 		// Worlds differ between epochs, so each is a campaign of its own.
-		cp := l.newCampaign()
-		probeRound(cp, world, sample, h, nil, uint64(50+e))
-		outcomes := census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)
+		outcomes, _ := l.drive(l.newCampaign(), world, h, nil, uint64(50+e), sample)
 
 		ep := LongitudinalEpoch{Epoch: uint64(e)}
 		for _, d := range world.Deployments() {
@@ -131,11 +127,10 @@ func (l *Lab) LongitudinalCampaign(rounds, vps int) LongitudinalCampaignResult {
 				}
 			}
 		}
-		sum := probeRound(cp, l.World, sample, l.Hitlist, black, uint64(60+r))
-		res.Rounds = append(res.Rounds, LongitudinalCampaignRound{
-			Round:       sum.Round,
-			Detected24s: len(census.AnalyzeAll(l.Cities, cp.Combined(), core.Options{}, 2, 0)),
-		})
+		// One round per drive: each carries its own blacklist, and each
+		// analyzes the combination so far.
+		outcomes, rep := l.drive(cp, l.World, l.Hitlist, black, uint64(60+r), sample)
+		res.Rounds = append(res.Rounds, LongitudinalCampaignRound{Round: rep.Rounds[0].Round, Detected24s: len(outcomes)})
 	}
 	res.Targets = len(targets)
 	res.VPs = len(cp.Combined().VPs)

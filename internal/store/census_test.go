@@ -11,7 +11,6 @@ import (
 	"anycastmap/internal/bgp"
 	"anycastmap/internal/census"
 	"anycastmap/internal/cities"
-	"anycastmap/internal/core"
 	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
@@ -47,8 +46,8 @@ func writeCensus(t testing.TB, path string, probe *netsim.World, round uint64, c
 	cfg.Seed = 77
 	cp := census.NewCampaign(census.CampaignConfig{Census: cfg})
 	vps := platform.PlanetLab(db).Sample(80, cfg.Seed+round)
-	_, probeErr := cp.ExecuteRoundPipelined(context.Background(), probe, vps, h, nil, round, census.PipelineConfig{})
-	outcomes, _ := cp.Analyze(db, core.Options{}, 2, 0)
+	outcomes, _, probeErr := cp.Drive(context.Background(), census.Drive{Executor: cp.Local(probe, h, nil, census.PipelineConfig{}),
+		First: round, Schedule: [][]platform.VP{vps}})
 	snap := NewSnapshot(analysis.Attribute(outcomes, bgp.FromWorld(w)), w.Registry, round, 1)
 	snap.SetHealth(cp.Health())
 	if err := SaveSnapshotFile(path, snap); err != nil {
