@@ -154,7 +154,7 @@ cluster-smoke:
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 
-# profile captures CPU and heap profiles of a full census run, and four
+# profile captures CPU and heap profiles of a full census run, and five
 # single-benchmark CPU profiles: probe.pprof, the prober's dense-span loop alone
 # (BenchmarkProberRun) - the attribution in docs/bench-history/probe-costs.md -
 # session.pprof, what a vantage point costs: its session build and the
@@ -163,7 +163,9 @@ metrics-smoke:
 # round.pprof, a 261-VP round over one span through the pipelined
 # executor, span plans shared (BenchmarkRoundPipelined) - and fleet.pprof,
 # the same shape of rounds leased to two agents over net.Pipe
-# (BenchmarkFleetRound), the one docs/bench-history/lease-costs.md reads.
+# (BenchmarkFleetRound), the one docs/bench-history/lease-costs.md reads -
+# and world.pprof, census-wide's world build (BenchmarkNew/unicast25k),
+# the one behind docs/bench-history/memory-costs.md's set-up figures.
 # Inspect with `go tool pprof cpu.pprof` / `go tool pprof -top probe.pprof`.
 profile:
 	$(GO) run ./cmd/census -unicast24s 8000 -censuses 2 -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -171,7 +173,8 @@ profile:
 	$(GO) test -run '^$$' -bench 'BuildSession|ProbeICMPAnycast' -cpu 1 -cpuprofile session.pprof -o netsim.test ./internal/netsim
 	$(GO) test -run '^$$' -bench RoundPipelined -cpu 1 -cpuprofile round.pprof -o census.test ./internal/census
 	$(GO) test -run '^$$' -bench 'FleetRound$$' -cpu 1 -cpuprofile fleet.pprof -o cluster.test ./internal/cluster
+	$(GO) test -run '^$$' -bench 'New/unicast25k' -cpu 1 -cpuprofile world.pprof -o netsim-world.test ./internal/netsim
 
 clean:
 	$(GO) clean ./...
-	rm -f cpu.pprof mem.pprof probe.pprof prober.test session.pprof netsim.test round.pprof census.test fleet.pprof cluster.test
+	rm -f cpu.pprof mem.pprof probe.pprof prober.test session.pprof netsim.test round.pprof census.test fleet.pprof cluster.test world.pprof netsim-world.test

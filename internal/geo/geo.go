@@ -210,22 +210,42 @@ func (d Disk) String() string {
 
 // Destination returns the point reached by travelling distKm from start
 // along the given initial bearing (degrees clockwise from north). It is used
-// to synthesize host positions around city centers.
+// to synthesize host positions around city centers. It is Origin.Destination
+// from a freshly prepared start: one formula.
 func Destination(start Coord, bearingDeg, distKm float64) Coord {
+	return PrepareOrigin(start).Destination(bearingDeg, distKm)
+}
+
+// Origin is a coordinate prepared as the start of Destination: its
+// longitude in radians and the sine and cosine of its latitude, the two
+// trigonometric calls of Destination that depend on the start alone. Code
+// that travels from a fixed place many times - the world placing every
+// unicast host around one of its cities - prepares the place once.
+type Origin struct {
+	c              Coord
+	lon            float64 // radians
+	sinLat, cosLat float64
+}
+
+// PrepareOrigin converts a coordinate into its Origin form.
+func PrepareOrigin(c Coord) Origin {
+	la := deg2rad(c.Lat)
+	return Origin{c: c, lon: deg2rad(c.Lon), sinLat: math.Sin(la), cosLat: math.Cos(la)}
+}
+
+// Destination is geo.Destination from the prepared start.
+func (o Origin) Destination(bearingDeg, distKm float64) Coord {
 	if distKm == 0 {
-		return start
+		return o.c
 	}
-	la1 := deg2rad(start.Lat)
-	lo1 := deg2rad(start.Lon)
 	brg := deg2rad(bearingDeg)
 	ad := distKm / EarthRadiusKm // angular distance
 
-	sinLa1, cosLa1 := math.Sin(la1), math.Cos(la1)
 	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
-	la2 := math.Asin(sinLa1*cosAd + cosLa1*sinAd*math.Cos(brg))
-	lo2 := lo1 + math.Atan2(
-		math.Sin(brg)*sinAd*cosLa1,
-		cosAd-sinLa1*math.Sin(la2),
+	la2 := math.Asin(o.sinLat*cosAd + o.cosLat*sinAd*math.Cos(brg))
+	lo2 := o.lon + math.Atan2(
+		math.Sin(brg)*sinAd*o.cosLat,
+		cosAd-o.sinLat*math.Sin(la2),
 	)
 	// Normalize longitude to [-180, 180).
 	lon := math.Mod(rad2deg(lo2)+540, 360) - 180

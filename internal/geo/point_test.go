@@ -134,3 +134,31 @@ func FuzzPointDistance(f *testing.F) {
 		checkPair(t, a, b)
 	})
 }
+
+// TestOriginDestinationBitIdentical holds Destination from a prepared
+// Origin, each city prepared once up front as the world prepares its
+// city table, to Destination from the bare coordinate, bit for bit, on a
+// million random (city, bearing, distance) draws: the unicast hosts'
+// positions come out of it. Every eighth distance is zero, the identity.
+func TestOriginDestinationBitIdentical(t *testing.T) {
+	all := cities.Default().All()
+	origins := make([]geo.Origin, len(all))
+	for i, c := range all {
+		origins[i] = geo.PrepareOrigin(c.Loc)
+	}
+	r := rand.New(rand.NewSource(53))
+	for i := 0; i < 1_000_000; i++ {
+		c := r.Intn(len(all))
+		brg, dist := 360*r.Float64(), 120*r.Float64()
+		switch i % 8 {
+		case 0:
+			dist = 0
+		case 1:
+			dist *= 100
+		}
+		got, want := origins[c].Destination(brg, dist), geo.Destination(all[c].Loc, brg, dist)
+		if math.Float64bits(got.Lat) != math.Float64bits(want.Lat) || math.Float64bits(got.Lon) != math.Float64bits(want.Lon) {
+			t.Fatalf("%v: Origin.Destination(%v, %v) = %v, Destination %v", all[c], brg, dist, got, want)
+		}
+	}
+}

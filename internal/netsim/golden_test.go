@@ -215,12 +215,21 @@ func worldDigest(w *World) string {
 		}
 	})
 	part("unicast", func() {
+		hc := hostCities()
 		for _, u := range w.unicast {
-			f64(u.loc.Lat)
-			f64(u.loc.Lon)
-			f64(u.cosLat)
+			// The world places only the hosts that answer and keeps no
+			// city; placeHost, the draw that places them, gives a silent
+			// host's position and every host's city, so the digest reads
+			// as it did when every host held all three.
+			site, city := placeHost(w.seedSt.With(uint64(u.rep.Prefix())), hc)
+			if u.class.answers() {
+				site = *w.site(&u)
+			}
+			f64(site.loc.Lat)
+			f64(site.loc.Lon)
+			f64(site.cosLat)
 			u64(uint64(u.rep))
-			u64(uint64(u.cityIdx))
+			u64(uint64(city))
 			u64(uint64(u.class))
 			if u.everAlive {
 				u64(1)

@@ -124,7 +124,7 @@ func (r reference) hostLoc(vp platform.VP, p Prefix24, h *unicastHost) geo.Coord
 	if hj, ok := r.w.hijacks[p]; ok && detrand.UnitFloat(r.w.cfg.Seed, uint64(vp.ID), uint64(p), 0x41AC) < hj.catchment {
 		return hj.loc
 	}
-	return h.loc
+	return r.w.site(h).loc
 }
 
 // anycastRTT is the RTT of an answered anycast probe: toward the replica
@@ -205,7 +205,7 @@ func (r reference) ProbeTCP(vp platform.VP, target IP, port uint16, round uint64
 	if detrand.UnitFloat(w.cfg.Seed, uint64(target), uint64(port), 0xF12) >= odds {
 		return Reply{Kind: ReplyTimeout}
 	}
-	return Reply{Kind: ReplyEcho, RTT: r.pathRTT(vp, uint64(p), h.loc, 0, target, round)}
+	return Reply{Kind: ReplyEcho, RTT: r.pathRTT(vp, uint64(p), w.site(h).loc, 0, target, round)}
 }
 
 // ProbeDNSUDP is World.ProbeDNSUDP from the model: an alive address of a

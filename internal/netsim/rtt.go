@@ -136,7 +136,7 @@ func (w *World) ProbeTCP(vp platform.VP, target IP, port uint16, round uint64) R
 	if detrand.UnitFloat(w.cfg.Seed, uint64(target), uint64(port), 0xF12) >= odds {
 		return Reply{Kind: ReplyTimeout}
 	}
-	h, p, s := &w.unicast[-(i+1)], target.Prefix(), w.session(vp)
+	h, p, s := w.site(&w.unicast[-(i+1)]), target.Prefix(), w.session(vp)
 	base := w.hostBaseMs(s, p, geo.PrepareCos(h.loc, h.cosLat), w.endpointAccessMs(uint64(p), 0))
 	return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(base, vp.LoadFactor, probeState(s.st, target, round))}
 }

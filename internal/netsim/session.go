@@ -416,6 +416,18 @@ func (w *World) PlanSpan(targets []IP) *SpanPlan {
 	return pl
 }
 
+// PlanKinds is PlanSpan for a KindSession alone: it resolves each
+// target's class and nothing a reply's RTT reads - no host point, no
+// access draw, no hijack - so it costs a byte per target. A session bound
+// to it by PlannedSession would have no base to build; that panics.
+func (w *World) PlanKinds(targets []IP) *SpanPlan {
+	pl := &SpanPlan{targets: targets, cls: make([]uint8, len(targets))}
+	for i, target := range targets {
+		pl.cls[i], _ = w.classify(target)
+	}
+	return pl
+}
+
 // plan fills pl's slabs, sized to its targets: per target its class, and
 // its payload - the deployments index of an anycast target; a unicast
 // host's endpointAccessMs as math.Float64bits, beside its prepared point.
@@ -432,7 +444,7 @@ func (w *World) plan(pl *SpanPlan) (hijacked []int32) {
 		case spanAnycast:
 			pl.payload[i] = uint64(di)
 		default:
-			h := &w.unicast[-(di + 1)]
+			h := w.site(&w.unicast[-(di + 1)])
 			p := target.Prefix()
 			pl.pts[i] = geo.PrepareCos(h.loc, h.cosLat)
 			pl.payload[i] = math.Float64bits(w.endpointAccessMs(uint64(p), 0))
@@ -483,6 +495,9 @@ func (w *World) ProbeSpanSession(vp platform.VP, targets []IP) SpanSession {
 // is built. The plan may come from any WithFaults view of the world; it is
 // only read.
 func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
+	if len(plan.pts) != len(plan.cls) {
+		panic("netsim: PlannedSession over a PlanKinds plan, which holds no RTT base")
+	}
 	ss := SpanSession{w: w, s: w.session(vp), vpID: vp.ID, load: vp.LoadFactor, plan: plan, slab: baseSlabs.Get().(*[]float64)}
 	if cap(*ss.slab) < len(plan.cls) {
 		*ss.slab = make([]float64, len(plan.cls))
@@ -490,6 +505,13 @@ func (w *World) PlannedSession(vp platform.VP, plan *SpanPlan) SpanSession {
 	ss.base = (*ss.slab)[:len(plan.cls)]
 	ss.bind()
 	return ss
+}
+
+// KindSession binds the vantage point to a span plan, from PlanSpan or
+// PlanKinds, for Kind alone: it builds no RTT base and borrows no slab, so
+// its ICMP must not be asked. Release is a no-op on it.
+func (w *World) KindSession(vp platform.VP, plan *SpanPlan) SpanSession {
+	return SpanSession{w: w, s: w.session(vp), vpID: vp.ID, load: vp.LoadFactor, plan: plan}
 }
 
 // bind builds the session's RTT base toward each unicast host of its
@@ -528,11 +550,23 @@ func (w *World) isHijacked(p Prefix24) bool {
 
 // ICMP probes the i-th span target in the given round: the one ICMP reply
 // of the model, which ad hoc probes reach as a span of one (ProbeICMP).
-// It reads the target's class and one slab cell and pays only the
-// per-round draws: target fault check, transient loss, catchment flap
-// (anycast) and queueing jitter, all mixed from one (target, round) state
-// on top of the session's hoisted (seed, vp) prefix.
-func (ss *SpanSession) ICMP(i int, round uint64) Reply {
+func (ss *SpanSession) ICMP(i int, round uint64) Reply { return ss.reply(i, round, true) }
+
+// Kind is the kind of ICMP's reply to the i-th span target in the given
+// round, without its RTT: no ranking, no base and no jitter. A run that
+// records no sample - the blacklist census reads only error kinds - asks
+// it of a KindSession.
+func (ss *SpanSession) Kind(i int, round uint64) ReplyKind { return ss.reply(i, round, false).Kind }
+
+// reply is ICMP, with the RTT only when rtt is set. It reads the target's
+// class and, for the RTT, one slab cell, and pays only the per-round
+// draws. Whether a reply arrives is one decision, the same with or
+// without the RTT: the class (a structural timeout makes no draw), then
+// the target outage, then the transient-loss draw, mixed from the
+// probe's (target, round) state on top of the session's hoisted
+// (seed, vp) prefix. The RTT adds the catchment flap (anycast) and the
+// queueing jitter, from the same state.
+func (ss *SpanSession) reply(i int, round uint64, rtt bool) Reply {
 	pl := ss.plan
 	cls := pl.cls[i]
 	if cls == spanTimeout {
@@ -550,8 +584,18 @@ func (ss *SpanSession) ICMP(i int, round uint64) Reply {
 	if lost(probe) {
 		return Reply{Kind: ReplyTimeout}
 	}
+	kind := ReplyKind(cls) // a unicast class is its host's reply kind
 	if cls == spanAnycast {
-		return Reply{Kind: ReplyEcho, RTT: w.rttFromBaseMs(w.servedBaseMs(ss.s, int32(pl.payload[i]), round), ss.load, probe)}
+		kind = ReplyEcho
 	}
-	return Reply{Kind: ReplyKind(cls), RTT: w.rttFromBaseMs(ss.base[i], ss.load, probe)}
+	if !rtt {
+		return Reply{Kind: kind}
+	}
+	var base float64
+	if cls == spanAnycast {
+		base = w.servedBaseMs(ss.s, int32(pl.payload[i]), round)
+	} else {
+		base = ss.base[i]
+	}
+	return Reply{Kind: kind, RTT: w.rttFromBaseMs(base, ss.load, probe)}
 }

@@ -30,7 +30,7 @@ func (w *World) Traceroute(vp platform.VP, target IP, round uint64) []Hop {
 	case spanAnycast:
 		endpoint = w.servingReplica(vp, w.deployments[i], round).Loc
 	case spanUniEcho:
-		endpoint = w.unicast[-(i + 1)].loc
+		endpoint = w.site(&w.unicast[-(i + 1)]).loc
 		if loc, ok := w.hijacker(vp.ID, target.Prefix()); ok {
 			endpoint = loc
 		}

@@ -151,16 +151,27 @@ const (
 	classNetProhibited  // code 9
 )
 
-// unicastHost is the representative host of a unicast /24. rep and
-// everAlive are precomputed at build time so the probe hot path never
-// re-derives them.
+// answers reports whether a host of the class replies to probes at all:
+// every class but classSilent does, with an echo or an ICMP error.
+func (c hostClass) answers() bool { return c != classSilent }
+
+// unicastHost is the representative host of a unicast /24, 12 bytes. rep
+// and everAlive are precomputed at build time so the probe hot path never
+// re-derives them. Only a host whose class answers has a position, and
+// only a reply's RTT reads it: site indexes World.hostSites for such a
+// host and is 0, read by nothing, for a silent one.
 type unicastHost struct {
-	loc       geo.Coord
-	cosLat    float64 // geo.Prepare(loc).CosLat(): the span resolver's haversine reads it
 	rep       IP
-	cityIdx   int32
+	site      int32
 	class     hostClass
 	everAlive bool
+}
+
+// hostSite is where an answering unicast host sits: its location and
+// geo.Prepare(loc).CosLat(), which the span resolver's haversine reads.
+type hostSite struct {
+	loc    geo.Coord
+	cosLat float64
 }
 
 // World is the synthetic Internet.
@@ -175,6 +186,7 @@ type World struct {
 
 	deployments []*Deployment
 	unicast     []unicastHost
+	hostSites   []hostSite // the answering unicast hosts' positions, in unicast order
 
 	// Replica geometry, the vantage-point-independent half of ranking a
 	// deployment's replicas, flat and pointer-free so neither the ranking
@@ -197,10 +209,9 @@ type World struct {
 	// world is one contiguous run of /24s): values >= 0 index
 	// deployments, values < 0 encode -(unicastIndex+1). Unicast indexes
 	// ascend with the slot. See lookup.
-	slots          []int32
-	anycastByASN   map[int][]*Deployment
-	dcPool         []poolCity
-	cityCumWeights []float64 // population-cumulative weights over Cities.All()
+	slots        []int32
+	anycastByASN map[int][]*Deployment
+	dcPool       []poolCity
 
 	// hijacks holds injected BGP hijacks (Sec. 5 extension); see
 	// InjectHijack.
@@ -301,7 +312,6 @@ func New(cfg Config) *World {
 		sessions: newSessionTable(),
 	}
 	w.Services = services.Build(w.Registry, cfg.Seed)
-	w.buildCityWeights()
 
 	totalAnycast := w.Registry.TotalFootprint()
 	total := totalAnycast + cfg.Unicast24s
@@ -378,6 +388,11 @@ func New(cfg Config) *World {
 	// anycast slots in order beside them.
 	slices.Sort(anycastSlots)
 	w.unicast = make([]unicastHost, 0, cfg.Unicast24s)
+	// Sized to the answering share's mean plus four standard deviations,
+	// so the slab is seldom grown and never holds much spare capacity.
+	answering := float64(cfg.Unicast24s) * (cfg.ResponsiveFraction + cfg.AdminFilteredFraction + cfg.HostProhibitedFraction + cfg.NetProhibitedFraction)
+	w.hostSites = make([]hostSite, 0, int(answering+4*math.Sqrt(answering))+16)
+	hc := hostCities()
 	next := 0 // anycastSlots[next] is the first anycast slot not passed
 	for slot := range w.slots {
 		if next < len(anycastSlots) && anycastSlots[next] == uint64(slot) {
@@ -385,7 +400,7 @@ func New(cfg Config) *World {
 			continue
 		}
 		w.slots[slot] = int32(-(len(w.unicast) + 1))
-		w.unicast = append(w.unicast, w.buildUnicastHost(basePrefix+Prefix24(slot)))
+		w.unicast = append(w.unicast, w.buildUnicastHost(basePrefix+Prefix24(slot), hc))
 	}
 	return w
 }
@@ -561,17 +576,29 @@ var placementPool = sync.OnceValue(func() []poolCity {
 	return pool
 })
 
-// buildCityWeights prepares population-proportional sampling for unicast
-// host placement.
-func (w *World) buildCityWeights() {
-	all := w.Cities.All()
-	w.cityCumWeights = make([]float64, len(all))
+// hostCityTable is what placing a unicast host reads of the shared city
+// table (cities.Default): each city's population-cumulative weight, for
+// population-proportional sampling, and its location prepared as a
+// Destination origin.
+type hostCityTable struct {
+	cum     []float64
+	origins []geo.Origin
+}
+
+// hostCities is the unicast placement table. It depends on nothing but
+// the embedded city list, so, like placementPool, it is built once per
+// process.
+var hostCities = sync.OnceValue(func() *hostCityTable {
+	all := cities.Default().All()
+	t := &hostCityTable{cum: make([]float64, len(all)), origins: make([]geo.Origin, len(all))}
 	sum := 0.0
 	for i, c := range all {
 		sum += float64(c.Population)
-		w.cityCumWeights[i] = sum
+		t.cum[i] = sum
+		t.origins[i] = geo.PrepareOrigin(c.Loc)
 	}
-}
+	return t
+})
 
 // replicaDraw is buildASReplicaSet's scratch, reused from AS to AS.
 // anchorKm[a] is pool city a's row of distances to every pool city,
@@ -751,23 +778,14 @@ func density(as asdb.AS, pSt detrand.State) float64 {
 	return 0.1 + 0.8*pSt.With(0x9005).Unit()
 }
 
-// buildUnicastHost places a unicast representative in a population-weighted
-// city with rural jitter and draws its ICMP behaviour class. Every draw
-// starts from the prefix's state, w.seedSt.With(p), which is
-// detrand.Begin(cfg.Seed, p).
-func (w *World) buildUnicastHost(p Prefix24) unicastHost {
+// buildUnicastHost draws the ICMP behaviour class of a unicast /24's
+// representative and, for a class that answers, places it (placeHost),
+// appending its site to w.hostSites: a silent host keeps its class, its
+// representative and its ever-alive bit, and no position, which nothing
+// reads. Every draw starts from the prefix's state, w.seedSt.With(p),
+// which is detrand.Begin(cfg.Seed, p).
+func (w *World) buildUnicastHost(p Prefix24, hc *hostCityTable) unicastHost {
 	st := w.seedSt.With(uint64(p))
-	all := w.Cities.All()
-	total := w.cityCumWeights[len(w.cityCumWeights)-1]
-	x := st.With(0x9006).Unit() * total
-	idx := sort.SearchFloat64s(w.cityCumWeights, x)
-	if idx >= len(all) {
-		idx = len(all) - 1
-	}
-	bearing := 360 * st.With(0x9007).Unit()
-	dist := 120 * st.With(0x9008).Unit()
-	loc := geo.Destination(all[idx].Loc, bearing, dist)
-
 	u := st.With(0x9009).Unit()
 	cfg := w.cfg
 	var class hostClass
@@ -783,19 +801,37 @@ func (w *World) buildUnicastHost(p Prefix24) unicastHost {
 	default:
 		class = classSilent
 	}
-	// A silent host may still have been seen alive by past hitlist
-	// campaigns; about a third were (this makes the score-pruned hitlist
-	// ~62% of the full space, matching the paper's 6.6M of 10.6M).
-	everAlive := class != classSilent || st.With(0x4E03).Unit() < 1.0/3
-	return unicastHost{
-		loc:       loc,
-		cosLat:    geo.Prepare(loc).CosLat(),
-		rep:       p.Host(byte(1 + st.With(0x4E02).Intn(253))),
-		cityIdx:   int32(idx),
-		class:     class,
-		everAlive: everAlive,
+	h := unicastHost{
+		rep:   p.Host(byte(1 + st.With(0x4E02).Intn(253))),
+		class: class,
+		// A silent host may still have been seen alive by past hitlist
+		// campaigns; about a third were (this makes the score-pruned
+		// hitlist ~62% of the full space, matching the paper's 6.6M of
+		// 10.6M).
+		everAlive: class.answers() || st.With(0x4E03).Unit() < 1.0/3,
 	}
+	if class.answers() {
+		site, _ := placeHost(st, hc)
+		h.site = index32(len(w.hostSites), "unicastHost.site")
+		w.hostSites = append(w.hostSites, site)
+	}
+	return h
 }
+
+// placeHost places the representative of the unicast /24 whose state is
+// st in a population-weighted city (0x9006), which it also returns, with
+// rural jitter: a bearing (0x9007) and up to 120 km (0x9008) away.
+func placeHost(st detrand.State, hc *hostCityTable) (hostSite, int) {
+	x := st.With(0x9006).Unit() * hc.cum[len(hc.cum)-1]
+	city := min(sort.SearchFloat64s(hc.cum, x), len(hc.cum)-1)
+	bearing := 360 * st.With(0x9007).Unit()
+	dist := 120 * st.With(0x9008).Unit()
+	loc := hc.origins[city].Destination(bearing, dist)
+	return hostSite{loc: loc, cosLat: geo.Prepare(loc).CosLat()}, city
+}
+
+// site returns where the unicast host sits. Its class must answer.
+func (w *World) site(h *unicastHost) *hostSite { return &w.hostSites[h.site] }
 
 // pinnedFootprints fixes the replica cities of deployments whose geography
 // the paper's experiments depend on: OpenDNS's 24 published data-center

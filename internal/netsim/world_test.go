@@ -270,6 +270,9 @@ func TestEvolve(t *testing.T) {
 			t.Fatal("unicast host changed across epochs")
 		}
 	}
+	if !slices.Equal(w0.hostSites, w1.hostSites) {
+		t.Fatal("unicast host sites changed across epochs")
+	}
 	// Deployments keep their prefixes; footprints drift, mostly upward,
 	// and grown deployments keep their previous sites.
 	total0, total1, kept, base := 0, 0, 0, 0

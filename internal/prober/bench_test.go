@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anycastmap/internal/cities"
+	"anycastmap/internal/hitlist"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/record"
@@ -87,4 +88,33 @@ func BenchmarkGreylistFrozenContains(b *testing.B) {
 		}
 	}
 	_ = hit
+}
+
+var (
+	blOnce    sync.Once
+	blWorld   *netsim.World
+	blTargets []netsim.IP
+)
+
+// BenchmarkBuildBlacklist measures set-up's blacklist census at
+// census-wide's world (25,000 unicast /24s beside the anycast catalogue):
+// one vantage point probing the full hitlist, silent /24s included,
+// recording nothing but the greylistable error kinds. Run it with -cpu 1.
+func BenchmarkBuildBlacklist(b *testing.B) {
+	blOnce.Do(func() {
+		cfg := netsim.DefaultConfig()
+		cfg.Unicast24s = 25000
+		blWorld = netsim.New(cfg)
+		blTargets = hitlist.FromWorld(blWorld).Targets()
+	})
+	vp := platform.PlanetLab(cities.Default()).VPs()[0]
+	BuildBlacklist(blWorld, vp, blTargets, Config{Seed: 1}) // the vantage point's session, outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildBlacklist(blWorld, vp, blTargets, Config{Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blTargets)), "probes/op")
 }

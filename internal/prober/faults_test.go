@@ -2,10 +2,13 @@ package prober
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"anycastmap/internal/cities"
+	"anycastmap/internal/geo"
 	"anycastmap/internal/netsim"
 	"anycastmap/internal/platform"
 	"anycastmap/internal/record"
@@ -189,5 +192,101 @@ func TestCompletionCountsOnlySentProbes(t *testing.T) {
 	bound := uint32(float64(stats.Sent-1) * 1.0 * vp.LoadFactor)
 	if maxTs > bound {
 		t.Errorf("sample timestamp %dms exceeds the sent-probe clock bound %dms", maxTs, bound)
+	}
+}
+
+// TestKindOnlyRunMatches holds a run without a sink, which asks each
+// probe for its kind alone (SpanSession.Kind) and binds no RTT base, to a
+// run whose sink discards every sample: the same statistics, greylist and
+// crash, over a world with every unicast class, a live hijack and a fault
+// plan with target outages, flaps, loss bursts and crashes, at a rate that
+// drops replies at the source. It then holds Kind to ICMP's kind on every
+// target of a span, from a KindSession over the classes alone (PlanKinds)
+// and from a bound session.
+func TestKindOnlyRunMatches(t *testing.T) {
+	cfg := netsim.DefaultConfig()
+	cfg.Seed, cfg.Unicast24s = 53, 3000
+	cfg.AdminFilteredFraction, cfg.HostProhibitedFraction, cfg.NetProhibitedFraction = 0.05, 0.05, 0.05
+	w := netsim.New(cfg)
+	var targets []netsim.IP
+	var hijacked netsim.Prefix24
+	w.Prefixes(func(p netsim.Prefix24) {
+		ip, _ := w.Representative(p)
+		// Every representative, silent ones too, and a neighbour that no
+		// unicast /24 models and that an anycast /24 answers by density.
+		targets = append(targets, ip, ip^1)
+		if hijacked == 0 && !w.IsAnycast(p) && w.ProbeICMP(platform.VP{}, ip, 1).Kind == netsim.ReplyEcho {
+			hijacked = p
+		}
+	})
+	if err := w.InjectHijack(hijacked, geo.Coord{Lat: -33.9, Lon: 18.4}, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := netsim.NewFaultPlan(netsim.FaultConfig{
+		Seed: 53, CrashFraction: 0.3, FlapFraction: 0.3, BurstLossFraction: 0.3, TargetOutageFraction: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := w.WithFaults(plan)
+	skip := NewGreylist()
+	for _, ip := range targets[:200] {
+		skip.Add(ip, netsim.ReplyAdminFiltered)
+	}
+	vps := platform.PlanetLab(cities.Default()).VPs()[:12]
+
+	kinds := map[netsim.ReplyKind]int{}
+	crashed, outages := 0, 0
+	for _, vp := range vps {
+		for round := uint64(1); round <= 2; round++ {
+			for _, rate := range []float64{0, 20000} {
+				pcfg := Config{Seed: 5, Round: round, Rate: rate}
+				kst, kgrey, kerr := Run(fw, vp, targets, skip, pcfg, nil)
+				fst, fgrey, ferr := Run(fw, vp, targets, skip, pcfg, func(smp record.Sample) { kinds[smp.Kind]++ })
+				if kst != fst {
+					t.Fatalf("%s round %d rate %v: kind-only stats %v, full %v", vp.Name, round, rate, kst, fst)
+				}
+				if !reflect.DeepEqual(kgrey.Snapshot(), fgrey.Snapshot()) {
+					t.Fatalf("%s round %d rate %v: kind-only greylist %d hosts, full %d", vp.Name, round, rate, kgrey.Len(), fgrey.Len())
+				}
+				if !reflect.DeepEqual(kerr, ferr) {
+					t.Fatalf("%s round %d rate %v: kind-only error %v, full %v", vp.Name, round, rate, kerr, ferr)
+				}
+				if kerr != nil {
+					crashed++
+				}
+			}
+		}
+	}
+	for _, k := range []netsim.ReplyKind{netsim.ReplyEcho, netsim.ReplyAdminFiltered, netsim.ReplyHostProhibited, netsim.ReplyNetProhibited} {
+		if kinds[k] == 0 {
+			t.Errorf("no %v reply in any run", k)
+		}
+	}
+	if crashed == 0 {
+		t.Error("no run crashed")
+	}
+
+	span, classes := fw.PlanSpan(targets), fw.PlanKinds(targets)
+	for _, vp := range vps[:4] {
+		bound, kindOnly := fw.PlannedSession(vp, span), fw.KindSession(vp, classes)
+		for round := uint64(1); round <= 3; round++ {
+			for i, target := range targets {
+				want := bound.ICMP(i, round).Kind
+				if got := kindOnly.Kind(i, round); got != want {
+					t.Fatalf("%s round %d %v: Kind %v, ICMP's kind %v", vp.Name, round, target, got, want)
+				}
+				if got := bound.Kind(i, round); got != want {
+					t.Fatalf("%s round %d %v: bound session's Kind %v, ICMP's kind %v", vp.Name, round, target, got, want)
+				}
+				if want == netsim.ReplyTimeout && plan.TargetUnreachable(target.Prefix(), round) {
+					outages++
+				}
+			}
+		}
+		bound.Release()
+	}
+	if outages == 0 {
+		t.Error("no target outage in the span")
 	}
 }

@@ -368,16 +368,19 @@ func Run(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Greylist, c
 // probe loop already knows the index it drew from the permutation, so
 // handing it to the sink spares the caller a target→index lookup per
 // reply — at census scale that lookup (or the map backing it) dominates a
-// narrow span's probing cost. It plans the span for this one run; callers
+// narrow span's probing cost. It plans the span for this one run, without
+// a sink for the reply kinds alone (netsim.World.PlanKinds); callers
 // probing a span from many vantage points share one Plan through RunPlan.
 func RunIndexed(w *netsim.World, vp platform.VP, targets []netsim.IP, skip *Greylist, cfg Config, sink func(int, record.Sample)) (Stats, *Greylist, error) {
-	return RunPlan(w, vp, NewPlan(w, targets, skip), cfg, sink)
+	return RunPlan(w, vp, newPlan(w, targets, skip, sink == nil), cfg, sink)
 }
 
 // Plan is the vantage-point-independent half of probing one target span:
 // the world's span plan and the greylist mask, a bit per target that the
 // blacklist skips. Both are read-only once built, so every vantage point
-// probing the span in a round shares one Plan.
+// probing the span in a round shares one Plan. A plan RunIndexed makes
+// for a run without a sink holds the targets' classes alone and never
+// leaves it.
 type Plan struct {
 	targets []netsim.IP
 	span    *netsim.SpanPlan
@@ -387,8 +390,19 @@ type Plan struct {
 // NewPlan plans probing targets around the hosts skip holds at the time
 // of the call.
 func NewPlan(w *netsim.World, targets []netsim.IP, skip *Greylist) *Plan {
+	return newPlan(w, targets, skip, false)
+}
+
+// newPlan is NewPlan, over a span plan of the targets' classes alone
+// when kindOnly.
+func newPlan(w *netsim.World, targets []netsim.IP, skip *Greylist, kindOnly bool) *Plan {
 	DefaultMetrics.Plans.Add(1)
-	pl := &Plan{targets: targets, span: w.PlanSpan(targets)}
+	pl := &Plan{targets: targets}
+	if kindOnly {
+		pl.span = w.PlanKinds(targets)
+	} else {
+		pl.span = w.PlanSpan(targets)
+	}
 	if len(targets) == 0 {
 		return pl
 	}
@@ -457,9 +471,17 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 	// session is bound to the plan once, and greylist discoveries go into
 	// the goroutine-local `found` map directly. Per probe the loop touches
 	// only the span slabs and the per-round draws, so the probe rate stays
-	// flat from 20k-target runs to full-Internet censuses.
+	// flat from 20k-target runs to full-Internet censuses. A run without a
+	// sink reads nothing of a reply but its kind, so it binds no RTT base
+	// and asks each probe for its kind alone (SpanSession.Kind).
 	skipped := plan.skip
-	span := w.PlannedSession(vp, plan.span)
+	kindOnly := sink == nil
+	var span netsim.SpanSession
+	if kindOnly {
+		span = w.KindSession(vp, plan.span)
+	} else {
+		span = w.PlannedSession(vp, plan.span)
+	}
 	defer span.Release()
 
 	for i := uint64(0); ; i++ {
@@ -490,7 +512,12 @@ func RunPlan(w *netsim.World, vp platform.VP, plan *Plan, cfg Config, sink func(
 			stats.Timeouts++
 			continue
 		}
-		reply := span.ICMP(int(idx), cfg.Round)
+		var reply netsim.Reply
+		if kindOnly {
+			reply.Kind = span.Kind(int(idx), cfg.Round)
+		} else {
+			reply = span.ICMP(int(idx), cfg.Round)
+		}
 
 		// Replies aggregate near the vantage point: at excessive rates a
 		// fraction is dropped before Fastping sees them.

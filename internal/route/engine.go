@@ -254,7 +254,7 @@ func (e *Engine) DecideFor(client, service netsim.Prefix24, prefer Policy) (Answ
 		ans.Located = in.Located
 		ans.Lat, ans.Lon = in.Lat, in.Lon
 		if located {
-			ans.DistKm = geo.VecDistKm(geo.VecDot(cvec, in.UnitVec()))
+			ans.DistKm = geo.VecDistKm(in.Dot(cvec[0], cvec[1], cvec[2]))
 		}
 	}
 	return ans, decided
@@ -278,13 +278,16 @@ func (e *Engine) apply(p Policy, entry *store.Entry, snap *store.Snapshot, cvec 
 		return -1
 	}
 	best, bestDot := -1, -2.0
+	// geo.VecDot(cvec, v), on registers and in the same order: the
+	// inlined call copies both arrays through the stack at every instance.
+	c0, c1, c2 := cvec[0], cvec[1], cvec[2]
 	switch p {
 	case PolicyNearestReplica:
 		if !located {
 			return -1
 		}
 		for i := range entry.Instances {
-			if d := geo.VecDot(cvec, entry.Instances[i].UnitVec()); d > bestDot {
+			if d := entry.Instances[i].Dot(c0, c1, c2); d > bestDot {
 				best, bestDot = i, d
 			}
 		}
@@ -303,7 +306,7 @@ func (e *Engine) apply(p Policy, entry *store.Entry, snap *store.Snapshot, cvec 
 			if containsSorted(quarantined, in.ViaVP) {
 				continue
 			}
-			if d := geo.VecDot(cvec, in.UnitVec()); d > bestDot {
+			if d := in.Dot(c0, c1, c2); d > bestDot {
 				best, bestDot = i, d
 			}
 		}
@@ -316,7 +319,7 @@ func (e *Engine) apply(p Policy, entry *store.Entry, snap *store.Snapshot, cvec 
 			if !ok {
 				continue
 			}
-			if d := geo.VecDot(cvec, vec); d > bestDot {
+			if d := c0*vec[0] + c1*vec[1] + c2*vec[2]; d > bestDot {
 				best, bestDot = i, d
 			}
 		}

@@ -40,9 +40,13 @@ type Instance struct {
 	vec [3]float64
 }
 
-// UnitVec returns the precomputed unit vector of the instance's
-// coordinates (geo.UnitVec of Lat/Lon).
-func (in *Instance) UnitVec() [3]float64 { return in.vec }
+// Dot returns geo.VecDot(u, v) of u = (u0, u1, u2) and the precomputed
+// unit vector v of the instance's coordinates (geo.UnitVec of Lat/Lon),
+// in the same order, read in place: a scan over the instances copies no
+// array.
+func (in *Instance) Dot(u0, u1, u2 float64) float64 {
+	return u0*in.vec[0] + u1*in.vec[1] + u2*in.vec[2]
+}
 
 // Entry is one detected anycast /24 in a snapshot.
 type Entry struct {
